@@ -1,6 +1,7 @@
 //! # dpc-bench — regenerating every table and figure of the evaluation
 //!
-//! One binary per paper artifact (see DESIGN.md's experiment index):
+//! One binary per paper artifact (the stack they drive is described in
+//! ARCHITECTURE.md):
 //!
 //! | binary | artifact |
 //! |--------|----------|

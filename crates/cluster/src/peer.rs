@@ -41,9 +41,9 @@ use std::thread::JoinHandle;
 
 use dpc_core::{CoherencyEpoch, DpcKey, FlightGroup, FragmentStore, Join, Publish};
 use dpc_net::frame::ClusterFrame;
-use dpc_trace::{Layer, SpanStatus, Tracer};
 use dpc_net::stream::Connector;
 use dpc_net::SimNetwork;
+use dpc_trace::{Layer, SpanStatus, Tracer};
 use std::collections::HashMap;
 
 use crate::feed::{FeedEvent, InvalidationFeed};

@@ -1,6 +1,6 @@
 //! Consistent-hash ring with virtual nodes.
 //!
-//! The legacy multi-node router hashes a request modulo the node count, so
+//! A static modulo router hashes a request modulo the node count, so
 //! *every* membership change remaps almost the whole keyspace (for `n → n+1`
 //! nodes, a share of `n/(n+1)` of all keys changes owner). The ring fixes
 //! that: each node contributes `vnodes` points on a `u64` hash circle, a key

@@ -24,9 +24,9 @@
 use bytes::Bytes;
 
 use crate::error::AssembleError;
-use crate::replace::{fnv1a_extend, FNV1A_SEED};
 use crate::store::FragmentStore;
 use crate::tag::{Op, Scanner};
+use dpc_policy::{fnv1a_extend, FNV1A_SEED};
 
 /// Counters from one assembly pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -184,45 +184,6 @@ pub fn assemble(template: &[u8], store: &FragmentStore) -> Result<AssembledPage,
     })
 }
 
-/// Assemble without mutating the store: `SET`s are *not* installed. Used by
-/// read-only consumers (e.g. template inspection tools).
-pub fn assemble_readonly(
-    template: &[u8],
-    store: &FragmentStore,
-) -> Result<AssembledPage, AssembleError> {
-    let mut scanner = Scanner::new(template).ok_or(AssembleError::Malformed {
-        offset: 0,
-        reason: "missing template preamble",
-    })?;
-    let mut html = Vec::with_capacity(template.len() * 2);
-    let mut stats = AssemblyStats {
-        template_bytes: template.len() as u64,
-        page_identity: FNV1A_SEED,
-        ..AssemblyStats::default()
-    };
-    while let Some(op) = scanner.next()? {
-        match op {
-            Op::Literal(bytes) => {
-                stats.literal_bytes += bytes.len() as u64;
-                html.extend_from_slice(bytes);
-            }
-            Op::Get(key) => {
-                let fragment = store.get(key).ok_or(AssembleError::MissingFragment(key))?;
-                stats.gets += 1;
-                stats.get_bytes += fragment.len() as u64;
-                html.extend_from_slice(&fragment);
-            }
-            Op::Set { key: _, content } => {
-                stats.sets += 1;
-                stats.set_bytes += content.len() as u64;
-                html.extend_from_slice(content);
-            }
-        }
-    }
-    stats.page_identity = fnv1a_extend(stats.page_identity, &html);
-    Ok(AssembledPage { html, stats })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,9 +244,7 @@ mod tests {
         assert_eq!(flat.stats, rope.stats);
         // The streaming identity equals a hash of the flat page, so any
         // two byte-identical pages carry the same strong ETag.
-        assert_eq!(rope.stats.page_identity, crate::replace::fnv1a(&flat.html));
-        let ro = assemble_readonly(&t, &store).unwrap();
-        assert_eq!(ro.stats.page_identity, rope.stats.page_identity);
+        assert_eq!(rope.stats.page_identity, dpc_policy::fnv1a(&flat.html));
         // write_into appends.
         let mut out = b"pre:".to_vec();
         rope.write_into(&mut out);
@@ -346,17 +305,6 @@ mod tests {
         let store = FragmentStore::new(4);
         let err = assemble(b"<html>plain</html>", &store).unwrap_err();
         assert!(matches!(err, AssembleError::Malformed { offset: 0, .. }));
-    }
-
-    #[test]
-    fn readonly_does_not_install_sets() {
-        let store = FragmentStore::new(8);
-        let mut t = Vec::new();
-        write_preamble(&mut t);
-        write_set(&mut t, DpcKey(1), b"content");
-        let page = assemble_readonly(&t, &store).unwrap();
-        assert_eq!(page.html, b"content".to_vec());
-        assert!(store.get(DpcKey(1)).is_none());
     }
 
     #[test]

@@ -235,9 +235,9 @@ impl Bem {
     }
 
     /// Verify the directory's structural invariants plus the flight
-    /// accounting cross-check: with coalescing enabled, every
-    /// produce-running miss must have taken flight leadership or been
-    /// explicitly counted as a final-lap uncoalesced miss
+    /// accounting cross-check: every produce-running miss must have taken
+    /// flight leadership or been explicitly counted as a final-lap
+    /// uncoalesced miss
     /// (`misses == flight_leaders + uncoalesced_misses`, counted at
     /// different code sites), and the writer-side flight counters must be
     /// visible to the directory's flight group — a new miss arm that
@@ -245,16 +245,12 @@ impl Bem {
     /// inequality. Call at quiescence (no writer mid-fragment).
     pub fn check_invariants(&self) -> Result<(), String> {
         self.directory.check_invariants()?;
-        if !self.config.coalesce {
-            return Ok(());
-        }
         let snap = self.stats.snapshot();
         let flight = self.directory.flight().counters();
         if snap.misses != snap.flight_leaders + snap.uncoalesced_misses {
             return Err(format!(
-                "coalescing enabled but {} misses ran produce with {} flight \
-                 leaderships and {} uncoalesced-lap misses — a miss arm \
-                 bypassed the flight group",
+                "{} misses ran produce with {} flight leaderships and {} \
+                 uncoalesced-lap misses — a miss arm bypassed the flight group",
                 snap.misses, snap.flight_leaders, snap.uncoalesced_misses
             ));
         }
@@ -395,7 +391,7 @@ impl TemplateWriter<'_> {
         let tracer = self.bem.tracer.lock().clone();
         for lap in 0..=MAX_FLIGHT_LAPS {
             // The final lap runs uncoalesced so every arm must return.
-            let coalesce = self.bem.config.coalesce && lap < MAX_FLIGHT_LAPS;
+            let coalesce = lap < MAX_FLIGHT_LAPS;
             let looked = {
                 let mut sp = tracer.span(Layer::Directory);
                 sp.set_detail(fkey);
@@ -492,7 +488,7 @@ impl TemplateWriter<'_> {
                             stats.flight_retries.fetch_add(1, Ordering::Relaxed);
                             continue;
                         }
-                    } else if self.bem.config.coalesce {
+                    } else {
                         // Final-lap miss after the lap cap: produce ran with
                         // no leadership, by design. Counted separately so
                         // the invariant checker can still prove no arm
@@ -562,7 +558,7 @@ impl TemplateWriter<'_> {
         let fkey = self.bem.directory.flight_key(id);
         let tracer = self.bem.tracer.lock().clone();
         for lap in 0..=MAX_FLIGHT_LAPS {
-            let coalesce = self.bem.config.coalesce && lap < MAX_FLIGHT_LAPS;
+            let coalesce = lap < MAX_FLIGHT_LAPS;
             let looked = {
                 let mut sp = tracer.span(Layer::Directory);
                 sp.set_detail(fkey);
@@ -644,7 +640,7 @@ impl TemplateWriter<'_> {
                             stats.flight_retries.fetch_add(1, Ordering::Relaxed);
                             continue;
                         }
-                    } else if self.bem.config.coalesce {
+                    } else {
                         stats.uncoalesced_misses.fetch_add(1, Ordering::Relaxed);
                     }
                     self.emit_set(key, &content);
@@ -1011,7 +1007,6 @@ mod tests {
         // flight, hits skip the flight map via the active-counter fast
         // path, and the invariant checker balances throughout.
         let bem = bem_with(16);
-        assert!(bem.config().coalesce, "coalescing is on by default");
         for round in 0..3 {
             for i in 0..8 {
                 let id = FragmentId::with_params("f", &[("i", &i.to_string())]);
@@ -1030,19 +1025,6 @@ mod tests {
         let stats = bem.directory_stats();
         assert_eq!(stats.flight_leaders, 8);
         assert_eq!(stats.coalesced_waits, 0);
-    }
-
-    #[test]
-    fn coalescing_disabled_takes_no_flights() {
-        let bem = Bem::new(BemConfig::default().with_capacity(16).with_coalesce(false));
-        for _ in 0..4 {
-            let mut w = bem.template_writer();
-            w.fragment(&nav_id(), FragmentPolicy::pinned(), |b| b.push(b'x'));
-            let _ = w.finish();
-        }
-        assert_eq!(bem.stats().snapshot().flight_leaders, 0);
-        assert_eq!(bem.directory_stats().flight_leaders, 0);
-        bem.check_invariants().unwrap();
     }
 
     #[test]

@@ -38,11 +38,6 @@ pub struct BemConfig {
     /// flag). To bound memory on long runs, entries whose count exceeds
     /// `capacity * garbage_factor` are garbage-collected oldest-first.
     pub garbage_factor: usize,
-    /// Single-flight miss coalescing: when true (the default), concurrent
-    /// requests for the same missing fragment are collapsed — one leader
-    /// runs the code block, parked requesters receive the same rope.
-    /// Disable only to measure the uncoalesced dogpile baseline.
-    pub coalesce: bool,
     /// Number of lock shards for the cache directory and the DPC slot
     /// store. Each shard owns a contiguous segment of the key space with
     /// its own lock, freeList segment, and replacement manager, so proxy
@@ -75,7 +70,6 @@ impl Default for BemConfig {
             seed: 0x5EED_CAFE,
             clock: Clock::real(),
             garbage_factor: 4,
-            coalesce: true,
             shards: DEFAULT_SHARDS,
         }
     }
@@ -124,12 +118,6 @@ impl BemConfig {
     /// Builder: set the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder: enable/disable single-flight miss coalescing.
-    pub fn with_coalesce(mut self, coalesce: bool) -> Self {
-        self.coalesce = coalesce;
         self
     }
 

@@ -44,7 +44,7 @@
 //!   invalidates every fragment registered as depending on it.
 //! * **Replacement** — when all of a shard's keys are valid and a new
 //!   fragment needs one, the shard's replacement manager picks a victim
-//!   (policy-pluggable, see [`crate::replace`]).
+//!   (policy-pluggable, see [`dpc_policy`]).
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -57,7 +57,7 @@ use dpc_net::Clock;
 use crate::config::BemConfig;
 use crate::flight::FlightGroup;
 use crate::key::{DpcKey, FragmentId};
-use crate::replace::{fnv1a, make_replacer, Replacer};
+use dpc_policy::{fnv1a, Replacer};
 
 /// Outcome of a directory lookup for a cacheable fragment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -312,7 +312,7 @@ impl CacheDirectory {
                         key_owner: HashMap::new(),
                         free_list: VecDeque::new(),
                         next_fresh: key_lo,
-                        replacer: make_replacer(config.replace, shard_cap),
+                        replacer: config.replace.build(shard_cap),
                         dep_index: HashMap::new(),
                         seq: 0,
                         hits: 0,

@@ -25,7 +25,7 @@
 //!   single-pass scanner/assembler that turns a template plus cached
 //!   fragments into the final page — as a flat buffer or as a zero-copy
 //!   rope of shared segments.
-//! * [`invalidate`] / [`replace`] — TTL + data-dependency invalidation and
+//! * [`invalidate`] / [`dpc_policy`] — TTL + data-dependency invalidation and
 //!   pluggable replacement policies (LRU, CLOCK, FIFO, plus the size-aware
 //!   GDSF and scan-resistant 2Q/TinyLFU from the `dpc_policy` crate).
 //! * [`objects`] — the BEM's secondary function: caching intermediate
@@ -89,7 +89,6 @@ pub mod flight;
 pub mod invalidate;
 pub mod key;
 pub mod objects;
-pub mod replace;
 pub mod stats;
 pub mod store;
 pub mod tag;
@@ -98,12 +97,12 @@ pub use assemble::{assemble, assemble_rope, AssembledPage, AssembledRope, Assemb
 pub use bem::{Bem, FragmentPolicy, InvalidationSink, TemplateWriter};
 pub use config::{BemConfig, ReplacePolicy, DEFAULT_SHARDS};
 pub use directory::{CacheDirectory, Lookup, ShardStats};
+pub use dpc_policy::{fnv1a, fnv1a_extend, Replacer, FNV1A_SEED};
 pub use epoch::CoherencyEpoch;
 pub use error::{AssembleError, CoreError};
 pub use flight::{FlightCounters, FlightGroup, FlightLeader, Join, Publish, Wait};
 pub use key::{DpcKey, FragmentId};
 pub use objects::ObjectCache;
-pub use replace::{fnv1a, fnv1a_extend, make_replacer, Replacer, FNV1A_SEED};
 pub use store::{FragmentSource, FragmentStore};
 
 /// Convenience re-exports for downstream crates and examples.

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::config::DEFAULT_SHARDS;
 use crate::key::DpcKey;
-use crate::replace::{make_replacer, ReplacePolicy, Replacer};
+use dpc_policy::{ReplacePolicy, Replacer};
 
 /// Somewhere else a fragment's bytes might live: a peer DPC node, a
 /// warm-standby store, a disk spill. When assembly finds a slot empty, the
@@ -130,7 +130,7 @@ impl FragmentStore {
     ) -> FragmentStore {
         let mut store = FragmentStore::with_shards(capacity, shards);
         store.budget = Some(Mutex::new(BudgetBook {
-            replacer: make_replacer(policy, capacity),
+            replacer: policy.build(capacity),
             budget_bytes,
         }));
         store

@@ -1,39 +1,15 @@
 //! The uncontended miss path must not allocate: a zero-waiter flight is
 //! an insert into a pre-reserved map and a remove, nothing more. This test
-//! pins that with a counting global allocator — if someone adds a
+//! pins that with a per-thread counting allocator — if someone adds a
 //! per-flight `Arc`, boxes the state, or lets the map grow in steady
 //! state, the count moves and this fails.
-//!
-//! One test function only: a `#[global_allocator]` is process-wide, and a
-//! second concurrently-running test would perturb the counts.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use dpc_core::{FlightGroup, Publish, Wait};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/thread_alloc.rs"]
+mod thread_alloc;
 
 #[test]
 fn uncontended_flights_do_not_allocate() {
@@ -46,7 +22,7 @@ fn uncontended_flights_do_not_allocate() {
         assert_eq!(leader.publish(key), Publish::Delivered(0));
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_alloc::allocs();
     for round in 0..100u64 {
         for key in 0..32u64 {
             // The hit-path probe (lock-free when nothing is in flight).
@@ -60,10 +36,44 @@ fn uncontended_flights_do_not_allocate() {
             group.invalidate(key);
         }
     }
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    let during = thread_alloc::allocs() - before;
     assert_eq!(
         during, 0,
         "uncontended single-flight path allocated {during} times in 3200 flights"
     );
     group.check_invariants().unwrap();
+}
+
+/// Pins the counter the three allocation tests share: a second thread
+/// allocates for the whole measured window and the measuring thread still
+/// reads zero. A process-wide counter (which also saw the libtest harness
+/// thread, and made these tests fail under load) fails here every run.
+#[test]
+fn another_threads_allocations_are_not_counted() {
+    let stop = AtomicBool::new(false);
+    let noise = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                std::hint::black_box(Box::new(0u64));
+                noise.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        // The window opens only once the neighbour is allocating and
+        // closes only after it has allocated a thousand times more.
+        while noise.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        let noise_before = noise.load(Ordering::Relaxed);
+        let before = thread_alloc::allocs();
+        while noise.load(Ordering::Relaxed) < noise_before + 1000 {
+            std::thread::yield_now();
+        }
+        let during = thread_alloc::allocs() - before;
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(
+            during, 0,
+            "measuring thread was charged {during} allocations made by its neighbour"
+        );
+    });
 }

@@ -23,9 +23,7 @@
 //! control), so a reader that never drains can't balloon server memory.
 //! Response bodies are ropes ([`message::Body`]) written to the wire with
 //! vectored I/O, keeping the DPC's assembled fragments zero-copy end to
-//! end. The original thread-per-connection front survives as
-//! [`ThreadedServer`] ([`threaded`]) purely as the measured baseline for
-//! `bench/benches/connections.rs`.
+//! end.
 
 pub mod client;
 pub mod error;
@@ -34,7 +32,6 @@ pub mod parse;
 pub mod pool;
 pub mod serialize;
 pub mod server;
-pub mod threaded;
 pub mod uri;
 
 pub use client::Client;
@@ -44,7 +41,6 @@ pub use server::{
     Handler, LoopCache, LoopCacheFactory, LoopStats, Server, ServerConfig, ServerHandle,
     ServerStats,
 };
-pub use threaded::{ThreadedServer, ThreadedServerHandle};
 pub use uri::Uri;
 
 /// Result alias for this crate.

@@ -877,7 +877,14 @@ impl LoopState {
         }
         if let Some(ctx) = conn.trace.take() {
             let ok = resp.status.is_success() || resp.status == crate::Status::NOT_MODIFIED;
-            tracer.finish_root(ctx, if ok { SpanStatus::Ok } else { SpanStatus::Error });
+            tracer.finish_root(
+                ctx,
+                if ok {
+                    SpanStatus::Ok
+                } else {
+                    SpanStatus::Error
+                },
+            );
         }
         let close = conn.close_pending || resp.headers.connection_close();
         conn.enqueue_response(resp);

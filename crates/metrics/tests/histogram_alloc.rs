@@ -1,39 +1,13 @@
 //! The histogram observe path must not allocate: it is two relaxed
 //! `fetch_add`s into a fixed bucket array, called once per request from
-//! every event loop. This test pins that with a counting global allocator
-//! — if someone adds per-observe boxing, lazy bucket growth, or a labels
-//! map on the hot path, the count moves and this fails.
-//!
-//! One test function only: a `#[global_allocator]` is process-wide, and a
-//! second concurrently-running test would perturb the counts.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! every event loop. This test pins that with a per-thread counting
+//! allocator — if someone adds per-observe boxing, lazy bucket growth, or
+//! a labels map on the hot path, the count moves and this fails.
 
 use dpc_metrics::{Counter, Gauge, Outcome, OutcomeHistograms};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/thread_alloc.rs"]
+mod thread_alloc;
 
 #[test]
 fn observe_does_not_allocate() {
@@ -50,7 +24,7 @@ fn observe_does_not_allocate() {
     counter.inc();
     gauge.set(1);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_alloc::allocs();
     for round in 0..10_000u64 {
         for outcome in Outcome::ALL {
             hist.observe(outcome, round * 37 + outcome.index() as u64);
@@ -58,17 +32,17 @@ fn observe_does_not_allocate() {
         counter.add(round);
         gauge.set(round);
     }
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    let during = thread_alloc::allocs() - before;
     assert_eq!(
         during, 0,
         "metrics hot path allocated {during} times in 70000 observes"
     );
     // Classification (the per-request header match) is also hot-path.
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_alloc::allocs();
     for _ in 0..10_000u64 {
         let o = Outcome::classify(true, false, Some("dpc-l1"), false);
         hist.observe(o, 5);
     }
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    let during = thread_alloc::allocs() - before;
     assert_eq!(during, 0, "classify+observe allocated {during} times");
 }

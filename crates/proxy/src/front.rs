@@ -244,8 +244,14 @@ impl Proxy {
         let resp = self.serve_traced(req);
         drop(guard);
         let ok = resp.status.is_success() || resp.status == Status::NOT_MODIFIED;
-        self.tracer
-            .finish_root(ctx, if ok { SpanStatus::Ok } else { SpanStatus::Error });
+        self.tracer.finish_root(
+            ctx,
+            if ok {
+                SpanStatus::Ok
+            } else {
+                SpanStatus::Error
+            },
+        );
         resp
     }
 

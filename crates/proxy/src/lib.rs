@@ -16,23 +16,18 @@
 //!   deliver the assembled page; on any assembly failure, transparently
 //!   refetch with `X-DPC-Bypass` so users always get correct bytes.
 //!
-//! Two multi-node tiers build on the front:
-//!
-//! * [`cluster`] — the paper's §7 extension verbatim: a *static* fleet
-//!   behind a hash/round-robin [`cluster::Router`], per-node placement
-//!   tracked by the directory's `stored_nodes` bitmask, zero proxy-bound
-//!   coherence messages. Kept as the bench baseline.
-//! * [`ring_cluster`] — the dynamic cluster: consistent-hash placement
-//!   over a [`dpc_cluster::HashRing`], join/leave/fail membership with
-//!   lazy peer-fetch key-range handoff, and a gossiped invalidation feed
-//!   that scrubs freed slots cluster-wide (see the `dpc-cluster` crate).
+//! One multi-node tier builds on the front: [`ring_cluster`], the paper's
+//! §7 extension made dynamic — consistent-hash placement over a
+//! [`dpc_cluster::HashRing`], per-node placement tracked by the
+//! directory's `stored_nodes` bitmask, join/leave/fail membership with
+//! lazy peer-fetch key-range handoff, and a gossiped invalidation feed
+//! that scrubs freed slots cluster-wide (see the `dpc-cluster` crate).
 //!
 //! [`testbed`] reconstructs the paper's Figure 4: clients → (external box:
 //! firewall + proxy/DPC) → wire under measurement → (origin box: web
 //! server + BEM + repository), all over the metered [`dpc_net::SimNetwork`]
 //! with Sniffer-style byte accounting at the origin↔external boundary.
 
-pub mod cluster;
 pub mod esi;
 pub mod front;
 pub mod l1;
@@ -42,7 +37,6 @@ pub mod page_cache;
 pub mod ring_cluster;
 pub mod testbed;
 
-pub use cluster::{DpcCluster, Router};
 pub use front::{Proxy, ProxyStats};
 pub use l1::{page_key, L1Cache, L2Resolver, LoopTier};
 pub use modes::ProxyMode;

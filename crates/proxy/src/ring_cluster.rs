@@ -1,15 +1,14 @@
 //! The dynamic DPC cluster: consistent-hash placement, membership churn,
 //! lazy peer-fetch handoff, and the gossiped invalidation feed.
 //!
-//! This is the third serving tier (core → front → cluster), replacing the
-//! static [`crate::cluster`] harness for fragment-addressed traffic. Each
+//! This is the third serving tier (core → front → cluster). Each
 //! node is a full DPC front ([`Proxy`] in DPC mode with its own slot
 //! store) plus a [`dpc_cluster::PeerNode`] endpoint (peer-fetch + gossip
 //! service on the shared [`SimNetwork`]):
 //!
 //! * **Routing** — requests go to the ring owner of their target
 //!   ([`dpc_cluster::HashRing`]); a membership change remaps an expected
-//!   `1/n` of the keyspace, not the modulo router's avalanche.
+//!   `1/n` of the keyspace, not a modulo router's avalanche.
 //! * **Join** — the newcomer's points go on the ring and *nothing else
 //!   moves*: keys it now owns are pulled lazily. On its first miss of a
 //!   slot, the node peer-fetches from the pre-join owner
@@ -751,6 +750,13 @@ mod tests {
             owners_seen.len() > 1,
             "12 pages must spread over several nodes: {owners_seen:?}"
         );
+        // Personalized pages stay per-user on the ring (§3.2.1).
+        let catalog = "/catalog.jsp?categoryID=cat1";
+        for user in [Some("user1"), Some("user2"), None] {
+            let want = tb.get(catalog, user).body.to_vec();
+            let got = cluster.get(catalog, user).body.to_vec();
+            assert_eq!(got, want, "{user:?}");
+        }
     }
 
     #[test]

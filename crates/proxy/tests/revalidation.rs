@@ -16,8 +16,6 @@
 //!   the bytes allocated while serving a conditional hit against a 64 KiB
 //!   page.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,43 +32,8 @@ use dpc_proxy::l1::{LoopTier, PROMOTE_AFTER};
 use dpc_proxy::testbed::{Testbed, TestbedConfig, PROXY_ADDR};
 use dpc_proxy::{PageCache, ProxyMode};
 
-// ---------------------------------------------------------------------------
-// Thread-tracking allocator: counts bytes allocated *by the current
-// thread* only, so the pin below is immune to whatever the other tests in
-// this binary allocate concurrently. Const-initialized thread-local — no
-// lazy init, so the allocator itself never recurses into an allocation.
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static THREAD_ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-struct ThreadTrackingAlloc;
-
-unsafe impl GlobalAlloc for ThreadTrackingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOC_BYTES.try_with(|b| b.set(b.get() + layout.size() as u64));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = THREAD_ALLOC_BYTES.try_with(|b| b.set(b.get() + new_size as u64));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: ThreadTrackingAlloc = ThreadTrackingAlloc;
-
-fn thread_alloc_bytes() -> u64 {
-    THREAD_ALLOC_BYTES.with(Cell::get)
-}
-
-// ---------------------------------------------------------------------------
+#[path = "../../../tests/support/thread_alloc.rs"]
+mod thread_alloc;
 
 fn params() -> PaperSiteParams {
     PaperSiteParams {
@@ -449,9 +412,9 @@ fn revalidated_304_serve_allocates_no_body_bytes() {
     assert_eq!(warm.status.0, 304);
     assert!(warm.body.to_vec().is_empty());
 
-    let before = thread_alloc_bytes();
+    let before = thread_alloc::bytes();
     let resp = tier.try_serve(&conditional()).expect("conditional serves");
-    let allocated = thread_alloc_bytes() - before;
+    let allocated = thread_alloc::bytes() - before;
     assert_eq!(resp.status.0, 304);
     assert_eq!(resp.headers.get("ETag"), Some(etag));
     assert!(

@@ -71,7 +71,9 @@ fn one_request_stitches_front_owner_and_peer_into_one_trace() {
     // the front's L1, so the post-join serve must go to the new owner).
     for _ in 0..2 {
         for p in 0..12 {
-            let resp = client.request("trace-front", Request::get(page(p))).unwrap();
+            let resp = client
+                .request("trace-front", Request::get(page(p)))
+                .unwrap();
             assert_eq!(resp.status.0, 200);
         }
     }
@@ -95,7 +97,10 @@ fn one_request_stitches_front_owner_and_peer_into_one_trace() {
         .expect("journey leads with id=<hex>");
     let trace_id = u64::from_str_radix(id_hex, 16).unwrap();
 
-    let rec = cluster.tracer().recorder().expect("ring tracing defaults on");
+    let rec = cluster
+        .tracer()
+        .recorder()
+        .expect("ring tracing defaults on");
     let spans = rec.spans_of(trace_id);
 
     // Exactly one local root — the front's HTTP span — and every other
@@ -319,7 +324,10 @@ fn flash_crowd_waiter_spans_name_the_leaders_flight_span() {
             .iter()
             .find(|s| s.layer == Layer::Flight && s.status == SpanStatus::Waiter)
             .expect("each waiter records its flight span");
-        assert_eq!(wait.parent_id, ctx.span_id, "waiter parents under its own root");
+        assert_eq!(
+            wait.parent_id, ctx.span_id,
+            "waiter parents under its own root"
+        );
         assert_eq!(
             wait.detail, lead_flight.span_id,
             "a waiter span names the leader span it coalesced behind"

@@ -228,8 +228,7 @@ impl Slot {
         self.trace_id.store(ev.trace_id, Ordering::Relaxed);
         self.span_id.store(ev.span_id, Ordering::Relaxed);
         self.parent_id.store(ev.parent_id, Ordering::Relaxed);
-        let meta =
-            ev.layer as u64 | (ev.status as u64) << 8 | (ev.node as u64) << 32;
+        let meta = ev.layer as u64 | (ev.status as u64) << 8 | (ev.node as u64) << 32;
         self.meta.store(meta, Ordering::Relaxed);
         self.start.store(ev.start_nanos, Ordering::Relaxed);
         self.end.store(ev.end_nanos, Ordering::Relaxed);
@@ -248,9 +247,7 @@ impl Slot {
                 span_id: self.span_id.load(Ordering::Relaxed),
                 parent_id: self.parent_id.load(Ordering::Relaxed),
                 layer: Layer::from_u8(self.meta.load(Ordering::Relaxed) as u8),
-                status: SpanStatus::from_u8(
-                    (self.meta.load(Ordering::Relaxed) >> 8) as u8,
-                ),
+                status: SpanStatus::from_u8((self.meta.load(Ordering::Relaxed) >> 8) as u8),
                 start_nanos: self.start.load(Ordering::Relaxed),
                 end_nanos: self.end.load(Ordering::Relaxed),
                 node: (self.meta.load(Ordering::Relaxed) >> 32) as u32,
@@ -531,7 +528,9 @@ impl TraceRecorder {
     /// Fresh nonzero id: a counter finalized through splitmix64 so ids
     /// spread without a global random source.
     fn gen_id(&self) -> u64 {
-        let raw = self.next_id.fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed);
+        let raw = self
+            .next_id
+            .fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed);
         let mut z = raw;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -636,12 +635,12 @@ impl TraceRecorder {
             Some(RetainReason::Evicted)
         } else if status.is_failure() || flagged {
             Some(RetainReason::Error)
-        } else if root.duration_nanos() > self.config.slow_threshold_nanos {
-            Some(RetainReason::Slow)
-        } else if self.config.sample_one_in > 0
-            && self.completed_roots.fetch_add(1, Ordering::Relaxed)
-                % self.config.sample_one_in
-                == 0
+        } else if root.duration_nanos() > self.config.slow_threshold_nanos
+            || (self.config.sample_one_in > 0
+                && self
+                    .completed_roots
+                    .fetch_add(1, Ordering::Relaxed)
+                    .is_multiple_of(self.config.sample_one_in))
         {
             Some(RetainReason::Slow)
         } else {
@@ -949,8 +948,9 @@ pub fn render_journey(
     node: u32,
 ) -> String {
     let any = |f: &dyn Fn(&SpanEvent) -> bool| spans.iter().any(f);
-    let local_flight =
-        |s: &SpanEvent, status: SpanStatus| s.layer == Layer::Flight && s.node == node && s.status == status;
+    let local_flight = |s: &SpanEvent, status: SpanStatus| {
+        s.layer == Layer::Flight && s.node == node && s.status == status
+    };
     let tier = if any(&|s| {
         // A hash-only answer on the client leg: either tier revalidated,
         // or the proxy collapsed a rebuilt page into a 304. A *peer* leg
@@ -1120,9 +1120,7 @@ mod tests {
         });
         let tracer = Tracer::new(Arc::clone(&rec));
         let header = format_ctx(7, 9);
-        let ctx = tracer
-            .begin_request(Layer::Http, Some(&header))
-            .unwrap();
+        let ctx = tracer.begin_request(Layer::Http, Some(&header)).unwrap();
         assert!(ctx.remote);
         assert_eq!((ctx.trace_id, ctx.parent_id), (7, 9));
         tracer.finish_root(ctx, SpanStatus::Ok);

@@ -1,40 +1,14 @@
 //! The span hot path must not allocate: opening a root, entering its
 //! context, recording nested child spans, and finishing the root are all
-//! atomic stores into pre-allocated rings. This pins that with a counting
-//! global allocator — if someone boxes a span, formats a label, or lets
+//! atomic stores into pre-allocated rings. This pins that with a per-thread
+//! counting allocator — if someone boxes a span, formats a label, or lets
 //! the recorder grow in steady state, the count moves and this fails.
-//!
-//! One test function only: a `#[global_allocator]` is process-wide, and a
-//! second concurrently-running test would perturb the counts.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use dpc_net::Clock;
 use dpc_trace::{enter_ctx, Layer, SpanStatus, TraceConfig, Tracer};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/thread_alloc.rs"]
+mod thread_alloc;
 
 #[test]
 fn span_recording_does_not_allocate() {
@@ -56,7 +30,7 @@ fn span_recording_does_not_allocate() {
         tracer.finish_root(ctx, SpanStatus::Ok);
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_alloc::allocs();
     for round in 0..1000u64 {
         let ctx = tracer.begin_request(Layer::Http, None).unwrap();
         {
@@ -78,7 +52,7 @@ fn span_recording_does_not_allocate() {
         }
         tracer.finish_root(ctx, SpanStatus::Ok);
     }
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    let during = thread_alloc::allocs() - before;
     assert_eq!(
         during, 0,
         "span hot path allocated {during} times in 1000 traced requests"
