@@ -343,6 +343,12 @@ impl TemplateWriter<'_> {
     /// invalidation can make the block run a second time within one call —
     /// the first result belonged to a dead generation and was discarded.
     ///
+    /// Contract: every read that feeds the block happens in the block. A
+    /// read made before the call can be overtaken by an update whose
+    /// invalidation then lands before this entry is registered, and the
+    /// entry would be valid for bytes that are already stale; it also runs
+    /// on every hit, for output nobody sends.
+    ///
     /// Returns true when the fragment was served without running the code
     /// block (a directory hit, or a parked wait on a concurrent leader's
     /// in-flight computation).

@@ -1,7 +1,5 @@
 //! BEM/DPC configuration.
 
-use std::time::Duration;
-
 use dpc_net::Clock;
 
 /// Which replacement policy the directory's replacement manager uses —
@@ -18,8 +16,6 @@ pub struct BemConfig {
     pub capacity: usize,
     /// Replacement policy when the directory is full.
     pub replace: ReplacePolicy,
-    /// Default TTL applied when a fragment policy does not specify one.
-    pub default_ttl: Duration,
     /// When false the BEM is disabled: template writers emit fully expanded
     /// pages with no instructions (the paper's "no cache" configuration).
     pub enabled: bool,
@@ -34,10 +30,6 @@ pub struct BemConfig {
     pub seed: u64,
     /// Clock used for TTLs (virtual in tests/benches).
     pub clock: Clock,
-    /// Directories keep invalidated entries around (the paper's `isValid`
-    /// flag). To bound memory on long runs, entries whose count exceeds
-    /// `capacity * garbage_factor` are garbage-collected oldest-first.
-    pub garbage_factor: usize,
     /// Number of lock shards for the cache directory and the DPC slot
     /// store. Each shard owns a contiguous segment of the key space with
     /// its own lock, freeList segment, and replacement manager, so proxy
@@ -64,12 +56,10 @@ impl Default for BemConfig {
         BemConfig {
             capacity: 4096,
             replace: ReplacePolicy::Lru,
-            default_ttl: Duration::from_secs(300),
             enabled: true,
             force_miss_probability: None,
             seed: 0x5EED_CAFE,
             clock: Clock::real(),
-            garbage_factor: 4,
             shards: DEFAULT_SHARDS,
         }
     }
@@ -100,12 +90,6 @@ impl BemConfig {
     pub fn with_forced_hit_ratio(mut self, h: f64) -> Self {
         assert!((0.0..=1.0).contains(&h), "hit ratio must be in [0,1]");
         self.force_miss_probability = Some(1.0 - h);
-        self
-    }
-
-    /// Builder: set default TTL.
-    pub fn with_default_ttl(mut self, ttl: Duration) -> Self {
-        self.default_ttl = ttl;
         self
     }
 
@@ -146,7 +130,6 @@ mod tests {
         let cfg = BemConfig::default()
             .with_capacity(16)
             .with_replace(ReplacePolicy::Fifo)
-            .with_default_ttl(Duration::from_secs(1))
             .with_enabled(false)
             .with_seed(7)
             .with_forced_hit_ratio(0.8);

@@ -59,6 +59,12 @@ use crate::flight::FlightGroup;
 use crate::key::{DpcKey, FragmentId};
 use dpc_policy::{fnv1a, Replacer};
 
+/// Directories keep invalidated entries around (the paper's `isValid`
+/// flag). To bound memory on long runs, a shard whose entry count exceeds
+/// its key share (at least 16) times this factor garbage-collects its
+/// invalid entries oldest-first.
+const GARBAGE_FACTOR: usize = 4;
+
 /// Outcome of a directory lookup for a cacheable fragment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
@@ -304,9 +310,7 @@ impl CacheDirectory {
                 Shard {
                     key_lo,
                     key_hi,
-                    garbage_limit: shard_cap
-                        .max(16)
-                        .saturating_mul(config.garbage_factor.max(1)),
+                    garbage_limit: shard_cap.max(16).saturating_mul(GARBAGE_FACTOR),
                     inner: Mutex::new(Inner {
                         entries: HashMap::new(),
                         key_owner: HashMap::new(),

@@ -55,7 +55,7 @@ use dpc_metrics::{HistogramSnapshot, Outcome, OutcomeExemplars, OutcomeHistogram
 use dpc_net::{
     Backend, BoxNbListener, BoxNbStream, Clock, Poller, Ready, Registry, Token, WakeSet,
 };
-use dpc_trace::{Layer, RootCtx, SpanStatus, TraceConfig, Tracer, TRACE_HEADER};
+use dpc_trace::{Layer, RootCtx, SpanStatus, Tracer, TRACE_HEADER};
 
 use crate::message::{Request, Response};
 use crate::parse::{self, try_parse_request};
@@ -117,12 +117,6 @@ pub struct ServerConfig {
     /// zero CPU. The default honours the `DPC_POLL_BACKEND` environment
     /// variable (`"os"`), so CI can force the OS backend suite-wide.
     pub backend: Backend,
-    /// Span-recorder configuration. Disabled by default at this layer —
-    /// embedders that trace (the testbed, the ring) usually install a
-    /// shared recorder via [`Server::with_tracer`] instead, so one
-    /// recorder stitches spans across servers; enabling here gives the
-    /// server a private recorder built from this config.
-    pub trace: TraceConfig,
 }
 
 impl Default for ServerConfig {
@@ -130,7 +124,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 32,
             backend: Backend::from_env(),
-            trace: TraceConfig::disabled(),
         }
     }
 }
@@ -270,7 +263,7 @@ pub struct Server {
     global_output_cap: usize,
     loop_cache: Option<LoopCacheFactory>,
     request_clock: Option<Clock>,
-    tracer: Option<Tracer>,
+    tracer: Tracer,
 }
 
 impl Server {
@@ -284,7 +277,7 @@ impl Server {
             global_output_cap: DEFAULT_GLOBAL_OUTPUT_CAP,
             loop_cache: None,
             request_clock: None,
-            tracer: None,
+            tracer: Tracer::off(),
         }
     }
 
@@ -337,11 +330,11 @@ impl Server {
     /// and closes when its response is queued; the loop-cache probe, the
     /// handler (inline or at the worker pool), and everything they call
     /// record child spans under it through the thread-local context.
-    /// Overrides `ServerConfig::trace` — pass a tracer built on a shared
-    /// recorder so multiple servers (testbed origin + proxy, ring nodes)
-    /// land their spans in one place.
+    /// Pass a tracer built on a shared recorder so multiple servers
+    /// (testbed origin + proxy, ring nodes) land their spans in one place.
+    /// Without one the server records nothing.
     pub fn with_tracer(mut self, tracer: Tracer) -> Server {
-        self.tracer = Some(tracer);
+        self.tracer = tracer;
         self
     }
 
@@ -384,14 +377,7 @@ impl Server {
         } else {
             Vec::new()
         };
-        let tracer = match self.tracer {
-            Some(t) => t,
-            None if self.config.trace.enabled => Tracer::from_config(
-                self.config.trace,
-                self.request_clock.clone().unwrap_or_else(Clock::real),
-            ),
-            None => Tracer::off(),
-        };
+        let tracer = self.tracer;
         // Exemplars need both a latency observation and a trace id, so
         // they exist only when metrics and tracing are both on.
         let exemplars: Vec<Arc<OutcomeExemplars>> = if !latency.is_empty() && tracer.enabled() {

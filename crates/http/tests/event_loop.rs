@@ -293,7 +293,6 @@ fn tcp_workload_under_os_backend_never_ticks() {
             .with_config(ServerConfig {
                 workers: 2,
                 backend,
-                ..Default::default()
             })
             .spawn();
         let mut idle = Vec::new();

@@ -27,12 +27,18 @@
 //! firewall + proxy/DPC) → wire under measurement → (origin box: web
 //! server + BEM + repository), all over the metered [`dpc_net::SimNetwork`]
 //! with Sniffer-style byte accounting at the origin↔external boundary.
+//!
+//! [`node`] builds one proxy-side node — page cache, ESI assembler,
+//! [`Proxy`] and its metric collectors — the same way for the testbed's
+//! lone proxy and for every ring member; the two differ only in their
+//! [`node::NodeSpec`].
 
 pub mod esi;
 pub mod front;
 pub mod l1;
 pub mod metrics;
 pub mod modes;
+pub mod node;
 pub mod page_cache;
 pub mod ring_cluster;
 pub mod testbed;

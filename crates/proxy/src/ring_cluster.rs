@@ -32,50 +32,38 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use dpc_cluster::{gossip_exchange, gossip_flush, peer_addr, Membership, PeerNode, PeerServer};
-use dpc_core::{Bem, CoherencyEpoch, DpcKey, FragmentSource, FragmentStore, ReplacePolicy};
-use dpc_http::{Client, Method, Request, Response, Status};
+use dpc_core::{Bem, CoherencyEpoch, DpcKey, FragmentSource, FragmentStore};
+use dpc_http::{Method, Request, Response, Status};
 use dpc_metrics::Registry as MetricsRegistry;
 use dpc_net::{Clock, SimConnector, SimNetwork};
 use dpc_trace::{TraceConfig, Tracer};
 
-use crate::esi::EsiAssembler;
 use crate::front::Proxy;
 use crate::l1::{L2Resolver, LoopTier};
 use crate::modes::ProxyMode;
-use crate::page_cache::PageCache;
-use crate::testbed::ORIGIN_ADDR;
+use crate::node::{self, NodeSpec, PAGE_TTL};
+
+/// Slot-store capacity per node.
+const NODE_CAPACITY: usize = 4096;
+/// Worker threads of the cluster's HTTP front (its handler blocks on
+/// origin fetches, so inline mode does not apply).
+const FRONT_WORKERS: usize = 16;
 
 /// Tuning knobs for a [`RingCluster`].
 #[derive(Debug, Clone, Copy)]
 pub struct RingConfig {
-    /// Slot-store capacity per node.
-    pub capacity: usize,
-    /// Virtual nodes per physical node on the ring.
-    pub vnodes: usize,
     /// Seed for gossip peer selection (deterministic tests/benches).
     pub seed: u64,
     /// Event loops of the cluster's HTTP front
     /// ([`RingCluster::spawn_front`]).
     pub loops: usize,
-    /// Worker threads of the cluster's HTTP front (its handler blocks on
-    /// origin fetches, so inline mode does not apply).
-    pub front_workers: usize,
-    /// Replacement policy of each node's local caches (today the per-node
-    /// page cache; the DPC slot stores are governed by the *origin*
-    /// directory's policy, set through `BemConfig`/`TestbedConfig`). The
-    /// whole menu from `dpc-policy` is selectable.
-    pub replace: ReplacePolicy,
     /// Per-event-loop L1 budget of the HTTP front
     /// ([`RingCluster::spawn_front`]), in bytes, and the switch for each
     /// node's page tier. `0` (the default) disables both: every request
     /// reassembles at its owner node, the classic cluster pipeline.
     pub l1_budget_bytes: usize,
-    /// Byte budget for each node's slot store; `None` (the default) keeps
-    /// the classic slot-count-capacity store.
-    pub node_budget_bytes: Option<usize>,
     /// Span tracing: one flight recorder shared by every node's proxy,
     /// page tier, and peer endpoint (each recording under its own node
     /// id), so a front→owner→donor request stitches into a single trace
@@ -87,14 +75,9 @@ pub struct RingConfig {
 impl Default for RingConfig {
     fn default() -> Self {
         RingConfig {
-            capacity: 4096,
-            vnodes: dpc_cluster::DEFAULT_VNODES,
             seed: 0x2117,
             loops: 1,
-            front_workers: 16,
-            replace: ReplacePolicy::Lru,
             l1_budget_bytes: 0,
-            node_budget_bytes: None,
             trace: TraceConfig::default(),
         }
     }
@@ -113,7 +96,8 @@ struct RingNode {
 }
 
 /// A dynamic cluster of DPC nodes in front of one origin (which must
-/// already be listening at [`ORIGIN_ADDR`] on `net`).
+/// already be listening at [`ORIGIN_ADDR`](crate::testbed::ORIGIN_ADDR)
+/// on `net`).
 pub struct RingCluster {
     net: Arc<SimNetwork>,
     config: RingConfig,
@@ -137,9 +121,8 @@ pub struct RingCluster {
     /// them on departure, so `GET /_dpc/metrics` at *any* node (or the
     /// HTTP front) scrapes the full fleet.
     registry: Arc<MetricsRegistry>,
-    /// Clock observed by the front's request-latency histograms —
-    /// [`Clock::real`] in [`RingCluster::new`], virtual under
-    /// [`RingCluster::with_clock`] for deterministic latency tests.
+    /// Clock observed by page TTLs and the front's request-latency
+    /// histograms.
     clock: Clock,
     /// The origin's BEM, once [`RingCluster::connect_origin`] has run.
     /// The HTTP `PURGE` + `X-DPC-Dep` admin path needs it to free keys at
@@ -154,25 +137,14 @@ pub struct RingCluster {
 impl RingCluster {
     /// Build `n` nodes (ids `0..n`) over `net`.
     pub fn new(net: &Arc<SimNetwork>, n: usize, config: RingConfig) -> RingCluster {
-        Self::with_clock(net, n, config, Clock::real())
-    }
-
-    /// Like [`new`](Self::new), but observing `clock` for request-latency
-    /// histograms and page TTLs — pass a virtual clock for deterministic
-    /// latency tests over [`SimNetwork`].
-    pub fn with_clock(
-        net: &Arc<SimNetwork>,
-        n: usize,
-        config: RingConfig,
-        clock: Clock,
-    ) -> RingCluster {
         assert!((1..=64).contains(&n), "1–64 nodes");
+        let clock = Clock::real();
         let tracer = Tracer::from_config(config.trace, clock.clone());
         let cluster = RingCluster {
             net: Arc::clone(net),
             config,
             shared: Arc::new(Shared {
-                membership: Mutex::new(Membership::new(config.vnodes)),
+                membership: Mutex::new(Membership::new(dpc_cluster::DEFAULT_VNODES)),
             }),
             nodes: Mutex::new(HashMap::new()),
             next_id: Mutex::new(0),
@@ -196,20 +168,9 @@ impl RingCluster {
         &self.tracer
     }
 
-    /// The cluster-wide metrics registry (the one `GET /_dpc/metrics`
-    /// renders at every node and at the HTTP front).
-    pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
     /// Node ids currently alive, sorted.
     pub fn alive(&self) -> Vec<u32> {
         self.shared.membership.lock().alive()
-    }
-
-    /// Membership change counter.
-    pub fn membership_epoch(&self) -> u64 {
-        self.shared.membership.lock().epoch()
     }
 
     /// Ring owner of `target` (None with no alive nodes).
@@ -263,15 +224,7 @@ impl RingCluster {
     /// first miss.
     pub fn join(&self) -> u32 {
         let id = self.allocate_id();
-        let store = Arc::new(match self.config.node_budget_bytes {
-            Some(bytes) => FragmentStore::with_budget(
-                self.config.capacity,
-                dpc_core::DEFAULT_SHARDS,
-                bytes as u64,
-                self.config.replace,
-            ),
-            None => FragmentStore::new(self.config.capacity),
-        });
+        let store = Arc::new(FragmentStore::new(NODE_CAPACITY));
         let peer = PeerNode::new(id, Arc::clone(&store));
         // Every peer's gossip scrub bumps the shared epoch, so applied
         // invalidations unserve stamped assembled pages on every node.
@@ -284,47 +237,22 @@ impl RingCluster {
             shared: Arc::clone(&self.shared),
             connector: self.net.connector(),
         });
-        let clock = self.clock.clone();
-        let page_cache = PageCache::with_policy(
-            clock.clone(),
-            Duration::from_secs(60),
-            16,
-            self.config.replace,
-        )
-        .with_coherence(self.coherence.clone());
-        page_cache.set_tracer(self.tracer.with_node(id));
-        let mut proxy = Proxy::new(
-            ProxyMode::Dpc,
-            ORIGIN_ADDR,
-            Arc::new(Client::new(Arc::new(self.net.connector()))),
+        // The ring routes `PURGE` + `X-DPC-Dep` itself and scans nothing
+        // at the boundary; otherwise a member is the lone proxy's node.
+        let proxy = node::build(NodeSpec {
+            mode: ProxyMode::Dpc,
+            id: Some(id),
             store,
-            Arc::new(page_cache),
-            Arc::new(EsiAssembler::new(clock, Duration::from_secs(60))),
-            None,
-        )
-        .with_node(id)
-        .with_metrics(Arc::clone(&self.registry))
-        .with_fragment_source(fetcher)
-        .with_tracer(self.tracer.with_node(id));
-        if self.config.l1_budget_bytes > 0 {
-            proxy = proxy.with_page_tier();
-        }
-        let proxy = Arc::new(proxy);
-        // Keyed registration replaces whatever a departed incarnation of a
-        // recycled id left behind, so the scrape never mixes two
-        // incarnations of `node="N"`.
-        crate::metrics::register_page_cache(
-            &self.registry,
-            format!("node{id}/page_cache"),
-            Arc::clone(proxy.page_cache()),
-            Some(id),
-        );
-        crate::metrics::register_proxy(
-            &self.registry,
-            format!("node{id}/proxy"),
-            Arc::clone(&proxy),
-            Some(id),
-        );
+            coherence: Some(self.coherence.clone()),
+            page_tier: self.config.l1_budget_bytes > 0,
+            firewall: None,
+            fragment_source: Some(fetcher),
+            dep_purger: None,
+            net: &self.net,
+            clock: self.clock.clone(),
+            tracer: &self.tracer,
+            metrics: &self.registry,
+        });
         crate::metrics::register_peer(
             &self.registry,
             format!("node{id}/peer"),
@@ -479,16 +407,16 @@ impl RingCluster {
 
     /// Serve the whole cluster over HTTP at `addr`: clients hit one
     /// address, ring routing picks the owner node per request. The front
-    /// is a multi-loop server (`RingConfig::loops` × event loops,
-    /// `RingConfig::front_workers` handler threads), so the cluster tier
-    /// scales across cores like the origin and proxy tiers do.
+    /// is a multi-loop server (`RingConfig::loops` event loops over a
+    /// shared pool of handler threads), so the cluster tier scales across
+    /// cores like the origin and proxy tiers do.
     pub fn spawn_front(self: &Arc<Self>, addr: &str) -> dpc_http::ServerHandle {
         let listener = self.net.listen(addr);
         let cluster = Arc::clone(self);
         let handler: Arc<dyn dpc_http::Handler> = Arc::new(move |req: Request| cluster.serve(req));
         let mut server = dpc_http::Server::new(Box::new(listener), handler)
             .with_config(dpc_http::server::ServerConfig {
-                workers: self.config.front_workers,
+                workers: FRONT_WORKERS,
                 ..Default::default()
             })
             .with_loops(self.config.loops)
@@ -509,7 +437,7 @@ impl RingCluster {
             });
             server = server.with_loop_cache(LoopTier::factory(
                 self.config.l1_budget_bytes,
-                Duration::from_secs(60),
+                PAGE_TTL,
                 resolve,
                 self.tracer.clone(),
             ));
@@ -710,14 +638,7 @@ mod tests {
             paper_params: params(),
             ..TestbedConfig::default()
         });
-        let cluster = RingCluster::new(
-            tb.net(),
-            n,
-            RingConfig {
-                capacity: 4096,
-                ..RingConfig::default()
-            },
-        );
+        let cluster = RingCluster::new(tb.net(), n, RingConfig::default());
         (tb, cluster)
     }
 
@@ -1186,7 +1107,9 @@ mod tests {
     }
 
     #[test]
-    fn ring_config_policy_reaches_every_node_cache() {
+    fn ring_node_page_cache_holds_a_node_capacity_of_pages() {
+        // A member's page cache is sized to its slot store, like the lone
+        // proxy's: 32 session-distinct pages on one node evict nothing.
         let tb = Testbed::build(TestbedConfig {
             mode: ProxyMode::Dpc,
             paper_params: params(),
@@ -1194,24 +1117,20 @@ mod tests {
         });
         let cluster = RingCluster::new(
             tb.net(),
-            3,
+            1,
             RingConfig {
-                replace: ReplacePolicy::TinyLfu,
+                l1_budget_bytes: 1 << 20,
                 ..RingConfig::default()
             },
         );
-        for id in cluster.alive() {
-            let proxy = cluster.proxy(id).expect("alive node");
-            assert_eq!(proxy.page_cache().policy(), ReplacePolicy::TinyLfu);
+        for user in 0..32 {
+            let resp = cluster.get(&page(0), Some(&format!("user{user}")));
+            assert_eq!(resp.headers.get("x-cache"), Some("dpc-assembled"));
         }
-        // Joins after construction inherit the policy too.
-        let joined = cluster.join();
-        assert_eq!(
-            cluster.proxy(joined).unwrap().page_cache().policy(),
-            ReplacePolicy::TinyLfu
-        );
-        // And the cluster still serves correctly under the new policy.
-        assert_eq!(cluster.get(&page(0), None).status.0, 200);
+        let only = cluster.alive()[0];
+        let stats = cluster.proxy(only).unwrap().page_cache().stats();
+        assert_eq!(stats.evictions, 0, "{stats:?}");
+        stats.check_invariants().unwrap();
     }
 
     #[test]

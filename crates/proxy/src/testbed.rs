@@ -17,38 +17,39 @@
 use dpc_appserver::apps::paper_site::{self, PaperSiteParams};
 use dpc_appserver::apps::{self};
 use dpc_appserver::ScriptEngine;
-use dpc_core::{Bem, BemConfig, CoherencyEpoch, FragmentStore, ReplacePolicy};
+use dpc_core::{Bem, BemConfig, CoherencyEpoch, FragmentStore, ReplacePolicy, DEFAULT_SHARDS};
 use dpc_firewall::Firewall;
 use dpc_http::server::ServerConfig;
 use dpc_http::{Client, Request, Response, Server, ServerHandle};
+use dpc_metrics::Registry as MetricsRegistry;
 use dpc_net::{Clock, MeterRegistry, MeterSnapshot, ProtocolModel, SimNetwork, VirtualClock};
 use dpc_repository::datasets::{filler, seed_all, DatasetConfig};
 use dpc_repository::Repository;
 use dpc_trace::{TraceConfig, Tracer};
 use std::sync::Arc;
-use std::time::Duration;
-
-use dpc_metrics::Registry as MetricsRegistry;
 
 use crate::esi::{EsiAssembler, EsiTemplate};
-use crate::front::Proxy;
+use crate::front::{DepPurger, Proxy};
 use crate::l1::{L2Resolver, LoopTier};
 use crate::modes::ProxyMode;
-use crate::page_cache::PageCache;
+use crate::node::{self, NodeSpec, PAGE_TTL};
 
 /// Address of the origin web server on the simulated network.
 pub const ORIGIN_ADDR: &str = "origin";
 /// Address of the proxy on the simulated network.
 pub const PROXY_ADDR: &str = "proxy";
 
+/// HTTP worker threads per server.
+const WORKERS: usize = 64;
+/// RNG seed for the BEM's controlled-hit-ratio hook.
+const BEM_SEED: u64 = 0xBED;
+
 /// Everything needed to build one Figure 4 configuration.
 #[derive(Clone)]
 pub struct TestbedConfig {
-    /// Proxy mode under test.
+    /// Proxy mode under test. The origin is instrumented (BEM on) exactly
+    /// when this is `Dpc`.
     pub mode: ProxyMode,
-    /// Origin instrumentation; `None` derives it from the mode (on for
-    /// `Dpc`, off otherwise).
-    pub bem_enabled: Option<bool>,
     /// Synthetic paper-site parameters.
     pub paper_params: PaperSiteParams,
     /// Demo dataset sizing (BooksOnline + brokerage + users).
@@ -64,21 +65,9 @@ pub struct TestbedConfig {
     pub replace: ReplacePolicy,
     /// Wire framing model.
     pub protocol: ProtocolModel,
-    /// Page-cache TTL (PageCache mode).
-    pub page_cache_ttl: Duration,
-    /// ESI fragment TTL (Esi mode).
-    pub esi_ttl: Duration,
-    /// Scan the origin↔proxy boundary with the firewall.
-    pub firewall: bool,
-    /// HTTP worker threads per server.
-    pub workers: usize,
     /// Event loops per server front (1 = the classic single loop; more
     /// shard connections across threads, SO_REUSEPORT-style).
     pub loops: usize,
-    /// RNG seed for the BEM's controlled-hit-ratio hook.
-    pub seed: u64,
-    /// Lock shards for the cache directory and DPC slot store.
-    pub shards: usize,
     /// Per-event-loop L1 budget for assembled hot pages, in bytes. `0`
     /// (the default) disables the whole DPC page tier: no L1, no L2
     /// install, every request reassembles — the classic paper pipeline.
@@ -88,25 +77,12 @@ pub struct TestbedConfig {
     /// byte-budgeted store whose `replace` policy evicts cold slots to
     /// admit new fragments.
     pub node_budget_bytes: Option<usize>,
-    /// Observability: build a metrics registry over every subsystem, serve
-    /// `GET /_dpc/metrics` on the proxy front, and record per-outcome
-    /// request-latency histograms on its event loops. On by default; the
-    /// bench harness turns it off to measure the instrumentation's own
-    /// overhead.
-    pub metrics: bool,
-    /// Span tracing: one flight recorder shared by the origin front, the
-    /// proxy front, the page tier, and the BEM, so a request's spans
-    /// stitch into a single trace. Always on by default (the recorder is
-    /// fixed-capacity and allocation-free on the hot path); the bench
-    /// harness disables it to measure the tracer's own overhead.
-    pub trace: TraceConfig,
 }
 
 impl Default for TestbedConfig {
     fn default() -> Self {
         TestbedConfig {
             mode: ProxyMode::Dpc,
-            bem_enabled: None,
             paper_params: PaperSiteParams::default(),
             dataset: DatasetConfig::default(),
             demo_sites: false,
@@ -114,24 +90,20 @@ impl Default for TestbedConfig {
             forced_hit_ratio: None,
             replace: ReplacePolicy::Lru,
             protocol: ProtocolModel::default(),
-            page_cache_ttl: Duration::from_secs(60),
-            esi_ttl: Duration::from_secs(60),
-            firewall: true,
-            workers: 64,
             loops: 1,
-            seed: 0xBED,
-            shards: dpc_core::DEFAULT_SHARDS,
             l1_budget_bytes: 0,
             node_budget_bytes: None,
-            metrics: true,
-            trace: TraceConfig::default(),
         }
     }
 }
 
 /// A running Figure 4 configuration.
+///
+/// Every subsystem reports into one metrics registry, served at
+/// `GET /_dpc/metrics` on the proxy front, and one flight recorder shared
+/// by the origin front, the proxy front, the page tier and the BEM, served
+/// at `GET /_dpc/trace/recent`.
 pub struct Testbed {
-    config: TestbedConfig,
     net: Arc<SimNetwork>,
     clock_handle: Arc<VirtualClock>,
     engine: Arc<ScriptEngine>,
@@ -140,8 +112,6 @@ pub struct Testbed {
     client: Client,
     origin_server: ServerHandle,
     proxy_server: ServerHandle,
-    metrics: Option<Arc<MetricsRegistry>>,
-    tracer: Tracer,
 }
 
 impl Testbed {
@@ -153,19 +123,22 @@ impl Testbed {
         // One flight recorder for the whole testbed: the origin front
         // records under node 1, everything in the external box under node
         // 0, so a request's spans stitch into a single trace.
-        let tracer = Tracer::from_config(config.trace, clock.clone());
+        let tracer = Tracer::from_config(TraceConfig::default(), clock.clone());
+        let metrics = Arc::new(MetricsRegistry::new());
+        let server_config = ServerConfig {
+            workers: WORKERS,
+            ..Default::default()
+        };
 
         // --- Origin box: repository + BEM + script engine + web server.
         let repo = Repository::with_defaults();
         seed_all(&repo, &config.dataset);
-        let bem_enabled = config.bem_enabled.unwrap_or(config.mode == ProxyMode::Dpc);
         let mut bem_config = BemConfig::default()
             .with_capacity(config.capacity)
             .with_replace(config.replace)
             .with_clock(clock.clone())
-            .with_enabled(bem_enabled)
-            .with_seed(config.seed)
-            .with_shards(config.shards);
+            .with_enabled(config.mode == ProxyMode::Dpc)
+            .with_seed(BEM_SEED);
         if let Some(h) = config.forced_hit_ratio {
             bem_config = bem_config.with_forced_hit_ratio(h);
         }
@@ -182,10 +155,7 @@ impl Testbed {
             let engine = Arc::clone(&engine);
             engine as Arc<dyn dpc_http::Handler>
         })
-        .with_config(ServerConfig {
-            workers: config.workers,
-            ..Default::default()
-        })
+        .with_config(server_config)
         .with_loops(config.loops)
         .with_tracer(tracer.with_node(1))
         .spawn();
@@ -193,18 +163,16 @@ impl Testbed {
         // --- External box: firewall + proxy (+ DPC store / page cache /
         // ESI assembler).
         let firewall = Arc::new(Firewall::with_default_rules());
-        let upstream_client = Arc::new(Client::new(Arc::new(net.connector())));
         let store = Arc::new(match config.node_budget_bytes {
             Some(bytes) => FragmentStore::with_budget(
                 config.capacity,
-                config.shards,
+                DEFAULT_SHARDS,
                 bytes as u64,
                 config.replace,
             ),
-            None => FragmentStore::with_shards(config.capacity, config.shards),
+            None => FragmentStore::new(config.capacity),
         });
         let tier_on = config.l1_budget_bytes > 0 && config.mode == ProxyMode::Dpc;
-        let mut page_cache = PageCache::new(clock.clone(), config.page_cache_ttl, config.capacity);
         // One epoch covers the whole node: any origin data update bumps
         // it, so every stamped page (L2 entry or loop-local L1 copy)
         // self-evicts on its next touch. Coarse, but the invalidation
@@ -213,40 +181,17 @@ impl Testbed {
         // epoch, so it also kills session-qualified tiered pages.
         let epoch = tier_on.then(CoherencyEpoch::new);
         if let Some(epoch) = &epoch {
-            page_cache = page_cache.with_coherence(epoch.clone());
             let epoch = epoch.clone();
             repo.bus().subscribe(move |_dep| {
                 epoch.bump();
             });
         }
-        let page_cache = Arc::new(page_cache);
-        page_cache.set_tracer(tracer.clone());
-        let esi = Arc::new(EsiAssembler::new(clock.clone(), config.esi_ttl));
-        if config.mode == ProxyMode::Esi {
-            register_paper_templates(&esi, &config.paper_params);
-        }
-        let mut proxy = Proxy::new(
-            config.mode,
-            ORIGIN_ADDR,
-            upstream_client,
-            store,
-            Arc::clone(&page_cache),
-            esi,
-            config.firewall.then(|| Arc::clone(&firewall)),
-        );
-        if tier_on {
-            proxy = proxy.with_page_tier();
-        }
-        proxy = proxy.with_tracer(tracer.clone());
-        let metrics = config.metrics.then(|| Arc::new(MetricsRegistry::new()));
-        if let Some(metrics) = &metrics {
-            proxy = proxy.with_metrics(Arc::clone(metrics));
-        }
         // Admin purge-by-dependency: free every directory key registered
         // under the dependency and bump the coherence epoch so tiered
         // session pages built from those fragments stop serving too.
-        proxy = proxy.with_dep_purger({
+        let dep_purger: DepPurger = {
             let bem = Arc::clone(&bem);
+            let epoch = epoch.clone();
             Arc::new(move |dep: &str| {
                 let freed = bem.directory().invalidate_dep_keys(dep).len();
                 if let Some(epoch) = &epoch {
@@ -254,48 +199,54 @@ impl Testbed {
                 }
                 freed
             })
+        };
+        let proxy = node::build(NodeSpec {
+            mode: config.mode,
+            id: None,
+            store,
+            coherence: epoch,
+            page_tier: tier_on,
+            firewall: Some(Arc::clone(&firewall)),
+            fragment_source: None,
+            dep_purger: Some(dep_purger),
+            net: &net,
+            clock: clock.clone(),
+            tracer: &tracer,
+            metrics: &metrics,
         });
-        let proxy = Arc::new(proxy);
+        if config.mode == ProxyMode::Esi {
+            register_paper_templates(proxy.esi(), &config.paper_params);
+        }
         let mut proxy_server = Server::new(Box::new(net.listen(PROXY_ADDR)), {
             let proxy = Arc::clone(&proxy);
             proxy as Arc<dyn dpc_http::Handler>
         })
-        .with_config(ServerConfig {
-            workers: config.workers,
-            ..Default::default()
-        })
+        .with_config(server_config)
         .with_loops(config.loops)
-        .with_tracer(tracer.clone());
-        if config.metrics {
-            proxy_server = proxy_server.with_request_metrics(clock.clone());
-        }
+        .with_tracer(tracer.clone())
+        .with_request_metrics(clock);
         if tier_on {
             let resolve: L2Resolver = {
-                let page_cache = Arc::clone(&page_cache);
+                let page_cache = Arc::clone(proxy.page_cache());
                 Arc::new(move |_target| Some(Arc::clone(&page_cache)))
             };
             proxy_server = proxy_server.with_loop_cache(LoopTier::factory(
                 config.l1_budget_bytes,
-                config.page_cache_ttl,
+                PAGE_TTL,
                 resolve,
                 tracer.clone(),
             ));
         }
         let proxy_server = proxy_server.spawn();
 
-        if let Some(reg) = &metrics {
-            crate::metrics::register_bem(reg, "bem", Arc::clone(&bem), None);
-            crate::metrics::register_page_cache(reg, "page_cache", Arc::clone(&page_cache), None);
-            crate::metrics::register_proxy(reg, "proxy", Arc::clone(&proxy), None);
-            crate::metrics::register_server(reg, "server-proxy", "proxy", proxy_server.stats());
-            crate::metrics::register_server(reg, "server-origin", "origin", origin_server.stats());
-            crate::metrics::register_meters(reg, "meters", Arc::clone(&registry));
-            crate::metrics::register_trace(reg, "trace", tracer.clone());
-        }
+        crate::metrics::register_bem(&metrics, "bem", Arc::clone(&bem), None);
+        crate::metrics::register_server(&metrics, "server-proxy", "proxy", proxy_server.stats());
+        crate::metrics::register_server(&metrics, "server-origin", "origin", origin_server.stats());
+        crate::metrics::register_meters(&metrics, "meters", Arc::clone(&registry));
+        crate::metrics::register_trace(&metrics, "trace", tracer);
 
         let client = Client::new(Arc::new(net.connector()));
         Testbed {
-            config,
             net,
             clock_handle,
             engine,
@@ -304,8 +255,6 @@ impl Testbed {
             client,
             origin_server,
             proxy_server,
-            metrics,
-            tracer,
         }
     }
 
@@ -320,28 +269,9 @@ impl Testbed {
             .expect("proxy request failed")
     }
 
-    /// The configuration this testbed was built with.
-    pub fn config(&self) -> &TestbedConfig {
-        &self.config
-    }
-
     /// The simulated network (for extra clients).
     pub fn net(&self) -> &Arc<SimNetwork> {
         &self.net
-    }
-
-    /// The unified metrics registry, when [`TestbedConfig::metrics`] is on.
-    ///
-    /// The same registry backs `GET /_dpc/metrics` on the proxy front;
-    /// this accessor lets tests and benches scrape without a socket.
-    pub fn metrics_registry(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.metrics.as_ref()
-    }
-
-    /// The fleet-wide span tracer; its recorder backs
-    /// `GET /_dpc/trace/recent` on the proxy front.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Virtual-clock handle (advance time to expire TTLs).

@@ -373,7 +373,6 @@ fn tcp_workload_under_os_backend_scrapes_zero_tick_waits() {
         .with_config(ServerConfig {
             workers: 2,
             backend: Backend::Os,
-            ..Default::default()
         })
         .with_loops(2)
         .spawn();

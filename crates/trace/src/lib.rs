@@ -301,8 +301,8 @@ impl SpanRing {
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Recorder sizing and retention policy. `Copy` so it threads through the
-/// existing `ServerConfig`/`TestbedConfig`/`RingConfig` value types.
+/// Recorder sizing and retention policy. `Copy` so it threads through
+/// the `RingConfig` value type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Master switch. The serving tiers keep it **on** by default — the
@@ -332,17 +332,6 @@ impl Default for TraceConfig {
             slow_threshold_nanos: 5_000_000, // 5 ms
             keep: 32,
             sample_one_in: 0,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// The same sizing with the recorder off — for fronts that default to
-    /// no tracing (bare `dpc_http::Server`s).
-    pub fn disabled() -> TraceConfig {
-        TraceConfig {
-            enabled: false,
-            ..TraceConfig::default()
         }
     }
 }
