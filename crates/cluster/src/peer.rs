@@ -390,15 +390,17 @@ impl PeerNode {
                     // fetch: the donor-side meter counts bodies moved
                     // (hits), empty answers (misses), and hash-only
                     // revalidations (not_modified) disjointly.
-                    let resp = match self.store.get(DpcKey(key)) {
-                        Some(body) if known != 0 && dpc_core::fnv1a(&body) == known => {
+                    // The slot's stored hash answers the validator check;
+                    // no byte of the body is rehashed.
+                    let resp = match self.store.get_hashed(DpcKey(key)) {
+                        Some((_, hash)) if known != 0 && hash == known => {
                             sp.set_status(SpanStatus::Revalidated);
                             self.stats
                                 .fetch_not_modified
                                 .fetch_add(1, Ordering::Relaxed);
                             ClusterFrame::FetchNotModified { hash: known }
                         }
-                        Some(body) => {
+                        Some((body, _)) => {
                             sp.set_status(SpanStatus::Hit);
                             self.stats.fetch_hits.fetch_add(1, Ordering::Relaxed);
                             ClusterFrame::FetchResp {
@@ -559,10 +561,11 @@ pub fn peer_fetch(connector: &dyn Connector, addr: &str, key: DpcKey) -> io::Res
     }
 }
 
-/// Conditionally fetch one slot: `known` is the FNV-1a identity of the
-/// bytes the requester already holds (`0` = fetch unconditionally). A
-/// donor whose slot matches answers with the hash alone —
-/// [`PeerFetch::NotModified`] — and the body never crosses the wire.
+/// Conditionally fetch one slot: `known` is the
+/// [`dpc_core::content_hash`] of the bytes the requester already holds
+/// (`0` = fetch unconditionally). A donor whose slot's stored hash matches
+/// answers with the hash alone — [`PeerFetch::NotModified`] — and the
+/// body never crosses the wire.
 pub fn peer_fetch_conditional(
     connector: &dyn Connector,
     addr: &str,
@@ -712,7 +715,7 @@ mod tests {
         let (donor, _server) = &nodes[0];
         donor.store.set(DpcKey(7), Bytes::from_static(b"fragment"));
         let conn = net.connector();
-        let hash = dpc_core::fnv1a(b"fragment");
+        let hash = dpc_core::content_hash(b"fragment");
         // Matching identity: hash-only answer, no body on the wire.
         assert_eq!(
             peer_fetch_conditional(&conn, &peer_addr(0), DpcKey(7), hash).unwrap(),

@@ -20,13 +20,21 @@
 //! * [`assemble`] — the original copying API, kept as a thin adapter that
 //!   flattens the rope into a single `Vec<u8>` for callers that need
 //!   contiguous output.
+//!
+//! The page's content identity (the proxy's ETag) costs O(segments), not
+//! O(bytes): each segment contributes its [`content_hash`] — the slot's
+//! stored hash for a `GET`, the install hash for a `SET`, one hash per
+//! flushed literal run — folded in page order.
 
 use bytes::Bytes;
 
 use crate::error::AssembleError;
 use crate::store::FragmentStore;
 use crate::tag::{Op, Scanner};
-use dpc_policy::{fnv1a_extend, FNV1A_SEED};
+use dpc_policy::{content_hash, hash_fold};
+
+/// [`AssemblyStats::page_identity`] of a page with no segments.
+const IDENTITY_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Counters from one assembly pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,11 +51,27 @@ pub struct AssemblyStats {
     pub set_bytes: u64,
     /// Template bytes scanned.
     pub template_bytes: u64,
-    /// FNV-1a over the emitted page bytes, accumulated during the pass
-    /// (no second scan). Two assemblies agree here iff the delivered
-    /// pages are byte-identical, so this is the basis for the strong
-    /// `ETag` the proxy hands out. Zero only for a default-constructed
-    /// stats value; an assembled empty page hashes to the FNV seed.
+    /// Page bytes this pass ran through [`content_hash`]: every literal
+    /// byte and every `SET` byte, never a `GET` byte (its slot's hash was
+    /// taken at install). So `literal_bytes + set_bytes`.
+    pub hashed_bytes: u64,
+    /// The page's content identity, the basis of the strong `ETag` the
+    /// proxy hands out: an ordered fold of each rope segment's
+    /// `(content_hash, len)`. A `GET` contributes its slot's stored hash,
+    /// a `SET` the hash taken as it installs the slot, a literal run one
+    /// hash when it is flushed.
+    ///
+    /// The contract:
+    /// * Equal identities imply byte-identical pages, up to a 64-bit
+    ///   collision.
+    /// * The same template over the same slot contents always yields the
+    ///   same identity, and a `SET` of some bytes yields what a later
+    ///   `GET` of them does — the cold page and the warm page agree.
+    /// * Byte-identical pages built from a *different* segmentation (say,
+    ///   a fragment inlined as a literal) may differ. That costs a
+    ///   spurious `200`, never a wrong `304`.
+    ///
+    /// Zero only for a default-constructed stats value.
     pub page_identity: u64,
 }
 
@@ -106,6 +130,21 @@ impl AssembledRope {
             out.extend_from_slice(seg);
         }
     }
+
+    /// Append one segment whose [`content_hash`] is `hash`.
+    fn push(&mut self, segment: Bytes, hash: u64) {
+        self.stats.page_identity = hash_fold(self.stats.page_identity, hash, segment.len() as u64);
+        self.segments.push(segment);
+    }
+
+    /// Append the pending literal run, if any, as one segment.
+    fn flush_literals(&mut self, run: &mut Vec<u8>) {
+        if !run.is_empty() {
+            let hash = content_hash(run);
+            self.stats.hashed_bytes += run.len() as u64;
+            self.push(Bytes::from(std::mem::take(run)), hash);
+        }
+    }
 }
 
 /// Assemble `template` against `store`, returning a zero-copy rope.
@@ -124,7 +163,7 @@ pub fn assemble_rope(
         segments: Vec::with_capacity(8),
         stats: AssemblyStats {
             template_bytes: template.len() as u64,
-            page_identity: FNV1A_SEED,
+            page_identity: IDENTITY_SEED,
             ..AssemblyStats::default()
         },
     };
@@ -135,41 +174,38 @@ pub fn assemble_rope(
         match op {
             Op::Literal(bytes) => {
                 rope.stats.literal_bytes += bytes.len() as u64;
-                rope.stats.page_identity = fnv1a_extend(rope.stats.page_identity, bytes);
                 literal_run.extend_from_slice(bytes);
             }
             Op::Get(key) => {
-                let fragment = store.get(key).ok_or(AssembleError::MissingFragment(key))?;
+                let (fragment, hash) = store
+                    .get_hashed(key)
+                    .ok_or(AssembleError::MissingFragment(key))?;
                 rope.stats.gets += 1;
                 rope.stats.get_bytes += fragment.len() as u64;
-                rope.stats.page_identity = fnv1a_extend(rope.stats.page_identity, &fragment);
-                flush_literals(&mut rope.segments, &mut literal_run);
-                // Zero-copy splice: the rope shares the slot's buffer.
-                rope.segments.push(fragment);
+                rope.flush_literals(&mut literal_run);
+                // Zero-copy splice: the rope shares the slot's buffer, and
+                // the slot's stored hash stands for its bytes.
+                rope.push(fragment, hash);
             }
             Op::Set { key, content } => {
                 // One copy total: the shared buffer is installed in the
-                // slot array and spliced into the page.
+                // slot array and spliced into the page. One hash total:
+                // the slot stores the one the page identity folds.
+                let hash = content_hash(content);
                 let shared = Bytes::copy_from_slice(content);
-                if !store.set(key, shared.clone()) {
+                if !store.set_hashed(key, shared.clone(), hash) {
                     return Err(AssembleError::KeyOutOfRange(key));
                 }
                 rope.stats.sets += 1;
                 rope.stats.set_bytes += content.len() as u64;
-                rope.stats.page_identity = fnv1a_extend(rope.stats.page_identity, content);
-                flush_literals(&mut rope.segments, &mut literal_run);
-                rope.segments.push(shared);
+                rope.stats.hashed_bytes += content.len() as u64;
+                rope.flush_literals(&mut literal_run);
+                rope.push(shared, hash);
             }
         }
     }
-    flush_literals(&mut rope.segments, &mut literal_run);
+    rope.flush_literals(&mut literal_run);
     Ok(rope)
-}
-
-fn flush_literals(segments: &mut Vec<Bytes>, run: &mut Vec<u8>) {
-    if !run.is_empty() {
-        segments.push(Bytes::from(std::mem::take(run)));
-    }
 }
 
 /// Assemble `template` against `store` into contiguous bytes.
@@ -242,14 +278,90 @@ mod tests {
         let flat = assemble(&t, &store).unwrap();
         assert_eq!(flat.html, rope.to_vec());
         assert_eq!(flat.stats, rope.stats);
-        // The streaming identity equals a hash of the flat page, so any
-        // two byte-identical pages carry the same strong ETag.
-        assert_eq!(rope.stats.page_identity, dpc_policy::fnv1a(&flat.html));
+        // The identity is the ordered fold over the rope's segments.
+        let folded = rope.segments.iter().fold(IDENTITY_SEED, |acc, s| {
+            hash_fold(acc, content_hash(s), s.len() as u64)
+        });
+        assert_eq!(rope.stats.page_identity, folded);
         // write_into appends.
         let mut out = b"pre:".to_vec();
         rope.write_into(&mut out);
         assert_eq!(&out[..4], b"pre:");
         assert_eq!(&out[4..], &flat.html[..]);
+    }
+
+    /// `<h>` GET 1 `<m>` GET 2 `<t>`, over slots 1 and 2.
+    fn two_slot_page(lits: [&[u8]; 3]) -> Vec<u8> {
+        let mut t = Vec::new();
+        write_preamble(&mut t);
+        write_literal(&mut t, lits[0]);
+        write_get(&mut t, DpcKey(1));
+        write_literal(&mut t, lits[1]);
+        write_get(&mut t, DpcKey(2));
+        write_literal(&mut t, lits[2]);
+        t
+    }
+
+    #[test]
+    fn flipping_one_slot_or_literal_byte_flips_the_identity() {
+        let slots: [&[u8]; 2] = [b"first-fragment", b"second"];
+        let lits: [&[u8]; 3] = [b"<html>", b"|", b"</html>"];
+        let store = store_with(&[(1, slots[0]), (2, slots[1])]);
+        let base = assemble_rope(&two_slot_page(lits), &store).unwrap();
+        let base_id = base.stats.page_identity;
+        for (s, slot) in slots.iter().enumerate() {
+            for i in 0..slot.len() {
+                let mut flipped = slot.to_vec();
+                flipped[i] ^= 0x20;
+                store.set(DpcKey(s as u32 + 1), Bytes::from(flipped));
+                let rope = assemble_rope(&two_slot_page(lits), &store).unwrap();
+                assert_ne!(rope.stats.page_identity, base_id, "slot {s} byte {i}");
+            }
+            store.set(DpcKey(s as u32 + 1), Bytes::copy_from_slice(slot));
+        }
+        for (l, lit) in lits.iter().enumerate() {
+            for i in 0..lit.len() {
+                let mut flipped = lit.to_vec();
+                flipped[i] ^= 0x20;
+                let mut page: [&[u8]; 3] = lits;
+                page[l] = &flipped;
+                let rope = assemble_rope(&two_slot_page(page), &store).unwrap();
+                assert_ne!(rope.stats.page_identity, base_id, "literal {l} byte {i}");
+            }
+        }
+        // Restored slots give back the original identity.
+        let again = assemble_rope(&two_slot_page(lits), &store).unwrap();
+        assert_eq!(again.stats.page_identity, base_id);
+    }
+
+    #[test]
+    fn cold_set_page_and_warm_get_page_share_an_identity() {
+        let store = FragmentStore::new(8);
+        let mut cold = Vec::new();
+        write_preamble(&mut cold);
+        write_literal(&mut cold, b"<head>");
+        write_set(&mut cold, DpcKey(4), b"NAVIGATION");
+        write_literal(&mut cold, b"<tail>");
+        let mut warm = Vec::new();
+        write_preamble(&mut warm);
+        write_literal(&mut warm, b"<head>");
+        write_get(&mut warm, DpcKey(4));
+        write_literal(&mut warm, b"<tail>");
+
+        let first = assemble_rope(&cold, &store).unwrap();
+        let second = assemble_rope(&warm, &store).unwrap();
+        assert_eq!(first.to_vec(), second.to_vec());
+        assert_eq!(first.stats.page_identity, second.stats.page_identity);
+
+        // Counted guard: a SET page hashes its literals and its SET bytes,
+        // an all-GET page its literals only — no fragment byte.
+        assert_eq!(first.stats.hashed_bytes, 12 + 10);
+        assert_eq!(
+            first.stats.hashed_bytes,
+            first.stats.literal_bytes + first.stats.set_bytes
+        );
+        assert_eq!(second.stats.hashed_bytes, second.stats.literal_bytes);
+        assert_eq!(second.stats.get_bytes, 10);
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   indexed by `dpcKey` (striped over per-shard locks), and the
 //!   single-pass scanner/assembler that turns a template plus cached
 //!   fragments into the final page — as a flat buffer or as a zero-copy
-//!   rope of shared segments.
+//!   rope of shared segments. Each slot keeps its content hash beside its
+//!   bytes, so the page's ETag identity costs O(fragments), not O(bytes).
 //! * [`invalidate`] / [`dpc_policy`] — TTL + data-dependency invalidation and
 //!   pluggable replacement policies (LRU, CLOCK, FIFO, plus the size-aware
 //!   GDSF and scan-resistant 2Q/TinyLFU from the `dpc_policy` crate).
@@ -97,7 +98,7 @@ pub use assemble::{assemble, assemble_rope, AssembledPage, AssembledRope, Assemb
 pub use bem::{Bem, FragmentPolicy, InvalidationSink, TemplateWriter};
 pub use config::{BemConfig, ReplacePolicy, DEFAULT_SHARDS};
 pub use directory::{CacheDirectory, Lookup, ShardStats};
-pub use dpc_policy::{fnv1a, fnv1a_extend, Replacer, FNV1A_SEED};
+pub use dpc_policy::{content_hash, fnv1a, Replacer};
 pub use epoch::CoherencyEpoch;
 pub use error::{AssembleError, CoreError};
 pub use flight::{FlightCounters, FlightGroup, FlightLeader, Join, Publish, Wait};

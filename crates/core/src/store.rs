@@ -23,6 +23,14 @@
 //! Every public operation is keyed by a single slot and touches exactly
 //! one shard lock; whole-store walks (`occupied`, `bytes_used`, `clear`)
 //! visit shards one at a time and never block the hot path globally.
+//!
+//! ## Content hashes
+//!
+//! Each slot holds its bytes together with their [`content_hash`], taken
+//! once when the slot is installed and never supplied by a caller, so the
+//! two cannot disagree. Readers that need the content's identity — the
+//! page assembler's ETag, a donor answering a conditional peer fetch —
+//! read it with [`FragmentStore::get_hashed`] instead of rehashing bytes.
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -30,7 +38,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::config::DEFAULT_SHARDS;
 use crate::key::DpcKey;
-use dpc_policy::{ReplacePolicy, Replacer};
+use dpc_policy::{content_hash, ReplacePolicy, Replacer};
+
+/// One occupied slot: the fragment's bytes and their [`content_hash`].
+type Slot = Option<(Bytes, u64)>;
 
 /// Somewhere else a fragment's bytes might live: a peer DPC node, a
 /// warm-standby store, a disk spill. When assembly finds a slot empty, the
@@ -57,7 +68,7 @@ struct BudgetBook {
 
 /// Sharded slot-array fragment store, shared by all proxy worker threads.
 pub struct FragmentStore {
-    shards: Box<[RwLock<Vec<Option<Bytes>>>]>,
+    shards: Box<[RwLock<Vec<Slot>>]>,
     /// `log2(shards.len())`; slot `k` lives in shard `k & (len-1)` at
     /// offset `k >> shard_shift`.
     shard_shift: u32,
@@ -87,7 +98,7 @@ impl FragmentStore {
     /// of two divisions on the hot path.
     pub fn with_shards(capacity: usize, shards: usize) -> FragmentStore {
         let n = crate::config::effective_shards(shards, capacity);
-        let shard_vec: Vec<RwLock<Vec<Option<Bytes>>>> = (0..n)
+        let shard_vec: Vec<RwLock<Vec<Slot>>> = (0..n)
             .map(|i| {
                 // Shard i holds slots {k : k % n == i}: ceil((capacity-i)/n).
                 let len = (capacity + n - 1 - i) / n;
@@ -147,13 +158,23 @@ impl FragmentStore {
     /// On a budgeted store the insert may evict other slots to stay under
     /// the byte budget (see [`FragmentStore::with_budget`]).
     pub fn set(&self, key: DpcKey, content: Bytes) -> bool {
+        let hash = content_hash(&content);
+        self.set_hashed(key, content, hash)
+    }
+
+    /// [`FragmentStore::set`] for a caller that has just hashed `content`
+    /// itself (the assembler's `SET` arm folds the same hash into the
+    /// page identity). Crate-private: `hash` must be
+    /// `content_hash(&content)`.
+    pub(crate) fn set_hashed(&self, key: DpcKey, content: Bytes, hash: u64) -> bool {
         if key.index() >= self.capacity {
             return false;
         }
+        debug_assert_eq!(hash, content_hash(&content));
         self.sets.fetch_add(1, Ordering::Relaxed);
         let (shard, slot) = self.locate(key);
         let Some(book) = &self.budget else {
-            self.shards[shard].write()[slot] = Some(content);
+            self.shards[shard].write()[slot] = Some((content, hash));
             return true;
         };
         // Lock order: book before any shard lock, never the reverse
@@ -163,7 +184,7 @@ impl FragmentStore {
         let refreshed = {
             let mut slots = self.shards[shard].write();
             let was_occupied = slots[slot].is_some();
-            slots[slot] = Some(content);
+            slots[slot] = Some((content, hash));
             was_occupied
         };
         if refreshed {
@@ -202,6 +223,12 @@ impl FragmentStore {
     /// Fetch the fragment stored under `key` (cheap clone of a refcounted
     /// buffer).
     pub fn get(&self, key: DpcKey) -> Option<Bytes> {
+        self.get_hashed(key).map(|(bytes, _)| bytes)
+    }
+
+    /// Fetch the fragment stored under `key` together with its
+    /// [`content_hash`], taken when the slot was installed.
+    pub fn get_hashed(&self, key: DpcKey) -> Option<(Bytes, u64)> {
         if key.index() >= self.capacity {
             self.missing_gets.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -286,7 +313,7 @@ impl FragmentStore {
                 shard
                     .read()
                     .iter()
-                    .filter_map(|s| s.as_ref().map(Bytes::len))
+                    .filter_map(|s| s.as_ref().map(|(bytes, _)| bytes.len()))
                     .sum::<usize>()
             })
             .sum()
@@ -329,6 +356,18 @@ mod tests {
         let store = FragmentStore::new(8);
         assert!(store.set(DpcKey(3), Bytes::from_static(b"abc")));
         assert_eq!(store.get(DpcKey(3)).unwrap(), Bytes::from_static(b"abc"));
+    }
+
+    #[test]
+    fn slot_hash_follows_every_install() {
+        let store = FragmentStore::new(8);
+        assert!(store.get_hashed(DpcKey(1)).is_none());
+        store.set(DpcKey(1), Bytes::from_static(b"old"));
+        let (bytes, hash) = store.get_hashed(DpcKey(1)).unwrap();
+        assert_eq!((bytes.as_ref(), hash), (&b"old"[..], content_hash(b"old")));
+        store.set(DpcKey(1), Bytes::from_static(b"new"));
+        assert_eq!(store.get_hashed(DpcKey(1)).unwrap().1, content_hash(b"new"));
+        assert_eq!(store.counters(), (2, 2, 1), "get_hashed counts like get");
     }
 
     #[test]

@@ -59,7 +59,18 @@ pub struct ScanOutcome {
 
 struct Compiled {
     rules: Vec<Rule>,
-    automaton: Option<MultiPattern>,
+    /// Pattern `i` is `rules[i].signature`.
+    automaton: MultiPattern,
+}
+
+impl Compiled {
+    fn new(rules: Vec<Rule>) -> Compiled {
+        let signatures: Vec<&[u8]> = rules.iter().map(|r| r.signature.as_slice()).collect();
+        Compiled {
+            automaton: MultiPattern::new(&signatures),
+            rules,
+        }
+    }
 }
 
 /// A packet/payload-scanning firewall with linear per-byte cost.
@@ -76,18 +87,8 @@ pub struct Firewall {
 impl Firewall {
     /// Firewall with the given rules and a per-byte cost of `y`.
     pub fn new(rules: Vec<Rule>, cost_per_byte: Duration) -> Firewall {
-        let automaton = if rules.is_empty() {
-            None
-        } else {
-            Some(MultiPattern::new(
-                &rules
-                    .iter()
-                    .map(|r| r.signature.clone())
-                    .collect::<Vec<_>>(),
-            ))
-        };
         Firewall {
-            compiled: RwLock::new(Compiled { rules, automaton }),
+            compiled: RwLock::new(Compiled::new(rules)),
             cost_per_byte_ps: cost_per_byte.as_nanos() as u64 * 1000,
             bytes_scanned: AtomicU64::new(0),
             payloads_scanned: AtomicU64::new(0),
@@ -109,7 +110,9 @@ impl Firewall {
         )
     }
 
-    /// Scan one payload, producing a verdict and accounting the work.
+    /// Scan one payload, producing a verdict and accounting the work. The
+    /// matched names are built only when some rule matched: a clean
+    /// payload allocates nothing.
     pub fn scan(&self, payload: &[u8]) -> ScanOutcome {
         self.bytes_scanned
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
@@ -117,13 +120,11 @@ impl Firewall {
         let compiled = self.compiled.read();
         let mut matched = Vec::new();
         let mut allowed = true;
-        if let Some(ac) = &compiled.automaton {
-            for pi in ac.matching_patterns(payload) {
-                let rule = &compiled.rules[pi];
-                matched.push(rule.name.clone());
-                if rule.action == Action::Block {
-                    allowed = false;
-                }
+        for pi in compiled.automaton.matching_patterns(payload) {
+            let rule = &compiled.rules[pi];
+            matched.push(rule.name.clone());
+            if rule.action == Action::Block {
+                allowed = false;
             }
         }
         if !allowed {
@@ -138,17 +139,7 @@ impl Firewall {
 
     /// Replace the rule set (recompiles the automaton).
     pub fn set_rules(&self, rules: Vec<Rule>) {
-        let automaton = if rules.is_empty() {
-            None
-        } else {
-            Some(MultiPattern::new(
-                &rules
-                    .iter()
-                    .map(|r| r.signature.clone())
-                    .collect::<Vec<_>>(),
-            ))
-        };
-        *self.compiled.write() = Compiled { rules, automaton };
+        *self.compiled.write() = Compiled::new(rules);
     }
 
     /// Simulated cost of scanning `bytes` bytes (`y × bytes`).
@@ -244,10 +235,7 @@ mod tests {
         // y = 0.5 ns/byte via 500 ps: 3 bytes -> 1.5 ns, truncation happens
         // only at Duration conversion.
         let fw = Firewall {
-            compiled: RwLock::new(Compiled {
-                rules: Vec::new(),
-                automaton: None,
-            }),
+            compiled: RwLock::new(Compiled::new(Vec::new())),
             cost_per_byte_ps: 500,
             bytes_scanned: AtomicU64::new(0),
             payloads_scanned: AtomicU64::new(0),

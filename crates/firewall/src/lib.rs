@@ -13,9 +13,13 @@
 //!   reference \[18\]);
 //! * [`multi`] — Aho–Corasick multi-pattern matching (KMP failure functions
 //!   generalized to a pattern trie), which is what a rule-set firewall
-//!   actually runs;
+//!   actually runs. The automaton is one flat transition table
+//!   (`state * 256 + byte`) with per-state accept bitsets sized to the
+//!   rule count, so any number of rules fits; the scan skips bytes that
+//!   leave it at the root, which on clean traffic is nearly all of them;
 //! * [`engine`] — the firewall itself: a rule set, per-byte cost accounting
-//!   (the model's `y`), and allow/block verdicts.
+//!   (the model's `y`), and allow/block verdicts. A clean payload is
+//!   scanned without allocating.
 //!
 //! The per-byte cost parameter lets the Figure 3(a) bench compare
 //! `scanCost_NC = B_NC·y` against `scanCost_C = B_C·(y+z) ≈ 2·B_C·y` with

@@ -52,13 +52,13 @@ pub enum ClusterFrame {
     FetchReq {
         /// Raw dpcKey (slot index) being requested.
         key: u32,
-        /// FNV-1a identity of the bytes the requester already holds for
-        /// this slot, or `0` for an unconditional fetch. A donor whose
-        /// slot hashes to exactly this answers with a hash-only
-        /// [`ClusterFrame::FetchNotModified`] instead of shipping the
-        /// body again. (`0` is also fnv1a's image of ~nothing real:
-        /// treating it as "no validator" costs at most one redundant
-        /// body per astronomically unlikely colliding fragment.)
+        /// Content hash (`dpc_policy::content_hash`) of the bytes the
+        /// requester already holds for this slot, or `0` for an
+        /// unconditional fetch. A donor whose slot hashes to exactly this
+        /// answers with a hash-only [`ClusterFrame::FetchNotModified`]
+        /// instead of shipping the body again. (A fragment that really
+        /// hashes to `0` is treated as "no validator": at most one
+        /// redundant body per astronomically unlikely collision.)
         known: u64,
         /// Requester's span-tracing context as `(trace id, span id)`, so
         /// the donor's serve span stitches into the same trace. Optional

@@ -231,27 +231,62 @@ impl ReplacePolicy {
     }
 }
 
-/// FNV-1a offset basis — the seed for a fresh [`fnv1a_extend`] chain.
-pub const FNV1A_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a over a byte string — the workspace's deterministic hash, also
-/// used to derive content identities for [`Replacer`] signals.
+/// FNV-1a over a short byte string — the workspace's deterministic hash
+/// for keys and idents (URLs, fragment ids, dependency names), also used
+/// to derive the identities [`Replacer`] signals carry. Byte-at-a-time:
+/// hash *content* with [`content_hash`] instead.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_extend(FNV1A_SEED, bytes)
-}
-
-/// Fold more bytes into a running FNV-1a hash. Streaming form of
-/// [`fnv1a`]: `fnv1a_extend(FNV1A_SEED, b) == fnv1a(b)`, and chaining
-/// extends over the concatenation — the page assembler uses this to hash
-/// a page's content across its literal runs and fragment splices without
-/// materialising the flat byte string.
-pub fn fnv1a_extend(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+const P0: u64 = 0xa076_1d64_78bd_642f;
+const P1: u64 = 0xe703_7ed1_a0b4_28db;
+const P2: u64 = 0x8ebc_6af0_9c88_c6e3;
+
+/// 64×64→128-bit multiply, folded back to 64 bits by xoring the halves,
+/// so high input bits reach low output bits (a bare multiply only
+/// carries upwards).
+#[inline]
+fn folded_mul(a: u64, b: u64) -> u64 {
+    let r = u128::from(a) * u128::from(b);
+    (r as u64) ^ ((r >> 64) as u64)
+}
+
+/// The identity of a byte string's *content*: fragment bodies, literal
+/// runs, anything whose hash is a validator (ETags, the peer leg's
+/// `known`). Seeded with the length, it takes 8 bytes per step through a
+/// folded multiply (wyhash-style): one multiply per word where byte-wise
+/// [`fnv1a`] pays one per byte. Not for keys: it is a content
+/// fingerprint, compared for equality only.
+pub fn content_hash(bytes: &[u8]) -> u64 {
+    let len = bytes.len() as u64;
+    let mut h = folded_mul(len ^ P0, P1);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let w = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+        h = folded_mul(h ^ w, P1);
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        // Zero-padded: the seeded length tells "ab" from "ab\0".
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = folded_mul(h ^ u64::from_le_bytes(last), P1);
+    }
+    folded_mul(h ^ P2, P0)
+}
+
+/// Fold one segment's `(hash, len)` into an ordered running identity: the
+/// page assembler's combiner over per-segment [`content_hash`]es. Order-
+/// and length-sensitive, so swapping, merging or resizing segments changes
+/// the result.
+pub fn hash_fold(acc: u64, segment_hash: u64, segment_len: u64) -> u64 {
+    folded_mul(acc ^ segment_hash, segment_len ^ P1)
 }
 
 #[cfg(test)]
@@ -266,6 +301,34 @@ mod tests {
             let r: Box<dyn Replacer<u64>> = p.build(16);
             assert_eq!(r.name(), p.name());
         }
+    }
+
+    #[test]
+    fn content_hash_sees_every_byte_and_the_length() {
+        let base: Vec<u8> = (0..37u8).collect();
+        let mut seen = std::collections::HashSet::new();
+        assert!(seen.insert(content_hash(&base)));
+        // Every single-bit flip, in the word loop and in the tail alike.
+        for i in 0..base.len() {
+            for bit in 0..8 {
+                let mut flipped = base.clone();
+                flipped[i] ^= 1 << bit;
+                assert!(seen.insert(content_hash(&flipped)), "byte {i} bit {bit}");
+            }
+        }
+        // Zero padding of the tail is not a collision: every prefix of a
+        // zero run, the empty string included, hashes apart.
+        for n in 0..=17 {
+            assert!(seen.insert(content_hash(&vec![0u8; n])), "{n} zeros");
+        }
+    }
+
+    #[test]
+    fn hash_fold_is_order_and_length_sensitive() {
+        let (a, b) = (content_hash(b"a"), content_hash(b"b"));
+        let ab = hash_fold(hash_fold(0, a, 1), b, 1);
+        assert_ne!(ab, hash_fold(hash_fold(0, b, 1), a, 1));
+        assert_ne!(ab, hash_fold(hash_fold(0, a, 1), b, 2));
     }
 
     #[test]

@@ -624,9 +624,10 @@ impl Proxy {
             }
         };
         self.stats.assembled.fetch_add(1, Ordering::Relaxed);
-        // The strong ETag is the assembly-time content identity: byte-
-        // identical pages (same fragments, same literals) agree on it, so
-        // a client or peer holding it can revalidate without the body.
+        // The strong ETag is the assembly-time content identity: pages
+        // built from the same fragments and literals agree on it, whether
+        // their fragments came as SETs or GETs, so a client holding it can
+        // revalidate without the body.
         let etag = format!("\"{:016x}\"", rope.stats.page_identity);
         let asm = &rope.stats;
         self.stats.asm_gets.fetch_add(asm.gets, Ordering::Relaxed);

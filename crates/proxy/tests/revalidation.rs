@@ -25,7 +25,7 @@ use dpc_appserver::apps::paper_site::{self, PaperSiteParams};
 use dpc_cluster::{
     gossip_exchange, peer_addr, peer_fetch_conditional, PeerFetch, PeerNode, PeerServer,
 };
-use dpc_core::{fnv1a, CoherencyEpoch, DpcKey, FragmentStore};
+use dpc_core::{content_hash, CoherencyEpoch, DpcKey, FragmentStore};
 use dpc_http::{Client, LoopCache, Method, Request, Response};
 use dpc_net::{Clock, SimNetwork};
 use dpc_proxy::l1::{LoopTier, PROMOTE_AFTER};
@@ -224,6 +224,48 @@ fn cold_conditional_get_assembles_then_revalidates() {
     }
 }
 
+/// The ETag contract across the two assembly paths, page tier off: the
+/// cold page is built from `SET`s, the next one from `GET`s of the slots
+/// those `SET`s installed, and the identity the first minted still names
+/// the second — a 304, not a spurious 200.
+#[test]
+fn cold_set_path_etag_revalidates_the_warm_get_path() {
+    let tb = Testbed::build(TestbedConfig {
+        mode: ProxyMode::Dpc,
+        paper_params: params(),
+        l1_budget_bytes: 0,
+        ..TestbedConfig::default()
+    });
+    let client = Client::new(Arc::new(tb.net().connector()));
+    let asm = || {
+        use std::sync::atomic::Ordering;
+        let s = tb.proxy().stats();
+        (
+            s.asm_sets.load(Ordering::Relaxed),
+            s.asm_gets.load(Ordering::Relaxed),
+        )
+    };
+
+    let cold = client.request(PROXY_ADDR, Request::get(page(7))).unwrap();
+    assert_eq!(cold.status.0, 200);
+    assert_eq!(cold.headers.get("X-Cache"), Some("dpc-assembled"));
+    let (sets, gets) = asm();
+    assert!(sets > 0, "the cold page installs its fragments");
+    assert_eq!(gets, 0, "the cold page splices nothing");
+
+    let warm = client
+        .request(
+            PROXY_ADDR,
+            Request::get(page(7)).with_header("If-None-Match", etag_of(&cold)),
+        )
+        .unwrap();
+    assert_eq!(warm.status.0, 304, "SET-path and GET-path identities agree");
+    assert_eq!(warm.headers.get("X-Cache"), Some("dpc-assembled"));
+    let (sets_after, gets_after) = asm();
+    assert_eq!(sets_after, sets, "the warm page installs nothing");
+    assert_eq!(gets_after, sets, "every fragment comes back as a GET");
+}
+
 /// Invalidation flips the validator: after a dependency purge the old
 /// ETag no longer matches, the next conditional GET ships the full
 /// regenerated body (byte-exact with an unconditional serve), and the
@@ -323,7 +365,7 @@ fn peer_leg_serves_not_modified_until_gossip_scrubs_the_slot() {
     requester
         .store()
         .set(DpcKey(7), Bytes::from_static(b"fragment-v1"));
-    let held = fnv1a(b"fragment-v1");
+    let held = content_hash(b"fragment-v1");
 
     // Unchanged slot: the identity matches and only the hash moves.
     assert_eq!(
@@ -359,7 +401,13 @@ fn peer_leg_serves_not_modified_until_gossip_scrubs_the_slot() {
         PeerFetch::Fetched(Bytes::from_static(b"fragment-v2"))
     );
     assert_eq!(
-        peer_fetch_conditional(&conn, &peer_addr(0), DpcKey(7), fnv1a(b"fragment-v2")).unwrap(),
+        peer_fetch_conditional(
+            &conn,
+            &peer_addr(0),
+            DpcKey(7),
+            content_hash(b"fragment-v2")
+        )
+        .unwrap(),
         PeerFetch::NotModified
     );
 
