@@ -6,7 +6,7 @@
 //! This is a *simulation* bench (`dpc_policy::lab`): no HTTP, no stores —
 //! just the policy data structures against deterministic seeded traces,
 //! so the numbers isolate replacement quality and bookkeeping cost. The
-//! serving-path ablation (`cargo run --bin ablation`) covers the
+//! serving-path ablation (`dpc_bench::paper::ablation`) covers the
 //! end-to-end view.
 //!
 //! Besides emitting `BENCH_policies.json`, the run *asserts* the

@@ -1,140 +1,90 @@
-//! Shared experimental harness: run one Figure 4 configuration over a
-//! request plan and report Sniffer-style byte counts.
+//! The one measuring loop every experimental artifact runs: planned
+//! requests through a Figure 4 testbed, read off at the Sniffer's
+//! measurement point on the origin wire.
+
+use std::time::Duration;
 
 use dpc_appserver::apps::paper_site::PaperSiteParams;
+use dpc_appserver::context::COST_HEADER;
+use dpc_core::stats::BemStatsSnapshot;
 use dpc_net::MeterSnapshot;
 use dpc_proxy::{ProxyMode, Testbed, TestbedConfig};
-use dpc_workload::{AccessPlan, Population, SiteKind};
+use dpc_workload::{AccessPlan, PlannedRequest, Population, SiteKind};
 
-/// What one measured run produced.
-#[derive(Debug, Clone, Copy)]
-pub struct Measurement {
-    /// Requests measured (after warm-up).
-    pub requests: usize,
-    /// Application bytes over the origin↔proxy wire (both directions).
-    pub payload_bytes: u64,
-    /// Wire bytes including TCP/IP framing — what the Sniffer reports.
-    pub wire_bytes: u64,
-    /// Hit ratio measured at the BEM (0 when the BEM is disabled).
-    pub measured_h: f64,
-    /// Average tag size measured at the BEM.
-    pub measured_g: f64,
+/// What one measured run observed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Run {
+    /// The origin↔proxy wire over the measured requests, both directions:
+    /// application payload, and wire bytes with TCP/IP framing (what the
+    /// Sniffer reports).
+    pub wire: MeterSnapshot,
+    /// Requests the origin served, warm-up included.
+    pub origin_requests: u64,
+    /// BEM counters over the measured requests: the measured `h` and `g`.
+    pub bem: BemStatsSnapshot,
+    /// Origin generation cost summed over the measured requests. It is the
+    /// simulated `X-Origin-Cost-Nanos` the repository charges per read, so
+    /// it is a count, not a wall-clock timing.
+    pub generation: Duration,
+    /// Measured responses whose body differs from the oracle's.
+    pub wrong_pages: usize,
 }
 
-impl Measurement {
-    fn from_wire(
-        requests: usize,
-        wire: MeterSnapshot,
-        measured_h: f64,
-        measured_g: f64,
-    ) -> Measurement {
-        Measurement {
-            requests,
-            payload_bytes: wire.payload_bytes,
-            wire_bytes: wire.wire_bytes,
-            measured_h,
-            measured_g,
-        }
-    }
-}
-
-/// Sweep parameters for one experimental point.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepSpec {
-    /// Paper-site shape for this point.
-    pub params: PaperSiteParams,
-    /// Pin the hit ratio (None = natural TTL/invalidation behaviour).
-    pub forced_hit_ratio: Option<f64>,
-    /// Requests measured after warm-up.
-    pub requests: usize,
-    /// Warm-up requests (not measured).
-    pub warmup: usize,
-    /// Zipf exponent over pages.
-    pub zipf_alpha: f64,
-    /// Workload seed.
-    pub seed: u64,
-}
-
-impl Default for SweepSpec {
-    fn default() -> Self {
-        SweepSpec {
-            params: PaperSiteParams::default(),
-            forced_hit_ratio: None,
-            requests: 1500,
-            warmup: 100,
-            zipf_alpha: 1.0,
-            seed: 0xF16,
-        }
-    }
-}
-
-/// Run one testbed in `mode` over the spec's plan and measure the origin
-/// wire.
-pub fn measure_mode(mode: ProxyMode, spec: &SweepSpec) -> Measurement {
-    let tb = Testbed::build(TestbedConfig {
-        mode,
-        paper_params: spec.params,
-        forced_hit_ratio: spec.forced_hit_ratio,
-        // Plenty of directory room: the paper's sweeps are not
-        // capacity-bound (replacement is ablated separately).
-        capacity: (spec.params.pages * spec.params.fragments_per_page * 2).max(64),
-        ..TestbedConfig::default()
-    });
-    let plan = AccessPlan::new(
-        SiteKind::Paper {
-            pages: spec.params.pages,
-        },
-        spec.zipf_alpha,
-        Population::new(16, 0.0), // paper site is session-independent
-        spec.seed,
-    );
-    let requests = plan.requests(spec.warmup + spec.requests);
-    for req in &requests[..spec.warmup] {
-        let resp = tb.get(&req.target, req.user.cookie());
-        assert!(resp.status.is_success(), "warmup {}", req.target);
+/// Serve `warmup`, reset the meters, then serve `plan` through `tb`.
+/// Before each measured request `prepare` may change the origin's data,
+/// and names the target `tb` is asked for; given an `oracle`, every body
+/// is compared with what it serves the same user for the planned target.
+pub(crate) fn drive(
+    tb: &Testbed,
+    warmup: &[PlannedRequest],
+    plan: &[PlannedRequest],
+    oracle: Option<&Testbed>,
+    mut prepare: impl FnMut(usize, &PlannedRequest) -> String,
+) -> Run {
+    for r in warmup {
+        let resp = tb.get(&r.target, r.user.cookie());
+        assert!(resp.status.is_success(), "warm-up {}", r.target);
     }
     tb.reset_meters();
     let bem_before = tb.engine().bem().stats().snapshot();
-    for req in &requests[spec.warmup..] {
-        let resp = tb.get(&req.target, req.user.cookie());
-        assert!(resp.status.is_success(), "measure {}", req.target);
+    let mut run = Run::default();
+    for (i, r) in plan.iter().enumerate() {
+        let resp = tb.get(&prepare(i, r), r.user.cookie());
+        assert!(resp.status.is_success(), "{}", r.target);
+        let cost = resp.headers.get(COST_HEADER).and_then(|v| v.parse().ok());
+        run.generation += Duration::from_nanos(cost.unwrap_or(0));
+        if let Some(oracle) = oracle {
+            let want = oracle.get(&r.target, r.user.cookie());
+            run.wrong_pages += usize::from(resp.body != want.body);
+        }
     }
-    let wire = tb.origin_wire();
-    let bem_delta = tb.engine().bem().stats().snapshot().since(&bem_before);
-    Measurement::from_wire(
-        spec.requests,
-        wire,
-        bem_delta.hit_ratio(),
-        bem_delta.avg_tag_bytes(),
-    )
+    run.wire = tb.origin_wire();
+    run.origin_requests = tb.origin_requests();
+    run.bem = tb.engine().bem().stats().snapshot().since(&bem_before);
+    run
 }
 
-/// Read a `usize` knob from the environment (e.g. `DPC_BENCH_REQUESTS`),
-/// falling back to `default`. Lets CI run the figure binaries quickly while
-/// full runs use paper-scale request counts.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The planned target, unchanged.
+pub(crate) fn as_planned(_: usize, r: &PlannedRequest) -> String {
+    r.target.clone()
 }
 
-/// Outcome of a with-cache vs no-cache comparison at one sweep point.
+/// DPC against the uncached pass-through at one experimental point.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepOutcome {
-    pub cache: Measurement,
-    pub no_cache: Measurement,
+    pub cache: Run,
+    pub no_cache: Run,
 }
 
 impl SweepOutcome {
     /// Experimental `B_C/B_NC` on wire bytes (the Sniffer view).
     pub fn wire_ratio(&self) -> f64 {
-        self.cache.wire_bytes as f64 / self.no_cache.wire_bytes as f64
+        self.cache.wire.wire_bytes as f64 / self.no_cache.wire.wire_bytes as f64
     }
 
     /// `B_C/B_NC` on application payload bytes (no framing).
     pub fn payload_ratio(&self) -> f64 {
-        self.cache.payload_bytes as f64 / self.no_cache.payload_bytes as f64
+        self.cache.wire.payload_bytes as f64 / self.no_cache.wire.payload_bytes as f64
     }
 
     /// Experimental savings % (wire bytes).
@@ -143,57 +93,35 @@ impl SweepOutcome {
     }
 }
 
-/// Measure both configurations (DPC vs pass-through/no-BEM) at one point.
-pub fn sweep_ratio(spec: &SweepSpec) -> SweepOutcome {
-    let cache = measure_mode(ProxyMode::Dpc, spec);
-    let no_cache = measure_mode(ProxyMode::PassThrough, spec);
-    SweepOutcome { cache, no_cache }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn quick_spec() -> SweepSpec {
-        SweepSpec {
-            params: PaperSiteParams {
-                pages: 4,
-                fragment_bytes: 1024,
-                ..PaperSiteParams::default()
-            },
-            forced_hit_ratio: Some(0.8),
-            requests: 120,
-            warmup: 20,
-            ..SweepSpec::default()
-        }
-    }
-
-    #[test]
-    fn dpc_measures_fewer_bytes_than_pass_through() {
-        let outcome = sweep_ratio(&quick_spec());
-        assert!(outcome.wire_ratio() < 1.0, "ratio {}", outcome.wire_ratio());
-        assert!(outcome.payload_ratio() < outcome.wire_ratio() + 0.2);
-        assert!(outcome.cache.measured_h > 0.5);
-    }
-
-    #[test]
-    fn wire_ratio_exceeds_payload_ratio() {
-        // TCP/IP framing penalizes small (cached) responses relatively more,
-        // so the experimental (wire) ratio sits above the payload ratio —
-        // the Figure 3(b) gap.
-        let outcome = sweep_ratio(&quick_spec());
-        assert!(
-            outcome.wire_ratio() > outcome.payload_ratio(),
-            "wire {} vs payload {}",
-            outcome.wire_ratio(),
-            outcome.payload_ratio()
-        );
-    }
-
-    #[test]
-    fn measured_g_is_near_model_default() {
-        let outcome = sweep_ratio(&quick_spec());
-        let g = outcome.cache.measured_g;
-        assert!((4.0..14.0).contains(&g), "measured g = {g}");
+/// Serve `requests` paper-site requests after `warmup` unmeasured ones,
+/// the BEM pinning `hit_ratio`, through the DPC and through pass-through.
+pub(crate) fn sweep_ratio(
+    params: PaperSiteParams,
+    hit_ratio: f64,
+    requests: usize,
+    warmup: usize,
+) -> SweepOutcome {
+    let site = SiteKind::Paper {
+        pages: params.pages,
+    };
+    // The paper site is session-independent.
+    let plan = AccessPlan::new(site, 1.0, Population::new(16, 0.0), 0xF16);
+    let plan = plan.requests(warmup + requests);
+    let (warm, measured) = plan.split_at(warmup);
+    let run = |mode| {
+        let tb = Testbed::build(TestbedConfig {
+            mode,
+            paper_params: params,
+            forced_hit_ratio: Some(hit_ratio),
+            // Plenty of directory room: the paper's sweeps are not
+            // capacity-bound (replacement is ablated separately).
+            capacity: (params.pages * params.fragments_per_page * 2).max(64),
+            ..TestbedConfig::default()
+        });
+        drive(&tb, warm, measured, None, as_planned)
+    };
+    SweepOutcome {
+        cache: run(ProxyMode::Dpc),
+        no_cache: run(ProxyMode::PassThrough),
     }
 }

@@ -1,29 +1,27 @@
-//! # dpc-bench — regenerating every table and figure of the evaluation
+//! # dpc-bench — the paper's tables and figures, and the benchmarks
 //!
-//! One binary per paper artifact (the stack they drive is described in
-//! ARCHITECTURE.md):
+//! [`paper`] holds one function per artifact of the evaluation (the stack
+//! they drive is described in ARCHITECTURE.md). The `paper` binary prints
+//! them all at paper-scale request counts; `tests/paper.rs` asserts each
+//! claim the paper makes about them at reduced counts.
 //!
-//! | binary | artifact |
-//! |--------|----------|
-//! | `params` | Table 2 baseline parameters |
-//! | `fig2a` | Fig 2(a): analytical `B_C/B_NC` vs fragment size |
-//! | `fig2b` | Fig 2(b): analytical savings % vs hit ratio |
-//! | `fig3a` | Fig 3(a): network vs firewall savings over cacheability (+ Result 1) |
-//! | `fig3b` | Fig 3(b): experimental + analytical `B_C/B_NC` vs fragment size |
-//! | `fig5` | Fig 5: experimental + analytical savings % vs hit ratio |
-//! | `fig6` | Fig 6: experimental + analytical savings % vs cacheability |
-//! | `deployment` | §1/§8 case study: order-of-magnitude bandwidth & response-time reductions |
-//! | `baselines` | §3 baseline limitations measured (wrong pages, over-invalidation, redundant work) |
-//! | `ablation` | design-choice ablations (tag size, replacement policy, freeList reuse) |
+//! | function | artifact |
+//! |----------|----------|
+//! | [`paper::table2`] | Table 2 baseline parameters and the closed forms at them |
+//! | [`paper::fig2a`] | Fig 2(a): analytical `B_C/B_NC` vs fragment size |
+//! | [`paper::fig2b`] | Fig 2(b): analytical savings % vs hit ratio |
+//! | [`paper::fig3a`] | Fig 3(a): network vs firewall savings over cacheability (+ Result 1) |
+//! | [`paper::fig3b`] | Fig 3(b): experimental + analytical `B_C/B_NC` vs fragment size |
+//! | [`paper::fig5`] | Fig 5: experimental + analytical savings % vs hit ratio |
+//! | [`paper::fig6`] | Fig 6: experimental + analytical savings % vs cacheability |
+//! | [`paper::baselines`] | §3 baseline limitations measured (wrong pages, over-invalidation, stale ESI fragments) |
+//! | [`paper::deployment`] | §1/§8 case study: bandwidth and response-time reductions |
+//! | [`paper::ablation`] | design-choice ablations (replacement policy, tag size, framing, scan cost) |
 //!
-//! The experimental binaries run the full Figure 4 testbed on the metered
-//! simulated network; "experimental" series use *wire* bytes (payload +
-//! TCP/IP framing, what the Sniffer measured), while the analytical overlay
-//! comes from `dpc-model`. Divergence between the two therefore reproduces
-//! the header-overhead gap the paper explains in §6.
+//! The `micro` and `policies` benches live under `benches/`; `dpcbench`,
+//! the end-to-end benchmark, is a package of its own under
+//! `src/bin/dpcbench/`.
 
 pub mod harness;
 pub mod output;
-
-pub use harness::{measure_mode, sweep_ratio, Measurement, SweepOutcome, SweepSpec};
-pub use output::TablePrinter;
+pub mod paper;

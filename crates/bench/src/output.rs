@@ -1,23 +1,32 @@
-//! Aligned-table output for bench binaries.
+//! Aligned-table output for the paper's artifacts.
 
-/// Prints fixed-width columns with a header row and a rule, like the rows
-/// the paper's figures plot.
-pub struct TablePrinter {
+use std::fmt::Display;
+
+/// A titled table with fixed-width columns, a header row and a rule, like
+/// the rows the paper's figures plot, followed by free-text notes
+/// (checkpoints and break-even points read off the same curves).
+pub struct Table {
+    title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
+    notes: Vec<String>,
 }
 
-impl TablePrinter {
-    pub fn new<S: Into<String>>(headers: Vec<S>) -> TablePrinter {
-        TablePrinter {
-            headers: headers.into_iter().map(Into::into).collect(),
+impl Table {
+    /// A table titled `title` whose columns are the whitespace-separated
+    /// names in `headers`.
+    pub fn new(title: &str, headers: &str) -> Table {
+        Table {
+            title: title.to_owned(),
+            headers: headers.split_whitespace().map(str::to_owned).collect(),
             rows: Vec::new(),
+            notes: Vec::new(),
         }
     }
 
     /// Append one row (must match the header arity).
-    pub fn row<S: Into<String>>(&mut self, cells: Vec<S>) {
-        let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
+    pub fn row(&mut self, cells: &[&dyn Display]) {
+        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -26,7 +35,12 @@ impl TablePrinter {
         self.rows.push(cells);
     }
 
-    /// Render to a string.
+    /// Append one line printed after the rows.
+    pub fn note(&mut self, line: impl Into<String>) {
+        self.notes.push(line.into());
+    }
+
+    /// Render to a string: a `=== title ===` banner, the table, the notes.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
@@ -34,7 +48,7 @@ impl TablePrinter {
                 widths[i] = widths[i].max(cell.len());
             }
         }
-        let mut out = String::new();
+        let mut out = format!("\n=== {} ===\n", self.title);
         let fmt_row = |cells: &[String], widths: &[usize]| -> String {
             let mut line = String::new();
             for (i, cell) in cells.iter().enumerate() {
@@ -53,40 +67,20 @@ impl TablePrinter {
         for row in &self.rows {
             out.push_str(&fmt_row(row, &widths));
         }
-        out
-    }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-
-    /// Render as CSV (for plotting).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
+        if !self.notes.is_empty() {
             out.push('\n');
+            for note in &self.notes {
+                out.push_str(note);
+                out.push('\n');
+            }
         }
         out
     }
 }
 
 /// Format a float with 3 decimals.
-pub fn f3(v: f64) -> String {
+pub(crate) fn f3(v: f64) -> String {
     format!("{v:.3}")
-}
-
-/// Format a float with 1 decimal.
-pub fn f1(v: f64) -> String {
-    format!("{v:.1}")
-}
-
-/// Print a section banner.
-pub fn banner(title: &str) {
-    println!("\n=== {title} ===");
 }
 
 #[cfg(test)]
@@ -95,34 +89,29 @@ mod tests {
 
     #[test]
     fn renders_aligned_table() {
-        let mut t = TablePrinter::new(vec!["x", "ratio"]);
-        t.row(vec!["1", "0.58"]);
-        t.row(vec!["1000", "0.42"]);
+        let mut t = Table::new("fig", "x ratio");
+        t.row(&[&1, &"0.58"]);
+        t.row(&[&1000, &"0.42"]);
+        t.note("h* = 0.019");
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].contains("ratio"));
-        assert!(lines[1].starts_with('-'));
-        assert!(lines[3].contains("1000"));
-    }
-
-    #[test]
-    fn csv_output() {
-        let mut t = TablePrinter::new(vec!["a", "b"]);
-        t.row(vec!["1", "2"]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
+        assert_eq!(lines.len(), 8);
+        assert_eq!(lines[1], "=== fig ===");
+        assert!(lines[2].contains("ratio"));
+        assert!(lines[3].starts_with('-'));
+        assert!(lines[5].contains("1000"));
+        assert_eq!(lines[7], "h* = 0.019");
     }
 
     #[test]
     #[should_panic(expected = "arity")]
     fn arity_mismatch_panics() {
-        let mut t = TablePrinter::new(vec!["a"]);
-        t.row(vec!["1", "2"]);
+        let mut t = Table::new("fig", "a");
+        t.row(&[&1, &2]);
     }
 
     #[test]
     fn float_formats() {
         assert_eq!(f3(0.123456), "0.123");
-        assert_eq!(f1(42.06), "42.1");
     }
 }

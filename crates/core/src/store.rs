@@ -33,12 +33,12 @@
 //! read it with [`FragmentStore::get_hashed`] instead of rehashing bytes.
 
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::config::DEFAULT_SHARDS;
 use crate::key::DpcKey;
-use dpc_policy::{content_hash, ReplacePolicy, Replacer};
+use dpc_policy::content_hash;
 
 /// One occupied slot: the fragment's bytes and their [`content_hash`].
 type Slot = Option<(Bytes, u64)>;
@@ -56,16 +56,6 @@ pub trait FragmentSource: Send + Sync {
     fn fetch(&self, key: DpcKey, context: &str) -> Option<Bytes>;
 }
 
-/// Byte-budget bookkeeping for a budgeted store: a replacement policy
-/// tracking resident slots by key, and the budget it enforces. One mutex
-/// serializes all budgeted `SET`s (the replacer mirror must not drift
-/// from slot occupancy); `GET`s touch it only on hits, and unbudgeted
-/// stores never take it at all.
-struct BudgetBook {
-    replacer: Box<dyn Replacer<DpcKey>>,
-    budget_bytes: u64,
-}
-
 /// Sharded slot-array fragment store, shared by all proxy worker threads.
 pub struct FragmentStore {
     shards: Box<[RwLock<Vec<Slot>>]>,
@@ -73,16 +63,9 @@ pub struct FragmentStore {
     /// offset `k >> shard_shift`.
     shard_shift: u32,
     capacity: usize,
-    /// `Some` = locally byte-budgeted (see [`FragmentStore::with_budget`]);
-    /// `None` = the classic directory-share sizing, whose hot path takes
-    /// no lock beyond the slot's own shard.
-    budget: Option<Mutex<BudgetBook>>,
     sets: AtomicU64,
     gets: AtomicU64,
     missing_gets: AtomicU64,
-    /// Slots cleared by the budget's replacement policy (disjoint from
-    /// gossip scrubs and explicit clears, which are removals).
-    evictions: AtomicU64,
 }
 
 impl FragmentStore {
@@ -109,42 +92,10 @@ impl FragmentStore {
             shards: shard_vec.into_boxed_slice(),
             shard_shift: n.trailing_zeros(),
             capacity,
-            budget: None,
             sets: AtomicU64::new(0),
             gets: AtomicU64::new(0),
             missing_gets: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
-    }
-
-    /// A byte-budgeted store: same slot-array addressing (the `dpcKey`
-    /// contract with the origin directory is untouched), but residency is
-    /// governed by a local `policy` over a `budget_bytes` budget instead
-    /// of by the directory's share arithmetic. When an insert would
-    /// exceed the budget, the policy names victims (`evict_until`) and
-    /// their slots are cleared — which is always safe here: an empty slot
-    /// fails assembly with `MissingFragment` and the proxy recovers
-    /// through peer-fetch → refresh → bypass, exactly the gossip-scrub
-    /// path. A node can therefore cache *more* than its directory share
-    /// of hot content, or less, as local memory dictates.
-    ///
-    /// The policy tracks slots by key and accumulates identity history by
-    /// the key's value — the store has no view of fragment identities, so
-    /// a key recycled by the origin freeList inherits the slot's history;
-    /// acceptable for the recency policies this tier runs. `None` as the
-    /// policy never evicts and turns the budget advisory.
-    pub fn with_budget(
-        capacity: usize,
-        shards: usize,
-        budget_bytes: u64,
-        policy: ReplacePolicy,
-    ) -> FragmentStore {
-        let mut store = FragmentStore::with_shards(capacity, shards);
-        store.budget = Some(Mutex::new(BudgetBook {
-            replacer: policy.build(capacity),
-            budget_bytes,
-        }));
-        store
     }
 
     #[inline]
@@ -155,8 +106,6 @@ impl FragmentStore {
 
     /// Store `content` under `key`, overwriting any previous content.
     /// Returns false (and stores nothing) when the key is out of range.
-    /// On a budgeted store the insert may evict other slots to stay under
-    /// the byte budget (see [`FragmentStore::with_budget`]).
     pub fn set(&self, key: DpcKey, content: Bytes) -> bool {
         let hash = content_hash(&content);
         self.set_hashed(key, content, hash)
@@ -173,50 +122,7 @@ impl FragmentStore {
         debug_assert_eq!(hash, content_hash(&content));
         self.sets.fetch_add(1, Ordering::Relaxed);
         let (shard, slot) = self.locate(key);
-        let Some(book) = &self.budget else {
-            self.shards[shard].write()[slot] = Some((content, hash));
-            return true;
-        };
-        // Lock order: book before any shard lock, never the reverse
-        // (`get` releases the shard lock before touching the book).
-        let mut book = book.lock();
-        let bytes = content.len().max(1) as u64;
-        let refreshed = {
-            let mut slots = self.shards[shard].write();
-            let was_occupied = slots[slot].is_some();
-            slots[slot] = Some((content, hash));
-            was_occupied
-        };
-        if refreshed {
-            // Same slot re-`SET` (overwrite or generation refresh): an
-            // update, not a new resident.
-            book.replacer.update_bytes(&key, bytes);
-            book.replacer.touch(&key);
-        } else {
-            // Shipped policies always admit once the slot exists;
-            // admission duels are an `evict_for` concern and this tier
-            // recovers budget below instead.
-            if !book.replacer.admit(key, u64::from(key.0), bytes) {
-                self.shards[shard].write()[slot] = None;
-                return false;
-            }
-        }
-        // Recover the budget after the insert lands — this covers fresh
-        // inserts and in-place growth alike, and may evict the new key
-        // itself when it alone exceeds the budget (the `SET` carried the
-        // content inline, so the page being assembled is unaffected).
-        let excess = book
-            .replacer
-            .resident_bytes()
-            .saturating_sub(book.budget_bytes);
-        if excess > 0 {
-            for victim in book.replacer.evict_until(excess) {
-                let (vs, vslot) = self.locate(victim);
-                if self.shards[vs].write()[vslot].take().is_some() {
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+        self.shards[shard].write()[slot] = Some((content, hash));
         true
     }
 
@@ -235,19 +141,12 @@ impl FragmentStore {
         }
         let (shard, slot) = self.locate(key);
         let out = self.shards[shard].read()[slot].clone();
-        match &out {
-            Some(_) => {
-                self.gets.fetch_add(1, Ordering::Relaxed);
-                // Hits inform the budget policy (shard lock already
-                // released — see the lock-order note in `set`).
-                if let Some(book) = &self.budget {
-                    book.lock().replacer.touch(&key);
-                }
-            }
-            None => {
-                self.missing_gets.fetch_add(1, Ordering::Relaxed);
-            }
+        let counter = if out.is_some() {
+            &self.gets
+        } else {
+            &self.missing_gets
         };
+        counter.fetch_add(1, Ordering::Relaxed);
         out
     }
 
@@ -262,15 +161,7 @@ impl FragmentStore {
             return false;
         }
         let (shard, slot) = self.locate(key);
-        let held = self.shards[shard].write()[slot].take().is_some();
-        if held {
-            // A scrub is a removal, never an eviction: the policy must
-            // not count it, and a frequency policy keeps no ghost.
-            if let Some(book) = &self.budget {
-                book.lock().replacer.remove(&key);
-            }
-        }
-        held
+        self.shards[shard].write()[slot].take().is_some()
     }
 
     /// Drop all cached fragments (proxy restart in tests).
@@ -280,10 +171,6 @@ impl FragmentStore {
             for s in slots.iter_mut() {
                 *s = None;
             }
-        }
-        if let Some(book) = &self.budget {
-            let mut book = book.lock();
-            while book.replacer.pick_victim().is_some() {}
         }
     }
 
@@ -317,24 +204,6 @@ impl FragmentStore {
                     .sum::<usize>()
             })
             .sum()
-    }
-
-    /// True when this store enforces a local byte budget.
-    pub fn is_budgeted(&self) -> bool {
-        self.budget.is_some()
-    }
-
-    /// `(budget_bytes, resident_bytes, evictions)` for a budgeted store,
-    /// `None` for the classic directory-share sizing. `resident_bytes` is
-    /// the policy's view, which equals the slot array's content bytes
-    /// except that empty `SET`s are tracked at 1 byte.
-    pub fn budget_stats(&self) -> Option<(u64, u64, u64)> {
-        let book = self.budget.as_ref()?.lock();
-        Some((
-            book.budget_bytes,
-            book.replacer.resident_bytes(),
-            self.evictions.load(Ordering::Relaxed),
-        ))
     }
 
     /// (sets, successful gets, gets on empty/out-of-range slots).
@@ -442,75 +311,6 @@ mod tests {
         assert_eq!(FragmentStore::with_shards(4, 16).shard_count(), 4);
         assert_eq!(FragmentStore::with_shards(0, 16).shard_count(), 1);
         assert_eq!(FragmentStore::new(4096).shard_count(), DEFAULT_SHARDS);
-    }
-
-    #[test]
-    fn budgeted_set_evicts_cold_slots_to_fit() {
-        let store = FragmentStore::with_budget(16, 4, 300, ReplacePolicy::Lru);
-        store.set(DpcKey(0), Bytes::from(vec![0u8; 100]));
-        store.set(DpcKey(1), Bytes::from(vec![1u8; 100]));
-        store.set(DpcKey(2), Bytes::from(vec![2u8; 100]));
-        assert_eq!(store.occupied(), 3);
-        // Touch 0 and 1 so 2 is the LRU victim when 3 needs room.
-        assert!(store.get(DpcKey(0)).is_some());
-        assert!(store.get(DpcKey(1)).is_some());
-        store.set(DpcKey(3), Bytes::from(vec![3u8; 100]));
-        assert!(store.get(DpcKey(2)).is_none(), "LRU slot evicted");
-        assert!(store.get(DpcKey(0)).is_some());
-        assert!(store.get(DpcKey(3)).is_some());
-        let (budget, resident, evictions) = store.budget_stats().unwrap();
-        assert_eq!(budget, 300);
-        assert!(resident <= 300, "resident {resident} over budget");
-        assert_eq!(evictions, 1);
-    }
-
-    #[test]
-    fn budgeted_refresh_in_place_is_an_update_not_an_insert() {
-        let store = FragmentStore::with_budget(8, 2, 250, ReplacePolicy::Lru);
-        store.set(DpcKey(0), Bytes::from(vec![0u8; 100]));
-        store.set(DpcKey(1), Bytes::from(vec![1u8; 100]));
-        // Overwriting key 0 with a smaller body must not evict anyone.
-        store.set(DpcKey(0), Bytes::from(vec![9u8; 50]));
-        assert_eq!(store.occupied(), 2);
-        assert_eq!(store.budget_stats().unwrap().2, 0, "no evictions");
-        // Growing key 0 past the budget evicts the other resident.
-        store.set(DpcKey(0), Bytes::from(vec![9u8; 200]));
-        assert!(store.get(DpcKey(1)).is_none(), "growth evicted the LRU");
-        assert!(store.get(DpcKey(0)).is_some());
-    }
-
-    #[test]
-    fn budgeted_scrub_is_a_removal_not_an_eviction() {
-        let store = FragmentStore::with_budget(8, 2, 1000, ReplacePolicy::Lru);
-        store.set(DpcKey(0), Bytes::from(vec![0u8; 100]));
-        assert!(store.clear_key(DpcKey(0)));
-        let (_, resident, evictions) = store.budget_stats().unwrap();
-        assert_eq!(resident, 0, "scrubbed bytes released from the budget");
-        assert_eq!(evictions, 0, "a scrub never counts as an eviction");
-        // The freed budget is reusable.
-        store.set(DpcKey(1), Bytes::from(vec![1u8; 900]));
-        assert_eq!(store.budget_stats().unwrap().2, 0);
-        assert!(store.get(DpcKey(1)).is_some());
-    }
-
-    #[test]
-    fn oversized_insert_cannot_wedge_the_budget() {
-        let store = FragmentStore::with_budget(8, 2, 100, ReplacePolicy::Lru);
-        // Larger than the whole budget: it lands, then the recovery pass
-        // evicts it (possibly itself) back under budget.
-        store.set(DpcKey(0), Bytes::from(vec![0u8; 500]));
-        let (_, resident, _) = store.budget_stats().unwrap();
-        assert!(resident <= 100, "resident {resident} stuck over budget");
-        // Follow-on inserts still work.
-        store.set(DpcKey(1), Bytes::from(vec![1u8; 50]));
-        assert!(store.get(DpcKey(1)).is_some());
-    }
-
-    #[test]
-    fn unbudgeted_store_reports_no_budget() {
-        let store = FragmentStore::new(8);
-        assert!(!store.is_budgeted());
-        assert!(store.budget_stats().is_none());
     }
 
     #[test]

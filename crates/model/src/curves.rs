@@ -1,7 +1,7 @@
 //! Analytical curve generators for the paper's figures.
 //!
 //! Each generator sweeps one model parameter and returns `(x, y)` points,
-//! ready for the bench binaries to print as aligned tables/CSV. Where the
+//! ready for `dpc_bench::paper` to print as aligned tables. Where the
 //! published curve needs the per-figure calibration (see the crate docs),
 //! generators offer both the Table-2-default and calibrated variants.
 

@@ -21,6 +21,9 @@
 //! One-touch pages never pay the copy; the Zipf head does, once, and then
 //! stops taking the page-cache lock at all.
 //!
+//! An L1 copy expires on the clock of the L2 it was promoted from — the
+//! node's clock, virtual in the testbed — never later than its L2 source.
+//!
 //! [`CoherencyEpoch`]: dpc_core::CoherencyEpoch
 
 use crate::page_cache::PageCache;
@@ -29,7 +32,7 @@ use dpc_http::{LoopCache, LoopCacheFactory, Method, Request, Response, Status};
 use dpc_trace::{render_journey, Layer, SpanStatus, Tracer};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// L2 hits an entry must accumulate (within its current generation) before
 /// it is worth copying into a loop's L1. Keeps cold pages from churning
@@ -109,7 +112,8 @@ struct L1Entry {
     /// Coherency-epoch value the body was assembled under. A hit is only
     /// a hit while the owning L2's epoch still equals this.
     stamp: u64,
-    expires_at: Instant,
+    /// Expiry in nanoseconds of the owning L2's clock.
+    expires_at: u64,
     /// Monotonic touch tick for LRU victim selection.
     last_touch: u64,
     /// The L2 this entry was promoted from. Held so the L1 hit path can
@@ -158,7 +162,7 @@ impl L1Cache {
             .coherence()
             .map(|e| e.validates(entry.stamp))
             .unwrap_or(true);
-        if !epoch_ok || Instant::now() >= entry.expires_at {
+        if !epoch_ok || entry.l2.clock().now_nanos() >= entry.expires_at {
             let dead = self.entries.remove(key).expect("entry was just here");
             self.resident_bytes -= dead.body.len();
             if !epoch_ok {
@@ -213,6 +217,9 @@ impl L1Cache {
             let evicted = self.entries.remove(&victim).expect("victim exists");
             self.resident_bytes -= evicted.body.len();
         }
+        let valid_for = self.ttl.min(l2_valid_for).as_nanos();
+        let valid_for = u64::try_from(valid_for).unwrap_or(u64::MAX);
+        let expires_at = l2.clock().now_nanos().saturating_add(valid_for);
         self.tick += 1;
         self.resident_bytes += body.len();
         self.entries.insert(
@@ -222,7 +229,7 @@ impl L1Cache {
                 content_type,
                 etag,
                 stamp,
-                expires_at: Instant::now() + self.ttl.min(l2_valid_for),
+                expires_at,
                 last_touch: self.tick,
                 l2,
             },

@@ -6,12 +6,10 @@
 //! whole-page (hence the over-invalidation the paper's stock-quote example
 //! describes). `PURGE <target>` drops one entry.
 //!
-//! Replacement is delegated to the shared policy engine
-//! ([`dpc_core::Replacer`], from `dpc-policy`): the page cache runs any
-//! [`ReplacePolicy`], driven with the URL's FNV hash as both key and
-//! content identity and the body size as the byte signal — so the proxy
-//! tier's full-page baseline is measured under the same policy menu as
-//! the DPC directory. Hashed keys keep the hit path allocation-free (a
+//! Replacement is LRU from the shared policy engine
+//! ([`dpc_core::Replacer`], from `dpc-policy`), driven with the URL's FNV
+//! hash as both key and content identity and the body size as the byte
+//! signal. Hashed keys keep the hit path allocation-free (a
 //! `Replacer<String>` would need an owned `String` per `touch`); an
 //! `ident → URL` owner map resolves victims, and the astronomically rare
 //! 64-bit collision is handled by purging the previous owner.
@@ -154,12 +152,11 @@ impl PageCacheStats {
     }
 }
 
-/// URL-keyed page cache with TTL and pluggable replacement.
+/// URL-keyed page cache with TTL and LRU replacement.
 pub struct PageCache {
     clock: Clock,
     ttl: Duration,
     capacity: usize,
-    policy: ReplacePolicy,
     inner: Mutex<PageInner>,
     /// Single-flight per URL hash: concurrent misses for the same page
     /// collapse into one origin fetch (see [`PageCache::get_or_fill`]).
@@ -206,28 +203,17 @@ pub struct PageCache {
 }
 
 impl PageCache {
-    /// LRU cache (the classic baseline).
+    /// An LRU cache of at most `capacity` pages, each fresh for `ttl`.
     pub fn new(clock: Clock, ttl: Duration, capacity: usize) -> PageCache {
-        Self::with_policy(clock, ttl, capacity, ReplacePolicy::Lru)
-    }
-
-    /// Cache running an explicit replacement policy.
-    pub fn with_policy(
-        clock: Clock,
-        ttl: Duration,
-        capacity: usize,
-        policy: ReplacePolicy,
-    ) -> PageCache {
         let capacity = capacity.max(1);
         PageCache {
             clock,
             ttl,
             capacity,
-            policy,
             inner: Mutex::new(PageInner {
                 entries: HashMap::new(),
                 owner: HashMap::new(),
-                replacer: policy.build(capacity),
+                replacer: ReplacePolicy::Lru.build(capacity),
             }),
             flight: FlightGroup::new(),
             purge_epoch: AtomicU64::new(0),
@@ -269,6 +255,11 @@ impl PageCache {
         self
     }
 
+    /// The clock this cache's TTLs run on: the node's.
+    pub(crate) fn clock(&self) -> &Clock {
+        &self.clock
+    }
+
     /// The node's coherence epoch, when one is attached.
     pub fn coherence(&self) -> Option<&CoherencyEpoch> {
         self.coherence.as_ref()
@@ -281,11 +272,6 @@ impl PageCache {
     /// moved, always current before) when no epoch is attached.
     pub fn coherence_stamp(&self) -> u64 {
         self.coherence.as_ref().map(|e| e.value()).unwrap_or(0)
-    }
-
-    /// The replacement policy this cache runs.
-    pub fn policy(&self) -> ReplacePolicy {
-        self.policy
     }
 
     /// Look up `target`; counts a hit or miss.
@@ -358,9 +344,8 @@ impl PageCache {
         }
     }
 
-    /// Insert a page under `target`, evicting per policy when over
-    /// capacity. Admission-controlled policies may refuse the page
-    /// entirely (it is simply not cached — correct, just cold).
+    /// Insert a page under `target`, evicting the least recently used page
+    /// when over capacity.
     pub fn put(&self, target: &str, body: Bytes, content_type: &str) {
         let mut inner = self.inner.lock();
         self.install(&mut inner, target, body, content_type, None, None);
@@ -597,7 +582,7 @@ impl PageCache {
         let mut inner = self.inner.lock();
         inner.entries.clear();
         inner.owner.clear();
-        inner.replacer = self.policy.build(self.capacity);
+        inner.replacer = ReplacePolicy::Lru.build(self.capacity);
         self.purge_epoch.fetch_add(1, Ordering::Relaxed);
         if let Some(epoch) = &self.coherence {
             epoch.bump();
@@ -738,42 +723,6 @@ mod tests {
         let (body, _) = c.get("/a").unwrap();
         assert_eq!(&body[..], b"version-two");
         assert_eq!(c.counters().3, 0, "refresh is not an eviction");
-    }
-
-    #[test]
-    fn any_policy_runs_the_page_cache() {
-        let (clock, _h) = Clock::virtual_clock();
-        for policy in ReplacePolicy::EVICTING {
-            let c = PageCache::with_policy(clock.clone(), Duration::from_secs(60), 4, policy);
-            assert_eq!(c.policy(), policy);
-            for i in 0..16 {
-                let target = format!("/p{i}");
-                c.put(&target, Bytes::from(vec![b'x'; 64 + i]), "t");
-                let _ = c.get(&target);
-            }
-            assert!(c.len() <= 4, "{policy:?} over capacity: {}", c.len());
-        }
-    }
-
-    #[test]
-    fn tinylfu_page_cache_shields_hot_pages_from_one_shot_traffic() {
-        let (clock, _h) = Clock::virtual_clock();
-        let c = PageCache::with_policy(clock, Duration::from_secs(600), 4, ReplacePolicy::TinyLfu);
-        for i in 0..4 {
-            let hot = format!("/hot{i}");
-            c.put(&hot, Bytes::from_static(b"hot"), "t");
-            for _ in 0..5 {
-                assert!(c.get(&hot).is_some());
-            }
-        }
-        // A one-shot crawl: every page refused at the admission duel.
-        for i in 0..32 {
-            c.put(&format!("/scan{i}"), Bytes::from_static(b"cold"), "t");
-        }
-        assert!(c.admission_rejections() > 0);
-        for i in 0..4 {
-            assert!(c.get(&format!("/hot{i}")).is_some(), "hot page {i} lost");
-        }
     }
 
     #[test]

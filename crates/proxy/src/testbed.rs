@@ -17,7 +17,7 @@
 use dpc_appserver::apps::paper_site::{self, PaperSiteParams};
 use dpc_appserver::apps::{self};
 use dpc_appserver::ScriptEngine;
-use dpc_core::{Bem, BemConfig, CoherencyEpoch, FragmentStore, ReplacePolicy, DEFAULT_SHARDS};
+use dpc_core::{Bem, BemConfig, CoherencyEpoch, FragmentStore, ReplacePolicy};
 use dpc_firewall::Firewall;
 use dpc_http::server::ServerConfig;
 use dpc_http::{Client, Request, Response, Server, ServerHandle};
@@ -72,11 +72,6 @@ pub struct TestbedConfig {
     /// (the default) disables the whole DPC page tier: no L1, no L2
     /// install, every request reassembles — the classic paper pipeline.
     pub l1_budget_bytes: usize,
-    /// Byte budget for the DPC slot store. `None` (the default) keeps the
-    /// classic slot-count-capacity store; `Some(bytes)` builds a
-    /// byte-budgeted store whose `replace` policy evicts cold slots to
-    /// admit new fragments.
-    pub node_budget_bytes: Option<usize>,
 }
 
 impl Default for TestbedConfig {
@@ -92,7 +87,6 @@ impl Default for TestbedConfig {
             protocol: ProtocolModel::default(),
             loops: 1,
             l1_budget_bytes: 0,
-            node_budget_bytes: None,
         }
     }
 }
@@ -163,15 +157,7 @@ impl Testbed {
         // --- External box: firewall + proxy (+ DPC store / page cache /
         // ESI assembler).
         let firewall = Arc::new(Firewall::with_default_rules());
-        let store = Arc::new(match config.node_budget_bytes {
-            Some(bytes) => FragmentStore::with_budget(
-                config.capacity,
-                DEFAULT_SHARDS,
-                bytes as u64,
-                config.replace,
-            ),
-            None => FragmentStore::new(config.capacity),
-        });
+        let store = Arc::new(FragmentStore::new(config.capacity));
         let tier_on = config.l1_budget_bytes > 0 && config.mode == ProxyMode::Dpc;
         // One epoch covers the whole node: any origin data update bumps
         // it, so every stamped page (L2 entry or loop-local L1 copy)
@@ -648,35 +634,24 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_node_store_still_serves_correct_pages() {
-        let plain = Testbed::build(TestbedConfig {
-            mode: ProxyMode::PassThrough,
-            paper_params: small_params(),
-            ..TestbedConfig::default()
-        });
-        // A budget well below the fragment working set keeps eviction live
-        // on every SET; pages stay byte-identical because an evicted slot
-        // is just a future node-miss.
+    fn l1_copies_expire_on_the_node_clock() {
         let tb = Testbed::build(TestbedConfig {
             mode: ProxyMode::Dpc,
             paper_params: small_params(),
-            node_budget_bytes: Some(2 * 1024),
+            l1_budget_bytes: 1 << 20,
             ..TestbedConfig::default()
         });
-        for _round in 0..2 {
-            for p in 0..3 {
-                let a = tb.get(&format!("/paper/page.jsp?p={p}"), None);
-                let b = plain.get(&format!("/paper/page.jsp?p={p}"), None);
-                assert_eq!(a.status.0, 200, "page {p}");
-                assert_eq!(a.body, b.body, "page {p}");
-            }
+        let url = "/paper/page.jsp?p=0";
+        for _ in 0..(crate::l1::PROMOTE_AFTER + 2) {
+            let _ = tb.get(url, None);
         }
-        let (budget, resident, _evictions) = tb
-            .proxy()
-            .store()
-            .budget_stats()
-            .expect("store is budgeted");
-        assert!(resident <= budget, "resident {resident} > budget {budget}");
+        assert_eq!(tb.get(url, None).headers.get("x-cache"), Some("dpc-l1"));
+        // Past PAGE_TTL on the testbed's virtual clock both tiers' copies
+        // are expired: the page is assembled afresh.
+        tb.clock()
+            .advance(PAGE_TTL + std::time::Duration::from_secs(1));
+        let r = tb.get(url, None);
+        assert_eq!(r.headers.get("x-cache"), Some("dpc-assembled"));
     }
 
     #[test]
