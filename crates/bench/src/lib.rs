@@ -18,7 +18,7 @@
 //! | [`paper::deployment`] | §1/§8 case study: bandwidth and response-time reductions |
 //! | [`paper::ablation`] | design-choice ablations (replacement policy, tag size, framing, scan cost) |
 //!
-//! The `micro` and `policies` benches live under `benches/`; `dpcbench`,
+//! The `micro` bench lives under `benches/`; `dpcbench`,
 //! the end-to-end benchmark, is a package of its own under
 //! `src/bin/dpcbench/`.
 

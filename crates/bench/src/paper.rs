@@ -437,7 +437,8 @@ pub struct Ablation {
 }
 
 /// Design choices the paper leaves open or motivates: the replacement
-/// policy (the full grid is `cargo bench --bench policies`), the tag size
+/// policy (every [`ReplacePolicy`] on one directory under pressure, the
+/// only hit-ratio comparison the repository keeps), the tag size
 /// `g` (why the BEM ships a small integer `dpcKey`, not the fragment id,
 /// §4.3.3), the wire framing (which isolates §6's header gap), and the
 /// DPC's scan cost `z` against the firewall's `y` (`z = y` is the paper's

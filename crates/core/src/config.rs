@@ -3,9 +3,8 @@
 use dpc_net::Clock;
 
 /// Which replacement policy the directory's replacement manager uses —
-/// re-exported from [`dpc_policy`], where the whole replacement engine
-/// lives (LRU/CLOCK/FIFO plus the size-aware GDSF and the scan-resistant
-/// 2Q/TinyLFU). Selecting a policy is pure configuration; no directory
+/// re-exported from [`dpc_policy`], where the policies live (LRU, CLOCK,
+/// FIFO, or none). Selecting a policy is pure configuration; no directory
 /// internals are involved.
 pub use dpc_policy::ReplacePolicy;
 

@@ -85,8 +85,7 @@ struct Entry {
     is_valid: bool,
     /// Content size in bytes, 0 until the producing code block reports it
     /// via [`CacheDirectory::note_fragment_bytes`] (the directory issues
-    /// the key *before* content exists). Feeds the size-aware policies
-    /// and the resident-bytes gauges.
+    /// the key *before* content exists). Feeds the resident-bytes gauges.
     bytes: u64,
     /// Bitmask of DPC nodes whose slot array holds this fragment. In the
     /// paper's reverse-proxy configuration there is a single node (bit 0);
@@ -120,10 +119,6 @@ pub struct DirectoryStats {
     /// returns its key through the freeList and is never double-counted
     /// here.
     pub evictions: u64,
-    /// Candidates the replacement policy refused to admit on a full shard
-    /// (admission-controlled policies like TinyLFU); the fragment was
-    /// served inline, uncached. Always also counted in `uncacheable`.
-    pub admission_rejections: u64,
     pub uncacheable: u64,
     /// Known content bytes of currently valid fragments (entries whose
     /// producer has not reported a size yet count 0).
@@ -168,7 +163,6 @@ impl DirectoryStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     pub evictions: u64,
-    pub admission_rejections: u64,
     pub resident_bytes: u64,
     pub resident_bytes_hwm: u64,
     pub valid_entries: usize,
@@ -192,7 +186,6 @@ struct Inner {
     expirations: u64,
     invalidations: u64,
     evictions: u64,
-    admission_rejections: u64,
     uncacheable: u64,
     resident_bytes: u64,
     resident_bytes_hwm: u64,
@@ -316,7 +309,7 @@ impl CacheDirectory {
                         key_owner: HashMap::new(),
                         free_list: VecDeque::new(),
                         next_fresh: key_lo,
-                        replacer: config.replace.build(shard_cap),
+                        replacer: config.replace.build(),
                         dep_index: HashMap::new(),
                         seq: 0,
                         hits: 0,
@@ -325,7 +318,6 @@ impl CacheDirectory {
                         expirations: 0,
                         invalidations: 0,
                         evictions: 0,
-                        admission_rejections: 0,
                         uncacheable: 0,
                         resident_bytes: 0,
                         resident_bytes_hwm: 0,
@@ -504,9 +496,7 @@ impl CacheDirectory {
         assert!(node < 64, "at most 64 DPC nodes are supported");
         let node_bit = 1u64 << node;
         let now = self.clock.now_nanos();
-        // One hash serves both shard selection and the content *identity*
-        // the replacement policy accumulates history under — idents stay
-        // stable across key recycling, dpcKeys do not.
+        // One hash serves shard selection and the fragment's flight key.
         let ident = shard_hash(id);
         let shard_idx = self.shard_index_of_hash(ident);
         let shard = &self.shards[shard_idx];
@@ -546,25 +536,11 @@ impl CacheDirectory {
         }
         // Miss path: allocate a key (freeList, then the shard's fresh key
         // segment, then replacement).
-        let key = match self.allocate_key(inner, shard_idx, shard.key_hi, ident) {
-            Some(k) => k,
-            None => {
-                inner.uncacheable += 1;
-                return Lookup::Uncacheable;
-            }
-        };
-        // The slot is granted; the policy still gets the last word (the
-        // shipped policies always admit here — refusal happens at
-        // `evict_for` time — but the contract allows free-space gates).
-        // Content size is unknown until the code block runs, so the entry
-        // is admitted at the 1-byte slot estimate and corrected by
-        // `note_fragment_bytes` once produced.
-        if !inner.replacer.admit(key, ident, 1) {
-            inner.free_list.push_back(key);
-            inner.admission_rejections += 1;
+        let Some(key) = self.allocate_key(inner, shard_idx, shard.key_hi) else {
             inner.uncacheable += 1;
             return Lookup::Uncacheable;
-        }
+        };
+        inner.replacer.admit(key);
         inner.misses += 1;
         inner.seq += 1;
         let expires_at = match ttl.as_nanos().try_into() {
@@ -627,11 +603,9 @@ impl CacheDirectory {
         true
     }
 
-    /// Report the produced content size of a *valid* entry. The directory
-    /// issues keys before content exists, so fragments are admitted at a
-    /// 1-byte slot estimate; the BEM calls this right after the code block
-    /// runs, which (a) keeps the resident-bytes gauges honest and (b)
-    /// feeds the size signal the size-aware policies (GDSF) rank by.
+    /// Report the produced content size of a *valid* entry for the
+    /// resident-bytes gauges. The directory issues keys before content
+    /// exists; the BEM calls this right after the code block runs.
     /// Returns false when the entry is absent or invalid.
     pub fn note_fragment_bytes(&self, id: &FragmentId, bytes: u64) -> bool {
         let shard_idx = self.shard_index_for(id);
@@ -646,9 +620,6 @@ impl CacheDirectory {
         inner.resident_bytes = inner.resident_bytes - entry.bytes + bytes;
         entry.bytes = bytes;
         inner.resident_bytes_hwm = inner.resident_bytes_hwm.max(inner.resident_bytes);
-        // The replacer's floor stays 1: a zero-byte fragment still holds a
-        // slot, and GDSF divides by size.
-        inner.replacer.update_bytes(&entry.dpc_key, bytes.max(1));
         true
     }
 
@@ -813,7 +784,6 @@ impl CacheDirectory {
             stats.expirations += inner.expirations;
             stats.invalidations += inner.invalidations;
             stats.evictions += inner.evictions;
-            stats.admission_rejections += inner.admission_rejections;
             stats.uncacheable += inner.uncacheable;
             stats.resident_bytes += inner.resident_bytes;
             stats.resident_bytes_hwm += inner.resident_bytes_hwm;
@@ -824,8 +794,8 @@ impl CacheDirectory {
         stats
     }
 
-    /// Per-shard replacement counters (see [`ShardStats`]): eviction and
-    /// admission pressure is a per-shard phenomenon — a skewed key
+    /// Per-shard replacement counters (see [`ShardStats`]): eviction
+    /// pressure is a per-shard phenomenon — a skewed key
     /// population can have one shard evicting under pressure while the
     /// rest sit half empty, which the aggregate in
     /// [`stats`](Self::stats) averages away.
@@ -836,7 +806,6 @@ impl CacheDirectory {
                 let inner = self.lock_inner(shard);
                 ShardStats {
                     evictions: inner.evictions,
-                    admission_rejections: inner.admission_rejections,
                     resident_bytes: inner.resident_bytes,
                     resident_bytes_hwm: inner.resident_bytes_hwm,
                     valid_entries: inner.key_owner.len(),
@@ -944,13 +913,7 @@ impl CacheDirectory {
 
     // -- internals ----------------------------------------------------------
 
-    fn allocate_key(
-        &self,
-        inner: &mut Inner,
-        shard_idx: usize,
-        key_hi: u32,
-        ident: u64,
-    ) -> Option<DpcKey> {
+    fn allocate_key(&self, inner: &mut Inner, shard_idx: usize, key_hi: u32) -> Option<DpcKey> {
         if let Some(key) = inner.free_list.pop_front() {
             return Some(key);
         }
@@ -960,19 +923,10 @@ impl CacheDirectory {
             return Some(key);
         }
         // All of this shard's keys are in use and valid: the shard's
-        // replacement manager either names a victim (whose key is taken
-        // over directly, no freeList round trip) or — for
-        // admission-controlled policies — refuses the candidate, which
-        // the caller serves inline.
-        let Some(victim_key) = inner.replacer.evict_for(ident, 1) else {
-            // Only an admission-controlled policy's refusal is an
-            // admission *decision*; `None` (and any policy on an empty
-            // shard) refusing is plain capacity exhaustion.
-            if inner.replacer.is_admission_controlled() && !inner.replacer.is_empty() {
-                inner.admission_rejections += 1;
-            }
-            return None;
-        };
+        // replacement manager names a victim, whose key is taken over
+        // directly (no freeList round trip). Policy `None` names none, and
+        // the caller serves the fragment inline.
+        let victim_key = inner.replacer.pick_victim()?;
         let victim_id = inner
             .key_owner
             .remove(&victim_key)
@@ -1434,50 +1388,6 @@ mod tests {
             per_shard.iter().map(|s| s.resident_bytes_hwm).sum::<u64>(),
             dir.stats().resident_bytes_hwm
         );
-        dir.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn tinylfu_rejects_cold_candidates_until_they_earn_admission() {
-        let dir = CacheDirectory::new(
-            &BemConfig::default()
-                .with_capacity(4)
-                .with_shards(1)
-                .with_replace(ReplacePolicy::TinyLfu),
-        );
-        // Four residents, each hit several times: real frequency history.
-        for i in 0..4 {
-            let id = FragmentId::with_params("hot", &[("i", &i.to_string())]);
-            for _ in 0..6 {
-                let _ = dir.lookup(&id, Duration::from_secs(600), &[]);
-            }
-        }
-        // A cold newcomer loses the admission duel and is served inline.
-        let cold = FragmentId::new("cold");
-        assert_eq!(
-            dir.lookup(&cold, Duration::from_secs(600), &[]),
-            Lookup::Uncacheable
-        );
-        let stats = dir.stats();
-        assert_eq!(stats.admission_rejections, 1);
-        assert_eq!(stats.uncacheable, 1);
-        assert_eq!(stats.evictions, 0, "a refused candidate evicts nothing");
-        // Per-shard view agrees (single shard here).
-        assert_eq!(dir.shard_stats()[0].admission_rejections, 1);
-        // Persistence pays: keep requesting and it eventually displaces
-        // the least-recent resident.
-        let mut admitted = false;
-        for _ in 0..16 {
-            if matches!(
-                dir.lookup(&cold, Duration::from_secs(600), &[]),
-                Lookup::Miss(_)
-            ) {
-                admitted = true;
-                break;
-            }
-        }
-        assert!(admitted, "recurring fragment must eventually be admitted");
-        assert_eq!(dir.stats().evictions, 1);
         dir.check_invariants().unwrap();
     }
 

@@ -27,8 +27,8 @@
 //!   rope of shared segments. Each slot keeps its content hash beside its
 //!   bytes, so the page's ETag identity costs O(fragments), not O(bytes).
 //! * [`invalidate`] / [`dpc_policy`] — TTL + data-dependency invalidation and
-//!   pluggable replacement policies (LRU, CLOCK, FIFO, plus the size-aware
-//!   GDSF and scan-resistant 2Q/TinyLFU from the `dpc_policy` crate).
+//!   the replacement policies (LRU, CLOCK, FIFO or none, from the
+//!   `dpc_policy` crate).
 //! * [`objects`] — the BEM's secondary function: caching intermediate
 //!   programmatic objects (e.g. user-profile objects) so scripts do not
 //!   repeat back-end calls.
@@ -98,7 +98,7 @@ pub use assemble::{assemble, assemble_rope, AssembledPage, AssembledRope, Assemb
 pub use bem::{Bem, FragmentPolicy, InvalidationSink, TemplateWriter};
 pub use config::{BemConfig, ReplacePolicy, DEFAULT_SHARDS};
 pub use directory::{CacheDirectory, Lookup, ShardStats};
-pub use dpc_policy::{content_hash, fnv1a, Replacer};
+pub use dpc_policy::{content_hash, fnv1a, LruReplacer, Replacer};
 pub use epoch::CoherencyEpoch;
 pub use error::{AssembleError, CoreError};
 pub use flight::{FlightCounters, FlightGroup, FlightLeader, Join, Publish, Wait};

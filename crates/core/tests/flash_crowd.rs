@@ -10,6 +10,10 @@
 //! the flight is provably in progress (`FlightGroup::in_flight`). The
 //! window where a hit races the leader's `SET` to the store surfaces as
 //! `MissingFragment`; like the proxy front end, the serve loop retries it.
+//!
+//! A discrete-tick model of the same burst ([`flash_crowd`], at the end)
+//! states the claim analytically and checks it at crowd sizes no thread
+//! test could reach.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -361,4 +365,136 @@ fn ten_k_requests_cost_order_invalidations_produces() {
          counted final-lap fallback"
     );
     bem.check_invariants().unwrap();
+}
+
+/// Outcome of one [`flash_crowd`] run: the same deterministic burst
+/// costed with and without single-flight miss coalescing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FlashCrowdResult {
+    /// Requests that arrived over the burst.
+    requests: u64,
+    /// Invalidations that landed mid-burst.
+    invalidations: u64,
+    /// Produce calls with single-flight coalescing: one leader per
+    /// absence interval, plus one repair per mid-flight invalidation.
+    coalesced_produces: u64,
+    /// Produce calls without coalescing: every request that finds the
+    /// value absent (or a produce in progress) launches its own.
+    uncoalesced_produces: u64,
+}
+
+/// Cost a flash crowd analytically: a discrete-tick model of `requests`
+/// arrivals (at `arrivals_per_tick`) against one hot key whose produce
+/// takes `produce_ticks`, with invalidations landing at the given ticks.
+///
+/// This is the analytic twin of the threaded tests above: those prove the
+/// real `FlightGroup` delivers these numbers under actual threads; this
+/// model makes the *claim* itself — coalesced produces = invalidations +
+/// 1, independent of crowd size — checkable at any scale in microseconds.
+///
+/// Model: a produce started at tick `t` completes at `t + produce_ticks`
+/// and installs a fresh value unless an invalidation landed after `t`.
+/// Coalesced, a mid-flight invalidation marks the flight stale and the
+/// leader relaunches on completion (the waiters stay parked); uncoalesced,
+/// every arrival that misses launches a produce of its own.
+fn flash_crowd(
+    requests: u64,
+    arrivals_per_tick: u64,
+    produce_ticks: u64,
+    invalidate_at: &[u64],
+) -> FlashCrowdResult {
+    assert!(arrivals_per_tick > 0 && produce_ticks > 0);
+    let mut result = FlashCrowdResult {
+        requests,
+        invalidations: 0,
+        coalesced_produces: 0,
+        uncoalesced_produces: 0,
+    };
+    // Shared arrival schedule; independent cache state per discipline.
+    let mut co_fresh = false;
+    let mut co_flight: Option<u64> = None; // completion tick
+    let mut co_stale = false;
+    let mut un_fresh = false;
+    let mut un_completions: Vec<(u64, u64)> = Vec::new(); // (start, end)
+    let mut arrived = 0u64;
+    let mut tick = 0u64;
+    let mut last_invalidation: Option<u64> = None;
+    while arrived < requests || co_flight.is_some() || !un_completions.is_empty() {
+        if invalidate_at.contains(&tick) {
+            result.invalidations += 1;
+            last_invalidation = Some(tick);
+            co_fresh = false;
+            un_fresh = false;
+            if co_flight.is_some() {
+                co_stale = true;
+            }
+        }
+        // Completions land before this tick's arrivals.
+        if co_flight == Some(tick) {
+            if co_stale {
+                // The leader observed the stale stamp: relaunch, waiters
+                // keep waiting. This is the "+1 per invalidation".
+                co_stale = false;
+                result.coalesced_produces += 1;
+                co_flight = Some(tick + produce_ticks);
+            } else {
+                co_fresh = true;
+                co_flight = None;
+            }
+        }
+        un_completions.retain(|&(start, end)| {
+            if end != tick {
+                return true;
+            }
+            if last_invalidation.is_none_or(|inv| start > inv) {
+                un_fresh = true;
+            }
+            false
+        });
+        let batch = arrivals_per_tick.min(requests - arrived);
+        for _ in 0..batch {
+            if !co_fresh && co_flight.is_none() {
+                result.coalesced_produces += 1;
+                co_flight = Some(tick + produce_ticks);
+                co_stale = false;
+            }
+            if !un_fresh {
+                result.uncoalesced_produces += 1;
+                un_completions.push((tick, tick + produce_ticks));
+            }
+        }
+        arrived += batch;
+        tick += 1;
+    }
+    result
+}
+
+#[test]
+fn flash_crowd_coalesced_cost_is_invalidations_plus_one() {
+    // 10k requests at 100/tick against one hot key with a 20-tick
+    // produce; invalidations land while the value is *fresh* (tick 30,
+    // after the first flight completes) and again at tick 61.
+    let r = flash_crowd(10_000, 100, 20, &[30, 61]);
+    assert_eq!(r.requests, 10_000);
+    assert_eq!(r.invalidations, 2);
+    assert_eq!(r.coalesced_produces, r.invalidations + 1);
+    assert!(
+        r.uncoalesced_produces > r.requests / 2,
+        "dogpile should burn most of the crowd: {} of {}",
+        r.uncoalesced_produces,
+        r.requests
+    );
+}
+
+#[test]
+fn flash_crowd_mid_flight_invalidation_costs_one_relaunch() {
+    // The invalidation lands at tick 10, squarely inside the first
+    // flight (ticks 0..20): the leader relaunches once on completion.
+    let r = flash_crowd(10_000, 100, 20, &[10]);
+    assert_eq!(r.invalidations, 1);
+    assert_eq!(r.coalesced_produces, 2);
+    // Crowd size does not change the coalesced cost.
+    let bigger = flash_crowd(1_000_000, 10_000, 20, &[10]);
+    assert_eq!(bigger.coalesced_produces, 2);
+    assert!(bigger.uncoalesced_produces > 100_000);
 }

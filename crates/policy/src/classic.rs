@@ -1,59 +1,47 @@
 //! The classical recency/insertion-order policies: LRU, CLOCK, FIFO, and
 //! the degenerate `None`.
 //!
-//! CLOCK and FIFO keep their queues *lazily*: removal just drops the
-//! resident from the book and bumps the key's generation; stale queue
-//! entries are skipped when the sweep reaches them. This keeps `touch` and
-//! `remove` O(1) regardless of resident count — the trace lab replays
-//! millions of operations against thousands of residents, where the
-//! textbook retain-on-remove queue would be quadratic.
+//! Each policy counts membership from the map it already keeps. CLOCK and
+//! FIFO keep their queues *lazily*: removal just drops the key from that
+//! map, and stale queue entries (whose generation no longer matches) are
+//! skipped when the sweep reaches them. This keeps `touch` and `remove`
+//! O(1) regardless of resident count; the textbook retain-on-remove queue
+//! would be quadratic under invalidation churn.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-use crate::book::Book;
 use crate::{Key, Replacer};
 
 /// Policy `None`: tracks membership (for the invariants) but never evicts.
 pub struct NoReplacer<K> {
-    book: Book<K>,
+    residents: HashSet<K>,
 }
 
 impl<K: Key> Default for NoReplacer<K> {
     fn default() -> Self {
-        NoReplacer { book: Book::new() }
+        NoReplacer {
+            residents: HashSet::new(),
+        }
     }
 }
 
 impl<K: Key> Replacer<K> for NoReplacer<K> {
-    fn admit(&mut self, key: K, ident: u64, bytes: u64) -> bool {
-        self.book.insert(key, ident, bytes);
-        true
+    fn admit(&mut self, key: K) {
+        self.residents.insert(key);
     }
 
     fn touch(&mut self, _key: &K) {}
 
     fn remove(&mut self, key: &K) {
-        self.book.remove(key);
-    }
-
-    fn update_bytes(&mut self, key: &K, bytes: u64) {
-        self.book.set_bytes(key, bytes);
+        self.residents.remove(key);
     }
 
     fn pick_victim(&mut self) -> Option<K> {
         None
     }
 
-    fn resident_bytes(&self) -> u64 {
-        self.book.total_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "none"
-    }
-
     fn len(&self) -> usize {
-        self.book.len()
+        self.residents.len()
     }
 }
 
@@ -63,7 +51,6 @@ impl<K: Key> Replacer<K> for NoReplacer<K> {
 
 /// Least-recently-used: evicts the key with the oldest touch stamp.
 pub struct LruReplacer<K> {
-    book: Book<K>,
     stamp: u64,
     by_stamp: BTreeMap<u64, K>,
     stamp_of: HashMap<K, u64>,
@@ -78,7 +65,6 @@ impl<K: Key> Default for LruReplacer<K> {
 impl<K: Key> LruReplacer<K> {
     pub fn new() -> Self {
         LruReplacer {
-            book: Book::new(),
             stamp: 0,
             by_stamp: BTreeMap::new(),
             stamp_of: HashMap::new(),
@@ -96,10 +82,8 @@ impl<K: Key> LruReplacer<K> {
 }
 
 impl<K: Key> Replacer<K> for LruReplacer<K> {
-    fn admit(&mut self, key: K, ident: u64, bytes: u64) -> bool {
-        self.book.insert(key.clone(), ident, bytes);
+    fn admit(&mut self, key: K) {
         self.bump(key);
-        true
     }
 
     fn touch(&mut self, key: &K) {
@@ -109,36 +93,19 @@ impl<K: Key> Replacer<K> for LruReplacer<K> {
     }
 
     fn remove(&mut self, key: &K) {
-        if self.book.remove(key).is_some() {
-            if let Some(old) = self.stamp_of.remove(key) {
-                self.by_stamp.remove(&old);
-            }
+        if let Some(old) = self.stamp_of.remove(key) {
+            self.by_stamp.remove(&old);
         }
     }
 
-    fn update_bytes(&mut self, key: &K, bytes: u64) {
-        self.book.set_bytes(key, bytes);
-    }
-
     fn pick_victim(&mut self) -> Option<K> {
-        let (&stamp, key) = self.by_stamp.iter().next()?;
-        let key = key.clone();
-        self.by_stamp.remove(&stamp);
+        let (_, key) = self.by_stamp.pop_first()?;
         self.stamp_of.remove(&key);
-        self.book.remove(&key);
         Some(key)
     }
 
-    fn resident_bytes(&self) -> u64 {
-        self.book.total_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
     fn len(&self) -> usize {
-        self.book.len()
+        self.stamp_of.len()
     }
 }
 
@@ -150,7 +117,6 @@ impl<K: Key> Replacer<K> for LruReplacer<K> {
 /// per-touch bookkeeping than LRU (a flag write, no reordering), at
 /// slightly worse hit rate.
 pub struct ClockReplacer<K> {
-    book: Book<K>,
     /// Sweep ring of (key, generation); entries whose generation no longer
     /// matches `state` are stale and skipped.
     ring: VecDeque<(K, u64)>,
@@ -168,22 +134,19 @@ impl<K: Key> Default for ClockReplacer<K> {
 impl<K: Key> ClockReplacer<K> {
     pub fn new() -> Self {
         ClockReplacer {
-            book: Book::new(),
             ring: VecDeque::new(),
             state: HashMap::new(),
             generation: 0,
         }
     }
-}
 
-impl<K: Key> ClockReplacer<K> {
     /// Drop stale ring entries once they outnumber live ones. Removal only
     /// marks entries stale (O(1)); without this, a workload whose entries
     /// always leave via `remove` — invalidation churn on a directory that
     /// never fills — would grow the ring forever. Amortized O(1) per
     /// admission.
     fn maybe_compact(&mut self) {
-        if self.ring.len() > (2 * self.book.len()).max(16) {
+        if self.ring.len() > (2 * self.state.len()).max(16) {
             self.ring
                 .retain(|(k, g)| self.state.get(k).is_some_and(|(cur, _)| cur == g));
         }
@@ -191,14 +154,13 @@ impl<K: Key> ClockReplacer<K> {
 }
 
 impl<K: Key> Replacer<K> for ClockReplacer<K> {
-    fn admit(&mut self, key: K, ident: u64, bytes: u64) -> bool {
-        if self.book.insert(key.clone(), ident, bytes) {
+    fn admit(&mut self, key: K) {
+        if !self.state.contains_key(&key) {
             self.generation += 1;
             self.state.insert(key.clone(), (self.generation, false));
             self.ring.push_back((key, self.generation));
             self.maybe_compact();
         }
-        true
     }
 
     fn touch(&mut self, key: &K) {
@@ -208,13 +170,7 @@ impl<K: Key> Replacer<K> for ClockReplacer<K> {
     }
 
     fn remove(&mut self, key: &K) {
-        if self.book.remove(key).is_some() {
-            self.state.remove(key);
-        }
-    }
-
-    fn update_bytes(&mut self, key: &K, bytes: u64) {
-        self.book.set_bytes(key, bytes);
+        self.state.remove(key);
     }
 
     fn pick_victim(&mut self) -> Option<K> {
@@ -226,7 +182,6 @@ impl<K: Key> Replacer<K> for ClockReplacer<K> {
                         self.ring.push_back((key, generation));
                     } else {
                         self.state.remove(&key);
-                        self.book.remove(&key);
                         return Some(key);
                     }
                 }
@@ -237,16 +192,8 @@ impl<K: Key> Replacer<K> for ClockReplacer<K> {
         None
     }
 
-    fn resident_bytes(&self) -> u64 {
-        self.book.total_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "clock"
-    }
-
     fn len(&self) -> usize {
-        self.book.len()
+        self.state.len()
     }
 }
 
@@ -256,7 +203,6 @@ impl<K: Key> Replacer<K> for ClockReplacer<K> {
 
 /// FIFO: evicts in insertion order, ignoring touches.
 pub struct FifoReplacer<K> {
-    book: Book<K>,
     queue: VecDeque<(K, u64)>,
     generation_of: HashMap<K, u64>,
     generation: u64,
@@ -271,18 +217,15 @@ impl<K: Key> Default for FifoReplacer<K> {
 impl<K: Key> FifoReplacer<K> {
     pub fn new() -> Self {
         FifoReplacer {
-            book: Book::new(),
             queue: VecDeque::new(),
             generation_of: HashMap::new(),
             generation: 0,
         }
     }
-}
 
-impl<K: Key> FifoReplacer<K> {
     /// Same stale-entry bound as [`ClockReplacer::maybe_compact`].
     fn maybe_compact(&mut self) {
-        if self.queue.len() > (2 * self.book.len()).max(16) {
+        if self.queue.len() > (2 * self.generation_of.len()).max(16) {
             self.queue
                 .retain(|(k, g)| self.generation_of.get(k) == Some(g));
         }
@@ -290,49 +233,33 @@ impl<K: Key> FifoReplacer<K> {
 }
 
 impl<K: Key> Replacer<K> for FifoReplacer<K> {
-    fn admit(&mut self, key: K, ident: u64, bytes: u64) -> bool {
-        if self.book.insert(key.clone(), ident, bytes) {
+    fn admit(&mut self, key: K) {
+        if !self.generation_of.contains_key(&key) {
             self.generation += 1;
             self.generation_of.insert(key.clone(), self.generation);
             self.queue.push_back((key, self.generation));
             self.maybe_compact();
         }
-        true
     }
 
     fn touch(&mut self, _key: &K) {}
 
     fn remove(&mut self, key: &K) {
-        if self.book.remove(key).is_some() {
-            self.generation_of.remove(key);
-        }
-    }
-
-    fn update_bytes(&mut self, key: &K, bytes: u64) {
-        self.book.set_bytes(key, bytes);
+        self.generation_of.remove(key);
     }
 
     fn pick_victim(&mut self) -> Option<K> {
         while let Some((key, generation)) = self.queue.pop_front() {
             if self.generation_of.get(&key) == Some(&generation) {
                 self.generation_of.remove(&key);
-                self.book.remove(&key);
                 return Some(key);
             }
         }
         None
     }
 
-    fn resident_bytes(&self) -> u64 {
-        self.book.total_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
     fn len(&self) -> usize {
-        self.book.len()
+        self.generation_of.len()
     }
 }
 
@@ -347,9 +274,9 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let mut r = LruReplacer::new();
-        r.admit(k(1), 1, 1);
-        r.admit(k(2), 2, 1);
-        r.admit(k(3), 3, 1);
+        r.admit(k(1));
+        r.admit(k(2));
+        r.admit(k(3));
         r.touch(&k(1)); // 2 is now oldest
         assert_eq!(r.pick_victim(), Some(k(2)));
         assert_eq!(r.pick_victim(), Some(k(3)));
@@ -360,8 +287,8 @@ mod tests {
     #[test]
     fn lru_remove_excludes_key() {
         let mut r = LruReplacer::new();
-        r.admit(k(1), 1, 1);
-        r.admit(k(2), 2, 1);
+        r.admit(k(1));
+        r.admit(k(2));
         r.remove(&k(1));
         assert_eq!(r.len(), 1);
         assert_eq!(r.pick_victim(), Some(k(2)));
@@ -379,9 +306,9 @@ mod tests {
     #[test]
     fn clock_gives_second_chance() {
         let mut r = ClockReplacer::new();
-        r.admit(k(1), 1, 1);
-        r.admit(k(2), 2, 1);
-        r.admit(k(3), 3, 1);
+        r.admit(k(1));
+        r.admit(k(2));
+        r.admit(k(3));
         r.touch(&k(1));
         // 1 is referenced: sweep skips it once and evicts 2.
         assert_eq!(r.pick_victim(), Some(k(2)));
@@ -394,7 +321,7 @@ mod tests {
     fn clock_all_referenced_still_terminates() {
         let mut r = ClockReplacer::new();
         for i in 0..4 {
-            r.admit(k(i), i as u64, 1);
+            r.admit(k(i));
             r.touch(&k(i));
         }
         assert!(r.pick_victim().is_some());
@@ -403,10 +330,10 @@ mod tests {
     #[test]
     fn clock_readmission_invalidates_stale_ring_entry() {
         let mut r = ClockReplacer::new();
-        r.admit(k(1), 1, 1);
-        r.admit(k(2), 2, 1);
+        r.admit(k(1));
+        r.admit(k(2));
         r.remove(&k(1));
-        r.admit(k(1), 1, 1); // fresh generation; old ring slot is stale
+        r.admit(k(1)); // fresh generation; old ring slot is stale
         assert_eq!(r.len(), 2);
         assert_eq!(r.pick_victim(), Some(k(2)));
         assert_eq!(r.pick_victim(), Some(k(1)));
@@ -416,40 +343,10 @@ mod tests {
     #[test]
     fn fifo_ignores_touches() {
         let mut r = FifoReplacer::new();
-        r.admit(k(1), 1, 1);
-        r.admit(k(2), 2, 1);
+        r.admit(k(1));
+        r.admit(k(2));
         r.touch(&k(1));
         assert_eq!(r.pick_victim(), Some(k(1)));
-    }
-
-    #[test]
-    fn byte_totals_follow_admit_update_remove() {
-        for mut r in [
-            Box::new(LruReplacer::new()) as Box<dyn Replacer<u64>>,
-            Box::new(ClockReplacer::new()),
-            Box::new(FifoReplacer::new()),
-        ] {
-            r.admit(k(1), 1, 100);
-            r.admit(k(2), 2, 50);
-            assert_eq!(r.resident_bytes(), 150, "{}", r.name());
-            r.update_bytes(&k(1), 10);
-            assert_eq!(r.resident_bytes(), 60, "{}", r.name());
-            r.remove(&k(2));
-            assert_eq!(r.resident_bytes(), 10, "{}", r.name());
-            assert!(r.pick_victim().is_some());
-            assert_eq!(r.resident_bytes(), 0, "{}", r.name());
-        }
-    }
-
-    #[test]
-    fn evict_until_frees_the_requested_bytes() {
-        let mut r = LruReplacer::new();
-        for i in 0..8 {
-            r.admit(k(i), i as u64, 100);
-        }
-        let victims = r.evict_until(250);
-        assert_eq!(victims, vec![k(0), k(1), k(2)]);
-        assert_eq!(r.resident_bytes(), 500);
     }
 
     #[test]
@@ -461,9 +358,9 @@ mod tests {
         let mut clock = ClockReplacer::new();
         let mut fifo = FifoReplacer::new();
         for i in 0..10_000u64 {
-            clock.admit(i, i, 1);
+            clock.admit(i);
             clock.remove(&i);
-            fifo.admit(i, i, 1);
+            fifo.admit(i);
             fifo.remove(&i);
         }
         assert!(
@@ -476,33 +373,33 @@ mod tests {
             "fifo queue {} entries",
             fifo.queue.len()
         );
-        assert!(clock.is_empty() && fifo.is_empty());
+        assert_eq!(clock.len() + fifo.len(), 0);
+    }
+
+    fn evicting() -> [(&'static str, Box<dyn Replacer<u64>>); 3] {
+        [
+            ("lru", Box::new(LruReplacer::new())),
+            ("clock", Box::new(ClockReplacer::new())),
+            ("fifo", Box::new(FifoReplacer::new())),
+        ]
     }
 
     #[test]
     fn double_insert_is_idempotent() {
-        for mut r in [
-            Box::new(LruReplacer::new()) as Box<dyn Replacer<u64>>,
-            Box::new(ClockReplacer::new()),
-            Box::new(FifoReplacer::new()),
-        ] {
-            r.admit(k(7), 7, 1);
-            r.admit(k(7), 7, 1);
-            assert_eq!(r.len(), 1, "{}", r.name());
-            assert_eq!(r.pick_victim(), Some(k(7)), "{}", r.name());
-            assert_eq!(r.pick_victim(), None, "{}", r.name());
+        for (name, mut r) in evicting() {
+            r.admit(k(7));
+            r.admit(k(7));
+            assert_eq!(r.len(), 1, "{name}");
+            assert_eq!(r.pick_victim(), Some(k(7)), "{name}");
+            assert_eq!(r.pick_victim(), None, "{name}");
         }
     }
 
     #[test]
     fn remove_unknown_is_noop() {
-        for mut r in [
-            Box::new(LruReplacer::new()) as Box<dyn Replacer<u64>>,
-            Box::new(ClockReplacer::new()),
-            Box::new(FifoReplacer::new()),
-        ] {
+        for (name, mut r) in evicting() {
             r.remove(&k(42));
-            assert!(r.is_empty(), "{}", r.name());
+            assert_eq!(r.len(), 0, "{name}");
         }
     }
 }

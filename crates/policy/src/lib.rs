@@ -1,64 +1,45 @@
-//! # dpc-policy — the pluggable cache-replacement engine
+//! # dpc-policy — the cache-replacement policies
 //!
 //! The paper's *cache replacement manager* "monitors the size of the cache
 //! directory and selects fragments for replacement when the directory size
 //! exceeds some specified threshold" without fixing a policy. This crate
-//! makes the policy a first-class subsystem: a generic [`Replacer`]
-//! contract with size- and cost-aware signals, seven implementations, and
-//! a deterministic trace-driven hit-ratio lab ([`lab`]) that measures them
-//! against each other before any of them touches a serving tier.
+//! holds the [`Replacer`] contract the serving caches drive and the four
+//! policies a [`ReplacePolicy`] can select. It also hosts the workspace's
+//! key and content hashes ([`fnv1a`], [`content_hash`], [`hash_fold`]).
 //!
 //! ## The contract
 //!
 //! A replacer tracks the *resident* set of a cache by key. The cache
-//! drives it:
+//! drives it with five calls:
 //!
-//! * [`Replacer::admit`] when a key becomes resident (a new fragment was
-//!   cached). Admission may be *refused* by admission-controlled policies;
-//!   the caller then serves the content uncached.
+//! * [`Replacer::admit`] when a key becomes resident (a new fragment or
+//!   page was cached).
 //! * [`Replacer::touch`] on every hit.
 //! * [`Replacer::remove`] when a key leaves the resident set for a reason
 //!   that is *not* replacement — invalidation or TTL expiry. Removals are
 //!   never eviction decisions and must not be accounted as such.
-//! * [`Replacer::evict_for`] when the cache is full and a candidate wants
-//!   in: the policy either names a victim or rejects the candidate.
-//! * [`Replacer::evict_until`] when a byte budget must be recovered
-//!   (size-aware stores).
+//! * [`Replacer::pick_victim`] when the cache is full: the policy names a
+//!   victim and stops tracking it.
+//! * [`Replacer::len`] for the caches' invariant checks.
 //!
 //! Keys are generic ([`Key`]): the BEM directory drives a
-//! `Replacer<DpcKey>`; the proxy page cache and the lab drive
-//! `Replacer<u64>` (the page cache keys by URL hash so its hit path
-//! stays allocation-free). Because low-level caches recycle their keys (a
-//! `dpcKey` freed by invalidation is reassigned to unrelated content),
-//! every signal also carries an `ident` — a stable 64-bit identity of the
-//! *content* (e.g. a hash of the fragment id). Frequency-based policies
-//! (TinyLFU, 2Q's ghost queue) accumulate history by ident, never by key,
-//! so key recycling cannot launder one fragment's popularity into
-//! another's.
+//! `Replacer<DpcKey>` per shard; the proxy page cache holds an
+//! [`LruReplacer<u64>`] keyed by URL hash, so its hit path stays
+//! allocation-free. Byte accounting is the caches' own: no policy here
+//! reads sizes.
 //!
 //! ## The menu
 //!
-//! | policy | module | keeps | resists |
-//! |---|---|---|---|
-//! | LRU | [`classic`] | recently used | — |
-//! | CLOCK | [`classic`] | recently used (approx.) | — |
-//! | FIFO | [`classic`] | newest inserted | — |
-//! | GDSF | [`gdsf`] | small + frequent (size-aware greedy-dual) | large one-shot objects |
-//! | 2Q | [`twoq`] | re-referenced (A1in/A1out ghost probation) | sequential scans |
-//! | TinyLFU | [`tinylfu`] | frequent (count-min sketch + doorkeeper) | scans and one-hit wonders |
+//! | policy | type | evicts |
+//! |---|---|---|
+//! | LRU (default) | [`LruReplacer`] | the least recently admitted or touched |
+//! | CLOCK | [`ClockReplacer`] | the first unreferenced entry in a second-chance sweep |
+//! | FIFO | [`FifoReplacer`] | the oldest admitted, ignoring touches |
+//! | None | [`NoReplacer`] | nothing: a full cache serves misses uncached |
 
 pub mod classic;
-pub mod gdsf;
-pub mod lab;
-pub mod tinylfu;
-pub mod twoq;
-
-mod book;
 
 pub use classic::{ClockReplacer, FifoReplacer, LruReplacer, NoReplacer};
-pub use gdsf::GdsfReplacer;
-pub use tinylfu::TinyLfuReplacer;
-pub use twoq::TwoQReplacer;
 
 use std::hash::Hash;
 
@@ -67,17 +48,13 @@ pub trait Key: Clone + Eq + Hash + Send {}
 impl<T: Clone + Eq + Hash + Send> Key for T {}
 
 /// Replacement policy driven by a cache. See the crate docs for the
-/// protocol; `ident` is the stable content identity, `bytes` the resident
-/// size (pass 1 for slot-based caches that count entries, and correct it
-/// later with [`Replacer::update_bytes`] once the size is known).
+/// protocol.
+// `len` feeds the caches' invariant checks; no cache asks for emptiness.
+#[allow(clippy::len_without_is_empty)]
 pub trait Replacer<K: Key>: Send {
-    /// A key becomes resident. Returns false when the policy refuses
-    /// admission (the caller must then not cache the content). Policies
-    /// shipped here always admit once a slot has been granted —
-    /// admission control happens in [`Replacer::evict_for`] — but the
-    /// contract allows refusal so custom policies can gate the free-space
-    /// path too.
-    fn admit(&mut self, key: K, ident: u64, bytes: u64) -> bool;
+    /// A key becomes resident. Admitting a tracked key again keeps one
+    /// entry.
+    fn admit(&mut self, key: K);
 
     /// A resident key was hit. Unknown keys are a no-op.
     fn touch(&mut self, key: &K);
@@ -86,71 +63,16 @@ pub trait Replacer<K: Key>: Send {
     /// replacement). Idempotent; unknown keys are a no-op.
     fn remove(&mut self, key: &K);
 
-    /// The resident size of `key` became known or changed.
-    fn update_bytes(&mut self, key: &K, bytes: u64);
-
-    /// Unconditionally choose and untrack a victim (byte-budget recovery,
-    /// generic pressure). None when nothing is tracked.
+    /// Choose and untrack a victim. None when nothing is tracked, or
+    /// always for a policy that never evicts.
     fn pick_victim(&mut self) -> Option<K>;
-
-    /// The cache is full and candidate (`ident`, `bytes`) wants in:
-    /// either name a victim (now untracked; the caller frees it and then
-    /// calls [`Replacer::admit`] for the candidate) or return None to
-    /// reject the candidate. The default accepts every candidate and
-    /// evicts [`Replacer::pick_victim`].
-    fn evict_for(&mut self, ident: u64, bytes: u64) -> Option<K> {
-        let _ = (ident, bytes);
-        self.pick_victim()
-    }
-
-    /// Evict victims until at least `need_bytes` of resident bytes have
-    /// been released or nothing is left; returns the victims in eviction
-    /// order.
-    fn evict_until(&mut self, need_bytes: u64) -> Vec<K> {
-        let mut freed = 0u64;
-        let mut victims = Vec::new();
-        while freed < need_bytes {
-            let before = self.resident_bytes();
-            match self.pick_victim() {
-                Some(victim) => {
-                    freed += before - self.resident_bytes();
-                    victims.push(victim);
-                }
-                None => break,
-            }
-        }
-        victims
-    }
-
-    /// Whether this policy ever *refuses* candidates in
-    /// [`Replacer::evict_for`] (admission control, e.g. TinyLFU). Callers
-    /// use this to account a `None` from a non-empty cache as an
-    /// admission rejection rather than a plain capacity refusal (the
-    /// `None` policy also returns no victim, but that is not an
-    /// admission decision).
-    fn is_admission_controlled(&self) -> bool {
-        false
-    }
-
-    /// Total bytes of tracked residents.
-    fn resident_bytes(&self) -> u64;
-
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
 
     /// Number of tracked residents.
     fn len(&self) -> usize;
-
-    /// True when nothing is tracked.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
-/// Which replacement policy a cache runs. Selecting a policy is pure
-/// configuration: every consumer builds its replacer through
-/// [`ReplacePolicy::build`], so new policies land here without touching
-/// any cache internals.
+/// Which replacement policy a cache runs. Every consumer that lets the
+/// policy vary builds its replacer through [`ReplacePolicy::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplacePolicy {
     /// Least recently used (default).
@@ -160,18 +82,6 @@ pub enum ReplacePolicy {
     Clock,
     /// First in, first out.
     Fifo,
-    /// Greedy-Dual-Size-Frequency: size-aware, favours small + frequently
-    /// hit objects; the inflation clock ages stale value away.
-    Gdsf,
-    /// 2Q: a FIFO probation queue (A1in) plus a ghost queue of recently
-    /// evicted identities (A1out); only re-referenced content reaches the
-    /// protected LRU. Scan-resistant.
-    TwoQ,
-    /// TinyLFU admission over a resident LRU: a count-min sketch with
-    /// doorkeeper estimates frequencies, and a candidate only displaces
-    /// the LRU victim when it is more popular. Periodic halving ages the
-    /// sketch. Scan-resistant.
-    TinyLfu,
     /// No replacement: allocations fail when the cache is full. Misses
     /// then serve content inline without caching (degraded but correct).
     None,
@@ -179,25 +89,11 @@ pub enum ReplacePolicy {
 
 impl ReplacePolicy {
     /// Every selectable policy.
-    pub const ALL: [ReplacePolicy; 7] = [
+    pub const ALL: [ReplacePolicy; 4] = [
         ReplacePolicy::Lru,
         ReplacePolicy::Clock,
         ReplacePolicy::Fifo,
-        ReplacePolicy::Gdsf,
-        ReplacePolicy::TwoQ,
-        ReplacePolicy::TinyLfu,
         ReplacePolicy::None,
-    ];
-
-    /// The policies that actually evict (everything but `None`) — the
-    /// set the lab and the contract suite compare.
-    pub const EVICTING: [ReplacePolicy; 6] = [
-        ReplacePolicy::Lru,
-        ReplacePolicy::Clock,
-        ReplacePolicy::Fifo,
-        ReplacePolicy::Gdsf,
-        ReplacePolicy::TwoQ,
-        ReplacePolicy::TinyLfu,
     ];
 
     /// Stable lowercase name (reports, JSON).
@@ -206,35 +102,24 @@ impl ReplacePolicy {
             ReplacePolicy::Lru => "lru",
             ReplacePolicy::Clock => "clock",
             ReplacePolicy::Fifo => "fifo",
-            ReplacePolicy::Gdsf => "gdsf",
-            ReplacePolicy::TwoQ => "2q",
-            ReplacePolicy::TinyLfu => "tinylfu",
             ReplacePolicy::None => "none",
         }
     }
 
-    /// Instantiate the replacer. `capacity_hint` is the rough number of
-    /// residents the cache holds at capacity; policies with internal
-    /// structure (2Q queue quotas, TinyLFU sketch width and sample
-    /// period) size themselves from it. Policies without such structure
-    /// ignore it.
-    pub fn build<K: Key + 'static>(self, capacity_hint: usize) -> Box<dyn Replacer<K>> {
+    /// Instantiate the replacer.
+    pub fn build<K: Key + 'static>(self) -> Box<dyn Replacer<K>> {
         match self {
             ReplacePolicy::Lru => Box::new(LruReplacer::new()),
             ReplacePolicy::Clock => Box::new(ClockReplacer::new()),
             ReplacePolicy::Fifo => Box::new(FifoReplacer::new()),
-            ReplacePolicy::Gdsf => Box::new(GdsfReplacer::new()),
-            ReplacePolicy::TwoQ => Box::new(TwoQReplacer::new(capacity_hint)),
-            ReplacePolicy::TinyLfu => Box::new(TinyLfuReplacer::new(capacity_hint)),
             ReplacePolicy::None => Box::new(NoReplacer::default()),
         }
     }
 }
 
 /// FNV-1a over a short byte string — the workspace's deterministic hash
-/// for keys and idents (URLs, fragment ids, dependency names), also used
-/// to derive the identities [`Replacer`] signals carry. Byte-at-a-time:
-/// hash *content* with [`content_hash`] instead.
+/// for keys and idents (URLs, fragment ids, dependency names).
+/// Byte-at-a-time: hash *content* with [`content_hash`] instead.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -295,12 +180,9 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_stable() {
-        let mut seen = std::collections::HashSet::new();
-        for p in ReplacePolicy::ALL {
-            assert!(seen.insert(p.name()), "duplicate name {}", p.name());
-            let r: Box<dyn Replacer<u64>> = p.build(16);
-            assert_eq!(r.name(), p.name());
-        }
+        let names = ReplacePolicy::ALL.map(ReplacePolicy::name);
+        assert_eq!(names, ["lru", "clock", "fifo", "none"]);
+        assert_eq!(ReplacePolicy::default(), ReplacePolicy::Lru);
     }
 
     #[test]
@@ -329,11 +211,5 @@ mod tests {
         let ab = hash_fold(hash_fold(0, a, 1), b, 1);
         assert_ne!(ab, hash_fold(hash_fold(0, b, 1), a, 1));
         assert_ne!(ab, hash_fold(hash_fold(0, a, 1), b, 2));
-    }
-
-    #[test]
-    fn evicting_excludes_none() {
-        assert!(!ReplacePolicy::EVICTING.contains(&ReplacePolicy::None));
-        assert_eq!(ReplacePolicy::EVICTING.len() + 1, ReplacePolicy::ALL.len());
     }
 }

@@ -110,11 +110,6 @@ pub fn register_bem(registry: &Registry, key: impl Into<String>, bem: Arc<Bem>, 
             d.invalidations,
         );
         e.counter("dpc_directory_evictions_total", &labels, d.evictions);
-        e.counter(
-            "dpc_directory_admission_rejections_total",
-            &labels,
-            d.admission_rejections,
-        );
         e.counter("dpc_directory_uncacheable_total", &labels, d.uncacheable);
         e.counter(
             "dpc_directory_dep_shard_scans_total",
@@ -152,11 +147,6 @@ pub fn register_bem(registry: &Registry, key: impl Into<String>, bem: Arc<Bem>, 
             let i = i.to_string();
             let ls = with_label(&labels, "shard", &i);
             e.counter("dpc_directory_shard_evictions_total", &ls, shard.evictions);
-            e.counter(
-                "dpc_directory_shard_admission_rejections_total",
-                &ls,
-                shard.admission_rejections,
-            );
             e.gauge(
                 "dpc_directory_shard_resident_bytes",
                 &ls,
@@ -207,11 +197,10 @@ pub fn register_page_cache(
             &with_label(&labels, "tier", "l2"),
             s.l2_stale_evictions,
         );
-        e.counter(
-            "dpc_page_admission_rejections_total",
-            &labels,
-            s.admission_rejections,
-        );
+        // The page cache never refuses admission. The series stays, at 0,
+        // because the benchmark reads it (`proxy.page_admission_rejections`);
+        // a `[benchmark]` change retires it together with that reader.
+        e.counter("dpc_page_admission_rejections_total", &labels, 0);
         flight_family(
             e,
             &labels,

@@ -6,16 +6,15 @@
 //! whole-page (hence the over-invalidation the paper's stock-quote example
 //! describes). `PURGE <target>` drops one entry.
 //!
-//! Replacement is LRU from the shared policy engine
-//! ([`dpc_core::Replacer`], from `dpc-policy`), driven with the URL's FNV
-//! hash as both key and content identity and the body size as the byte
-//! signal. Hashed keys keep the hit path allocation-free (a
-//! `Replacer<String>` would need an owned `String` per `touch`); an
-//! `ident → URL` owner map resolves victims, and the astronomically rare
-//! 64-bit collision is handled by purging the previous owner.
+//! Replacement is LRU ([`dpc_core::LruReplacer`], from `dpc-policy`),
+//! keyed by the URL's FNV hash. Hashed keys keep the hit path
+//! allocation-free (an `LruReplacer<String>` would need an owned `String`
+//! per `touch`); an `ident → URL` owner map resolves victims, and the
+//! astronomically rare 64-bit collision is handled by purging the
+//! previous owner.
 
 use bytes::Bytes;
-use dpc_core::{fnv1a, CoherencyEpoch, FlightGroup, Join, Publish, ReplacePolicy, Replacer};
+use dpc_core::{fnv1a, CoherencyEpoch, FlightGroup, Join, LruReplacer, Publish, Replacer};
 use dpc_net::Clock;
 use dpc_trace::{Layer, SpanStatus, Tracer};
 use parking_lot::Mutex;
@@ -96,7 +95,7 @@ struct PageInner {
     entries: HashMap<String, PageEntry>,
     /// Victim resolution: replacer key (URL hash) → URL.
     owner: HashMap<u64, String>,
-    replacer: Box<dyn Replacer<u64>>,
+    replacer: LruReplacer<u64>,
 }
 
 impl PageInner {
@@ -131,7 +130,6 @@ pub struct PageCacheStats {
     pub l1_stale_evictions: u64,
     /// Stale stamped L2 entries dropped on touch after an epoch bump.
     pub l2_stale_evictions: u64,
-    pub admission_rejections: u64,
     pub flight_leaders: u64,
     pub coalesced_waits: u64,
     pub flight_retries: u64,
@@ -192,7 +190,6 @@ pub struct PageCache {
     l1_stale_evictions: AtomicU64,
     /// Stamped entries this cache dropped on touch after an epoch bump.
     l2_stale_evictions: AtomicU64,
-    admission_rejections: AtomicU64,
     flight_leaders: AtomicU64,
     coalesced_waits: AtomicU64,
     flight_retries: AtomicU64,
@@ -213,7 +210,7 @@ impl PageCache {
             inner: Mutex::new(PageInner {
                 entries: HashMap::new(),
                 owner: HashMap::new(),
-                replacer: ReplacePolicy::Lru.build(capacity),
+                replacer: LruReplacer::new(),
             }),
             flight: FlightGroup::new(),
             purge_epoch: AtomicU64::new(0),
@@ -225,7 +222,6 @@ impl PageCache {
             evictions: AtomicU64::new(0),
             l1_stale_evictions: AtomicU64::new(0),
             l2_stale_evictions: AtomicU64::new(0),
-            admission_rejections: AtomicU64::new(0),
             flight_leaders: AtomicU64::new(0),
             coalesced_waits: AtomicU64::new(0),
             flight_retries: AtomicU64::new(0),
@@ -402,7 +398,6 @@ impl PageCache {
         let now = self.clock.now_nanos();
         let ttl: u64 = self.ttl.as_nanos().try_into().unwrap_or(u64::MAX);
         let ident = fnv1a(target.as_bytes());
-        let bytes = body.len().max(1) as u64;
         let entry = PageEntry {
             body,
             content_type: content_type.to_owned(),
@@ -412,9 +407,8 @@ impl PageCache {
             etag,
         };
         if inner.entries.contains_key(target) {
-            // Refresh in place: body may have changed size.
+            // Refresh in place.
             inner.entries.insert(target.to_owned(), entry);
-            inner.replacer.update_bytes(&ident, bytes);
             inner.replacer.touch(&ident);
             return;
         }
@@ -424,27 +418,17 @@ impl PageCache {
             inner.forget(&previous, ident);
         }
         while inner.entries.len() >= self.capacity {
-            match inner.replacer.evict_for(ident, bytes) {
-                Some(victim) => {
-                    if let Some(url) = inner.owner.remove(&victim) {
-                        inner.entries.remove(&url);
-                    }
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {
-                    if inner.replacer.is_admission_controlled() {
-                        self.admission_rejections.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return;
-                }
+            let Some(victim) = inner.replacer.pick_victim() else {
+                return;
+            };
+            if let Some(url) = inner.owner.remove(&victim) {
+                inner.entries.remove(&url);
             }
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        if inner.replacer.admit(ident, ident, bytes) {
-            inner.entries.insert(target.to_owned(), entry);
-            inner.owner.insert(ident, target.to_owned());
-        } else {
-            self.admission_rejections.fetch_add(1, Ordering::Relaxed);
-        }
+        inner.replacer.admit(ident);
+        inner.entries.insert(target.to_owned(), entry);
+        inner.owner.insert(ident, target.to_owned());
     }
 
     /// Coalescing lookup for the miss path: a hit is returned directly; on
@@ -582,7 +566,7 @@ impl PageCache {
         let mut inner = self.inner.lock();
         inner.entries.clear();
         inner.owner.clear();
-        inner.replacer = ReplacePolicy::Lru.build(self.capacity);
+        inner.replacer = LruReplacer::new();
         self.purge_epoch.fetch_add(1, Ordering::Relaxed);
         if let Some(epoch) = &self.coherence {
             epoch.bump();
@@ -626,16 +610,10 @@ impl PageCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             l1_stale_evictions: self.l1_stale_evictions.load(Ordering::Relaxed),
             l2_stale_evictions: self.l2_stale_evictions.load(Ordering::Relaxed),
-            admission_rejections: self.admission_rejections.load(Ordering::Relaxed),
             flight_leaders: self.flight_leaders.load(Ordering::Relaxed),
             coalesced_waits: self.coalesced_waits.load(Ordering::Relaxed),
             flight_retries: self.flight_retries.load(Ordering::Relaxed),
         }
-    }
-
-    /// Pages the policy refused to admit.
-    pub fn admission_rejections(&self) -> u64 {
-        self.admission_rejections.load(Ordering::Relaxed)
     }
 
     /// (flight_leaders, coalesced_waits, flight_retries) — the single-

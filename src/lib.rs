@@ -15,8 +15,8 @@
 //!   page-cache / ESI / DPC modes) and the Figure 4 testbed;
 //! * [`appserver`] ([`dpc_appserver`]) — the script engine and the demo
 //!   applications (synthetic paper site, BooksOnline, brokerage);
-//! * [`policy`] ([`dpc_policy`]) — the replacement engine (LRU/CLOCK/FIFO,
-//!   GDSF, 2Q, TinyLFU) and its trace-driven hit-ratio lab;
+//! * [`policy`] ([`dpc_policy`]) — the replacement policies (LRU, CLOCK,
+//!   FIFO, none) and the workspace's key and content hashes;
 //! * [`model`] ([`dpc_model`]) — the §5 closed-form analytical model;
 //! * [`net`] / [`http`] / [`repository`] / [`firewall`] / [`workload`] —
 //!   the substrates (metered simulated network, HTTP/1.1, content
