@@ -9,11 +9,15 @@
 //! across N loops scales the front across cores SO_REUSEPORT-style — the
 //! first loop owns the listener and hands each accepted stream to the
 //! least-loaded loop (ties broken round-robin), which registers it with
-//! its own poller and owns it for life. Parsed requests are executed on a
-//! bounded worker pool shared by all loops (handlers may block — the
-//! proxy's handler fetches from the origin with a blocking client);
-//! completed responses are queued back to the owning loop, which
-//! serializes them as a segment list and drains it with vectored writes.
+//! its own poller and owns it for life. Parsed requests run in one of two
+//! modes ([`ServerConfig::workers`]). With a pool, handlers execute on a
+//! bounded worker pool shared by all loops and may block — the proxy
+//! fronts run this way, because the proxy's handler fetches from the
+//! origin with a blocking client. With `workers: 0`, handlers run inline
+//! on the loop that parsed them — the testbed's origin front runs this
+//! way, because its script engine never blocks on I/O. Either way the
+//! response is queued on the owning loop, which serializes it as a
+//! segment list and drains it with vectored writes.
 //! A [`Body::Rope`](crate::message::Body) therefore reaches the wire
 //! without ever being flattened: the cached fragments' refcounts are
 //! bumped into the write queue and `write_vectored` scatters them out.
@@ -106,9 +110,12 @@ pub struct ServerConfig {
     /// connections.
     ///
     /// `0` runs handlers inline on the owning event-loop thread (the
-    /// classic single-threaded reactor, one per loop). Only do this when
-    /// the handler never blocks: an inline handler stalls every other
-    /// connection of its loop while it runs.
+    /// classic single-threaded reactor, one per loop), which saves the two
+    /// thread hand-offs per request (loop → worker → loop). Only do this
+    /// when the handler never blocks: an inline handler stalls every other
+    /// connection of its loop while it runs, and parallelism comes from
+    /// the loop count alone. The testbed's origin front is inline; every
+    /// proxy front keeps a pool because its handler blocks on the origin.
     pub workers: usize,
     /// Readiness backend for the event loops. `Backend::Portable` (the
     /// default) is the condvar registry with the polled TCP fallback tick;
@@ -172,6 +179,7 @@ pub struct LoopStats {
 /// Aggregated view over every loop's counters.
 #[derive(Debug)]
 pub struct ServerStats {
+    workers: usize,
     per_loop: Vec<Arc<LoopStats>>,
     /// Per-loop request-latency histograms, one set per event loop so the
     /// hot path's `fetch_add`s never share a cache line across loops.
@@ -188,6 +196,12 @@ impl ServerStats {
             .iter()
             .map(|l| f(l).load(Ordering::Relaxed))
             .sum()
+    }
+
+    /// Worker threads executing handlers; `0` means inline mode (handlers
+    /// run on the event loops).
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 
     pub fn connections(&self) -> u64 {
@@ -386,6 +400,7 @@ impl Server {
             Vec::new()
         };
         let stats = ServerStats {
+            workers: self.config.workers,
             per_loop: shared.loops.iter().map(|l| Arc::clone(&l.stats)).collect(),
             latency: latency.clone(),
             exemplars: exemplars.clone(),
@@ -1404,6 +1419,7 @@ mod tests {
             assert_eq!(resp.body, format!("GET /i{i}").into_bytes());
         }
         assert_eq!(handle.requests(), 10);
+        assert_eq!(handle.stats().workers(), 0);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! front invokes it concurrently from the worker pools of all its event
 //! loops (`dpc_http::Server::with_loops`), so everything here is shared
 //! state behind `Arc`s and atomics; the handler itself blocks on origin
-//! fetches, which is why the fronts run it on workers, not inline.
+//! fetches, which is why every proxy front runs it on a worker pool. The
+//! origin's script engine never blocks, so the testbed runs the origin
+//! front inline on its loops instead (see [`crate::testbed`]).
 
 use dpc_core::{assemble_rope, AssembleError, AssembledRope, FragmentSource, FragmentStore};
 use dpc_firewall::Firewall;

@@ -47,8 +47,9 @@ use crate::node::{self, NodeSpec, PAGE_TTL};
 
 /// Slot-store capacity per node.
 const NODE_CAPACITY: usize = 4096;
-/// Worker threads of the cluster's HTTP front (its handler blocks on
-/// origin fetches, so inline mode does not apply).
+/// Worker threads of the cluster's HTTP front. Its handler blocks on
+/// origin and peer fetches, so unlike the testbed's origin front it cannot
+/// run inline on its event loops (`workers: 0`).
 const FRONT_WORKERS: usize = 16;
 
 /// Tuning knobs for a [`RingCluster`].
@@ -409,7 +410,7 @@ impl RingCluster {
     /// address, ring routing picks the owner node per request. The front
     /// is a multi-loop server (`RingConfig::loops` event loops over a
     /// shared pool of handler threads), so the cluster tier scales across
-    /// cores like the origin and proxy tiers do.
+    /// cores with its loop count, as the testbed's fronts do.
     pub fn spawn_front(self: &Arc<Self>, addr: &str) -> dpc_http::ServerHandle {
         let listener = self.net.listen(addr);
         let cluster = Arc::clone(self);

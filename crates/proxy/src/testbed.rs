@@ -13,6 +13,13 @@
 //!
 //! Both wires are metered [`SimNetwork`] links with TCP/IP framing; the
 //! clock is virtual so TTLs and controlled sweeps are deterministic.
+//!
+//! Both boxes are [`Server`] fronts with [`TestbedConfig::loops`] event
+//! loops each. The proxy front runs its handler on the default worker
+//! pool, because the proxy blocks on its origin fetch. The origin front
+//! runs the script engine inline on its loops, because the engine never
+//! blocks on I/O. An assembled request therefore crosses four threads:
+//! the client, the proxy loop, a proxy worker and the origin loop.
 
 use dpc_appserver::apps::paper_site::{self, PaperSiteParams};
 use dpc_appserver::apps::{self};
@@ -39,8 +46,6 @@ pub const ORIGIN_ADDR: &str = "origin";
 /// Address of the proxy on the simulated network.
 pub const PROXY_ADDR: &str = "proxy";
 
-/// HTTP worker threads per server.
-const WORKERS: usize = 64;
 /// RNG seed for the BEM's controlled-hit-ratio hook.
 const BEM_SEED: u64 = 0xBED;
 
@@ -66,7 +71,9 @@ pub struct TestbedConfig {
     /// Wire framing model.
     pub protocol: ProtocolModel,
     /// Event loops per server front (1 = the classic single loop; more
-    /// shard connections across threads, SO_REUSEPORT-style).
+    /// shard connections across threads, SO_REUSEPORT-style). The origin
+    /// front runs its handler inline, so this is also the origin's
+    /// parallelism: at most `loops` origin requests execute at once.
     pub loops: usize,
     /// Per-event-loop L1 budget for assembled hot pages, in bytes. `0`
     /// (the default) disables the whole DPC page tier: no L1, no L2
@@ -119,10 +126,6 @@ impl Testbed {
         // 0, so a request's spans stitch into a single trace.
         let tracer = Tracer::from_config(TraceConfig::default(), clock.clone());
         let metrics = Arc::new(MetricsRegistry::new());
-        let server_config = ServerConfig {
-            workers: WORKERS,
-            ..Default::default()
-        };
 
         // --- Origin box: repository + BEM + script engine + web server.
         let repo = Repository::with_defaults();
@@ -145,11 +148,28 @@ impl Testbed {
         }
         engine.connect_invalidation();
         let engine = Arc::new(engine);
+        // The origin front runs the engine inline on its event loops
+        // (`workers: 0`): repository costs are simulated charges, never
+        // sleeps, so a handler only computes, and each proxy→origin round
+        // trip skips the loop → worker → loop hand-off. Parallelism is
+        // `config.loops`. Inline mode cannot deadlock:
+        // - an inline handler never waits on its own loop: it does no I/O,
+        //   and the loop runs nothing else until it returns;
+        // - the origin's only park is `FlightGroup::wait` in the BEM, and
+        //   its leader is a handler already running to completion on
+        //   another loop's thread, which waits on nothing;
+        // - with `loops: 1` no two origin handlers overlap, so no flight
+        //   is ever pending when a handler probes one and nothing parks.
+        // `tests/inline_origin.rs` runs a cold-page crowd at one and two
+        // loops against this.
         let origin_server = Server::new(Box::new(net.listen(ORIGIN_ADDR)), {
             let engine = Arc::clone(&engine);
             engine as Arc<dyn dpc_http::Handler>
         })
-        .with_config(server_config)
+        .with_config(ServerConfig {
+            workers: 0,
+            ..Default::default()
+        })
         .with_loops(config.loops)
         .with_tracer(tracer.with_node(1))
         .spawn();
@@ -203,11 +223,12 @@ impl Testbed {
         if config.mode == ProxyMode::Esi {
             register_paper_templates(proxy.esi(), &config.paper_params);
         }
+        // The proxy blocks on its origin fetch, so it keeps the default
+        // worker pool.
         let mut proxy_server = Server::new(Box::new(net.listen(PROXY_ADDR)), {
             let proxy = Arc::clone(&proxy);
             proxy as Arc<dyn dpc_http::Handler>
         })
-        .with_config(server_config)
         .with_loops(config.loops)
         .with_tracer(tracer.clone())
         .with_request_metrics(clock);

@@ -7,7 +7,8 @@
 //!   a post-join request on the ring cluster attributes its peer-fetch.
 //! * Scrapes — after real traffic, the testbed front and a ring node
 //!   both expose every metric family with nonzero counts, including the
-//!   per-outcome request-latency histograms.
+//!   per-outcome request-latency histograms, and each front reports its
+//!   worker-pool size (0 for the inline origin).
 //! * Purge-by-dependency — `PURGE` + `X-DPC-Dep` frees the dependency's
 //!   keys, reports the count, and on the ring converges the event to
 //!   every node before answering.
@@ -204,6 +205,16 @@ fn metrics_scrape_on_the_testbed_front_has_every_family_nonzero() {
     assert!(metric_sum(&body, "dpc_server_requests_total", &[("server", "proxy")]) > 0.0);
     assert!(metric_sum(&body, "dpc_server_requests_total", &[("server", "origin")]) > 0.0);
     assert!(metric_sum(&body, "dpc_wire_bytes_total", &[]) > 0.0);
+    // The origin runs its script engine inline on its loops; the proxy,
+    // which blocks on origin fetches, keeps the default worker pool.
+    assert_eq!(
+        metric_sum(&body, "dpc_server_workers", &[("server", "origin")]),
+        0.0
+    );
+    assert_eq!(
+        metric_sum(&body, "dpc_server_workers", &[("server", "proxy")]),
+        32.0
+    );
 
     // Per-outcome latency histograms: the first serves assembled, the
     // repeats hit the page tier; both outcomes have counted samples and
