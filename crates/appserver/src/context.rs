@@ -1,12 +1,25 @@
-//! Per-request context handed to scripts.
+//! Per-request context handed to scripts, and the headers a DPC node and
+//! the origin exchange.
 //!
 //! Bundles the parsed request, the resolved session, the repository handle
 //! and a simulated-cost accumulator. The accumulated cost is reported to
 //! the proxy/harness in the `X-Origin-Cost-Nanos` response header, giving
 //! the benches a precise content-generation-delay figure per request
 //! (§2.2.2's server latency) without wall-clock noise.
+//!
+//! A ring node repairs its slots in three rungs, each one origin request:
+//!
+//! 1. The template request names the node ([`NODE_HEADER`]) and its donor
+//!    ([`PEER_FETCH_HEADER`]). The response lists the `GET`s granted on
+//!    the donor's copy ([`FROM_DONOR_HEADER`]); the node pulls those from
+//!    the donor.
+//! 2. If assembly still finds an empty slot, a *refresh* names the node's
+//!    absent `GET` keys ([`MISSING_HEADER`]). The BEM forgets that the
+//!    node stores them and re-`SET`s them.
+//! 3. If that fails too, a bypass ([`BYPASS_HEADER`]) fetches the page
+//!    fully expanded.
 
-use dpc_core::Bem;
+use dpc_core::{Bem, DpcKey};
 use dpc_http::{Request, Uri};
 use dpc_repository::{Costed, Repository};
 use parking_lot::Mutex;
@@ -22,11 +35,25 @@ pub const BYPASS_HEADER: &str = "X-DPC-Bypass";
 /// Request header a distributed DPC node uses to announce its node id
 /// (0–63) so the BEM can track per-node fragment placement (§7).
 pub const NODE_HEADER: &str = "X-DPC-Node";
-/// Request header a cluster node adds to announce it repairs empty slots
-/// itself (peer-fetch, then bypass): the BEM then emits `GET`s for valid
-/// fragments the node has not stored, instead of node-miss `SET`s — the
-/// lazy key-range handoff contract of the ring cluster.
+/// Request header a cluster node adds to name the node it pulls slots
+/// from (its donor, 0–63). The BEM then emits a `GET` for a valid fragment
+/// the node has not stored but the donor has, and lists it in
+/// [`FROM_DONOR_HEADER`], instead of a node-miss `SET` — the lazy
+/// key-range handoff contract of the ring cluster.
 pub const PEER_FETCH_HEADER: &str = "X-DPC-Peer-Fetch";
+/// Response header listing the keys (see [`format_keys`]) the BEM emitted
+/// as `GET`s on the strength of the donor's copy. The node fills them
+/// from the donor and never splices its own copy, which may be an older
+/// generation whose scrub has not arrived yet.
+pub const FROM_DONOR_HEADER: &str = "X-DPC-From-Donor";
+/// Refresh request header listing the keys (see [`format_keys`]) whose
+/// `GET`s found the node's slots empty. The BEM clears the node's stored
+/// bit on each before rendering, so the refresh re-`SET`s them.
+pub const MISSING_HEADER: &str = "X-DPC-Missing";
+/// Most keys the BEM reads from one [`MISSING_HEADER`]; the rest are
+/// ignored, so a page with more absent slots than this falls through to a
+/// bypass.
+pub const MAX_MISSING_KEYS: usize = 64;
 /// Response header carrying the simulated origin generation cost.
 pub const COST_HEADER: &str = "X-Origin-Cost-Nanos";
 
@@ -125,6 +152,27 @@ impl RequestCtx {
     }
 }
 
+/// A key list header value: decimal keys joined by commas (`3,17,42`).
+pub fn format_keys(keys: &[DpcKey]) -> String {
+    let mut out = String::with_capacity(keys.len() * 5);
+    for (i, key) in keys.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&key.0.to_string());
+    }
+    out
+}
+
+/// Parse a [`format_keys`] value lazily, skipping entries that are not a
+/// decimal `u32`. A caller reading an untrusted list bounds it with
+/// `take`.
+pub fn parse_keys(value: &str) -> impl Iterator<Item = DpcKey> + '_ {
+    value
+        .split(',')
+        .filter_map(|k| k.trim().parse().ok().map(DpcKey))
+}
+
 /// Extract the session user from a Cookie header value
 /// (`a=1; session=user3; b=2` → `user3`).
 fn parse_session_cookie(cookie: &str) -> Option<&str> {
@@ -175,6 +223,20 @@ mod tests {
         assert_eq!(parse_session_cookie("a=1; session=u2 ; b=3"), Some("u2"));
         assert_eq!(parse_session_cookie("a=1; b=2"), None);
         assert_eq!(parse_session_cookie(""), None);
+    }
+
+    #[test]
+    fn key_lists_round_trip() {
+        let keys = [DpcKey(0), DpcKey(17), DpcKey(u32::MAX)];
+        assert_eq!(format_keys(&keys), "0,17,4294967295");
+        assert_eq!(parse_keys(&format_keys(&keys)).collect::<Vec<_>>(), keys);
+        assert_eq!(format_keys(&[]), "");
+        assert_eq!(parse_keys("").count(), 0);
+        // Junk entries are skipped, not fatal.
+        assert_eq!(
+            parse_keys("5, x,-1,4294967296,6").collect::<Vec<_>>(),
+            vec![DpcKey(5), DpcKey(6)]
+        );
     }
 
     #[test]

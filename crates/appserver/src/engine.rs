@@ -18,7 +18,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::context::{RequestCtx, BYPASS_HEADER, COST_HEADER, NODE_HEADER, PEER_FETCH_HEADER};
+use crate::context::{
+    format_keys, parse_keys, RequestCtx, BYPASS_HEADER, COST_HEADER, FROM_DONOR_HEADER,
+    MAX_MISSING_KEYS, MISSING_HEADER, NODE_HEADER, PEER_FETCH_HEADER,
+};
 
 /// A dynamic script: one registered page generator.
 pub trait Script: Send + Sync + 'static {
@@ -113,22 +116,30 @@ impl ScriptEngine {
         if bypass {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
         }
-        let node: u32 = req
-            .headers
-            .get(NODE_HEADER)
-            .and_then(|v| v.parse().ok())
-            .filter(|n| *n < 64)
-            .unwrap_or(0);
+        let node_id = |name: &str| -> Option<u32> {
+            req.headers
+                .get(name)
+                .and_then(|v| v.parse().ok())
+                .filter(|n| *n < 64)
+        };
+        let node = node_id(NODE_HEADER).unwrap_or(0);
         let mut writer = if bypass {
             self.bem.bypass_writer()
-        } else if req.headers.get(PEER_FETCH_HEADER).is_some() {
-            self.bem.template_writer_for_peer_node(node)
         } else {
-            self.bem.template_writer_for_node(node)
+            if let Some(missing) = req.headers.get(MISSING_HEADER) {
+                let keys: Vec<_> = parse_keys(missing).take(MAX_MISSING_KEYS).collect();
+                self.bem.forget_stored(node, &keys);
+            }
+            match node_id(PEER_FETCH_HEADER) {
+                Some(donor) => self.bem.template_writer_for_peer_node(node, donor),
+                None => self.bem.template_writer_for_node(node),
+            }
         };
         ctx.charge_fixed(SCRIPT_INVOCATION_COST);
         script.run(&ctx, &mut writer);
         let instrumented = writer.is_instrumented();
+        let from_donor =
+            (!writer.from_donor().is_empty()).then(|| format_keys(writer.from_donor()));
         let body = writer.finish();
         let mut resp = Response::html(body);
         resp.headers.set("Server", "dpc-origin/0.1");
@@ -136,6 +147,9 @@ impl ScriptEngine {
             .set(COST_HEADER, ctx.cost().as_nanos().to_string());
         if instrumented {
             resp.headers.set("X-DPC-Instrumented", "1");
+        }
+        if let Some(keys) = from_donor {
+            resp.headers.set(FROM_DONOR_HEADER, keys);
         }
         resp
     }
@@ -203,6 +217,60 @@ mod tests {
         assert!(!is_instrumented(&resp.body.flatten()));
         assert_eq!(resp.body, *b"<h1>Hello, amy!</h1>");
         assert_eq!(e.counters().1, 1);
+    }
+
+    #[test]
+    fn donor_gets_are_listed_and_named_missing_keys_are_re_set() {
+        use dpc_core::tag::{Op, Scanner};
+        let e = engine();
+        let as_node = |node: u32| {
+            Request::get("/hello.jsp?who=bob").with_header(NODE_HEADER, node.to_string())
+        };
+        let ops = |resp: &Response| -> Vec<String> {
+            Scanner::new(&resp.body.flatten())
+                .unwrap()
+                .collect_ops()
+                .unwrap()
+                .into_iter()
+                .filter_map(|op| match op {
+                    Op::Get(k) => Some(format!("GET {}", k.0)),
+                    Op::Set { key, .. } => Some(format!("SET {}", key.0)),
+                    Op::Literal(_) => None,
+                })
+                .collect()
+        };
+        // Node 1 stores the fragment.
+        let first = e.serve(&as_node(1));
+        let Some(Op::Set { key, .. }) = Scanner::new(&first.body.flatten())
+            .unwrap()
+            .collect_ops()
+            .unwrap()
+            .into_iter()
+            .find(|op| matches!(op, Op::Set { .. }))
+        else {
+            panic!("a cold fragment is SET");
+        };
+        // Node 2, naming node 1 as its donor, gets a GET it must fill from
+        // the donor.
+        let r = e.serve(&as_node(2).with_header(PEER_FETCH_HEADER, "1"));
+        assert_eq!(ops(&r), vec![format!("GET {}", key.0)]);
+        assert_eq!(
+            r.headers.get(FROM_DONOR_HEADER),
+            Some(key.0.to_string().as_str())
+        );
+        // From now on node 2 holds it: a plain GET, whatever its donor.
+        let r = e.serve(&as_node(2).with_header(PEER_FETCH_HEADER, "7"));
+        assert_eq!(ops(&r), vec![format!("GET {}", key.0)]);
+        assert_eq!(r.headers.get(FROM_DONOR_HEADER), None);
+        // A refresh naming the key gets it re-SET, once.
+        let r = e.serve(&as_node(2).with_header(MISSING_HEADER, format_keys(&[key])));
+        assert_eq!(ops(&r), vec![format!("SET {}", key.0)]);
+        assert_eq!(ops(&e.serve(&as_node(2))), vec![format!("GET {}", key.0)]);
+        let snap = e.bem().stats().snapshot();
+        assert_eq!((snap.donor_gets, snap.missing_keys), (1, 1));
+        // A donor that never stored it earns node 3 a node-miss SET.
+        let r = e.serve(&as_node(3).with_header(PEER_FETCH_HEADER, "5"));
+        assert_eq!(ops(&r), vec![format!("SET {}", key.0)]);
     }
 
     #[test]

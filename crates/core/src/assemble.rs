@@ -29,6 +29,7 @@
 use bytes::Bytes;
 
 use crate::error::AssembleError;
+use crate::key::DpcKey;
 use crate::store::FragmentStore;
 use crate::tag::{Op, Scanner};
 use dpc_policy::{content_hash, hash_fold};
@@ -147,6 +148,14 @@ impl AssembledRope {
     }
 }
 
+/// A scanner over `template`, which must start with the preamble.
+fn scanner(template: &[u8]) -> Result<Scanner<'_>, AssembleError> {
+    Scanner::new(template).ok_or(AssembleError::Malformed {
+        offset: 0,
+        reason: "missing template preamble",
+    })
+}
+
 /// Assemble `template` against `store`, returning a zero-copy rope.
 ///
 /// Errors indicate the proxy must fall back to a bypass fetch; they never
@@ -155,10 +164,7 @@ pub fn assemble_rope(
     template: &[u8],
     store: &FragmentStore,
 ) -> Result<AssembledRope, AssembleError> {
-    let mut scanner = Scanner::new(template).ok_or(AssembleError::Malformed {
-        offset: 0,
-        reason: "missing template preamble",
-    })?;
+    let mut scanner = scanner(template)?;
     let mut rope = AssembledRope {
         segments: Vec::with_capacity(8),
         stats: AssemblyStats {
@@ -208,6 +214,34 @@ pub fn assemble_rope(
     Ok(rope)
 }
 
+/// Salvage a template whose assembly stopped on a missing `GET`: install
+/// every `SET` it carries, including those after the stop, and return the
+/// keys of its `GET`s that `store` still lacks, in template order without
+/// duplicates.
+///
+/// The BEM marked each `SET` as stored on this node when it emitted it,
+/// so leaving one uninstalled would make that mark a lie. The returned
+/// keys are what a refresh names so the BEM re-`SET`s them.
+pub fn salvage(template: &[u8], store: &FragmentStore) -> Result<Vec<DpcKey>, AssembleError> {
+    let ops = scanner(template)?.collect_ops()?;
+    for op in &ops {
+        if let Op::Set { key, content } = op {
+            if !store.set(*key, Bytes::copy_from_slice(content)) {
+                return Err(AssembleError::KeyOutOfRange(*key));
+            }
+        }
+    }
+    let mut missing = Vec::new();
+    for op in &ops {
+        if let Op::Get(key) = op {
+            if store.get(*key).is_none() && !missing.contains(key) {
+                missing.push(*key);
+            }
+        }
+    }
+    Ok(missing)
+}
+
 /// Assemble `template` against `store` into contiguous bytes.
 ///
 /// Thin adapter over [`assemble_rope`] for callers that need a flat
@@ -223,7 +257,6 @@ pub fn assemble(template: &[u8], store: &FragmentStore) -> Result<AssembledPage,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::DpcKey;
     use crate::tag::{write_get, write_literal, write_preamble, write_set};
 
     fn store_with(entries: &[(u32, &[u8])]) -> FragmentStore {
@@ -400,6 +433,37 @@ mod tests {
         write_get(&mut t, DpcKey(5));
         let err = assemble(&t, &store).unwrap_err();
         assert_eq!(err, AssembleError::MissingFragment(DpcKey(5)));
+    }
+
+    #[test]
+    fn salvage_installs_every_set_and_names_the_absent_gets() {
+        let store = store_with(&[(2, b"HELD")]);
+        let mut t = Vec::new();
+        write_preamble(&mut t);
+        write_get(&mut t, DpcKey(1));
+        write_set(&mut t, DpcKey(3), b"AFTER-THE-STOP");
+        write_get(&mut t, DpcKey(2));
+        write_get(&mut t, DpcKey(4));
+        write_get(&mut t, DpcKey(1));
+        write_get(&mut t, DpcKey(3));
+        // Assembly stops on the first GET, before the SET.
+        assert_eq!(
+            assemble(&t, &store).unwrap_err(),
+            AssembleError::MissingFragment(DpcKey(1))
+        );
+        assert!(store.get(DpcKey(3)).is_none());
+        assert_eq!(salvage(&t, &store).unwrap(), vec![DpcKey(1), DpcKey(4)]);
+        assert_eq!(
+            store.get(DpcKey(3)).unwrap(),
+            Bytes::from_static(b"AFTER-THE-STOP")
+        );
+        assert_eq!(
+            salvage(b"<html>plain</html>", &store),
+            Err(AssembleError::Malformed {
+                offset: 0,
+                reason: "missing template preamble"
+            })
+        );
     }
 
     #[test]

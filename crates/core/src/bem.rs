@@ -188,7 +188,7 @@ impl Bem {
     }
 
     fn writer_inner(&self, instrumented: bool) -> TemplateWriter<'_> {
-        self.writer_for_node_inner(instrumented, 0, false)
+        self.writer_for_node_inner(instrumented, 0, None)
     }
 
     /// Start a writer for a page that will be assembled by DPC `node`
@@ -196,24 +196,38 @@ impl Bem {
     /// its node id with the request, and the directory tracks which nodes
     /// hold each fragment.
     pub fn template_writer_for_node(&self, node: u32) -> TemplateWriter<'_> {
-        self.writer_for_node_inner(self.config.enabled, node, false)
+        self.writer_for_node_inner(self.config.enabled, node, None)
     }
 
-    /// Start a writer for a *peer-fetching* DPC node: valid fragments are
-    /// emitted as `GET`s even when `node` has not stored them — the node
-    /// repairs empty slots itself (peer-fetch from the previous ring
-    /// owner, origin bypass as last resort). This is the cluster tier's
-    /// lazy-handoff contract; without it, every join would trigger a
-    /// re-`SET` storm of origin-generated content.
-    pub fn template_writer_for_peer_node(&self, node: u32) -> TemplateWriter<'_> {
-        self.writer_for_node_inner(self.config.enabled, node, true)
+    /// Start a writer for a *peer-fetching* DPC node that pulls slots it
+    /// lacks from `donor` (the ring's owner of the request without
+    /// `node`). A valid fragment `node` has not stored but `donor` has is
+    /// emitted as a `GET` and listed in [`TemplateWriter::from_donor`];
+    /// one neither has stored is a node-miss `SET` (see
+    /// [`CacheDirectory::lookup_node_trusting`]). This is the cluster
+    /// tier's lazy-handoff contract; without it, every join would trigger
+    /// a re-`SET` storm of origin-generated content.
+    pub fn template_writer_for_peer_node(&self, node: u32, donor: u32) -> TemplateWriter<'_> {
+        self.writer_for_node_inner(self.config.enabled, node, Some(donor))
+    }
+
+    /// A refresh from DPC `node` named `keys`: their `GET`s found the
+    /// node's slots empty (a gossip scrub arrived after the slot was
+    /// filled). Clear the node's stored bit on each, so this request's
+    /// writer re-`SET`s them. Returns the number of bits cleared.
+    pub fn forget_stored(&self, node: u32, keys: &[DpcKey]) -> usize {
+        let cleared = self.directory.forget_stored(node, keys);
+        self.stats
+            .missing_keys
+            .fetch_add(cleared as u64, Ordering::Relaxed);
+        cleared
     }
 
     fn writer_for_node_inner(
         &self,
         instrumented: bool,
         node: u32,
-        peer_fetch: bool,
+        donor: Option<u32>,
     ) -> TemplateWriter<'_> {
         self.pages.fetch_add(1, Ordering::Relaxed);
         let mut buf = Vec::with_capacity(1024);
@@ -225,7 +239,8 @@ impl Bem {
             buf,
             instrumented,
             node,
-            peer_fetch,
+            donor,
+            from_donor: Vec::new(),
         }
     }
 
@@ -300,21 +315,30 @@ pub struct TemplateWriter<'a> {
     /// DPC node whose store will interpret this template (0 in the
     /// single-proxy configuration).
     node: u32,
-    /// Whether that node repairs empty slots itself (see
-    /// [`Bem::template_writer_for_peer_node`]).
-    peer_fetch: bool,
+    /// The node it pulls missing slots from, for a peer-fetching node
+    /// (see [`Bem::template_writer_for_peer_node`]).
+    donor: Option<u32>,
+    /// Keys emitted as `GET`s on the strength of the donor's copy.
+    from_donor: Vec<DpcKey>,
 }
 
 impl TemplateWriter<'_> {
     /// Directory lookup honouring this writer's node semantics.
     fn lookup(&self, id: &FragmentId, ttl: Duration, deps: &[String]) -> Lookup {
-        if self.peer_fetch {
-            self.bem
+        match self.donor {
+            Some(donor) => self
+                .bem
                 .directory
-                .lookup_node_trusting(id, ttl, deps, self.node)
-        } else {
-            self.bem.directory.lookup_node(id, ttl, deps, self.node)
+                .lookup_node_trusting(id, ttl, deps, self.node, donor),
+            None => self.bem.directory.lookup_node(id, ttl, deps, self.node),
         }
+    }
+
+    /// Keys this writer emitted as `GET`s because the donor holds them
+    /// and this node does not, in template order. The node must fill
+    /// these slots from the donor and never splice its own copy.
+    pub fn from_donor(&self) -> &[DpcKey] {
+        &self.from_donor
     }
 }
 
@@ -403,14 +427,14 @@ impl TemplateWriter<'_> {
                 sp.set_detail(fkey);
                 let looked = self.lookup(id, policy.ttl, &policy.deps);
                 sp.set_status(match &looked {
-                    Lookup::Hit(_) => SpanStatus::Hit,
+                    Lookup::Hit(_) | Lookup::DonorHit(_) => SpanStatus::Hit,
                     Lookup::Miss(_) => SpanStatus::Miss,
                     Lookup::Uncacheable => SpanStatus::Ok,
                 });
                 looked
             };
             match looked {
-                Lookup::Hit(key) => {
+                Lookup::Hit(key) | Lookup::DonorHit(key) => {
                     if coalesce {
                         let mut fsp = tracer.span(Layer::Flight);
                         fsp.set_detail(fkey);
@@ -453,11 +477,7 @@ impl TemplateWriter<'_> {
                             }
                         }
                     }
-                    tag::write_get(&mut self.buf, key);
-                    stats.hits.fetch_add(1, Ordering::Relaxed);
-                    stats
-                        .tag_bytes
-                        .fetch_add(tag::get_tag_len(key) as u64, Ordering::Relaxed);
+                    self.emit_get(key, matches!(looked, Lookup::DonorHit(_)));
                     return true;
                 }
                 Lookup::Miss(key) => {
@@ -519,6 +539,22 @@ impl TemplateWriter<'_> {
         unreachable!("final uncoalesced lap returns from every arm")
     }
 
+    /// Emit a `GET key` instruction, with hit and tag-byte accounting. A
+    /// `GET` granted on the donor's copy is listed in
+    /// [`from_donor`](Self::from_donor).
+    fn emit_get(&mut self, key: DpcKey, via_donor: bool) {
+        let stats = &self.bem.stats;
+        tag::write_get(&mut self.buf, key);
+        stats.hits.fetch_add(1, Ordering::Relaxed);
+        stats
+            .tag_bytes
+            .fetch_add(tag::get_tag_len(key) as u64, Ordering::Relaxed);
+        if via_donor {
+            stats.donor_gets.fetch_add(1, Ordering::Relaxed);
+            self.from_donor.push(key);
+        }
+    }
+
     /// Emit a `SET key` instruction carrying `content`, with tag-byte
     /// accounting.
     fn emit_set(&mut self, key: DpcKey, content: &[u8]) {
@@ -570,14 +606,14 @@ impl TemplateWriter<'_> {
                 sp.set_detail(fkey);
                 let looked = self.lookup(id, ttl, &[]);
                 sp.set_status(match &looked {
-                    Lookup::Hit(_) => SpanStatus::Hit,
+                    Lookup::Hit(_) | Lookup::DonorHit(_) => SpanStatus::Hit,
                     Lookup::Miss(_) => SpanStatus::Miss,
                     Lookup::Uncacheable => SpanStatus::Ok,
                 });
                 looked
             };
             match looked {
-                Lookup::Hit(key) => {
+                Lookup::Hit(key) | Lookup::DonorHit(key) => {
                     if coalesce {
                         let mut fsp = tracer.span(Layer::Flight);
                         fsp.set_detail(fkey);
@@ -609,11 +645,7 @@ impl TemplateWriter<'_> {
                             }
                         }
                     }
-                    tag::write_get(&mut self.buf, key);
-                    stats.hits.fetch_add(1, Ordering::Relaxed);
-                    stats
-                        .tag_bytes
-                        .fetch_add(tag::get_tag_len(key) as u64, Ordering::Relaxed);
+                    self.emit_get(key, matches!(looked, Lookup::DonorHit(_)));
                     return true;
                 }
                 Lookup::Miss(key) => {

@@ -68,8 +68,14 @@ const GARBAGE_FACTOR: usize = 4;
 /// Outcome of a directory lookup for a cacheable fragment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
-    /// Fragment is cached and valid: emit a `GET key` instruction.
+    /// Fragment is cached and valid, and the requesting node's slot holds
+    /// it (or is empty): emit a `GET key` instruction.
     Hit(DpcKey),
+    /// Peer-fetching lookups only: the fragment is valid and the
+    /// requester has not stored it, but its named donor has. Emit a
+    /// `GET key` the requester fills by pulling the donor's copy; the
+    /// requester's stored bit is already set.
+    DonorHit(DpcKey),
     /// Fragment was absent/invalid/expired; a key has been allocated and
     /// the entry marked valid: generate content and emit `SET key`.
     Miss(DpcKey),
@@ -93,6 +99,11 @@ struct Entry {
     /// stores are populated independently — the directory tracks which
     /// nodes have seen the `SET` so a node that has not yet stored the
     /// fragment is served a fresh `SET` instead of a dangling `GET`.
+    ///
+    /// A set bit means "that node's slot holds this entry's bytes, or is
+    /// empty" — never an older generation's bytes. A gossip scrub may
+    /// empty the slot behind the bit; the node then names the key in a
+    /// refresh and [`CacheDirectory::forget_stored`] clears the bit.
     stored_nodes: u64,
     /// Absolute expiry in clock-nanos (`u64::MAX` = never).
     expires_at: u64,
@@ -466,23 +477,32 @@ impl CacheDirectory {
         deps: &[String],
         node: u32,
     ) -> Lookup {
-        self.lookup_node_inner(id, ttl, deps, node, false)
+        self.lookup_node_inner(id, ttl, deps, node, None)
     }
 
-    /// Multi-node lookup for a *peer-fetching* DPC node: a valid entry is a
-    /// Hit even when `node` has not stored the fragment, so the template
-    /// carries a `GET` instead of a node-miss `SET`. The node repairs an
-    /// empty slot itself — peer-fetch from the previous ring owner, origin
-    /// bypass as the last resort — which is what makes cluster joins a
-    /// lazy, origin-free key-range handoff instead of a re-`SET` storm.
+    /// Multi-node lookup for a *peer-fetching* DPC node that names the
+    /// node it may pull slots from (`donor`, the ring's owner of the
+    /// request without `node`). Three arms for a valid entry:
+    ///
+    /// * `node`'s bit is set: [`Lookup::Hit`], as in
+    ///   [`lookup_node`](Self::lookup_node).
+    /// * Else `donor`'s bit is set: [`Lookup::DonorHit`]. `node`'s bit is
+    ///   set now, and the node must fill the slot from the donor, never
+    ///   from its own copy (which may be an older generation whose scrub
+    ///   has not arrived yet).
+    /// * Else: a node-miss `SET`, as in `lookup_node`.
+    ///
+    /// The middle arm is what makes cluster joins a lazy, origin-free
+    /// key-range handoff instead of a re-`SET` storm.
     pub fn lookup_node_trusting(
         &self,
         id: &FragmentId,
         ttl: Duration,
         deps: &[String],
         node: u32,
+        donor: u32,
     ) -> Lookup {
-        self.lookup_node_inner(id, ttl, deps, node, true)
+        self.lookup_node_inner(id, ttl, deps, node, Some(donor))
     }
 
     fn lookup_node_inner(
@@ -491,10 +511,14 @@ impl CacheDirectory {
         ttl: Duration,
         deps: &[String],
         node: u32,
-        trusting: bool,
+        donor: Option<u32>,
     ) -> Lookup {
         assert!(node < 64, "at most 64 DPC nodes are supported");
         let node_bit = 1u64 << node;
+        let donor_bit = donor.map_or(0, |d| {
+            assert!(d < 64, "at most 64 DPC nodes are supported");
+            1u64 << d
+        });
         let now = self.clock.now_nanos();
         // One hash serves shard selection and the fragment's flight key.
         let ident = shard_hash(id);
@@ -508,13 +532,20 @@ impl CacheDirectory {
                 if entry.expires_at > now {
                     entry.hits += 1;
                     inner.replacer.touch(&entry.dpc_key);
-                    if trusting || entry.stored_nodes & node_bit != 0 {
+                    if entry.stored_nodes & node_bit != 0 {
                         inner.hits += 1;
                         return Lookup::Hit(entry.dpc_key);
                     }
+                    // Either way the requester is about to hold this
+                    // entry's bytes: from its donor, or from a SET.
+                    let donor_holds = entry.stored_nodes & donor_bit != 0;
+                    entry.stored_nodes |= node_bit;
+                    if donor_holds {
+                        inner.hits += 1;
+                        return Lookup::DonorHit(entry.dpc_key);
+                    }
                     // Node miss: this DPC has not stored the fragment yet.
                     // Re-emit a SET under the existing key.
-                    entry.stored_nodes |= node_bit;
                     inner.node_misses += 1;
                     return Lookup::Miss(entry.dpc_key);
                 }
@@ -569,6 +600,43 @@ impl CacheDirectory {
         inner.key_owner.insert(key, id.clone());
         Self::collect_garbage(inner, shard.garbage_limit);
         Lookup::Miss(key)
+    }
+
+    /// Clear `node`'s stored bit on the valid entries that currently own
+    /// `keys`, so the node's next lookup of each is a node-miss `SET`.
+    /// A node calls this (through a refresh request) for keys whose `GET`
+    /// found its slot empty. Keys that are free, out of range, or whose
+    /// entry lacks the bit are skipped. Returns the number of bits
+    /// cleared.
+    ///
+    /// A key reassigned since the node saw it clears the bit of the new
+    /// owner instead: harmless, since a cleared bit only costs a `SET`.
+    pub fn forget_stored(&self, node: u32, keys: &[DpcKey]) -> usize {
+        assert!(node < 64, "at most 64 DPC nodes are supported");
+        let node_bit = 1u64 << node;
+        let mut cleared = 0;
+        for key in keys {
+            if key.index() >= self.capacity {
+                continue;
+            }
+            // Segments are contiguous and ascending: the owner is the
+            // first shard whose segment ends past the key.
+            let shard_idx = self.shards.partition_point(|s| s.key_hi <= key.0);
+            let mut inner = self.lock_inner(&self.shards[shard_idx]);
+            let inner = &mut *inner;
+            let Some(id) = inner.key_owner.get(key) else {
+                continue;
+            };
+            let entry = inner
+                .entries
+                .get_mut(id)
+                .expect("key_owner points at a missing entry");
+            if entry.stored_nodes & node_bit != 0 {
+                entry.stored_nodes &= !node_bit;
+                cleared += 1;
+            }
+        }
+        cleared
     }
 
     /// Register additional data dependencies on a *valid* entry after the
@@ -1240,28 +1308,80 @@ mod tests {
     #[test]
     fn trusting_lookup_hits_for_unseen_nodes() {
         let dir = dir_with(32, 4);
+        let ttl = Duration::from_secs(60);
         let id = FragmentId::new("shared");
-        let Lookup::Miss(k) = dir.lookup_node(&id, Duration::from_secs(60), &[], 0) else {
+        let Lookup::Miss(k) = dir.lookup_node(&id, ttl, &[], 0) else {
             panic!("node 0 must miss first");
         };
-        // Classic §7 behaviour: node 1 gets a node-miss SET…
+        // Requester's own bit set: a plain GET.
         assert_eq!(
-            dir.lookup_node(&id, Duration::from_secs(60), &[], 1),
+            dir.lookup_node_trusting(&id, ttl, &[], 0, 1),
+            Lookup::Hit(k)
+        );
+        // Requester lacks it, donor 0 holds it: a donor GET, which sets
+        // the requester's bit…
+        assert_eq!(
+            dir.lookup_node_trusting(&id, ttl, &[], 2, 0),
+            Lookup::DonorHit(k)
+        );
+        // …so its next lookup is a plain GET, whatever the donor.
+        assert_eq!(
+            dir.lookup_node_trusting(&id, ttl, &[], 2, 5),
+            Lookup::Hit(k)
+        );
+        // Neither requester nor donor holds it: a node-miss SET.
+        assert_eq!(
+            dir.lookup_node_trusting(&id, ttl, &[], 3, 4),
             Lookup::Miss(k)
         );
-        // …but a peer-fetching node 2 gets a GET and repairs itself.
         assert_eq!(
-            dir.lookup_node_trusting(&id, Duration::from_secs(60), &[], 2),
+            dir.lookup_node_trusting(&id, ttl, &[], 3, 4),
             Lookup::Hit(k)
         );
         let stats = dir.stats();
-        assert_eq!(stats.node_misses, 1, "trusting lookups are not node misses");
-        // Invalidation still forces a SET on the trusting path.
+        assert_eq!(stats.node_misses, 1, "only the third arm is a node miss");
+        assert_eq!(stats.misses, 1);
+        // Invalidation clears every bit: the next trusting lookup is a
+        // fresh miss, even from a node that held the old entry.
         assert!(dir.invalidate(&id));
         assert_eq!(
-            dir.lookup_node_trusting(&id, Duration::from_secs(60), &[], 2),
+            dir.lookup_node_trusting(&id, ttl, &[], 2, 0),
             Lookup::Miss(k)
         );
+        dir.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn forget_stored_turns_the_next_lookup_into_a_node_miss() {
+        let dir = dir_with(64, 4);
+        let ttl = Duration::from_secs(60);
+        let ids: Vec<FragmentId> = (0..8)
+            .map(|i| FragmentId::with_params("f", &[("i", &i.to_string())]))
+            .collect();
+        let keys: Vec<DpcKey> = ids
+            .iter()
+            .map(|id| match dir.lookup_node(id, ttl, &[], 1) {
+                Lookup::Miss(k) => k,
+                other => panic!("first lookup must miss: {other:?}"),
+            })
+            .collect();
+        // Keys land in several shards; a free key and an out-of-range key
+        // are skipped.
+        assert!(dir.invalidate(&ids[7]));
+        let named = [keys[0], keys[3], keys[6], keys[7], DpcKey(1000)];
+        assert_eq!(dir.forget_stored(1, &named), 3);
+        assert_eq!(dir.forget_stored(1, &named), 0, "bits already clear");
+        assert_eq!(dir.forget_stored(2, &[keys[1]]), 0, "node 2 never held it");
+        for (i, id) in ids.iter().enumerate().take(7) {
+            let want = if [0, 3, 6].contains(&i) {
+                Lookup::Miss(keys[i])
+            } else {
+                Lookup::Hit(keys[i])
+            };
+            assert_eq!(dir.lookup_node(id, ttl, &[], 1), want, "fragment {i}");
+        }
+        assert_eq!(dir.stats().node_misses, 3);
+        dir.check_invariants().unwrap();
     }
 
     #[test]

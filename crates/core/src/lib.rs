@@ -94,7 +94,7 @@ pub mod stats;
 pub mod store;
 pub mod tag;
 
-pub use assemble::{assemble, assemble_rope, AssembledPage, AssembledRope, AssemblyStats};
+pub use assemble::{assemble, assemble_rope, salvage, AssembledPage, AssembledRope, AssemblyStats};
 pub use bem::{Bem, FragmentPolicy, InvalidationSink, TemplateWriter};
 pub use config::{BemConfig, ReplacePolicy, DEFAULT_SHARDS};
 pub use directory::{CacheDirectory, Lookup, ShardStats};

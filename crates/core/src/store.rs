@@ -43,17 +43,23 @@ use dpc_policy::content_hash;
 /// One occupied slot: the fragment's bytes and their [`content_hash`].
 type Slot = Option<(Bytes, u64)>;
 
-/// Somewhere else a fragment's bytes might live: a peer DPC node, a
-/// warm-standby store, a disk spill. When assembly finds a slot empty, the
-/// proxy consults its configured source (if any) before paying for a full
-/// origin bypass — the lazy-handoff path of the cluster tier.
+/// Other DPC nodes a node may pull slots from: the lazy-handoff path of
+/// the cluster tier.
 ///
-/// `context` is the request target being assembled; implementations use it
-/// to pick *which* peer to ask (e.g. the previous consistent-hash owner of
-/// the target). A `None` return means "not available here either" and the
-/// caller falls back to its origin bypass.
+/// A node names its donor for a request when it asks the origin for the
+/// template; the BEM then emits `GET`s for fragments the donor holds and
+/// this node does not, and lists their keys. The node fills exactly those
+/// slots from the donor before assembling. It never asks a donor for a
+/// slot the BEM did not list.
 pub trait FragmentSource: Send + Sync {
-    fn fetch(&self, key: DpcKey, context: &str) -> Option<Bytes>;
+    /// The node that should supply `context`'s fragments to this one
+    /// (e.g. the consistent-hash owner of the request target without this
+    /// node), or `None` when there is no other node.
+    fn donor_for(&self, context: &str) -> Option<u32>;
+
+    /// Fetch `key`'s bytes from node `donor`. `None` means the donor does
+    /// not hold it, or could not be reached.
+    fn fetch(&self, donor: u32, key: DpcKey) -> Option<Bytes>;
 }
 
 /// Sharded slot-array fragment store, shared by all proxy worker threads.

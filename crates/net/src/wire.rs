@@ -93,7 +93,15 @@ impl Pipe {
     }
 
     /// Write up to `buf.len()` bytes; partial when capacity-limited.
-    fn write_some(&self, buf: &[u8], blocking: bool) -> io::Result<usize> {
+    /// `record` meters the accepted count under the pipe lock, before the
+    /// reader can see the bytes, so whatever the reader does next (answer
+    /// a client, who reads the meter) already finds them counted.
+    fn write_some(
+        &self,
+        buf: &[u8],
+        blocking: bool,
+        record: impl FnOnce(usize),
+    ) -> io::Result<usize> {
         if buf.is_empty() {
             return Ok(0);
         }
@@ -111,6 +119,7 @@ impl Pipe {
                 continue;
             }
             let n = buf.len().min(space);
+            record(n);
             st.chunks.push_back(buf[..n].to_vec());
             st.buffered += n;
             self.cv.notify_all();
@@ -120,8 +129,14 @@ impl Pipe {
     }
 
     /// Vectored write: gathers bytes across `bufs` (in order) into one
-    /// chunk, up to the available space.
-    fn write_vectored_some(&self, bufs: &[IoSlice<'_>], blocking: bool) -> io::Result<usize> {
+    /// chunk, up to the available space. `record` as in
+    /// [`write_some`](Self::write_some).
+    fn write_vectored_some(
+        &self,
+        bufs: &[IoSlice<'_>],
+        blocking: bool,
+        record: impl FnOnce(usize),
+    ) -> io::Result<usize> {
         let total: usize = bufs.iter().map(|b| b.len()).sum();
         if total == 0 {
             return Ok(0);
@@ -150,6 +165,7 @@ impl Pipe {
                 chunk.extend_from_slice(&b[..take]);
                 left -= take;
             }
+            record(n);
             st.chunks.push_back(chunk);
             st.buffered += n;
             self.cv.notify_all();
@@ -321,17 +337,12 @@ impl Read for SimStream {
 
 impl Write for SimStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let tx = self.tx()?;
-        let n = tx.write_some(buf, true)?;
-        self.meter_write(n);
-        Ok(n)
+        self.tx()?.write_some(buf, true, |n| self.meter_write(n))
     }
 
     fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        let tx = self.tx()?;
-        let n = tx.write_vectored_some(bufs, true)?;
-        self.meter_write(n);
-        Ok(n)
+        self.tx()?
+            .write_vectored_some(bufs, true, |n| self.meter_write(n))
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -358,17 +369,12 @@ impl NbStream for SimStream {
     }
 
     fn try_write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let tx = self.tx()?;
-        let n = tx.write_some(buf, false)?;
-        self.meter_write(n);
-        Ok(n)
+        self.tx()?.write_some(buf, false, |n| self.meter_write(n))
     }
 
     fn try_write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        let tx = self.tx()?;
-        let n = tx.write_vectored_some(bufs, false)?;
-        self.meter_write(n);
-        Ok(n)
+        self.tx()?
+            .write_vectored_some(bufs, false, |n| self.meter_write(n))
     }
 
     fn register(&mut self, registry: &Arc<Registry>, token: Token) {

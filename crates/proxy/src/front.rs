@@ -9,7 +9,11 @@
 //! origin's script engine never blocks, so the testbed runs the origin
 //! front inline on its loops instead (see [`crate::testbed`]).
 
-use dpc_core::{assemble_rope, AssembleError, AssembledRope, FragmentSource, FragmentStore};
+use dpc_appserver::context::{
+    format_keys, parse_keys, BYPASS_HEADER, FROM_DONOR_HEADER, MISSING_HEADER, NODE_HEADER,
+    PEER_FETCH_HEADER,
+};
+use dpc_core::{assemble_rope, salvage, AssembleError, DpcKey, FragmentSource, FragmentStore};
 use dpc_firewall::Firewall;
 use dpc_http::{Body, Client, Handler, Method, Request, Response, Status};
 use dpc_metrics::Registry as MetricsRegistry;
@@ -30,12 +34,14 @@ pub struct ProxyStats {
     pub assembled: AtomicU64,
     /// DPC mode: assembly failures that fell back to a bypass refetch.
     pub bypass_refetches: AtomicU64,
-    /// DPC mode: empty slots filled from a peer node instead of a bypass
-    /// (the cluster tier's lazy key-range handoff).
+    /// DPC mode: slots filled from the donor node because the BEM listed
+    /// them as granted on its copy (the cluster tier's lazy key-range
+    /// handoff).
     pub peer_fetches: AtomicU64,
     /// DPC mode: assembly failures repaired by a *refresh* refetch — a
-    /// classic §7 node-miss round trip that re-`SET`s the missing slots —
-    /// instead of a full bypass. Only taken by peer-fetching nodes.
+    /// classic §7 round trip naming the absent keys, which the BEM
+    /// re-`SET`s — instead of a full bypass. Only taken by peer-fetching
+    /// nodes.
     pub refresh_refetches: AtomicU64,
     /// DPC mode: origin responses that were not instrumented (forwarded
     /// verbatim).
@@ -56,6 +62,13 @@ pub struct ProxyStats {
     pub asm_template_bytes: AtomicU64,
 }
 
+/// One failed assembly attempt: the error, and the keys of the template's
+/// `GET`s still absent once its `SET`s were installed.
+struct Failed {
+    err: AssembleError,
+    missing: Vec<DpcKey>,
+}
+
 /// Dependency-wide invalidation hook: frees every cached key registered
 /// under the given dependency and returns the freed-key count.
 pub type DepPurger = Arc<dyn Fn(&str) -> usize + Send + Sync>;
@@ -73,8 +86,8 @@ pub struct Proxy {
     page_cache: Arc<PageCache>,
     esi: Arc<EsiAssembler>,
     firewall: Option<Arc<Firewall>>,
-    /// Where to look for a fragment whose slot is empty before paying for
-    /// a full origin bypass (cluster tier: the previous ring owner).
+    /// The node this one pulls slots from (cluster tier: the previous
+    /// ring owner of the request).
     fragment_source: Option<Arc<dyn FragmentSource>>,
     /// DPC mode only: serve repeat GETs of assembled pages from the
     /// session-keyed page cache (the node's L2 tier) and install freshly
@@ -148,8 +161,9 @@ impl Proxy {
         self
     }
 
-    /// Builder: consult `source` for empty slots before bypassing to the
-    /// origin (the cluster tier's lazy peer-fetch handoff).
+    /// Builder: name `source`'s donor on every template request and pull
+    /// the slots the BEM grants on the donor's copy from it (the cluster
+    /// tier's lazy peer-fetch handoff). Also enables the refresh rung.
     pub fn with_fragment_source(mut self, source: Arc<dyn FragmentSource>) -> Proxy {
         self.fragment_source = Some(source);
         self
@@ -346,16 +360,17 @@ impl Proxy {
     /// Fetch from the origin, running the firewall over the response body
     /// (the boundary every origin byte crosses in Figure 4).
     fn fetch_origin(&self, req: &Request) -> Result<Response, Response> {
-        self.fetch_origin_with(req, true)
+        self.fetch_origin_with(req, None, &[])
     }
 
-    /// Like [`fetch_origin`](Self::fetch_origin); `announce_peer_fetch`
-    /// controls whether a peer-fetching node advertises that capability.
-    /// The refresh path turns it off to get classic node-miss `SET`s.
+    /// Like [`fetch_origin`](Self::fetch_origin); a DPC-mode request also
+    /// names this node, its `donor` if any (so the BEM may grant `GET`s on
+    /// the donor's copy), and the `missing` keys of a refresh.
     fn fetch_origin_with(
         &self,
         req: &Request,
-        announce_peer_fetch: bool,
+        donor: Option<u32>,
+        missing: &[DpcKey],
     ) -> Result<Response, Response> {
         let mut upstream_req = req.clone();
         if let Some((tid, sid)) = dpc_trace::current() {
@@ -367,16 +382,17 @@ impl Proxy {
                 .set(TRACE_HEADER, dpc_trace::format_ctx(tid, sid));
         }
         if self.mode == ProxyMode::Dpc {
-            upstream_req
-                .headers
-                .set(dpc_appserver::context::NODE_HEADER, self.node.to_string());
-            if announce_peer_fetch && self.fragment_source.is_some() {
-                // This node repairs empty slots itself (peer-fetch, then
-                // refresh, then bypass), so the BEM may emit GETs it has
-                // never SET here.
-                upstream_req
-                    .headers
-                    .set(dpc_appserver::context::PEER_FETCH_HEADER, "1");
+            let headers = &mut upstream_req.headers;
+            headers.set(NODE_HEADER, self.node.to_string());
+            // Only this node speaks for its slots: a client's copies of
+            // these headers never reach the BEM.
+            headers.remove(PEER_FETCH_HEADER);
+            headers.remove(MISSING_HEADER);
+            if let Some(donor) = donor {
+                headers.set(PEER_FETCH_HEADER, donor.to_string());
+            }
+            if !missing.is_empty() {
+                headers.set(MISSING_HEADER, format_keys(missing));
             }
         }
         let resp = self
@@ -562,40 +578,44 @@ impl Proxy {
         resp
     }
 
+    /// The repair ladder. A template request names this node's donor; if
+    /// assembly still finds an empty slot, a peer-fetching node refreshes
+    /// once, naming its absent keys so the BEM re-`SET`s them (a gossip
+    /// scrub may have emptied a slot behind its stored bit). The bypass
+    /// is the last rung.
     fn serve_dpc_assembling(&self, req: &Request) -> Response {
-        match self.serve_dpc_once(req, true) {
+        let donor = self
+            .fragment_source
+            .as_ref()
+            .and_then(|source| source.donor_for(&req.target));
+        let failed = match self.serve_dpc_once(req, donor, &[]) {
+            Ok(resp) => return resp,
+            Err(failed) => failed,
+        };
+        if self.fragment_source.is_none()
+            || !matches!(failed.err, AssembleError::MissingFragment(_))
+        {
+            return self.bypass_refetch(req, failed.err);
+        }
+        self.stats.refresh_refetches.fetch_add(1, Ordering::Relaxed);
+        match self.serve_dpc_once(req, None, &failed.missing) {
             Ok(resp) => resp,
-            Err(err) => {
-                if self.fragment_source.is_some()
-                    && matches!(err, AssembleError::MissingFragment(_))
-                {
-                    // A peer-fetching node whose peers could not supply the
-                    // slot: before paying for a fully expanded bypass, ask
-                    // the origin once with classic §7 node semantics — the
-                    // BEM answers node misses with `SET`s, which both fixes
-                    // this page and installs the missing slots for every
-                    // later request.
-                    self.stats.refresh_refetches.fetch_add(1, Ordering::Relaxed);
-                    match self.serve_dpc_once(req, false) {
-                        Ok(resp) => resp,
-                        Err(err) => self.bypass_refetch(req, err),
-                    }
-                } else {
-                    self.bypass_refetch(req, err)
-                }
-            }
+            Err(failed) => self.bypass_refetch(req, failed.err),
         }
     }
 
     /// One origin fetch + assembly attempt. `Ok` carries any terminal
     /// response (assembled page, pass-through, upstream error); `Err` means
     /// assembly failed and the caller escalates (refresh, then bypass).
+    /// A failed assembly first installs every `SET` its template carried,
+    /// because the BEM recorded them as stored here when it emitted them.
     fn serve_dpc_once(
         &self,
         req: &Request,
-        announce_peer_fetch: bool,
-    ) -> Result<Response, AssembleError> {
-        let upstream = match self.fetch_origin_with(req, announce_peer_fetch) {
+        donor: Option<u32>,
+        missing: &[DpcKey],
+    ) -> Result<Response, Failed> {
+        let upstream = match self.fetch_origin_with(req, donor, missing) {
             Ok(r) => r,
             Err(e) => return Ok(e),
         };
@@ -607,21 +627,28 @@ impl Proxy {
             self.stats.uninstrumented.fetch_add(1, Ordering::Relaxed);
             return Ok(strip_internal_headers(upstream).with_header("X-Cache", "dpc-pass"));
         }
+        let fetched = self.pull_from_donor(donor, upstream.headers.get(FROM_DONOR_HEADER));
         // Zero-copy assembly, end to end: cached fragments are spliced into
         // the rope by refcount bump, the rope's segments become the
         // response body unflattened, and the HTTP serializer puts them on
         // the wire with vectored writes. No byte of a cached fragment is
         // copied between the slot store and the client socket.
-        let (rope, fetched) = {
+        let rope = {
             let mut sp = self.tracer.span(Layer::Assembly);
-            match self.assemble_with_source(&template, &req.target) {
-                Ok((rope, fetched)) => {
+            match assemble_rope(&template, &self.store) {
+                Ok(rope) => {
                     sp.set_detail(rope.segments.len() as u64);
-                    (rope, fetched)
+                    rope
                 }
                 Err(err) => {
                     sp.set_status(SpanStatus::Error);
-                    return Err(err);
+                    let missing = match err {
+                        AssembleError::MissingFragment(_) => {
+                            salvage(&template, &self.store).unwrap_or_default()
+                        }
+                        _ => Vec::new(),
+                    };
+                    return Err(Failed { err, missing });
                 }
             }
         };
@@ -660,56 +687,41 @@ impl Proxy {
         })
     }
 
-    /// Assemble `template`, repairing empty slots from the configured
-    /// fragment source: a `MissingFragment` pulls the slot from a peer,
-    /// installs it locally, and retries. Each template names each key at
-    /// most a handful of times, so the retry count is bounded by the
-    /// template's distinct keys; a fetch that comes back empty (or any
-    /// other assembly error) falls through to the caller's bypass.
-    fn assemble_with_source(
-        &self,
-        template: &[u8],
-        target: &str,
-    ) -> Result<(AssembledRope, u32), AssembleError> {
-        // One fetch per distinct missing key, plus slack for raced scrubs.
-        let mut budget = 64u32;
-        let mut fetched = 0u32;
-        let mut last_missing = None;
-        loop {
-            match assemble_rope(template, &self.store) {
-                Ok(rope) => return Ok((rope, fetched)),
-                Err(AssembleError::MissingFragment(key)) => {
-                    let Some(source) = &self.fragment_source else {
-                        return Err(AssembleError::MissingFragment(key));
-                    };
-                    // The same key missing twice in a row means the install
-                    // did not take (raced scrub): stop rather than loop.
-                    if last_missing == Some(key) || budget == 0 {
-                        return Err(AssembleError::MissingFragment(key));
-                    }
-                    budget -= 1;
-                    last_missing = Some(key);
-                    match source.fetch(key, target) {
-                        Some(bytes) => {
-                            self.stats.peer_fetches.fetch_add(1, Ordering::Relaxed);
-                            fetched += 1;
-                            self.store.set(key, bytes);
-                        }
-                        None => return Err(AssembleError::MissingFragment(key)),
-                    }
+    /// Fill the slots the BEM listed in `listed` (its `GET`s granted on
+    /// the donor's copy) from `donor`. A slot the donor cannot supply is
+    /// emptied rather than left holding this node's own copy, which may
+    /// be an older generation whose scrub has not arrived yet; assembly
+    /// then fails on it and the refresh re-`SET`s it. Returns the number
+    /// of slots filled.
+    fn pull_from_donor(&self, donor: Option<u32>, listed: Option<&str>) -> u32 {
+        let Some(listed) = listed else {
+            return 0;
+        };
+        let mut fetched = 0;
+        for key in parse_keys(listed) {
+            let bytes = match (&self.fragment_source, donor) {
+                (Some(source), Some(donor)) => source.fetch(donor, key),
+                _ => None,
+            };
+            match bytes {
+                Some(bytes) => {
+                    self.stats.peer_fetches.fetch_add(1, Ordering::Relaxed);
+                    fetched += 1;
+                    self.store.set(key, bytes);
                 }
-                Err(err) => return Err(err),
+                None => {
+                    self.store.clear_key(key);
+                }
             }
         }
+        fetched
     }
 
     /// Assembly failed (raced slot, restarted store, corrupt template):
     /// refetch fully expanded. Users always receive correct bytes.
     fn bypass_refetch(&self, req: &Request, err: AssembleError) -> Response {
         self.stats.bypass_refetches.fetch_add(1, Ordering::Relaxed);
-        let bypass = req
-            .clone()
-            .with_header(dpc_appserver::context::BYPASS_HEADER, "1");
+        let bypass = req.clone().with_header(BYPASS_HEADER, "1");
         match self.fetch_origin(&bypass) {
             Ok(resp) => strip_internal_headers(resp)
                 .with_header("X-Cache", "dpc-bypass")
@@ -728,6 +740,7 @@ impl Handler for Proxy {
 /// Remove origin-internal headers before delivering to clients.
 fn strip_internal_headers(mut resp: Response) -> Response {
     resp.headers.remove("X-DPC-Instrumented");
+    resp.headers.remove(FROM_DONOR_HEADER);
     resp
 }
 

@@ -86,6 +86,8 @@ pub fn register_bem(registry: &Registry, key: impl Into<String>, bem: Arc<Bem>, 
             &labels,
             s.overflow_fragments,
         );
+        e.counter("dpc_bem_donor_gets_total", &labels, s.donor_gets);
+        e.counter("dpc_bem_missing_keys_total", &labels, s.missing_keys);
         e.counter("dpc_bem_generated_bytes_total", &labels, s.generated_bytes);
         e.counter("dpc_bem_literal_bytes_total", &labels, s.literal_bytes);
         e.counter("dpc_bem_tag_bytes_total", &labels, s.tag_bytes);

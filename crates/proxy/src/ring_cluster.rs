@@ -10,10 +10,15 @@
 //!   ([`dpc_cluster::HashRing`]); a membership change remaps an expected
 //!   `1/n` of the keyspace, not a modulo router's avalanche.
 //! * **Join** — the newcomer's points go on the ring and *nothing else
-//!   moves*: keys it now owns are pulled lazily. On its first miss of a
-//!   slot, the node peer-fetches from the pre-join owner
-//!   ([`HashRing::owner_excluding`]) and installs the bytes locally; no
-//!   other node is touched, nothing anywhere is evicted.
+//!   moves*: keys it now owns are pulled lazily. Every template request
+//!   names the node's donor, the pre-join owner
+//!   ([`HashRing::owner_excluding`]); the BEM grants `GET`s for the
+//!   fragments the donor holds and lists them, and the node pulls exactly
+//!   those from the donor. No other node is touched, nothing anywhere is
+//!   evicted.
+//! * **Repair** — a slot a late gossip scrub emptied behind the node's
+//!   stored bit fails assembly; one refresh names the absent keys and the
+//!   BEM re-`SET`s them. A bypass is the last rung.
 //! * **Leave / fail** — the node's points come off the ring and traffic
 //!   routes around it, losing only that node's arcs. A graceful leave
 //!   first flushes its un-gossiped invalidation events to a survivor.
@@ -590,9 +595,9 @@ impl RingCluster {
     }
 }
 
-/// The lazy-handoff donor lookup: on a missing slot, ask the node that
-/// owned the request's target before this node joined the ring. Fetches
-/// go through the node's fetch flight, so a flash crowd missing on one
+/// The lazy-handoff donor: the node that would own the request's target
+/// without this one (its owner before this node joined). Fetches go
+/// through the node's fetch flight, so a flash crowd missing on one
 /// rebalanced key costs the donor a single wire round trip.
 struct PeerFetcher {
     self_id: u32,
@@ -602,12 +607,14 @@ struct PeerFetcher {
 }
 
 impl FragmentSource for PeerFetcher {
-    fn fetch(&self, key: DpcKey, target: &str) -> Option<Bytes> {
-        let donor = self
-            .shared
+    fn donor_for(&self, target: &str) -> Option<u32> {
+        self.shared
             .membership
             .lock()
-            .donor_for(target, self.self_id)?;
+            .donor_for(target, self.self_id)
+    }
+
+    fn fetch(&self, donor: u32, key: DpcKey) -> Option<Bytes> {
         self.peer
             .coalesced_fetch(&self.connector, &peer_addr(donor), key)
             .ok()

@@ -205,6 +205,9 @@ fn metrics_scrape_on_the_testbed_front_has_every_family_nonzero() {
     assert!(metric_sum(&body, "dpc_server_requests_total", &[("server", "proxy")]) > 0.0);
     assert!(metric_sum(&body, "dpc_server_requests_total", &[("server", "origin")]) > 0.0);
     assert!(metric_sum(&body, "dpc_wire_bytes_total", &[]) > 0.0);
+    // A lone proxy has no donor and never refreshes.
+    assert_eq!(metric_sum(&body, "dpc_bem_donor_gets_total", &[]), 0.0);
+    assert_eq!(metric_sum(&body, "dpc_bem_missing_keys_total", &[]), 0.0);
     // The origin runs its script engine inline on its loops; the proxy,
     // which blocks on origin fetches, keeps the default worker pool.
     assert_eq!(
@@ -317,6 +320,8 @@ fn metrics_scrape_covers_the_whole_ring_and_serves_at_any_node() {
         );
     }
     assert!(metric_sum(&body, "dpc_peer_fetch_hits_total", &[]) > 0.0);
+    // The joiner's GETs were granted on its donor's copies.
+    assert!(metric_sum(&body, "dpc_bem_donor_gets_total", &[]) > 0.0);
     assert!(metric_sum(&body, "dpc_page_hits_total", &[]) > 0.0);
     assert!(metric_sum(&body, "dpc_bem_fragments_total", &[]) > 0.0);
     assert!(
@@ -363,6 +368,42 @@ fn metrics_scrape_covers_the_whole_ring_and_serves_at_any_node() {
         !body.contains(&format!("node=\"{newcomer}\"")),
         "failed node must vanish from the exposition"
     );
+}
+
+#[test]
+fn bem_counts_the_keys_a_refresh_names_after_a_late_scrub() {
+    let tb = Testbed::build(TestbedConfig {
+        mode: ProxyMode::Dpc,
+        paper_params: params(),
+        ..TestbedConfig::default()
+    });
+    let cluster = Arc::new(RingCluster::new(tb.net(), 3, RingConfig::default()));
+    cluster.connect_origin(tb.engine().bem());
+    // Node 0 records bus invalidations and scrubs them at once; another
+    // owner learns them by gossip, here after it has regenerated.
+    let p = (0..12)
+        .find(|p| cluster.owner_of(&page(*p)) != Some(0))
+        .unwrap();
+    let scrape = |name: &str| {
+        let resp = cluster.serve(Request::get("/_dpc/metrics"));
+        let body = std::str::from_utf8(&resp.body.to_vec()).unwrap().to_owned();
+        metric_sum(&body, name, &[])
+    };
+    let _ = cluster.get(&page(p), None);
+    paper_site::invalidate_fragment(tb.engine().repo(), p, 0);
+    let _ = cluster.get(&page(p), None);
+    cluster.gossip_until_converged(8);
+    assert_eq!(scrape("dpc_bem_missing_keys_total"), 0.0);
+    assert_eq!(scrape("dpc_proxy_refresh_refetches_total"), 0.0);
+
+    for _ in 0..3 {
+        let resp = cluster.get(&page(p), None);
+        assert_eq!(resp.headers.get("X-Cache"), Some("dpc-assembled"));
+    }
+    // The first serve refreshed once, naming the one scrubbed key.
+    assert_eq!(scrape("dpc_bem_missing_keys_total"), 1.0);
+    assert_eq!(scrape("dpc_proxy_refresh_refetches_total"), 1.0);
+    assert_eq!(scrape("dpc_proxy_bypass_refetches_total"), 0.0);
 }
 
 /// The exported poller pin on real hardware: a plain-TCP workload under
