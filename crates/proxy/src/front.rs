@@ -22,9 +22,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::esi::EsiAssembler;
-use crate::l1::{etag_matches, page_key, revalidated_response, session_of};
+use crate::l1::{page_key, session_of};
 use crate::modes::ProxyMode;
 use crate::page_cache::{PageCache, PageServe};
+use crate::tier::{etag_matches, hit_status, page_response};
 
 /// Counters exposed by the proxy.
 #[derive(Debug, Default)]
@@ -531,27 +532,14 @@ impl Proxy {
 
     /// The page-tier wrapper around the classic assemble path: L2 probe
     /// first, and on a miss install the assembled page for the next
-    /// request. The epoch stamp is read *before* the origin fetch, so a
-    /// page whose assembly raced an invalidation is installed already
-    /// stale and the get-side validation refuses to serve it.
+    /// request. The epoch stamp is read *before* the origin fetch, so the
+    /// install refuses a page whose assembly raced an invalidation.
     fn serve_dpc_tiered(&self, req: &Request) -> Response {
         let key = page_key(&req.target, session_of(req));
         let mut sp = self.tracer.span(Layer::TierL2);
-        if let Some(hit) = self.page_cache.get_page(&key) {
-            // The lookup already dropped any epoch-outdated entry, so a
-            // matching validator here is provably current — answer with
-            // the hash alone.
-            if let Some(resp) = revalidated_response(req, hit.etag.as_deref(), "dpc-l2") {
-                sp.set_status(SpanStatus::Revalidated);
-                return resp;
-            }
-            sp.set_status(SpanStatus::Hit);
-            let mut resp = Response::html(hit.body)
-                .with_header("Content-Type", hit.content_type)
-                .with_header("X-Cache", "dpc-l2");
-            if let Some(etag) = hit.etag {
-                resp = resp.with_header("ETag", etag);
-            }
+        if let Some(page) = self.page_cache.lookup(&key, true) {
+            let resp = page_response(req, &page, "dpc-l2");
+            sp.set_status(hit_status(&resp));
             return resp;
         }
         sp.set_status(SpanStatus::Miss);
@@ -561,19 +549,10 @@ impl Proxy {
         if resp.status.is_success() && resp.headers.get("X-Cache") == Some("dpc-assembled") {
             // Only genuinely assembled pages enter the tier: passes,
             // bypasses and errors are per-request outcomes, not pages.
-            let content_type = resp
-                .headers
-                .get("Content-Type")
-                .unwrap_or("text/html")
-                .to_owned();
+            let content_type = resp.headers.get("Content-Type").unwrap_or("text/html");
             let etag = resp.headers.get("ETag").map(str::to_owned);
-            self.page_cache.put_stamped_tagged(
-                &key,
-                resp.body.flatten(),
-                &content_type,
-                stamp,
-                etag,
-            );
+            self.page_cache
+                .install(&key, resp.body.flatten(), content_type, Some(stamp), etag);
         }
         resp
     }

@@ -1,20 +1,21 @@
-//! L1 per-event-loop cache of fully-assembled hot pages.
+//! L1: each event loop's private copy of the node's hottest pages.
 //!
-//! The page cache ([`PageCache`]) is the node's L2: shared across loops,
-//! lock-protected, stamped with the coherency epoch. This module adds the
-//! L1 above it — a small, byte-budgeted, *per-event-loop* map of flattened
-//! page bodies that serves repeat GETs with **zero shared locks and zero
-//! directory traffic**: the loop owns its `L1Cache` exclusively (`&mut
-//! self` via [`dpc_http::LoopCache`]), so a hit touches nothing but loop-
-//! local memory plus one atomic load of the coherency epoch.
+//! The node's [`PageCache`] is the L2: shared across loops, behind one
+//! lock. The L1 above it is a second instance of the same [`PageTier`] —
+//! weighed in body bytes instead of pages, and owned outright by one event
+//! loop (`&mut self` via [`dpc_http::LoopCache`]) — so a repeat GET is
+//! served with **zero shared locks and zero directory traffic**: a hit
+//! touches nothing but loop-local memory plus one atomic load of the
+//! coherency epoch.
 //!
-//! Coherence is validation-on-touch, not eager invalidation: every L1
-//! entry carries the [`CoherencyEpoch`] stamp its bytes were assembled
-//! under, and a hit compares that stamp against the current epoch. Any
-//! invalidation — a local `PURGE`, a BEM dependency event, a gossip scrub
-//! arriving from another node — bumps the epoch, so the next touch of
-//! *any* stamped L1 entry on *any* loop self-evicts instead of serving.
-//! Nobody has to enumerate loops or keys to kill stale pages.
+//! Coherence is validation-on-touch, not eager invalidation: every L1 copy
+//! keeps the [`CoherencyEpoch`] stamp its bytes were assembled under and
+//! a link to the L2 it was promoted from, and each hit asks that L2 for
+//! its [`PageCache::verdict`] — the same check the L2 runs on its own
+//! pages. Any invalidation — a local `PURGE`, a BEM dependency event, a
+//! gossip scrub arriving from another node — bumps the epoch, so the next
+//! touch of *any* stamped copy on *any* loop self-evicts instead of
+//! serving. Nobody has to enumerate loops or keys to kill stale pages.
 //!
 //! Promotion is earned, not automatic: a page enters L1 only after its L2
 //! entry has served [`PROMOTE_AFTER`] hits in its current generation.
@@ -27,10 +28,9 @@
 //! [`CoherencyEpoch`]: dpc_core::CoherencyEpoch
 
 use crate::page_cache::PageCache;
-use bytes::Bytes;
-use dpc_http::{LoopCache, LoopCacheFactory, Method, Request, Response, Status};
+use crate::tier::{hit_status, page_response, Budget, Page, PageTier, Verdict};
+use dpc_http::{LoopCache, LoopCacheFactory, Method, Request, Response};
 use dpc_trace::{render_journey, Layer, SpanStatus, Tracer};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,42 +51,6 @@ pub fn page_key(target: &str, session: &str) -> String {
     format!("{target}\x00{session}")
 }
 
-/// RFC 9110 `If-None-Match` evaluation against one strong ETag: `*`
-/// matches anything, otherwise any member of the comma-separated list may
-/// match, comparing weakly (a `W/` prefix on the client's copy is
-/// ignored — for an unchanged page the weak and strong forms name the
-/// same bytes, which is all a 304 asserts).
-pub fn etag_matches(if_none_match: &str, etag: &str) -> bool {
-    if if_none_match.trim() == "*" {
-        return true;
-    }
-    if_none_match.split(',').any(|candidate| {
-        let candidate = candidate.trim();
-        candidate.strip_prefix("W/").unwrap_or(candidate) == etag
-    })
-}
-
-/// The body-free `304 Not Modified` for a conditional GET whose validator
-/// still matches, or `None` when the request is unconditional or the
-/// validator has moved. `x_cache` names the tier that answered, so
-/// metrics and traces can attribute the hash-only serve.
-pub(crate) fn revalidated_response(
-    req: &Request,
-    etag: Option<&str>,
-    x_cache: &'static str,
-) -> Option<Response> {
-    let etag = etag?;
-    let if_none_match = req.headers.get("If-None-Match")?;
-    if !etag_matches(if_none_match, etag) {
-        return None;
-    }
-    Some(
-        Response::status(Status::NOT_MODIFIED)
-            .with_header("ETag", etag)
-            .with_header("X-Cache", x_cache),
-    )
-}
-
 /// Session identity of a request: the `session` cookie value, or `""`
 /// for cookieless traffic (which then shares one key per target, exactly
 /// like a session-free static page should).
@@ -99,154 +63,6 @@ pub fn session_of(req: &Request) -> &str {
         .filter_map(|part| part.trim().strip_prefix("session="))
         .next()
         .unwrap_or("")
-}
-
-struct L1Entry {
-    body: Bytes,
-    content_type: String,
-    /// Strong validator carried up from the L2 entry at promotion, so an
-    /// L1 hit can answer `If-None-Match` with a 304 without touching the
-    /// L2 at all. The epoch stamp below guards it: a stale entry
-    /// self-evicts before its ETag could validate anything.
-    etag: Option<String>,
-    /// Coherency-epoch value the body was assembled under. A hit is only
-    /// a hit while the owning L2's epoch still equals this.
-    stamp: u64,
-    /// Expiry in nanoseconds of the owning L2's clock.
-    expires_at: u64,
-    /// Monotonic touch tick for LRU victim selection.
-    last_touch: u64,
-    /// The L2 this entry was promoted from. Held so the L1 hit path can
-    /// read the epoch and report tier stats without resolving the target
-    /// again — an L1 hit must not re-enter routing.
-    l2: Arc<PageCache>,
-}
-
-/// A byte-budgeted LRU of flattened assembled pages, owned by exactly one
-/// event loop. All methods take `&mut self`; there is no interior locking
-/// anywhere on the hit path.
-///
-/// Entries are keyed by the full session-qualified key string, never by a
-/// hash of it: a hit must be provably for *this* session's page, and a
-/// 64-bit non-cryptographic hash is attacker-constructible — a colliding
-/// key would serve one session's bytes to another, the exact leak the
-/// session-qualified keying exists to prevent.
-pub struct L1Cache {
-    entries: HashMap<String, L1Entry>,
-    budget_bytes: usize,
-    resident_bytes: usize,
-    ttl: Duration,
-    tick: u64,
-}
-
-impl L1Cache {
-    pub fn new(budget_bytes: usize, ttl: Duration) -> L1Cache {
-        L1Cache {
-            entries: HashMap::new(),
-            budget_bytes,
-            resident_bytes: 0,
-            ttl,
-            tick: 0,
-        }
-    }
-
-    /// Validated lookup. Serves only entries whose epoch stamp still
-    /// matches their L2's current epoch and whose TTL has not lapsed;
-    /// anything else self-evicts on this touch (stale evictions are
-    /// reported to the owning L2's stats so the node-level invariant
-    /// `hits == l1_hits + l2_hits` stays auditable next to them).
-    pub fn get(&mut self, key: &str) -> Option<(Bytes, String, Option<String>)> {
-        let entry = self.entries.get_mut(key)?;
-        let epoch_ok = entry
-            .l2
-            .coherence()
-            .map(|e| e.validates(entry.stamp))
-            .unwrap_or(true);
-        if !epoch_ok || entry.l2.clock().now_nanos() >= entry.expires_at {
-            let dead = self.entries.remove(key).expect("entry was just here");
-            self.resident_bytes -= dead.body.len();
-            if !epoch_ok {
-                dead.l2.note_l1_stale_eviction();
-            }
-            return None;
-        }
-        self.tick += 1;
-        entry.last_touch = self.tick;
-        let out = (
-            entry.body.clone(),
-            entry.content_type.clone(),
-            entry.etag.clone(),
-        );
-        entry.l2.note_l1_hit();
-        Some(out)
-    }
-
-    /// Install a flattened page. Bodies larger than the whole budget are
-    /// refused (they would evict everything and then thrash); otherwise
-    /// LRU entries are evicted until the newcomer fits.
-    ///
-    /// `l2_valid_for` is how much longer the source L2 entry stays fresh:
-    /// the L1 copy expires at `min(l1 ttl, l2_valid_for)` from now, so a
-    /// promotion never restarts the page's freshness clock — a page
-    /// assembled at t0 cannot serve past the expiry its L2 entry carried,
-    /// no matter how late it was promoted.
-    #[allow(clippy::too_many_arguments)] // each field is a distinct, documented promotion input
-    pub fn insert(
-        &mut self,
-        key: &str,
-        body: Bytes,
-        content_type: String,
-        etag: Option<String>,
-        stamp: u64,
-        l2_valid_for: Duration,
-        l2: Arc<PageCache>,
-    ) {
-        if body.len() > self.budget_bytes {
-            return;
-        }
-        if let Some(old) = self.entries.remove(key) {
-            self.resident_bytes -= old.body.len();
-        }
-        while self.resident_bytes + body.len() > self.budget_bytes {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_touch)
-                .map(|(key, _)| key.clone())
-                .expect("resident_bytes > 0 implies at least one entry");
-            let evicted = self.entries.remove(&victim).expect("victim exists");
-            self.resident_bytes -= evicted.body.len();
-        }
-        let valid_for = self.ttl.min(l2_valid_for).as_nanos();
-        let valid_for = u64::try_from(valid_for).unwrap_or(u64::MAX);
-        let expires_at = l2.clock().now_nanos().saturating_add(valid_for);
-        self.tick += 1;
-        self.resident_bytes += body.len();
-        self.entries.insert(
-            key.to_owned(),
-            L1Entry {
-                body,
-                content_type,
-                etag,
-                stamp,
-                expires_at,
-                last_touch: self.tick,
-                l2,
-            },
-        );
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    pub fn resident_bytes(&self) -> usize {
-        self.resident_bytes
-    }
 }
 
 /// Routes an L1-missed target to the [`PageCache`] (L2) that owns it.
@@ -263,11 +79,16 @@ pub type L2Resolver = Arc<dyn Fn(&str) -> Option<Arc<PageCache>> + Send + Sync>;
 /// directory locks; a full miss returns `None` and the request proceeds
 /// to the ordinary handler unchanged.
 pub struct LoopTier {
-    l1: L1Cache,
+    /// This loop's L1. Each copy links the L2 it was promoted from, so a
+    /// hit can be judged and booked without resolving the target again —
+    /// an L1 hit must not re-enter routing.
+    l1: PageTier<Arc<PageCache>>,
+    /// The longest an L1 copy lives, whatever its L2 source has left.
+    ttl: Duration,
     resolve: L2Resolver,
-    /// Index of the owning event loop — reported as `shard=` in the
-    /// `X-DPC-Trace` cache journey so an operator can see which loop's L1
-    /// served a traced hit.
+    /// Index of the owning event loop (set by [`LoopTier::factory`]) —
+    /// reported as `shard=` in the `X-DPC-Trace` cache journey so an
+    /// operator can see which loop's L1 served a traced hit.
     loop_index: usize,
     /// Span recorder handle: tier probes record `TierL1`/`TierL2` spans,
     /// and the opt-in `X-DPC-Trace` response header is rendered from the
@@ -278,25 +99,12 @@ pub struct LoopTier {
 impl LoopTier {
     pub fn new(l1_budget_bytes: usize, ttl: Duration, resolve: L2Resolver) -> LoopTier {
         LoopTier {
-            l1: L1Cache::new(l1_budget_bytes, ttl),
+            l1: PageTier::new(Budget::Bytes(l1_budget_bytes)),
+            ttl,
             resolve,
             loop_index: 0,
             tracer: Tracer::off(),
         }
-    }
-
-    /// Builder: set the owning event loop's index (see
-    /// [`LoopTier::factory`], which does this automatically).
-    pub fn with_loop_index(mut self, loop_index: usize) -> LoopTier {
-        self.loop_index = loop_index;
-        self
-    }
-
-    /// Builder: record tier spans (and render `X-DPC-Trace` journeys)
-    /// through `tracer`.
-    pub fn with_tracer(mut self, tracer: Tracer) -> LoopTier {
-        self.tracer = tracer;
-        self
     }
 
     /// A [`LoopCacheFactory`] handing every event loop its own private
@@ -308,12 +116,54 @@ impl LoopTier {
         tracer: Tracer,
     ) -> LoopCacheFactory {
         Arc::new(move |loop_index| {
-            Box::new(
-                LoopTier::new(l1_budget_bytes, ttl, Arc::clone(&resolve))
-                    .with_loop_index(loop_index)
-                    .with_tracer(tracer.clone()),
-            )
+            let mut tier = LoopTier::new(l1_budget_bytes, ttl, Arc::clone(&resolve));
+            tier.loop_index = loop_index;
+            tier.tracer = tracer.clone();
+            Box::new(tier)
         })
+    }
+
+    /// The L1 probe: `key`'s loop-local copy while its L2's verdict is a
+    /// hit. A stale copy self-evicts on this touch and is booked, like
+    /// the hit, in its L2's stats — so the node-level invariant
+    /// `hits == l1_hits + l2_hits` stays auditable next to it.
+    fn l1_hit(&mut self, key: &str) -> Option<&Page> {
+        match self
+            .l1
+            .lookup(key, |entry| entry.link.verdict(&entry.page))?
+        {
+            Ok(entry) => {
+                entry.link.note_l1_hit();
+                Some(&entry.page)
+            }
+            Err((Verdict::Stale, entry)) => {
+                entry.link.note_l1_stale_eviction();
+                None
+            }
+            Err(_) => None,
+        }
+    }
+
+    /// Copy an L2 hit into this loop's L1 once it has earned it. Only
+    /// stamped pages are promotable: an unstamped page has no epoch to
+    /// validate against, so the L1 could never notice its invalidation.
+    /// The copy expires at `min(now + ttl, the L2 expiry)`, so promotion
+    /// never restarts the page's freshness clock — a page assembled at t0
+    /// cannot serve past the expiry its L2 entry carried, however late it
+    /// was promoted.
+    fn promote(&mut self, key: &str, page: &Page, l2: &Arc<PageCache>) {
+        if page.stamp.is_none() || page.hits < PROMOTE_AFTER {
+            return;
+        }
+        let ttl = u64::try_from(self.ttl.as_nanos()).unwrap_or(u64::MAX);
+        let expires_at = page
+            .expires_at
+            .min(l2.clock().now_nanos().saturating_add(ttl));
+        let copy = Page {
+            expires_at,
+            ..page.clone()
+        };
+        self.l1.insert(key, copy, Arc::clone(l2));
     }
 
     /// Opt-in cache-journey annotation for tier-served responses: when the
@@ -345,70 +195,36 @@ impl LoopTier {
 }
 
 impl LoopCache for LoopTier {
+    /// L1, then the owning L2 (promoting its hot stamped pages), then
+    /// `None` for the handler. A conditional GET whose validator still
+    /// matches is answered hash-for-hash: no body bytes touched, no
+    /// allocation beyond the headers.
     fn try_serve(&mut self, req: &Request) -> Option<Response> {
         if req.method != Method::Get {
             return None;
         }
         let key = page_key(&req.target, session_of(req));
         let mut sp = self.tracer.span(Layer::TierL1);
-        if let Some((body, content_type, etag)) = self.l1.get(&key) {
-            // Conditional GETs whose validator still matches are answered
-            // hash-for-hash: no body bytes touched, no allocation beyond
-            // the headers. The entry already passed epoch validation in
-            // `L1Cache::get`, so this 304 cannot confirm a stale page.
-            if let Some(resp) = revalidated_response(req, etag.as_deref(), "dpc-l1") {
-                sp.set_status(SpanStatus::Revalidated);
-                drop(sp);
-                return Some(self.attach_journey(req, resp));
-            }
-            sp.set_status(SpanStatus::Hit);
-            let mut resp = Response::html(body)
-                .with_header("Content-Type", content_type)
-                .with_header("X-Cache", "dpc-l1");
-            if let Some(etag) = etag {
-                resp = resp.with_header("ETag", etag);
-            }
+        let resp = if let Some(page) = self.l1_hit(&key) {
+            page_response(req, page, "dpc-l1")
+        } else {
+            sp.set_status(SpanStatus::Miss);
             drop(sp);
-            return Some(self.attach_journey(req, resp));
-        }
-        sp.set_status(SpanStatus::Miss);
-        drop(sp);
-        let l2 = (self.resolve)(&req.target)?;
-        let mut l2sp = self.tracer.span(Layer::TierL2);
-        let Some(hit) = l2.get_page(&key) else {
-            l2sp.set_status(SpanStatus::Miss);
-            return None;
+            let l2 = (self.resolve)(&req.target)?;
+            sp = self.tracer.span(Layer::TierL2);
+            // The handler probes the L2 again after a miss here and counts
+            // it there, once per request.
+            let Some(page) = l2.lookup(&key, false) else {
+                sp.set_status(SpanStatus::Miss);
+                return None;
+            };
+            // Promotion happens even on a 304 serve — the conditional
+            // traffic is exactly as hot.
+            self.promote(&key, &page, &l2);
+            page_response(req, &page, "dpc-l2")
         };
-        l2sp.set_status(SpanStatus::Hit);
-        if let Some(stamp) = hit.stamp {
-            // Only stamped (DPC-installed) entries are promotable: an
-            // unstamped entry has no epoch to validate against, so L1
-            // could never notice its invalidation. Promotion happens even
-            // on a 304 serve — the conditional traffic is exactly as hot.
-            if hit.entry_hits >= PROMOTE_AFTER {
-                self.l1.insert(
-                    &key,
-                    hit.body.clone(),
-                    hit.content_type.clone(),
-                    hit.etag.clone(),
-                    stamp,
-                    hit.ttl_remaining,
-                    Arc::clone(&l2),
-                );
-            }
-        }
-        if let Some(resp) = revalidated_response(req, hit.etag.as_deref(), "dpc-l2") {
-            l2sp.set_status(SpanStatus::Revalidated);
-            drop(l2sp);
-            return Some(self.attach_journey(req, resp));
-        }
-        let mut resp = Response::html(hit.body)
-            .with_header("Content-Type", hit.content_type)
-            .with_header("X-Cache", "dpc-l2");
-        if let Some(etag) = hit.etag {
-            resp = resp.with_header("ETag", etag);
-        }
-        drop(l2sp);
+        sp.set_status(hit_status(&resp));
+        drop(sp);
         Some(self.attach_journey(req, resp))
     }
 }
@@ -416,6 +232,7 @@ impl LoopCache for LoopTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use dpc_core::CoherencyEpoch;
     use dpc_net::Clock;
 
@@ -428,6 +245,31 @@ mod tests {
         (pc, epoch)
     }
 
+    /// A loop tier over `l2` with an L1 of `budget_bytes`.
+    fn loop_tier(l2: &Arc<PageCache>, budget_bytes: usize) -> LoopTier {
+        let l2 = Arc::clone(l2);
+        LoopTier::new(
+            budget_bytes,
+            Duration::from_secs(60),
+            Arc::new(move |_| Some(Arc::clone(&l2))),
+        )
+    }
+
+    /// How long the L2 pages these tests promote stay fresh.
+    const FRESH: Duration = Duration::from_secs(600);
+
+    /// A current L2 page that has earned promotion, fresh for `valid_for`.
+    fn hot(l2: &PageCache, body: &'static [u8], valid_for: Duration) -> Page {
+        Page {
+            body: Bytes::from_static(body),
+            content_type: "t".into(),
+            etag: None,
+            stamp: Some(l2.coherence_stamp()),
+            expires_at: l2.clock().now_nanos() + valid_for.as_nanos() as u64,
+            hits: PROMOTE_AFTER,
+        }
+    }
+
     #[test]
     fn session_extraction_handles_multi_cookie_headers() {
         let req = Request::get("/p").with_header("Cookie", "theme=dark; session=u7; lang=en");
@@ -438,21 +280,13 @@ mod tests {
     #[test]
     fn l1_hit_validates_the_epoch_and_self_evicts_after_a_bump() {
         let (l2, epoch) = l2_with_epoch();
-        let mut l1 = L1Cache::new(1 << 20, Duration::from_secs(60));
+        let mut tier = loop_tier(&l2, 1 << 20);
         let key = page_key("/p", "alice");
-        l1.insert(
-            &key,
-            Bytes::from_static(b"hot"),
-            "t".into(),
-            None,
-            epoch.value(),
-            Duration::from_secs(600),
-            l2.clone(),
-        );
-        assert!(l1.get(&key).is_some());
+        tier.promote(&key, &hot(&l2, b"hot", FRESH), &l2);
+        assert!(tier.l1_hit(&key).is_some());
         epoch.bump();
-        assert!(l1.get(&key).is_none(), "stale entry must self-evict");
-        assert!(l1.is_empty());
+        assert!(tier.l1_hit(&key).is_none(), "stale entry must self-evict");
+        assert!(tier.l1.is_empty());
         let stats = l2.stats();
         assert_eq!(stats.l1_hits, 1);
         assert_eq!(stats.l1_stale_evictions, 1);
@@ -461,57 +295,25 @@ mod tests {
 
     #[test]
     fn l1_budget_evicts_the_least_recently_touched() {
-        let (l2, epoch) = l2_with_epoch();
-        let mut l1 = L1Cache::new(10, Duration::from_secs(60));
-        l1.insert(
-            "a",
-            Bytes::from_static(b"xxxx"),
-            "t".into(),
-            None,
-            epoch.value(),
-            Duration::from_secs(600),
-            l2.clone(),
-        );
-        l1.insert(
-            "b",
-            Bytes::from_static(b"yyyy"),
-            "t".into(),
-            None,
-            epoch.value(),
-            Duration::from_secs(600),
-            l2.clone(),
-        );
-        assert!(l1.get("a").is_some(), "touch a so b is the LRU victim");
-        l1.insert(
-            "c",
-            Bytes::from_static(b"zzzz"),
-            "t".into(),
-            None,
-            epoch.value(),
-            Duration::from_secs(600),
-            l2.clone(),
-        );
-        assert!(l1.get("a").is_some());
-        assert!(l1.get("b").is_none(), "b was evicted for c");
-        assert!(l1.get("c").is_some());
-        assert!(l1.resident_bytes() <= 10);
+        let (l2, _epoch) = l2_with_epoch();
+        let mut tier = loop_tier(&l2, 10);
+        tier.promote("a", &hot(&l2, b"xxxx", FRESH), &l2);
+        tier.promote("b", &hot(&l2, b"yyyy", FRESH), &l2);
+        assert!(tier.l1_hit("a").is_some(), "touch a so b is the LRU victim");
+        tier.promote("c", &hot(&l2, b"zzzz", FRESH), &l2);
+        assert!(tier.l1_hit("a").is_some());
+        assert!(tier.l1_hit("b").is_none(), "b was evicted for c");
+        assert!(tier.l1_hit("c").is_some());
+        assert!(tier.l1.used() <= 10);
     }
 
     #[test]
     fn oversized_bodies_are_refused_outright() {
-        let (l2, epoch) = l2_with_epoch();
-        let mut l1 = L1Cache::new(4, Duration::from_secs(60));
-        l1.insert(
-            "big",
-            Bytes::from_static(b"too large"),
-            "t".into(),
-            None,
-            epoch.value(),
-            Duration::from_secs(600),
-            l2,
-        );
-        assert!(l1.is_empty());
-        assert_eq!(l1.resident_bytes(), 0);
+        let (l2, _epoch) = l2_with_epoch();
+        let mut tier = loop_tier(&l2, 4);
+        tier.promote("big", &hot(&l2, b"too large", FRESH), &l2);
+        assert!(tier.l1.is_empty());
+        assert_eq!(tier.l1.used(), 0);
     }
 
     #[test]
@@ -519,31 +321,18 @@ mod tests {
         // The L1 is keyed by the full key string — a lookup can only ever
         // return bytes installed under exactly that key, so no constructed
         // collision can leak one session's page to another.
-        let (l2, epoch) = l2_with_epoch();
-        let mut l1 = L1Cache::new(1 << 20, Duration::from_secs(60));
+        let (l2, _epoch) = l2_with_epoch();
+        let mut tier = loop_tier(&l2, 1 << 20);
         let bob = page_key("/account.jsp", "bob");
         let alice = page_key("/account.jsp", "alice");
-        l1.insert(
-            &bob,
-            Bytes::from_static(b"bob's page"),
-            "t".into(),
-            None,
-            epoch.value(),
-            Duration::from_secs(600),
-            l2.clone(),
+        tier.promote(&bob, &hot(&l2, b"bob's page", FRESH), &l2);
+        assert!(
+            tier.l1_hit(&alice).is_none(),
+            "alice must miss, never get bob"
         );
-        assert!(l1.get(&alice).is_none(), "alice must miss, never get bob");
-        l1.insert(
-            &alice,
-            Bytes::from_static(b"alice's page"),
-            "t".into(),
-            None,
-            epoch.value(),
-            Duration::from_secs(600),
-            l2,
-        );
-        let (bob_body, _, _) = l1.get(&bob).unwrap();
-        let (alice_body, _, _) = l1.get(&alice).unwrap();
+        tier.promote(&alice, &hot(&l2, b"alice's page", FRESH), &l2);
+        let bob_body = tier.l1_hit(&bob).unwrap().body.clone();
+        let alice_body = tier.l1_hit(&alice).unwrap().body.clone();
         assert_eq!(&bob_body[..], b"bob's page");
         assert_eq!(&alice_body[..], b"alice's page");
     }
@@ -553,33 +342,26 @@ mod tests {
         // A page promoted just before its L2 entry expires must not get a
         // fresh L1 TTL: the entry's lifetime is capped by the remaining L2
         // validity carried in at insert.
-        let (l2, epoch) = l2_with_epoch();
-        let mut l1 = L1Cache::new(1 << 20, Duration::from_secs(60));
-        l1.insert(
-            "nearly-dead",
-            Bytes::from_static(b"old"),
-            "t".into(),
-            None,
-            epoch.value(),
-            Duration::ZERO,
-            l2,
-        );
+        let (l2, _epoch) = l2_with_epoch();
+        let mut tier = loop_tier(&l2, 1 << 20);
+        tier.promote("nearly-dead", &hot(&l2, b"old", Duration::ZERO), &l2);
         assert!(
-            l1.get("nearly-dead").is_none(),
+            tier.l1_hit("nearly-dead").is_none(),
             "an L1 copy expires with its L2 source, not on its own clock"
         );
-        assert!(l1.is_empty());
+        assert!(tier.l1.is_empty());
     }
 
     #[test]
     fn loop_tier_promotes_after_the_threshold_and_serves_l1() {
         let (l2, epoch) = l2_with_epoch();
         let key = page_key("/p", "u1");
-        l2.put_stamped(
+        l2.install(
             &key,
             Bytes::from_static(b"page"),
             "text/html",
-            epoch.value(),
+            Some(epoch.value()),
+            None,
         );
         let resolve: L2Resolver = {
             let l2 = l2.clone();
@@ -604,11 +386,12 @@ mod tests {
     #[test]
     fn loop_tier_is_session_aware_like_the_paper_demands() {
         let (l2, epoch) = l2_with_epoch();
-        l2.put_stamped(
+        l2.install(
             &page_key("/account.jsp", "bob"),
             Bytes::from_static(b"bob's page"),
             "text/html",
-            epoch.value(),
+            Some(epoch.value()),
+            None,
         );
         let resolve: L2Resolver = {
             let l2 = l2.clone();

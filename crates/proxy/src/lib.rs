@@ -23,6 +23,14 @@
 //! lazy peer-fetch key-range handoff, and a gossiped invalidation feed
 //! that scrubs freed slots cluster-wide (see the `dpc-cluster` crate).
 //!
+//! DPC mode can also serve assembled pages from a two-level page tier:
+//! [`l1`] gives each event loop a private L1 over the node's shared
+//! [`PageCache`] (the L2), and both levels are instances of one
+//! [`tier::PageTier`] — one [`tier::Page`] type, one LRU, one
+//! stamp-and-expiry check ([`PageCache::verdict`]), one install
+//! ([`PageCache::install`]) and one hit response
+//! ([`tier::page_response`]).
+//!
 //! [`testbed`] reconstructs the paper's Figure 4: clients → (external box:
 //! firewall + proxy/DPC) → wire under measurement → (origin box: web
 //! server + BEM + repository), all over the metered [`dpc_net::SimNetwork`]
@@ -42,10 +50,11 @@ pub mod node;
 pub mod page_cache;
 pub mod ring_cluster;
 pub mod testbed;
+pub mod tier;
 
 pub use front::{Proxy, ProxyStats};
-pub use l1::{page_key, L1Cache, L2Resolver, LoopTier};
+pub use l1::{page_key, L2Resolver, LoopTier};
 pub use modes::ProxyMode;
-pub use page_cache::{PageCache, PageCacheStats, PageHit};
+pub use page_cache::{PageCache, PageCacheStats};
 pub use ring_cluster::{RingCluster, RingConfig};
 pub use testbed::{Testbed, TestbedConfig};

@@ -199,7 +199,8 @@ pub fn register_page_cache(
             &with_label(&labels, "tier", "l2"),
             s.l2_stale_evictions,
         );
-        // The page cache never refuses admission. The series stays, at 0,
+        // The page cache has no admission policy (it refuses only installs
+        // an invalidation already outdated). The series stays, at 0,
         // because the benchmark reads it (`proxy.page_admission_rejections`);
         // a `[benchmark]` change retires it together with that reader.
         e.counter("dpc_page_admission_rejections_total", &labels, 0);

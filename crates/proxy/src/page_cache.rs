@@ -1,24 +1,26 @@
-//! URL-keyed full-page cache — the §3.2.1 baseline.
+//! The node's shared page cache: the §3.2.1 URL-keyed baseline, and the
+//! DPC's L2 page tier.
 //!
-//! Deliberately faithful to its 2002 commercial counterparts, including
-//! their defects: the cache key is the request URL alone (no session
-//! awareness — hence the Bob/Alice wrong-page hazard) and invalidation is
-//! whole-page (hence the over-invalidation the paper's stock-quote example
-//! describes). `PURGE <target>` drops one entry.
+//! In page-cache mode it is deliberately faithful to its 2002 commercial
+//! counterparts, including their defects: the cache key is the request URL
+//! alone (no session awareness — hence the Bob/Alice wrong-page hazard)
+//! and invalidation is whole-page (hence the over-invalidation the paper's
+//! stock-quote example describes). `PURGE <target>` drops one entry.
 //!
-//! Replacement is LRU ([`dpc_core::LruReplacer`], from `dpc-policy`),
-//! keyed by the URL's FNV hash. Hashed keys keep the hit path
-//! allocation-free (an `LruReplacer<String>` would need an owned `String`
-//! per `touch`); an `ident → URL` owner map resolves victims, and the
-//! astronomically rare 64-bit collision is handled by purging the
-//! previous owner.
+//! In DPC mode it holds assembled pages under session-qualified keys,
+//! stamped with the node's coherency epoch, and is the L2 that each event
+//! loop's L1 promotes from ([`crate::l1`]).
+//!
+//! Either way the pages live in one [`PageTier`] behind one mutex, with a
+//! page budget and LRU replacement; the cache keeps its counters, the
+//! page-cache mode's single flight and the purge epoch beside it.
 
+use crate::tier::{Budget, Page, PageTier, Verdict};
 use bytes::Bytes;
-use dpc_core::{fnv1a, CoherencyEpoch, FlightGroup, Join, LruReplacer, Publish, Replacer};
+use dpc_core::{fnv1a, CoherencyEpoch, FlightGroup, Join, Publish};
 use dpc_net::Clock;
 use dpc_trace::{Layer, SpanStatus, Tracer};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -37,78 +39,6 @@ pub enum PageServe {
     /// This caller led the fill: the closure ran and its full response is
     /// in the caller's hands.
     Led,
-}
-
-/// A cached page body plus metadata.
-#[derive(Clone)]
-struct PageEntry {
-    body: Bytes,
-    content_type: String,
-    expires_at: u64,
-    /// Coherence stamp for assembled-page entries (the DPC's L2 tier):
-    /// the [`CoherencyEpoch`] value captured *before* the page was
-    /// assembled. Validated against the live epoch on every hit —
-    /// a mismatch means an invalidation (purge, data update, gossip
-    /// scrub) landed since assembly and the entry self-evicts. `None`
-    /// for classic page-cache-mode entries, which rely on explicit
-    /// `PURGE` + TTL alone (their install predates the epoch and a
-    /// global stamp would over-invalidate the baseline).
-    stamp: Option<u64>,
-    /// Hits served from this entry since install. Drives L1 promotion:
-    /// the per-loop tier only copies a page up on the Nth hit, keeping
-    /// one-hit wonders out of the small L1 budget.
-    hits: u64,
-    /// Strong validator for conditional GETs — the quoted form of the
-    /// page's assembly-time content identity
-    /// ([`dpc_core::AssemblyStats::page_identity`]). `None` for entries
-    /// installed by paths that carry no identity (classic page-cache
-    /// mode), which then never answer `If-None-Match` with a 304.
-    etag: Option<String>,
-}
-
-/// An L2 hit as seen by the per-loop L1 tier: the page plus the metadata
-/// the L1 needs to install and later re-validate it.
-pub struct PageHit {
-    pub body: Bytes,
-    pub content_type: String,
-    /// The entry's coherence stamp: `Some(epoch value at install)` for
-    /// stamped (tiered) entries, `None` for classic unstamped pages.
-    pub stamp: Option<u64>,
-    /// Hits this entry has served, including this one.
-    pub entry_hits: u64,
-    /// How much longer this entry stays fresh in the L2. An L1 promotion
-    /// caps its copy's expiry at this, so promotion never restarts the
-    /// page's freshness clock (a late promotion would otherwise serve the
-    /// page for up to twice the configured TTL).
-    pub ttl_remaining: Duration,
-    /// The entry's strong ETag, when its installer carried one. Because
-    /// stale stamped entries self-evict in the lookup before a hit is
-    /// produced, an ETag read off a `PageHit` is always epoch-current —
-    /// a 304 built from it can never validate a page an invalidation
-    /// already outdated.
-    pub etag: Option<String>,
-}
-
-/// Maps and replacer move together under one lock: eviction decisions and
-/// entry removal must be atomic.
-struct PageInner {
-    entries: HashMap<String, PageEntry>,
-    /// Victim resolution: replacer key (URL hash) → URL.
-    owner: HashMap<u64, String>,
-    replacer: LruReplacer<u64>,
-}
-
-impl PageInner {
-    /// Remove `target`'s entry and its replacer tracking (expiry, purge,
-    /// collision displacement — removals, never evictions).
-    fn forget(&mut self, target: &str, ident: u64) -> bool {
-        let removed = self.entries.remove(target).is_some();
-        if removed {
-            self.owner.remove(&ident);
-            self.replacer.remove(&ident);
-        }
-        removed
-    }
 }
 
 /// Per-tier counter snapshot of a node's page caching (the shared L2
@@ -150,31 +80,9 @@ impl PageCacheStats {
     }
 }
 
-/// URL-keyed page cache with TTL and LRU replacement.
-pub struct PageCache {
-    clock: Clock,
-    ttl: Duration,
-    capacity: usize,
-    inner: Mutex<PageInner>,
-    /// Single-flight per URL hash: concurrent misses for the same page
-    /// collapse into one origin fetch (see [`PageCache::get_or_fill`]).
-    flight: FlightGroup<u64, (Bytes, String)>,
-    /// Bumped (under the `inner` lock) by every `purge` and `clear`. A
-    /// fill captures it before fetching the origin and the install checks
-    /// it again under the same lock, so a page generated before a purge
-    /// can never be (re)installed after it — even on paths with no live
-    /// flight to stamp, like the lap-cap fallback, and even in the window
-    /// between a leader's publish and its install. The epoch is global to
-    /// the cache: a purge of an *unrelated* URL also skips a concurrent
-    /// install (the page is served but not cached — conservative, never
-    /// wrong, and purges are rare next to fills).
-    purge_epoch: AtomicU64,
-    /// Node-wide coherence epoch shared with the per-loop L1 tier and
-    /// every invalidation path (purge, origin data update, gossip scrub).
-    /// `purge`/`clear` bump it so stamped entries — here and in every L1
-    /// — self-evict on next touch. `None` when the node runs no
-    /// assembled-page tier (classic page-cache mode).
-    coherence: Option<CoherencyEpoch>,
+/// The counters behind [`PageCacheStats`].
+#[derive(Default)]
+struct Counters {
     /// Hits the per-loop L1 tier reported into this node's books (see
     /// [`PageCache::note_l1_hit`]). Total hits are derived as
     /// `l1_hits + l2_hits` — a third counter could be observed mid-update
@@ -193,6 +101,34 @@ pub struct PageCache {
     flight_leaders: AtomicU64,
     coalesced_waits: AtomicU64,
     flight_retries: AtomicU64,
+}
+
+/// The node's page cache: one [`PageTier`] with TTL and LRU replacement.
+pub struct PageCache {
+    clock: Clock,
+    /// How long an installed page stays fresh, in nanoseconds.
+    ttl_nanos: u64,
+    tier: Mutex<PageTier>,
+    /// Single-flight per URL hash: concurrent misses for the same page
+    /// collapse into one origin fetch (see [`PageCache::get_or_fill`]).
+    flight: FlightGroup<u64, (Bytes, String)>,
+    /// Bumped (under the `tier` lock) by every `purge` and `clear`. A
+    /// fill captures it before fetching the origin and the install checks
+    /// it again under the same lock, so a page generated before a purge
+    /// can never be (re)installed after it — even on paths with no live
+    /// flight to stamp, like the lap-cap fallback, and even in the window
+    /// between a leader's publish and its install. The epoch is global to
+    /// the cache: a purge of an *unrelated* URL also skips a concurrent
+    /// install (the page is served but not cached — conservative, never
+    /// wrong, and purges are rare next to fills).
+    purge_epoch: AtomicU64,
+    /// Node-wide coherence epoch shared with the per-loop L1 tier and
+    /// every invalidation path (purge, origin data update, gossip scrub).
+    /// `purge`/`clear` bump it so stamped entries — here and in every L1
+    /// — self-evict on next touch. `None` when the node runs no
+    /// assembled-page tier (classic page-cache mode).
+    coherence: Option<CoherencyEpoch>,
+    counts: Counters,
     /// Span recorder handle for the L2 lookup and single-flight legs of
     /// [`PageCache::get_or_fill`]. `Tracer::off()` until
     /// [`PageCache::set_tracer`] installs one.
@@ -202,29 +138,14 @@ pub struct PageCache {
 impl PageCache {
     /// An LRU cache of at most `capacity` pages, each fresh for `ttl`.
     pub fn new(clock: Clock, ttl: Duration, capacity: usize) -> PageCache {
-        let capacity = capacity.max(1);
         PageCache {
             clock,
-            ttl,
-            capacity,
-            inner: Mutex::new(PageInner {
-                entries: HashMap::new(),
-                owner: HashMap::new(),
-                replacer: LruReplacer::new(),
-            }),
+            ttl_nanos: ttl.as_nanos().try_into().unwrap_or(u64::MAX),
+            tier: Mutex::new(PageTier::new(Budget::Pages(capacity.max(1)))),
             flight: FlightGroup::new(),
             purge_epoch: AtomicU64::new(0),
             coherence: None,
-            l1_hits: AtomicU64::new(0),
-            l2_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            purges: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            l1_stale_evictions: AtomicU64::new(0),
-            l2_stale_evictions: AtomicU64::new(0),
-            flight_leaders: AtomicU64::new(0),
-            coalesced_waits: AtomicU64::new(0),
-            flight_retries: AtomicU64::new(0),
+            counts: Counters::default(),
             tracer: Mutex::new(Tracer::off()),
         }
     }
@@ -243,7 +164,7 @@ impl PageCache {
     }
 
     /// Attach the node's coherence epoch, turning on stamp validation for
-    /// assembled-page entries ([`PageCache::put_stamped`]) and making
+    /// assembled pages ([`PageCache::install`] with a stamp) and making
     /// `purge`/`clear` bump the epoch (so stamped entries in every tier —
     /// this cache and each loop's L1 — self-evict on next touch).
     pub fn with_coherence(mut self, epoch: CoherencyEpoch) -> PageCache {
@@ -263,172 +184,109 @@ impl PageCache {
 
     /// Current coherence stamp for a fill about to start. Must be read
     /// *before* the origin fetch/assembly, so an invalidation racing the
-    /// fill lands at or after the stamp and the installed entry fails
-    /// validation on first touch. Zero (never current once the epoch has
-    /// moved, always current before) when no epoch is attached.
+    /// fill lands at or after the stamp and the install refuses the page.
+    /// Zero (never current once the epoch has moved, always current
+    /// before) when no epoch is attached.
     pub fn coherence_stamp(&self) -> u64 {
         self.coherence.as_ref().map(|e| e.value()).unwrap_or(0)
     }
 
-    /// Look up `target`; counts a hit or miss.
-    pub fn get(&self, target: &str) -> Option<(Bytes, String)> {
-        self.lookup(target).map(|hit| (hit.body, hit.content_type))
-    }
-
-    /// Look up `target` for the per-loop L1 tier: the same hit/miss
-    /// accounting and stale/expiry handling as [`PageCache::get`], plus
-    /// the coherence stamp and the entry's running hit count so the L1
-    /// can validate and decide promotion.
-    pub fn get_page(&self, target: &str) -> Option<PageHit> {
-        self.lookup(target)
-    }
-
-    fn lookup(&self, target: &str) -> Option<PageHit> {
-        let now = self.clock.now_nanos();
-        let ident = fnv1a(target.as_bytes());
-        let mut inner = self.inner.lock();
-        // Read under the lock: a scrub/purge that bumped the epoch before
-        // this lookup began is guaranteed visible, so a completed
-        // invalidation never leaves a stale stamped entry servable.
-        let epoch = self.coherence.as_ref().map(|e| e.value());
-        enum State {
-            Hit,
-            Stale,
-            Expired,
-            Missing,
-        }
-        let state = match inner.entries.get(target) {
-            Some(e) if e.stamp.is_some() && epoch.is_some() && e.stamp != epoch => State::Stale,
-            Some(e) if e.expires_at > now => State::Hit,
-            Some(_) => State::Expired,
-            None => State::Missing,
-        };
-        match state {
-            State::Hit => {
-                let entry = inner.entries.get_mut(target).expect("probed above");
-                entry.hits += 1;
-                let hit = PageHit {
-                    body: entry.body.clone(),
-                    content_type: entry.content_type.clone(),
-                    stamp: entry.stamp,
-                    entry_hits: entry.hits,
-                    ttl_remaining: Duration::from_nanos(entry.expires_at.saturating_sub(now)),
-                    etag: entry.etag.clone(),
-                };
-                inner.replacer.touch(&ident);
-                self.l2_hits.fetch_add(1, Ordering::Relaxed);
-                Some(hit)
-            }
-            State::Stale => {
-                // An invalidation outdated the stamp; self-evict. A
-                // removal, not an eviction.
-                inner.forget(target, ident);
-                self.l2_stale_evictions.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            State::Expired => {
-                // Expiry is a removal, not an eviction.
-                inner.forget(target, ident);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            State::Missing => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+    /// The one stamp-and-expiry check, for this cache's pages and for
+    /// every L1 copy promoted from them: stale once the coherence epoch
+    /// has moved past the page's stamp (unstamped pages ignore the epoch),
+    /// expired once the node clock reaches its expiry.
+    pub fn verdict(&self, page: &Page) -> Verdict {
+        match (page.stamp, &self.coherence) {
+            (Some(stamp), Some(epoch)) if !epoch.validates(stamp) => Verdict::Stale,
+            _ if self.clock.now_nanos() >= page.expires_at => Verdict::Expired,
+            _ => Verdict::Hit,
         }
     }
 
-    /// Insert a page under `target`, evicting the least recently used page
-    /// when over capacity.
-    pub fn put(&self, target: &str, body: Bytes, content_type: &str) {
-        let mut inner = self.inner.lock();
-        self.install(&mut inner, target, body, content_type, None, None);
+    /// The one lookup: a copy of `key`'s page while its verdict is a hit;
+    /// a stale or expired page is dropped on this touch. Counts the hit,
+    /// or — when `count_miss` — the miss. The loop tier's probe passes
+    /// `false`: the handler probes again after it, so a request that
+    /// misses both tiers counts one miss.
+    pub fn lookup(&self, key: &str, count_miss: bool) -> Option<Page> {
+        // The verdict reads the epoch under the lock: a scrub/purge that
+        // bumped it before this lookup began is guaranteed visible, so a
+        // completed invalidation never leaves a stale entry servable.
+        let mut tier = self.tier.lock();
+        match tier.lookup(key, |entry| self.verdict(&entry.page)) {
+            Some(Ok(entry)) => {
+                self.counts.l2_hits.fetch_add(1, Ordering::Relaxed);
+                return Some(entry.page.clone());
+            }
+            Some(Err((Verdict::Stale, _))) => {
+                self.counts
+                    .l2_stale_evictions
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
+        }
+        if count_miss {
+            self.counts.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        None
     }
 
-    /// Insert an assembled page under `target` with a coherence `stamp`
-    /// (captured via [`PageCache::coherence_stamp`] *before* the page was
-    /// assembled). Always installs; a stamp already outdated by a racing
-    /// invalidation is caught by validation on first touch, so a stale
-    /// install self-evicts instead of serving.
-    pub fn put_stamped(&self, target: &str, body: Bytes, content_type: &str, stamp: u64) {
-        self.put_stamped_tagged(target, body, content_type, stamp, None);
-    }
-
-    /// [`PageCache::put_stamped`] plus the page's strong ETag, so later
-    /// hits can answer `If-None-Match` with a body-free 304.
-    pub fn put_stamped_tagged(
+    /// The one install: `body` goes in under `key`, fresh for this cache's
+    /// TTL, replacing any page there and evicting the least recently used
+    /// page when full. A stamped page is refused (returns `false`) when its
+    /// `stamp` — captured via [`PageCache::coherence_stamp`] *before*
+    /// assembly — is no longer current: checked under the lock, so an
+    /// outdated fill can never push out a page installed after the bump.
+    /// `etag` lets later hits answer `If-None-Match` with a 304.
+    pub fn install(
         &self,
-        target: &str,
-        body: Bytes,
-        content_type: &str,
-        stamp: u64,
-        etag: Option<String>,
-    ) {
-        let mut inner = self.inner.lock();
-        self.install(&mut inner, target, body, content_type, Some(stamp), etag);
-    }
-
-    /// `put` gated on the purge epoch: installs only if no `purge`/`clear`
-    /// has landed since `epoch` was captured. The check and the install
-    /// happen under the same lock the purge bumps the epoch under, so
-    /// there is no window for a pre-purge page to slip in after the purge.
-    /// Returns whether the page was installed.
-    fn put_unless_purged(&self, target: &str, body: Bytes, content_type: &str, epoch: u64) -> bool {
-        let mut inner = self.inner.lock();
-        if self.purge_epoch.load(Ordering::Relaxed) != epoch {
-            return false;
-        }
-        self.install(&mut inner, target, body, content_type, None, None);
-        true
-    }
-
-    /// Install a page under an already-held `inner` lock, evicting per
-    /// policy when over capacity (the body of [`PageCache::put`]).
-    fn install(
-        &self,
-        inner: &mut PageInner,
-        target: &str,
+        key: &str,
         body: Bytes,
         content_type: &str,
         stamp: Option<u64>,
         etag: Option<String>,
-    ) {
-        let now = self.clock.now_nanos();
-        let ttl: u64 = self.ttl.as_nanos().try_into().unwrap_or(u64::MAX);
-        let ident = fnv1a(target.as_bytes());
-        let entry = PageEntry {
+    ) -> bool {
+        let page = Page {
+            stamp,
+            etag,
+            ..self.page(body, content_type)
+        };
+        self.install_if(key, page, |page| self.verdict(page) != Verdict::Stale)
+    }
+
+    /// An unstamped, untagged page, fresh for this cache's TTL from now.
+    fn page(&self, body: Bytes, content_type: &str) -> Page {
+        Page {
             body,
             content_type: content_type.to_owned(),
-            expires_at: now.saturating_add(ttl),
-            stamp,
+            etag: None,
+            stamp: None,
+            expires_at: self.clock.now_nanos().saturating_add(self.ttl_nanos),
             hits: 0,
-            etag,
-        };
-        if inner.entries.contains_key(target) {
-            // Refresh in place.
-            inner.entries.insert(target.to_owned(), entry);
-            inner.replacer.touch(&ident);
-            return;
         }
-        if let Some(previous) = inner.owner.get(&ident).cloned() {
-            // 64-bit hash collision with a different URL: displace the
-            // previous owner so entries/owner/replacer stay in lockstep.
-            inner.forget(&previous, ident);
+    }
+
+    /// Install `page` if `current` still holds under the lock that every
+    /// purge and epoch bump is taken under.
+    fn install_if(&self, key: &str, page: Page, current: impl FnOnce(&Page) -> bool) -> bool {
+        let mut tier = self.tier.lock();
+        if !current(&page) {
+            return false;
         }
-        while inner.entries.len() >= self.capacity {
-            let Some(victim) = inner.replacer.pick_victim() else {
-                return;
-            };
-            if let Some(url) = inner.owner.remove(&victim) {
-                inner.entries.remove(&url);
-            }
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        inner.replacer.admit(ident);
-        inner.entries.insert(target.to_owned(), entry);
-        inner.owner.insert(ident, target.to_owned());
+        let evicted = tier.insert(key, page, ()).unwrap_or(0);
+        self.counts.evictions.fetch_add(evicted, Ordering::Relaxed);
+        true
+    }
+
+    /// A classic fill's install: unstamped, and only if no `purge`/`clear`
+    /// has landed since `epoch` was captured — checked under the lock the
+    /// purge bumps the epoch under, so a pre-purge page cannot slip in
+    /// after the purge.
+    fn install_unless_purged(&self, target: &str, body: Bytes, content_type: &str, epoch: u64) {
+        let page = self.page(body, content_type);
+        self.install_if(target, page, |_| {
+            self.purge_epoch.load(Ordering::Relaxed) == epoch
+        });
     }
 
     /// Coalescing lookup for the miss path: a hit is returned directly; on
@@ -453,9 +311,9 @@ impl PageCache {
         {
             let mut sp = tracer.span(Layer::TierL2);
             sp.set_detail(ident);
-            if let Some((body, ct)) = self.get(target) {
+            if let Some(page) = self.lookup(target, true) {
                 sp.set_status(SpanStatus::Hit);
-                return PageServe::Hit(body, ct);
+                return PageServe::Hit(page.body, page.content_type);
             }
             sp.set_status(SpanStatus::Miss);
         }
@@ -470,7 +328,7 @@ impl PageCache {
                         // waiter's span can point back at the leader.
                         leader.annotate(fsp.id());
                     }
-                    self.flight_leaders.fetch_add(1, Ordering::Relaxed);
+                    self.counts.flight_leaders.fetch_add(1, Ordering::Relaxed);
                     // Captured before the origin fetch: any purge/clear
                     // landing after this point outdates the fill.
                     let epoch = self.purge_epoch.load(Ordering::Relaxed);
@@ -484,13 +342,13 @@ impl PageCache {
                             // between this publish and the install.
                             match leader.publish((body.clone(), ct.clone())) {
                                 Publish::Delivered(_) => {
-                                    self.put_unless_purged(target, body, &ct, epoch);
+                                    self.install_unless_purged(target, body, &ct, epoch);
                                 }
                                 Publish::Stale => {
                                     // A purge/clear landed mid-fill: our
                                     // page predates it and must not
                                     // outlive it.
-                                    self.flight_retries.fetch_add(1, Ordering::Relaxed);
+                                    self.counts.flight_retries.fetch_add(1, Ordering::Relaxed);
                                 }
                             }
                             PageServe::Led
@@ -507,17 +365,17 @@ impl PageCache {
                 Join::Value((body, ct), leader_span) => {
                     fsp.set_status(SpanStatus::Waiter);
                     fsp.set_detail(leader_span);
-                    self.coalesced_waits.fetch_add(1, Ordering::Relaxed);
+                    self.counts.coalesced_waits.fetch_add(1, Ordering::Relaxed);
                     return PageServe::Coalesced(body, ct);
                 }
                 Join::Retry => {
                     fsp.cancel();
-                    self.flight_retries.fetch_add(1, Ordering::Relaxed);
+                    self.counts.flight_retries.fetch_add(1, Ordering::Relaxed);
                     // The flight landed, went stale, or was poisoned under
                     // us; a landed leader typically has installed the page
                     // by now (if not, the next lap re-elects).
-                    if let Some((body, ct)) = self.get(target) {
-                        return PageServe::Hit(body, ct);
+                    if let Some(page) = self.lookup(target, true) {
+                        return PageServe::Hit(page.body, page.content_type);
                     }
                 }
             }
@@ -528,7 +386,7 @@ impl PageCache {
         // the pre-purge page out of the cache.
         let epoch = self.purge_epoch.load(Ordering::Relaxed);
         if let Some((body, ct)) = fill() {
-            self.put_unless_purged(target, body, &ct, epoch);
+            self.install_unless_purged(target, body, &ct, epoch);
         }
         PageServe::Led
     }
@@ -539,9 +397,8 @@ impl PageCache {
     /// epoch is bumped (so it is never installed, even by a fill with no
     /// live flight).
     pub fn purge(&self, target: &str) -> bool {
-        let ident = fnv1a(target.as_bytes());
-        let mut inner = self.inner.lock();
-        let removed = inner.forget(target, ident);
+        let mut tier = self.tier.lock();
+        let removed = tier.remove(target).is_some();
         // Bumped under the lock: installs check the epoch under the same
         // lock, so none started before this purge can land after it.
         self.purge_epoch.fetch_add(1, Ordering::Relaxed);
@@ -553,82 +410,63 @@ impl PageCache {
         if let Some(epoch) = &self.coherence {
             epoch.bump();
         }
-        drop(inner);
-        self.flight.invalidate(ident);
+        drop(tier);
+        self.flight.invalidate(fnv1a(target.as_bytes()));
         if removed {
-            self.purges.fetch_add(1, Ordering::Relaxed);
+            self.counts.purges.fetch_add(1, Ordering::Relaxed);
         }
         removed
     }
 
     /// Drop everything, stamping every in-flight fill stale.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.entries.clear();
-        inner.owner.clear();
-        inner.replacer = LruReplacer::new();
+        let mut tier = self.tier.lock();
+        tier.clear();
         self.purge_epoch.fetch_add(1, Ordering::Relaxed);
         if let Some(epoch) = &self.coherence {
             epoch.bump();
         }
-        drop(inner);
+        drop(tier);
         self.flight.invalidate_all();
     }
 
     /// Report a hit served by a per-loop L1 tier into this node's books.
     /// Total hits are derived as `l1_hits + l2_hits`, so one increment
     /// keeps `hits == l1_hits + l2_hits` exact in every snapshot.
-    pub fn note_l1_hit(&self) {
-        self.l1_hits.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn note_l1_hit(&self) {
+        self.counts.l1_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Report a stale L1 entry dropped on touch after an epoch bump.
-    pub fn note_l1_stale_eviction(&self) {
-        self.l1_stale_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// (hits, misses, purges, evictions).
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.l1_hits.load(Ordering::Relaxed) + self.l2_hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.purges.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-        )
+    pub(crate) fn note_l1_stale_eviction(&self) {
+        self.counts
+            .l1_stale_evictions
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Full per-tier counter snapshot for this node's page tiers.
     pub fn stats(&self) -> PageCacheStats {
-        let l1_hits = self.l1_hits.load(Ordering::Relaxed);
-        let l2_hits = self.l2_hits.load(Ordering::Relaxed);
+        let c = &self.counts;
+        let l1_hits = c.l1_hits.load(Ordering::Relaxed);
+        let l2_hits = c.l2_hits.load(Ordering::Relaxed);
         PageCacheStats {
             hits: l1_hits + l2_hits,
             l1_hits,
             l2_hits,
-            misses: self.misses.load(Ordering::Relaxed),
-            purges: self.purges.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            l1_stale_evictions: self.l1_stale_evictions.load(Ordering::Relaxed),
-            l2_stale_evictions: self.l2_stale_evictions.load(Ordering::Relaxed),
-            flight_leaders: self.flight_leaders.load(Ordering::Relaxed),
-            coalesced_waits: self.coalesced_waits.load(Ordering::Relaxed),
-            flight_retries: self.flight_retries.load(Ordering::Relaxed),
+            misses: c.misses.load(Ordering::Relaxed),
+            purges: c.purges.load(Ordering::Relaxed),
+            evictions: c.evictions.load(Ordering::Relaxed),
+            l1_stale_evictions: c.l1_stale_evictions.load(Ordering::Relaxed),
+            l2_stale_evictions: c.l2_stale_evictions.load(Ordering::Relaxed),
+            flight_leaders: c.flight_leaders.load(Ordering::Relaxed),
+            coalesced_waits: c.coalesced_waits.load(Ordering::Relaxed),
+            flight_retries: c.flight_retries.load(Ordering::Relaxed),
         }
-    }
-
-    /// (flight_leaders, coalesced_waits, flight_retries) — the single-
-    /// flight accounting of [`PageCache::get_or_fill`].
-    pub fn coalesce_counters(&self) -> (u64, u64, u64) {
-        (
-            self.flight_leaders.load(Ordering::Relaxed),
-            self.coalesced_waits.load(Ordering::Relaxed),
-            self.flight_retries.load(Ordering::Relaxed),
-        )
     }
 
     /// Number of cached pages.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.tier.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -648,70 +486,83 @@ mod tests {
         )
     }
 
+    /// (flight_leaders, coalesced_waits, flight_retries).
+    fn flight_counters(c: &PageCache) -> (u64, u64, u64) {
+        let s = c.stats();
+        (s.flight_leaders, s.coalesced_waits, s.flight_retries)
+    }
+
     #[test]
     fn put_get_hit() {
         let (c, _h) = cache(60, 10);
-        assert!(c.get("/a").is_none());
-        c.put("/a", Bytes::from_static(b"page"), "text/html");
-        let (body, ct) = c.get("/a").unwrap();
+        assert!(c.lookup("/a", true).is_none());
+        c.install("/a", Bytes::from_static(b"page"), "text/html", None, None);
+        let Page {
+            body,
+            content_type: ct,
+            ..
+        } = c.lookup("/a", true).unwrap();
         assert_eq!(&body[..], b"page");
         assert_eq!(ct, "text/html");
-        assert_eq!(c.counters().0, 1);
-        assert_eq!(c.counters().1, 1);
+        assert_eq!(c.stats().hits, 1);
+        assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
     fn ttl_expires_entries() {
         let (c, h) = cache(10, 10);
-        c.put("/a", Bytes::from_static(b"x"), "text/html");
+        c.install("/a", Bytes::from_static(b"x"), "text/html", None, None);
         h.advance(Duration::from_secs(11));
-        assert!(c.get("/a").is_none());
+        assert!(c.lookup("/a", true).is_none());
         assert!(c.is_empty());
     }
 
     #[test]
     fn purge_removes() {
         let (c, _h) = cache(60, 10);
-        c.put("/a", Bytes::from_static(b"x"), "text/html");
+        c.install("/a", Bytes::from_static(b"x"), "text/html", None, None);
         assert!(c.purge("/a"));
         assert!(!c.purge("/a"));
-        assert!(c.get("/a").is_none());
+        assert!(c.lookup("/a", true).is_none());
     }
 
     #[test]
     fn lru_eviction_over_capacity() {
         let (c, _h) = cache(60, 2);
-        c.put("/a", Bytes::from_static(b"a"), "t");
-        c.put("/b", Bytes::from_static(b"b"), "t");
-        let _ = c.get("/a"); // a is now more recent than b
-        c.put("/c", Bytes::from_static(b"c"), "t");
+        c.install("/a", Bytes::from_static(b"a"), "t", None, None);
+        c.install("/b", Bytes::from_static(b"b"), "t", None, None);
+        let _ = c.lookup("/a", true); // a is now more recent than b
+        c.install("/c", Bytes::from_static(b"c"), "t", None, None);
         assert_eq!(c.len(), 2);
-        assert!(c.get("/b").is_none(), "b was LRU and must be evicted");
-        assert!(c.get("/a").is_some());
-        assert!(c.get("/c").is_some());
-        assert_eq!(c.counters().3, 1);
+        assert!(
+            c.lookup("/b", true).is_none(),
+            "b was LRU and must be evicted"
+        );
+        assert!(c.lookup("/a", true).is_some());
+        assert!(c.lookup("/c", true).is_some());
+        assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
     fn refresh_keeps_one_entry_and_new_body() {
         let (c, _h) = cache(60, 2);
-        c.put("/a", Bytes::from_static(b"v1"), "t");
-        c.put("/a", Bytes::from_static(b"version-two"), "t");
+        c.install("/a", Bytes::from_static(b"v1"), "t", None, None);
+        c.install("/a", Bytes::from_static(b"version-two"), "t", None, None);
         assert_eq!(c.len(), 1);
-        let (body, _) = c.get("/a").unwrap();
+        let Page { body, .. } = c.lookup("/a", true).unwrap();
         assert_eq!(&body[..], b"version-two");
-        assert_eq!(c.counters().3, 0, "refresh is not an eviction");
+        assert_eq!(c.stats().evictions, 0, "refresh is not an eviction");
     }
 
     #[test]
     fn get_or_fill_hits_do_not_touch_the_flight() {
         let (c, _h) = cache(60, 10);
-        c.put("/a", Bytes::from_static(b"page"), "t");
+        c.install("/a", Bytes::from_static(b"page"), "t", None, None);
         match c.get_or_fill("/a", || panic!("hit must not fill")) {
             PageServe::Hit(body, _) => assert_eq!(&body[..], b"page"),
             other => panic!("expected hit, got {other:?}"),
         }
-        assert_eq!(c.coalesce_counters(), (0, 0, 0));
+        assert_eq!(flight_counters(&c), (0, 0, 0));
     }
 
     #[test]
@@ -719,9 +570,9 @@ mod tests {
         let (c, _h) = cache(60, 10);
         let serve = c.get_or_fill("/a", || Some((Bytes::from_static(b"fresh"), "t".into())));
         assert!(matches!(serve, PageServe::Led));
-        let (body, _) = c.get("/a").expect("leader installed the page");
+        let Page { body, .. } = c.lookup("/a", true).expect("leader installed the page");
         assert_eq!(&body[..], b"fresh");
-        assert_eq!(c.coalesce_counters(), (1, 0, 0));
+        assert_eq!(flight_counters(&c), (1, 0, 0));
     }
 
     #[test]
@@ -729,11 +580,11 @@ mod tests {
         let (c, _h) = cache(60, 10);
         let serve = c.get_or_fill("/a", || None);
         assert!(matches!(serve, PageServe::Led));
-        assert!(c.get("/a").is_none(), "nothing installed");
+        assert!(c.lookup("/a", true).is_none(), "nothing installed");
         // The next requester must not hang on the poisoned flight.
         let serve = c.get_or_fill("/a", || Some((Bytes::from_static(b"ok"), "t".into())));
         assert!(matches!(serve, PageServe::Led));
-        assert!(c.get("/a").is_some());
+        assert!(c.lookup("/a", true).is_some());
     }
 
     #[test]
@@ -800,7 +651,7 @@ mod tests {
             1,
             "one origin fetch for the crowd"
         );
-        let (leaders, coalesced, _) = c.coalesce_counters();
+        let (leaders, coalesced, _) = flight_counters(&c);
         assert_eq!(leaders, 1);
         assert_eq!(coalesced, (CROWD - 1) as u64);
         c.flight.check_invariants().unwrap();
@@ -816,10 +667,10 @@ mod tests {
         });
         assert!(matches!(serve, PageServe::Led));
         assert!(
-            c.get("/a").is_none(),
+            c.lookup("/a", true).is_none(),
             "a page generated before the purge must not outlive it"
         );
-        let (_, _, retries) = c.coalesce_counters();
+        let (_, _, retries) = flight_counters(&c);
         assert_eq!(retries, 1, "the stale publish was counted");
     }
 
@@ -834,13 +685,13 @@ mod tests {
         });
         assert!(matches!(serve, PageServe::Led));
         assert!(
-            c.get("/a").is_none(),
+            c.lookup("/a", true).is_none(),
             "epoch moved mid-fill: install skipped"
         );
         // With no concurrent purge, the refill installs normally.
         let serve = c.get_or_fill("/a", || Some((Bytes::from_static(b"fresh"), "t".into())));
         assert!(matches!(serve, PageServe::Led));
-        let (body, _) = c.get("/a").expect("quiescent fill installs");
+        let Page { body, .. } = c.lookup("/a", true).expect("quiescent fill installs");
         assert_eq!(&body[..], b"fresh");
     }
 
@@ -852,7 +703,10 @@ mod tests {
             Some((Bytes::from_static(b"pre-clear"), "t".into()))
         });
         assert!(matches!(serve, PageServe::Led));
-        assert!(c.get("/a").is_none(), "clear outdates the in-flight fill");
+        assert!(
+            c.lookup("/a", true).is_none(),
+            "clear outdates the in-flight fill"
+        );
     }
 
     #[test]
@@ -861,24 +715,31 @@ mod tests {
         let epoch = CoherencyEpoch::new();
         let c = PageCache::new(clock, Duration::from_secs(60), 10).with_coherence(epoch.clone());
         let stamp = c.coherence_stamp();
-        c.put_stamped("/page\u{0}alice", Bytes::from_static(b"v1"), "t", stamp);
-        assert!(c.get_page("/page\u{0}alice").is_some());
+        c.install(
+            "/page\u{0}alice",
+            Bytes::from_static(b"v1"),
+            "t",
+            Some(stamp),
+            None,
+        );
+        assert!(c.lookup("/page\u{0}alice", true).is_some());
         epoch.bump();
         assert!(
-            c.get_page("/page\u{0}alice").is_none(),
+            c.lookup("/page\u{0}alice", true).is_none(),
             "stale stamped entry must self-evict on touch"
         );
         let stats = c.stats();
         assert_eq!(stats.l2_stale_evictions, 1);
         stats.check_invariants().unwrap();
         // A fresh install under the new epoch serves again.
-        c.put_stamped(
+        c.install(
             "/page\u{0}alice",
             Bytes::from_static(b"v2"),
             "t",
-            c.coherence_stamp(),
+            Some(c.coherence_stamp()),
+            None,
         );
-        let hit = c.get_page("/page\u{0}alice").unwrap();
+        let hit = c.lookup("/page\u{0}alice", true).unwrap();
         assert_eq!(&hit.body[..], b"v2");
     }
 
@@ -886,16 +747,36 @@ mod tests {
     fn stamp_captured_before_a_racing_bump_never_serves() {
         let (clock, _h) = Clock::virtual_clock();
         let epoch = CoherencyEpoch::new();
-        let c = PageCache::new(clock, Duration::from_secs(60), 10).with_coherence(epoch.clone());
+        let c = PageCache::new(clock, Duration::from_secs(60), 1).with_coherence(epoch.clone());
         // Fill races an invalidation: stamp captured, then the bump lands
-        // before the install. The entry installs but is dead on arrival.
+        // before the install.
         let stamp = c.coherence_stamp();
         epoch.bump();
-        c.put_stamped("/p", Bytes::from_static(b"pre-bump"), "t", stamp);
+        // Meanwhile a page assembled after the bump fills the one slot.
+        let live_stamp = c.coherence_stamp();
+        c.install(
+            "/live",
+            Bytes::from_static(b"post-bump"),
+            "t",
+            Some(live_stamp),
+            None,
+        );
+        c.install(
+            "/p",
+            Bytes::from_static(b"pre-bump"),
+            "t",
+            Some(stamp),
+            None,
+        );
         assert!(
-            c.get_page("/p").is_none(),
+            c.lookup("/p", true).is_none(),
             "outdated install must not serve"
         );
+        let live = c
+            .lookup("/live", true)
+            .expect("an outdated install must not evict a live page");
+        assert_eq!(&live.body[..], b"post-bump");
+        assert_eq!(c.stats().evictions, 0);
     }
 
     #[test]
@@ -904,15 +785,16 @@ mod tests {
         let epoch = CoherencyEpoch::new();
         let c = PageCache::new(clock, Duration::from_secs(60), 10).with_coherence(epoch.clone());
         // A session-qualified page the PURGE target string cannot name.
-        c.put_stamped(
+        c.install(
             "/page\u{0}bob",
             Bytes::from_static(b"bob"),
             "t",
-            c.coherence_stamp(),
+            Some(c.coherence_stamp()),
+            None,
         );
         c.purge("/page");
         assert!(
-            c.get_page("/page\u{0}bob").is_none(),
+            c.lookup("/page\u{0}bob", true).is_none(),
             "purge of the bare target must invalidate session variants via the epoch"
         );
     }
@@ -922,10 +804,10 @@ mod tests {
         let (clock, _h) = Clock::virtual_clock();
         let epoch = CoherencyEpoch::new();
         let c = PageCache::new(clock, Duration::from_secs(60), 10).with_coherence(epoch.clone());
-        c.put("/classic", Bytes::from_static(b"page"), "t");
+        c.install("/classic", Bytes::from_static(b"page"), "t", None, None);
         epoch.bump();
         assert!(
-            c.get("/classic").is_some(),
+            c.lookup("/classic", true).is_some(),
             "classic page-cache entries rely on PURGE + TTL, not the epoch"
         );
     }
@@ -934,13 +816,13 @@ mod tests {
     fn entry_hits_count_per_generation_and_l1_notes_balance() {
         let (clock, _h) = Clock::virtual_clock();
         let c = PageCache::new(clock, Duration::from_secs(60), 10);
-        c.put_stamped("/p", Bytes::from_static(b"x"), "t", 0);
+        c.install("/p", Bytes::from_static(b"x"), "t", Some(0), None);
         for expect in 1..=3u64 {
-            assert_eq!(c.get_page("/p").unwrap().entry_hits, expect);
+            assert_eq!(c.lookup("/p", true).unwrap().hits, expect);
         }
         // Refresh resets the per-generation count.
-        c.put_stamped("/p", Bytes::from_static(b"y"), "t", 0);
-        assert_eq!(c.get_page("/p").unwrap().entry_hits, 1);
+        c.install("/p", Bytes::from_static(b"y"), "t", Some(0), None);
+        assert_eq!(c.lookup("/p", true).unwrap().hits, 1);
         // L1-reported hits keep the tier invariant balanced.
         c.note_l1_hit();
         c.note_l1_hit();
@@ -955,8 +837,8 @@ mod tests {
         // This "test" documents the defect the DPC fixes: the cache cannot
         // distinguish Bob's page from Alice's.
         let (c, _h) = cache(60, 10);
-        c.put("/page", Bytes::from_static(b"Hello, Bob"), "t");
-        let (body, _) = c.get("/page").unwrap();
+        c.install("/page", Bytes::from_static(b"Hello, Bob"), "t", None, None);
+        let Page { body, .. } = c.lookup("/page", true).unwrap();
         assert_eq!(&body[..], b"Hello, Bob"); // Alice gets Bob's page
     }
 }

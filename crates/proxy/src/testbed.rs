@@ -573,6 +573,9 @@ mod tests {
         let url = "/paper/page.jsp?p=0";
         let assembled = tb.get(url, None);
         assert_eq!(assembled.headers.get("x-cache"), Some("dpc-assembled"));
+        // The loop's probe and the handler's both missed: one request, one
+        // miss.
+        assert_eq!(tb.proxy().page_cache().stats().misses, 1);
         // Requests 2..=PROMOTE_AFTER+1 hit L2; the PROMOTE_AFTER-th L2 hit
         // copies the page into the loop's L1.
         let mut last = String::new();

@@ -21,12 +21,14 @@ use std::time::{Duration, Instant};
 
 use dpc_core::prelude::*;
 use dpc_core::{AssembleError, CoherencyEpoch};
-use dpc_proxy::l1::{L1Cache, PROMOTE_AFTER};
+use dpc_http::{LoopCache, Request};
+use dpc_proxy::l1::{page_key, L2Resolver, LoopTier, PROMOTE_AFTER};
 use dpc_proxy::PageCache;
 
 const THREADS: usize = 16;
 const CAP: usize = 8;
-const PAGE_KEY: &str = "/hot-page\x00crowd-session";
+const TARGET: &str = "/hot-page";
+const SESSION: &str = "crowd-session";
 
 fn hot_id() -> FragmentId {
     FragmentId::new("hot")
@@ -62,40 +64,43 @@ fn assemble_once(
     }
 }
 
-/// The tiered serve path, exactly as the front runs it: loop-local L1,
-/// then the shared stamped L2, then coalesced assembly + stamped install.
+/// A serving thread's private loop tier (L1) over the shared L2.
+fn loop_tier(pc: &Arc<PageCache>) -> LoopTier {
+    let pc = Arc::clone(pc);
+    let resolve: L2Resolver = Arc::new(move |_| Some(Arc::clone(&pc)));
+    LoopTier::new(1 << 20, Duration::from_secs(600), resolve)
+}
+
+/// The tiered serve path as the front runs it: the loop tier's own
+/// ladder (loop-local L1, then the shared stamped L2 with promotion),
+/// then coalesced assembly + stamped install.
 fn serve_tiered(
-    l1: &mut L1Cache,
+    tier: &mut LoopTier,
     pc: &Arc<PageCache>,
     bem: &Bem,
     store: &FragmentStore,
     produce: &(dyn Fn(&mut Vec<u8>) + Sync),
 ) -> Vec<u8> {
-    if let Some((body, _ct, _etag)) = l1.get(PAGE_KEY) {
-        return body.to_vec();
-    }
-    if let Some(hit) = pc.get_page(PAGE_KEY) {
-        if let Some(stamp) = hit.stamp {
-            if hit.entry_hits >= PROMOTE_AFTER {
-                l1.insert(
-                    PAGE_KEY,
-                    hit.body.clone(),
-                    hit.content_type.clone(),
-                    hit.etag.clone(),
-                    stamp,
-                    hit.ttl_remaining,
-                    Arc::clone(pc),
-                );
-            }
-        }
-        return hit.body.to_vec();
+    if let Some(resp) = tier.try_serve(&crowd_get()) {
+        return resp.body.to_vec();
     }
     // Stamp read BEFORE assembly: if the invalidation races the produce,
-    // the installed page is already outdated and will never serve.
+    // the page is already outdated and the install refuses it.
     let stamp = pc.coherence_stamp();
     let page = assemble_once(bem, store, produce);
-    pc.put_stamped(PAGE_KEY, Bytes::from(page.clone()), "text/html", stamp);
+    pc.install(
+        &page_key(TARGET, SESSION),
+        Bytes::from(page.clone()),
+        "text/html",
+        Some(stamp),
+        None,
+    );
     page
+}
+
+/// The crowd's GET of the hot page.
+fn crowd_get() -> Request {
+    Request::get(TARGET).with_header("Cookie", format!("session={SESSION}"))
 }
 
 #[test]
@@ -136,7 +141,7 @@ fn crowd_with_l1_resident_page_sees_no_stale_bytes_after_invalidation() {
     // Warm the L2 past the promotion threshold so every crowd thread's
     // very first serve lands the page in its private L1.
     {
-        let mut warm_l1 = L1Cache::new(1 << 20, Duration::from_secs(600));
+        let mut warm_l1 = loop_tier(&pc);
         for _ in 0..(PROMOTE_AFTER as usize + 1) {
             let page = serve_tiered(&mut warm_l1, &pc, &bem, &store, &produce);
             assert_eq!(page, b"PRE-INVALIDATION");
@@ -155,13 +160,14 @@ fn crowd_with_l1_resident_page_sees_no_stale_bytes_after_invalidation() {
             let warmed = Arc::clone(&warmed);
             let inv_landed = Arc::clone(&inv_landed);
             std::thread::spawn(move || {
-                let mut l1 = L1Cache::new(1 << 20, Duration::from_secs(600));
+                let mut l1 = loop_tier(&pc);
                 // First serve: L2 hit (entry already past the threshold)
                 // promotes into this thread's L1; second proves residency.
                 let page = serve_tiered(&mut l1, &pc, &bem, &store, &produce);
                 assert_eq!(page, b"PRE-INVALIDATION");
                 assert!(
-                    l1.get(PAGE_KEY).is_some(),
+                    l1.try_serve(&crowd_get())
+                        .is_some_and(|resp| resp.headers.get("X-Cache") == Some("dpc-l1")),
                     "hot page must be L1-resident before the invalidation"
                 );
                 warmed.wait();

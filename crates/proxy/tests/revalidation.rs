@@ -432,11 +432,11 @@ fn revalidated_304_serve_allocates_no_body_bytes() {
         PageCache::new(Clock::real(), Duration::from_secs(60), 64).with_coherence(epoch.clone()),
     );
     let etag = "\"00c0ffee00c0ffee\"";
-    l2.put_stamped_tagged(
+    l2.install(
         dpc_proxy::page_key("/big", "").as_str(),
         Bytes::from(vec![b'x'; BODY]),
         "text/html",
-        l2.coherence_stamp(),
+        Some(l2.coherence_stamp()),
         Some(etag.to_owned()),
     );
     let resolve = {
