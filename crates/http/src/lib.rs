@@ -3,7 +3,7 @@
 //! The paper's testbed spoke HTTP between WebLoad clients, the ISA Server
 //! proxy and IIS. The allowed dependency set contains no HTTP stack, so this
 //! crate provides one: request/response types, an incremental parser, a
-//! serializer, a keep-alive server with a thread pool, and a pooling client.
+//! serializer, a keep-alive event-loop server, and a pooling client.
 //! It runs over any [`dpc_net::Duplex`] stream, so the same code serves real
 //! TCP sockets and the metered simulated wire.
 //!
@@ -16,8 +16,9 @@
 //! The serving path is readiness-driven: [`Server`] multiplexes
 //! connections over a set of event loops ([`server`]) — one by default,
 //! N (`Server::with_loops`) to scale the front across cores with
-//! least-connections accept distribution — and executes handlers on a
-//! bounded worker pool, so idle keep-alive connections don't pin threads.
+//! least-connections accept distribution — and runs each handler inline
+//! on the loop that parsed its request, so idle keep-alive connections
+//! don't pin threads and a request crosses no thread inside the server.
 //! Queued response bytes are charged against per-connection and global
 //! output budgets with slow-client eviction (write-side admission
 //! control), so a reader that never drains can't balloon server memory.
@@ -29,7 +30,6 @@ pub mod client;
 pub mod error;
 pub mod message;
 pub mod parse;
-pub mod pool;
 pub mod serialize;
 pub mod server;
 pub mod uri;

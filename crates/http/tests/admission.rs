@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dpc_http::{Client, Handler, Request, Response, Server, ServerConfig};
+use dpc_http::{Client, Handler, Request, Response, Server};
 use dpc_net::{Connector, MeterRegistry, ProtocolModel, SimNetwork};
 
 /// A handler serving a fixed 8 KiB page.
@@ -37,10 +37,6 @@ fn never_draining_pipeliner_is_evicted_with_bounded_memory() {
     const CONN_CAP: usize = 16 * 1024;
     const GLOBAL_CAP: usize = 1 << 20;
     let handle = Server::new(Box::new(listener), page_handler())
-        .with_config(ServerConfig {
-            workers: 2,
-            ..Default::default()
-        })
         .with_output_caps(CONN_CAP, GLOBAL_CAP)
         .spawn();
 
@@ -93,10 +89,6 @@ fn slow_but_draining_client_is_not_evicted() {
     );
     let listener = net.listen("web");
     let handle = Server::new(Box::new(listener), page_handler())
-        .with_config(ServerConfig {
-            workers: 2,
-            ..Default::default()
-        })
         .with_output_caps(4 * 1024, 1 << 20)
         .spawn();
     // Pipeline a burst that far exceeds the 4 KiB connection cap, but keep
@@ -130,10 +122,6 @@ fn global_budget_sheds_load_but_serves_drainers() {
     let listener = net.listen("web");
     const GLOBAL_CAP: usize = 32 * 1024;
     let handle = Server::new(Box::new(listener), page_handler())
-        .with_config(ServerConfig {
-            workers: 4,
-            ..Default::default()
-        })
         .with_output_caps(usize::MAX >> 1, GLOBAL_CAP) // only the global cap binds
         .spawn();
     let mut abusers: Vec<_> = (0..4)
@@ -180,15 +168,11 @@ fn four_loop_stop_joins_deterministically_without_losing_responses() {
         Box::new(listener),
         Arc::new(move |req: Request| {
             started_h.fetch_add(1, Ordering::SeqCst);
-            // Long enough that stop() lands while these are in flight.
+            // Long enough that stop() lands while the last of these run.
             std::thread::sleep(Duration::from_millis(50));
             Response::html(format!("done {}", req.target))
         }),
     )
-    .with_config(ServerConfig {
-        workers: CLIENTS,
-        ..Default::default()
-    })
     .with_loops(LOOPS)
     .spawn();
     assert_eq!(handle.loops(), LOOPS);
@@ -208,7 +192,8 @@ fn four_loop_stop_joins_deterministically_without_losing_responses() {
             assert!(rest.is_empty());
         }));
     }
-    // Wait until every request is at a handler, spread over all 4 loops.
+    // Wait until every request has reached its handler (two after one
+    // another on each of the 4 loops).
     while started.load(Ordering::SeqCst) < CLIENTS {
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -233,18 +218,14 @@ fn four_loop_stop_joins_deterministically_without_losing_responses() {
 
 #[test]
 fn multi_loop_inline_mode_serves() {
-    // workers: 0 (inline reactor) composes with loops > 1: each loop runs
-    // its handlers on its own thread.
+    // Inline handlers compose with loops > 1: each loop runs its
+    // handlers on its own thread.
     let net = SimNetwork::with_defaults();
     let listener = net.listen("web");
     let handle = Server::new(
         Box::new(listener),
         Arc::new(|req: Request| Response::html(req.target.to_string())),
     )
-    .with_config(ServerConfig {
-        workers: 0,
-        ..Default::default()
-    })
     .with_loops(2)
     .spawn();
     let mut joins = Vec::new();

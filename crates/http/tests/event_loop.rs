@@ -28,12 +28,7 @@ fn process_threads() -> Option<usize> {
 fn slow_loris_partial_headers_do_not_stall_other_clients() {
     let net = SimNetwork::with_defaults();
     let listener = net.listen("web");
-    let handle = Server::new(Box::new(listener), echo_handler())
-        .with_config(ServerConfig {
-            workers: 2,
-            ..Default::default()
-        })
-        .spawn();
+    let handle = Server::new(Box::new(listener), echo_handler()).spawn();
 
     // The loris dribbles a request head byte-group by byte-group with
     // pauses, never completing for a while.
@@ -44,7 +39,7 @@ fn slow_loris_partial_headers_do_not_stall_other_clients() {
         loris.write_all(chunk).unwrap();
         std::thread::sleep(Duration::from_millis(5));
         // Meanwhile, fast clients are served promptly: the loris holds a
-        // buffer on the event loop, not one of the 2 workers.
+        // buffer on the event loop, not the loop itself.
         let client = Client::new(Arc::new(net.connector()));
         let resp = client.request("web", Request::get("/fast")).unwrap();
         assert_eq!(resp.body, *b"GET /fast");
@@ -207,12 +202,7 @@ fn pipelined_burst_larger_than_read_budget_is_fully_served() {
     // park the excess in the transport and resume as it drains.
     let net = SimNetwork::with_defaults();
     let listener = net.listen("web");
-    let handle = Server::new(Box::new(listener), echo_handler())
-        .with_config(ServerConfig {
-            workers: 2,
-            ..Default::default()
-        })
-        .spawn();
+    let handle = Server::new(Box::new(listener), echo_handler()).spawn();
     let mut burst = Vec::new();
     for i in 0..300 {
         let pad = "x".repeat(256);
@@ -236,15 +226,9 @@ fn pipelined_burst_larger_than_read_budget_is_fully_served() {
 #[test]
 fn thousand_idle_keep_alive_connections_stay_thread_bounded() {
     const CONNS: usize = 1000;
-    const WORKERS: usize = 4;
     let net = SimNetwork::with_defaults();
     let listener = net.listen("web");
-    let handle = Server::new(Box::new(listener), echo_handler())
-        .with_config(ServerConfig {
-            workers: WORKERS,
-            ..Default::default()
-        })
-        .spawn();
+    let handle = Server::new(Box::new(listener), echo_handler()).spawn();
     let before = process_threads();
     // Open 1000 keep-alive connections; each proves liveness with one
     // request, then sits idle (registered with the poller).
@@ -263,7 +247,7 @@ fn thousand_idle_keep_alive_connections_stay_thread_bounded() {
     // threads. Allow generous slack for the test harness's own threads.
     if let (Some(before), Some(after)) = (before, process_threads()) {
         assert!(
-            after <= before + WORKERS + 8,
+            after <= before + 8,
             "thread count grew from {before} to {after} with {CONNS} idle connections"
         );
     }
@@ -290,10 +274,7 @@ fn tcp_workload_under_os_backend_never_ticks() {
     fn run(backend: Backend) -> u64 {
         let listener = TcpListenerAdapter::bind("127.0.0.1:0").unwrap();
         let handle = Server::new(Box::new(listener), echo_handler())
-            .with_config(ServerConfig {
-                workers: 2,
-                backend,
-            })
+            .with_config(ServerConfig { backend })
             .spawn();
         let mut idle = Vec::new();
         for i in 0..32 {
@@ -353,4 +334,47 @@ fn rope_responses_survive_the_wire_through_keep_alive() {
         let resp = client.request("web", Request::get(target)).unwrap();
         assert_eq!(resp.body, want, "iteration {i}");
     }
+}
+
+#[test]
+fn panicking_handler_answers_500_and_its_loop_keeps_serving() {
+    // One loop owns every connection and the listener: if a handler's
+    // panic unwound the loop, nothing would be served after it.
+    let net = SimNetwork::with_defaults();
+    let listener = net.listen("web");
+    let handle = Server::new(
+        Box::new(listener),
+        Arc::new(|req: Request| {
+            if req.target == "/boom" {
+                panic!("handler bug on {}", req.target);
+            }
+            Response::html(req.target)
+        }),
+    )
+    .with_loops(1)
+    .spawn();
+    let connector = net.connector();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut raw = connector.connect("web").unwrap();
+        raw.write_all(b"GET /boom HTTP/1.1\r\n\r\n").unwrap();
+        let mut reader = std::io::BufReader::new(raw);
+        let first = dpc_http::parse::read_response(&mut reader);
+        // The panicking request's connection closes after its 500.
+        let mut rest = Vec::new();
+        let closed = reader.read_to_end(&mut rest).is_ok() && rest.is_empty();
+        let second = Client::new(Arc::new(connector)).request("web", Request::get("/after"));
+        let _ = tx.send((first, closed, second));
+    });
+    let (first, closed, second) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the loop stopped serving after a handler panic");
+    let first = first.expect("the panicking request gets a response");
+    assert_eq!(first.status.0, 500);
+    assert!(first.headers.connection_close());
+    assert!(closed, "the panicking request's connection closes");
+    let second = second.expect("a second connection is served");
+    assert_eq!(second.status.0, 200);
+    assert_eq!(second.body, *b"/after");
+    assert_eq!(handle.requests(), 2);
 }

@@ -2,12 +2,12 @@
 //!
 //! [`Proxy`] is the [`Handler`] every serving tier mounts — the Figure 4
 //! testbed's proxy server, and each node of the ring cluster. The server
-//! front invokes it concurrently from the worker pools of all its event
-//! loops (`dpc_http::Server::with_loops`), so everything here is shared
-//! state behind `Arc`s and atomics; the handler itself blocks on origin
-//! fetches, which is why every proxy front runs it on a worker pool. The
-//! origin's script engine never blocks, so the testbed runs the origin
-//! front inline on its loops instead (see [`crate::testbed`]).
+//! front invokes it inline on each of its event loops
+//! (`dpc_http::Server::with_loops`), concurrently across loops, so
+//! everything here is shared state behind `Arc`s and atomics. The handler
+//! blocks its loop on origin (and, in the ring, peer) fetches; those
+//! servers never call back into the proxy, so the wait always ends (see
+//! [`crate::testbed`] and `RingCluster::spawn_front` for the argument).
 
 use dpc_appserver::context::{
     format_keys, parse_keys, BYPASS_HEADER, FROM_DONOR_HEADER, MISSING_HEADER, NODE_HEADER,

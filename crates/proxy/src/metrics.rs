@@ -364,12 +364,9 @@ pub fn register_server(
     let per_loop: Vec<Arc<LoopStats>> = stats.per_loop().to_vec();
     let latency: Vec<Arc<OutcomeHistograms>> = stats.latency_per_loop().to_vec();
     let exemplars: Vec<Arc<OutcomeExemplars>> = stats.exemplars_per_loop().to_vec();
-    let workers = stats.workers() as u64;
     registry.register(key, move |e| {
         use std::sync::atomic::Ordering;
         let base = [("server", server.as_str())];
-        // Handler threads behind the loops; 0 = handlers run inline.
-        e.gauge("dpc_server_workers", &base, workers);
         for (i, l) in per_loop.iter().enumerate() {
             let i = i.to_string();
             let labels = with_label(&base, "loop", &i);

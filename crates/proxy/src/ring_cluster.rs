@@ -28,6 +28,10 @@
 //!   cluster-wide within a bounded number of rounds; every applying node
 //!   scrubs the freed slots, closing the cross-node stale-reassignment
 //!   window.
+//! * **Front** — [`RingCluster::spawn_front`] serves the whole ring at one
+//!   HTTP address. Its handlers run inline on its event loops and block
+//!   there on origin and peer fetches, so a request crosses the client,
+//!   the front loop, and the origin loop or a donor's peer server.
 //!
 //! [`HashRing::owner_excluding`]: dpc_cluster::HashRing::owner_excluding
 
@@ -52,10 +56,6 @@ use crate::node::{self, NodeSpec, PAGE_TTL};
 
 /// Slot-store capacity per node.
 const NODE_CAPACITY: usize = 4096;
-/// Worker threads of the cluster's HTTP front. Its handler blocks on
-/// origin and peer fetches, so unlike the testbed's origin front it cannot
-/// run inline on its event loops (`workers: 0`).
-const FRONT_WORKERS: usize = 16;
 
 /// Tuning knobs for a [`RingCluster`].
 #[derive(Debug, Clone, Copy)]
@@ -413,18 +413,26 @@ impl RingCluster {
 
     /// Serve the whole cluster over HTTP at `addr`: clients hit one
     /// address, ring routing picks the owner node per request. The front
-    /// is a multi-loop server (`RingConfig::loops` event loops over a
-    /// shared pool of handler threads), so the cluster tier scales across
+    /// is a multi-loop server (`RingConfig::loops` event loops, each
+    /// running its handlers inline), so the cluster tier scales across
     /// cores with its loop count, as the testbed's fronts do.
+    ///
+    /// A handler blocks its loop on origin and peer fetches. It cannot
+    /// deadlock:
+    /// - it waits only on servers that never call back into the front:
+    ///   the origin, whose inline handlers never call back, and the peer
+    ///   servers, each its own accept thread ([`PeerServer::spawn`])
+    ///   touching only its node's slot store and gossip state;
+    /// - its parks are the page cache's fill flight and the peer fetch
+    ///   flight ([`PeerNode::coalesced_fetch`]), whose leaders are
+    ///   handlers on other loops (or direct callers) waiting only on the
+    ///   origin or a donor's peer server;
+    /// - with `loops: 1` no two front handlers overlap, so nothing parks.
     pub fn spawn_front(self: &Arc<Self>, addr: &str) -> dpc_http::ServerHandle {
         let listener = self.net.listen(addr);
         let cluster = Arc::clone(self);
         let handler: Arc<dyn dpc_http::Handler> = Arc::new(move |req: Request| cluster.serve(req));
         let mut server = dpc_http::Server::new(Box::new(listener), handler)
-            .with_config(dpc_http::server::ServerConfig {
-                workers: FRONT_WORKERS,
-                ..Default::default()
-            })
             .with_loops(self.config.loops)
             .with_request_metrics(self.clock.clone())
             .with_tracer(self.tracer.clone());

@@ -15,18 +15,16 @@
 //! clock is virtual so TTLs and controlled sweeps are deterministic.
 //!
 //! Both boxes are [`Server`] fronts with [`TestbedConfig::loops`] event
-//! loops each. The proxy front runs its handler on the default worker
-//! pool, because the proxy blocks on its origin fetch. The origin front
-//! runs the script engine inline on its loops, because the engine never
-//! blocks on I/O. An assembled request therefore crosses four threads:
-//! the client, the proxy loop, a proxy worker and the origin loop.
+//! loops each, and both run their handlers inline on those loops: the
+//! origin's script engine never blocks on I/O, and the proxy blocks only
+//! on the origin, which never calls back. An assembled request therefore
+//! crosses three threads: the client, the proxy loop and the origin loop.
 
 use dpc_appserver::apps::paper_site::{self, PaperSiteParams};
 use dpc_appserver::apps::{self};
 use dpc_appserver::ScriptEngine;
 use dpc_core::{Bem, BemConfig, CoherencyEpoch, FragmentStore, ReplacePolicy};
 use dpc_firewall::Firewall;
-use dpc_http::server::ServerConfig;
 use dpc_http::{Client, Request, Response, Server, ServerHandle};
 use dpc_metrics::Registry as MetricsRegistry;
 use dpc_net::{Clock, MeterRegistry, MeterSnapshot, ProtocolModel, SimNetwork, VirtualClock};
@@ -148,11 +146,10 @@ impl Testbed {
         }
         engine.connect_invalidation();
         let engine = Arc::new(engine);
-        // The origin front runs the engine inline on its event loops
-        // (`workers: 0`): repository costs are simulated charges, never
-        // sleeps, so a handler only computes, and each proxy→origin round
-        // trip skips the loop → worker → loop hand-off. Parallelism is
-        // `config.loops`. Inline mode cannot deadlock:
+        // The origin front runs the engine inline on its event loops:
+        // repository costs are simulated charges, never sleeps, so a
+        // handler only computes. Parallelism is `config.loops`. Its
+        // handlers cannot deadlock:
         // - an inline handler never waits on its own loop: it does no I/O,
         //   and the loop runs nothing else until it returns;
         // - the origin's only park is `FlightGroup::wait` in the BEM, and
@@ -165,10 +162,6 @@ impl Testbed {
         let origin_server = Server::new(Box::new(net.listen(ORIGIN_ADDR)), {
             let engine = Arc::clone(&engine);
             engine as Arc<dyn dpc_http::Handler>
-        })
-        .with_config(ServerConfig {
-            workers: 0,
-            ..Default::default()
         })
         .with_loops(config.loops)
         .with_tracer(tracer.with_node(1))
@@ -223,8 +216,20 @@ impl Testbed {
         if config.mode == ProxyMode::Esi {
             register_paper_templates(proxy.esi(), &config.paper_params);
         }
-        // The proxy blocks on its origin fetch, so it keeps the default
-        // worker pool.
+        // The proxy front runs `Proxy::serve` inline on its event loops
+        // too, so a handler blocked on the origin stalls the other
+        // connections of its loop for one origin round trip. The link
+        // never sleeps (`dpc_net::latency`), so that wait is the origin's
+        // CPU time, spent either way. It cannot deadlock:
+        // - the handler waits only on the origin front, whose inline
+        //   handlers never call back into the proxy;
+        // - its only park is `PageCache::get_or_fill`'s flight in
+        //   `PageCache` mode, whose leader is a handler on another loop (or
+        //   a direct caller) and waits only on the origin;
+        // - with `loops: 1` no two proxy handlers overlap, so no flight is
+        //   pending when a handler joins one and nothing parks.
+        // `tests/inline_origin.rs` runs cold-page crowds at one and two
+        // loops against this, in DPC and in `PageCache` mode.
         let mut proxy_server = Server::new(Box::new(net.listen(PROXY_ADDR)), {
             let proxy = Arc::clone(&proxy);
             proxy as Arc<dyn dpc_http::Handler>

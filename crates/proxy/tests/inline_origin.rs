@@ -1,17 +1,23 @@
-//! The testbed's origin front runs its script engine inline on its event
-//! loops (`workers: 0`). Two guards for that:
+//! Every production front runs its handler inline on its event loops:
+//! the testbed's origin and proxy fronts and the ring's HTTP front. Two
+//! guards for that:
 //!
 //! * **No deadlock, no wrong byte under a crowd.** Sixteen clients, one
 //!   connection each, released by a barrier at one cold page, at one and
-//!   at two origin loops. Every body matches a pass-through testbed, the
-//!   crowd finishes under a deadline (a wedged loop fails the test instead
-//!   of hanging it), and the directory invariants hold. On one loop no two
-//!   origin handlers overlap, so no BEM flight waiter ever parks.
+//!   at two loops per front. Every body matches a pass-through testbed,
+//!   the crowd finishes under a deadline (a wedged loop fails the test
+//!   instead of hanging it), and on one loop no two handlers overlap, so
+//!   no flight waiter ever parks. Three crowds cover the three kinds of
+//!   blocking a front handler does: the DPC proxy waiting on the origin
+//!   (whose BEM flight is the park), the `PageCache` proxy whose page
+//!   flight parks a proxy loop, and the ring front, which right after a
+//!   join peer-fetches from the donor on its own loop.
 //! * **Counted-work equivalence.** A fixed request/update sequence moves
 //!   exactly the origin bytes, packets, requests and BEM hits/misses that
 //!   the worker-pool origin moved: running inline changes which thread
 //!   does the work, never the work.
 
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -19,18 +25,25 @@ use std::time::Duration;
 
 use dpc_appserver::apps::paper_site::{self, PaperSiteParams};
 use dpc_http::{Client, Request};
+use dpc_net::SimNetwork;
+use dpc_proxy::ring_cluster::{RingCluster, RingConfig};
 use dpc_proxy::testbed::{Testbed, TestbedConfig, PROXY_ADDR};
 use dpc_proxy::ProxyMode;
 
 const CROWD: usize = 16;
 const DEADLINE: Duration = Duration::from_secs(10);
 const COLD_PAGE: &str = "/paper/page.jsp?p=5";
+const PAGES: usize = 16;
 
 fn params() -> PaperSiteParams {
     PaperSiteParams {
-        pages: 16,
+        pages: PAGES,
         ..PaperSiteParams::default()
     }
+}
+
+fn page(p: usize) -> String {
+    format!("/paper/page.jsp?p={p}")
 }
 
 /// Run `f` on its own thread and fail if it has not returned within
@@ -48,6 +61,50 @@ fn within_deadline<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send +
         }
         Err(RecvTimeoutError::Timeout) => panic!("{what}: not done within {DEADLINE:?}"),
         Err(RecvTimeoutError::Disconnected) => panic!("{what}: panicked"),
+    }
+}
+
+/// The bytes a pass-through testbed serves for `target`: the oracle.
+fn oracle(target: &str) -> Vec<u8> {
+    let tb = Testbed::build(TestbedConfig {
+        mode: ProxyMode::PassThrough,
+        paper_params: params(),
+        ..TestbedConfig::default()
+    });
+    tb.get(target, None).body.to_vec()
+}
+
+/// Release [`CROWD`] clients, one connection each, at once at `target`
+/// on the server at `addr`; returns each client's status and body.
+fn release_crowd(net: &Arc<SimNetwork>, addr: &str, target: &str) -> Vec<(u16, Vec<u8>)> {
+    let start = Barrier::new(CROWD);
+    thread::scope(|s| {
+        let handles: Vec<_> = (0..CROWD)
+            .map(|_| {
+                let client = Client::new(Arc::new(net.connector()));
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    let resp = client
+                        .request(addr, Request::get(target))
+                        .expect("front request failed");
+                    (resp.status.0, resp.body.to_vec())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("crowd thread panicked"))
+            .collect()
+    })
+}
+
+/// Every client got a `200` with exactly `expected`.
+fn assert_bodies(what: &str, bodies: &[(u16, Vec<u8>)], expected: &[u8]) {
+    assert_eq!(bodies.len(), CROWD, "{what}");
+    for (i, (status, body)) in bodies.iter().enumerate() {
+        assert_eq!(*status, 200, "{what}, client {i}");
+        assert!(*body == expected, "{what}, client {i}: wrong bytes");
     }
 }
 
@@ -69,26 +126,7 @@ fn crowd(loops: usize) -> CrowdRun {
     });
     let bem = tb.engine().bem();
     let before = bem.stats().snapshot();
-    let start = Barrier::new(CROWD);
-    let bodies = thread::scope(|s| {
-        let handles: Vec<_> = (0..CROWD)
-            .map(|_| {
-                let client = Client::new(Arc::new(tb.net().connector()));
-                let start = &start;
-                s.spawn(move || {
-                    start.wait();
-                    let resp = client
-                        .request(PROXY_ADDR, Request::get(COLD_PAGE))
-                        .expect("proxy request failed");
-                    (resp.status.0, resp.body.to_vec())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("crowd thread panicked"))
-            .collect()
-    });
+    let bodies = release_crowd(tb.net(), PROXY_ADDR, COLD_PAGE);
     CrowdRun {
         bodies,
         invariants: bem.directory().check_invariants(),
@@ -98,19 +136,10 @@ fn crowd(loops: usize) -> CrowdRun {
 
 #[test]
 fn cold_page_crowd_on_the_inline_origin() {
-    let oracle = Testbed::build(TestbedConfig {
-        mode: ProxyMode::PassThrough,
-        paper_params: params(),
-        ..TestbedConfig::default()
-    });
-    let expected = oracle.get(COLD_PAGE, None).body.to_vec();
+    let expected = oracle(COLD_PAGE);
     for loops in [1, 2] {
         let run = within_deadline(&format!("crowd at loops {loops}"), move || crowd(loops));
-        assert_eq!(run.bodies.len(), CROWD);
-        for (i, (status, body)) in run.bodies.iter().enumerate() {
-            assert_eq!(*status, 200, "loops {loops}, client {i}");
-            assert!(*body == expected, "loops {loops}, client {i}: wrong bytes");
-        }
+        assert_bodies(&format!("loops {loops}"), &run.bodies, &expected);
         run.invariants
             .unwrap_or_else(|e| panic!("loops {loops}: directory invariant: {e}"));
         if loops == 1 {
@@ -119,6 +148,108 @@ fn cold_page_crowd_on_the_inline_origin() {
                 "one inline origin loop runs one handler at a time: nothing parks"
             );
         }
+    }
+}
+
+/// Release [`CROWD`] clients at once at [`COLD_PAGE`] on a fresh
+/// `PageCache`-mode testbed with `loops` loops per front: the proxy's
+/// page flight parks followers on their proxy loop while the leader
+/// fetches from the origin. Returns the bodies and the page cache's
+/// coalesced waits, with its invariants checked.
+fn page_cache_crowd(loops: usize) -> (Vec<(u16, Vec<u8>)>, u64) {
+    let tb = Testbed::build(TestbedConfig {
+        mode: ProxyMode::PageCache,
+        paper_params: params(),
+        loops,
+        ..TestbedConfig::default()
+    });
+    let bodies = release_crowd(tb.net(), PROXY_ADDR, COLD_PAGE);
+    let stats = tb.proxy().page_cache().stats();
+    stats
+        .check_invariants()
+        .unwrap_or_else(|e| panic!("loops {loops}: page cache invariant: {e}"));
+    (bodies, stats.coalesced_waits)
+}
+
+#[test]
+fn cold_page_crowd_on_the_inline_page_cache_proxy() {
+    let expected = oracle(COLD_PAGE);
+    for loops in [1, 2] {
+        let (bodies, coalesced_waits) =
+            within_deadline(&format!("page-cache crowd at loops {loops}"), move || {
+                page_cache_crowd(loops)
+            });
+        assert_bodies(&format!("page cache, loops {loops}"), &bodies, &expected);
+        if loops == 1 {
+            assert_eq!(
+                coalesced_waits, 0,
+                "one inline proxy loop runs one handler at a time: nothing parks"
+            );
+        }
+    }
+}
+
+/// What one ring-front crowd observed.
+struct RingRun {
+    target: String,
+    bodies: Vec<(u16, Vec<u8>)>,
+    peer_fetches: u64,
+}
+
+/// A two-node ring behind an HTTP front with `loops` loops: every page is
+/// served once, a third node joins, and [`CROWD`] clients are released at
+/// once through the front at a page the newcomer now owns. The newcomer
+/// has never served it, so the crowd's first requests peer-fetch its
+/// fragments from the donor — on the front's event loop.
+fn ring_front_crowd(loops: usize) -> RingRun {
+    let tb = Testbed::build(TestbedConfig {
+        mode: ProxyMode::Dpc,
+        paper_params: params(),
+        ..TestbedConfig::default()
+    });
+    let cluster = Arc::new(RingCluster::new(
+        tb.net(),
+        2,
+        RingConfig {
+            loops,
+            ..RingConfig::default()
+        },
+    ));
+    let _front = cluster.spawn_front("ring-front");
+    for p in 0..PAGES {
+        assert_eq!(cluster.get(&page(p), None).status.0, 200, "warm page {p}");
+    }
+    let newcomer = cluster.join();
+    let target = (0..PAGES)
+        .map(page)
+        .find(|t| cluster.owner_of(t) == Some(newcomer))
+        .expect("the newcomer owns one of the pages");
+    let bodies = release_crowd(tb.net(), "ring-front", &target);
+    let peer_fetches = cluster
+        .proxy(newcomer)
+        .expect("newcomer alive")
+        .stats()
+        .peer_fetches
+        .load(Ordering::Relaxed);
+    RingRun {
+        target,
+        bodies,
+        peer_fetches,
+    }
+}
+
+#[test]
+fn cold_page_crowd_on_the_inline_ring_front() {
+    for loops in [1, 2] {
+        let run = within_deadline(&format!("ring-front crowd at loops {loops}"), move || {
+            ring_front_crowd(loops)
+        });
+        let what = format!("ring front, loops {loops}, {}", run.target);
+        assert_bodies(&what, &run.bodies, &oracle(&run.target));
+        assert!(
+            run.peer_fetches > 0,
+            "{what}: the crowd must pull from the donor"
+        );
     }
 }
 

@@ -208,16 +208,6 @@ fn metrics_scrape_on_the_testbed_front_has_every_family_nonzero() {
     // A lone proxy has no donor and never refreshes.
     assert_eq!(metric_sum(&body, "dpc_bem_donor_gets_total", &[]), 0.0);
     assert_eq!(metric_sum(&body, "dpc_bem_missing_keys_total", &[]), 0.0);
-    // The origin runs its script engine inline on its loops; the proxy,
-    // which blocks on origin fetches, keeps the default worker pool.
-    assert_eq!(
-        metric_sum(&body, "dpc_server_workers", &[("server", "origin")]),
-        0.0
-    );
-    assert_eq!(
-        metric_sum(&body, "dpc_server_workers", &[("server", "proxy")]),
-        32.0
-    );
 
     // Per-outcome latency histograms: the first serves assembled, the
     // repeats hit the page tier; both outcomes have counted samples and
@@ -423,7 +413,6 @@ fn tcp_workload_under_os_backend_scrapes_zero_tick_waits() {
     let listener = TcpListenerAdapter::bind("127.0.0.1:0").unwrap();
     let handle = Server::new(Box::new(listener), handler)
         .with_config(ServerConfig {
-            workers: 2,
             backend: Backend::Os,
         })
         .with_loops(2)

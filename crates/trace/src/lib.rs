@@ -4,10 +4,10 @@
 //! per serving layer it crosses (HTTP front, L1/L2 page tier, assembly,
 //! single-flight, directory, peer fetch). Spans are fixed-size `Copy`
 //! records pushed into lock-free, fixed-capacity **span rings** — one ring
-//! per event-loop/worker thread shard, each slot guarded by a per-slot
-//! seqlock — so recording a span on the hot path is a handful of relaxed
-//! atomic stores and **never allocates**. Old spans are simply overwritten
-//! (the ring is a flight recorder, not a log).
+//! per thread shard (event loops, peer servers, direct callers), each slot
+//! guarded by a per-slot seqlock — so recording a span on the hot path is
+//! a handful of relaxed atomic stores and **never allocates**. Old spans
+//! are simply overwritten (the ring is a flight recorder, not a log).
 //!
 //! Interesting traces outlive the ring through **tail-based retention**:
 //! when a trace's *root* span completes, the recorder keeps the whole
@@ -20,12 +20,12 @@
 //! **Context propagation.** The current `(trace id, span id)` pair lives
 //! in a thread-local; [`SpanGuard`]s push/pop it RAII-style, so layers
 //! deeper in the call stack parent correctly without plumbing arguments.
-//! Crossing a thread (worker-pool dispatch) or a process-shaped boundary
-//! re-establishes it explicitly: HTTP legs carry it in the
-//! [`TRACE_HEADER`] request header (`<trace>-<span>`, hex), the peer-fetch
-//! wire carries it in an optional trailing field of
-//! `ClusterFrame::FetchReq`/`FetchResp` — so one trace stitches the whole
-//! front → owner → peer journey.
+//! The event loop enters a request's root context around its handler, and
+//! crossing a process-shaped boundary re-establishes it explicitly: HTTP
+//! legs carry it in the [`TRACE_HEADER`] request header
+//! (`<trace>-<span>`, hex), the peer-fetch wire carries it in an optional
+//! trailing field of `ClusterFrame::FetchReq`/`FetchResp` — so one trace
+//! stitches the whole front → owner → peer journey.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -309,7 +309,7 @@ pub struct TraceConfig {
     /// recorder is a flight recorder, not a debug mode.
     pub enabled: bool,
     /// Ring shards. Threads are assigned shards round-robin on first use,
-    /// so event loops and pool workers each write a stable ring.
+    /// so event loops and peer servers each write a stable ring.
     pub rings: usize,
     /// Span slots per ring shard.
     pub ring_capacity: usize,
@@ -370,7 +370,7 @@ impl Drop for CtxGuard {
 
 /// Establish `(trace_id, span_id)` as the thread's current context until
 /// the guard drops — the explicit half of propagation, used wherever a
-/// request hops threads (worker dispatch) or arrives with a wire/header
+/// request's root opens on its event loop or arrives with a wire/header
 /// context (peer service, origin leg).
 pub fn enter(trace_id: u64, span_id: u64) -> CtxGuard {
     let prev = CURRENT.replace((trace_id, span_id));
