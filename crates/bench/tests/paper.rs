@@ -291,17 +291,17 @@ fn ablation_policy_none_serves_inline_once_the_directory_fills() {
 }
 
 /// Counted-work equivalence for the four kept policies: the exact
-/// directory counts `ablation(600)` produced while `Replacer` still carried
-/// byte, identity and admission signals. None of these policies read them,
-/// so one different victim anywhere in the run moves a count here.
+/// directory counts `ablation(600)` produces with one replacement manager
+/// over the directory's 48 keys. One different victim anywhere in the run
+/// moves a count here.
 #[test]
 fn ablation_kept_policies_replay_the_parent_counts() {
     // (policy, hits, evictions, uncacheable) over 1,200 lookups.
     for (name, hits, evictions, uncacheable) in [
-        ("lru", 904, 250, 0),
-        ("clock", 898, 256, 0),
-        ("fifo", 864, 290, 0),
-        ("none", 966, 0, 188),
+        ("lru", 976, 176, 0),
+        ("clock", 976, 176, 0),
+        ("fifo", 914, 238, 0),
+        ("none", 990, 0, 162),
     ] {
         let d = policy(name);
         assert_eq!(d.hit_ratio(), hits as f64 / 1200.0, "{name}: {d:?}");

@@ -140,8 +140,7 @@ impl Bem {
     }
 
     /// The configuration this BEM was built with (a matching DPC store
-    /// should be sized with `config().capacity` and
-    /// `config().effective_shards()`).
+    /// should be sized with `config().capacity`).
     pub fn config(&self) -> &BemConfig {
         &self.config
     }

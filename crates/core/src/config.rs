@@ -29,25 +29,6 @@ pub struct BemConfig {
     pub seed: u64,
     /// Clock used for TTLs (virtual in tests/benches).
     pub clock: Clock,
-    /// Number of lock shards for the cache directory and the DPC slot
-    /// store. Each shard owns a contiguous segment of the key space with
-    /// its own lock, freeList segment, and replacement manager, so proxy
-    /// workers touching different fragments never contend. Clamped to
-    /// `capacity` at construction (a directory of capacity 1 is one shard).
-    pub shards: usize,
-}
-
-/// Default shard count: enough to spread 8–16 proxy worker threads with
-/// negligible collision probability, cheap enough for tiny directories
-/// (construction clamps to `capacity`).
-pub const DEFAULT_SHARDS: usize = 16;
-
-/// Shared clamping rule for directory and store shard counts: at least 1,
-/// at most `capacity`, rounded down to a power of two (mask-friendly).
-pub(crate) fn effective_shards(requested: usize, capacity: usize) -> usize {
-    let clamped = requested.clamp(1, capacity.max(1));
-    // Largest power of two <= clamped.
-    1 << (usize::BITS - 1 - clamped.leading_zeros())
 }
 
 impl Default for BemConfig {
@@ -59,7 +40,6 @@ impl Default for BemConfig {
             force_miss_probability: None,
             seed: 0x5EED_CAFE,
             clock: Clock::real(),
-            shards: DEFAULT_SHARDS,
         }
     }
 }
@@ -103,21 +83,6 @@ impl BemConfig {
         self.seed = seed;
         self
     }
-
-    /// Builder: set the directory/store shard count (min 1; clamped to
-    /// `capacity` at construction).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "at least one shard is required");
-        self.shards = shards;
-        self
-    }
-
-    /// Effective shard count for this configuration: never more shards
-    /// than keys, never zero, and rounded down to a power of two so shard
-    /// selection is a mask instead of a division on the hot path.
-    pub fn effective_shards(&self) -> usize {
-        effective_shards(self.shards, self.capacity)
-    }
 }
 
 #[cfg(test)]
@@ -144,21 +109,5 @@ mod tests {
     #[should_panic(expected = "hit ratio")]
     fn forced_hit_ratio_rejects_out_of_range() {
         let _ = BemConfig::default().with_forced_hit_ratio(1.5);
-    }
-
-    #[test]
-    fn effective_shards_clamps_to_capacity() {
-        let cfg = BemConfig::default().with_capacity(4).with_shards(16);
-        assert_eq!(cfg.effective_shards(), 4);
-        let cfg = BemConfig::default().with_capacity(4096).with_shards(8);
-        assert_eq!(cfg.effective_shards(), 8);
-        let cfg = BemConfig::default().with_capacity(0);
-        assert_eq!(cfg.effective_shards(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_rejected() {
-        let _ = BemConfig::default().with_shards(0);
     }
 }

@@ -37,8 +37,8 @@ pub fn dep_table(table: &str) -> String {
 /// Virtual-clock tests and benches do not need this: expiry is also checked
 /// lazily at lookup time. The sweeper keeps directory gauges honest and
 /// returns keys to the freeList promptly even for fragments that are never
-/// requested again. With the sharded directory a sweep holds one shard
-/// lock at a time, so a background sweep never stalls lookups globally.
+/// requested again. A sweep holds the directory lock for one pass over its
+/// entries.
 pub struct Sweeper {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,

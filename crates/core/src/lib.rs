@@ -13,15 +13,14 @@
 //!   fragment stored under a `dpcKey` into the page).
 //! * [`directory`] — the BEM's **cache directory**
 //!   (`fragmentID → {dpcKey, isValid, ttl}`) plus the **freeList** of
-//!   reusable keys, sharded N ways so concurrent proxy workers never
-//!   contend on one lock. Invalidation and replacement only mutate the
-//!   directory; the DPC is never told (the shared integer key makes
-//!   explicit coherence messages unnecessary — the next `SET` simply
-//!   overwrites the slot).
+//!   reusable keys, one table under one lock. Invalidation and
+//!   replacement only mutate the directory; the DPC is never told (the
+//!   shared integer key makes explicit coherence messages unnecessary —
+//!   the next `SET` simply overwrites the slot).
 //! * [`bem`] — the Back End Monitor: the tagging API scripts wrap around
 //!   cacheable code blocks, the hit/miss decision, and template emission.
 //! * [`store`] / [`mod@assemble`] — the DPC side: an in-memory slot array
-//!   indexed by `dpcKey` (striped over per-shard locks), and the
+//!   indexed by `dpcKey` (striped over a few locks), and the
 //!   single-pass scanner/assembler that turns a template plus cached
 //!   fragments into the final page — as a flat buffer or as a zero-copy
 //!   rope of shared segments. Each slot keeps its content hash beside its
@@ -96,15 +95,15 @@ pub mod tag;
 
 pub use assemble::{assemble, assemble_rope, salvage, AssembledPage, AssembledRope, AssemblyStats};
 pub use bem::{Bem, FragmentPolicy, InvalidationSink, TemplateWriter};
-pub use config::{BemConfig, ReplacePolicy, DEFAULT_SHARDS};
-pub use directory::{CacheDirectory, Lookup, ShardStats};
+pub use config::{BemConfig, ReplacePolicy};
+pub use directory::{CacheDirectory, Lookup};
 pub use dpc_policy::{content_hash, fnv1a, LruReplacer, Replacer};
 pub use epoch::CoherencyEpoch;
 pub use error::{AssembleError, CoreError};
 pub use flight::{FlightCounters, FlightGroup, FlightLeader, Join, Publish, Wait};
 pub use key::{DpcKey, FragmentId};
 pub use objects::ObjectCache;
-pub use store::{FragmentSource, FragmentStore};
+pub use store::{FragmentSource, FragmentStore, DEFAULT_SHARDS};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {

@@ -1,4 +1,4 @@
-//! The DPC's fragment store — a sharded slot array.
+//! The DPC's fragment store — a striped slot array.
 //!
 //! The paper: *"The structure of the DPC cache is straightforward: it is
 //! implemented as an in-memory array of pointers to cached fragments, where
@@ -9,20 +9,19 @@
 //! bytes simply sit unused until the BEM reassigns the key, as described in
 //! the paper's freeList discussion.
 //!
-//! ## Sharding
+//! ## Stripes
 //!
-//! A single `RwLock` over the whole array serializes every concurrent
-//! `SET` (and stalls `GET`s behind writer wake-ups) once the proxy runs
-//! many worker threads. The array is therefore striped over N shards:
-//! slot `k` lives in shard `k % N` at offset `k / N`, each shard behind
-//! its own `RwLock`. Striping (rather than contiguous segments)
-//! intentionally decorrelates store shards from the directory's contiguous
-//! key segments: a burst of `SET`s for keys freshly allocated from one
-//! directory shard still spreads across all store shards.
+//! The array is striped over N locks ([`DEFAULT_SHARDS`] unless built
+//! with [`FragmentStore::with_shards`]): slot `k` lives in stripe `k % N`
+//! at offset `k / N`, each stripe behind its own `RwLock`. The stripes are
+//! the store's alone — the BEM's directory is one table under one lock —
+//! and no worker pool contends on them: every front runs its handlers
+//! inline on its event loops. They stay because the benchmark builds its
+//! store through `with_shards(.., DEFAULT_SHARDS)`.
 //!
 //! Every public operation is keyed by a single slot and touches exactly
-//! one shard lock; whole-store walks (`occupied`, `bytes_used`, `clear`)
-//! visit shards one at a time and never block the hot path globally.
+//! one stripe lock; whole-store walks (`occupied`, `bytes_used`, `clear`)
+//! visit stripes one at a time.
 //!
 //! ## Content hashes
 //!
@@ -36,9 +35,19 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::config::DEFAULT_SHARDS;
 use crate::key::DpcKey;
 use dpc_policy::content_hash;
+
+/// Default stripe count of a [`FragmentStore`] (clamped to its capacity).
+pub const DEFAULT_SHARDS: usize = 16;
+
+/// Stripe count for a store of `capacity` slots: at least 1, at most
+/// `capacity`, rounded down to a power of two (mask-friendly).
+fn effective_shards(requested: usize, capacity: usize) -> usize {
+    let clamped = requested.clamp(1, capacity.max(1));
+    // Largest power of two <= clamped.
+    1 << (usize::BITS - 1 - clamped.leading_zeros())
+}
 
 /// One occupied slot: the fragment's bytes and their [`content_hash`].
 type Slot = Option<(Bytes, u64)>;
@@ -62,7 +71,7 @@ pub trait FragmentSource: Send + Sync {
     fn fetch(&self, donor: u32, key: DpcKey) -> Option<Bytes>;
 }
 
-/// Sharded slot-array fragment store, shared by all proxy worker threads.
+/// Striped slot-array fragment store, shared by a node's event loops.
 pub struct FragmentStore {
     shards: Box<[RwLock<Vec<Slot>>]>,
     /// `log2(shards.len())`; slot `k` lives in shard `k & (len-1)` at
@@ -76,7 +85,7 @@ pub struct FragmentStore {
 
 impl FragmentStore {
     /// A store with `capacity` slots (the BEM's directory capacity must not
-    /// exceed this) and the default shard count.
+    /// exceed this) and the default stripe count.
     pub fn new(capacity: usize) -> FragmentStore {
         FragmentStore::with_shards(capacity, DEFAULT_SHARDS)
     }
@@ -86,7 +95,7 @@ impl FragmentStore {
     /// down to a power of two, making slot location a mask + shift instead
     /// of two divisions on the hot path.
     pub fn with_shards(capacity: usize, shards: usize) -> FragmentStore {
-        let n = crate::config::effective_shards(shards, capacity);
+        let n = effective_shards(shards, capacity);
         let shard_vec: Vec<RwLock<Vec<Slot>>> = (0..n)
             .map(|i| {
                 // Shard i holds slots {k : k % n == i}: ceil((capacity-i)/n).

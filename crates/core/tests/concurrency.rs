@@ -20,8 +20,9 @@
 //! content — so the freeList is empty whenever renders run, and no key
 //! ever migrates between fragments mid-flight. Replacement is disabled so
 //! keys also never move via eviction. SET/SET and SET/GET races between
-//! renderer threads remain fully live and are exactly what the sharded
-//! directory and store must survive.
+//! renderer threads remain fully live and are exactly what the
+//! directory's one lock and the store's stripes must survive: every
+//! renderer and invalidator serializes on the directory.
 //!
 //! A render that hits a not-yet-populated slot (`MissingFragment`: the
 //! directory said Hit before the originating SET reached the store) falls
@@ -84,16 +85,16 @@ fn render(bem: &Bem, p: usize, bypass: bool) -> Vec<u8> {
     w.finish()
 }
 
-fn run_stress(shards: usize) {
+#[test]
+fn stress_directory_and_store() {
     let bem = Arc::new(Bem::new(
         BemConfig::default()
             .with_capacity(FRAGMENTS * 4)
             // No replacement: keys only ever move through explicit
             // invalidation, which the churn lock brackets (see module doc).
-            .with_replace(ReplacePolicy::None)
-            .with_shards(shards),
+            .with_replace(ReplacePolicy::None),
     ));
-    let store = Arc::new(FragmentStore::with_shards(FRAGMENTS * 4, shards));
+    let store = Arc::new(FragmentStore::new(FRAGMENTS * 4));
     let churn = Arc::new(RwLock::new(()));
     let barrier = Arc::new(Barrier::new(RENDER_THREADS + INVALIDATOR_THREADS));
     let bypasses = Arc::new(AtomicU64::new(0));
@@ -186,7 +187,6 @@ fn run_stress(shards: usize) {
 
     bem.directory().check_invariants().unwrap();
     let stats = bem.directory_stats();
-    assert_eq!(stats.shards, bem.config().effective_shards());
     assert!(stats.hits > 0, "churn never produced a hit: {stats:?}");
     assert!(
         stats.misses as usize >= FRAGMENTS.min(PAGES * FRAGS_PER_PAGE),
@@ -199,16 +199,4 @@ fn run_stress(shards: usize) {
     // The store only ever held real fragment content.
     let (sets, gets, _missing) = store.counters();
     assert!(sets > 0 && gets > 0);
-}
-
-#[test]
-fn stress_sharded_directory_and_store() {
-    run_stress(16);
-}
-
-#[test]
-fn stress_single_shard_baseline() {
-    // The same churn against one global lock: the semantics (not the
-    // scaling) must be identical.
-    run_stress(1);
 }

@@ -84,9 +84,7 @@ fn serve(bem: &Bem, store: &FragmentStore, produce: &(dyn Fn(&mut Vec<u8>) + Syn
 }
 
 fn crowd_bem() -> Arc<Bem> {
-    Arc::new(Bem::new(
-        BemConfig::default().with_capacity(CAP).with_shards(1),
-    ))
+    Arc::new(Bem::new(BemConfig::default().with_capacity(CAP)))
 }
 
 /// One synchronized burst: the whole crowd hits the same cold fragment and

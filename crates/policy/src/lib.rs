@@ -22,8 +22,8 @@
 //!   victim and stops tracking it.
 //! * [`Replacer::len`] for the caches' invariant checks.
 //!
-//! Keys are generic ([`Key`]): the BEM directory drives a
-//! `Replacer<DpcKey>` per shard; the proxy page cache holds an
+//! Keys are generic ([`Key`]): the BEM directory drives one
+//! `Replacer<DpcKey>`; the proxy page cache holds an
 //! [`LruReplacer<u64>`] keyed by URL hash, so its hit path stays
 //! allocation-free. Byte accounting is the caches' own: no policy here
 //! reads sizes.

@@ -60,8 +60,8 @@ fn flight_family(
     e.counter("dpc_flight_retries_total", &ls, retries);
 }
 
-/// BEM tagging counters, the cache directory (aggregate and per shard),
-/// and both layers' single-flight counters.
+/// BEM tagging counters, the cache directory, and both layers'
+/// single-flight counters.
 pub fn register_bem(registry: &Registry, key: impl Into<String>, bem: Arc<Bem>, node: Option<u32>) {
     let node = node.map(|n| n.to_string());
     registry.register(key, move |e| {
@@ -113,11 +113,6 @@ pub fn register_bem(registry: &Registry, key: impl Into<String>, bem: Arc<Bem>, 
         );
         e.counter("dpc_directory_evictions_total", &labels, d.evictions);
         e.counter("dpc_directory_uncacheable_total", &labels, d.uncacheable);
-        e.counter(
-            "dpc_directory_dep_shard_scans_total",
-            &labels,
-            d.dep_shard_scans,
-        );
         e.gauge("dpc_directory_resident_bytes", &labels, d.resident_bytes);
         e.gauge(
             "dpc_directory_resident_bytes_hwm",
@@ -135,7 +130,6 @@ pub fn register_bem(registry: &Registry, key: impl Into<String>, bem: Arc<Bem>, 
             d.total_entries as u64,
         );
         e.gauge("dpc_directory_free_keys", &labels, d.free_keys as u64);
-        e.gauge("dpc_directory_shards", &labels, d.shards as u64);
         flight_family(
             e,
             &labels,
@@ -144,23 +138,6 @@ pub fn register_bem(registry: &Registry, key: impl Into<String>, bem: Arc<Bem>, 
             d.coalesced_waits,
             d.flight_retries,
         );
-
-        for (i, shard) in bem.directory().shard_stats().iter().enumerate() {
-            let i = i.to_string();
-            let ls = with_label(&labels, "shard", &i);
-            e.counter("dpc_directory_shard_evictions_total", &ls, shard.evictions);
-            e.gauge(
-                "dpc_directory_shard_resident_bytes",
-                &ls,
-                shard.resident_bytes,
-            );
-            e.gauge(
-                "dpc_directory_shard_valid_entries",
-                &ls,
-                shard.valid_entries as u64,
-            );
-            e.gauge("dpc_directory_shard_free_keys", &ls, shard.free_keys as u64);
-        }
     });
 }
 

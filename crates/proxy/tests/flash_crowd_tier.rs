@@ -106,9 +106,7 @@ fn crowd_get() -> Request {
 #[test]
 fn crowd_with_l1_resident_page_sees_no_stale_bytes_after_invalidation() {
     let epoch = CoherencyEpoch::new();
-    let bem = Arc::new(Bem::new(
-        BemConfig::default().with_capacity(CAP).with_shards(1),
-    ));
+    let bem = Arc::new(Bem::new(BemConfig::default().with_capacity(CAP)));
     // The standard wiring: the BEM's invalidation path bumps the tier
     // epoch, exactly as the testbed's bus subscription and the ring
     // cluster's gossip scrub do.

@@ -295,13 +295,14 @@ fn counted_run(l1_budget_bytes: usize) -> Work {
 }
 
 /// The exact counts the same sequence produced while the origin ran on a
-/// 64-thread worker pool.
+/// 64-thread worker pool, less the tag bytes the directory's single key
+/// sequence saves (its keys have fewer decimal digits).
 #[test]
 fn inline_origin_moves_the_parent_origin_bytes() {
     // 32 cacheable fragments cold, plus one regeneration per update.
     let tier_off = Work {
-        payload_bytes: 579_064,
-        wire_bytes: 621_424,
+        payload_bytes: 578_167,
+        wire_bytes: 620_527,
         packets: 1_059,
         origin_requests: 200,
         bem_hits: 364,
@@ -309,8 +310,8 @@ fn inline_origin_moves_the_parent_origin_bytes() {
     };
     // The page tier answers 60 of the 200 requests itself.
     let tier_on = Work {
-        payload_bytes: 416_564,
-        wire_bytes: 446_924,
+        payload_bytes: 415_913,
+        wire_bytes: 446_273,
         packets: 759,
         origin_requests: 140,
         bem_hits: 244,
