@@ -85,8 +85,7 @@ fn render(bem: &Bem, p: usize, bypass: bool) -> Vec<u8> {
     w.finish()
 }
 
-#[test]
-fn stress_directory_and_store() {
+fn run_stress(store_shards: usize) {
     let bem = Arc::new(Bem::new(
         BemConfig::default()
             .with_capacity(FRAGMENTS * 4)
@@ -94,7 +93,7 @@ fn stress_directory_and_store() {
             // invalidation, which the churn lock brackets (see module doc).
             .with_replace(ReplacePolicy::None),
     ));
-    let store = Arc::new(FragmentStore::new(FRAGMENTS * 4));
+    let store = Arc::new(FragmentStore::with_shards(FRAGMENTS * 4, store_shards));
     let churn = Arc::new(RwLock::new(()));
     let barrier = Arc::new(Barrier::new(RENDER_THREADS + INVALIDATOR_THREADS));
     let bypasses = Arc::new(AtomicU64::new(0));
@@ -199,4 +198,17 @@ fn stress_directory_and_store() {
     // The store only ever held real fragment content.
     let (sets, gets, _missing) = store.counters();
     assert!(sets > 0 && gets > 0);
+}
+
+#[test]
+fn stress_sharded_directory_and_store() {
+    // The directory is one lock; "sharded" is the store's default stripes.
+    run_stress(dpc_core::DEFAULT_SHARDS);
+}
+
+#[test]
+fn stress_single_shard_baseline() {
+    // The same churn against a one-stripe store: the semantics (not the
+    // scaling) must be identical.
+    run_stress(1);
 }
