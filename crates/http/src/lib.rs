@@ -38,8 +38,7 @@ pub use client::Client;
 pub use error::HttpError;
 pub use message::{Body, Headers, Method, Request, Response, Status};
 pub use server::{
-    Handler, LoopCache, LoopCacheFactory, LoopStats, Server, ServerConfig, ServerHandle,
-    ServerStats,
+    Handler, LoopCache, LoopCacheFactory, LoopStats, Server, ServerHandle, ServerStats,
 };
 pub use uri::Uri;
 

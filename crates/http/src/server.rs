@@ -36,9 +36,10 @@
 //! evicted — dropped, its queued output discarded and credited back — so
 //! a reader that never drains can't balloon server memory. Flush progress
 //! resets the strikes, and only reads that actually return bytes count
-//! (readiness is a hint — the TCP fallback tick reports maybe-ready every
-//! 1 ms), so a merely-slow client that keeps draining, or one merely
-//! stalled on its receive window, is never evicted.
+//! (readiness is a hint — a spurious event, or the polled tick of a
+//! platform without epoll, reports maybe-ready with nothing to read), so
+//! a merely-slow client that keeps draining, or one merely stalled on its
+//! receive window, is never evicted.
 //!
 //! The handler is a plain trait object so the same server fronts the
 //! application server, the proxy, and test fixtures.
@@ -52,9 +53,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dpc_metrics::{HistogramSnapshot, Outcome, OutcomeExemplars, OutcomeHistograms};
-use dpc_net::{
-    Backend, BoxNbListener, BoxNbStream, Clock, Poller, Ready, Registry, Token, WakeSet,
-};
+use dpc_net::{BoxNbListener, BoxNbStream, Clock, Poller, Ready, Registry, Token, WakeSet};
 use dpc_trace::{Layer, RootCtx, SpanStatus, Tracer, TRACE_HEADER};
 
 use crate::message::{Request, Response};
@@ -101,26 +100,6 @@ pub trait LoopCache: Send {
 /// the loop index).
 pub type LoopCacheFactory = Arc<dyn Fn(usize) -> Box<dyn LoopCache> + Send + Sync>;
 
-/// Server configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerConfig {
-    /// Readiness backend for the event loops. `Backend::Portable` (the
-    /// default) is the condvar registry with the polled TCP fallback tick;
-    /// `Backend::Os` parks each loop in the kernel (epoll on Linux) so
-    /// plain-TCP sources get push notifications and idle loops consume
-    /// zero CPU. The default honours the `DPC_POLL_BACKEND` environment
-    /// variable (`"os"`), so CI can force the OS backend suite-wide.
-    pub backend: Backend,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            backend: Backend::from_env(),
-        }
-    }
-}
-
 /// Default per-connection cap on queued-but-unsent response bytes.
 pub const DEFAULT_CONN_OUTPUT_CAP: usize = 4 * 1024 * 1024;
 /// Default global (all loops, all connections) output-buffer budget.
@@ -130,7 +109,7 @@ pub const DEFAULT_GLOBAL_OUTPUT_CAP: usize = 64 * 1024 * 1024;
 /// connection that is over its output budget with zero flush progress
 /// before it is evicted. Progress resets the count, so only a peer that
 /// keeps sending while never draining accumulates strikes; spurious
-/// readiness events (the polled/TCP fallback tick) never count.
+/// readiness events (and polled-tick reports) never count.
 const EVICT_STRIKES: u32 = 4;
 
 /// How long a stopping loop keeps flushing queued output before closing
@@ -158,7 +137,7 @@ pub struct LoopStats {
     /// Poller wait-returns caused by the polled-source fallback tick
     /// (mirror of [`Poller::tick_count`]; the poller itself lives on the
     /// loop thread). Zero for a push-only loop — including every TCP loop
-    /// under the OS backend, where the kernel pushes readiness.
+    /// on Linux, where epoll pushes readiness.
     pub tick_waits: AtomicU64,
 }
 
@@ -199,8 +178,8 @@ impl ServerStats {
         self.sum(|l| &l.evictions)
     }
 
-    /// Total fallback-tick poller waits across all loops. Zero under the
-    /// OS backend (or a pure-sim workload): readiness is pushed, never
+    /// Total fallback-tick poller waits across all loops. Zero over TCP on
+    /// Linux and on a pure-sim workload: readiness is pushed, never
     /// polled.
     pub fn tick_waits(&self) -> u64 {
         self.sum(|l| &l.tick_waits)
@@ -250,7 +229,6 @@ impl ServerStats {
 pub struct Server {
     listener: BoxNbListener,
     handler: Arc<dyn Handler>,
-    config: ServerConfig,
     loops: usize,
     conn_output_cap: usize,
     global_output_cap: usize,
@@ -264,7 +242,6 @@ impl Server {
         Server {
             listener,
             handler,
-            config: ServerConfig::default(),
             loops: 1,
             conn_output_cap: DEFAULT_CONN_OUTPUT_CAP,
             global_output_cap: DEFAULT_GLOBAL_OUTPUT_CAP,
@@ -272,11 +249,6 @@ impl Server {
             request_clock: None,
             tracer: Tracer::off(),
         }
-    }
-
-    pub fn with_config(mut self, config: ServerConfig) -> Server {
-        self.config = config;
-        self
     }
 
     /// Builder: shard connections across `loops` event-loop threads
@@ -341,7 +313,7 @@ impl Server {
         let mut inboxes = Vec::with_capacity(n);
         let mut wake = WakeSet::new();
         for _ in 0..n {
-            let poller = Poller::with_backend(self.config.backend);
+            let poller = Poller::new();
             let (inbox_tx, inbox_rx) = unbounded();
             wake.add(Arc::clone(poller.registry()));
             loop_shared.push(LoopShared {
@@ -673,11 +645,11 @@ struct LoopState {
     tracer: Tracer,
     /// Set when the loop leaves its main phase: no new parses, drain only.
     stopping: bool,
-    /// Connections whose pump stopped on the output budget. Under the
-    /// portable backend the fallback tick re-pumps them for free; under a
-    /// push backend a *global*-budget stall can be released by another
-    /// loop's flush, which raises no event here — so the run loop bounds
-    /// its wait and re-pumps this set whenever it is non-empty.
+    /// Connections whose pump stopped on the output budget. A
+    /// *global*-budget stall can be released by another loop's flush,
+    /// which raises no event here (pushed readiness, epoll's included,
+    /// reports transitions only) — so the run loop bounds its wait and
+    /// re-pumps this set whenever it is non-empty.
     budget_parked: std::collections::BTreeSet<Token>,
 }
 
@@ -902,8 +874,8 @@ impl LoopState {
         }
         if ready.readable {
             // Slow-client admission control. A readable event alone is
-            // only a hint (the polled/TCP fallback reports every source as
-            // maybe-ready each tick), so a strike needs real evidence of
+            // only a hint (a polled source is reported maybe-ready on
+            // every tick), so a strike needs real evidence of
             // sending-without-draining while over the output budget:
             // bytes that actually arrived, or an input buffer already
             // saturated at its read budget (a full budget of unparsed

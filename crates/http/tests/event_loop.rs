@@ -7,7 +7,7 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dpc_http::{Body, Client, Handler, Request, Response, Server, ServerConfig};
+use dpc_http::{Body, Client, Handler, Request, Response, Server};
 use dpc_net::{Connector, MeterRegistry, ProtocolModel, SimNetwork};
 
 fn echo_handler() -> Arc<dyn Handler> {
@@ -260,44 +260,39 @@ fn thousand_idle_keep_alive_connections_stay_thread_bounded() {
     assert_eq!(handle.requests(), CONNS as u64 + 1);
 }
 
-/// The PR 4 "push-only pollers never arm the tick" pin, now for real TCP:
-/// under the OS backend a plain-TCP workload — accepts, requests, and an
-/// idle stretch long past the 1 ms fallback period — must finish with zero
-/// fallback-tick waits, because the kernel pushes readiness. The polled
-/// backend on the same workload must tick, which pins what the counter
-/// measures.
+/// "Push-only pollers never arm the tick", for real TCP: a default server
+/// on Linux — accepts, requests, and an idle stretch long past the 1 ms
+/// fallback period — finishes with zero fallback-tick waits, because its
+/// loop attached epoll when the listener registered and the kernel pushes
+/// readiness. That the counter does move for polled sources is pinned by
+/// `poll.rs`'s `polled_sources_resurface_every_tick` and
+/// `push_only_poller_never_arms_the_tick`.
 #[cfg(target_os = "linux")]
 #[test]
 fn tcp_workload_under_os_backend_never_ticks() {
-    use dpc_net::{Backend, TcpListenerAdapter};
+    use dpc_net::TcpListenerAdapter;
 
-    fn run(backend: Backend) -> u64 {
-        let listener = TcpListenerAdapter::bind("127.0.0.1:0").unwrap();
-        let handle = Server::new(Box::new(listener), echo_handler())
-            .with_config(ServerConfig { backend })
-            .spawn();
-        let mut idle = Vec::new();
-        for i in 0..32 {
-            let conn = std::net::TcpStream::connect(handle.addr()).unwrap();
-            let mut reader = std::io::BufReader::new(conn);
-            write!(reader.get_mut(), "GET /warm{i} HTTP/1.1\r\n\r\n").unwrap();
-            let resp = dpc_http::parse::read_response(&mut reader).unwrap();
-            assert_eq!(resp.body, format!("GET /warm{i}").into_bytes());
-            idle.push(reader);
-        }
-        // Idle stretch: dozens of fallback periods with nothing to do.
-        std::thread::sleep(Duration::from_millis(60));
-        let reader = &mut idle[7];
-        write!(reader.get_mut(), "GET /after-idle HTTP/1.1\r\n\r\n").unwrap();
-        let resp = dpc_http::parse::read_response(reader).unwrap();
-        assert_eq!(resp.body, *b"GET /after-idle");
-        handle.stats().tick_waits()
+    let listener = TcpListenerAdapter::bind("127.0.0.1:0").unwrap();
+    let handle = Server::new(Box::new(listener), echo_handler()).spawn();
+    let mut idle = Vec::new();
+    for i in 0..32 {
+        let conn = std::net::TcpStream::connect(handle.addr()).unwrap();
+        let mut reader = std::io::BufReader::new(conn);
+        write!(reader.get_mut(), "GET /warm{i} HTTP/1.1\r\n\r\n").unwrap();
+        let resp = dpc_http::parse::read_response(&mut reader).unwrap();
+        assert_eq!(resp.body, format!("GET /warm{i}").into_bytes());
+        idle.push(reader);
     }
-
-    assert_eq!(run(Backend::Os), 0, "epoll backend must never tick");
-    assert!(
-        run(Backend::Portable) > 0,
-        "polled backend must tick on a TCP workload (counter pin)"
+    // Idle stretch: dozens of fallback periods with nothing to do.
+    std::thread::sleep(Duration::from_millis(60));
+    let reader = &mut idle[7];
+    write!(reader.get_mut(), "GET /after-idle HTTP/1.1\r\n\r\n").unwrap();
+    let resp = dpc_http::parse::read_response(reader).unwrap();
+    assert_eq!(resp.body, *b"GET /after-idle");
+    assert_eq!(
+        handle.stats().tick_waits(),
+        0,
+        "TCP on epoll must never tick"
     );
 }
 

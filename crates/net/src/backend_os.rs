@@ -3,9 +3,10 @@
 //! The workspace vendors no FFI crates, so the epoll binding is a
 //! hand-written `extern "C"` shim over the libc symbols every Linux
 //! process already links (`epoll_create1`, `epoll_ctl`, `epoll_wait`,
-//! `eventfd`, `read`, `write`, `close`). Other platforms get
-//! [`os_backend`] `== None` and fall back to the portable condvar
-//! registry — `kqueue` would slot in behind the same [`PollBackend`]
+//! `eventfd`, `read`, `write`, `close`). A [`Registry`](crate::Registry)
+//! attaches one the first time a source registers an fd. Other platforms
+//! get [`os_backend`] `== None`, and their fd sources fall back to the
+//! polled tick — `kqueue` would slot in behind the same [`PollBackend`]
 //! trait.
 //!
 //! Design notes:
@@ -21,8 +22,9 @@
 //!   interrupt a poller parked in `epoll_wait`. A nonblocking `eventfd`
 //!   registered level-triggered under a reserved token does that: writers
 //!   bump the counter (saturating, so back-to-back wakes coalesce), the
-//!   parked thread sees `EPOLLIN`, drains the counter with one 8-byte
-//!   read, and reports "woken" to the poller.
+//!   parked thread sees `EPOLLIN` and drains the counter with one 8-byte
+//!   read. The wake's cause (a pushed event or the wake flag) is already
+//!   in the registry, which the poller re-drains after every park.
 //! * **Deregistration order.** `Registry::deregister` removes the fd from
 //!   the epoll set *before* the stream is dropped (and the fd closed), so
 //!   a recycled fd number can never alias a stale registration.
@@ -30,7 +32,7 @@
 use crate::poll::PollBackend;
 
 /// The platform's kernel readiness queue, if it has one: `Some(epoll)` on
-/// Linux, `None` elsewhere (callers fall back to the portable registry).
+/// Linux, `None` elsewhere (fd sources fall back to the polled tick).
 #[cfg(target_os = "linux")]
 pub fn os_backend() -> Option<Box<dyn PollBackend>> {
     linux::EpollBackend::new()
@@ -39,14 +41,11 @@ pub fn os_backend() -> Option<Box<dyn PollBackend>> {
 }
 
 /// The platform's kernel readiness queue, if it has one: `Some(epoll)` on
-/// Linux, `None` elsewhere (callers fall back to the portable registry).
+/// Linux, `None` elsewhere (fd sources fall back to the polled tick).
 #[cfg(not(target_os = "linux"))]
 pub fn os_backend() -> Option<Box<dyn PollBackend>> {
     None
 }
-
-#[cfg(target_os = "linux")]
-pub use linux::EpollBackend;
 
 #[cfg(target_os = "linux")]
 mod linux {
@@ -168,7 +167,7 @@ mod linux {
             unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
         }
 
-        fn wait(&self, events: &mut Vec<(Token, Ready)>, timeout: Option<Duration>) -> bool {
+        fn wait(&self, events: &mut Vec<(Token, Ready)>, timeout: Option<Duration>) {
             const MAX_EVENTS: usize = 256;
             let mut buf = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
             // epoll granularity is milliseconds; round a short nonzero
@@ -181,16 +180,11 @@ mod linux {
                 }
             };
             let n = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), MAX_EVENTS as c_int, ms) };
-            if n <= 0 {
-                // 0 = timeout; <0 = EINTR or the like. The poller's outer
-                // loop re-checks its deadline either way.
-                return false;
-            }
-            let mut woken = false;
-            for ev in buf.iter().take(n as usize) {
+            // n == 0 is a timeout, n < 0 EINTR or the like: the poller's
+            // outer loop re-checks its deadline either way.
+            for ev in buf.iter().take(n.max(0) as usize) {
                 let ev = *ev;
                 if ev.data == WAKE_TOKEN {
-                    woken = true;
                     let mut counter = [0u8; 8];
                     unsafe { read(self.wakefd, counter.as_mut_ptr() as *mut c_void, 8) };
                     continue;
@@ -205,7 +199,6 @@ mod linux {
                     None => events.push((ev.data, ready)),
                 }
             }
-            woken
         }
 
         fn wake(&self) {
@@ -221,20 +214,37 @@ mod linux {
         use super::*;
         use std::io::{Read as _, Write as _};
         use std::net::{TcpListener, TcpStream};
+        use std::os::fd::AsRawFd;
         use std::sync::Arc;
         use std::time::Instant;
 
         use crate::poll::{NbStream, Poller, Registry, WakeSet};
 
+        /// Register a fresh listening socket's fd with `registry` under
+        /// `token`, which attaches epoll. The listener must outlive the
+        /// registration, so it is returned.
+        fn attach(registry: &Registry, token: Token) -> TcpListener {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.set_nonblocking(true).unwrap();
+            assert!(registry.register_fd(listener.as_raw_fd(), token));
+            listener
+        }
+
+        /// A poller whose registry attached epoll through [`attach`].
+        fn attached_poller(token: Token) -> (Poller, TcpListener) {
+            let poller = Poller::new();
+            let listener = attach(poller.registry(), token);
+            assert!(poller.is_os_backed(), "Linux must provide epoll");
+            (poller, listener)
+        }
+
         #[test]
         fn wake_interrupts_kernel_park() {
-            let backend = EpollBackend::new().unwrap();
-            let registry = Registry::with_os(Box::new(backend));
-            let poller = poller_on(registry.clone());
-            let r2 = Arc::clone(&registry);
+            let (poller, _listener) = attached_poller(1);
+            let registry = Arc::clone(poller.registry());
             let t = std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
-                r2.wake();
+                registry.wake();
             });
             let mut events = Vec::new();
             let start = Instant::now();
@@ -246,13 +256,11 @@ mod linux {
 
         #[test]
         fn notify_reaches_kernel_parked_poller() {
-            let backend = EpollBackend::new().unwrap();
-            let registry = Registry::with_os(Box::new(backend));
-            let poller = poller_on(registry.clone());
-            let r2 = Arc::clone(&registry);
+            let (poller, _listener) = attached_poller(1);
+            let registry = Arc::clone(poller.registry());
             let t = std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
-                r2.notify(7, Ready::READABLE);
+                registry.notify(7, Ready::READABLE);
             });
             let mut events = Vec::new();
             assert!(poller.wait(&mut events, Some(Duration::from_secs(5))));
@@ -262,19 +270,19 @@ mod linux {
 
         #[test]
         fn tcp_fd_readiness_is_pushed_without_ticks() {
-            let poller = Poller::with_backend(crate::poll::Backend::Os);
-            assert!(poller.is_os_backed(), "Linux must provide epoll");
+            let poller = Poller::new();
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
             let mut client = TcpStream::connect(addr).unwrap();
             let (mut server_side, _) = listener.accept().unwrap();
             NbStream::register(&mut server_side, poller.registry(), 42);
+            assert!(poller.is_os_backed(), "Linux must provide epoll");
             // Registration reports the initial (writable) readiness.
             let mut events = Vec::new();
             assert!(poller.wait(&mut events, Some(Duration::from_secs(5))));
             assert!(events.iter().any(|(t, _)| *t == 42));
             // Park idle: no data, no tick — the wait must run its full
-            // timeout (the old polled fallback returned every 1 ms).
+            // timeout (a polled source would return every 1 ms).
             let start = Instant::now();
             assert!(!poller.wait(&mut events, Some(Duration::from_millis(50))));
             assert!(start.elapsed() >= Duration::from_millis(50));
@@ -291,26 +299,62 @@ mod linux {
 
         #[test]
         fn wake_set_reaches_os_backed_pollers() {
-            let pollers: Vec<Poller> = (0..2)
-                .map(|_| Poller::with_backend(crate::poll::Backend::Os))
-                .collect();
+            let pollers: Vec<(Poller, TcpListener)> = (0..2).map(|_| attached_poller(1)).collect();
             let mut wake = WakeSet::new();
-            for p in &pollers {
-                assert!(p.is_os_backed());
+            for (p, _) in &pollers {
                 wake.add(Arc::clone(p.registry()));
             }
             wake.wake_all();
-            for p in &pollers {
+            for (p, _) in &pollers {
                 let mut events = Vec::new();
                 assert!(p.wait(&mut events, Some(Duration::from_secs(1))));
                 assert!(events.is_empty());
             }
         }
 
-        /// Build a poller over an existing OS-backed registry (test-only
-        /// plumbing; production pollers are built via `with_backend`).
-        fn poller_on(registry: Arc<Registry>) -> Poller {
-            Poller::from_registry(registry)
+        #[test]
+        fn events_pushed_before_the_attach_drain_first() {
+            let poller = Poller::new();
+            poller.registry().notify(7, Ready::READABLE);
+            poller.registry().wake();
+            assert!(!poller.is_os_backed());
+            let listener = attach(poller.registry(), 1);
+            assert!(poller.is_os_backed(), "an fd registration attaches epoll");
+            let mut events = Vec::new();
+            assert!(poller.wait(&mut events, Some(Duration::from_secs(5))));
+            assert_eq!(events, vec![(7, Ready::READABLE)]);
+            // A connect after the attach is pushed by the kernel.
+            let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            assert!(poller.wait(&mut events, Some(Duration::from_secs(5))));
+            assert!(events.iter().any(|(t, r)| *t == 1 && r.readable));
+            assert_eq!(poller.tick_count(), 0, "the listener must not tick");
+        }
+
+        #[test]
+        fn attach_from_another_thread_moves_a_condvar_park_into_the_kernel() {
+            let poller = Poller::new();
+            let registry = Arc::clone(poller.registry());
+            let t = std::thread::spawn(move || {
+                // Let the poller park on the condvar first. No barrier can
+                // observe that park; if the attach wins the race instead,
+                // the poller parks straight in epoll and the test still
+                // holds, so the sleep only makes the interesting order the
+                // likely one.
+                std::thread::sleep(Duration::from_millis(50));
+                let listener = attach(&registry, 9);
+                let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                (listener, client)
+            });
+            assert!(!poller.is_os_backed());
+            let mut events = Vec::new();
+            let start = Instant::now();
+            assert!(poller.wait(&mut events, Some(Duration::from_secs(5))));
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "the attach must pull the parked poller into epoll"
+            );
+            assert!(events.iter().any(|(t, r)| *t == 9 && r.readable));
+            let _sockets = t.join().unwrap();
         }
     }
 }

@@ -29,9 +29,10 @@
 //! * [`poll`] — the readiness layer: nonblocking stream/listener traits and
 //!   an epoll-shaped registry/poller so one event loop can multiplex
 //!   thousands of idle connections without pinning threads. Simulated
-//!   streams push readiness notifications on every state transition; plain
-//!   TCP either falls back to a periodic polled tick (portable backend) or
-//!   gets real kernel push notifications via [`backend_os`].
+//!   streams push readiness notifications on every state transition; a
+//!   plain TCP socket attaches the kernel queue of [`backend_os`] and gets
+//!   its notifications pushed by the kernel (a periodic polled tick only
+//!   where the platform has no such queue).
 //! * [`backend_os`] — the FD-based [`poll::PollBackend`]: epoll + eventfd
 //!   self-wake on Linux, `None` elsewhere.
 //!
@@ -55,8 +56,8 @@ pub use latency::LinkModel;
 pub use meter::{Meter, MeterRegistry, MeterSnapshot};
 pub use packet::ProtocolModel;
 pub use poll::{
-    Backend, BoxNbListener, BoxNbStream, NbListener, NbStream, PollBackend, Poller, Ready,
-    Registry, Token, WakeSet,
+    BoxNbListener, BoxNbStream, NbListener, NbStream, PollBackend, Poller, Ready, Registry, Token,
+    WakeSet,
 };
 pub use stream::{
     BoxListener, BoxStream, Connector, Duplex, Listener, TcpConnector, TcpListenerAdapter,

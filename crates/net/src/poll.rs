@@ -16,22 +16,23 @@
 //! a poller waiting on 10k idle connections consumes zero CPU — exactly the
 //! epoll model, built portably out of a mutex and a condvar.
 //!
-//! Sources that cannot push (plain `std::net` TCP sockets) have two paths:
+//! Sources that cannot push (plain `std::net` TCP sockets) hand their fd
+//! to [`Registry::register_fd`]. The first such registration attaches the
+//! platform's kernel queue (a [`PollBackend`]: epoll on Linux, see
+//! [`crate::backend_os`]) to the registry, and from then on the poller
+//! parks in the kernel instead of on the condvar. Real TCP therefore gets
+//! the same zero-CPU idle behaviour as the simulated streams, and
+//! cross-thread wakes ([`Registry::wake`]/[`Registry::notify`]) reach the
+//! kernel-parked poller through the backend's self-wake fd. A registry
+//! that only ever sees pushed sources never attaches: every `notify` on
+//! an attached registry costs an eventfd `write`, which the simulated
+//! network does not need.
 //!
-//! * **Polled fallback** — while any polled source exists the poller
-//!   degrades to a periodic tick that reports every polled token as
-//!   maybe-ready, and the caller's `try_*` calls sort out the truth. This
-//!   is the documented portable fallback — correct everywhere, efficient
-//!   on the simulated network where all the deterministic tests run.
-//! * **OS backend** — a [`PollBackend`] (epoll on Linux, see
-//!   [`crate::backend_os`]) attached to the registry at construction via
-//!   [`Poller::with_backend`]. FD sources register through
-//!   [`Registry::register_fd`] and the kernel pushes readiness, so real
-//!   TCP gets the same zero-CPU idle behaviour as the simulated streams
-//!   and the fallback tick is never armed. Cross-thread wakes
-//!   ([`Registry::wake`]/[`Registry::notify`]) are delivered through the
-//!   backend's self-wake fd (eventfd) so a poller parked in the kernel
-//!   still sees them immediately.
+//! Where there is no kernel queue (non-Linux) or the kernel refuses an
+//! fd, the source registers as *polled* instead: while any polled source
+//! exists the poller wakes on a periodic tick that reports every polled
+//! token as maybe-ready, and the caller's `try_*` calls sort out the
+//! truth.
 //!
 //! Notifications are delivery *hints*, not guarantees of progress: a
 //! spurious event costs one `WouldBlock`, a missed state change never
@@ -39,7 +40,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::io;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Identifies one registered source within a poller's universe.
@@ -82,40 +83,13 @@ impl Ready {
 /// test that pins this down.
 const FALLBACK_TICK: Duration = Duration::from_millis(1);
 
-/// Which readiness implementation a server (or poller) should use.
-///
-/// `Portable` is the mutex+condvar registry with the polled fallback tick —
-/// correct on every platform and the only sensible choice for the simulated
-/// network, whose streams push their own notifications. `Os` asks for an
-/// FD-based kernel backend (epoll on Linux); when the platform has none the
-/// poller silently falls back to `Portable`, so selecting `Os` is always
-/// safe. Check [`Poller::is_os_backed`] when a test needs the real thing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Backend {
-    #[default]
-    Portable,
-    Os,
-}
-
-impl Backend {
-    /// Resolve the backend from the `DPC_POLL_BACKEND` environment variable
-    /// (`"os"` selects the OS backend; anything else is portable). Lets CI
-    /// run the whole suite with the epoll backend forced on without
-    /// touching every `ServerConfig` literal.
-    pub fn from_env() -> Backend {
-        match std::env::var("DPC_POLL_BACKEND") {
-            Ok(v) if v.eq_ignore_ascii_case("os") => Backend::Os,
-            _ => Backend::Portable,
-        }
-    }
-}
-
-/// An OS readiness queue that a [`Registry`] can sit on top of: epoll on
-/// Linux (kqueue would slot in behind the same four methods). FD sources
-/// are added with a token, the poller parks in [`PollBackend::wait`], and
-/// [`PollBackend::wake`] interrupts the park from any thread via the
-/// backend's self-wake fd — the registry routes `notify`/`wake` through it
-/// so pushed events still reach a kernel-parked poller.
+/// An OS readiness queue that a [`Registry`] attaches on its first fd
+/// registration: epoll on Linux (kqueue would slot in behind the same four
+/// methods). FD sources are added with a token, the poller parks in
+/// [`PollBackend::wait`], and [`PollBackend::wake`] interrupts the park
+/// from any thread via the backend's self-wake fd — the registry routes
+/// `notify`/`wake` through it so pushed events still reach a kernel-parked
+/// poller.
 pub trait PollBackend: Send + Sync {
     /// Watch `fd` for readability and writability, reporting readiness
     /// under `token`. Registration must surface any readiness that already
@@ -127,10 +101,10 @@ pub trait PollBackend: Send + Sync {
     /// closed, which deregisters it kernel-side anyway.
     fn del_fd(&self, fd: i32);
 
-    /// Park until an fd event, a [`wake`](PollBackend::wake), or `timeout`.
-    /// Appends fd events to `events` (merged per token) and returns true
-    /// when a wake was consumed.
-    fn wait(&self, events: &mut Vec<(Token, Ready)>, timeout: Option<Duration>) -> bool;
+    /// Park until an fd event, a [`wake`](PollBackend::wake), or `timeout`,
+    /// appending fd events to `events` (merged per token). A consumed wake
+    /// adds nothing: its cause is already recorded in the registry.
+    fn wait(&self, events: &mut Vec<(Token, Ready)>, timeout: Option<Duration>);
 
     /// Interrupt a concurrent [`wait`](PollBackend::wait) from any thread.
     fn wake(&self);
@@ -148,7 +122,7 @@ struct RegState {
     woken: bool,
     /// Tokens of sources that cannot push notifications (TCP fallback).
     polled: BTreeSet<Token>,
-    /// FD registered per token with the OS backend, for deregistration.
+    /// FD registered per token with the kernel queue, for deregistration.
     fds: HashMap<Token, i32>,
 }
 
@@ -159,10 +133,11 @@ struct RegState {
 pub struct Registry {
     state: Mutex<RegState>,
     cv: Condvar,
-    /// Kernel readiness queue, when this registry runs on an OS backend.
-    /// `notify`/`wake` route through its self-wake fd so a poller parked
-    /// in the kernel still observes pushed events and explicit wakes.
-    os: Option<Box<dyn PollBackend>>,
+    /// Kernel readiness queue, attached by the first
+    /// [`register_fd`](Registry::register_fd) and kept for the registry's
+    /// life. While set, the poller parks in it instead of on the condvar,
+    /// and `notify`/`wake` route through its self-wake fd.
+    os: OnceLock<Box<dyn PollBackend>>,
 }
 
 impl Registry {
@@ -170,22 +145,8 @@ impl Registry {
         Arc::new(Registry {
             state: Mutex::new(RegState::default()),
             cv: Condvar::new(),
-            os: None,
+            os: OnceLock::new(),
         })
-    }
-
-    /// A registry whose poller parks in `backend` instead of the condvar.
-    pub fn with_os(backend: Box<dyn PollBackend>) -> Arc<Registry> {
-        Arc::new(Registry {
-            state: Mutex::new(RegState::default()),
-            cv: Condvar::new(),
-            os: Some(backend),
-        })
-    }
-
-    /// Whether this registry sits on a kernel readiness queue.
-    pub fn has_os_backend(&self) -> bool {
-        self.os.is_some()
     }
 
     /// Record that `token` may now be ready for `ready` and wake the poller.
@@ -198,7 +159,7 @@ impl Registry {
             }
             self.cv.notify_all();
         }
-        if let Some(os) = &self.os {
+        if let Some(os) = self.os.get() {
             os.wake();
         }
     }
@@ -211,7 +172,7 @@ impl Registry {
             st.woken = true;
             self.cv.notify_all();
         }
-        if let Some(os) = &self.os {
+        if let Some(os) = self.os.get() {
             os.wake();
         }
     }
@@ -225,25 +186,35 @@ impl Registry {
         self.cv.notify_all();
     }
 
-    /// Hand `fd` to the OS backend under `token`. Returns false when there
-    /// is no backend (or it refused the fd) — the caller should fall back
-    /// to [`register_polled`](Registry::register_polled).
+    /// Hand `fd` to the kernel readiness queue under `token`, attaching
+    /// the queue on the first call. Returns false when the platform has no
+    /// queue or the kernel refused the fd — the caller should fall back to
+    /// [`register_polled`](Registry::register_polled).
     pub fn register_fd(&self, fd: i32, token: Token) -> bool {
-        let Some(os) = &self.os else {
-            return false;
+        let os = match self.os.get() {
+            Some(os) => os,
+            None => match crate::backend_os::os_backend() {
+                // A racing registration may attach first; then ours drops.
+                Some(fresh) => self.os.get_or_init(|| fresh),
+                None => return false,
+            },
         };
         if os.add_fd(fd, token).is_err() {
             return false;
         }
         let mut st = self.state.lock().expect("registry poisoned");
         st.fds.insert(token, fd);
+        // A poller parked on the condvar re-loops and parks in the kernel,
+        // where this fd's events arrive. Events pushed before the attach
+        // are still in `st` and drain first.
+        self.cv.notify_all();
         true
     }
 
     /// Forget `token`: drops its pending events, its polled registration,
-    /// and its fd registration with the OS backend (if any). Call *before*
-    /// closing the fd so a recycled fd number can never be confused with
-    /// the old registration.
+    /// and its fd registration with the kernel queue (if any). Call
+    /// *before* closing the fd so a recycled fd number can never be
+    /// confused with the old registration.
     pub fn deregister(&self, token: Token) {
         let fd = {
             let mut st = self.state.lock().expect("registry poisoned");
@@ -251,7 +222,7 @@ impl Registry {
             st.polled.remove(&token);
             st.fds.remove(&token)
         };
-        if let (Some(fd), Some(os)) = (fd, &self.os) {
+        if let (Some(fd), Some(os)) = (fd, self.os.get()) {
             os.del_fd(fd);
         }
     }
@@ -281,39 +252,10 @@ impl Poller {
         }
     }
 
-    /// Build a poller for the requested [`Backend`]. `Backend::Os` attaches
-    /// the platform's kernel readiness queue when one exists (epoll on
-    /// Linux) and silently degrades to the portable registry otherwise —
-    /// callers that must have the real thing check
-    /// [`is_os_backed`](Poller::is_os_backed).
-    pub fn with_backend(backend: Backend) -> Poller {
-        let registry = match backend {
-            Backend::Portable => Registry::new(),
-            Backend::Os => match crate::backend_os::os_backend() {
-                Some(os) => Registry::with_os(os),
-                None => Registry::new(),
-            },
-        };
-        Poller {
-            registry,
-            next_tick: std::cell::Cell::new(None),
-            ticks: std::cell::Cell::new(0),
-        }
-    }
-
-    /// Build a poller over an existing registry (for callers that
-    /// construct the backend themselves).
-    pub fn from_registry(registry: Arc<Registry>) -> Poller {
-        Poller {
-            registry,
-            next_tick: std::cell::Cell::new(None),
-            ticks: std::cell::Cell::new(0),
-        }
-    }
-
-    /// Whether this poller parks in a kernel readiness queue.
+    /// Whether this poller parks in a kernel readiness queue: true once a
+    /// source has registered an fd, false for a push-only poller.
     pub fn is_os_backed(&self) -> bool {
-        self.registry.has_os_backend()
+        self.registry.os.get().is_some()
     }
 
     /// The registry sources should be registered with.
@@ -331,134 +273,43 @@ impl Poller {
     /// them into `events`. Returns true when it returned because of events
     /// or an explicit [`Registry::wake`]; false on timeout with nothing
     /// pending.
+    ///
+    /// Pushed events, the wake flag and a due polled-source tick are
+    /// drained under the registry lock; with nothing to report the poller
+    /// parks on the condvar, or in the kernel queue once one is attached.
     pub fn wait(&self, events: &mut Vec<(Token, Ready)>, timeout: Option<Duration>) -> bool {
         events.clear();
-        if self.registry.os.is_some() {
-            return self.wait_os(events, timeout);
-        }
         let deadline = timeout.map(|t| Instant::now() + t);
-        let mut st = self.registry.state.lock().expect("registry poisoned");
+        let registry = &*self.registry;
+        let mut st = registry.state.lock().expect("registry poisoned");
         loop {
-            // Polled-source tick first: its deadline is absolute and kept
-            // across calls, so pushed events arriving every <1 ms cannot
-            // starve polled sources — an overdue tick fires on the next
-            // wait no matter how busy the pushed side is.
-            if !st.polled.is_empty() {
-                let now = Instant::now();
-                let due = match self.next_tick.get() {
-                    Some(t) => t,
-                    None => {
-                        let t = now + FALLBACK_TICK;
-                        self.next_tick.set(Some(t));
-                        t
-                    }
-                };
-                if now >= due {
-                    self.next_tick.set(Some(now + FALLBACK_TICK));
-                    self.ticks.set(self.ticks.get() + 1);
-                    std::mem::take(&mut st.woken);
-                    events.append(&mut st.ready);
-                    let seen: Vec<Token> = events.iter().map(|(t, _)| *t).collect();
-                    events.extend(
-                        st.polled
-                            .iter()
-                            .filter(|t| !seen.contains(t))
-                            .map(|t| (*t, Ready::BOTH)),
-                    );
-                    return true;
-                }
-            } else {
-                self.next_tick.set(None);
-            }
             let woken = std::mem::take(&mut st.woken);
-            if woken || !st.ready.is_empty() {
-                events.append(&mut st.ready);
-                return true;
-            }
-            let remaining = match deadline {
-                Some(d) => {
-                    let left = d.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return false;
+            events.append(&mut st.ready);
+            // Polled-source tick: its deadline is absolute and kept across
+            // calls, so pushed events arriving every <1 ms cannot starve
+            // polled sources — an overdue tick fires on the next wait no
+            // matter how busy the pushed side is.
+            if st.polled.is_empty() {
+                self.next_tick.set(None);
+            } else {
+                let now = Instant::now();
+                match self.next_tick.get() {
+                    Some(due) if now >= due => {
+                        self.next_tick.set(Some(now + FALLBACK_TICK));
+                        self.ticks.set(self.ticks.get() + 1);
+                        let seen: Vec<Token> = events.iter().map(|(t, _)| *t).collect();
+                        events.extend(
+                            st.polled
+                                .iter()
+                                .filter(|t| !seen.contains(t))
+                                .map(|t| (*t, Ready::BOTH)),
+                        );
                     }
-                    Some(left)
-                }
-                None => None,
-            };
-            let tick = self
-                .next_tick
-                .get()
-                .map(|t| t.saturating_duration_since(Instant::now()));
-            let dur = match (tick, remaining) {
-                (Some(t), Some(r)) => Some(t.min(r)),
-                (Some(t), None) => Some(t),
-                (None, Some(r)) => Some(r),
-                (None, None) => None,
-            };
-            match dur {
-                None => {
-                    st = self.registry.cv.wait(st).expect("registry poisoned");
-                }
-                Some(dur) => {
-                    let (guard, _result) = self
-                        .registry
-                        .cv
-                        .wait_timeout(st, dur)
-                        .expect("registry poisoned");
-                    st = guard;
-                    // Loop re-checks: overdue tick, pushed events, or the
-                    // caller's deadline.
+                    Some(_) => {}
+                    None => self.next_tick.set(Some(now + FALLBACK_TICK)),
                 }
             }
-        }
-    }
-
-    /// `wait` on an OS-backed registry: park in the kernel queue instead of
-    /// the condvar. Pushed events (`notify`) and explicit wakes arrive via
-    /// the backend's self-wake fd; fd readiness arrives directly from the
-    /// kernel, so no fallback tick is armed for fd sources and
-    /// [`tick_count`](Poller::tick_count) stays 0 under a pure-TCP
-    /// workload. The polled fallback still works for the rare fd that the
-    /// backend refused (`register_fd` returned false).
-    fn wait_os(&self, events: &mut Vec<(Token, Ready)>, timeout: Option<Duration>) -> bool {
-        let os = self.registry.os.as_deref().expect("os backend present");
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            // Drain pushed state first: sim-style notify() events, wake
-            // flags, and the polled-fallback tick if any polled source is
-            // registered under this backend.
-            let woken = {
-                let mut st = self.registry.state.lock().expect("registry poisoned");
-                for (token, ready) in st.ready.drain(..) {
-                    match events.iter_mut().find(|(t, _)| *t == token) {
-                        Some((_, r)) => r.merge(ready),
-                        None => events.push((token, ready)),
-                    }
-                }
-                let woken = std::mem::take(&mut st.woken);
-                if !st.polled.is_empty() {
-                    let now = Instant::now();
-                    match self.next_tick.get() {
-                        Some(due) if now >= due => {
-                            self.next_tick.set(Some(now + FALLBACK_TICK));
-                            self.ticks.set(self.ticks.get() + 1);
-                            let seen: Vec<Token> = events.iter().map(|(t, _)| *t).collect();
-                            events.extend(
-                                st.polled
-                                    .iter()
-                                    .filter(|t| !seen.contains(t))
-                                    .map(|t| (*t, Ready::BOTH)),
-                            );
-                        }
-                        Some(_) => {}
-                        None => self.next_tick.set(Some(now + FALLBACK_TICK)),
-                    }
-                } else {
-                    self.next_tick.set(None);
-                }
-                woken
-            };
-            if !events.is_empty() || woken {
+            if woken || !events.is_empty() {
                 return true;
             }
             let remaining = match deadline {
@@ -477,16 +328,30 @@ impl Poller {
                 .map(|t| t.saturating_duration_since(Instant::now()));
             let park = match (tick, remaining) {
                 (Some(t), Some(r)) => Some(t.min(r)),
-                (Some(t), None) => Some(t),
-                (None, Some(r)) => Some(r),
-                (None, None) => None,
+                (t, r) => t.or(r),
             };
-            os.wait(events, park);
-            if !events.is_empty() {
-                return true;
+            // Checked under the lock: an attach that lands after this
+            // check notifies the condvar, so the park below cannot miss it.
+            match (registry.os.get(), park) {
+                (None, None) => st = registry.cv.wait(st).expect("registry poisoned"),
+                (None, Some(dur)) => {
+                    st = registry
+                        .cv
+                        .wait_timeout(st, dur)
+                        .expect("registry poisoned")
+                        .0;
+                }
+                (Some(os), park) => {
+                    drop(st);
+                    os.wait(events, park);
+                    if !events.is_empty() {
+                        return true;
+                    }
+                    // A consumed wake, a timeout or a spurious return: the
+                    // loop top re-drains pushed state.
+                    st = registry.state.lock().expect("registry poisoned");
+                }
             }
-            // A consumed wake, a timeout, or a spurious return: the loop
-            // top re-drains pushed state and re-checks the deadline.
         }
     }
 }
@@ -728,6 +593,27 @@ mod tests {
             );
             assert!(events.is_empty());
         }
+    }
+
+    #[test]
+    fn pushed_and_polled_sources_never_attach_the_kernel_queue() {
+        // Only an fd registration attaches the kernel queue: an attached
+        // registry turns every `notify` into an eventfd write, which the
+        // simulated network's push-only pollers must not pay.
+        let poller = Poller::new();
+        let registry = poller.registry();
+        registry.notify(1, Ready::READABLE);
+        registry.wake();
+        registry.register_polled(2);
+        let net = crate::SimNetwork::with_defaults();
+        NbListener::register(&mut net.listen("push-only"), registry, 3);
+        let (mut client, mut server_side) = crate::SimStream::unmetered_pair("push-only");
+        NbStream::register(&mut server_side, registry, 4);
+        std::io::Write::write_all(&mut client, b"x").unwrap();
+        let mut events = Vec::new();
+        assert!(poller.wait(&mut events, Some(Duration::from_secs(1))));
+        assert!(events.iter().any(|(t, r)| *t == 4 && r.readable));
+        assert!(!poller.is_os_backed(), "no fd was registered");
     }
 
     #[test]

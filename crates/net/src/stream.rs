@@ -4,11 +4,11 @@
 //! in-memory simulated wire (tests, benches).
 //!
 //! The TCP types implement the nonblocking traits via `set_nonblocking`
-//! plus, depending on the registry's backend (see [`crate::poll`]), either
-//! a real kernel registration ([`Registry::register_fd`], epoll on Linux —
-//! readiness is pushed, the fallback tick never arms) or the *polled
-//! fallback*: polled sources are re-reported every tick and `try_*` calls
-//! resolve the truth.
+//! plus a kernel registration ([`Registry::register_fd`], epoll on Linux —
+//! readiness is pushed, the fallback tick never arms). Where the platform
+//! has no kernel queue or refuses the fd, they take the *polled fallback*
+//! (see [`crate::poll`]): polled sources are re-reported every tick and
+//! `try_*` calls resolve the truth.
 
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -123,7 +123,7 @@ impl NbStream for TcpStream {
     }
 }
 
-/// Try the registry's OS backend first (kernel push readiness); report
+/// Try the kernel readiness queue first (kernel push readiness); report
 /// whether it took the fd. Non-unix builds have no raw fds to hand over.
 #[cfg(unix)]
 fn register_fd_or_polled(

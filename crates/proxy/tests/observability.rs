@@ -396,25 +396,23 @@ fn bem_counts_the_keys_a_refresh_names_after_a_late_scrub() {
     assert_eq!(scrape("dpc_proxy_bypass_refetches_total"), 0.0);
 }
 
-/// The exported poller pin on real hardware: a plain-TCP workload under
-/// the OS readiness backend — accepts, keep-alive requests, an idle
-/// stretch spanning dozens of fallback periods — scrapes as
-/// `dpc_poll_tick_waits_total == 0` on every loop, because the kernel
-/// pushes readiness and the 1 ms polled tick is never armed.
+/// The exported poller pin on real hardware: a default server's
+/// plain-TCP workload — accepts, keep-alive requests, an idle stretch
+/// spanning dozens of fallback periods — scrapes as
+/// `dpc_poll_tick_waits_total == 0` on every loop, because each loop's
+/// TCP sources attach epoll, the kernel pushes readiness and the 1 ms
+/// polled tick is never armed.
 #[cfg(target_os = "linux")]
 #[test]
 fn tcp_workload_under_os_backend_scrapes_zero_tick_waits() {
-    use dpc_http::{Handler, Server, ServerConfig};
+    use dpc_http::{Handler, Server};
     use dpc_metrics::Registry;
-    use dpc_net::{Backend, TcpListenerAdapter};
+    use dpc_net::TcpListenerAdapter;
     use std::io::Write;
 
     let handler: Arc<dyn Handler> = Arc::new(|req: Request| Response::html(req.target));
     let listener = TcpListenerAdapter::bind("127.0.0.1:0").unwrap();
     let handle = Server::new(Box::new(listener), handler)
-        .with_config(ServerConfig {
-            backend: Backend::Os,
-        })
         .with_loops(2)
         .spawn();
     let registry = Registry::new();
@@ -429,7 +427,7 @@ fn tcp_workload_under_os_backend_scrapes_zero_tick_waits() {
         assert_eq!(resp.status.0, 200);
         conns.push(reader);
     }
-    // Dozens of fallback periods with nothing to do: a polled backend
+    // Dozens of fallback periods with nothing to do: a polled source
     // would tick here; the kernel-parked loops must not.
     std::thread::sleep(std::time::Duration::from_millis(50));
     let reader = &mut conns[3];
@@ -447,7 +445,7 @@ fn tcp_workload_under_os_backend_scrapes_zero_tick_waits() {
             &[("server", "tcp-front")]
         ),
         0.0,
-        "OS-backed TCP loops must never arm the fallback tick"
+        "epoll-backed TCP loops must never arm the fallback tick"
     );
     assert!(
         metric_sum(
