@@ -18,6 +18,11 @@
 //!    node stores them and re-`SET`s them.
 //! 3. If that fails too, a bypass ([`BYPASS_HEADER`]) fetches the page
 //!    fully expanded.
+//!
+//! A node that caches assembled pages asks for each page's read set
+//! ([`WANT_READS_HEADER`]); the template response answers with the epoch
+//! stripes of every row and dependency the render read
+//! ([`READS_HEADER`]), so an update unserves only the pages that read it.
 
 use dpc_core::{Bem, DpcKey};
 use dpc_http::{Request, Uri};
@@ -54,6 +59,13 @@ pub const MISSING_HEADER: &str = "X-DPC-Missing";
 /// ignored, so a page with more absent slots than this falls through to a
 /// bypass.
 pub const MAX_MISSING_KEYS: usize = 64;
+/// Request header a node with a page tier sends on a template request to
+/// ask for the page's read set.
+pub const WANT_READS_HEADER: &str = "X-DPC-Want-Reads";
+/// Template response header answering [`WANT_READS_HEADER`]: the page's
+/// read set as epoch stripes (`dpc_core::epoch::format_read_set`), or `*`
+/// when the render read something no label names.
+pub const READS_HEADER: &str = "X-DPC-Reads";
 /// Response header carrying the simulated origin generation cost.
 pub const COST_HEADER: &str = "X-Origin-Cost-Nanos";
 
@@ -129,23 +141,28 @@ impl RequestCtx {
 
     /// Resolve the visitor profile through the BEM's object cache: the
     /// repository is hit at most once per TTL per user, however many
-    /// fragments ask (§3.2.2's shared user-profile object).
+    /// fragments ask (§3.2.2's shared user-profile object). A cache hit
+    /// reads rows an earlier request loaded, which this request's read
+    /// recording never sees, so it makes the read set unknown.
     pub fn profile(&self) -> Arc<UserProfile> {
         match self.user.clone() {
             None => Arc::new(UserProfile::anonymous()),
             Some(user) => {
                 let repo = Arc::clone(&self.repo);
                 let key = format!("profile/{user}");
-                let charged = Mutex::new(Duration::ZERO);
+                let charged = Mutex::new(None);
                 let profile =
                     self.bem
                         .objects()
                         .get_or_insert_with(&key, Duration::from_secs(60), || {
                             let (profile, cost) = UserProfile::load(&repo, &user);
-                            *charged.lock() = cost;
+                            *charged.lock() = Some(cost);
                             profile
                         });
-                self.charge_fixed(*charged.lock());
+                match *charged.lock() {
+                    Some(cost) => self.charge_fixed(cost),
+                    None => dpc_repository::reads::note_unseen(),
+                }
                 profile
             }
         }

@@ -10,9 +10,10 @@
 //! [`Server`]: dpc_http::Server
 
 use dpc_core::bem::TemplateWriter;
+use dpc_core::epoch::format_read_set;
 use dpc_core::Bem;
 use dpc_http::{Handler, Request, Response, Status};
-use dpc_repository::Repository;
+use dpc_repository::{reads, Repository};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,7 +21,8 @@ use std::time::Duration;
 
 use crate::context::{
     format_keys, parse_keys, RequestCtx, BYPASS_HEADER, COST_HEADER, FROM_DONOR_HEADER,
-    MAX_MISSING_KEYS, MISSING_HEADER, NODE_HEADER, PEER_FETCH_HEADER,
+    MAX_MISSING_KEYS, MISSING_HEADER, NODE_HEADER, PEER_FETCH_HEADER, READS_HEADER,
+    WANT_READS_HEADER,
 };
 
 /// A dynamic script: one registered page generator.
@@ -136,7 +138,20 @@ impl ScriptEngine {
             }
         };
         ctx.charge_fixed(SCRIPT_INVOCATION_COST);
-        script.run(&ctx, &mut writer);
+        // A bypass is never cached, so it is never asked for its reads.
+        let read_set = if !bypass && req.headers.get(WANT_READS_HEADER).is_some() {
+            writer.record_reads();
+            let ((), rows) = reads::record(|| script.run(&ctx, &mut writer));
+            let mut read_set = writer.take_reads().unwrap_or_default();
+            match rows {
+                Some(rows) => rows.iter().for_each(|row| read_set.note(row)),
+                None => read_set.mark_unknown(),
+            }
+            Some(format_read_set(read_set.stripes()))
+        } else {
+            script.run(&ctx, &mut writer);
+            None
+        };
         let instrumented = writer.is_instrumented();
         let from_donor =
             (!writer.from_donor().is_empty()).then(|| format_keys(writer.from_donor()));
@@ -150,6 +165,9 @@ impl ScriptEngine {
         }
         if let Some(keys) = from_donor {
             resp.headers.set(FROM_DONOR_HEADER, keys);
+        }
+        if let Some(read_set) = read_set {
+            resp.headers.set(READS_HEADER, read_set);
         }
         resp
     }

@@ -26,6 +26,9 @@ pub struct Run {
     /// simulated `X-Origin-Cost-Nanos` the repository charges per read, so
     /// it is a count, not a wall-clock timing.
     pub generation: Duration,
+    /// Sum of the squared per-request generation costs, in ns²: with
+    /// `generation` it gives the cost distribution's second moment.
+    pub generation_sq: u128,
     /// Measured responses whose body differs from the oracle's.
     pub wrong_pages: usize,
 }
@@ -39,8 +42,20 @@ pub(crate) fn drive(
     warmup: &[PlannedRequest],
     plan: &[PlannedRequest],
     oracle: Option<&Testbed>,
-    mut prepare: impl FnMut(usize, &PlannedRequest) -> String,
+    prepare: impl FnMut(usize, &PlannedRequest) -> String,
 ) -> Run {
+    drive_costed(tb, warmup, plan, oracle, prepare).0
+}
+
+/// [`drive`], also returning each measured request's generation cost in
+/// request order.
+pub(crate) fn drive_costed(
+    tb: &Testbed,
+    warmup: &[PlannedRequest],
+    plan: &[PlannedRequest],
+    oracle: Option<&Testbed>,
+    mut prepare: impl FnMut(usize, &PlannedRequest) -> String,
+) -> (Run, Vec<Duration>) {
     for r in warmup {
         let resp = tb.get(&r.target, r.user.cookie());
         assert!(resp.status.is_success(), "warm-up {}", r.target);
@@ -48,11 +63,18 @@ pub(crate) fn drive(
     tb.reset_meters();
     let bem_before = tb.engine().bem().stats().snapshot();
     let mut run = Run::default();
+    let mut costs = Vec::with_capacity(plan.len());
     for (i, r) in plan.iter().enumerate() {
         let resp = tb.get(&prepare(i, r), r.user.cookie());
         assert!(resp.status.is_success(), "{}", r.target);
-        let cost = resp.headers.get(COST_HEADER).and_then(|v| v.parse().ok());
-        run.generation += Duration::from_nanos(cost.unwrap_or(0));
+        let cost: u64 = resp
+            .headers
+            .get(COST_HEADER)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0);
+        run.generation += Duration::from_nanos(cost);
+        run.generation_sq += u128::from(cost).pow(2);
+        costs.push(Duration::from_nanos(cost));
         if let Some(oracle) = oracle {
             let want = oracle.get(&r.target, r.user.cookie());
             run.wrong_pages += usize::from(resp.body != want.body);
@@ -61,7 +83,7 @@ pub(crate) fn drive(
     run.wire = tb.origin_wire();
     run.origin_requests = tb.origin_requests();
     run.bem = tb.engine().bem().stats().snapshot().since(&bem_before);
-    run
+    (run, costs)
 }
 
 /// The planned target, unchanged.

@@ -27,9 +27,9 @@ use dpc_proxy::{ProxyMode, Testbed, TestbedConfig};
 use dpc_repository::datasets::{tick_quote, DatasetConfig};
 use dpc_workload::{AccessPlan, PlannedRequest, Population, SiteKind, UserRef};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
-use crate::harness::{as_planned, drive, sweep_ratio, Run, SweepOutcome};
+use crate::harness::{as_planned, drive, drive_costed, sweep_ratio, Run, SweepOutcome};
 use crate::output::{f3, Table};
 
 /// An experimental artifact: the rows its claims are checked on and the
@@ -562,12 +562,44 @@ fn framing(requests: usize) -> ([SweepOutcome; 2], Table) {
 /// The deployment case study, no-cache then DPC.
 pub struct Deployment {
     pub runs: [Run; 2],
-    /// M/M/1 sojourn at an arrival rate running the uncached origin at 90 %
+    /// Each measured request's origin generation cost, in request order.
+    pub costs: [Vec<Duration>; 2],
+    /// Arrival rate (per second) running the uncached origin at 90 %
     /// utilization ("as user load on a site increases, the site
-    /// infrastructure is often unable to serve requests fast enough"), plus
-    /// LAN transfer of the per-request origin bytes. `None` when the queue
-    /// diverges.
+    /// infrastructure is often unable to serve requests fast enough").
+    pub lambda: f64,
+    /// M/G/1 mean sojourn at `lambda` (Pollaczek–Khinchine, from the
+    /// measured first and second moments of the generation cost). `None`
+    /// when the queue diverges.
+    pub sojourn: [Option<Duration>; 2],
+    /// `sojourn` plus LAN transfer of the per-request origin bytes.
     pub e2e: [Option<Duration>; 2],
+}
+
+/// Pollaczek–Khinchine mean sojourn of an M/G/1 queue at arrival rate
+/// `lambda` (per second) whose service times have mean `mean` and second
+/// moment `second` (s²): `mean + λ·E[S²] / (2(1 − ρ))`, `ρ = λ·mean`.
+/// `None` when `ρ ≥ 1`.
+pub fn mg1_sojourn(lambda: f64, mean: f64, second: f64) -> Option<Duration> {
+    let rho = lambda * mean;
+    (rho < 1.0).then(|| Duration::from_secs_f64(mean + lambda * second / (2.0 * (1.0 - rho))))
+}
+
+/// Mean sojourn of a single FIFO server fed Poisson arrivals at `lambda`
+/// (per second, seeded), serving `costs` in order, `passes` times over:
+/// Lindley's recursion `W' = max(0, W + S − A)` for the wait, plus the
+/// service time.
+pub fn lindley_sojourn(costs: &[Duration], lambda: f64, passes: usize, seed: u64) -> Duration {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut wait, mut total, mut n) = (0.0f64, 0.0f64, 0u64);
+    for service in std::iter::repeat_n(costs, passes).flatten() {
+        let service = service.as_secs_f64();
+        total += wait + service;
+        n += 1;
+        let gap = -(1.0 - rng.random::<f64>()).ln() / lambda;
+        wait = (wait + service - gap).max(0.0);
+    }
+    Duration::from_secs_f64(total / n.max(1) as f64)
 }
 
 /// The §1/§8 claim of "order-of-magnitude reductions in bandwidth and
@@ -576,16 +608,23 @@ pub struct Deployment {
 /// origin generation cost (which drops when directory hits skip code
 /// blocks and their queries), and response time under load.
 pub fn deployment(requests: usize, warmup: usize) -> Artifact<Deployment> {
-    let runs =
+    let [(nc_run, nc_costs), (dpc_run, dpc_costs)] =
         [ProxyMode::PassThrough, ProxyMode::Dpc].map(|mode| deployment_run(mode, requests, warmup));
+    let runs = [nc_run, dpc_run];
     let mean_cost = runs.map(|r| r.generation / requests as u32);
     let lambda = 0.9 / mean_cost[0].as_secs_f64();
     let lan = LinkModel::lan();
+    let sojourn = runs.map(|r| {
+        let second = r.generation_sq as f64 * 1e-18 / requests as f64;
+        mg1_sojourn(
+            lambda,
+            (r.generation / requests as u32).as_secs_f64(),
+            second,
+        )
+    });
     let e2e = [0, 1].map(|i| {
-        // M/M/1: mean sojourn s / (1 - λs) for mean service s.
-        let rho = lambda * mean_cost[i].as_secs_f64();
         let transfer = lan.transmit_time(runs[i].wire.payload_bytes / requests as u64) + lan.rtt();
-        (rho < 1.0).then(|| mean_cost[i].div_f64(1.0 - rho) + transfer)
+        sojourn[i].map(|s| s + transfer)
     });
     let mut t = Table::new(
         "Deployment case study: brokerage site, no-cache vs DPC",
@@ -618,15 +657,21 @@ pub fn deployment(requests: usize, warmup: usize) -> Artifact<Deployment> {
         [Some(a), Some(b)] => x(a.as_secs_f64(), b.as_secs_f64()),
         _ => "n/a".to_owned(),
     };
-    let metric = format!("E2E response time @ λ={lambda:.0}/s (M/M/1 + LAN)");
+    let metric = format!("E2E response time @ λ={lambda:.0}/s (M/G/1 + LAN)");
     t.row(&[&metric, &shown[0], &shown[1], &reduction]);
     Artifact {
-        rows: Deployment { runs, e2e },
+        rows: Deployment {
+            runs,
+            costs: [nc_costs, dpc_costs],
+            lambda,
+            sojourn,
+            e2e,
+        },
         tables: vec![t],
     }
 }
 
-fn deployment_run(mode: ProxyMode, requests: usize, warmup: usize) -> Run {
+fn deployment_run(mode: ProxyMode, requests: usize, warmup: usize) -> (Run, Vec<Duration>) {
     let dataset = DatasetConfig {
         symbols: 30,
         users: 200,
@@ -645,7 +690,7 @@ fn deployment_run(mode: ProxyMode, requests: usize, warmup: usize) -> Run {
     let plan = plan.requests(warmup + requests);
     let (warm, measured) = plan.split_at(warmup);
     let mut tick_rng = StdRng::seed_from_u64(0x71CC);
-    drive(&tb, warm, measured, None, |i, r| {
+    drive_costed(&tb, warm, measured, None, |i, r| {
         // One price tick every 25 requests, the same seeded stream in both
         // configurations.
         if i % 25 == 24 {

@@ -360,7 +360,8 @@ fn deployment_cuts_origin_generation_at_least_8x() {
     assert!(factor >= 8.0, "{factor}");
 }
 
-/// M/M/1 at 90 % of the uncached origin's capacity: 45x at these counts.
+/// M/G/1 at 90 % of the uncached origin's capacity, from the measured
+/// first and second moments of the generation cost.
 #[test]
 fn deployment_cuts_loaded_response_time_at_least_10x() {
     let Deployment { e2e, .. } = &eval().deployment;
@@ -369,4 +370,23 @@ fn deployment_cuts_loaded_response_time_at_least_10x() {
     };
     let factor = no_cache.as_secs_f64() / dpc.as_secs_f64();
     assert!(factor >= 10.0, "{factor}");
+}
+
+/// The M/G/1 figure is what a queue fed the measured costs does: a seeded
+/// Lindley replay of each configuration's cost sequence under Poisson
+/// arrivals at the same rate agrees within 5 %.
+#[test]
+fn deployment_mg1_sojourn_matches_a_lindley_replay_of_the_measured_costs() {
+    let Deployment {
+        costs,
+        lambda,
+        sojourn,
+        ..
+    } = &eval().deployment;
+    for (i, config) in ["no-cache", "dpc"].iter().enumerate() {
+        let mg1 = sojourn[i].expect("stable queue").as_secs_f64();
+        let replay = paper::lindley_sojourn(&costs[i], *lambda, 200, 0x11D1E7).as_secs_f64();
+        let off = (mg1 / replay - 1.0).abs();
+        assert!(off <= 0.05, "{config}: M/G/1 {mg1} s, replay {replay} s");
+    }
 }

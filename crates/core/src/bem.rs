@@ -27,6 +27,7 @@ use std::time::Duration;
 
 use crate::config::BemConfig;
 use crate::directory::{CacheDirectory, DirectoryStats, Lookup};
+use crate::epoch::ReadSet;
 use crate::flight::{Publish, Wait};
 use crate::key::{DpcKey, FragmentId};
 use crate::objects::ObjectCache;
@@ -240,6 +241,7 @@ impl Bem {
             node,
             donor,
             from_donor: Vec::new(),
+            reads: None,
         }
     }
 
@@ -319,6 +321,9 @@ pub struct TemplateWriter<'a> {
     donor: Option<u32>,
     /// Keys emitted as `GET`s on the strength of the donor's copy.
     from_donor: Vec<DpcKey>,
+    /// The page's read set, once [`TemplateWriter::record_reads`] asked
+    /// for it.
+    reads: Option<ReadSet>,
 }
 
 impl TemplateWriter<'_> {
@@ -338,6 +343,35 @@ impl TemplateWriter<'_> {
     /// these slots from the donor and never splice its own copy.
     pub fn from_donor(&self) -> &[DpcKey] {
         &self.from_donor
+    }
+
+    /// Record this page's read set from now on: the deps of every
+    /// cacheable fragment, whether it is emitted as a `GET` or a `SET`.
+    /// A [`fragment_lazy`](Self::fragment_lazy) block served without
+    /// running makes the set unknown. The rows the blocks themselves read
+    /// are the caller's to add.
+    pub fn record_reads(&mut self) {
+        self.reads = Some(ReadSet::default());
+    }
+
+    /// The read set recorded since [`record_reads`](Self::record_reads),
+    /// leaving none.
+    pub fn take_reads(&mut self) -> Option<ReadSet> {
+        self.reads.take()
+    }
+
+    fn note_reads(&mut self, deps: &[String]) {
+        if let Some(reads) = &mut self.reads {
+            for dep in deps {
+                reads.note(dep);
+            }
+        }
+    }
+
+    fn reads_unknown(&mut self) {
+        if let Some(reads) = &mut self.reads {
+            reads.mark_unknown();
+        }
     }
 }
 
@@ -381,6 +415,11 @@ impl TemplateWriter<'_> {
         policy: FragmentPolicy,
         mut produce: impl FnMut(&mut Vec<u8>),
     ) -> bool {
+        if policy.cacheable {
+            // A GET reads the deps as surely as a SET: the spliced bytes
+            // are current only while they are.
+            self.note_reads(&policy.deps);
+        }
         let stats = &self.bem.stats;
         stats.fragments.fetch_add(1, Ordering::Relaxed);
 
@@ -629,6 +668,7 @@ impl TemplateWriter<'_> {
                                 self.emit_set(key, &bytes);
                                 stats.coalesced_waits.fetch_add(1, Ordering::Relaxed);
                                 stats.hits.fetch_add(1, Ordering::Relaxed);
+                                self.reads_unknown();
                                 return true;
                             }
                             Wait::Retry => {
@@ -645,6 +685,9 @@ impl TemplateWriter<'_> {
                         }
                     }
                     self.emit_get(key, matches!(looked, Lookup::DonorHit(_)));
+                    // The deps the block discovered live in the directory
+                    // entry, not here: the read set cannot name them.
+                    self.reads_unknown();
                     return true;
                 }
                 Lookup::Miss(key) => {
@@ -659,6 +702,7 @@ impl TemplateWriter<'_> {
                     });
                     let mut content = Vec::new();
                     let deps = produce(&mut content);
+                    self.note_reads(&deps);
                     // Register the discovered deps before publishing: a
                     // waiter released by the publish must observe the same
                     // invalidation surface the leader does.
@@ -1004,6 +1048,49 @@ mod tests {
         assert_eq!(bem.on_data_update("headlines/SYM0-h1"), 1);
         assert!(!serve(&bem, &runs));
         assert_eq!(runs.get(), 2);
+    }
+
+    #[test]
+    fn recorded_reads_name_deps_on_get_and_set_and_a_lazy_hit_is_unknown() {
+        use crate::epoch::stripe_of;
+        let bem = bem_with(8);
+        let render = |bem: &Bem| {
+            let mut w = bem.template_writer();
+            w.record_reads();
+            w.fragment(
+                &FragmentId::new("price"),
+                FragmentPolicy::pinned().with_deps(&["quotes/IBM"]),
+                |b| b.push(b'p'),
+            );
+            w.fragment(&FragmentId::new("ad"), FragmentPolicy::uncacheable(), |b| {
+                b.push(b'a')
+            });
+            w.fragment_lazy(&nav_id(), Duration::from_secs(600), |b| {
+                b.push(b'n');
+                vec!["headlines/h1".to_owned()]
+            });
+            w.take_reads().expect("recording")
+        };
+        // Cold: the price SET and the lazy block's discovered deps.
+        let cold = render(&bem);
+        let want = [stripe_of("quotes/IBM"), stripe_of("headlines/h1")];
+        assert_eq!(cold.stripes(), Some(&want[..]));
+        // Warm: the price GET still reads its dep...
+        let mut w = bem.template_writer();
+        w.record_reads();
+        let hit = w.fragment(
+            &FragmentId::new("price"),
+            FragmentPolicy::pinned().with_deps(&["quotes/IBM"]),
+            |b| b.push(b'p'),
+        );
+        assert!(hit);
+        let price = w.take_reads().expect("recording");
+        assert_eq!(price.stripes(), Some(&[stripe_of("quotes/IBM")][..]));
+        // ...but a lazy block's deps live in the directory entry, so a
+        // page that hits one has an unknown read set.
+        assert_eq!(render(&bem).stripes(), None);
+        // A writer that was not asked records nothing.
+        assert!(bem.template_writer().take_reads().is_none());
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub use bem::{Bem, FragmentPolicy, InvalidationSink, TemplateWriter};
 pub use config::{BemConfig, ReplacePolicy};
 pub use directory::{CacheDirectory, Lookup};
 pub use dpc_policy::{content_hash, fnv1a, LruReplacer, Replacer};
-pub use epoch::CoherencyEpoch;
+pub use epoch::{stripe_of, CoherencyEpoch, ReadSet, Stamp};
 pub use error::{AssembleError, CoreError};
 pub use flight::{FlightCounters, FlightGroup, FlightLeader, Join, Publish, Wait};
 pub use key::{DpcKey, FragmentId};

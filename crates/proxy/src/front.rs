@@ -11,8 +11,9 @@
 
 use dpc_appserver::context::{
     format_keys, parse_keys, BYPASS_HEADER, FROM_DONOR_HEADER, MISSING_HEADER, NODE_HEADER,
-    PEER_FETCH_HEADER,
+    PEER_FETCH_HEADER, READS_HEADER, WANT_READS_HEADER,
 };
+use dpc_core::epoch::parse_read_set;
 use dpc_core::{assemble_rope, salvage, AssembleError, DpcKey, FragmentSource, FragmentStore};
 use dpc_firewall::Firewall;
 use dpc_http::{Body, Client, Handler, Method, Request, Response, Status};
@@ -63,6 +64,10 @@ pub struct ProxyStats {
     pub asm_template_bytes: AtomicU64,
 }
 
+/// The read set an origin named for a page, as epoch stripes; `None` when
+/// it named none (or an unusable one), which stamps the page coarsely.
+type Reads = Option<Arc<[u16]>>;
+
 /// One failed assembly attempt: the error, and the keys of the template's
 /// `GET`s still absent once its `SET`s were installed.
 struct Failed {
@@ -92,8 +97,9 @@ pub struct Proxy {
     fragment_source: Option<Arc<dyn FragmentSource>>,
     /// DPC mode only: serve repeat GETs of assembled pages from the
     /// session-keyed page cache (the node's L2 tier) and install freshly
-    /// assembled pages into it, stamped with the coherency epoch. Off by
-    /// default — the classic DPC path reassembles every request.
+    /// assembled pages into it, stamped with the coherency epoch and the
+    /// read set the origin names when asked. Off by default — the classic
+    /// DPC path reassembles every request and asks for no read set.
     page_tier: bool,
     /// When set, `GET /_dpc/metrics` is served right here from the
     /// registry's text exposition instead of being forwarded.
@@ -172,9 +178,9 @@ impl Proxy {
 
     /// Builder: enable the DPC page tier — assembled pages are installed
     /// into the page cache under session-qualified keys (see
-    /// [`crate::l1::page_key`]) stamped with the coherency epoch, and
-    /// repeat GETs are served from there without reassembly. The cache
-    /// **must** carry a [`dpc_core::CoherencyEpoch`]
+    /// [`crate::l1::page_key`]) stamped with the coherency epoch and their
+    /// read set, and repeat GETs are served from there without
+    /// reassembly. The cache **must** carry a [`dpc_core::CoherencyEpoch`]
     /// ([`PageCache::with_coherence`]): a `PURGE` of a bare target cannot
     /// name the session-qualified variants, so only the epoch bump can
     /// invalidate stamped entries — without it, a purge would silently
@@ -361,19 +367,24 @@ impl Proxy {
     /// Fetch from the origin, running the firewall over the response body
     /// (the boundary every origin byte crosses in Figure 4).
     fn fetch_origin(&self, req: &Request) -> Result<Response, Response> {
-        self.fetch_origin_with(req, None, &[])
+        self.fetch_origin_with(req, None, &[], false)
     }
 
     /// Like [`fetch_origin`](Self::fetch_origin); a DPC-mode request also
     /// names this node, its `donor` if any (so the BEM may grant `GET`s on
-    /// the donor's copy), and the `missing` keys of a refresh.
+    /// the donor's copy), and the `missing` keys of a refresh, and asks
+    /// for the page's read set when `want_reads`.
     fn fetch_origin_with(
         &self,
         req: &Request,
         donor: Option<u32>,
         missing: &[DpcKey],
+        want_reads: bool,
     ) -> Result<Response, Response> {
         let mut upstream_req = req.clone();
+        // Only a node that caches the page asks for its read set: a
+        // client's copy never reaches the origin.
+        upstream_req.headers.remove(WANT_READS_HEADER);
         if let Some((tid, sid)) = dpc_trace::current() {
             // Propagate the trace context on the origin leg so an
             // instrumented upstream (another DPC node, a traced origin
@@ -394,6 +405,9 @@ impl Proxy {
             }
             if !missing.is_empty() {
                 headers.set(MISSING_HEADER, format_keys(missing));
+            }
+            if want_reads {
+                headers.set(WANT_READS_HEADER, "1");
             }
         }
         let resp = self
@@ -495,7 +509,7 @@ impl Proxy {
         let resp = if self.page_tier && req.method == Method::Get {
             self.serve_dpc_tiered(req)
         } else {
-            self.serve_dpc_assembling(req)
+            self.serve_dpc_assembling(req, false).0
         };
         self.finish_conditional(req, resp)
     }
@@ -532,8 +546,10 @@ impl Proxy {
 
     /// The page-tier wrapper around the classic assemble path: L2 probe
     /// first, and on a miss install the assembled page for the next
-    /// request. The epoch stamp is read *before* the origin fetch, so the
-    /// install refuses a page whose assembly raced an invalidation.
+    /// request, stamped with the read set the origin named for it. The
+    /// epoch stamp is read *before* the origin fetch, so the install
+    /// refuses a page whose assembly raced an invalidation of something
+    /// it read.
     fn serve_dpc_tiered(&self, req: &Request) -> Response {
         let key = page_key(&req.target, session_of(req));
         let mut sp = self.tracer.span(Layer::TierL2);
@@ -545,14 +561,19 @@ impl Proxy {
         sp.set_status(SpanStatus::Miss);
         drop(sp);
         let stamp = self.page_cache.coherence_stamp();
-        let resp = self.serve_dpc_assembling(req);
+        let (resp, reads) = self.serve_dpc_assembling(req, true);
         if resp.status.is_success() && resp.headers.get("X-Cache") == Some("dpc-assembled") {
             // Only genuinely assembled pages enter the tier: passes,
             // bypasses and errors are per-request outcomes, not pages.
             let content_type = resp.headers.get("Content-Type").unwrap_or("text/html");
             let etag = resp.headers.get("ETag").map(str::to_owned);
-            self.page_cache
-                .install(&key, resp.body.flatten(), content_type, Some(stamp), etag);
+            self.page_cache.install(
+                &key,
+                resp.body.flatten(),
+                content_type,
+                Some(stamp.with_reads(reads)),
+                etag,
+            );
         }
         resp
     }
@@ -561,30 +582,32 @@ impl Proxy {
     /// assembly still finds an empty slot, a peer-fetching node refreshes
     /// once, naming its absent keys so the BEM re-`SET`s them (a gossip
     /// scrub may have emptied a slot behind its stored bit). The bypass
-    /// is the last rung.
-    fn serve_dpc_assembling(&self, req: &Request) -> Response {
+    /// is the last rung. With `want_reads` the template requests ask for
+    /// the page's read set, returned beside an assembled page.
+    fn serve_dpc_assembling(&self, req: &Request, want_reads: bool) -> (Response, Reads) {
         let donor = self
             .fragment_source
             .as_ref()
             .and_then(|source| source.donor_for(&req.target));
-        let failed = match self.serve_dpc_once(req, donor, &[]) {
-            Ok(resp) => return resp,
+        let failed = match self.serve_dpc_once(req, donor, &[], want_reads) {
+            Ok(served) => return served,
             Err(failed) => failed,
         };
         if self.fragment_source.is_none()
             || !matches!(failed.err, AssembleError::MissingFragment(_))
         {
-            return self.bypass_refetch(req, failed.err);
+            return (self.bypass_refetch(req, failed.err), None);
         }
         self.stats.refresh_refetches.fetch_add(1, Ordering::Relaxed);
-        match self.serve_dpc_once(req, None, &failed.missing) {
-            Ok(resp) => resp,
-            Err(failed) => self.bypass_refetch(req, failed.err),
+        match self.serve_dpc_once(req, None, &failed.missing, want_reads) {
+            Ok(served) => served,
+            Err(failed) => (self.bypass_refetch(req, failed.err), None),
         }
     }
 
     /// One origin fetch + assembly attempt. `Ok` carries any terminal
-    /// response (assembled page, pass-through, upstream error); `Err` means
+    /// response (assembled page, pass-through, upstream error) and, for an
+    /// assembled page, the read set its template named; `Err` means
     /// assembly failed and the caller escalates (refresh, then bypass).
     /// A failed assembly first installs every `SET` its template carried,
     /// because the BEM recorded them as stored here when it emitted them.
@@ -593,10 +616,11 @@ impl Proxy {
         req: &Request,
         donor: Option<u32>,
         missing: &[DpcKey],
-    ) -> Result<Response, Failed> {
-        let upstream = match self.fetch_origin_with(req, donor, missing) {
+        want_reads: bool,
+    ) -> Result<(Response, Reads), Failed> {
+        let upstream = match self.fetch_origin_with(req, donor, missing, want_reads) {
             Ok(r) => r,
-            Err(e) => return Ok(e),
+            Err(e) => return Ok((e, None)),
         };
         // The template arrives as a single parsed buffer; this flatten is a
         // refcount bump.
@@ -604,8 +628,14 @@ impl Proxy {
         if !upstream.status.is_success() || !dpc_core::tag::is_instrumented(&template) {
             // Plain response (errors, disabled BEM, non-HTML): forward.
             self.stats.uninstrumented.fetch_add(1, Ordering::Relaxed);
-            return Ok(strip_internal_headers(upstream).with_header("X-Cache", "dpc-pass"));
+            let resp = strip_internal_headers(upstream).with_header("X-Cache", "dpc-pass");
+            return Ok((resp, None));
         }
+        // An origin that was not asked, or names a set this node cannot
+        // judge, leaves the page under the coarse rule.
+        let reads = want_reads
+            .then(|| upstream.headers.get(READS_HEADER).and_then(parse_read_set))
+            .flatten();
         let fetched = self.pull_from_donor(donor, upstream.headers.get(FROM_DONOR_HEADER));
         // Zero-copy assembly, end to end: cached fragments are spliced into
         // the rope by refcount bump, the rope's segments become the
@@ -659,11 +689,12 @@ impl Proxy {
             .with_header("ETag", etag);
         // Advertise repairs so latency classification and tracing can
         // attribute this page to the peer-fetch path.
-        Ok(if fetched > 0 {
+        let resp = if fetched > 0 {
             resp.with_header("X-DPC-Peer-Fetched", fetched.to_string())
         } else {
             resp
-        })
+        };
+        Ok((resp, reads))
     }
 
     /// Fill the slots the BEM listed in `listed` (its `GET`s granted on
@@ -720,6 +751,7 @@ impl Handler for Proxy {
 fn strip_internal_headers(mut resp: Response) -> Response {
     resp.headers.remove("X-DPC-Instrumented");
     resp.headers.remove(FROM_DONOR_HEADER);
+    resp.headers.remove(READS_HEADER);
     resp
 }
 

@@ -9,13 +9,15 @@
 //! coherency epoch.
 //!
 //! Coherence is validation-on-touch, not eager invalidation: every L1 copy
-//! keeps the [`CoherencyEpoch`] stamp its bytes were assembled under and
-//! a link to the L2 it was promoted from, and each hit asks that L2 for
-//! its [`PageCache::verdict`] — the same check the L2 runs on its own
-//! pages. Any invalidation — a local `PURGE`, a BEM dependency event, a
-//! gossip scrub arriving from another node — bumps the epoch, so the next
-//! touch of *any* stamped copy on *any* loop self-evicts instead of
-//! serving. Nobody has to enumerate loops or keys to kill stale pages.
+//! keeps the [`CoherencyEpoch`] stamp its bytes were assembled under (the
+//! sequence and the page's read set, copied with the page) and a link to
+//! the L2 it was promoted from, and each hit asks that L2 for its
+//! [`PageCache::verdict`] — the same check the L2 runs on its own pages.
+//! A data update or dependency purge bumps the stripe of its label, so the
+//! next touch of a copy that read it, on *any* loop, self-evicts instead
+//! of serving; a bare-target `PURGE` or a gossip scrub bumps the epoch
+//! coarsely and unserves every copy. Nobody has to enumerate loops or keys
+//! to kill stale pages.
 //!
 //! Promotion is earned, not automatic: a page enters L1 only after its L2
 //! entry has served [`PROMOTE_AFTER`] hits in its current generation.
@@ -360,7 +362,7 @@ mod tests {
             &key,
             Bytes::from_static(b"page"),
             "text/html",
-            Some(epoch.value()),
+            Some(epoch.stamp()),
             None,
         );
         let resolve: L2Resolver = {
@@ -390,7 +392,7 @@ mod tests {
             &page_key("/account.jsp", "bob"),
             Bytes::from_static(b"bob's page"),
             "text/html",
-            Some(epoch.value()),
+            Some(epoch.stamp()),
             None,
         );
         let resolve: L2Resolver = {

@@ -141,8 +141,8 @@ pub fn register_bem(registry: &Registry, key: impl Into<String>, bem: Arc<Bem>, 
     });
 }
 
-/// The node's page tier: L1/L2 hit split, stale-eviction audit trail, and
-/// its single-flight counters.
+/// The node's page tier: L1/L2 hit split, stale-eviction audit trail,
+/// the pages installed without a read set, and its single-flight counters.
 pub fn register_page_cache(
     registry: &Registry,
     key: impl Into<String>,
@@ -176,6 +176,7 @@ pub fn register_page_cache(
             &with_label(&labels, "tier", "l2"),
             s.l2_stale_evictions,
         );
+        e.counter("dpc_page_coarse_installs_total", &labels, s.coarse_installs);
         // The page cache has no admission policy (it refuses only installs
         // an invalidation already outdated). The series stays, at 0,
         // because the benchmark reads it (`proxy.page_admission_rejections`);

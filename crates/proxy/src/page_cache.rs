@@ -8,8 +8,8 @@
 //! stock-quote example describes). `PURGE <target>` drops one entry.
 //!
 //! In DPC mode it holds assembled pages under session-qualified keys,
-//! stamped with the node's coherency epoch, and is the L2 that each event
-//! loop's L1 promotes from ([`crate::l1`]).
+//! stamped with the node's coherency epoch and the page's read set, and is
+//! the L2 that each event loop's L1 promotes from ([`crate::l1`]).
 //!
 //! Either way the pages live in one [`PageTier`] behind one mutex, with a
 //! page budget and LRU replacement; the cache keeps its counters, the
@@ -17,7 +17,7 @@
 
 use crate::tier::{Budget, Page, PageTier, Verdict};
 use bytes::Bytes;
-use dpc_core::{fnv1a, CoherencyEpoch, FlightGroup, Join, Publish};
+use dpc_core::{fnv1a, CoherencyEpoch, FlightGroup, Join, Publish, Stamp};
 use dpc_net::Clock;
 use dpc_trace::{Layer, SpanStatus, Tracer};
 use parking_lot::Mutex;
@@ -60,6 +60,9 @@ pub struct PageCacheStats {
     pub l1_stale_evictions: u64,
     /// Stale stamped L2 entries dropped on touch after an epoch bump.
     pub l2_stale_evictions: u64,
+    /// Stamped pages installed without a read set, so under the coarse
+    /// rule: any epoch bump unserves them.
+    pub coarse_installs: u64,
     pub flight_leaders: u64,
     pub coalesced_waits: u64,
     pub flight_retries: u64,
@@ -98,6 +101,7 @@ struct Counters {
     l1_stale_evictions: AtomicU64,
     /// Stamped entries this cache dropped on touch after an epoch bump.
     l2_stale_evictions: AtomicU64,
+    coarse_installs: AtomicU64,
     flight_leaders: AtomicU64,
     coalesced_waits: AtomicU64,
     flight_retries: AtomicU64,
@@ -123,10 +127,12 @@ pub struct PageCache {
     /// wrong, and purges are rare next to fills).
     purge_epoch: AtomicU64,
     /// Node-wide coherence epoch shared with the per-loop L1 tier and
-    /// every invalidation path (purge, origin data update, gossip scrub).
-    /// `purge`/`clear` bump it so stamped entries — here and in every L1
-    /// — self-evict on next touch. `None` when the node runs no
-    /// assembled-page tier (classic page-cache mode).
+    /// every invalidation path. An origin data update or a dependency
+    /// purge bumps the stripe of its label, so only the stamped entries
+    /// that read it — here and in every L1 — self-evict on next touch;
+    /// `purge`/`clear` and a gossip scrub bump it coarsely, which
+    /// unserves them all. `None` when the node runs no assembled-page tier
+    /// (classic page-cache mode).
     coherence: Option<CoherencyEpoch>,
     counts: Counters,
     /// Span recorder handle for the L2 lookup and single-flight legs of
@@ -182,21 +188,27 @@ impl PageCache {
         self.coherence.as_ref()
     }
 
-    /// Current coherence stamp for a fill about to start. Must be read
-    /// *before* the origin fetch/assembly, so an invalidation racing the
-    /// fill lands at or after the stamp and the install refuses the page.
-    /// Zero (never current once the epoch has moved, always current
-    /// before) when no epoch is attached.
-    pub fn coherence_stamp(&self) -> u64 {
-        self.coherence.as_ref().map(|e| e.value()).unwrap_or(0)
+    /// Current coherence stamp for a fill about to start, with no read
+    /// set (attach it with [`Stamp::with_reads`] once the origin has named
+    /// it). Must be read *before* the origin fetch/assembly, so an
+    /// invalidation racing the fill lands after the stamp and the install
+    /// refuses the page. Sequence zero (never current once the epoch has
+    /// moved, always current before) when no epoch is attached.
+    pub fn coherence_stamp(&self) -> Stamp {
+        self.coherence
+            .as_ref()
+            .map(CoherencyEpoch::stamp)
+            .unwrap_or_default()
     }
 
     /// The one stamp-and-expiry check, for this cache's pages and for
     /// every L1 copy promoted from them: stale once the coherence epoch
-    /// has moved past the page's stamp (unstamped pages ignore the epoch),
-    /// expired once the node clock reaches its expiry.
+    /// no longer validates the page's stamp — a bump of a stripe it read,
+    /// a coarse bump, or any bump for a page whose read set is unknown
+    /// (unstamped pages ignore the epoch) — expired once the node clock
+    /// reaches its expiry.
     pub fn verdict(&self, page: &Page) -> Verdict {
-        match (page.stamp, &self.coherence) {
+        match (&page.stamp, &self.coherence) {
             (Some(stamp), Some(epoch)) if !epoch.validates(stamp) => Verdict::Stale,
             _ if self.clock.now_nanos() >= page.expires_at => Verdict::Expired,
             _ => Verdict::Hit,
@@ -237,21 +249,28 @@ impl PageCache {
     /// `stamp` — captured via [`PageCache::coherence_stamp`] *before*
     /// assembly — is no longer current: checked under the lock, so an
     /// outdated fill can never push out a page installed after the bump.
-    /// `etag` lets later hits answer `If-None-Match` with a 304.
+    /// A stamp without a read set installs under the coarse rule and is
+    /// counted in [`PageCacheStats::coarse_installs`]. `etag` lets later
+    /// hits answer `If-None-Match` with a 304.
     pub fn install(
         &self,
         key: &str,
         body: Bytes,
         content_type: &str,
-        stamp: Option<u64>,
+        stamp: Option<Stamp>,
         etag: Option<String>,
     ) -> bool {
+        let coarse = stamp.as_ref().is_some_and(Stamp::is_coarse);
         let page = Page {
             stamp,
             etag,
             ..self.page(body, content_type)
         };
-        self.install_if(key, page, |page| self.verdict(page) != Verdict::Stale)
+        let installed = self.install_if(key, page, |page| self.verdict(page) != Verdict::Stale);
+        if installed && coarse {
+            self.counts.coarse_installs.fetch_add(1, Ordering::Relaxed);
+        }
+        installed
     }
 
     /// An unstamped, untagged page, fresh for this cache's TTL from now.
@@ -402,11 +421,12 @@ impl PageCache {
         // Bumped under the lock: installs check the epoch under the same
         // lock, so none started before this purge can land after it.
         self.purge_epoch.fetch_add(1, Ordering::Relaxed);
-        // The coherence epoch moves too (also under the lock, so stamped
-        // lookups that start after this purge returns must see it): the
-        // DPC tier keys pages by target *and* session, so a PURGE of the
-        // bare target cannot enumerate them — the bump makes every
-        // stamped entry, here and in each loop's L1, self-evict instead.
+        // The coherence epoch moves too, coarsely (also under the lock, so
+        // stamped lookups that start after this purge returns must see
+        // it): the DPC tier keys pages by target *and* session, so a PURGE
+        // of the bare target cannot enumerate them, and no read set names
+        // a target — the bump makes every stamped entry, here and in each
+        // loop's L1, self-evict instead.
         if let Some(epoch) = &self.coherence {
             epoch.bump();
         }
@@ -458,6 +478,7 @@ impl PageCache {
             evictions: c.evictions.load(Ordering::Relaxed),
             l1_stale_evictions: c.l1_stale_evictions.load(Ordering::Relaxed),
             l2_stale_evictions: c.l2_stale_evictions.load(Ordering::Relaxed),
+            coarse_installs: c.coarse_installs.load(Ordering::Relaxed),
             flight_leaders: c.flight_leaders.load(Ordering::Relaxed),
             coalesced_waits: c.coalesced_waits.load(Ordering::Relaxed),
             flight_retries: c.flight_retries.load(Ordering::Relaxed),
@@ -816,12 +837,24 @@ mod tests {
     fn entry_hits_count_per_generation_and_l1_notes_balance() {
         let (clock, _h) = Clock::virtual_clock();
         let c = PageCache::new(clock, Duration::from_secs(60), 10);
-        c.install("/p", Bytes::from_static(b"x"), "t", Some(0), None);
+        c.install(
+            "/p",
+            Bytes::from_static(b"x"),
+            "t",
+            Some(Stamp::default()),
+            None,
+        );
         for expect in 1..=3u64 {
             assert_eq!(c.lookup("/p", true).unwrap().hits, expect);
         }
         // Refresh resets the per-generation count.
-        c.install("/p", Bytes::from_static(b"y"), "t", Some(0), None);
+        c.install(
+            "/p",
+            Bytes::from_static(b"y"),
+            "t",
+            Some(Stamp::default()),
+            None,
+        );
         assert_eq!(c.lookup("/p", true).unwrap().hits, 1);
         // L1-reported hits keep the tier invariant balanced.
         c.note_l1_hit();

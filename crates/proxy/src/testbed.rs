@@ -172,29 +172,33 @@ impl Testbed {
         let firewall = Arc::new(Firewall::with_default_rules());
         let store = Arc::new(FragmentStore::new(config.capacity));
         let tier_on = config.l1_budget_bytes > 0 && config.mode == ProxyMode::Dpc;
-        // One epoch covers the whole node: any origin data update bumps
-        // it, so every stamped page (L2 entry or loop-local L1 copy)
-        // self-evicts on its next touch. Coarse, but the invalidation
-        // path stays O(1) and never enumerates sessions or loops. The
-        // admin dependency purge (`PURGE` + `X-DPC-Dep`) bumps the same
-        // epoch, so it also kills session-qualified tiered pages.
+        // One striped epoch covers the whole node. Every label an origin
+        // data update publishes bumps its stripe, after the BEM's own
+        // invalidation (subscribed first), so exactly the stamped pages
+        // that read the row — L2 entries and loop-local L1 copies, of
+        // every session — self-evict on their next touch, and a page whose
+        // read set is unknown dies with any update. The invalidation path
+        // stays O(1) and never enumerates pages, sessions or loops. The
+        // admin dependency purge (`PURGE` + `X-DPC-Dep`) bumps its dep's
+        // stripe the same way, so it also kills the session-qualified
+        // tiered pages that read the dep.
         let epoch = tier_on.then(CoherencyEpoch::new);
         if let Some(epoch) = &epoch {
             let epoch = epoch.clone();
-            repo.bus().subscribe(move |_dep| {
-                epoch.bump();
+            repo.bus().subscribe(move |dep| {
+                epoch.bump_label(dep);
             });
         }
         // Admin purge-by-dependency: free every directory key registered
-        // under the dependency and bump the coherence epoch so tiered
-        // session pages built from those fragments stop serving too.
+        // under the dependency and bump its stripe so tiered session pages
+        // built from those fragments stop serving too.
         let dep_purger: DepPurger = {
             let bem = Arc::clone(&bem);
             let epoch = epoch.clone();
             Arc::new(move |dep: &str| {
                 let freed = bem.directory().invalidate_dep_keys(dep).len();
                 if let Some(epoch) = &epoch {
-                    epoch.bump();
+                    epoch.bump_label(dep);
                 }
                 freed
             })
@@ -632,21 +636,40 @@ mod tests {
         );
     }
 
-    #[test]
-    fn data_update_bumps_the_epoch_and_unserves_tiered_pages() {
+    /// A tier-on testbed over [`small_params`] with `urls` each served
+    /// until the proxy's loop answers it from its L1.
+    fn tiered_with_l1_resident(urls: &[&str]) -> Testbed {
         let tb = Testbed::build(TestbedConfig {
             mode: ProxyMode::Dpc,
             paper_params: small_params(),
             l1_budget_bytes: 1 << 20,
             ..TestbedConfig::default()
         });
-        let url = "/paper/page.jsp?p=2";
-        for _ in 0..(crate::l1::PROMOTE_AFTER + 2) {
-            let _ = tb.get(url, None);
+        for url in urls {
+            for _ in 0..(crate::l1::PROMOTE_AFTER + 2) {
+                let _ = tb.get(url, None);
+            }
+            assert_eq!(tb.get(url, None).headers.get("x-cache"), Some("dpc-l1"));
         }
-        assert_eq!(tb.get(url, None).headers.get("x-cache"), Some("dpc-l1"));
-        // Any origin data update invalidates every stamped page on the node.
-        tb.engine().repo().bus().publish("paper/fragment");
+        tb
+    }
+
+    /// Stale evictions of both tiers so far.
+    fn stale_evictions(tb: &Testbed) -> u64 {
+        let stats = tb.proxy().page_cache().stats();
+        stats.check_invariants().unwrap();
+        stats.l1_stale_evictions + stats.l2_stale_evictions
+    }
+
+    #[test]
+    fn data_update_bumps_the_epoch_and_unserves_tiered_pages() {
+        let url = "/paper/page.jsp?p=2";
+        let tb = tiered_with_l1_resident(&[url]);
+        let before = tb.get(url, None).body;
+        // An update to a row the page read (slot 0 is cacheable: its
+        // fragment was a GET on the warm renders) unserves every tiered
+        // copy of the page.
+        paper_site::invalidate_fragment(tb.engine().repo(), 2, 0);
         let r = tb.get(url, None);
         assert_ne!(
             r.headers.get("x-cache"),
@@ -654,12 +677,55 @@ mod tests {
             "stale L1 entry must self-evict on the first post-update touch"
         );
         assert_ne!(r.headers.get("x-cache"), Some("dpc-l2"));
-        let stats = tb.proxy().page_cache().stats();
-        assert!(
-            stats.l1_stale_evictions + stats.l2_stale_evictions >= 1,
-            "{stats:?}"
+        assert_ne!(r.body, before, "the update changed the page's bytes");
+        assert!(stale_evictions(&tb) >= 1);
+        // The same holds for a row only an uncacheable slot reads: no
+        // directory key is freed, the read set alone unserves the page.
+        let before = tb.get(url, None).body;
+        paper_site::invalidate_fragment(tb.engine().repo(), 2, 3);
+        let r = tb.get(url, None);
+        assert_eq!(r.headers.get("x-cache"), Some("dpc-assembled"));
+        assert_ne!(r.body, before);
+    }
+
+    #[test]
+    fn data_update_leaves_pages_that_did_not_read_it_serving() {
+        let (one, two) = ("/paper/page.jsp?p=1", "/paper/page.jsp?p=2");
+        let tb = tiered_with_l1_resident(&[one, two]);
+        let before = tb.get(two, None).body;
+        paper_site::invalidate_fragment(tb.engine().repo(), 1, 0);
+        let r = tb.get(two, None);
+        assert_eq!(r.headers.get("x-cache"), Some("dpc-l1"));
+        assert_eq!(r.body, before);
+        // Its L2 entry still serves too.
+        let key = crate::l1::page_key(two, "");
+        assert!(tb.proxy().page_cache().lookup(&key, false).is_some());
+        assert_eq!(stale_evictions(&tb), 0);
+        // Page 1 read it: its L1 copy and its L2 entry go on this touch.
+        assert_eq!(
+            tb.get(one, None).headers.get("x-cache"),
+            Some("dpc-assembled")
         );
-        stats.check_invariants().unwrap();
+        assert_eq!(stale_evictions(&tb), 2);
+        assert_eq!(tb.proxy().page_cache().stats().coarse_installs, 0);
+    }
+
+    #[test]
+    fn dep_purge_unserves_only_the_pages_that_read_the_dep() {
+        let (one, two) = ("/paper/page.jsp?p=1", "/paper/page.jsp?p=2");
+        let tb = tiered_with_l1_resident(&[one, two]);
+        let mut purge = Request::get(one).with_header("X-DPC-Dep", "paper/p1-f0");
+        purge.method = dpc_http::Method::Purge;
+        let resp = tb.proxy().serve(purge);
+        assert_eq!(resp.headers.get("x-dpc-purged-keys"), Some("1"));
+        assert_eq!(tb.get(two, None).headers.get("x-cache"), Some("dpc-l1"));
+        assert_eq!(stale_evictions(&tb), 0);
+        // Page 1 read it: its L1 copy and its L2 entry go on this touch.
+        assert_eq!(
+            tb.get(one, None).headers.get("x-cache"),
+            Some("dpc-assembled")
+        );
+        assert_eq!(stale_evictions(&tb), 2);
     }
 
     #[test]

@@ -2,18 +2,20 @@
 //! node's shared L2 are two instances.
 //!
 //! A [`Page`] is a flattened assembled page plus what keeps it honest:
-//! the [`CoherencyEpoch`] value it was assembled under and its expiry on
-//! the node clock. [`PageTier`] is the one keyed map of pages, with one
+//! the [`Stamp`] it was assembled under — the [`CoherencyEpoch`] sequence
+//! read before the origin fetch and the stripes of the page's read set —
+//! and its expiry on the node clock. [`PageTier`] is the one keyed map of pages, with one
 //! LRU ([`dpc_core::LruReplacer`]) under a [`Budget`] — the L1 weighs its
 //! pages in body bytes, the L2 counts them. Both tiers judge a resident
 //! page through one function, [`PageCache::verdict`], and answer a hit
 //! through one builder, [`page_response`].
 //!
 //! [`CoherencyEpoch`]: dpc_core::CoherencyEpoch
+//! [`Stamp`]: dpc_core::Stamp
 //! [`PageCache::verdict`]: crate::page_cache::PageCache::verdict
 
 use bytes::Bytes;
-use dpc_core::{LruReplacer, Replacer};
+use dpc_core::{LruReplacer, Replacer, Stamp};
 use dpc_http::{Request, Response, Status};
 use dpc_trace::SpanStatus;
 use std::collections::HashMap;
@@ -29,12 +31,15 @@ pub struct Page {
     /// installer carried no identity (classic page-cache mode), which then
     /// never answer `If-None-Match` with a 304.
     pub etag: Option<String>,
-    /// The coherency-epoch value captured *before* the page was assembled.
-    /// A page is only a hit while the epoch still equals it: any purge,
-    /// data update or gossip scrub since assembly makes it stale. `None`
-    /// for classic page-cache entries, which rely on `PURGE` + TTL alone
-    /// (a global stamp would over-invalidate the baseline).
-    pub stamp: Option<u64>,
+    /// The coherency-epoch sequence captured *before* the page was
+    /// assembled, with the stripes of what the page read. A page is only a
+    /// hit while the epoch validates it: a data update or dependency purge
+    /// of something it read, or any coarse bump (a bare-target purge, a
+    /// gossip scrub), makes it stale; a page whose read set is unknown is
+    /// stale after any bump at all. `None` for classic page-cache entries,
+    /// which rely on `PURGE` + TTL alone (a global stamp would
+    /// over-invalidate the baseline).
+    pub stamp: Option<Stamp>,
     /// Expiry in nanoseconds of the node clock.
     pub expires_at: u64,
     /// Hits served since install. Drives L1 promotion, so a refresh

@@ -11,6 +11,8 @@
 //! * an **update bus** ([`bus`]) publishing `"table/key"` dependency labels
 //!   on every mutation — the invalidation feed the BEM's cache invalidation
 //!   manager subscribes to;
+//! * **read recording** ([`reads`]): the labels of the rows one render
+//!   read, the read set a page cached above the origin is judged by;
 //! * deterministic **demo datasets** ([`datasets`]) for the two applications
 //!   the paper motivates: a BooksOnline catalog site and an online brokerage
 //!   (stock quote pages with price/headline/research fragments).
@@ -24,6 +26,7 @@
 pub mod bus;
 pub mod cost;
 pub mod datasets;
+pub mod reads;
 pub mod store;
 pub mod table;
 pub mod value;

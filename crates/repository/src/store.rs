@@ -55,19 +55,21 @@ impl Repository {
         tables.entry(table.to_owned()).or_default().put(key, row);
     }
 
-    /// Point lookup.
+    /// Point lookup. Recorded as a read of `table/key` ([`crate::reads`]).
     pub fn get(&self, table: &str, key: &str) -> Costed<Option<Row>> {
+        crate::reads::note(table, key);
         let tables = self.tables.read();
         let row = tables.get(table).and_then(|t| t.get(key)).cloned();
         let bytes = row.as_ref().map(Row::size_bytes).unwrap_or(0);
         Costed::new(row, self.cost.lookup(bytes))
     }
 
-    /// Predicate scan over a table.
+    /// Predicate scan over a table. Recorded as a read of `table/*`.
     pub fn scan_where<F>(&self, table: &str, pred: F) -> Costed<Vec<(String, Row)>>
     where
         F: FnMut(&str, &Row) -> bool,
     {
+        crate::reads::note(table, "*");
         let tables = self.tables.read();
         let Some(t) = tables.get(table) else {
             return Costed::new(Vec::new(), self.cost.scan(0, 0));
@@ -78,8 +80,9 @@ impl Repository {
     }
 
     /// All keys of a table (cheap metadata read; charged as a scan with no
-    /// materialization).
+    /// materialization). Recorded as a read of `table/*`.
     pub fn keys(&self, table: &str) -> Costed<Vec<String>> {
+        crate::reads::note(table, "*");
         let tables = self.tables.read();
         let keys: Vec<String> = tables
             .get(table)
