@@ -256,7 +256,7 @@ fn sweep<const N: usize>(
 pub struct Baselines {
     /// Experiment 1, Bob/Alice, every page checked against the origin's: a
     /// URL-keyed page cache, session-busted page-cache keys, the DPC, the
-    /// DPC with its L1/L2 page tier on.
+    /// DPC with its page tier on.
     pub personalization: [Run; 4],
     /// Experiment 2, price ticks on the stock-quote page: a page cache that
     /// purges the ticked page, then the DPC.

@@ -236,7 +236,7 @@ fn baselines_session_keys_and_dpc_serve_no_wrong_pages() {
     assert_eq!(dpc.wrong_pages, 0, "{dpc:?}");
 }
 
-/// The only check of the session-qualified L1/L2 page keys on the paper's
+/// The only check of the session-qualified page-tier keys on the paper's
 /// personalization workload.
 #[test]
 fn baselines_page_tier_serves_no_wrong_pages() {

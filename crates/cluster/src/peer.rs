@@ -143,8 +143,7 @@ impl PeerNode {
     /// Attach the front's page-tier coherency epoch: from now on, every
     /// scrub that frees at least one key bumps it, so assembled pages
     /// containing the freed fragments stop being servable on their next
-    /// touch (both the shared L2 and every loop's L1 validate stamps
-    /// against this epoch).
+    /// touch (the page cache validates its stamps against this epoch).
     pub fn set_coherence(&self, epoch: CoherencyEpoch) {
         *self.coherence.lock() = Some(epoch);
     }

@@ -168,9 +168,8 @@ pub struct CacheDirectory {
     garbage_limit: usize,
     inner: Mutex<Inner>,
     /// Every directory lock acquisition. Not a stat for tuning; it exists
-    /// so tests can pin lock-freedom claims (the proxy's L1 page tier
-    /// asserts its hit path takes zero directory locks by diffing this
-    /// counter).
+    /// so tests can pin lock-freedom claims (the proxy's page tier asserts
+    /// its hit path takes zero directory locks by diffing this counter).
     lock_acquisitions: AtomicU64,
     /// Single-flight group for miss coalescing, keyed by the
     /// fragment-identity hash ([`CacheDirectory::flight_key`]) — NOT by

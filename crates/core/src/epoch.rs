@@ -1,6 +1,6 @@
 //! Node-local coherence epoch: one monotonic sequence, striped by what a
 //! cached page read, that stamps assembled-page cache entries (the
-//! proxy's L1/L2 page tiers) and lets any invalidation path — page purge,
+//! proxy's page tier) and lets any invalidation path — page purge,
 //! origin data update, gossip scrub — make the affected stamped entries
 //! self-evict on next touch without enumerating them.
 //!

@@ -37,9 +37,7 @@ pub mod uri;
 pub use client::Client;
 pub use error::HttpError;
 pub use message::{Body, Headers, Method, Request, Response, Status};
-pub use server::{
-    Handler, LoopCache, LoopCacheFactory, LoopStats, Server, ServerHandle, ServerStats,
-};
+pub use server::{Handler, LoopStats, Server, ServerHandle, ServerStats};
 pub use uri::Uri;
 
 /// Result alias for this crate.

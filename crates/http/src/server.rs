@@ -84,22 +84,6 @@ where
     }
 }
 
-/// A per-event-loop serving tier consulted after a request parses and
-/// before the handler runs: return `Some(response)` to serve it from
-/// the tier — no handler run — or `None` to fall through to the handler.
-///
-/// Each loop owns a private instance (hence `&mut self`: no internal
-/// locking is required for per-loop state). Implementations stall every
-/// other connection of the loop while they run, so they must be strictly
-/// non-blocking — a cache probe, not a handler.
-pub trait LoopCache: Send {
-    fn try_serve(&mut self, req: &Request) -> Option<Response>;
-}
-
-/// Builds one [`LoopCache`] per event loop at spawn time (called with
-/// the loop index).
-pub type LoopCacheFactory = Arc<dyn Fn(usize) -> Box<dyn LoopCache> + Send + Sync>;
-
 /// Default per-connection cap on queued-but-unsent response bytes.
 pub const DEFAULT_CONN_OUTPUT_CAP: usize = 4 * 1024 * 1024;
 /// Default global (all loops, all connections) output-buffer budget.
@@ -232,7 +216,6 @@ pub struct Server {
     loops: usize,
     conn_output_cap: usize,
     global_output_cap: usize,
-    loop_cache: Option<LoopCacheFactory>,
     request_clock: Option<Clock>,
     tracer: Tracer,
 }
@@ -245,7 +228,6 @@ impl Server {
             loops: 1,
             conn_output_cap: DEFAULT_CONN_OUTPUT_CAP,
             global_output_cap: DEFAULT_GLOBAL_OUTPUT_CAP,
-            loop_cache: None,
             request_clock: None,
             tracer: Tracer::off(),
         }
@@ -268,15 +250,6 @@ impl Server {
         self
     }
 
-    /// Builder: install a per-loop serving tier. `factory` is called once
-    /// per event loop at spawn time with the loop index; the resulting
-    /// [`LoopCache`] is consulted on the loop thread for every parsed
-    /// request before handler dispatch.
-    pub fn with_loop_cache(mut self, factory: LoopCacheFactory) -> Server {
-        self.loop_cache = Some(factory);
-        self
-    }
-
     /// Builder: record a per-request service-time histogram segmented by
     /// serving outcome (classified from the response's status and
     /// `X-Cache` / `X-DPC-Peer-Fetched` headers). Each event loop gets a
@@ -292,9 +265,9 @@ impl Server {
     /// Builder: record a span per request into `tracer`'s flight recorder.
     /// The root span opens when a request finishes parsing (honouring an
     /// incoming `X-DPC-Trace-Id` so upstream hops stitch into one trace)
-    /// and closes when its response is queued; the loop-cache probe, the
-    /// handler, and everything they call record child spans under it
-    /// through the thread-local context.
+    /// and closes when its response is queued; the handler and everything
+    /// it calls record child spans under it through the thread-local
+    /// context.
     /// Pass a tracer built on a shared recorder so multiple servers
     /// (testbed origin + proxy, ring nodes) land their spans in one place.
     /// Without one the server records nothing.
@@ -364,7 +337,6 @@ impl Server {
                 next_token: 1,
                 conn_output_cap: self.conn_output_cap,
                 global_output_cap: self.global_output_cap,
-                cache: self.loop_cache.as_ref().map(|f| f(index)),
                 clock: self.request_clock.clone(),
                 latency: latency.get(index).cloned(),
                 exemplars: exemplars.get(index).cloned(),
@@ -629,8 +601,6 @@ struct LoopState {
     next_token: Token,
     conn_output_cap: usize,
     global_output_cap: usize,
-    /// This loop's private serving tier (see [`Server::with_loop_cache`]).
-    cache: Option<Box<dyn LoopCache>>,
     /// Timestamp source for request latency (see
     /// [`Server::with_request_metrics`]).
     clock: Option<Clock>,
@@ -754,12 +724,10 @@ impl LoopState {
     }
 
     /// Queue a finished response and settle the connection's keep-alive
-    /// flags. The single home for this logic — the loop-cache path and the
-    /// handler path inside [`pump`](Self::pump) both go through it, so
-    /// they cannot drift apart. When request metrics are on, this
-    /// is also where the service time lands in the loop's outcome
-    /// histogram: the window runs from parse completion to response
-    /// queueing, classified from the response's serving headers.
+    /// flags. When request metrics are on, this is also where the service
+    /// time lands in the loop's outcome histogram: the window runs from
+    /// parse completion to response queueing, classified from the
+    /// response's serving headers.
     fn complete_request(
         conn: &mut Conn,
         resp: &Response,
@@ -997,26 +965,6 @@ impl LoopState {
                     conn.trace = self
                         .tracer
                         .begin_request(Layer::Http, req.headers.get(TRACE_HEADER));
-                    // Per-loop tier: a hit is served without running the
-                    // handler, then the loop continues to flush and parse
-                    // any pipelined successor.
-                    if let Some(cache) = self.cache.as_mut() {
-                        let served = {
-                            let _ctx = dpc_trace::enter_ctx(conn.trace);
-                            cache.try_serve(&req)
-                        };
-                        if let Some(resp) = served {
-                            Self::complete_request(
-                                conn,
-                                &resp,
-                                self.latency.as_deref(),
-                                self.exemplars.as_deref(),
-                                self.clock.as_ref(),
-                                &self.tracer,
-                            );
-                            continue;
-                        }
-                    }
                     // Run the handler here, then loop to flush and parse
                     // any pipelined successor.
                     let resp = {
@@ -1332,7 +1280,7 @@ mod tests {
                 handler_clock.advance(Duration::from_nanos(1_500));
                 let resp = Response::html("ok");
                 match req.target.as_str() {
-                    "/l1" => resp.with_header("X-Cache", "dpc-l1"),
+                    "/l2" => resp.with_header("X-Cache", "dpc-l2"),
                     "/peer" => resp
                         .with_header("X-Cache", "dpc-assembled")
                         .with_header("X-DPC-Peer-Fetched", "2"),
@@ -1344,21 +1292,21 @@ mod tests {
         .with_request_metrics(clock)
         .spawn();
         let client = Client::new(Arc::new(net.connector()));
-        for target in ["/l1", "/l1", "/peer", "/err", "/plain"] {
+        for target in ["/l2", "/l2", "/peer", "/err", "/plain"] {
             let _ = client.request("web", Request::get(target)).unwrap();
         }
         let merged = handle.stats().latency_merged();
         use dpc_metrics::Outcome;
-        assert_eq!(merged[Outcome::L1Hit.index()].count(), 2);
-        assert_eq!(merged[Outcome::L1Hit.index()].sum, 3_000);
+        assert_eq!(merged[Outcome::L2Hit.index()].count(), 2);
+        assert_eq!(merged[Outcome::L2Hit.index()].sum, 3_000);
         assert_eq!(merged[Outcome::PeerFetch.index()].count(), 1);
         assert_eq!(merged[Outcome::PeerFetch.index()].sum, 1_500);
         assert_eq!(merged[Outcome::Error.index()].count(), 1);
         assert_eq!(merged[Outcome::Origin.index()].count(), 1);
-        assert_eq!(merged[Outcome::L2Hit.index()].count(), 0);
+        assert_eq!(merged[Outcome::Assembled.index()].count(), 0);
         // Each observation is exactly 1500 ns: bit-width 11, so p99 of any
         // nonempty outcome reports that bucket's upper bound.
-        assert_eq!(merged[Outcome::L1Hit.index()].p99(), 2_047);
+        assert_eq!(merged[Outcome::L2Hit.index()].p99(), 2_047);
     }
 
     #[test]

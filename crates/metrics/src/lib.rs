@@ -218,12 +218,10 @@ impl HistogramSnapshot {
     }
 }
 
-/// The eight ways a request can leave the system, in cache-journey order.
+/// The seven ways a request can leave the system, in cache-journey order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
-    /// Served from the event loop's private L1 page cache.
-    L1Hit,
-    /// Served from the shared L2 page cache.
+    /// Served from the node's page cache.
     L2Hit,
     /// Miss satisfied by rope assembly from cached fragments.
     Assembled,
@@ -241,10 +239,9 @@ pub enum Outcome {
 }
 
 impl Outcome {
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     pub const ALL: [Outcome; Outcome::COUNT] = [
-        Outcome::L1Hit,
         Outcome::L2Hit,
         Outcome::Assembled,
         Outcome::Origin,
@@ -257,20 +254,18 @@ impl Outcome {
     #[inline]
     pub fn index(self) -> usize {
         match self {
-            Outcome::L1Hit => 0,
-            Outcome::L2Hit => 1,
-            Outcome::Assembled => 2,
-            Outcome::Origin => 3,
-            Outcome::PeerFetch => 4,
-            Outcome::FlightWait => 5,
-            Outcome::Revalidated => 6,
-            Outcome::Error => 7,
+            Outcome::L2Hit => 0,
+            Outcome::Assembled => 1,
+            Outcome::Origin => 2,
+            Outcome::PeerFetch => 3,
+            Outcome::FlightWait => 4,
+            Outcome::Revalidated => 5,
+            Outcome::Error => 6,
         }
     }
 
     pub fn label(self) -> &'static str {
         match self {
-            Outcome::L1Hit => "l1_hit",
             Outcome::L2Hit => "l2_hit",
             Outcome::Assembled => "assembled",
             Outcome::Origin => "origin",
@@ -303,7 +298,6 @@ impl Outcome {
             return Outcome::PeerFetch;
         }
         match x_cache {
-            Some("dpc-l1") => Outcome::L1Hit,
             Some("dpc-l2") | Some("page-hit") => Outcome::L2Hit,
             Some("dpc-assembled") | Some("esi-assembled") => Outcome::Assembled,
             Some("page-coalesced") => Outcome::FlightWait,
@@ -334,16 +328,7 @@ impl OutcomeHistograms {
     }
 
     pub fn snapshot(&self) -> [HistogramSnapshot; Outcome::COUNT] {
-        [
-            self.per[0].snapshot(),
-            self.per[1].snapshot(),
-            self.per[2].snapshot(),
-            self.per[3].snapshot(),
-            self.per[4].snapshot(),
-            self.per[5].snapshot(),
-            self.per[6].snapshot(),
-            self.per[7].snapshot(),
-        ]
+        std::array::from_fn(|i| self.per[i].snapshot())
     }
 
     /// Merge many per-loop instances into one snapshot per outcome.
@@ -671,14 +656,13 @@ mod tests {
     fn outcome_classification() {
         use Outcome::*;
         assert_eq!(
-            Outcome::classify(false, false, Some("dpc-l1"), false),
+            Outcome::classify(false, false, Some("dpc-l2"), false),
             Error
         );
         assert_eq!(
             Outcome::classify(true, false, Some("dpc-assembled"), true),
             PeerFetch
         );
-        assert_eq!(Outcome::classify(true, false, Some("dpc-l1"), false), L1Hit);
         assert_eq!(Outcome::classify(true, false, Some("dpc-l2"), false), L2Hit);
         assert_eq!(
             Outcome::classify(true, false, Some("page-hit"), false),
@@ -704,7 +688,7 @@ mod tests {
         // A 304 is revalidated no matter what tier answered it, and the
         // revalidation check precedes the success gate (304 is non-2xx).
         assert_eq!(
-            Outcome::classify(false, true, Some("dpc-l1"), false),
+            Outcome::classify(false, true, Some("dpc-l2"), false),
             Revalidated
         );
         assert_eq!(Outcome::classify(false, true, None, false), Revalidated);
@@ -717,14 +701,14 @@ mod tests {
     fn exemplars_keep_worst_per_bucket_and_drain_on_take() {
         let a = Arc::new(OutcomeExemplars::new());
         let b = Arc::new(OutcomeExemplars::new());
-        a.observe(Outcome::L1Hit, 10, 0xAAA);
-        a.observe(Outcome::L1Hit, 12, 0xBBB); // same octave, larger wins
-        a.observe(Outcome::L1Hit, 11, 0); // no trace: skipped
-        b.observe(Outcome::L1Hit, 13, 0xCCC); // other loop, largest overall
+        a.observe(Outcome::L2Hit, 10, 0xAAA);
+        a.observe(Outcome::L2Hit, 12, 0xBBB); // same octave, larger wins
+        a.observe(Outcome::L2Hit, 11, 0); // no trace: skipped
+        b.observe(Outcome::L2Hit, 13, 0xCCC); // other loop, largest overall
         b.observe(Outcome::Origin, 1000, 0xDDD);
         let loops = vec![Arc::clone(&a), Arc::clone(&b)];
         let merged = OutcomeExemplars::take_merged(&loops);
-        let cell = merged[Outcome::L1Hit.index()][bucket_of(13)];
+        let cell = merged[Outcome::L2Hit.index()][bucket_of(13)];
         assert_eq!((cell.nanos, cell.trace), (13, 0xCCC));
         let slow = merged[Outcome::Origin.index()][bucket_of(1000)];
         assert_eq!((slow.nanos, slow.trace), (1000, 0xDDD));
@@ -738,12 +722,12 @@ mod tests {
         let r = Registry::new();
         r.register("a", |e| e.counter("dpc_things_total", &[], 3));
         r.register("b", |e| {
-            e.gauge("dpc_level", &[("tier", "l1")], 9);
+            e.gauge("dpc_level", &[("tier", "l2")], 9);
         });
         let out = r.render();
         assert!(out.contains("# TYPE dpc_things_total counter\n"));
         assert!(out.contains("dpc_things_total 3\n"));
-        assert!(out.contains("dpc_level{tier=\"l1\"} 9\n"));
+        assert!(out.contains("dpc_level{tier=\"l2\"} 9\n"));
         // Re-registering under the same key replaces, not duplicates.
         r.register("a", |e| e.counter("dpc_things_total", &[], 5));
         let out = r.render();
@@ -762,15 +746,15 @@ mod tests {
         h.observe(300);
         let hc = h.clone();
         r.register("h", move |e| {
-            e.histogram("dpc_latency_ns", &[("outcome", "l1_hit")], &hc.snapshot())
+            e.histogram("dpc_latency_ns", &[("outcome", "l2_hit")], &hc.snapshot())
         });
         let out = r.render();
         assert!(out.contains("# TYPE dpc_latency_ns histogram\n"));
-        assert!(out.contains("dpc_latency_ns_bucket{outcome=\"l1_hit\",le=\"1\"} 2\n"));
-        assert!(out.contains("dpc_latency_ns_bucket{outcome=\"l1_hit\",le=\"511\"} 3\n"));
-        assert!(out.contains("dpc_latency_ns_bucket{outcome=\"l1_hit\",le=\"+Inf\"} 3\n"));
-        assert!(out.contains("dpc_latency_ns_count{outcome=\"l1_hit\"} 3\n"));
-        assert!(out.contains("dpc_latency_ns_sum{outcome=\"l1_hit\"} 302\n"));
+        assert!(out.contains("dpc_latency_ns_bucket{outcome=\"l2_hit\",le=\"1\"} 2\n"));
+        assert!(out.contains("dpc_latency_ns_bucket{outcome=\"l2_hit\",le=\"511\"} 3\n"));
+        assert!(out.contains("dpc_latency_ns_bucket{outcome=\"l2_hit\",le=\"+Inf\"} 3\n"));
+        assert!(out.contains("dpc_latency_ns_count{outcome=\"l2_hit\"} 3\n"));
+        assert!(out.contains("dpc_latency_ns_sum{outcome=\"l2_hit\"} 302\n"));
     }
 
     #[test]

@@ -90,7 +90,7 @@ fn every_line_parses() {
         e.gauge("dpc_resident_bytes", &[], 4096);
         e.histogram(
             "dpc_request_duration_ns",
-            &[("outcome", "l1_hit")],
+            &[("outcome", "l2_hit")],
             &h.snapshot(),
         );
     });

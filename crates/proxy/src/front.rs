@@ -23,10 +23,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::esi::EsiAssembler;
-use crate::l1::{page_key, session_of};
 use crate::modes::ProxyMode;
 use crate::page_cache::{PageCache, PageServe};
-use crate::tier::{etag_matches, hit_status, page_response};
+use crate::tier::{etag_matches, hit_status, page_key, page_response, session_of};
 
 /// Counters exposed by the proxy.
 #[derive(Debug, Default)]
@@ -178,7 +177,7 @@ impl Proxy {
 
     /// Builder: enable the DPC page tier — assembled pages are installed
     /// into the page cache under session-qualified keys (see
-    /// [`crate::l1::page_key`]) stamped with the coherency epoch and their
+    /// [`crate::tier::page_key`]) stamped with the coherency epoch and their
     /// read set, and repeat GETs are served from there without
     /// reassembly. The cache **must** carry a [`dpc_core::CoherencyEpoch`]
     /// ([`PageCache::with_coherence`]): a `PURGE` of a bare target cannot
@@ -336,7 +335,7 @@ impl Proxy {
         };
         let segments = resp.body.segments().len();
         let spans = rec.spans_of(trace_id);
-        let journey = render_journey(trace_id, &spans, segments, u64::from(self.node), self.node);
+        let journey = render_journey(trace_id, &spans, segments, self.node);
         resp.with_header("X-DPC-Trace", journey)
     }
 
@@ -553,7 +552,7 @@ impl Proxy {
     fn serve_dpc_tiered(&self, req: &Request) -> Response {
         let key = page_key(&req.target, session_of(req));
         let mut sp = self.tracer.span(Layer::TierL2);
-        if let Some(page) = self.page_cache.lookup(&key, true) {
+        if let Some(page) = self.page_cache.lookup(&key) {
             let resp = page_response(req, &page, "dpc-l2");
             sp.set_status(hit_status(&resp));
             return resp;

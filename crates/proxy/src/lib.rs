@@ -23,10 +23,9 @@
 //! lazy peer-fetch key-range handoff, and a gossiped invalidation feed
 //! that scrubs freed slots cluster-wide (see the `dpc-cluster` crate).
 //!
-//! DPC mode can also serve assembled pages from a two-level page tier:
-//! [`l1`] gives each event loop a private L1 over the node's shared
-//! [`PageCache`] (the L2), and both levels are instances of one
-//! [`tier::PageTier`] — one [`tier::Page`] type, one LRU, one
+//! DPC mode can also serve assembled pages from a page tier: the node's
+//! one [`PageCache`] over one [`tier::PageTier`], which the proxy handler
+//! probes before it assembles — one [`tier::Page`] type, one LRU, one
 //! stamp-and-expiry check ([`PageCache::verdict`]), one install
 //! ([`PageCache::install`]) and one hit response
 //! ([`tier::page_response`]).
@@ -43,7 +42,6 @@
 
 pub mod esi;
 pub mod front;
-pub mod l1;
 pub mod metrics;
 pub mod modes;
 pub mod node;
@@ -53,8 +51,8 @@ pub mod testbed;
 pub mod tier;
 
 pub use front::{Proxy, ProxyStats};
-pub use l1::{page_key, L2Resolver, LoopTier};
 pub use modes::ProxyMode;
 pub use page_cache::{PageCache, PageCacheStats};
 pub use ring_cluster::{RingCluster, RingConfig};
 pub use testbed::{Testbed, TestbedConfig};
+pub use tier::page_key;

@@ -141,8 +141,10 @@ pub fn register_bem(registry: &Registry, key: impl Into<String>, bem: Arc<Bem>, 
     });
 }
 
-/// The node's page tier: L1/L2 hit split, stale-eviction audit trail,
-/// the pages installed without a read set, and its single-flight counters.
+/// The node's page tier: hits, the stale-eviction audit trail, the pages
+/// installed without a read set, and its single-flight counters. The
+/// `tier="l2"` label on the hit and stale-eviction series names the page
+/// cache; the benchmark filters on it.
 pub fn register_page_cache(
     registry: &Registry,
     key: impl Into<String>,
@@ -155,26 +157,16 @@ pub fn register_page_cache(
         let s = cache.stats();
         e.counter(
             "dpc_page_hits_total",
-            &with_label(&labels, "tier", "l1"),
-            s.l1_hits,
-        );
-        e.counter(
-            "dpc_page_hits_total",
             &with_label(&labels, "tier", "l2"),
-            s.l2_hits,
+            s.hits,
         );
         e.counter("dpc_page_misses_total", &labels, s.misses);
         e.counter("dpc_page_purges_total", &labels, s.purges);
         e.counter("dpc_page_evictions_total", &labels, s.evictions);
         e.counter(
             "dpc_page_stale_evictions_total",
-            &with_label(&labels, "tier", "l1"),
-            s.l1_stale_evictions,
-        );
-        e.counter(
-            "dpc_page_stale_evictions_total",
             &with_label(&labels, "tier", "l2"),
-            s.l2_stale_evictions,
+            s.stale_evictions,
         );
         e.counter("dpc_page_coarse_installs_total", &labels, s.coarse_installs);
         // The page cache has no admission policy (it refuses only installs

@@ -24,8 +24,8 @@ use crate::modes::ProxyMode;
 use crate::page_cache::PageCache;
 use crate::testbed::ORIGIN_ADDR;
 
-/// TTL of every page a node caches: its page cache (L2), its loops' L1
-/// copies, and its ESI fragments.
+/// TTL of every page a node caches: its page cache's pages and its ESI
+/// fragments.
 pub const PAGE_TTL: Duration = Duration::from_secs(60);
 
 /// What one node is made of.

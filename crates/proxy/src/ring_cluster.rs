@@ -50,9 +50,8 @@ use dpc_net::{Clock, SimConnector, SimNetwork};
 use dpc_trace::{TraceConfig, Tracer};
 
 use crate::front::Proxy;
-use crate::l1::{L2Resolver, LoopTier};
 use crate::modes::ProxyMode;
-use crate::node::{self, NodeSpec, PAGE_TTL};
+use crate::node::{self, NodeSpec};
 
 /// Slot-store capacity per node.
 const NODE_CAPACITY: usize = 4096;
@@ -65,11 +64,11 @@ pub struct RingConfig {
     /// Event loops of the cluster's HTTP front
     /// ([`RingCluster::spawn_front`]).
     pub loops: usize,
-    /// Per-event-loop L1 budget of the HTTP front
-    /// ([`RingCluster::spawn_front`]), in bytes, and the switch for each
-    /// node's page tier. `0` (the default) disables both: every request
-    /// reassembles at its owner node, the classic cluster pipeline.
-    pub l1_budget_bytes: usize,
+    /// Each node's page tier: assembled pages are installed in the owner's
+    /// page cache and repeat GETs are served from there. Off by default:
+    /// every request reassembles at its owner node, the classic cluster
+    /// pipeline.
+    pub page_tier: bool,
     /// Span tracing: one flight recorder shared by every node's proxy,
     /// page tier, and peer endpoint (each recording under its own node
     /// id), so a front→owner→donor request stitches into a single trace
@@ -83,7 +82,7 @@ impl Default for RingConfig {
         RingConfig {
             seed: 0x2117,
             loops: 1,
-            l1_budget_bytes: 0,
+            page_tier: false,
             trace: TraceConfig::default(),
         }
     }
@@ -117,7 +116,7 @@ pub struct RingCluster {
     /// One cluster-wide page-tier epoch. Every node's page cache and peer
     /// endpoint shares it, so an invalidation applied by *any* node's
     /// gossip scrub unserves every stamped assembled page cluster-wide on
-    /// its next touch — including the front's per-loop L1 copies. A joint
+    /// its next touch. A joint
     /// epoch over-invalidates (node A's scrub kills node B's unrelated
     /// pages) but keeps invalidation O(1) with zero coherence messages
     /// beyond the feed the cluster already gossips.
@@ -250,7 +249,7 @@ impl RingCluster {
             id: Some(id),
             store,
             coherence: Some(self.coherence.clone()),
-            page_tier: self.config.l1_budget_bytes > 0,
+            page_tier: self.config.page_tier,
             firewall: None,
             fragment_source: Some(fetcher),
             dep_purger: None,
@@ -432,31 +431,11 @@ impl RingCluster {
         let listener = self.net.listen(addr);
         let cluster = Arc::clone(self);
         let handler: Arc<dyn dpc_http::Handler> = Arc::new(move |req: Request| cluster.serve(req));
-        let mut server = dpc_http::Server::new(Box::new(listener), handler)
+        let handle = dpc_http::Server::new(Box::new(listener), handler)
             .with_loops(self.config.loops)
             .with_request_metrics(self.clock.clone())
-            .with_tracer(self.tracer.clone());
-        if self.config.l1_budget_bytes > 0 {
-            // Each event loop gets a private L1 over a membership-routing
-            // resolver: an L1 miss probes the ring owner's page cache (L2)
-            // and promotes its hot stamped pages loop-locally. An L1 *hit*
-            // never consults the resolver — no membership lock, no
-            // directory, no owner dispatch.
-            let weak = Arc::downgrade(self);
-            let resolve: L2Resolver = Arc::new(move |target| {
-                let cluster = weak.upgrade()?;
-                let owner = cluster.owner_of(target)?;
-                let proxy = cluster.proxy(owner)?;
-                Some(Arc::clone(proxy.page_cache()))
-            });
-            server = server.with_loop_cache(LoopTier::factory(
-                self.config.l1_budget_bytes,
-                PAGE_TTL,
-                resolve,
-                self.tracer.clone(),
-            ));
-        }
-        let handle = server.spawn();
+            .with_tracer(self.tracer.clone())
+            .spawn();
         crate::metrics::register_server(
             &self.registry,
             format!("front/{addr}"),
@@ -871,7 +850,7 @@ mod tests {
             tb.net(),
             4,
             RingConfig {
-                l1_budget_bytes: 1 << 20,
+                page_tier: true,
                 ..RingConfig::default()
             },
         );
@@ -931,21 +910,13 @@ mod tests {
                 "node {id} served a stale assembled page"
             );
         }
-        for id in cluster.alive() {
-            cluster
-                .proxy(id)
-                .unwrap()
-                .page_cache()
-                .stats()
-                .check_invariants()
-                .unwrap();
-        }
     }
 
     #[test]
-    fn tiered_front_promotes_to_l1_and_invalidation_unserves_it() {
-        // End-to-end over the HTTP front: per-loop L1 promotion, then a
-        // gossip-scrubbed invalidation kills the loop-local copy too.
+    fn tiered_front_hits_the_owner_tier_and_invalidation_unserves_it() {
+        // End-to-end over the HTTP front: repeat GETs are served from the
+        // owner's page tier, then an invalidation at another node unserves
+        // it, and the next GET regenerates.
         let tb = Testbed::build(TestbedConfig {
             mode: ProxyMode::Dpc,
             paper_params: params(),
@@ -955,7 +926,7 @@ mod tests {
             tb.net(),
             3,
             RingConfig {
-                l1_budget_bytes: 1 << 20,
+                page_tier: true,
                 ..RingConfig::default()
             },
         ));
@@ -968,19 +939,14 @@ mod tests {
         };
         let first = get();
         assert_eq!(first.headers.get("x-cache"), Some("dpc-assembled"));
-        let mut cache_states = Vec::new();
         for _ in 0..6 {
             let r = get();
             assert_eq!(r.body, first.body, "tier serves identical bytes");
-            cache_states.push(r.headers.get("x-cache").unwrap_or("").to_owned());
+            assert_eq!(r.headers.get("x-cache"), Some("dpc-l2"));
         }
-        assert!(
-            cache_states.iter().any(|s| s == "dpc-l1"),
-            "hot page must reach L1: {cache_states:?}"
-        );
-        // Invalidate the page's fragment at any node; the front's L1 copy
-        // must stop serving even though no gossip reached the front
-        // explicitly — the shared epoch is the only signal.
+        // Invalidate the page's fragment at a node that does not own it;
+        // the owner's tiered page must stop serving before any gossip
+        // round — the shared epoch is the only signal.
         let frag_key = dpc_appserver::apps::paper_site::fragment_key(3, 0);
         let v = tb
             .engine()
@@ -994,13 +960,19 @@ mod tests {
             &frag_key,
             dpc_repository::Row::new().with("version", v + 1),
         );
-        let at = cluster.alive()[0];
+        let owner = cluster.owner_of(&page(3)).unwrap();
+        let at = cluster
+            .alive()
+            .into_iter()
+            .find(|id| *id != owner)
+            .expect("3 nodes");
         let n = cluster.invalidate_dep(tb.engine().bem(), at, &format!("paper/{frag_key}"));
         assert_eq!(n, 1);
         let fresh = get();
+        assert_eq!(fresh.headers.get("x-cache"), Some("dpc-assembled"));
         assert_ne!(
             fresh.body, first.body,
-            "post-invalidation serve must regenerate, not replay L1"
+            "post-invalidation serve must regenerate, not replay the tier"
         );
     }
 
@@ -1135,7 +1107,7 @@ mod tests {
             tb.net(),
             1,
             RingConfig {
-                l1_budget_bytes: 1 << 20,
+                page_tier: true,
                 ..RingConfig::default()
             },
         );
@@ -1146,7 +1118,6 @@ mod tests {
         let only = cluster.alive()[0];
         let stats = cluster.proxy(only).unwrap().page_cache().stats();
         assert_eq!(stats.evictions, 0, "{stats:?}");
-        stats.check_invariants().unwrap();
     }
 
     #[test]

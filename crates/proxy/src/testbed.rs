@@ -35,9 +35,8 @@ use std::sync::Arc;
 
 use crate::esi::{EsiAssembler, EsiTemplate};
 use crate::front::{DepPurger, Proxy};
-use crate::l1::{L2Resolver, LoopTier};
 use crate::modes::ProxyMode;
-use crate::node::{self, NodeSpec, PAGE_TTL};
+use crate::node::{self, NodeSpec};
 
 /// Address of the origin web server on the simulated network.
 pub const ORIGIN_ADDR: &str = "origin";
@@ -73,9 +72,12 @@ pub struct TestbedConfig {
     /// front runs its handler inline, so this is also the origin's
     /// parallelism: at most `loops` origin requests execute at once.
     pub loops: usize,
-    /// Per-event-loop L1 budget for assembled hot pages, in bytes. `0`
-    /// (the default) disables the whole DPC page tier: no L1, no L2
-    /// install, every request reassembles — the classic paper pipeline.
+    /// The DPC page tier's on-switch: any value above `0` makes the proxy
+    /// install assembled pages in its page cache and serve repeat GETs
+    /// from there. `0` (the default) leaves the tier off: every request
+    /// reassembles — the classic paper pipeline. The value is not a size
+    /// (the page cache counts pages); the field keeps its name because
+    /// the benchmark sets it.
     pub l1_budget_bytes: usize,
 }
 
@@ -175,13 +177,12 @@ impl Testbed {
         // One striped epoch covers the whole node. Every label an origin
         // data update publishes bumps its stripe, after the BEM's own
         // invalidation (subscribed first), so exactly the stamped pages
-        // that read the row — L2 entries and loop-local L1 copies, of
-        // every session — self-evict on their next touch, and a page whose
-        // read set is unknown dies with any update. The invalidation path
-        // stays O(1) and never enumerates pages, sessions or loops. The
-        // admin dependency purge (`PURGE` + `X-DPC-Dep`) bumps its dep's
-        // stripe the same way, so it also kills the session-qualified
-        // tiered pages that read the dep.
+        // that read the row, of every session, self-evict on their next
+        // touch, and a page whose read set is unknown dies with any update.
+        // The invalidation path stays O(1) and never enumerates pages or
+        // sessions. The admin dependency purge (`PURGE` + `X-DPC-Dep`)
+        // bumps its dep's stripe the same way, so it also kills the
+        // session-qualified tiered pages that read the dep.
         let epoch = tier_on.then(CoherencyEpoch::new);
         if let Some(epoch) = &epoch {
             let epoch = epoch.clone();
@@ -234,26 +235,14 @@ impl Testbed {
         //   pending when a handler joins one and nothing parks.
         // `tests/inline_origin.rs` runs cold-page crowds at one and two
         // loops against this, in DPC and in `PageCache` mode.
-        let mut proxy_server = Server::new(Box::new(net.listen(PROXY_ADDR)), {
+        let proxy_server = Server::new(Box::new(net.listen(PROXY_ADDR)), {
             let proxy = Arc::clone(&proxy);
             proxy as Arc<dyn dpc_http::Handler>
         })
         .with_loops(config.loops)
         .with_tracer(tracer.clone())
-        .with_request_metrics(clock);
-        if tier_on {
-            let resolve: L2Resolver = {
-                let page_cache = Arc::clone(proxy.page_cache());
-                Arc::new(move |_target| Some(Arc::clone(&page_cache)))
-            };
-            proxy_server = proxy_server.with_loop_cache(LoopTier::factory(
-                config.l1_budget_bytes,
-                PAGE_TTL,
-                resolve,
-                tracer.clone(),
-            ));
-        }
-        let proxy_server = proxy_server.spawn();
+        .with_request_metrics(clock)
+        .spawn();
 
         crate::metrics::register_bem(&metrics, "bem", Arc::clone(&bem), None);
         crate::metrics::register_server(&metrics, "server-proxy", "proxy", proxy_server.stats());
@@ -571,74 +560,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn page_tier_promotes_through_l2_into_l1_and_serves_identical_bytes() {
-        let tb = Testbed::build(TestbedConfig {
-            mode: ProxyMode::Dpc,
-            paper_params: small_params(),
-            l1_budget_bytes: 1 << 20,
-            ..TestbedConfig::default()
-        });
-        let url = "/paper/page.jsp?p=0";
-        let assembled = tb.get(url, None);
-        assert_eq!(assembled.headers.get("x-cache"), Some("dpc-assembled"));
-        // The loop's probe and the handler's both missed: one request, one
-        // miss.
-        assert_eq!(tb.proxy().page_cache().stats().misses, 1);
-        // Requests 2..=PROMOTE_AFTER+1 hit L2; the PROMOTE_AFTER-th L2 hit
-        // copies the page into the loop's L1.
-        let mut last = String::new();
-        for _ in 0..crate::l1::PROMOTE_AFTER {
-            let r = tb.get(url, None);
-            assert_eq!(r.body, assembled.body, "tier must serve identical bytes");
-            last = r.headers.get("x-cache").unwrap_or("").to_owned();
-        }
-        assert_eq!(last, "dpc-l2");
-        let hot = tb.get(url, None);
-        assert_eq!(hot.headers.get("x-cache"), Some("dpc-l1"));
-        assert_eq!(hot.body, assembled.body);
-        let stats = tb.proxy().page_cache().stats();
-        assert!(stats.l1_hits >= 1, "{stats:?}");
-        assert!(stats.l2_hits >= crate::l1::PROMOTE_AFTER, "{stats:?}");
-        stats.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn l1_hit_path_takes_zero_directory_locks_and_zero_origin_trips() {
-        let tb = Testbed::build(TestbedConfig {
-            mode: ProxyMode::Dpc,
-            paper_params: small_params(),
-            l1_budget_bytes: 1 << 20,
-            ..TestbedConfig::default()
-        });
-        let url = "/paper/page.jsp?p=1";
-        // Warm until the page is L1-resident.
-        for _ in 0..(crate::l1::PROMOTE_AFTER + 2) {
-            let _ = tb.get(url, None);
-        }
-        assert_eq!(tb.get(url, None).headers.get("x-cache"), Some("dpc-l1"));
-        let directory = tb.engine().bem().directory();
-        let locks_before = directory.lock_acquisitions();
-        let origin_before = tb.origin_requests();
-        for _ in 0..32 {
-            let r = tb.get(url, None);
-            assert_eq!(r.headers.get("x-cache"), Some("dpc-l1"));
-        }
-        assert_eq!(
-            directory.lock_acquisitions(),
-            locks_before,
-            "an L1 hit must acquire zero directory locks"
-        );
-        assert_eq!(
-            tb.origin_requests(),
-            origin_before,
-            "an L1 hit must not touch the origin"
-        );
-    }
-
     /// A tier-on testbed over [`small_params`] with `urls` each served
-    /// until the proxy's loop answers it from its L1.
-    fn tiered_with_l1_resident(urls: &[&str]) -> Testbed {
+    /// until the proxy answers it from its page tier.
+    fn tiered_with_resident(urls: &[&str]) -> Testbed {
         let tb = Testbed::build(TestbedConfig {
             mode: ProxyMode::Dpc,
             paper_params: small_params(),
@@ -646,39 +570,72 @@ mod tests {
             ..TestbedConfig::default()
         });
         for url in urls {
-            for _ in 0..(crate::l1::PROMOTE_AFTER + 2) {
-                let _ = tb.get(url, None);
-            }
-            assert_eq!(tb.get(url, None).headers.get("x-cache"), Some("dpc-l1"));
+            let _ = tb.get(url, None);
+            assert_eq!(tb.get(url, None).headers.get("x-cache"), Some("dpc-l2"));
         }
         tb
     }
 
-    /// Stale evictions of both tiers so far.
-    fn stale_evictions(tb: &Testbed) -> u64 {
+    #[test]
+    fn page_tier_hits_serve_the_assembled_bytes() {
+        let tb = tiered_with_resident(&[]);
+        let url = "/paper/page.jsp?p=0";
+        let assembled = tb.get(url, None);
+        assert_eq!(assembled.headers.get("x-cache"), Some("dpc-assembled"));
+        assert_eq!(tb.proxy().page_cache().stats().misses, 1);
+        for _ in 0..4 {
+            let r = tb.get(url, None);
+            assert_eq!(r.headers.get("x-cache"), Some("dpc-l2"));
+            assert_eq!(r.body, assembled.body, "tier must serve identical bytes");
+        }
         let stats = tb.proxy().page_cache().stats();
-        stats.check_invariants().unwrap();
-        stats.l1_stale_evictions + stats.l2_stale_evictions
+        assert_eq!((stats.hits, stats.misses), (4, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn tier_hit_path_takes_zero_directory_locks_and_zero_origin_trips() {
+        let url = "/paper/page.jsp?p=1";
+        let tb = tiered_with_resident(&[url]);
+        let directory = tb.engine().bem().directory();
+        let locks_before = directory.lock_acquisitions();
+        let origin_before = tb.origin_requests();
+        for _ in 0..32 {
+            let r = tb.get(url, None);
+            assert_eq!(r.headers.get("x-cache"), Some("dpc-l2"));
+        }
+        assert_eq!(
+            directory.lock_acquisitions(),
+            locks_before,
+            "a tier hit must acquire zero directory locks"
+        );
+        assert_eq!(
+            tb.origin_requests(),
+            origin_before,
+            "a tier hit must not touch the origin"
+        );
+    }
+
+    /// Stale evictions so far.
+    fn stale_evictions(tb: &Testbed) -> u64 {
+        tb.proxy().page_cache().stats().stale_evictions
     }
 
     #[test]
     fn data_update_bumps_the_epoch_and_unserves_tiered_pages() {
         let url = "/paper/page.jsp?p=2";
-        let tb = tiered_with_l1_resident(&[url]);
+        let tb = tiered_with_resident(&[url]);
         let before = tb.get(url, None).body;
         // An update to a row the page read (slot 0 is cacheable: its
-        // fragment was a GET on the warm renders) unserves every tiered
-        // copy of the page.
+        // fragment was a GET on the warm renders) unserves the tiered page.
         paper_site::invalidate_fragment(tb.engine().repo(), 2, 0);
         let r = tb.get(url, None);
-        assert_ne!(
+        assert_eq!(
             r.headers.get("x-cache"),
-            Some("dpc-l1"),
-            "stale L1 entry must self-evict on the first post-update touch"
+            Some("dpc-assembled"),
+            "stale page must self-evict on the first post-update touch"
         );
-        assert_ne!(r.headers.get("x-cache"), Some("dpc-l2"));
         assert_ne!(r.body, before, "the update changed the page's bytes");
-        assert!(stale_evictions(&tb) >= 1);
+        assert_eq!(stale_evictions(&tb), 1);
         // The same holds for a row only an uncacheable slot reads: no
         // directory key is freed, the read set alone unserves the page.
         let before = tb.get(url, None).body;
@@ -691,60 +648,48 @@ mod tests {
     #[test]
     fn data_update_leaves_pages_that_did_not_read_it_serving() {
         let (one, two) = ("/paper/page.jsp?p=1", "/paper/page.jsp?p=2");
-        let tb = tiered_with_l1_resident(&[one, two]);
+        let tb = tiered_with_resident(&[one, two]);
         let before = tb.get(two, None).body;
         paper_site::invalidate_fragment(tb.engine().repo(), 1, 0);
         let r = tb.get(two, None);
-        assert_eq!(r.headers.get("x-cache"), Some("dpc-l1"));
+        assert_eq!(r.headers.get("x-cache"), Some("dpc-l2"));
         assert_eq!(r.body, before);
-        // Its L2 entry still serves too.
-        let key = crate::l1::page_key(two, "");
-        assert!(tb.proxy().page_cache().lookup(&key, false).is_some());
         assert_eq!(stale_evictions(&tb), 0);
-        // Page 1 read it: its L1 copy and its L2 entry go on this touch.
+        // Page 1 read it: its tiered page goes on this touch.
         assert_eq!(
             tb.get(one, None).headers.get("x-cache"),
             Some("dpc-assembled")
         );
-        assert_eq!(stale_evictions(&tb), 2);
+        assert_eq!(stale_evictions(&tb), 1);
         assert_eq!(tb.proxy().page_cache().stats().coarse_installs, 0);
     }
 
     #[test]
     fn dep_purge_unserves_only_the_pages_that_read_the_dep() {
         let (one, two) = ("/paper/page.jsp?p=1", "/paper/page.jsp?p=2");
-        let tb = tiered_with_l1_resident(&[one, two]);
+        let tb = tiered_with_resident(&[one, two]);
         let mut purge = Request::get(one).with_header("X-DPC-Dep", "paper/p1-f0");
         purge.method = dpc_http::Method::Purge;
         let resp = tb.proxy().serve(purge);
         assert_eq!(resp.headers.get("x-dpc-purged-keys"), Some("1"));
-        assert_eq!(tb.get(two, None).headers.get("x-cache"), Some("dpc-l1"));
+        assert_eq!(tb.get(two, None).headers.get("x-cache"), Some("dpc-l2"));
         assert_eq!(stale_evictions(&tb), 0);
-        // Page 1 read it: its L1 copy and its L2 entry go on this touch.
+        // Page 1 read it: its tiered page goes on this touch.
         assert_eq!(
             tb.get(one, None).headers.get("x-cache"),
             Some("dpc-assembled")
         );
-        assert_eq!(stale_evictions(&tb), 2);
+        assert_eq!(stale_evictions(&tb), 1);
     }
 
     #[test]
-    fn l1_copies_expire_on_the_node_clock() {
-        let tb = Testbed::build(TestbedConfig {
-            mode: ProxyMode::Dpc,
-            paper_params: small_params(),
-            l1_budget_bytes: 1 << 20,
-            ..TestbedConfig::default()
-        });
+    fn tiered_pages_expire_on_the_node_clock() {
         let url = "/paper/page.jsp?p=0";
-        for _ in 0..(crate::l1::PROMOTE_AFTER + 2) {
-            let _ = tb.get(url, None);
-        }
-        assert_eq!(tb.get(url, None).headers.get("x-cache"), Some("dpc-l1"));
-        // Past PAGE_TTL on the testbed's virtual clock both tiers' copies
-        // are expired: the page is assembled afresh.
+        let tb = tiered_with_resident(&[url]);
+        // Past PAGE_TTL on the testbed's virtual clock the tiered page is
+        // expired: the page is assembled afresh.
         tb.clock()
-            .advance(PAGE_TTL + std::time::Duration::from_secs(1));
+            .advance(crate::node::PAGE_TTL + std::time::Duration::from_secs(1));
         let r = tb.get(url, None);
         assert_eq!(r.headers.get("x-cache"), Some("dpc-assembled"));
     }

@@ -1,17 +1,18 @@
-//! The page tier: one stamped-page map of which the per-loop L1 and the
-//! node's shared L2 are two instances.
+//! The page tier: the stamped-page map inside the node's one
+//! [`PageCache`], which the proxy handler consults on every tiered GET.
 //!
 //! A [`Page`] is a flattened assembled page plus what keeps it honest:
 //! the [`Stamp`] it was assembled under — the [`CoherencyEpoch`] sequence
 //! read before the origin fetch and the stripes of the page's read set —
-//! and its expiry on the node clock. [`PageTier`] is the one keyed map of pages, with one
-//! LRU ([`dpc_core::LruReplacer`]) under a [`Budget`] — the L1 weighs its
-//! pages in body bytes, the L2 counts them. Both tiers judge a resident
-//! page through one function, [`PageCache::verdict`], and answer a hit
-//! through one builder, [`page_response`].
+//! and its expiry on the node clock. [`PageTier`] is the keyed map of
+//! pages, with one LRU ([`dpc_core::LruReplacer`]) over a page budget. A
+//! resident page is judged by one function, [`PageCache::verdict`], and a
+//! hit is answered by one builder, [`page_response`], under keys built by
+//! [`page_key`].
 //!
 //! [`CoherencyEpoch`]: dpc_core::CoherencyEpoch
 //! [`Stamp`]: dpc_core::Stamp
+//! [`PageCache`]: crate::page_cache::PageCache
 //! [`PageCache::verdict`]: crate::page_cache::PageCache::verdict
 
 use bytes::Bytes;
@@ -19,6 +20,31 @@ use dpc_core::{LruReplacer, Replacer, Stamp};
 use dpc_http::{Request, Response, Status};
 use dpc_trace::SpanStatus;
 use std::collections::HashMap;
+
+/// The session-qualified key of an assembled page in the DPC page tier.
+///
+/// §3.2.1's Bob/Alice hazard is exactly what a URL-keyed full-page cache
+/// gets wrong: two sessions, one URL, different pages. The tier keys
+/// assembled pages by target *and* session so a hit can only ever return
+/// bytes assembled for that session. `\0` cannot appear in either part,
+/// so the encoding is unambiguous.
+pub fn page_key(target: &str, session: &str) -> String {
+    format!("{target}\x00{session}")
+}
+
+/// Session identity of a request: the `session` cookie value, or `""`
+/// for cookieless traffic (which then shares one key per target, exactly
+/// like a session-free static page should).
+pub fn session_of(req: &Request) -> &str {
+    let Some(cookies) = req.headers.get("Cookie") else {
+        return "";
+    };
+    cookies
+        .split(';')
+        .filter_map(|part| part.trim().strip_prefix("session="))
+        .next()
+        .unwrap_or("")
+}
 
 /// One cached page.
 #[derive(Clone, Debug)]
@@ -42,12 +68,9 @@ pub struct Page {
     pub stamp: Option<Stamp>,
     /// Expiry in nanoseconds of the node clock.
     pub expires_at: u64,
-    /// Hits served since install. Drives L1 promotion, so a refresh
-    /// restarts the count.
-    pub hits: u64,
 }
 
-/// What a tier may do with a resident page
+/// What the tier may do with a resident page
 /// ([`PageCache::verdict`](crate::page_cache::PageCache::verdict)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
@@ -59,44 +82,17 @@ pub enum Verdict {
     Expired,
 }
 
-/// How a [`PageTier`] weighs its pages against its limit.
-#[derive(Clone, Copy, Debug)]
-pub enum Budget {
-    /// Total body bytes (a loop's L1).
-    Bytes(usize),
-    /// Page count (the node's L2).
-    Pages(usize),
-}
-
-impl Budget {
-    fn weigh(self, page: &Page) -> usize {
-        match self {
-            Budget::Bytes(_) => page.body.len(),
-            Budget::Pages(_) => 1,
-        }
-    }
-
-    fn limit(self) -> usize {
-        match self {
-            Budget::Bytes(limit) | Budget::Pages(limit) => limit,
-        }
-    }
-}
-
-/// A resident page and what its tier keeps beside it: the L1 links each
-/// page to the L2 it was promoted from; the L2 links nothing.
-pub struct Entry<L> {
-    pub page: Page,
-    pub link: L,
-    /// The page's LRU handle, fresh per install.
+/// A resident page and its LRU handle, fresh per install.
+struct Entry {
+    page: Page,
     id: u64,
 }
 
-/// What [`PageTier::lookup`] found: nothing, a hit left resident, or an
-/// entry it dropped together with the verdict that dropped it.
-pub type Found<'a, L> = Option<Result<&'a Entry<L>, (Verdict, Entry<L>)>>;
+/// What [`PageTier::lookup`] found: nothing, a hit left resident, or a
+/// page it dropped together with the verdict that dropped it.
+pub type Found<'a> = Option<Result<&'a Page, (Verdict, Page)>>;
 
-/// A budgeted LRU map of pages.
+/// An LRU map of at most `capacity` pages.
 ///
 /// Pages are keyed by the full key string, never by a hash of it: a hit
 /// must be provably for *this* session's page, and a 64-bit
@@ -104,85 +100,72 @@ pub type Found<'a, L> = Option<Result<&'a Entry<L>, (Verdict, Entry<L>)>>;
 /// would serve one session's bytes to another. The LRU tracks each page by
 /// a per-install id instead, so an LRU touch neither hashes nor clones a
 /// key string.
-pub struct PageTier<L = ()> {
-    entries: HashMap<String, Entry<L>>,
+pub struct PageTier {
+    entries: HashMap<String, Entry>,
     /// Victim resolution: LRU id → key.
     keys: HashMap<u64, String>,
     lru: LruReplacer<u64>,
     next_id: u64,
-    budget: Budget,
-    used: usize,
+    capacity: usize,
 }
 
-impl<L> PageTier<L> {
-    pub fn new(budget: Budget) -> PageTier<L> {
+impl PageTier {
+    /// An empty tier of at most `capacity` pages (at least one).
+    pub fn new(capacity: usize) -> PageTier {
         PageTier {
             entries: HashMap::new(),
             keys: HashMap::new(),
             lru: LruReplacer::new(),
             next_id: 0,
-            budget,
-            used: 0,
+            capacity: capacity.max(1),
         }
     }
 
     /// Look `key` up and let `judge` rule on its page. A [`Verdict::Hit`]
-    /// counts the hit, refreshes the page's LRU position and lends the
-    /// entry out; any other verdict removes the entry and hands it back
-    /// with the verdict. `None` when nothing is resident under `key`.
-    pub fn lookup(&mut self, key: &str, judge: impl FnOnce(&Entry<L>) -> Verdict) -> Found<'_, L> {
-        let verdict = judge(self.entries.get(key)?);
+    /// refreshes the page's LRU position and lends the page out; any other
+    /// verdict removes the page and hands it back with the verdict. `None`
+    /// when nothing is resident under `key`.
+    pub fn lookup(&mut self, key: &str, judge: impl FnOnce(&Page) -> Verdict) -> Found<'_> {
+        let verdict = judge(&self.entries.get(key)?.page);
         if verdict != Verdict::Hit {
             return Some(Err((verdict, self.remove(key)?)));
         }
-        let entry = self.entries.get_mut(key).expect("judged above");
-        entry.page.hits += 1;
+        let entry = &self.entries[key];
         self.lru.touch(&entry.id);
-        Some(Ok(entry))
+        Some(Ok(&entry.page))
     }
 
     /// Install `page` under `key`, replacing any page there and evicting
-    /// least-recently-used pages until it fits. A page heavier than the
-    /// whole budget is refused: it would evict everything and then thrash.
-    /// Returns how many pages were evicted, or `None` when refused.
-    pub fn insert(&mut self, key: &str, page: Page, link: L) -> Option<u64> {
-        let weight = self.budget.weigh(&page);
-        if weight > self.budget.limit() {
-            return None;
-        }
+    /// least-recently-used pages until it fits. Returns how many pages
+    /// were evicted.
+    pub fn insert(&mut self, key: &str, page: Page) -> u64 {
         self.remove(key);
         let mut evicted = 0;
-        while self.used + weight > self.budget.limit() {
-            let victim = self
-                .lru
-                .pick_victim()
-                .expect("an over-budget tier holds a page");
+        while self.entries.len() >= self.capacity {
+            let victim = self.lru.pick_victim().expect("a full tier holds a page");
             let victim = self.keys[&victim].clone();
             self.remove(&victim);
             evicted += 1;
         }
         self.next_id += 1;
         let id = self.next_id;
-        self.used += weight;
         self.lru.admit(id);
         self.keys.insert(id, key.to_owned());
-        self.entries
-            .insert(key.to_owned(), Entry { page, link, id });
-        Some(evicted)
+        self.entries.insert(key.to_owned(), Entry { page, id });
+        evicted
     }
 
-    /// Remove `key`'s entry and its LRU tracking.
-    pub fn remove(&mut self, key: &str) -> Option<Entry<L>> {
+    /// Remove `key`'s page and its LRU tracking.
+    pub fn remove(&mut self, key: &str) -> Option<Page> {
         let entry = self.entries.remove(key)?;
         self.keys.remove(&entry.id);
         self.lru.remove(&entry.id);
-        self.used -= self.budget.weigh(&entry.page);
-        Some(entry)
+        Some(entry.page)
     }
 
     /// Drop every page.
     pub fn clear(&mut self) {
-        *self = PageTier::new(self.budget);
+        *self = PageTier::new(self.capacity);
     }
 
     pub fn len(&self) -> usize {
@@ -191,11 +174,6 @@ impl<L> PageTier<L> {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// The budget in use, in the budget's unit.
-    pub fn used(&self) -> usize {
-        self.used
     }
 }
 
@@ -216,8 +194,8 @@ pub fn etag_matches(if_none_match: &str, etag: &str) -> bool {
 
 /// The response to a tier hit: a body-free `304 Not Modified` when the
 /// request's `If-None-Match` still names the page's ETag, else the page
-/// with its `Content-Type` and `ETag`. `x_cache` names the tier that
-/// answered. Tiers only serve pages whose verdict was a hit, so a 304
+/// with its `Content-Type` and `ETag`. `x_cache` names the cache that
+/// answered. Only pages whose verdict was a hit are served, so a 304
 /// built here can never confirm a page an invalidation outdated.
 pub fn page_response(req: &Request, page: &Page, x_cache: &'static str) -> Response {
     let etag = page.etag.as_deref();
@@ -242,5 +220,17 @@ pub(crate) fn hit_status(resp: &Response) -> SpanStatus {
         SpanStatus::Revalidated
     } else {
         SpanStatus::Hit
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn session_extraction_handles_multi_cookie_headers() {
+        let req = Request::get("/p").with_header("Cookie", "theme=dark; session=u7; lang=en");
+        assert_eq!(session_of(&req), "u7");
+        assert_eq!(session_of(&Request::get("/p")), "");
     }
 }

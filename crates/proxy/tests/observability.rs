@@ -2,8 +2,8 @@
 //! `X-DPC-Trace` cache-journey header, exercised over the simulated wire
 //! exactly as an operator would use them.
 //!
-//! * Trace attribution — one request sequence walks the whole tier
-//!   ladder (assembled miss → L2 hit → L1 hit) on the testbed front, and
+//! * Trace attribution — one request sequence walks the tier ladder
+//!   (assembled miss → page-tier hit) on the testbed front, and
 //!   a post-join request on the ring cluster attributes its peer-fetch.
 //! * Scrapes — after real traffic, the testbed front and a ring node
 //!   both expose every metric family with nonzero counts, including the
@@ -18,7 +18,6 @@ use std::sync::Arc;
 
 use dpc_appserver::apps::paper_site::{self, PaperSiteParams};
 use dpc_http::{Client, Method, Request, Response};
-use dpc_proxy::l1::PROMOTE_AFTER;
 use dpc_proxy::testbed::{Testbed, TestbedConfig, PROXY_ADDR};
 use dpc_proxy::{ProxyMode, RingCluster, RingConfig};
 
@@ -101,18 +100,14 @@ fn trace_walks_the_tier_ladder_on_the_testbed_front() {
     assert_eq!(t["flight"], "none");
     assert!(t["segments"].parse::<usize>().unwrap() >= 1);
 
-    // The next PROMOTE_AFTER serves hit the shared L2 page; the one after
-    // is loop-local L1. The tier's trace is written by the loop cache
-    // (the handler never runs), so shard reports the event loop index.
-    for i in 0..PROMOTE_AFTER {
+    // Every later serve hits the page tier, and the journey names no
+    // shard: the node that rendered it is the only place it was served.
+    for i in 0..4 {
         let t = trace_kv(&get());
         assert_eq!(t["tier"], "l2", "serve {i} after assembly");
-        assert_eq!(t["shard"], "0");
+        assert_eq!(t["flight"], "none");
+        assert!(!t.contains_key("shard"));
     }
-    let t = trace_kv(&get());
-    assert_eq!(t["tier"], "l1");
-    assert_eq!(t["flight"], "none");
-    assert_eq!(t["shard"], "0");
 
     // Untraced requests stay clean: no header unless asked for.
     let plain = client.request(PROXY_ADDR, Request::get(page(3))).unwrap();
@@ -152,7 +147,10 @@ fn trace_attributes_peer_fetch_after_a_ring_join() {
     );
     let t = trace_kv(&resp);
     assert_eq!(t["tier"], "peer");
-    assert_eq!(t["shard"], newcomer.to_string());
+    assert_eq!(
+        resp.headers.get("X-DPC-Served-By"),
+        Some(newcomer.to_string().as_str())
+    );
 
     // Once the handoff is done, the same page serves locally.
     let again = cluster.serve(traced_get(&page(taken[0])));
@@ -198,7 +196,6 @@ fn metrics_scrape_on_the_testbed_front_has_every_family_nonzero() {
     assert!(metric_sum(&body, "dpc_bem_fragments_total", &[]) > 0.0);
     assert!(metric_sum(&body, "dpc_directory_hits_total", &[]) > 0.0);
     assert!(metric_sum(&body, "dpc_page_hits_total", &[("tier", "l2")]) > 0.0);
-    assert!(metric_sum(&body, "dpc_page_hits_total", &[("tier", "l1")]) > 0.0);
     assert!(metric_sum(&body, "dpc_proxy_requests_total", &[]) > 0.0);
     assert!(metric_sum(&body, "dpc_assembly_gets_total", &[]) > 0.0);
     assert!(metric_sum(&body, "dpc_flight_leaders_total", &[("source", "bem")]) >= 0.0);
@@ -218,10 +215,6 @@ fn metrics_scrape_on_the_testbed_front_has_every_family_nonzero() {
         &[("server", "proxy"), ("outcome", "assembled")],
     );
     let tiered = metric_sum(
-        &body,
-        "dpc_request_duration_ns_count",
-        &[("server", "proxy"), ("outcome", "l1_hit")],
-    ) + metric_sum(
         &body,
         "dpc_request_duration_ns_count",
         &[("server", "proxy"), ("outcome", "l2_hit")],
@@ -268,7 +261,7 @@ fn metrics_scrape_covers_the_whole_ring_and_serves_at_any_node() {
         tb.net(),
         3,
         RingConfig {
-            l1_budget_bytes: 1 << 20,
+            page_tier: true,
             ..RingConfig::default()
         },
     ));
@@ -466,7 +459,7 @@ fn purge_by_dependency_reports_freed_keys_and_unserves_the_tier() {
     });
     let client = Client::new(Arc::new(tb.net().connector()));
     // Warm page 5 into the page tier.
-    for _ in 0..(PROMOTE_AFTER as usize + 2) {
+    for _ in 0..3 {
         let resp = client.request(PROXY_ADDR, Request::get(page(5))).unwrap();
         assert_eq!(resp.status.0, 200);
     }
@@ -501,8 +494,8 @@ fn purge_by_dependency_reports_freed_keys_and_unserves_the_tier() {
     assert_eq!(resp.body.to_vec(), b"purged 1 keys");
     assert_eq!(trace_kv(&resp)["tier"], "purge");
 
-    // The freed fragment regenerates AND the stamped page tier entries
-    // (L2 + loop L1) self-evict via the epoch bump — no stale replay.
+    // The freed fragment regenerates AND the stamped page-tier entry
+    // self-evicts via the epoch bump — no stale replay.
     let after = client
         .request(PROXY_ADDR, Request::get(page(5)))
         .unwrap()

@@ -296,8 +296,8 @@ fn crowd_reading_a_page_while_a_row_it_read_changes_never_sees_its_old_bytes() {
     let new_a = oracle.get(&page(A), None).body.to_vec();
     assert_ne!(old_a, new_a);
 
-    // Warm both pages over every client's own connection, so each loop's
-    // L1 holds them.
+    // Warm both pages over every client's own connection, so the page
+    // cache both loops share holds them.
     let clients: Vec<Client> = (0..CROWD)
         .map(|_| Client::new(Arc::new(tb.net().connector())))
         .collect();
@@ -312,7 +312,7 @@ fn crowd_reading_a_page_while_a_row_it_read_changes_never_sees_its_old_bytes() {
             }
         }
     }
-    assert_eq!(get(&clients[0], A).headers.get("x-cache"), Some("dpc-l1"));
+    assert_eq!(get(&clients[0], A).headers.get("x-cache"), Some("dpc-l2"));
 
     let start = Arc::new(Barrier::new(CROWD + 1));
     let served = Arc::new(AtomicUsize::new(0));
@@ -344,7 +344,7 @@ fn crowd_reading_a_page_while_a_row_it_read_changes_never_sees_its_old_bytes() {
         })
         .collect();
     start.wait();
-    // Let the crowd get going on its L1 hits, then land the update.
+    // Let the crowd get going on its tier hits, then land the update.
     while served.load(Ordering::Acquire) < CROWD {
         thread::yield_now();
     }
@@ -361,13 +361,11 @@ fn crowd_reading_a_page_while_a_row_it_read_changes_never_sees_its_old_bytes() {
             }
         }
         assert_eq!(b.body.to_vec(), bytes_b);
-        let tier = b.headers.get("x-cache");
-        assert!(
-            tier == Some("dpc-l1") || tier == Some("dpc-l2"),
-            "B, which did not read the row, must keep serving from the tier: {tier:?}"
+        assert_eq!(
+            b.headers.get("x-cache"),
+            Some("dpc-l2"),
+            "B, which did not read the row, must keep serving from the tier"
         );
     }
-    let stats = tb.proxy().page_cache().stats();
-    stats.check_invariants().unwrap();
-    assert_eq!(stats.coarse_installs, 0);
+    assert_eq!(tb.proxy().page_cache().stats().coarse_installs, 0);
 }

@@ -3,7 +3,7 @@
 //!
 //! * Client leg — a conditional GET whose `If-None-Match` still names the
 //!   page's identity gets a body-free `304 Not Modified` from whichever
-//!   tier answers (L1, L2, or the assembling handler), and an
+//!   leg answers (the page tier, or the assembling handler), and an
 //!   invalidation flips the ETag so the next conditional GET ships the
 //!   full regenerated body, byte-exact.
 //! * Peer leg — a conditional `FetchReq` carrying the requester's held
@@ -11,26 +11,24 @@
 //!   donor's slot is unchanged, and as the full body after a gossiped
 //!   invalidation scrubs the requester — with the donor's wire meter
 //!   counting exactly one of {hit, miss, not_modified} per fetch.
-//! * Allocation pin — the 304 serve on the hottest path (loop-local L1)
-//!   allocates no body-sized memory: a thread-tracking allocator bounds
-//!   the bytes allocated while serving a conditional hit against a 64 KiB
-//!   page.
+//! * Allocation pin — the 304 serve on the hottest path (a page-tier hit
+//!   through `Proxy::serve`) allocates no body-sized memory: a
+//!   thread-tracking allocator bounds the bytes allocated while serving a
+//!   conditional hit against a 64 KiB page.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
 use dpc_appserver::apps::paper_site::{self, PaperSiteParams};
 use dpc_cluster::{
     gossip_exchange, peer_addr, peer_fetch_conditional, PeerFetch, PeerNode, PeerServer,
 };
-use dpc_core::{content_hash, CoherencyEpoch, DpcKey, FragmentStore};
-use dpc_http::{Client, LoopCache, Method, Request, Response};
-use dpc_net::{Clock, SimNetwork};
-use dpc_proxy::l1::{LoopTier, PROMOTE_AFTER};
+use dpc_core::{content_hash, DpcKey, FragmentStore};
+use dpc_http::{Client, Method, Request, Response};
+use dpc_net::SimNetwork;
 use dpc_proxy::testbed::{Testbed, TestbedConfig, PROXY_ADDR};
-use dpc_proxy::{PageCache, ProxyMode};
+use dpc_proxy::ProxyMode;
 
 #[path = "../../../tests/support/thread_alloc.rs"]
 mod thread_alloc;
@@ -98,10 +96,10 @@ fn metric_sum(body: &str, name: &str, labels: &[(&str, &str)]) -> f64 {
     sum
 }
 
-/// The client leg across the whole tier ladder: one unconditional serve
-/// teaches the client the page's identity; every conditional repeat is a
-/// body-free 304 from L2, then (once promoted) from the loop-local L1 —
-/// and the serves are visible as `outcome="revalidated"` in the scrape.
+/// The client leg across the tier: one unconditional serve teaches the
+/// client the page's identity; every conditional repeat is a body-free 304
+/// from the page tier — and the serves are visible as
+/// `outcome="revalidated"` in the scrape.
 #[test]
 fn conditional_get_round_trips_304_across_the_tier_ladder() {
     let tb = Testbed::build(TestbedConfig {
@@ -124,10 +122,9 @@ fn conditional_get_round_trips_304_across_the_tier_ladder() {
             .with_header("X-DPC-Trace", "1")
     };
 
-    // The shared L2 answers the first PROMOTE_AFTER conditionals (the
-    // promotion threshold counts 304s as the hits they are), after which
-    // the loop-local L1 answers without touching any shared state.
-    for i in 0..PROMOTE_AFTER {
+    // The page tier answers every conditional.
+    const CONDITIONALS: u32 = 4;
+    for i in 0..CONDITIONALS {
         let resp = client.request(PROXY_ADDR, conditional()).unwrap();
         assert_eq!(resp.status.0, 304, "conditional serve {i}");
         assert!(resp.body.to_vec().is_empty(), "304 moves no body bytes");
@@ -135,11 +132,6 @@ fn conditional_get_round_trips_304_across_the_tier_ladder() {
         assert_eq!(resp.headers.get("X-Cache"), Some("dpc-l2"), "serve {i}");
         assert_eq!(trace_kv(&resp)["tier"], "revalidated");
     }
-    let resp = client.request(PROXY_ADDR, conditional()).unwrap();
-    assert_eq!(resp.status.0, 304);
-    assert_eq!(resp.headers.get("X-Cache"), Some("dpc-l1"));
-    assert_eq!(trace_kv(&resp)["tier"], "revalidated");
-    assert!(resp.body.to_vec().is_empty());
 
     // An unconditional GET still gets the full page, byte-exact, with the
     // same validator attached.
@@ -170,7 +162,7 @@ fn conditional_get_round_trips_304_across_the_tier_ladder() {
         "dpc_request_duration_ns_count",
         &[("server", "proxy"), ("outcome", "revalidated")],
     );
-    assert_eq!(revalidated, PROMOTE_AFTER as f64 + 1.0);
+    assert_eq!(revalidated, f64::from(CONDITIONALS));
     assert_eq!(
         metric_sum(
             &scraped,
@@ -280,8 +272,8 @@ fn invalidation_flips_the_etag_and_reships_the_body() {
     });
     let client = Client::new(Arc::new(tb.net().connector()));
 
-    // Warm page 5 through the tier (L2 install + L1 promotion).
-    for _ in 0..(PROMOTE_AFTER as usize + 2) {
+    // Warm page 5 through the tier.
+    for _ in 0..3 {
         let resp = client.request(PROXY_ADDR, Request::get(page(5))).unwrap();
         assert_eq!(resp.status.0, 200);
     }
@@ -420,50 +412,47 @@ fn peer_leg_serves_not_modified_until_gossip_scrubs_the_slot() {
     assert_eq!(stats.fetch_not_modified.load(Ordering::Relaxed), 2);
 }
 
-/// The allocation pin: serving a 304 from the loop-local L1 against a
-/// 64 KiB page allocates no body-sized memory on the serving thread —
-/// only header-scale strings. (Thread-tracking allocator, so concurrent
-/// tests in this binary cannot perturb the measurement.)
+/// The allocation pin: serving a 304 through `Proxy::serve` from the page
+/// tier against a 64 KiB page allocates no body-sized memory on the
+/// serving thread — only header-scale strings. (Thread-tracking allocator,
+/// so concurrent tests in this binary cannot perturb the measurement.)
 #[test]
 fn revalidated_304_serve_allocates_no_body_bytes() {
     const BODY: usize = 64 * 1024;
-    let epoch = CoherencyEpoch::new();
-    let l2 = Arc::new(
-        PageCache::new(Clock::real(), Duration::from_secs(60), 64).with_coherence(epoch.clone()),
-    );
+    let tb = Testbed::build(TestbedConfig {
+        mode: ProxyMode::Dpc,
+        paper_params: params(),
+        l1_budget_bytes: 1 << 20,
+        ..TestbedConfig::default()
+    });
+    let proxy = tb.proxy();
+    let pages = proxy.page_cache();
     let etag = "\"00c0ffee00c0ffee\"";
-    l2.install(
+    assert!(pages.install(
         dpc_proxy::page_key("/big", "").as_str(),
         Bytes::from(vec![b'x'; BODY]),
         "text/html",
-        Some(l2.coherence_stamp()),
+        Some(pages.coherence_stamp()),
         Some(etag.to_owned()),
-    );
-    let resolve = {
-        let l2 = Arc::clone(&l2);
-        Arc::new(move |_t: &str| Some(Arc::clone(&l2)))
-    };
-    let mut tier = LoopTier::new(1 << 20, Duration::from_secs(60), resolve);
-
-    // Promote into L1 (PROMOTE_AFTER hits), then confirm the hot path.
-    for _ in 0..=PROMOTE_AFTER {
-        let resp = tier.try_serve(&Request::get("/big")).expect("L2 serves");
-        assert_eq!(resp.status.0, 200);
-    }
-    let resp = tier.try_serve(&Request::get("/big")).expect("L1 serves");
-    assert_eq!(resp.headers.get("X-Cache"), Some("dpc-l1"));
+    ));
+    let resp = proxy.serve(Request::get("/big"));
+    assert_eq!(resp.status.0, 200);
+    assert_eq!(resp.headers.get("X-Cache"), Some("dpc-l2"));
+    assert_eq!(resp.body.len(), BODY);
 
     let conditional = || Request::get("/big").with_header("If-None-Match", etag);
     // Warm once: any lazy one-time cost (hash map growth, TLS) is paid
     // outside the measured window.
-    let warm = tier.try_serve(&conditional()).expect("conditional serves");
+    let warm = proxy.serve(conditional());
     assert_eq!(warm.status.0, 304);
     assert!(warm.body.to_vec().is_empty());
 
+    let req = conditional();
     let before = thread_alloc::bytes();
-    let resp = tier.try_serve(&conditional()).expect("conditional serves");
+    let resp = proxy.serve(req);
     let allocated = thread_alloc::bytes() - before;
     assert_eq!(resp.status.0, 304);
+    assert_eq!(resp.headers.get("X-Cache"), Some("dpc-l2"));
     assert_eq!(resp.headers.get("ETag"), Some(etag));
     assert!(
         allocated < (BODY / 8) as u64,

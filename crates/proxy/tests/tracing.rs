@@ -55,7 +55,7 @@ fn one_request_stitches_front_owner_and_peer_into_one_trace() {
             // Page tiers on every node so the trace crosses them; retain
             // every trace (the virtual clock never moves, so the slow
             // threshold alone would retain nothing).
-            l1_budget_bytes: 1 << 20,
+            page_tier: true,
             trace: TraceConfig {
                 sample_one_in: 1,
                 ..TraceConfig::default()
@@ -67,8 +67,8 @@ fn one_request_stitches_front_owner_and_peer_into_one_trace() {
     let _front = cluster.spawn_front("trace-front");
     let client = Client::new(Arc::new(tb.net().connector()));
 
-    // Warm every node's share (2 rounds < PROMOTE_AFTER: nothing reaches
-    // the front's L1, so the post-join serve must go to the new owner).
+    // Warm every node's share. The front caches nothing itself, so the
+    // post-join serve goes to the new owner.
     for _ in 0..2 {
         for p in 0..12 {
             let resp = client

@@ -1,7 +1,7 @@
 //! Always-on distributed span tracing: the serving tiers' flight recorder.
 //!
 //! Every request entering a front gets a **trace**: a tree of spans, one
-//! per serving layer it crosses (HTTP front, L1/L2 page tier, assembly,
+//! per serving layer it crosses (HTTP front, page tier, assembly,
 //! single-flight, directory, peer fetch). Spans are fixed-size `Copy`
 //! records pushed into lock-free, fixed-capacity **span rings** — one ring
 //! per thread shard (event loops, peer servers, direct callers), each slot
@@ -49,23 +49,21 @@ pub enum Layer {
     /// The proxy handler (root when a proxy is driven without an HTTP
     /// front, e.g. in-process ring routing).
     Proxy = 1,
-    /// Loop-local L1 page tier probe.
-    TierL1 = 2,
-    /// Shared L2 page-cache probe.
-    TierL2 = 3,
+    /// Page-cache probe (the node's page tier).
+    TierL2 = 2,
     /// Template assembly (rope splice + peer repairs).
-    Assembly = 4,
+    Assembly = 3,
     /// Single-flight participation (page cache, BEM, peer fetch): the
     /// status says whether this request led or waited.
-    Flight = 5,
+    Flight = 4,
     /// BEM directory lookup on the origin.
-    Directory = 6,
+    Directory = 5,
     /// Outbound peer fetch (requester side).
-    PeerFetch = 7,
+    PeerFetch = 6,
     /// Inbound peer fetch served (donor side).
-    PeerServe = 8,
+    PeerServe = 7,
     /// PURGE handling.
-    Purge = 9,
+    Purge = 8,
 }
 
 impl Layer {
@@ -73,7 +71,6 @@ impl Layer {
         match self {
             Layer::Http => "http",
             Layer::Proxy => "proxy",
-            Layer::TierL1 => "l1",
             Layer::TierL2 => "l2",
             Layer::Assembly => "assembly",
             Layer::Flight => "flight",
@@ -88,13 +85,12 @@ impl Layer {
         match v {
             0 => Layer::Http,
             1 => Layer::Proxy,
-            2 => Layer::TierL1,
-            3 => Layer::TierL2,
-            4 => Layer::Assembly,
-            5 => Layer::Flight,
-            6 => Layer::Directory,
-            7 => Layer::PeerFetch,
-            8 => Layer::PeerServe,
+            2 => Layer::TierL2,
+            3 => Layer::Assembly,
+            4 => Layer::Flight,
+            5 => Layer::Directory,
+            6 => Layer::PeerFetch,
+            7 => Layer::PeerServe,
             _ => Layer::Purge,
         }
     }
@@ -921,7 +917,7 @@ impl Drop for SpanGuard {
 
 /// Render the request's spans as the `X-DPC-Trace` cache-journey header:
 /// space-separated `k=v` pairs (`id`, `tier`, `flight`, `segments`,
-/// `shard`, `spans`), derived from what the spans *recorded* rather than
+/// `spans`), derived from what the spans *recorded* rather than
 /// re-inferred from response headers.
 ///
 /// `node` is the id of the node rendering the journey: the `flight` field
@@ -929,23 +925,16 @@ impl Drop for SpanGuard {
 /// remote tier's fragment flights (the origin BEM generating slots for
 /// this trace, a donor's fetch flight) stay visible as spans but do not
 /// relabel this serve's role.
-pub fn render_journey(
-    trace_id: u64,
-    spans: &[SpanEvent],
-    segments: usize,
-    shard: u64,
-    node: u32,
-) -> String {
+pub fn render_journey(trace_id: u64, spans: &[SpanEvent], segments: usize, node: u32) -> String {
     let any = |f: &dyn Fn(&SpanEvent) -> bool| spans.iter().any(f);
     let local_flight = |s: &SpanEvent, status: SpanStatus| {
         s.layer == Layer::Flight && s.node == node && s.status == status
     };
     let tier = if any(&|s| {
-        // A hash-only answer on the client leg: either tier revalidated,
+        // A hash-only answer on the client leg: the tier revalidated,
         // or the proxy collapsed a rebuilt page into a 304. A *peer* leg
         // revalidation (PeerServe/PeerFetch) is not this serve's outcome.
-        matches!(s.layer, Layer::Proxy | Layer::TierL1 | Layer::TierL2)
-            && s.status == SpanStatus::Revalidated
+        matches!(s.layer, Layer::Proxy | Layer::TierL2) && s.status == SpanStatus::Revalidated
     }) {
         "revalidated"
     } else if any(&|s| s.status.is_failure()) {
@@ -954,8 +943,6 @@ pub fn render_journey(
         "purge"
     } else if any(&|s| s.layer == Layer::PeerFetch) {
         "peer"
-    } else if any(&|s| s.layer == Layer::TierL1 && s.status == SpanStatus::Hit) {
-        "l1"
     } else if any(&|s| s.layer == Layer::TierL2 && s.status == SpanStatus::Hit) {
         "l2"
     } else if any(&|s| s.layer == Layer::Assembly) {
@@ -973,7 +960,7 @@ pub fn render_journey(
         "none"
     };
     format!(
-        "id={trace_id:016x} tier={tier} flight={flight} segments={segments} shard={shard} spans={}",
+        "id={trace_id:016x} tier={tier} flight={flight} segments={segments} spans={}",
         spans.len()
     )
 }
@@ -1035,11 +1022,11 @@ mod tests {
     fn disabled_tracer_and_missing_context_record_nothing() {
         let tracer = Tracer::off();
         assert!(tracer.begin_request(Layer::Http, None).is_none());
-        assert!(!tracer.span(Layer::TierL1).on());
+        assert!(!tracer.span(Layer::TierL2).on());
         let (rec, _) = recorder(TraceConfig::default());
         let tracer = Tracer::new(Arc::clone(&rec));
         // Enabled tracer, but no context established on this thread.
-        assert!(!tracer.span(Layer::TierL1).on());
+        assert!(!tracer.span(Layer::TierL2).on());
         assert_eq!(rec.stats().spans_total, 0);
     }
 
@@ -1164,7 +1151,7 @@ mod tests {
         {
             let _enter = enter_ctx(Some(ctx));
             for _ in 0..10 {
-                let _sp = tracer.span(Layer::TierL1);
+                let _sp = tracer.span(Layer::TierL2);
             }
         }
         let stats = rec.stats();
@@ -1205,15 +1192,15 @@ mod tests {
             node: 0,
             detail: 0,
         };
-        let l1_hit = SpanEvent {
-            layer: Layer::TierL1,
+        let l2_hit = SpanEvent {
+            layer: Layer::TierL2,
             status: SpanStatus::Hit,
             ..base
         };
-        let header = render_journey(1, &[base, l1_hit], 1, 3, 0);
+        let header = render_journey(1, &[base, l2_hit], 1, 0);
         assert_eq!(
             header,
-            "id=0000000000000001 tier=l1 flight=none segments=1 shard=3 spans=2"
+            "id=0000000000000001 tier=l2 flight=none segments=1 spans=2"
         );
         let waiter = SpanEvent {
             layer: Layer::Flight,
@@ -1221,12 +1208,12 @@ mod tests {
             detail: 99,
             ..base
         };
-        let header = render_journey(1, &[base, waiter], 1, 0, 0);
+        let header = render_journey(1, &[base, waiter], 1, 0);
         assert!(header.contains("tier=flight-wait"));
         assert!(header.contains("flight=waiter"));
         // The same waiter span seen from another node is a remote
         // fragment flight, not this serve's role.
-        let header = render_journey(1, &[base, waiter], 1, 0, 7);
+        let header = render_journey(1, &[base, waiter], 1, 7);
         assert!(header.contains("tier=origin"));
         assert!(header.contains("flight=none"));
         let peer = SpanEvent {
@@ -1237,7 +1224,7 @@ mod tests {
             layer: Layer::Assembly,
             ..base
         };
-        let header = render_journey(1, &[base, asm, peer], 4, 0, 0);
+        let header = render_journey(1, &[base, asm, peer], 4, 0);
         assert!(header.contains("tier=peer"));
         assert!(header.contains("segments=4"));
     }

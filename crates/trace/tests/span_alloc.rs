@@ -25,7 +25,7 @@ fn span_recording_does_not_allocate() {
         let ctx = tracer.begin_request(Layer::Http, None).unwrap();
         {
             let _enter = enter_ctx(Some(ctx));
-            let _sp = tracer.span(Layer::TierL1);
+            let _sp = tracer.span(Layer::TierL2);
         }
         tracer.finish_root(ctx, SpanStatus::Ok);
     }
