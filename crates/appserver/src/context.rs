@@ -23,11 +23,16 @@
 //! ([`WANT_READS_HEADER`]); the template response answers with the epoch
 //! stripes of every row and dependency the render read
 //! ([`READS_HEADER`]), so an update unserves only the pages that read it.
+//! The session is one more input a render may read: the answer carries
+//! [`SESSION_FREE_MARK`] when the script never observed it
+//! ([`RequestCtx::session_observed`]), and the node then caches one copy
+//! of the page for every session.
 
 use dpc_core::{Bem, DpcKey};
 use dpc_http::{Request, Uri};
 use dpc_repository::{Costed, Repository};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -60,12 +65,20 @@ pub const MISSING_HEADER: &str = "X-DPC-Missing";
 /// bypass.
 pub const MAX_MISSING_KEYS: usize = 64;
 /// Request header a node with a page tier sends on a template request to
-/// ask for the page's read set.
+/// ask for the page's read set, and whether the render read the session.
 pub const WANT_READS_HEADER: &str = "X-DPC-Want-Reads";
 /// Template response header answering [`WANT_READS_HEADER`]: the page's
 /// read set as epoch stripes (`dpc_core::epoch::format_read_set`), or `*`
-/// when the render read something no label names.
+/// when the render read something no label names. A known read set is
+/// followed by [`SESSION_FREE_MARK`] when the render never observed the
+/// session (`3,17;session-free`), so its bytes are the same for every
+/// session. A node strips the header before a page reaches a client.
 pub const READS_HEADER: &str = "X-DPC-Reads";
+/// Suffix of a [`READS_HEADER`] value asserting that the render never
+/// observed the session. Only this exact suffix after a known read set
+/// counts (see [`session_free`]); anything else keeps the page per session,
+/// and so does `*;session-free`, whose read set is unknown.
+pub const SESSION_FREE_MARK: &str = ";session-free";
 /// Response header carrying the simulated origin generation cost.
 pub const COST_HEADER: &str = "X-Origin-Cost-Nanos";
 
@@ -76,6 +89,9 @@ pub struct RequestCtx {
     repo: Arc<Repository>,
     bem: Arc<Bem>,
     cost: Mutex<Duration>,
+    /// Set by [`RequestCtx::user`] and [`RequestCtx::profile`], the only
+    /// ways a script sees the request beyond its target.
+    session_observed: AtomicBool,
 }
 
 impl RequestCtx {
@@ -93,6 +109,7 @@ impl RequestCtx {
             repo,
             bem,
             cost: Mutex::new(Duration::ZERO),
+            session_observed: AtomicBool::new(false),
         }
     }
 
@@ -106,9 +123,18 @@ impl RequestCtx {
         self.uri.param(name)
     }
 
-    /// Session user id, if a session cookie was presented.
+    /// Session user id, if a session cookie was presented. Marks the
+    /// session observed.
     pub fn user(&self) -> Option<&str> {
+        self.session_observed.store(true, Ordering::Relaxed);
         self.user.as_deref()
+    }
+
+    /// Whether the script has called [`RequestCtx::user`] or
+    /// [`RequestCtx::profile`]. A render that never did produces the same
+    /// bytes for every session.
+    pub fn session_observed(&self) -> bool {
+        self.session_observed.load(Ordering::Relaxed)
     }
 
     /// The content repository.
@@ -143,9 +169,10 @@ impl RequestCtx {
     /// repository is hit at most once per TTL per user, however many
     /// fragments ask (§3.2.2's shared user-profile object). A cache hit
     /// reads rows an earlier request loaded, which this request's read
-    /// recording never sees, so it makes the read set unknown.
+    /// recording never sees, so it makes the read set unknown. Marks the
+    /// session observed, for an anonymous visitor too.
     pub fn profile(&self) -> Arc<UserProfile> {
-        match self.user.clone() {
+        match self.user().map(str::to_owned) {
             None => Arc::new(UserProfile::anonymous()),
             Some(user) => {
                 let repo = Arc::clone(&self.repo);
@@ -167,6 +194,12 @@ impl RequestCtx {
             }
         }
     }
+}
+
+/// The read set of a [`READS_HEADER`] value that ends in
+/// [`SESSION_FREE_MARK`], or `None` when it does not.
+pub fn session_free(reads: &str) -> Option<&str> {
+    reads.trim().strip_suffix(SESSION_FREE_MARK)
 }
 
 /// A key list header value: decimal keys joined by commas (`3,17,42`).
@@ -191,12 +224,17 @@ pub fn parse_keys(value: &str) -> impl Iterator<Item = DpcKey> + '_ {
 }
 
 /// Extract the session user from a Cookie header value
-/// (`a=1; session=user3; b=2` → `user3`).
-fn parse_session_cookie(cookie: &str) -> Option<&str> {
-    cookie.split(';').find_map(|part| {
-        let (k, v) = part.split_once('=')?;
-        (k.trim() == SESSION_COOKIE).then_some(v.trim())
-    })
+/// (`a=1; session=user3; b=2` → `user3`). An empty value is no session.
+/// The one reading of the session cookie: a node keying pages by session
+/// must name the same user the render saw.
+pub fn parse_session_cookie(cookie: &str) -> Option<&str> {
+    cookie
+        .split(';')
+        .find_map(|part| {
+            let (k, v) = part.split_once('=')?;
+            (k.trim() == SESSION_COOKIE).then_some(v.trim())
+        })
+        .filter(|user| !user.is_empty())
 }
 
 #[cfg(test)]
@@ -235,10 +273,35 @@ mod tests {
     }
 
     #[test]
+    fn only_user_and_profile_observe_the_session() {
+        let (repo, bem) = fixture();
+        let req = request("/x?a=1", Some("session=user1"));
+        let ctx = RequestCtx::new(&req, Arc::clone(&repo), Arc::clone(&bem));
+        let _ = (ctx.uri(), ctx.param("a"), ctx.repo(), ctx.bem(), ctx.cost());
+        assert!(!ctx.session_observed());
+        let _ = ctx.user();
+        assert!(ctx.session_observed());
+        // An anonymous profile still depends on there being no session.
+        let ctx = RequestCtx::new(&request("/x", None), repo, bem);
+        let _ = ctx.profile();
+        assert!(ctx.session_observed());
+    }
+
+    #[test]
+    fn only_the_exact_mark_is_session_free() {
+        assert_eq!(session_free("3,17;session-free"), Some("3,17"));
+        assert_eq!(session_free(";session-free"), Some(""));
+        for value in ["3,17", "", "*", "3,17;session", "3,17;session-free;x"] {
+            assert_eq!(session_free(value), None, "{value}");
+        }
+    }
+
+    #[test]
     fn cookie_parsing_variants() {
         assert_eq!(parse_session_cookie("session=u1"), Some("u1"));
         assert_eq!(parse_session_cookie("a=1; session=u2 ; b=3"), Some("u2"));
         assert_eq!(parse_session_cookie("a=1; b=2"), None);
+        assert_eq!(parse_session_cookie("session= ; b=2"), None);
         assert_eq!(parse_session_cookie(""), None);
     }
 

@@ -22,7 +22,7 @@ use std::time::Duration;
 use crate::context::{
     format_keys, parse_keys, RequestCtx, BYPASS_HEADER, COST_HEADER, FROM_DONOR_HEADER,
     MAX_MISSING_KEYS, MISSING_HEADER, NODE_HEADER, PEER_FETCH_HEADER, READS_HEADER,
-    WANT_READS_HEADER,
+    SESSION_FREE_MARK, WANT_READS_HEADER,
 };
 
 /// A dynamic script: one registered page generator.
@@ -138,7 +138,8 @@ impl ScriptEngine {
             }
         };
         ctx.charge_fixed(SCRIPT_INVOCATION_COST);
-        // A bypass is never cached, so it is never asked for its reads.
+        // A bypass is never cached, so it is never asked for its reads. A
+        // known read set names the session too when the script never saw it.
         let read_set = if !bypass && req.headers.get(WANT_READS_HEADER).is_some() {
             writer.record_reads();
             let ((), rows) = reads::record(|| script.run(&ctx, &mut writer));
@@ -147,7 +148,11 @@ impl ScriptEngine {
                 Some(rows) => rows.iter().for_each(|row| read_set.note(row)),
                 None => read_set.mark_unknown(),
             }
-            Some(format_read_set(read_set.stripes()))
+            let mut value = format_read_set(read_set.stripes());
+            if !ctx.session_observed() && value != "*" {
+                value.push_str(SESSION_FREE_MARK);
+            }
+            Some(value)
         } else {
             script.run(&ctx, &mut writer);
             None
@@ -205,12 +210,46 @@ mod tests {
         }
     }
 
+    /// Reads the session: its bytes differ per visitor.
+    struct WhoamiScript;
+
+    impl Script for WhoamiScript {
+        fn path(&self) -> &str {
+            "/whoami.jsp"
+        }
+
+        fn run(&self, ctx: &RequestCtx, w: &mut TemplateWriter<'_>) {
+            w.literal(ctx.user().unwrap_or("guest").as_bytes());
+        }
+    }
+
     fn engine() -> Arc<ScriptEngine> {
         let repo = Repository::with_defaults();
         let bem = Arc::new(Bem::new(BemConfig::default().with_capacity(64)));
         let mut engine = ScriptEngine::new(bem, repo);
         engine.register(HelloScript);
+        engine.register(WhoamiScript);
         Arc::new(engine)
+    }
+
+    #[test]
+    fn reads_mark_a_render_session_free_only_when_it_never_saw_the_session() {
+        use crate::context::session_free;
+        let e = engine();
+        let asking = |target: &str| {
+            Request::get(target)
+                .with_header("Cookie", "session=u1")
+                .with_header(WANT_READS_HEADER, "1")
+        };
+        let reads = |resp: &Response| resp.headers.get(READS_HEADER).map(str::to_owned);
+        let hello = reads(&e.serve(&asking("/hello.jsp?who=bob"))).expect("asked");
+        assert_eq!(session_free(&hello), Some(""), "{hello}");
+        let whoami = reads(&e.serve(&asking("/whoami.jsp"))).expect("asked");
+        assert_eq!(session_free(&whoami), None, "{whoami}");
+        // Not asked, or a bypass: no read set and no mark.
+        assert_eq!(reads(&e.serve(&Request::get("/hello.jsp"))), None);
+        let bypass = asking("/hello.jsp").with_header(BYPASS_HEADER, "1");
+        assert_eq!(reads(&e.serve(&bypass)), None);
     }
 
     #[test]

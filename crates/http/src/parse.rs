@@ -19,11 +19,19 @@ pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
 /// Read one CRLF-terminated line, excluding the terminator.
 ///
+/// A line holding a control byte other than HTAB is malformed: RFC 9112
+/// §3.2 allows none in a request-target and RFC 9110 §5.5 none in a field
+/// value. A NUL let through would reach the proxy's page keys
+/// (`target\0session`) inside a target or a cookie.
+///
 /// Returns `ConnectionClosed` when EOF arrives: `clean` is true only when
 /// EOF arrived before any byte of the line (used to distinguish a keep-alive
 /// peer going away from a truncated message).
 fn read_line<R: BufRead>(reader: &mut R, first_of_message: bool) -> Result<String> {
     let mut line = Vec::with_capacity(64);
+    // Control bytes but HTAB so far, a CR that turns out to end the line
+    // included.
+    let mut controls = 0usize;
     loop {
         let mut byte = [0u8; 1];
         match reader.read(&mut byte)? {
@@ -36,10 +44,15 @@ fn read_line<R: BufRead>(reader: &mut R, first_of_message: bool) -> Result<Strin
                 if byte[0] == b'\n' {
                     if line.last() == Some(&b'\r') {
                         line.pop();
+                        controls -= 1;
+                    }
+                    if controls > 0 {
+                        return Err(HttpError::malformed("control byte in header line"));
                     }
                     return String::from_utf8(line)
                         .map_err(|_| HttpError::malformed("non-utf8 header line"));
                 }
+                controls += usize::from(byte[0].is_ascii_control() && byte[0] != b'\t');
                 line.push(byte[0]);
                 if line.len() > MAX_HEAD_BYTES {
                     return Err(HttpError::TooLarge {
@@ -399,6 +412,24 @@ mod tests {
         let err =
             read_request(&mut cursor(b"GET / HTTP/1.1\r\nbroken header\r\n\r\n")).unwrap_err();
         assert!(matches!(err, HttpError::Malformed(_)));
+    }
+
+    #[test]
+    fn rejects_control_bytes_in_target_and_header_values() {
+        for raw in [
+            &b"GET /paper/page.jsp?p=0\0x HTTP/1.1\r\n\r\n"[..],
+            b"GET /a\x01b HTTP/1.1\r\n\r\n",
+            b"GET /a\rb HTTP/1.1\r\n\r\n",
+            b"GET / HTTP/1.1\r\nCookie: session=\0\r\n\r\n",
+            b"GET / HTTP/1.1\r\nCookie: session=a\x7fb\r\n\r\n",
+            b"GET / HTTP/1.1\r\nX\0Y: 1\r\n\r\n",
+        ] {
+            let err = read_request(&mut cursor(raw)).unwrap_err();
+            assert!(matches!(err, HttpError::Malformed(_)), "{raw:?}: {err}");
+        }
+        // HTAB stays legal inside a field value.
+        let req = read_request(&mut cursor(b"GET / HTTP/1.1\r\nX: a\tb\r\n\r\n")).unwrap();
+        assert_eq!(req.headers.get("x"), Some("a\tb"));
     }
 
     #[test]

@@ -70,6 +70,25 @@ fn oversized_header_line_is_rejected_not_buffered_forever() {
 }
 
 #[test]
+fn nul_in_the_target_or_a_header_value_is_answered_400() {
+    let net = SimNetwork::with_defaults();
+    let listener = net.listen("web");
+    let handle = Server::new(Box::new(listener), echo_handler()).spawn();
+    for head in [
+        &b"GET /paper/page.jsp?p=0\0x HTTP/1.1\r\n\r\n"[..],
+        b"GET /paper/page.jsp?p=0 HTTP/1.1\r\nCookie: session=\0\r\n\r\n",
+    ] {
+        let mut raw = net.connector().connect("web").unwrap();
+        raw.write_all(head).unwrap();
+        let mut out = Vec::new();
+        raw.read_to_end(&mut out).unwrap();
+        let s = String::from_utf8_lossy(&out);
+        assert!(s.starts_with("HTTP/1.1 400"), "got {s:.60}");
+    }
+    assert_eq!((handle.requests(), handle.parse_errors()), (0, 2));
+}
+
+#[test]
 fn pipelined_requests_on_one_connection_answer_in_order() {
     let net = SimNetwork::with_defaults();
     let listener = net.listen("web");

@@ -10,8 +10,8 @@
 //! [`crate::testbed`] and `RingCluster::spawn_front` for the argument).
 
 use dpc_appserver::context::{
-    format_keys, parse_keys, BYPASS_HEADER, FROM_DONOR_HEADER, MISSING_HEADER, NODE_HEADER,
-    PEER_FETCH_HEADER, READS_HEADER, WANT_READS_HEADER,
+    format_keys, parse_keys, session_free, BYPASS_HEADER, FROM_DONOR_HEADER, MISSING_HEADER,
+    NODE_HEADER, PEER_FETCH_HEADER, READS_HEADER, WANT_READS_HEADER,
 };
 use dpc_core::epoch::parse_read_set;
 use dpc_core::{assemble_rope, salvage, AssembleError, DpcKey, FragmentSource, FragmentStore};
@@ -63,9 +63,32 @@ pub struct ProxyStats {
     pub asm_template_bytes: AtomicU64,
 }
 
-/// The read set an origin named for a page, as epoch stripes; `None` when
-/// it named none (or an unusable one), which stamps the page coarsely.
-type Reads = Option<Arc<[u16]>>;
+/// What an origin named an assembled page's bytes as depending on.
+#[derive(Default)]
+struct Provenance {
+    /// The read set as epoch stripes; `None` when the origin named none
+    /// (or an unusable one), which stamps the page coarsely.
+    reads: Option<Arc<[u16]>>,
+    /// The origin asserted that the render never observed the session,
+    /// after a read set this node can judge. Only then is the page shared
+    /// across sessions.
+    session_free: bool,
+}
+
+impl Provenance {
+    /// Parse a [`READS_HEADER`] value from the origin.
+    fn parse(value: &str) -> Provenance {
+        let (read_set, session_free) = match session_free(value) {
+            Some(read_set) => (read_set, true),
+            None => (value, false),
+        };
+        let reads = parse_read_set(read_set);
+        Provenance {
+            session_free: session_free && reads.is_some(),
+            reads,
+        }
+    }
+}
 
 /// One failed assembly attempt: the error, and the keys of the template's
 /// `GET`s still absent once its `SET`s were installed.
@@ -94,8 +117,9 @@ pub struct Proxy {
     /// The node this one pulls slots from (cluster tier: the previous
     /// ring owner of the request).
     fragment_source: Option<Arc<dyn FragmentSource>>,
-    /// DPC mode only: serve repeat GETs of assembled pages from the
-    /// session-keyed page cache (the node's L2 tier) and install freshly
+    /// DPC mode only: serve repeat GETs of assembled pages from the page
+    /// cache (the node's L2 tier), one copy per session or, for a page the
+    /// origin marked session-free, one for all sessions, and install freshly
     /// assembled pages into it, stamped with the coherency epoch and the
     /// read set the origin names when asked. Off by default — the classic
     /// DPC path reassembles every request and asks for no read set.
@@ -176,8 +200,9 @@ impl Proxy {
     }
 
     /// Builder: enable the DPC page tier — assembled pages are installed
-    /// into the page cache under session-qualified keys (see
-    /// [`crate::tier::page_key`]) stamped with the coherency epoch and their
+    /// into the page cache under session-qualified keys, or under the bare
+    /// target when the origin marked the render session-free (see
+    /// [`crate::tier::page_key`]), stamped with the coherency epoch and their
     /// read set, and repeat GETs are served from there without
     /// reassembly. The cache **must** carry a [`dpc_core::CoherencyEpoch`]
     /// ([`PageCache::with_coherence`]): a `PURGE` of a bare target cannot
@@ -543,16 +568,25 @@ impl Proxy {
         out
     }
 
-    /// The page-tier wrapper around the classic assemble path: L2 probe
-    /// first, and on a miss install the assembled page for the next
-    /// request, stamped with the read set the origin named for it. The
+    /// The page-tier wrapper around the classic assemble path: one probe of
+    /// the page's shared key, then its session key, and on a miss install
+    /// the assembled page for the next request, stamped with the read set
+    /// the origin named for it — under the shared key when the origin
+    /// marked the render session-free, else under the session key. The
     /// epoch stamp is read *before* the origin fetch, so the install
-    /// refuses a page whose assembly raced an invalidation of something
-    /// it read.
+    /// refuses a page whose assembly raced an invalidation of something it
+    /// read.
     fn serve_dpc_tiered(&self, req: &Request) -> Response {
-        let key = page_key(&req.target, session_of(req));
+        let session = session_of(req);
+        // The parser refuses a NUL on the wire; an in-process caller's could
+        // make one key spell another, so its request skips the tier.
+        if req.target.contains('\0') || session.contains('\0') {
+            return self.serve_dpc_assembling(req, false).0;
+        }
+        let key = page_key(&req.target, session);
+        let shared = req.target.as_str();
         let mut sp = self.tracer.span(Layer::TierL2);
-        if let Some(page) = self.page_cache.lookup(&key) {
+        if let Some(page) = self.page_cache.lookup(&[shared, &key]) {
             let resp = page_response(req, &page, "dpc-l2");
             sp.set_status(hit_status(&resp));
             return resp;
@@ -560,17 +594,21 @@ impl Proxy {
         sp.set_status(SpanStatus::Miss);
         drop(sp);
         let stamp = self.page_cache.coherence_stamp();
-        let (resp, reads) = self.serve_dpc_assembling(req, true);
+        let (resp, provenance) = self.serve_dpc_assembling(req, true);
         if resp.status.is_success() && resp.headers.get("X-Cache") == Some("dpc-assembled") {
             // Only genuinely assembled pages enter the tier: passes,
             // bypasses and errors are per-request outcomes, not pages.
             let content_type = resp.headers.get("Content-Type").unwrap_or("text/html");
             let etag = resp.headers.get("ETag").map(str::to_owned);
             self.page_cache.install(
-                &key,
+                if provenance.session_free {
+                    shared
+                } else {
+                    &key
+                },
                 resp.body.flatten(),
                 content_type,
-                Some(stamp.with_reads(reads)),
+                Some(stamp.with_reads(provenance.reads)),
                 etag,
             );
         }
@@ -583,7 +621,7 @@ impl Proxy {
     /// scrub may have emptied a slot behind its stored bit). The bypass
     /// is the last rung. With `want_reads` the template requests ask for
     /// the page's read set, returned beside an assembled page.
-    fn serve_dpc_assembling(&self, req: &Request, want_reads: bool) -> (Response, Reads) {
+    fn serve_dpc_assembling(&self, req: &Request, want_reads: bool) -> (Response, Provenance) {
         let donor = self
             .fragment_source
             .as_ref()
@@ -595,18 +633,18 @@ impl Proxy {
         if self.fragment_source.is_none()
             || !matches!(failed.err, AssembleError::MissingFragment(_))
         {
-            return (self.bypass_refetch(req, failed.err), None);
+            return (self.bypass_refetch(req, failed.err), Provenance::default());
         }
         self.stats.refresh_refetches.fetch_add(1, Ordering::Relaxed);
         match self.serve_dpc_once(req, None, &failed.missing, want_reads) {
             Ok(served) => served,
-            Err(failed) => (self.bypass_refetch(req, failed.err), None),
+            Err(failed) => (self.bypass_refetch(req, failed.err), Provenance::default()),
         }
     }
 
     /// One origin fetch + assembly attempt. `Ok` carries any terminal
     /// response (assembled page, pass-through, upstream error) and, for an
-    /// assembled page, the read set its template named; `Err` means
+    /// assembled page, the provenance its template named; `Err` means
     /// assembly failed and the caller escalates (refresh, then bypass).
     /// A failed assembly first installs every `SET` its template carried,
     /// because the BEM recorded them as stored here when it emitted them.
@@ -616,10 +654,10 @@ impl Proxy {
         donor: Option<u32>,
         missing: &[DpcKey],
         want_reads: bool,
-    ) -> Result<(Response, Reads), Failed> {
+    ) -> Result<(Response, Provenance), Failed> {
         let upstream = match self.fetch_origin_with(req, donor, missing, want_reads) {
             Ok(r) => r,
-            Err(e) => return Ok((e, None)),
+            Err(e) => return Ok((e, Provenance::default())),
         };
         // The template arrives as a single parsed buffer; this flatten is a
         // refcount bump.
@@ -628,13 +666,14 @@ impl Proxy {
             // Plain response (errors, disabled BEM, non-HTML): forward.
             self.stats.uninstrumented.fetch_add(1, Ordering::Relaxed);
             let resp = strip_internal_headers(upstream).with_header("X-Cache", "dpc-pass");
-            return Ok((resp, None));
+            return Ok((resp, Provenance::default()));
         }
         // An origin that was not asked, or names a set this node cannot
-        // judge, leaves the page under the coarse rule.
-        let reads = want_reads
-            .then(|| upstream.headers.get(READS_HEADER).and_then(parse_read_set))
-            .flatten();
+        // judge, leaves the page under the coarse rule and its session key.
+        let provenance = match upstream.headers.get(READS_HEADER) {
+            Some(value) if want_reads => Provenance::parse(value),
+            _ => Provenance::default(),
+        };
         let fetched = self.pull_from_donor(donor, upstream.headers.get(FROM_DONOR_HEADER));
         // Zero-copy assembly, end to end: cached fragments are spliced into
         // the rope by refcount bump, the rope's segments become the
@@ -693,7 +732,7 @@ impl Proxy {
         } else {
             resp
         };
-        Ok((resp, reads))
+        Ok((resp, provenance))
     }
 
     /// Fill the slots the BEM listed in `listed` (its `GET`s granted on

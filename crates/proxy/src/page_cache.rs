@@ -7,9 +7,12 @@
 //! and invalidation is whole-page (hence the over-invalidation the paper's
 //! stock-quote example describes). `PURGE <target>` drops one entry.
 //!
-//! In DPC mode it holds assembled pages under session-qualified keys
-//! ([`crate::tier::page_key`]), stamped with the node's coherency epoch and
-//! the page's read set; the proxy handler probes it before it assembles.
+//! In DPC mode it holds assembled pages stamped with the node's coherency
+//! epoch and the page's read set. A page whose render read the session
+//! lives under its session-qualified key ([`crate::tier::page_key`]); a
+//! page the origin marked session-free lives under its bare target, shared
+//! by every session. The proxy handler probes both in one
+//! [`PageCache::lookup`] before it assembles.
 //!
 //! Either way the pages live in one [`PageTier`] behind one mutex, with a
 //! page budget and LRU replacement; the cache keeps its counters, the
@@ -173,23 +176,26 @@ impl PageCache {
         }
     }
 
-    /// The one lookup: a copy of `key`'s page while its verdict is a hit;
-    /// a stale or expired page is dropped on this touch. Counts the hit or
-    /// the miss.
-    pub fn lookup(&self, key: &str) -> Option<Page> {
+    /// The one lookup: a copy of the first page among `keys` whose verdict
+    /// is a hit, probed in order under one lock acquisition; a stale or
+    /// expired page met on the way is dropped on this touch. Counts one
+    /// hit or one miss per call, however many keys it probed.
+    pub fn lookup(&self, keys: &[&str]) -> Option<Page> {
         // The verdict reads the epoch under the lock: a scrub/purge that
         // bumped it before this lookup began is guaranteed visible, so a
         // completed invalidation never leaves a stale entry servable.
         let mut tier = self.tier.lock();
-        match tier.lookup(key, |page| self.verdict(page)) {
-            Some(Ok(page)) => {
-                self.counts.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(page.clone());
+        for key in keys {
+            match tier.lookup(key, |page| self.verdict(page)) {
+                Some(Ok(page)) => {
+                    self.counts.hits.fetch_add(1, Ordering::Relaxed);
+                    return Some(page.clone());
+                }
+                Some(Err((Verdict::Stale, _))) => {
+                    self.counts.stale_evictions.fetch_add(1, Ordering::Relaxed);
+                }
+                _ => {}
             }
-            Some(Err((Verdict::Stale, _))) => {
-                self.counts.stale_evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
         }
         self.counts.misses.fetch_add(1, Ordering::Relaxed);
         None
@@ -281,7 +287,7 @@ impl PageCache {
         {
             let mut sp = tracer.span(Layer::TierL2);
             sp.set_detail(ident);
-            if let Some(page) = self.lookup(target) {
+            if let Some(page) = self.lookup(&[target]) {
                 sp.set_status(SpanStatus::Hit);
                 return PageServe::Hit(page.body, page.content_type);
             }
@@ -344,7 +350,7 @@ impl PageCache {
                     // The flight landed, went stale, or was poisoned under
                     // us; a landed leader typically has installed the page
                     // by now (if not, the next lap re-elects).
-                    if let Some(page) = self.lookup(target) {
+                    if let Some(page) = self.lookup(&[target]) {
                         return PageServe::Hit(page.body, page.content_type);
                     }
                 }
@@ -374,9 +380,10 @@ impl PageCache {
         self.purge_epoch.fetch_add(1, Ordering::Relaxed);
         // The coherence epoch moves too, coarsely (also under the lock, so
         // stamped lookups that start after this purge returns must see
-        // it): the DPC tier keys pages by target *and* session, so a PURGE
-        // of the bare target cannot enumerate them, and no read set names
-        // a target — the bump makes every stamped entry self-evict instead.
+        // it): the DPC tier keys a session-reading page by target *and*
+        // session, so a PURGE of the bare target cannot enumerate them, and
+        // no read set names a target — the bump makes every stamped entry
+        // self-evict instead.
         if let Some(epoch) = &self.coherence {
             epoch.bump();
         }
@@ -429,6 +436,7 @@ impl PageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpc_core::epoch::stripe_of;
 
     fn cache(ttl_secs: u64, cap: usize) -> (PageCache, std::sync::Arc<dpc_net::VirtualClock>) {
         let (clock, handle) = Clock::virtual_clock();
@@ -447,13 +455,13 @@ mod tests {
     #[test]
     fn put_get_hit() {
         let (c, _h) = cache(60, 10);
-        assert!(c.lookup("/a").is_none());
+        assert!(c.lookup(&["/a"]).is_none());
         c.install("/a", Bytes::from_static(b"page"), "text/html", None, None);
         let Page {
             body,
             content_type: ct,
             ..
-        } = c.lookup("/a").unwrap();
+        } = c.lookup(&["/a"]).unwrap();
         assert_eq!(&body[..], b"page");
         assert_eq!(ct, "text/html");
         assert_eq!(c.stats().hits, 1);
@@ -465,7 +473,7 @@ mod tests {
         let (c, h) = cache(10, 10);
         c.install("/a", Bytes::from_static(b"x"), "text/html", None, None);
         h.advance(Duration::from_secs(11));
-        assert!(c.lookup("/a").is_none());
+        assert!(c.lookup(&["/a"]).is_none());
         assert!(c.is_empty());
     }
 
@@ -475,7 +483,7 @@ mod tests {
         c.install("/a", Bytes::from_static(b"x"), "text/html", None, None);
         assert!(c.purge("/a"));
         assert!(!c.purge("/a"));
-        assert!(c.lookup("/a").is_none());
+        assert!(c.lookup(&["/a"]).is_none());
     }
 
     #[test]
@@ -483,12 +491,12 @@ mod tests {
         let (c, _h) = cache(60, 2);
         c.install("/a", Bytes::from_static(b"a"), "t", None, None);
         c.install("/b", Bytes::from_static(b"b"), "t", None, None);
-        let _ = c.lookup("/a"); // a is now more recent than b
+        let _ = c.lookup(&["/a"]); // a is now more recent than b
         c.install("/c", Bytes::from_static(b"c"), "t", None, None);
         assert_eq!(c.len(), 2);
-        assert!(c.lookup("/b").is_none(), "b was LRU and must be evicted");
-        assert!(c.lookup("/a").is_some());
-        assert!(c.lookup("/c").is_some());
+        assert!(c.lookup(&["/b"]).is_none(), "b was LRU and must be evicted");
+        assert!(c.lookup(&["/a"]).is_some());
+        assert!(c.lookup(&["/c"]).is_some());
         assert_eq!(c.stats().evictions, 1);
     }
 
@@ -498,7 +506,7 @@ mod tests {
         c.install("/a", Bytes::from_static(b"v1"), "t", None, None);
         c.install("/a", Bytes::from_static(b"version-two"), "t", None, None);
         assert_eq!(c.len(), 1);
-        let Page { body, .. } = c.lookup("/a").unwrap();
+        let Page { body, .. } = c.lookup(&["/a"]).unwrap();
         assert_eq!(&body[..], b"version-two");
         assert_eq!(c.stats().evictions, 0, "refresh is not an eviction");
     }
@@ -519,7 +527,7 @@ mod tests {
         let (c, _h) = cache(60, 10);
         let serve = c.get_or_fill("/a", || Some((Bytes::from_static(b"fresh"), "t".into())));
         assert!(matches!(serve, PageServe::Led));
-        let Page { body, .. } = c.lookup("/a").expect("leader installed the page");
+        let Page { body, .. } = c.lookup(&["/a"]).expect("leader installed the page");
         assert_eq!(&body[..], b"fresh");
         assert_eq!(flight_counters(&c), (1, 0, 0));
     }
@@ -529,11 +537,11 @@ mod tests {
         let (c, _h) = cache(60, 10);
         let serve = c.get_or_fill("/a", || None);
         assert!(matches!(serve, PageServe::Led));
-        assert!(c.lookup("/a").is_none(), "nothing installed");
+        assert!(c.lookup(&["/a"]).is_none(), "nothing installed");
         // The next requester must not hang on the poisoned flight.
         let serve = c.get_or_fill("/a", || Some((Bytes::from_static(b"ok"), "t".into())));
         assert!(matches!(serve, PageServe::Led));
-        assert!(c.lookup("/a").is_some());
+        assert!(c.lookup(&["/a"]).is_some());
     }
 
     #[test]
@@ -616,7 +624,7 @@ mod tests {
         });
         assert!(matches!(serve, PageServe::Led));
         assert!(
-            c.lookup("/a").is_none(),
+            c.lookup(&["/a"]).is_none(),
             "a page generated before the purge must not outlive it"
         );
         let (_, _, retries) = flight_counters(&c);
@@ -634,13 +642,13 @@ mod tests {
         });
         assert!(matches!(serve, PageServe::Led));
         assert!(
-            c.lookup("/a").is_none(),
+            c.lookup(&["/a"]).is_none(),
             "epoch moved mid-fill: install skipped"
         );
         // With no concurrent purge, the refill installs normally.
         let serve = c.get_or_fill("/a", || Some((Bytes::from_static(b"fresh"), "t".into())));
         assert!(matches!(serve, PageServe::Led));
-        let Page { body, .. } = c.lookup("/a").expect("quiescent fill installs");
+        let Page { body, .. } = c.lookup(&["/a"]).expect("quiescent fill installs");
         assert_eq!(&body[..], b"fresh");
     }
 
@@ -653,7 +661,7 @@ mod tests {
         });
         assert!(matches!(serve, PageServe::Led));
         assert!(
-            c.lookup("/a").is_none(),
+            c.lookup(&["/a"]).is_none(),
             "clear outdates the in-flight fill"
         );
     }
@@ -671,10 +679,10 @@ mod tests {
             Some(stamp),
             None,
         );
-        assert!(c.lookup("/page\u{0}alice").is_some());
+        assert!(c.lookup(&["/page\u{0}alice"]).is_some());
         epoch.bump();
         assert!(
-            c.lookup("/page\u{0}alice").is_none(),
+            c.lookup(&["/page\u{0}alice"]).is_none(),
             "stale stamped entry must self-evict on touch"
         );
         assert_eq!(c.stats().stale_evictions, 1);
@@ -686,7 +694,7 @@ mod tests {
             Some(c.coherence_stamp()),
             None,
         );
-        let hit = c.lookup("/page\u{0}alice").unwrap();
+        let hit = c.lookup(&["/page\u{0}alice"]).unwrap();
         assert_eq!(&hit.body[..], b"v2");
     }
 
@@ -715,9 +723,12 @@ mod tests {
             Some(stamp),
             None,
         );
-        assert!(c.lookup("/p").is_none(), "outdated install must not serve");
+        assert!(
+            c.lookup(&["/p"]).is_none(),
+            "outdated install must not serve"
+        );
         let live = c
-            .lookup("/live")
+            .lookup(&["/live"])
             .expect("an outdated install must not evict a live page");
         assert_eq!(&live.body[..], b"post-bump");
         assert_eq!(c.stats().evictions, 0);
@@ -738,7 +749,7 @@ mod tests {
         );
         c.purge("/page");
         assert!(
-            c.lookup("/page\u{0}bob").is_none(),
+            c.lookup(&["/page\u{0}bob"]).is_none(),
             "purge of the bare target must invalidate session variants via the epoch"
         );
     }
@@ -751,7 +762,7 @@ mod tests {
         c.install("/classic", Bytes::from_static(b"page"), "t", None, None);
         epoch.bump();
         assert!(
-            c.lookup("/classic").is_some(),
+            c.lookup(&["/classic"]).is_some(),
             "classic page-cache entries rely on PURGE + TTL, not the epoch"
         );
     }
@@ -765,10 +776,45 @@ mod tests {
         let bob = crate::tier::page_key("/account.jsp", "bob");
         let alice = crate::tier::page_key("/account.jsp", "alice");
         c.install(&bob, Bytes::from_static(b"bob's page"), "t", None, None);
-        assert!(c.lookup(&alice).is_none(), "alice must miss, never get bob");
+        assert!(
+            c.lookup(&[&alice]).is_none(),
+            "alice must miss, never get bob"
+        );
         c.install(&alice, Bytes::from_static(b"alice's page"), "t", None, None);
-        assert_eq!(&c.lookup(&bob).unwrap().body[..], b"bob's page");
-        assert_eq!(&c.lookup(&alice).unwrap().body[..], b"alice's page");
+        assert_eq!(&c.lookup(&[&bob]).unwrap().body[..], b"bob's page");
+        assert_eq!(&c.lookup(&[&alice]).unwrap().body[..], b"alice's page");
+    }
+
+    #[test]
+    fn one_lookup_probes_the_shared_key_then_the_session_key_and_counts_once() {
+        let (clock, _h) = Clock::virtual_clock();
+        let epoch = CoherencyEpoch::new();
+        let c = PageCache::new(clock, Duration::from_secs(60), 10).with_coherence(epoch.clone());
+        let bob = crate::tier::page_key("/p", "bob");
+        let probe = |session: &str| c.lookup(&["/p", session]).map(|page| page.body);
+        const A: &str = "paper/p1-f0";
+        const B: &str = "paper/p2-f0";
+        assert_ne!(stripe_of(A), stripe_of(B));
+        // Nothing resident: one miss for both probes.
+        assert_eq!(probe(&bob), None);
+        // A session page answers the second probe.
+        let stamp = |label: &str| {
+            c.coherence_stamp()
+                .with_reads(Some([stripe_of(label)].into()))
+        };
+        c.install(&bob, Bytes::from_static(b"bob"), "t", Some(stamp(A)), None);
+        assert_eq!(probe(&bob).as_deref(), Some(&b"bob"[..]));
+        // A shared page answers every session first.
+        c.install("/p", Bytes::from_static(b"all"), "t", Some(stamp(B)), None);
+        assert_eq!(probe(&bob).as_deref(), Some(&b"all"[..]));
+        assert_eq!(probe("/p\u{0}alice").as_deref(), Some(&b"all"[..]));
+        // Once stale, the shared page is dropped and the session page
+        // still serves, in the same call.
+        epoch.bump_label(B);
+        assert_eq!(probe(&bob).as_deref(), Some(&b"bob"[..]));
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.stale_evictions), (4, 1, 1));
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
@@ -777,7 +823,7 @@ mod tests {
         // distinguish Bob's page from Alice's.
         let (c, _h) = cache(60, 10);
         c.install("/page", Bytes::from_static(b"Hello, Bob"), "t", None, None);
-        let Page { body, .. } = c.lookup("/page").unwrap();
+        let Page { body, .. } = c.lookup(&["/page"]).unwrap();
         assert_eq!(&body[..], b"Hello, Bob"); // Alice gets Bob's page
     }
 }

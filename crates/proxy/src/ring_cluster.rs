@@ -1097,10 +1097,15 @@ mod tests {
     #[test]
     fn ring_node_page_cache_holds_a_node_capacity_of_pages() {
         // A member's page cache is sized to its slot store, like the lone
-        // proxy's: 32 session-distinct pages on one node evict nothing.
+        // proxy's: 32 distinct pages on one node evict nothing. Paper-site
+        // pages never read the session, so each is one shared page
+        // whoever asks: the 32 pages are 32 targets.
         let tb = Testbed::build(TestbedConfig {
             mode: ProxyMode::Dpc,
-            paper_params: params(),
+            paper_params: PaperSiteParams {
+                pages: 32,
+                ..params()
+            },
             ..TestbedConfig::default()
         });
         let cluster = RingCluster::new(
@@ -1111,13 +1116,16 @@ mod tests {
                 ..RingConfig::default()
             },
         );
-        for user in 0..32 {
-            let resp = cluster.get(&page(0), Some(&format!("user{user}")));
+        for p in 0..32 {
+            let resp = cluster.get(&page(p), Some(&format!("user{p}")));
             assert_eq!(resp.headers.get("x-cache"), Some("dpc-assembled"));
         }
         let only = cluster.alive()[0];
-        let stats = cluster.proxy(only).unwrap().page_cache().stats();
+        let proxy = cluster.proxy(only).unwrap();
+        let page_cache = proxy.page_cache();
+        let stats = page_cache.stats();
         assert_eq!(stats.evictions, 0, "{stats:?}");
+        assert_eq!(page_cache.len(), 32, "{stats:?}");
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! pages, with one LRU ([`dpc_core::LruReplacer`]) over a page budget. A
 //! resident page is judged by one function, [`PageCache::verdict`], and a
 //! hit is answered by one builder, [`page_response`], under keys built by
-//! [`page_key`].
+//! [`page_key`]: one per session for a page whose render read the
+//! session, and the bare target, shared by every session, for a page the
+//! origin marked session-free.
 //!
 //! [`CoherencyEpoch`]: dpc_core::CoherencyEpoch
 //! [`Stamp`]: dpc_core::Stamp
@@ -16,6 +18,7 @@
 //! [`PageCache::verdict`]: crate::page_cache::PageCache::verdict
 
 use bytes::Bytes;
+use dpc_appserver::context::parse_session_cookie;
 use dpc_core::{LruReplacer, Replacer, Stamp};
 use dpc_http::{Request, Response, Status};
 use dpc_trace::SpanStatus;
@@ -24,25 +27,31 @@ use std::collections::HashMap;
 /// The session-qualified key of an assembled page in the DPC page tier.
 ///
 /// §3.2.1's Bob/Alice hazard is exactly what a URL-keyed full-page cache
-/// gets wrong: two sessions, one URL, different pages. The tier keys
-/// assembled pages by target *and* session so a hit can only ever return
-/// bytes assembled for that session. `\0` cannot appear in either part,
-/// so the encoding is unambiguous.
+/// gets wrong: two sessions, one URL, different pages. A page whose render
+/// read the session is keyed by target *and* session, so a hit can only
+/// ever return bytes assembled for that session. A page the origin marked
+/// session-free (`dpc_appserver::context::SESSION_FREE_MARK`) is keyed by
+/// its bare target instead, the *shared key* every session probes first.
+///
+/// The parser refuses a `\0` in the request-target and in header values,
+/// and the handler keeps in-process requests holding one out of the tier,
+/// so neither part holds one. Then every session key holds exactly one
+/// `\0` and a shared key none: no (target, session) pair spells another
+/// pair's key or any target's shared key.
 pub fn page_key(target: &str, session: &str) -> String {
     format!("{target}\x00{session}")
 }
 
 /// Session identity of a request: the `session` cookie value, or `""`
-/// for cookieless traffic (which then shares one key per target, exactly
-/// like a session-free static page should).
+/// for cookieless traffic, whose session-reading pages then share one
+/// anonymous key per target. It names the key a page is installed under
+/// only when the origin did not mark the render session-free.
+/// The cookie is read by the origin's own parser, so the key always names
+/// the user the render saw.
 pub fn session_of(req: &Request) -> &str {
-    let Some(cookies) = req.headers.get("Cookie") else {
-        return "";
-    };
-    cookies
-        .split(';')
-        .filter_map(|part| part.trim().strip_prefix("session="))
-        .next()
+    req.headers
+        .get("Cookie")
+        .and_then(parse_session_cookie)
         .unwrap_or("")
 }
 
@@ -232,5 +241,9 @@ mod tests {
         let req = Request::get("/p").with_header("Cookie", "theme=dark; session=u7; lang=en");
         assert_eq!(session_of(&req), "u7");
         assert_eq!(session_of(&Request::get("/p")), "");
+        // Spaces around `=` still name the user the origin renders for;
+        // they must not fall back to the anonymous key.
+        let spaced = Request::get("/p").with_header("Cookie", "a=1; session = u7");
+        assert_eq!(session_of(&spaced), "u7");
     }
 }

@@ -71,7 +71,7 @@ fn serve_tiered(
     produce: &(dyn Fn(&mut Vec<u8>) + Sync),
 ) -> Vec<u8> {
     let key = page_key(TARGET, SESSION);
-    if let Some(page) = pc.lookup(&key) {
+    if let Some(page) = pc.lookup(&[&key]) {
         return page.body.to_vec();
     }
     // Stamp read BEFORE assembly: if the invalidation races the produce,
@@ -142,7 +142,7 @@ fn crowd_with_tier_resident_page_sees_no_stale_bytes_after_invalidation() {
                 let page = serve_tiered(&pc, &bem, &store, &produce);
                 assert_eq!(page, b"PRE-INVALIDATION");
                 assert!(
-                    pc.lookup(&page_key(TARGET, SESSION)).is_some(),
+                    pc.lookup(&[&page_key(TARGET, SESSION)]).is_some(),
                     "hot page must be tier-resident before the invalidation"
                 );
                 warmed.wait();

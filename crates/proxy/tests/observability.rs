@@ -172,9 +172,15 @@ fn metrics_scrape_on_the_testbed_front_has_every_family_nonzero() {
             assert_eq!(resp.status.0, 200, "round {round} page {p}");
         }
     }
-    // A session-qualified pass reassembles each page from the now-warm
-    // fragment directory (the page tier keys by session, the fragments
-    // do not) — this is what drives directory *hits* rather than misses.
+    // An update of one fragment per page unserves that page's tiered
+    // copy; the next pass reassembles each page from the now-warm
+    // fragment directory, whose other fragments are still valid — this is
+    // what drives directory *hits* rather than misses. (A session pass
+    // would not: paper-site pages never read the session, so every
+    // session hits the one shared copy.)
+    for p in 0..6 {
+        paper_site::invalidate_fragment(tb.engine().repo(), p, 0);
+    }
     for p in 0..6 {
         let req = Request::get(page(p)).with_header("Cookie", "session=scraper");
         assert_eq!(client.request(PROXY_ADDR, req).unwrap().status.0, 200);
@@ -221,7 +227,7 @@ fn metrics_scrape_on_the_testbed_front_has_every_family_nonzero() {
     );
     assert_eq!(
         assembled, 12.0,
-        "one assembly per distinct (page, session) pair"
+        "one assembly per page, and one more after its update"
     );
     assert_eq!(tiered, 30.0, "every repeat serve is a tier hit");
     // The `_sum` is present but zero here: the testbed's virtual clock
