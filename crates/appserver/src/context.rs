@@ -1,34 +1,14 @@
-//! Per-request context handed to scripts, and the headers a DPC node and
-//! the origin exchange.
+//! Per-request context handed to scripts.
 //!
 //! Bundles the parsed request, the resolved session, the repository handle
 //! and a simulated-cost accumulator. The accumulated cost is reported to
 //! the proxy/harness in the `X-Origin-Cost-Nanos` response header, giving
 //! the benches a precise content-generation-delay figure per request
-//! (§2.2.2's server latency) without wall-clock noise.
-//!
-//! A ring node repairs its slots in three rungs, each one origin request:
-//!
-//! 1. The template request names the node ([`NODE_HEADER`]) and its donor
-//!    ([`PEER_FETCH_HEADER`]). The response lists the `GET`s granted on
-//!    the donor's copy ([`FROM_DONOR_HEADER`]); the node pulls those from
-//!    the donor.
-//! 2. If assembly still finds an empty slot, a *refresh* names the node's
-//!    absent `GET` keys ([`MISSING_HEADER`]). The BEM forgets that the
-//!    node stores them and re-`SET`s them.
-//! 3. If that fails too, a bypass ([`BYPASS_HEADER`]) fetches the page
-//!    fully expanded.
-//!
-//! A node that caches assembled pages asks for each page's read set
-//! ([`WANT_READS_HEADER`]); the template response answers with the epoch
-//! stripes of every row and dependency the render read
-//! ([`READS_HEADER`]), so an update unserves only the pages that read it.
-//! The session is one more input a render may read: the answer carries
-//! [`SESSION_FREE_MARK`] when the script never observed it
-//! ([`RequestCtx::session_observed`]), and the node then caches one copy
-//! of the page for every session.
+//! (§2.2.2's server latency) without wall-clock noise. The headers a DPC
+//! node and the origin exchange live in [`dpc_core::proto`].
 
-use dpc_core::{Bem, DpcKey};
+use dpc_core::proto::parse_session_cookie;
+use dpc_core::Bem;
 use dpc_http::{Request, Uri};
 use dpc_repository::{Costed, Repository};
 use parking_lot::Mutex;
@@ -38,47 +18,9 @@ use std::time::Duration;
 
 use crate::profile::UserProfile;
 
-/// Name of the session cookie carrying the user id.
-pub const SESSION_COOKIE: &str = "session";
-/// Request header that forces a fully expanded (bypass) response.
-pub const BYPASS_HEADER: &str = "X-DPC-Bypass";
-/// Request header a distributed DPC node uses to announce its node id
-/// (0–63) so the BEM can track per-node fragment placement (§7).
-pub const NODE_HEADER: &str = "X-DPC-Node";
-/// Request header a cluster node adds to name the node it pulls slots
-/// from (its donor, 0–63). The BEM then emits a `GET` for a valid fragment
-/// the node has not stored but the donor has, and lists it in
-/// [`FROM_DONOR_HEADER`], instead of a node-miss `SET` — the lazy
-/// key-range handoff contract of the ring cluster.
-pub const PEER_FETCH_HEADER: &str = "X-DPC-Peer-Fetch";
-/// Response header listing the keys (see [`format_keys`]) the BEM emitted
-/// as `GET`s on the strength of the donor's copy. The node fills them
-/// from the donor and never splices its own copy, which may be an older
-/// generation whose scrub has not arrived yet.
-pub const FROM_DONOR_HEADER: &str = "X-DPC-From-Donor";
-/// Refresh request header listing the keys (see [`format_keys`]) whose
-/// `GET`s found the node's slots empty. The BEM clears the node's stored
-/// bit on each before rendering, so the refresh re-`SET`s them.
-pub const MISSING_HEADER: &str = "X-DPC-Missing";
-/// Most keys the BEM reads from one [`MISSING_HEADER`]; the rest are
-/// ignored, so a page with more absent slots than this falls through to a
-/// bypass.
-pub const MAX_MISSING_KEYS: usize = 64;
-/// Request header a node with a page tier sends on a template request to
-/// ask for the page's read set, and whether the render read the session.
-pub const WANT_READS_HEADER: &str = "X-DPC-Want-Reads";
-/// Template response header answering [`WANT_READS_HEADER`]: the page's
-/// read set as epoch stripes (`dpc_core::epoch::format_read_set`), or `*`
-/// when the render read something no label names. A known read set is
-/// followed by [`SESSION_FREE_MARK`] when the render never observed the
-/// session (`3,17;session-free`), so its bytes are the same for every
-/// session. A node strips the header before a page reaches a client.
-pub const READS_HEADER: &str = "X-DPC-Reads";
-/// Suffix of a [`READS_HEADER`] value asserting that the render never
-/// observed the session. Only this exact suffix after a known read set
-/// counts (see [`session_free`]); anything else keeps the page per session,
-/// and so does `*;session-free`, whose read set is unknown.
-pub const SESSION_FREE_MARK: &str = ";session-free";
+// The benchmark's pipeline probe (`dpcbench`'s `trace.rs`, whose sources
+// are held fixed) imports the node header by this path.
+pub use dpc_core::proto::NODE_HEADER;
 /// Response header carrying the simulated origin generation cost.
 pub const COST_HEADER: &str = "X-Origin-Cost-Nanos";
 
@@ -196,47 +138,6 @@ impl RequestCtx {
     }
 }
 
-/// The read set of a [`READS_HEADER`] value that ends in
-/// [`SESSION_FREE_MARK`], or `None` when it does not.
-pub fn session_free(reads: &str) -> Option<&str> {
-    reads.trim().strip_suffix(SESSION_FREE_MARK)
-}
-
-/// A key list header value: decimal keys joined by commas (`3,17,42`).
-pub fn format_keys(keys: &[DpcKey]) -> String {
-    let mut out = String::with_capacity(keys.len() * 5);
-    for (i, key) in keys.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&key.0.to_string());
-    }
-    out
-}
-
-/// Parse a [`format_keys`] value lazily, skipping entries that are not a
-/// decimal `u32`. A caller reading an untrusted list bounds it with
-/// `take`.
-pub fn parse_keys(value: &str) -> impl Iterator<Item = DpcKey> + '_ {
-    value
-        .split(',')
-        .filter_map(|k| k.trim().parse().ok().map(DpcKey))
-}
-
-/// Extract the session user from a Cookie header value
-/// (`a=1; session=user3; b=2` → `user3`). An empty value is no session.
-/// The one reading of the session cookie: a node keying pages by session
-/// must name the same user the render saw.
-pub fn parse_session_cookie(cookie: &str) -> Option<&str> {
-    cookie
-        .split(';')
-        .find_map(|part| {
-            let (k, v) = part.split_once('=')?;
-            (k.trim() == SESSION_COOKIE).then_some(v.trim())
-        })
-        .filter(|user| !user.is_empty())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,34 +190,41 @@ mod tests {
 
     #[test]
     fn only_the_exact_mark_is_session_free() {
-        assert_eq!(session_free("3,17;session-free"), Some("3,17"));
-        assert_eq!(session_free(";session-free"), Some(""));
+        use dpc_core::proto::Provenance;
+        use dpc_core::ReadSet;
+        // A render that never touched the session records the bare mark.
+        let (repo, bem) = fixture();
+        let ctx = RequestCtx::new(&request("/x", Some("session=user1")), repo, bem);
+        let p = Provenance::recorded(&ReadSet::default(), ctx.session_observed());
+        assert_eq!(p.format(), ";session-free");
+        assert!(Provenance::parse(&p.format()).shared());
+        let free = |value: &str| {
+            let p = Provenance::parse(value);
+            p.shared().then(|| p.reads.unwrap().to_vec())
+        };
+        assert_eq!(free("3,17;session-free"), Some(vec![3, 17]));
+        assert_eq!(free(";session-free"), Some(vec![]));
         for value in ["3,17", "", "*", "3,17;session", "3,17;session-free;x"] {
-            assert_eq!(session_free(value), None, "{value}");
+            assert_eq!(free(value), None, "{value}");
         }
     }
 
     #[test]
     fn cookie_parsing_variants() {
-        assert_eq!(parse_session_cookie("session=u1"), Some("u1"));
-        assert_eq!(parse_session_cookie("a=1; session=u2 ; b=3"), Some("u2"));
-        assert_eq!(parse_session_cookie("a=1; b=2"), None);
-        assert_eq!(parse_session_cookie("session= ; b=2"), None);
-        assert_eq!(parse_session_cookie(""), None);
-    }
-
-    #[test]
-    fn key_lists_round_trip() {
-        let keys = [DpcKey(0), DpcKey(17), DpcKey(u32::MAX)];
-        assert_eq!(format_keys(&keys), "0,17,4294967295");
-        assert_eq!(parse_keys(&format_keys(&keys)).collect::<Vec<_>>(), keys);
-        assert_eq!(format_keys(&[]), "");
-        assert_eq!(parse_keys("").count(), 0);
-        // Junk entries are skipped, not fatal.
-        assert_eq!(
-            parse_keys("5, x,-1,4294967296,6").collect::<Vec<_>>(),
-            vec![DpcKey(5), DpcKey(6)]
-        );
+        let (repo, bem) = fixture();
+        let user = |cookie: &str| {
+            let ctx = RequestCtx::new(
+                &request("/x", Some(cookie)),
+                Arc::clone(&repo),
+                Arc::clone(&bem),
+            );
+            ctx.user().map(str::to_owned)
+        };
+        assert_eq!(user("session=u1").as_deref(), Some("u1"));
+        assert_eq!(user("a=1; session=u2 ; b=3").as_deref(), Some("u2"));
+        assert_eq!(user("a=1; b=2"), None);
+        assert_eq!(user("session= ; b=2"), None);
+        assert_eq!(user(""), None);
     }
 
     #[test]

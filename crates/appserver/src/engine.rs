@@ -10,7 +10,7 @@
 //! [`Server`]: dpc_http::Server
 
 use dpc_core::bem::TemplateWriter;
-use dpc_core::epoch::format_read_set;
+use dpc_core::proto::{Answer, Ask, Provenance};
 use dpc_core::Bem;
 use dpc_http::{Handler, Request, Response, Status};
 use dpc_repository::{reads, Repository};
@@ -19,11 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::context::{
-    format_keys, parse_keys, RequestCtx, BYPASS_HEADER, COST_HEADER, FROM_DONOR_HEADER,
-    MAX_MISSING_KEYS, MISSING_HEADER, NODE_HEADER, PEER_FETCH_HEADER, READS_HEADER,
-    SESSION_FREE_MARK, WANT_READS_HEADER,
-};
+use crate::context::{RequestCtx, COST_HEADER};
 
 /// A dynamic script: one registered page generator.
 pub trait Script: Send + Sync + 'static {
@@ -114,33 +110,24 @@ impl ScriptEngine {
                 &format!("no script mounted at {}", ctx.uri().path),
             );
         };
-        let bypass = req.headers.get(BYPASS_HEADER).is_some();
-        if bypass {
+        let ask = Ask::parse(|name| req.headers.get(name));
+        if ask.bypass {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
         }
-        let node_id = |name: &str| -> Option<u32> {
-            req.headers
-                .get(name)
-                .and_then(|v| v.parse().ok())
-                .filter(|n| *n < 64)
-        };
-        let node = node_id(NODE_HEADER).unwrap_or(0);
-        let mut writer = if bypass {
+        let node = ask.node.unwrap_or(0);
+        let mut writer = if ask.bypass {
             self.bem.bypass_writer()
         } else {
-            if let Some(missing) = req.headers.get(MISSING_HEADER) {
-                let keys: Vec<_> = parse_keys(missing).take(MAX_MISSING_KEYS).collect();
-                self.bem.forget_stored(node, &keys);
+            if !ask.missing.is_empty() {
+                self.bem.forget_stored(node, &ask.missing);
             }
-            match node_id(PEER_FETCH_HEADER) {
+            match ask.donor {
                 Some(donor) => self.bem.template_writer_for_peer_node(node, donor),
                 None => self.bem.template_writer_for_node(node),
             }
         };
         ctx.charge_fixed(SCRIPT_INVOCATION_COST);
-        // A bypass is never cached, so it is never asked for its reads. A
-        // known read set names the session too when the script never saw it.
-        let read_set = if !bypass && req.headers.get(WANT_READS_HEADER).is_some() {
+        let provenance = if ask.answers_reads() {
             writer.record_reads();
             let ((), rows) = reads::record(|| script.run(&ctx, &mut writer));
             let mut read_set = writer.take_reads().unwrap_or_default();
@@ -148,31 +135,22 @@ impl ScriptEngine {
                 Some(rows) => rows.iter().for_each(|row| read_set.note(row)),
                 None => read_set.mark_unknown(),
             }
-            let mut value = format_read_set(read_set.stripes());
-            if !ctx.session_observed() && value != "*" {
-                value.push_str(SESSION_FREE_MARK);
-            }
-            Some(value)
+            Some(Provenance::recorded(&read_set, ctx.session_observed()))
         } else {
             script.run(&ctx, &mut writer);
             None
         };
-        let instrumented = writer.is_instrumented();
-        let from_donor =
-            (!writer.from_donor().is_empty()).then(|| format_keys(writer.from_donor()));
-        let body = writer.finish();
-        let mut resp = Response::html(body);
+        let answer = Answer {
+            instrumented: writer.is_instrumented(),
+            from_donor: writer.from_donor().to_vec(),
+            provenance,
+        };
+        let mut resp = Response::html(writer.finish());
         resp.headers.set("Server", "dpc-origin/0.1");
         resp.headers
             .set(COST_HEADER, ctx.cost().as_nanos().to_string());
-        if instrumented {
-            resp.headers.set("X-DPC-Instrumented", "1");
-        }
-        if let Some(keys) = from_donor {
-            resp.headers.set(FROM_DONOR_HEADER, keys);
-        }
-        if let Some(read_set) = read_set {
-            resp.headers.set(READS_HEADER, read_set);
+        for (name, value) in answer.format() {
+            resp.headers.set(name, value);
         }
         resp
     }
@@ -188,6 +166,10 @@ impl Handler for ScriptEngine {
 mod tests {
     use super::*;
     use dpc_core::prelude::*;
+    use dpc_core::proto::{
+        BYPASS_HEADER, FROM_DONOR_HEADER, INSTRUMENTED_HEADER, MISSING_HEADER, NODE_HEADER,
+        PEER_FETCH_HEADER, READS_HEADER, WANT_READS_HEADER,
+    };
     use dpc_core::{BemConfig, FragmentId};
     use dpc_http::Request;
 
@@ -234,18 +216,18 @@ mod tests {
 
     #[test]
     fn reads_mark_a_render_session_free_only_when_it_never_saw_the_session() {
-        use crate::context::session_free;
         let e = engine();
         let asking = |target: &str| {
             Request::get(target)
                 .with_header("Cookie", "session=u1")
                 .with_header(WANT_READS_HEADER, "1")
         };
-        let reads = |resp: &Response| resp.headers.get(READS_HEADER).map(str::to_owned);
+        let reads = |resp: &Response| resp.headers.get(READS_HEADER).map(Provenance::parse);
         let hello = reads(&e.serve(&asking("/hello.jsp?who=bob"))).expect("asked");
-        assert_eq!(session_free(&hello), Some(""), "{hello}");
+        assert_eq!(hello.reads.as_deref(), Some(&[][..]));
+        assert!(hello.shared(), "{hello:?}");
         let whoami = reads(&e.serve(&asking("/whoami.jsp"))).expect("asked");
-        assert_eq!(session_free(&whoami), None, "{whoami}");
+        assert!(!whoami.shared(), "{whoami:?}");
         // Not asked, or a bypass: no read set and no mark.
         assert_eq!(reads(&e.serve(&Request::get("/hello.jsp"))), None);
         let bypass = asking("/hello.jsp").with_header(BYPASS_HEADER, "1");
@@ -258,7 +240,7 @@ mod tests {
         let resp = e.serve(&Request::get("/hello.jsp?who=bob"));
         assert_eq!(resp.status, Status::OK);
         assert!(is_instrumented(&resp.body.flatten()));
-        assert_eq!(resp.headers.get("x-dpc-instrumented"), Some("1"));
+        assert_eq!(resp.headers.get(INSTRUMENTED_HEADER), Some("1"));
         assert!(resp.headers.get(COST_HEADER).is_some());
         // Assembles to the expected page.
         let store = FragmentStore::new(64);
@@ -320,7 +302,7 @@ mod tests {
         assert_eq!(ops(&r), vec![format!("GET {}", key.0)]);
         assert_eq!(r.headers.get(FROM_DONOR_HEADER), None);
         // A refresh naming the key gets it re-SET, once.
-        let r = e.serve(&as_node(2).with_header(MISSING_HEADER, format_keys(&[key])));
+        let r = e.serve(&as_node(2).with_header(MISSING_HEADER, key.to_string()));
         assert_eq!(ops(&r), vec![format!("SET {}", key.0)]);
         assert_eq!(ops(&e.serve(&as_node(2))), vec![format!("GET {}", key.0)]);
         let snap = e.bem().stats().snapshot();

@@ -199,52 +199,6 @@ impl ReadSet {
     }
 }
 
-/// Wire form of a read set: its stripes in decimal, comma-separated,
-/// ascending, no repeats; `*` when the set is unknown or longer than
-/// [`MAX_READ_STRIPES`].
-pub fn format_read_set(stripes: Option<&[u16]>) -> String {
-    let Some(stripes) = stripes else {
-        return "*".to_owned();
-    };
-    let mut sorted = stripes.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    if sorted.len() > MAX_READ_STRIPES {
-        return "*".to_owned();
-    }
-    let mut out = String::with_capacity(sorted.len() * 5);
-    for (i, stripe) in sorted.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&stripe.to_string());
-    }
-    out
-}
-
-/// Parse a [`format_read_set`] value from an untrusted peer. `None` —
-/// judge the page under the coarse rule — for `*`, for any entry that is
-/// not a stripe index, and for more than [`MAX_READ_STRIPES`] entries. The
-/// empty value is the empty read set.
-pub fn parse_read_set(value: &str) -> Option<Arc<[u16]>> {
-    let value = value.trim();
-    if value.is_empty() {
-        return Some(Arc::from([]));
-    }
-    let mut stripes = Vec::new();
-    for entry in value.split(',') {
-        if stripes.len() == MAX_READ_STRIPES {
-            return None;
-        }
-        let stripe: u16 = entry.trim().parse().ok()?;
-        if usize::from(stripe) >= STRIPES {
-            return None;
-        }
-        stripes.push(stripe);
-    }
-    Some(stripes.into())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,23 +273,31 @@ mod tests {
 
     #[test]
     fn read_sets_round_trip_and_hostile_values_read_as_unknown() {
-        let set = format_read_set(Some(&[7, 3, 7, 4095]));
+        use crate::proto::Provenance;
+        // A render that observed the session: the Reads value is the bare set.
+        let recorded = |stripes: Vec<u16>| Provenance::recorded(&ReadSet(Some(stripes)), true);
+        let set = recorded(vec![7, 3, 7, 4095]).format();
         assert_eq!(set, "3,7,4095");
-        assert_eq!(parse_read_set(&set).as_deref(), Some(&[3, 7, 4095][..]));
-        assert_eq!(parse_read_set("").as_deref(), Some(&[][..]));
-        assert_eq!(format_read_set(None), "*");
+        assert_eq!(
+            Provenance::parse(&set).reads.as_deref(),
+            Some(&[3, 7, 4095][..])
+        );
+        assert_eq!(Provenance::parse("").reads.as_deref(), Some(&[][..]));
+        assert_eq!(Provenance::recorded(&ReadSet(None), true).format(), "*");
         for hostile in ["*", "1,x", "4096", "-1", "1,,2", "70000"] {
-            assert_eq!(parse_read_set(hostile), None, "{hostile:?}");
+            assert_eq!(Provenance::parse(hostile).reads, None, "{hostile:?}");
         }
         let too_many: Vec<u16> = (0..=MAX_READ_STRIPES as u16).collect();
-        assert_eq!(format_read_set(Some(&too_many)), "*");
+        assert_eq!(recorded(too_many.clone()).format(), "*");
         let listed = too_many
             .iter()
             .map(u16::to_string)
             .collect::<Vec<_>>()
             .join(",");
-        assert_eq!(parse_read_set(&listed), None);
-        let at_cap = &too_many[..MAX_READ_STRIPES];
-        assert!(parse_read_set(&format_read_set(Some(at_cap))).is_some());
+        assert_eq!(Provenance::parse(&listed).reads, None);
+        let at_cap = too_many[..MAX_READ_STRIPES].to_vec();
+        assert!(Provenance::parse(&recorded(at_cap).format())
+            .reads
+            .is_some());
     }
 }

@@ -89,6 +89,7 @@ pub mod flight;
 pub mod invalidate;
 pub mod key;
 pub mod objects;
+pub mod proto;
 pub mod stats;
 pub mod store;
 pub mod tag;

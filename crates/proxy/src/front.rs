@@ -9,16 +9,15 @@
 //! servers never call back into the proxy, so the wait always ends (see
 //! [`crate::testbed`] and `RingCluster::spawn_front` for the argument).
 
-use dpc_appserver::context::{
-    format_keys, parse_keys, session_free, BYPASS_HEADER, FROM_DONOR_HEADER, MISSING_HEADER,
-    NODE_HEADER, PEER_FETCH_HEADER, READS_HEADER, WANT_READS_HEADER,
+use dpc_core::proto::{
+    self, Answer, Ask, Provenance, ASSEMBLY_ERROR_HEADER, DEP_HEADER, JOURNEY_HEADER,
+    PEER_FETCHED_HEADER, PURGED_KEYS_HEADER, TRACE_HEADER,
 };
-use dpc_core::epoch::parse_read_set;
 use dpc_core::{assemble_rope, salvage, AssembleError, DpcKey, FragmentSource, FragmentStore};
 use dpc_firewall::Firewall;
 use dpc_http::{Body, Client, Handler, Method, Request, Response, Status};
 use dpc_metrics::Registry as MetricsRegistry;
-use dpc_trace::{render_journey, Layer, SpanStatus, Tracer, TRACE_HEADER};
+use dpc_trace::{render_journey, Layer, SpanStatus, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -61,33 +60,6 @@ pub struct ProxyStats {
     pub asm_get_bytes: AtomicU64,
     pub asm_set_bytes: AtomicU64,
     pub asm_template_bytes: AtomicU64,
-}
-
-/// What an origin named an assembled page's bytes as depending on.
-#[derive(Default)]
-struct Provenance {
-    /// The read set as epoch stripes; `None` when the origin named none
-    /// (or an unusable one), which stamps the page coarsely.
-    reads: Option<Arc<[u16]>>,
-    /// The origin asserted that the render never observed the session,
-    /// after a read set this node can judge. Only then is the page shared
-    /// across sessions.
-    session_free: bool,
-}
-
-impl Provenance {
-    /// Parse a [`READS_HEADER`] value from the origin.
-    fn parse(value: &str) -> Provenance {
-        let (read_set, session_free) = match session_free(value) {
-            Some(read_set) => (read_set, true),
-            None => (value, false),
-        };
-        let reads = parse_read_set(read_set);
-        Provenance {
-            session_free: session_free && reads.is_some(),
-            reads,
-        }
-    }
 }
 
 /// One failed assembly attempt: the error, and the keys of the template's
@@ -325,7 +297,7 @@ impl Proxy {
                 }
                 resp
             };
-            if req.headers.get("X-DPC-Trace").is_some() {
+            if req.headers.get(JOURNEY_HEADER).is_some() {
                 return self.attach_journey(resp);
             }
             return resp;
@@ -339,7 +311,7 @@ impl Proxy {
         self.stats
             .delivered_bytes
             .fetch_add(resp.body.len() as u64, Ordering::Relaxed);
-        if req.headers.get("X-DPC-Trace").is_some() {
+        if req.headers.get(JOURNEY_HEADER).is_some() {
             return self.attach_journey(resp);
         }
         resp
@@ -361,11 +333,11 @@ impl Proxy {
         let segments = resp.body.segments().len();
         let spans = rec.spans_of(trace_id);
         let journey = render_journey(trace_id, &spans, segments, self.node);
-        resp.with_header("X-DPC-Trace", journey)
+        resp.with_header(JOURNEY_HEADER, journey)
     }
 
     fn handle_purge(&self, req: &Request) -> Response {
-        if let Some(dep) = req.headers.get("X-DPC-Dep") {
+        if let Some(dep) = req.headers.get(DEP_HEADER) {
             // Dependency-wide purge: every key registered under `dep` is
             // invalidated (ring-wide and gossiped when fronted by a
             // cluster), and the freed-key count is reported — a bare
@@ -377,7 +349,7 @@ impl Proxy {
             let freed = purger(dep);
             return Response::html(format!("purged {freed} keys"))
                 .with_header("X-Cache", "purged")
-                .with_header("X-DPC-Purged-Keys", freed.to_string());
+                .with_header(PURGED_KEYS_HEADER, freed.to_string());
         }
         let purged = self.page_cache.purge(&req.target);
         let esi_purged = self.esi.invalidate_fragment(&req.target);
@@ -389,26 +361,14 @@ impl Proxy {
     }
 
     /// Fetch from the origin, running the firewall over the response body
-    /// (the boundary every origin byte crosses in Figure 4).
-    fn fetch_origin(&self, req: &Request) -> Result<Response, Response> {
-        self.fetch_origin_with(req, None, &[], false)
-    }
-
-    /// Like [`fetch_origin`](Self::fetch_origin); a DPC-mode request also
-    /// names this node, its `donor` if any (so the BEM may grant `GET`s on
-    /// the donor's copy), and the `missing` keys of a refresh, and asks
-    /// for the page's read set when `want_reads`.
-    fn fetch_origin_with(
-        &self,
-        req: &Request,
-        donor: Option<u32>,
-        missing: &[DpcKey],
-        want_reads: bool,
-    ) -> Result<Response, Response> {
+    /// (the boundary every origin byte crosses in Figure 4). The origin
+    /// sees none of the client's internal headers: only what this node
+    /// asks.
+    fn fetch_origin(&self, req: &Request, ask: &Ask) -> Result<Response, Response> {
         let mut upstream_req = req.clone();
-        // Only a node that caches the page asks for its read set: a
-        // client's copy never reaches the origin.
-        upstream_req.headers.remove(WANT_READS_HEADER);
+        for name in proto::INTERNAL_REQUEST {
+            upstream_req.headers.remove(name);
+        }
         if let Some((tid, sid)) = dpc_trace::current() {
             // Propagate the trace context on the origin leg so an
             // instrumented upstream (another DPC node, a traced origin
@@ -417,22 +377,8 @@ impl Proxy {
                 .headers
                 .set(TRACE_HEADER, dpc_trace::format_ctx(tid, sid));
         }
-        if self.mode == ProxyMode::Dpc {
-            let headers = &mut upstream_req.headers;
-            headers.set(NODE_HEADER, self.node.to_string());
-            // Only this node speaks for its slots: a client's copies of
-            // these headers never reach the BEM.
-            headers.remove(PEER_FETCH_HEADER);
-            headers.remove(MISSING_HEADER);
-            if let Some(donor) = donor {
-                headers.set(PEER_FETCH_HEADER, donor.to_string());
-            }
-            if !missing.is_empty() {
-                headers.set(MISSING_HEADER, format_keys(missing));
-            }
-            if want_reads {
-                headers.set(WANT_READS_HEADER, "1");
-            }
+        for (name, value) in ask.format() {
+            upstream_req.headers.set(name, value);
         }
         let resp = self
             .client
@@ -459,7 +405,7 @@ impl Proxy {
     }
 
     fn forward(&self, req: &Request) -> Response {
-        match self.fetch_origin(req) {
+        match self.fetch_origin(req, &Ask::default()) {
             Ok(resp) => strip_internal_headers(resp).with_header("X-Cache", "pass"),
             Err(e) => e,
         }
@@ -470,7 +416,7 @@ impl Proxy {
     fn serve_page_cache(&self, req: &Request) -> Response {
         if req.method != Method::Get {
             // Non-GET traffic is neither cached nor coalesced.
-            return match self.fetch_origin(req) {
+            return match self.fetch_origin(req, &Ask::default()) {
                 Ok(resp) => strip_internal_headers(resp).with_header("X-Cache", "page-miss"),
                 Err(e) => e,
             };
@@ -481,7 +427,7 @@ impl Proxy {
         // response travels out through `origin` — waiters never see it.
         let mut origin: Option<Result<Response, Response>> = None;
         let serve = self.page_cache.get_or_fill(&req.target, || {
-            let fetched = self.fetch_origin(req);
+            let fetched = self.fetch_origin(req, &Ask::default());
             let cacheable = match &fetched {
                 Ok(resp) if resp.status.is_success() => {
                     let ct = resp
@@ -601,11 +547,7 @@ impl Proxy {
             let content_type = resp.headers.get("Content-Type").unwrap_or("text/html");
             let etag = resp.headers.get("ETag").map(str::to_owned);
             self.page_cache.install(
-                if provenance.session_free {
-                    shared
-                } else {
-                    &key
-                },
+                if provenance.shared() { shared } else { &key },
                 resp.body.flatten(),
                 content_type,
                 Some(stamp.with_reads(provenance.reads)),
@@ -622,11 +564,16 @@ impl Proxy {
     /// is the last rung. With `want_reads` the template requests ask for
     /// the page's read set, returned beside an assembled page.
     fn serve_dpc_assembling(&self, req: &Request, want_reads: bool) -> (Response, Provenance) {
-        let donor = self
-            .fragment_source
-            .as_ref()
-            .and_then(|source| source.donor_for(&req.target));
-        let failed = match self.serve_dpc_once(req, donor, &[], want_reads) {
+        let ask = Ask {
+            node: Some(self.node),
+            donor: self
+                .fragment_source
+                .as_ref()
+                .and_then(|source| source.donor_for(&req.target)),
+            want_reads,
+            ..Ask::default()
+        };
+        let failed = match self.serve_dpc_once(req, &ask) {
             Ok(served) => return served,
             Err(failed) => failed,
         };
@@ -636,7 +583,12 @@ impl Proxy {
             return (self.bypass_refetch(req, failed.err), Provenance::default());
         }
         self.stats.refresh_refetches.fetch_add(1, Ordering::Relaxed);
-        match self.serve_dpc_once(req, None, &failed.missing, want_reads) {
+        let refresh = Ask {
+            donor: None,
+            missing: failed.missing,
+            ..ask
+        };
+        match self.serve_dpc_once(req, &refresh) {
             Ok(served) => served,
             Err(failed) => (self.bypass_refetch(req, failed.err), Provenance::default()),
         }
@@ -648,14 +600,8 @@ impl Proxy {
     /// assembly failed and the caller escalates (refresh, then bypass).
     /// A failed assembly first installs every `SET` its template carried,
     /// because the BEM recorded them as stored here when it emitted them.
-    fn serve_dpc_once(
-        &self,
-        req: &Request,
-        donor: Option<u32>,
-        missing: &[DpcKey],
-        want_reads: bool,
-    ) -> Result<(Response, Provenance), Failed> {
-        let upstream = match self.fetch_origin_with(req, donor, missing, want_reads) {
+    fn serve_dpc_once(&self, req: &Request, ask: &Ask) -> Result<(Response, Provenance), Failed> {
+        let upstream = match self.fetch_origin(req, ask) {
             Ok(r) => r,
             Err(e) => return Ok((e, Provenance::default())),
         };
@@ -668,13 +614,8 @@ impl Proxy {
             let resp = strip_internal_headers(upstream).with_header("X-Cache", "dpc-pass");
             return Ok((resp, Provenance::default()));
         }
-        // An origin that was not asked, or names a set this node cannot
-        // judge, leaves the page under the coarse rule and its session key.
-        let provenance = match upstream.headers.get(READS_HEADER) {
-            Some(value) if want_reads => Provenance::parse(value),
-            _ => Provenance::default(),
-        };
-        let fetched = self.pull_from_donor(donor, upstream.headers.get(FROM_DONOR_HEADER));
+        let answer = Answer::parse(ask, |name| upstream.headers.get(name));
+        let fetched = self.pull_from_donor(ask.donor, &answer.from_donor);
         // Zero-copy assembly, end to end: cached fragments are spliced into
         // the rope by refcount bump, the rope's segments become the
         // response body unflattened, and the HTTP serializer puts them on
@@ -728,11 +669,13 @@ impl Proxy {
         // Advertise repairs so latency classification and tracing can
         // attribute this page to the peer-fetch path.
         let resp = if fetched > 0 {
-            resp.with_header("X-DPC-Peer-Fetched", fetched.to_string())
+            resp.with_header(PEER_FETCHED_HEADER, fetched.to_string())
         } else {
             resp
         };
-        Ok((resp, provenance))
+        // An origin that was not asked, or names a set this node cannot
+        // judge, leaves the page under the coarse rule and its session key.
+        Ok((resp, answer.provenance.unwrap_or_default()))
     }
 
     /// Fill the slots the BEM listed in `listed` (its `GET`s granted on
@@ -741,12 +684,9 @@ impl Proxy {
     /// be an older generation whose scrub has not arrived yet; assembly
     /// then fails on it and the refresh re-`SET`s it. Returns the number
     /// of slots filled.
-    fn pull_from_donor(&self, donor: Option<u32>, listed: Option<&str>) -> u32 {
-        let Some(listed) = listed else {
-            return 0;
-        };
+    fn pull_from_donor(&self, donor: Option<u32>, listed: &[DpcKey]) -> u32 {
         let mut fetched = 0;
-        for key in parse_keys(listed) {
+        for &key in listed {
             let bytes = match (&self.fragment_source, donor) {
                 (Some(source), Some(donor)) => source.fetch(donor, key),
                 _ => None,
@@ -769,11 +709,15 @@ impl Proxy {
     /// refetch fully expanded. Users always receive correct bytes.
     fn bypass_refetch(&self, req: &Request, err: AssembleError) -> Response {
         self.stats.bypass_refetches.fetch_add(1, Ordering::Relaxed);
-        let bypass = req.clone().with_header(BYPASS_HEADER, "1");
-        match self.fetch_origin(&bypass) {
+        let bypass = Ask {
+            node: Some(self.node),
+            bypass: true,
+            ..Ask::default()
+        };
+        match self.fetch_origin(req, &bypass) {
             Ok(resp) => strip_internal_headers(resp)
                 .with_header("X-Cache", "dpc-bypass")
-                .with_header("X-DPC-Assembly-Error", err.to_string()),
+                .with_header(ASSEMBLY_ERROR_HEADER, err.to_string()),
             Err(e) => e,
         }
     }
@@ -787,9 +731,9 @@ impl Handler for Proxy {
 
 /// Remove origin-internal headers before delivering to clients.
 fn strip_internal_headers(mut resp: Response) -> Response {
-    resp.headers.remove("X-DPC-Instrumented");
-    resp.headers.remove(FROM_DONOR_HEADER);
-    resp.headers.remove(READS_HEADER);
+    for name in proto::INTERNAL_RESPONSE {
+        resp.headers.remove(name);
+    }
     resp
 }
 
@@ -918,7 +862,7 @@ mod tests {
         });
         let resp = tb.get("/paper/page.jsp?p=0", None);
         assert_eq!(resp.status.0, 200);
-        assert_eq!(resp.headers.get("x-dpc-instrumented"), None);
+        assert_eq!(resp.headers.get(proto::INSTRUMENTED_HEADER), None);
         assert_eq!(resp.headers.get("x-cache"), Some("dpc-assembled"));
     }
 }

@@ -43,6 +43,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dpc_cluster::{gossip_exchange, gossip_flush, peer_addr, Membership, PeerNode, PeerServer};
+use dpc_core::proto::{DEP_HEADER, PURGED_KEYS_HEADER, SERVED_BY_HEADER};
 use dpc_core::{Bem, CoherencyEpoch, DpcKey, FragmentSource, FragmentStore};
 use dpc_http::{Method, Request, Response, Status};
 use dpc_metrics::Registry as MetricsRegistry;
@@ -384,7 +385,7 @@ impl RingCluster {
             }
         }
         if req.method == Method::Purge {
-            if let Some(dep) = req.headers.get("X-DPC-Dep") {
+            if let Some(dep) = req.headers.get(DEP_HEADER) {
                 return self.purge_dep(dep);
             }
         }
@@ -397,7 +398,7 @@ impl RingCluster {
             return Response::error(Status(503), "owner departed");
         };
         let mut resp = proxy.serve(req);
-        resp.headers.set("X-DPC-Served-By", owner.to_string());
+        resp.headers.set(SERVED_BY_HEADER, owner.to_string());
         resp
     }
 
@@ -484,7 +485,7 @@ impl RingCluster {
         }
         Response::html(format!("purged {freed} keys"))
             .with_header("X-Cache", "purged")
-            .with_header("X-DPC-Purged-Keys", freed.to_string())
+            .with_header(PURGED_KEYS_HEADER, freed.to_string())
     }
 
     /// Bridge the origin's invalidation path into the feed: installs an
@@ -653,7 +654,7 @@ mod tests {
                 let resp = cluster.get(&page(p), None);
                 assert_eq!(resp.status.0, 200);
                 assert_eq!(&resp.body.to_vec(), want, "round {round} page {p}");
-                let owner = resp.headers.get("x-dpc-served-by").unwrap().to_owned();
+                let owner = resp.headers.get(SERVED_BY_HEADER).unwrap().to_owned();
                 assert_eq!(
                     cluster.owner_of(&page(p)),
                     Some(owner.parse().unwrap()),
@@ -1157,7 +1158,7 @@ mod tests {
             assert_eq!(&resp.body.to_vec(), want, "page {p} via HTTP front");
             let owner: u32 = resp
                 .headers
-                .get("x-dpc-served-by")
+                .get(SERVED_BY_HEADER)
                 .expect("front reports the owner")
                 .parse()
                 .unwrap();

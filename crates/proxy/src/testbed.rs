@@ -347,6 +347,7 @@ fn register_paper_templates(esi: &Arc<EsiAssembler>, params: &PaperSiteParams) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpc_core::proto::{DEP_HEADER, PURGED_KEYS_HEADER};
 
     fn small_params() -> PaperSiteParams {
         PaperSiteParams {
@@ -668,10 +669,10 @@ mod tests {
     fn dep_purge_unserves_only_the_pages_that_read_the_dep() {
         let (one, two) = ("/paper/page.jsp?p=1", "/paper/page.jsp?p=2");
         let tb = tiered_with_resident(&[one, two]);
-        let mut purge = Request::get(one).with_header("X-DPC-Dep", "paper/p1-f0");
+        let mut purge = Request::get(one).with_header(DEP_HEADER, "paper/p1-f0");
         purge.method = dpc_http::Method::Purge;
         let resp = tb.proxy().serve(purge);
-        assert_eq!(resp.headers.get("x-dpc-purged-keys"), Some("1"));
+        assert_eq!(resp.headers.get(PURGED_KEYS_HEADER), Some("1"));
         assert_eq!(tb.get(two, None).headers.get("x-cache"), Some("dpc-l2"));
         assert_eq!(stale_evictions(&tb), 0);
         // Page 1 read it: its tiered page goes on this touch.

@@ -18,7 +18,7 @@
 //! [`PageCache::verdict`]: crate::page_cache::PageCache::verdict
 
 use bytes::Bytes;
-use dpc_appserver::context::parse_session_cookie;
+use dpc_core::proto::parse_session_cookie;
 use dpc_core::{LruReplacer, Replacer, Stamp};
 use dpc_http::{Request, Response, Status};
 use dpc_trace::SpanStatus;
@@ -30,7 +30,7 @@ use std::collections::HashMap;
 /// gets wrong: two sessions, one URL, different pages. A page whose render
 /// read the session is keyed by target *and* session, so a hit can only
 /// ever return bytes assembled for that session. A page the origin marked
-/// session-free (`dpc_appserver::context::SESSION_FREE_MARK`) is keyed by
+/// session-free ([`dpc_core::proto::Provenance::shared`]) is keyed by
 /// its bare target instead, the *shared key* every session probes first.
 ///
 /// The parser refuses a `\0` in the request-target and in header values,

@@ -22,7 +22,7 @@ use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 
 use dpc_appserver::apps::paper_site::{fragment_key, PaperSiteParams};
-use dpc_appserver::context::BYPASS_HEADER;
+use dpc_core::proto::BYPASS_HEADER;
 use dpc_core::FragmentId;
 use dpc_http::{Client, Request};
 use dpc_proxy::modes::ProxyMode;

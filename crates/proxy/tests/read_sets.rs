@@ -19,9 +19,9 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 
 use dpc_appserver::apps::paper_site::{self, PaperSiteParams};
-use dpc_appserver::context::{READS_HEADER, WANT_READS_HEADER};
 use dpc_appserver::ScriptEngine;
-use dpc_core::epoch::{format_read_set, MAX_READ_STRIPES};
+use dpc_core::epoch::MAX_READ_STRIPES;
+use dpc_core::proto::{Provenance, READS_HEADER, WANT_READS_HEADER};
 use dpc_core::{stripe_of, Bem, BemConfig, CoherencyEpoch, FragmentStore};
 use dpc_http::{Client, Request, Server};
 use dpc_metrics::Registry;
@@ -178,7 +178,16 @@ fn a_read_set_the_proxy_cannot_judge_installs_the_page_coarsely() {
         (Some("4096".to_owned()), true),
         (Some("1,,2".to_owned()), true),
         (Some(oversized), true),
-        (Some(format_read_set(Some(&at_cap))), false),
+        (
+            Some(
+                Provenance {
+                    reads: Some(at_cap.as_slice().into()),
+                    session_free: false,
+                }
+                .format(),
+            ),
+            false,
+        ),
     ];
     for (p, (forged, coarse)) in cases.into_iter().enumerate() {
         let target = page(p % 4);

@@ -30,9 +30,10 @@ use std::thread;
 use std::time::Duration;
 
 use dpc_appserver::apps::paper_site::{self, PaperSiteParams};
-use dpc_appserver::context::{RequestCtx, READS_HEADER, SESSION_FREE_MARK};
+use dpc_appserver::context::RequestCtx;
 use dpc_appserver::{Script, ScriptEngine};
 use dpc_core::prelude::*;
+use dpc_core::proto::{READS_HEADER, SESSION_FREE_MARK};
 use dpc_core::{Bem, BemConfig, CoherencyEpoch, FragmentStore};
 use dpc_http::{Client, Request, Response, Server, ServerHandle};
 use dpc_metrics::Registry;
