@@ -12,32 +12,19 @@
 //!   modulo router's near-total avalanche.
 //! * [`membership`] — join / leave / fail lifecycle over the ring, with an
 //!   epoch counter so observers detect churn cheaply.
-//! * [`version`] / [`feed`] — per-node version vectors over a cluster-wide
-//!   log of invalidation events. Every `invalidate_dep` becomes an event
-//!   carrying the dpcKeys the directory freed; applying an event scrubs
-//!   those slots locally, closing the cross-node stale-reassignment window
-//!   the single-node design bounds with a request round-trip.
-//! * [`peer`] — the wire services: a per-node accept loop answering
-//!   peer-fetch (lazy key-range handoff after a join) and gossip
-//!   anti-entropy exchanges, speaking [`dpc_net::frame`] messages over the
-//!   shared [`dpc_net::SimNetwork`].
+//! * [`peer`] — each node's peer endpoint: a per-node accept loop
+//!   answering peer-fetch (lazy key-range handoff after a join) over
+//!   [`dpc_net::frame`] messages on the shared [`dpc_net::SimNetwork`],
+//!   and the slot scrub an invalidation runs on every member.
 //!
-//! Convergence is a *property*, not a trace: concurrent gossip admits many
-//! interleavings, so the tests assert eventual agreement (all version
-//! vectors equal, every replicated invalidation applied) within a bounded
-//! number of rounds, under a seeded RNG for reproducibility.
+//! Coherence needs no messages between nodes: the BEM's directory holds
+//! one stored bit per node and fragment, and the ring applies each
+//! invalidation to every member's slot store inside the update itself.
 
-pub mod feed;
 pub mod membership;
 pub mod peer;
 pub mod ring;
-pub mod version;
 
-pub use feed::{FeedEvent, InvalidationFeed};
 pub use membership::{Membership, NodeState};
-pub use peer::{
-    gossip_exchange, gossip_flush, peer_addr, peer_fetch, peer_fetch_conditional, GossipOutcome,
-    PeerFetch, PeerNode, PeerServer, PeerStats,
-};
+pub use peer::{peer_addr, peer_fetch, PeerNode, PeerServer, PeerStats};
 pub use ring::{HashRing, DEFAULT_VNODES};
-pub use version::VersionVector;

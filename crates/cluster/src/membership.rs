@@ -7,12 +7,10 @@
 //!   (peer-fetch on first miss), so a join costs no stop-the-world
 //!   rebalance and evicts nothing anywhere.
 //! * **leave** — a graceful departure: the node's points come off the ring
-//!   and traffic routes around it. The departing node gets the chance to
-//!   flush its un-gossiped events first (the cluster layer does this).
-//! * **fail** — a crash: same ring effect as leave, but nothing is
-//!   flushed; events that only the failed node held are lost, while events
-//!   any survivor has applied keep propagating (feeds forward all origins'
-//!   logs).
+//!   and traffic routes around it.
+//! * **fail** — a crash: the same ring effect as leave. Nothing is lost
+//!   with the node but its slot store: invalidations scrub every member
+//!   as they happen, so no node holds state another one needs.
 //!
 //! Every transition bumps a membership *epoch* so observers can cheaply
 //! detect "the ring changed under me".
@@ -25,9 +23,9 @@ use crate::ring::HashRing;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeState {
     Alive,
-    /// Gracefully departed (flushed before removal).
+    /// Gracefully departed.
     Left,
-    /// Crashed (removed without flush).
+    /// Crashed.
     Failed,
 }
 

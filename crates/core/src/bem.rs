@@ -41,11 +41,11 @@ use crate::tag;
 /// request forever.
 const MAX_FLIGHT_LAPS: u32 = 4;
 
-/// Observer of data-source invalidations: called with the dep that was
-/// updated and the dpcKeys the directory freed for it. A cluster tier
-/// installs one so invalidations arriving through the origin's update bus
-/// enter the gossiped feed exactly like cluster-issued ones — without it,
-/// bus-driven invalidations would free keys that no node ever scrubs.
+/// Observer of data-source invalidations: called on every update with the
+/// dep that was updated and the dpcKeys the directory freed for it (often
+/// none), after the directory freed them. The serving tier installs one:
+/// it bumps the dep's stripe of its page-tier epoch, and a ring also
+/// scrubs the freed keys from every member's slot store.
 pub type InvalidationSink = Arc<dyn Fn(&str, &[DpcKey]) + Send + Sync>;
 
 /// Per-fragment caching metadata attached at tagging time (§4.3.1: "The
@@ -157,17 +157,15 @@ impl Bem {
     }
 
     /// Entry point for the invalidation manager: a data source reported an
-    /// update to `dep`. Returns the number of fragments invalidated. When
-    /// an [`InvalidationSink`] is installed and keys were freed, it is
-    /// notified (so a cluster tier can gossip the freed keys for slot
-    /// scrubbing).
+    /// update to `dep`. Returns the number of fragments invalidated. The
+    /// installed [`InvalidationSink`], if any, is called on every update,
+    /// freed keys or not: a page can read a row no cached fragment
+    /// depends on.
     pub fn on_data_update(&self, dep: &str) -> usize {
         let keys = self.directory.invalidate_dep_keys(dep);
-        if !keys.is_empty() {
-            let sink = self.invalidation_sink.lock().clone();
-            if let Some(sink) = sink {
-                sink(dep, &keys);
-            }
+        let sink = self.invalidation_sink.lock().clone();
+        if let Some(sink) = sink {
+            sink(dep, &keys);
         }
         keys.len()
     }
@@ -212,8 +210,8 @@ impl Bem {
     }
 
     /// A refresh from DPC `node` named `keys`: their `GET`s found the
-    /// node's slots empty (a gossip scrub arrived after the slot was
-    /// filled). Clear the node's stored bit on each, so this request's
+    /// node's slots empty (a scrub emptied a slot the node had just
+    /// refilled). Clear the node's stored bit on each, so this request's
     /// writer re-`SET`s them. Returns the number of bits cleared.
     pub fn forget_stored(&self, node: u32, keys: &[DpcKey]) -> usize {
         let cleared = self.directory.forget_stored(node, keys);

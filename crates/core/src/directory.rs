@@ -79,7 +79,7 @@ struct Entry {
     /// fragment is served a fresh `SET` instead of a dangling `GET`.
     ///
     /// A set bit means "that node's slot holds this entry's bytes, or is
-    /// empty" — never an older generation's bytes. A gossip scrub may
+    /// empty" — never an older generation's bytes. A ring's scrub may
     /// empty the slot behind the bit; the node then names the key in a
     /// refresh and [`CacheDirectory::forget_stored`] clears the bit.
     stored_nodes: u64,
@@ -519,10 +519,10 @@ impl CacheDirectory {
     }
 
     /// Like [`invalidate_dep`](Self::invalidate_dep), but returns the
-    /// dpcKeys the invalidation returned to the freeList. Cluster tiers
-    /// gossip these so every DPC node can scrub the freed slots before the
-    /// keys are reassigned (a scrubbed slot turns the silent stale-splice
-    /// hazard into a detectable `MissingFragment`).
+    /// dpcKeys the invalidation returned to the freeList. A ring scrubs
+    /// these from every DPC node's slot store, so a reassigned key finds
+    /// an empty slot (a detectable `MissingFragment`) instead of splicing
+    /// the old fragment's bytes.
     pub fn invalidate_dep_keys(&self, dep: &str) -> Vec<DpcKey> {
         let mut inner = self.lock_inner();
         // Only valid entries are registered, so every dependent is

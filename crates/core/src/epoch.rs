@@ -1,7 +1,7 @@
 //! Node-local coherence epoch: one monotonic sequence, striped by what a
 //! cached page read, that stamps assembled-page cache entries (the
 //! proxy's page tier) and lets any invalidation path — page purge,
-//! origin data update, gossip scrub — make the affected stamped entries
+//! origin data update, dependency purge — make the affected stamped entries
 //! self-evict on next touch without enumerating them.
 //!
 //! Every bump advances the one sequence. A *stripe* bump also records the

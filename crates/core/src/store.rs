@@ -27,9 +27,9 @@
 //!
 //! Each slot holds its bytes together with their [`content_hash`], taken
 //! once when the slot is installed and never supplied by a caller, so the
-//! two cannot disagree. Readers that need the content's identity — the
-//! page assembler's ETag, a donor answering a conditional peer fetch —
-//! read it with [`FragmentStore::get_hashed`] instead of rehashing bytes.
+//! two cannot disagree. A reader that needs the content's identity — the
+//! page assembler's ETag — reads it with [`FragmentStore::get_hashed`]
+//! instead of rehashing bytes.
 
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -165,12 +165,12 @@ impl FragmentStore {
         out
     }
 
-    /// Scrub one slot (gossip-applied invalidation): the stale bytes are
-    /// dropped *before* the BEM can reassign the key, so a reassignment can
-    /// never silently splice the old fragment — an empty slot fails
-    /// assembly with `MissingFragment`, which the proxy recovers from.
-    /// Returns true when the slot held content. Out-of-range keys are a
-    /// no-op (a gossiped event may describe a larger peer store).
+    /// Scrub one slot (a ring applying an invalidation): the stale bytes
+    /// are dropped, so a later reassignment of the key can never silently
+    /// splice the old fragment — an empty slot fails assembly with
+    /// `MissingFragment`, which the proxy recovers from. Returns true when
+    /// the slot held content. Out-of-range keys are a no-op (the directory
+    /// may be larger than this store).
     pub fn clear_key(&self, key: DpcKey) -> bool {
         if key.index() >= self.capacity {
             return false;

@@ -23,8 +23,8 @@
 //! * [`latency`] — a simple WAN/LAN latency+bandwidth model used to *compute*
 //!   simulated response times from measured byte counts (no sleeping).
 //!
-//! * [`frame`] — the cluster wire-message family: length-prefixed
-//!   peer-fetch and gossip anti-entropy frames spoken proxy-to-proxy by the
+//! * [`frame`] — the cluster wire-message family: the length-prefixed
+//!   peer-fetch request and answer spoken proxy-to-proxy by the
 //!   `dpc-cluster` tier.
 //! * [`poll`] — the readiness layer: nonblocking stream/listener traits and
 //!   an epoll-shaped registry/poller so one event loop can multiplex
@@ -51,7 +51,7 @@ pub mod stream;
 pub mod wire;
 
 pub use clock::{Clock, VirtualClock};
-pub use frame::{ClusterFrame, WireEvent};
+pub use frame::ClusterFrame;
 pub use latency::LinkModel;
 pub use meter::{Meter, MeterRegistry, MeterSnapshot};
 pub use packet::ProtocolModel;

@@ -143,8 +143,8 @@ fn folded_mul(a: u64, b: u64) -> u64 {
 }
 
 /// The identity of a byte string's *content*: fragment bodies, literal
-/// runs, anything whose hash is a validator (ETags, the peer leg's
-/// `known`). Seeded with the length, it takes 8 bytes per step through a
+/// runs, anything whose hash is a validator (ETags). Seeded with the
+/// length, it takes 8 bytes per step through a
 /// folded multiply (wyhash-style): one multiply per word where byte-wise
 /// [`fnv1a`] pays one per byte. Not for keys: it is a content
 /// fingerprint, compared for equality only.

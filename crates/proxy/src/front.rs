@@ -101,8 +101,8 @@ pub struct Proxy {
     metrics: Option<Arc<MetricsRegistry>>,
     /// Dependency-wide invalidation hook for `PURGE` + `X-DPC-Dep`:
     /// returns the number of keys freed. Single-node fronts point this at
-    /// the BEM directory; ring nodes route it through the gossiped
-    /// cluster-wide purge.
+    /// the BEM's data-update path; a ring routes the purge itself and
+    /// scrubs every member.
     dep_purger: Option<DepPurger>,
     /// Span recorder handle. `Tracer::off()` unless installed via
     /// [`Proxy::with_tracer`]; the serving paths then record spans under
@@ -339,8 +339,8 @@ impl Proxy {
     fn handle_purge(&self, req: &Request) -> Response {
         if let Some(dep) = req.headers.get(DEP_HEADER) {
             // Dependency-wide purge: every key registered under `dep` is
-            // invalidated (ring-wide and gossiped when fronted by a
-            // cluster), and the freed-key count is reported — a bare
+            // invalidated (ring-wide when fronted by a cluster), and the
+            // freed-key count is reported — a bare
             // target purge cannot reach session-qualified page keys, this
             // can.
             let Some(purger) = &self.dep_purger else {
@@ -559,8 +559,8 @@ impl Proxy {
 
     /// The repair ladder. A template request names this node's donor; if
     /// assembly still finds an empty slot, a peer-fetching node refreshes
-    /// once, naming its absent keys so the BEM re-`SET`s them (a gossip
-    /// scrub may have emptied a slot behind its stored bit). The bypass
+    /// once, naming its absent keys so the BEM re-`SET`s them (a scrub
+    /// may have emptied a slot behind its stored bit). The bypass
     /// is the last rung. With `want_reads` the template requests ask for
     /// the page's read set, returned beside an assembled page.
     fn serve_dpc_assembling(&self, req: &Request, want_reads: bool) -> (Response, Provenance) {

@@ -20,8 +20,9 @@
 //! §7 extension made dynamic — consistent-hash placement over a
 //! [`dpc_cluster::HashRing`], per-node placement tracked by the
 //! directory's `stored_nodes` bitmask, join/leave/fail membership with
-//! lazy peer-fetch key-range handoff, and a gossiped invalidation feed
-//! that scrubs freed slots cluster-wide (see the `dpc-cluster` crate).
+//! lazy peer-fetch key-range handoff, and one invalidation sink on the
+//! origin's BEM that scrubs freed slots from every member inside the
+//! update (see the `dpc-cluster` crate).
 //!
 //! DPC mode can also serve assembled pages from a page tier: the node's
 //! one [`PageCache`] over one [`tier::PageTier`], which the proxy handler

@@ -261,8 +261,8 @@ pub fn register_proxy(
     });
 }
 
-/// A ring node's peer plane: fetch serving, gossip, scrubs, and the
-/// fetch-side single-flight counters.
+/// A ring node's peer plane: fetch serving, scrubs, and the fetch-side
+/// single-flight counters.
 pub fn register_peer(
     registry: &Registry,
     key: impl Into<String>,
@@ -281,33 +281,10 @@ pub fn register_peer(
             &labels,
             load(&s.fetch_misses),
         );
-        // Disjoint from hits/misses: `hits + misses` stays exactly the
-        // number of wire fetches that moved (or would move) a body, while
-        // this family counts the hash-only revalidations.
-        e.counter(
-            "dpc_peer_fetch_not_modified_total",
-            &labels,
-            load(&s.fetch_not_modified),
-        );
-        e.counter(
-            "dpc_peer_gossip_served_total",
-            &labels,
-            load(&s.gossip_served),
-        );
-        e.counter(
-            "dpc_peer_events_applied_total",
-            &labels,
-            load(&s.events_applied),
-        );
         e.counter(
             "dpc_peer_slots_scrubbed_total",
             &labels,
             load(&s.slots_scrubbed),
-        );
-        e.counter(
-            "dpc_peer_events_truncated_total",
-            &labels,
-            load(&s.events_truncated),
         );
         flight_family(
             e,

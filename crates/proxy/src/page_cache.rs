@@ -97,8 +97,8 @@ pub struct PageCache {
     /// Node-wide coherence epoch shared with every invalidation path. An
     /// origin data update or a dependency purge bumps the stripe of its
     /// label, so only the stamped entries that read it self-evict on next
-    /// touch; `purge`/`clear` and a gossip scrub bump it coarsely, which
-    /// unserves them all. `None` when the node runs no assembled-page tier
+    /// touch; `purge`/`clear` bump it coarsely, which unserves them
+    /// all. `None` when the node runs no assembled-page tier
     /// (classic page-cache mode).
     coherence: Option<CoherencyEpoch>,
     counts: Counters,

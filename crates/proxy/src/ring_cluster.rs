@@ -1,10 +1,11 @@
 //! The dynamic DPC cluster: consistent-hash placement, membership churn,
-//! lazy peer-fetch handoff, and the gossiped invalidation feed.
+//! lazy peer-fetch handoff, and invalidation applied to every member at
+//! once.
 //!
 //! This is the third serving tier (core → front → cluster). Each
 //! node is a full DPC front ([`Proxy`] in DPC mode with its own slot
-//! store) plus a [`dpc_cluster::PeerNode`] endpoint (peer-fetch + gossip
-//! service on the shared [`SimNetwork`]):
+//! store) plus a [`dpc_cluster::PeerNode`] endpoint (peer-fetch service
+//! on the shared [`SimNetwork`]):
 //!
 //! * **Routing** — requests go to the ring owner of their target
 //!   ([`dpc_cluster::HashRing`]); a membership change remaps an expected
@@ -16,33 +17,37 @@
 //!   fragments the donor holds and lists them, and the node pulls exactly
 //!   those from the donor. No other node is touched, nothing anywhere is
 //!   evicted.
-//! * **Repair** — a slot a late gossip scrub emptied behind the node's
-//!   stored bit fails assembly; one refresh names the absent keys and the
-//!   BEM re-`SET`s them. A bypass is the last rung.
+//! * **Repair** — a slot a scrub emptied behind the node's stored bit (a
+//!   render reused the freed key before the scrub ran) fails assembly;
+//!   one refresh names the absent keys and the BEM re-`SET`s them. A
+//!   bypass is the last rung.
 //! * **Leave / fail** — the node's points come off the ring and traffic
-//!   routes around it, losing only that node's arcs. A graceful leave
-//!   first flushes its un-gossiped invalidation events to a survivor.
-//! * **Invalidation** — [`RingCluster::invalidate_dep`] on *any* node
-//!   frees the keys at the shared directory, records an event in that
-//!   node's feed, and gossip ([`RingCluster::gossip_round`]) converges it
-//!   cluster-wide within a bounded number of rounds; every applying node
-//!   scrubs the freed slots, closing the cross-node stale-reassignment
-//!   window.
+//!   routes around it, losing only that node's arcs.
+//! * **Invalidation** — one [`dpc_core::InvalidationSink`] on the origin's
+//!   BEM ([`RingCluster::connect_origin`]) applies every data update to
+//!   the whole ring inside the update: it scrubs the freed keys from
+//!   every member's slot store, then bumps the updated dep's stripe of
+//!   the ring-wide page-tier epoch. [`RingCluster::invalidate_dep`] frees
+//!   a dep's keys and applies them the same way. No invalidation message
+//!   crosses between nodes: the BEM's directory, with its one stored bit
+//!   per node, decides what each node may splice, as in the paper's §7.
 //! * **Front** — [`RingCluster::spawn_front`] serves the whole ring at one
 //!   HTTP address. Its handlers run inline on its event loops and block
 //!   there on origin and peer fetches, so a request crosses the client,
 //!   the front loop, and the origin loop or a donor's peer server.
 //!
+//! The origin is a [`Testbed`](crate::testbed::Testbed) built with its
+//! own page tier off: [`RingCluster::connect_origin`] replaces the sink
+//! through which a tiered testbed proxy learns of updates.
+//!
 //! [`HashRing::owner_excluding`]: dpc_cluster::HashRing::owner_excluding
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dpc_cluster::{gossip_exchange, gossip_flush, peer_addr, Membership, PeerNode, PeerServer};
+use dpc_cluster::{peer_addr, Membership, PeerNode, PeerServer};
 use dpc_core::proto::{DEP_HEADER, PURGED_KEYS_HEADER, SERVED_BY_HEADER};
 use dpc_core::{Bem, CoherencyEpoch, DpcKey, FragmentSource, FragmentStore};
 use dpc_http::{Method, Request, Response, Status};
@@ -60,7 +65,9 @@ const NODE_CAPACITY: usize = 4096;
 /// Tuning knobs for a [`RingCluster`].
 #[derive(Debug, Clone, Copy)]
 pub struct RingConfig {
-    /// Seed for gossip peer selection (deterministic tests/benches).
+    /// Has no effect: nothing in the ring is random. The field stays
+    /// because the benchmark sets it; ROADMAP.md direction 4(b) removes
+    /// it with the benchmark's next revision.
     pub seed: u64,
     /// Event loops of the cluster's HTTP front
     /// ([`RingCluster::spawn_front`]).
@@ -113,14 +120,11 @@ pub struct RingCluster {
     /// space (the BEM's `stored_nodes` bitmask width) is spent, then
     /// departed ids are recycled — see [`RingCluster::allocate_id`].
     next_id: Mutex<u32>,
-    rng: Mutex<StdRng>,
-    /// One cluster-wide page-tier epoch. Every node's page cache and peer
-    /// endpoint shares it, so an invalidation applied by *any* node's
-    /// gossip scrub unserves every stamped assembled page cluster-wide on
-    /// its next touch. A joint
-    /// epoch over-invalidates (node A's scrub kills node B's unrelated
-    /// pages) but keeps invalidation O(1) with zero coherence messages
-    /// beyond the feed the cluster already gossips.
+    /// One ring-wide page-tier epoch, shared by every node's page cache.
+    /// Every invalidation bumps the updated dep's stripe once
+    /// ([`RingCluster::connect_origin`]), so a tiered page on any node
+    /// that read the dep stops serving on its next touch, and a page that
+    /// did not read it keeps serving.
     coherence: CoherencyEpoch,
     /// One metrics registry over the whole cluster: every node registers
     /// its page cache, proxy, and peer adapters at join and unregisters
@@ -154,7 +158,6 @@ impl RingCluster {
             }),
             nodes: Mutex::new(HashMap::new()),
             next_id: Mutex::new(0),
-            rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
             coherence: CoherencyEpoch::new(),
             registry: Arc::new(MetricsRegistry::new()),
             clock,
@@ -194,19 +197,14 @@ impl RingCluster {
         self.nodes.lock().get(&id).map(|n| Arc::clone(&n.proxy))
     }
 
-    /// The peer endpoint of node `id` (feed/vv inspection in tests).
+    /// The peer endpoint of node `id` (fetch and scrub counters in tests).
     pub fn peer(&self, id: u32) -> Option<Arc<PeerNode>> {
         self.nodes.lock().get(&id).map(|n| Arc::clone(&n.peer))
     }
 
-    /// Allocate a node id. Fresh ids are handed out monotonically (they
-    /// keep feed origins trivially unambiguous); once all 64 are spent —
-    /// the BEM's `stored_nodes` bitmask caps the id space — departed ids
-    /// are recycled. Recycling is only safe when every alive node agrees
-    /// on the old origin's feed high-water mark (otherwise the reused
-    /// origin could re-issue a sequence number with different content),
-    /// so it requires a converged cluster; the join-time catch-up
-    /// exchange then resumes the old sequence rather than restarting it.
+    /// Allocate a node id. Fresh ids are handed out monotonically; once
+    /// all 64 are spent — the BEM's `stored_nodes` bitmask caps the id
+    /// space — the lowest departed id is recycled.
     fn allocate_id(&self) -> u32 {
         let mut next = self.next_id.lock();
         if *next < 64 {
@@ -214,27 +212,19 @@ impl RingCluster {
             *next += 1;
             return id;
         }
-        assert!(
-            self.converged(),
-            "id recycling needs a converged cluster (run gossip_round first)"
-        );
         let membership = self.shared.membership.lock();
         (0..64u32)
             .find(|id| !membership.is_alive(*id))
             .expect("at most 64 DPC nodes may be alive at once")
     }
 
-    /// A new node enters the cluster: ring points added, peer service
-    /// started, feed caught up from one survivor. Returns its id. Nothing
-    /// is rebalanced eagerly — the newcomer's keys arrive by peer-fetch on
-    /// first miss.
+    /// A new node enters the cluster: peer service started, then ring
+    /// points added. Returns its id. Nothing is rebalanced eagerly — the
+    /// newcomer's keys arrive by peer-fetch on first miss.
     pub fn join(&self) -> u32 {
         let id = self.allocate_id();
         let store = Arc::new(FragmentStore::new(NODE_CAPACITY));
         let peer = PeerNode::new(id, Arc::clone(&store));
-        // Every peer's gossip scrub bumps the shared epoch, so applied
-        // invalidations unserve stamped assembled pages on every node.
-        peer.set_coherence(self.coherence.clone());
         peer.set_tracer(self.tracer.with_node(id));
         let server = PeerServer::spawn(&self.net, &peer);
         let fetcher = Arc::new(PeerFetcher {
@@ -265,24 +255,8 @@ impl RingCluster {
             Arc::clone(&peer),
             Some(id),
         );
-        // Catch the feed up from a survivor *before* going on the ring, so
-        // a converged cluster stays converged through the join — and so a
-        // recycled id resumes its predecessor's event sequence instead of
-        // restarting it (a restarted sequence would collide with applied
-        // events and be dropped as duplicates cluster-wide).
-        let recycled = self.shared.membership.lock().state(id).is_some();
-        let alive = self.alive();
-        let mut caught_up = false;
-        for donor in &alive {
-            if gossip_exchange(&self.net.connector(), &peer_addr(*donor), &peer).is_ok() {
-                caught_up = true;
-                break;
-            }
-        }
-        assert!(
-            caught_up || !recycled || alive.is_empty(),
-            "recycled id {id} could not catch up from any survivor"
-        );
+        // A member is in the scrub set before it is on the ring, so every
+        // invalidation that can reach a page it serves scrubs its store.
         self.nodes.lock().insert(
             id,
             RingNode {
@@ -295,26 +269,18 @@ impl RingCluster {
         id
     }
 
-    /// Graceful departure: flush un-gossiped events to a survivor, then
-    /// remove the node's ring points and stop its peer service. Returns
-    /// false when `id` was not alive.
+    /// Graceful departure: remove the node's ring points and stop its peer
+    /// service. Returns false when `id` was not alive.
     pub fn leave(&self, id: u32) -> bool {
-        if !self.shared.membership.lock().is_alive(id) {
+        if !self.shared.membership.lock().leave(id) {
             return false;
         }
-        if let Some(peer) = self.peer(id) {
-            if let Some(survivor) = self.random_alive_peer(id) {
-                let _ = gossip_flush(&self.net.connector(), &peer_addr(survivor), &peer);
-            }
-        }
-        self.shared.membership.lock().leave(id);
         self.remove_node(id);
         true
     }
 
-    /// Crash: ring points removed, peer service stopped, nothing flushed.
-    /// Events only this node held are lost; events any survivor applied
-    /// keep propagating. Returns false when `id` was not alive.
+    /// Crash: the same ring effect as [`leave`](Self::leave). Returns
+    /// false when `id` was not alive.
     pub fn fail(&self, id: u32) -> bool {
         if !self.shared.membership.lock().fail(id) {
             return false;
@@ -333,37 +299,6 @@ impl RingCluster {
         self.registry.unregister(&format!("node{id}/page_cache"));
         self.registry.unregister(&format!("node{id}/proxy"));
         self.registry.unregister(&format!("node{id}/peer"));
-        // Forget the departed incarnation's advertised vectors everywhere:
-        // a recycled id must re-advertise before it counts toward any
-        // truncation watermark again (the dead incarnation's vector could
-        // otherwise truncate events the new one still needs).
-        let survivors: Vec<Arc<PeerNode>> = self
-            .nodes
-            .lock()
-            .values()
-            .map(|n| Arc::clone(&n.peer))
-            .collect();
-        for peer in survivors {
-            peer.forget_peer(id);
-        }
-    }
-
-    /// A random alive node other than `exclude` (gossip partner / flush
-    /// target).
-    fn random_alive_peer(&self, exclude: u32) -> Option<u32> {
-        let alive: Vec<u32> = self
-            .shared
-            .membership
-            .lock()
-            .alive()
-            .into_iter()
-            .filter(|n| *n != exclude)
-            .collect();
-        if alive.is_empty() {
-            return None;
-        }
-        let pick = self.rng.lock().random_range(0..alive.len());
-        Some(alive[pick])
     }
 
     /// Serve one request through ring routing.
@@ -372,7 +307,7 @@ impl RingCluster {
     /// cluster-wide registry (any node's proxy would render the same
     /// registry, but the scrape must not depend on ring ownership of the
     /// metrics path), and `PURGE` + `X-DPC-Dep` runs the ring-wide
-    /// gossiped dependency purge.
+    /// dependency purge.
     pub fn serve(&self, req: Request) -> Response {
         if req.method == Method::Get && req.path() == "/_dpc/metrics" {
             return Response::html(self.registry.render())
@@ -422,7 +357,7 @@ impl RingCluster {
     /// - it waits only on servers that never call back into the front:
     ///   the origin, whose inline handlers never call back, and the peer
     ///   servers, each its own accept thread ([`PeerServer::spawn`])
-    ///   touching only its node's slot store and gossip state;
+    ///   touching only its node's slot store;
     /// - its parks are the page cache's fill flight and the peer fetch
     ///   flight ([`PeerNode::coalesced_fetch`]), whose leaders are
     ///   handlers on other loops (or direct callers) waiting only on the
@@ -446,26 +381,21 @@ impl RingCluster {
         handle
     }
 
-    /// Cluster-level invalidation, issued *at* node `at_node`: free the
-    /// dependents' keys in the shared directory (`bem` is the origin's),
-    /// record the event in `at_node`'s feed, scrub `at_node`'s own slots.
-    /// The event reaches every other node via gossip. Returns the number
-    /// of fragments invalidated.
-    pub fn invalidate_dep(&self, bem: &dpc_core::Bem, at_node: u32, dep: &str) -> usize {
-        let peer = self
-            .peer(at_node)
-            .expect("invalidate_dep requires an alive node");
+    /// Cluster-level invalidation: free the dependents' keys in the shared
+    /// directory (`bem` is the origin's) and apply them to every member
+    /// at once, as a data update through [`connect_origin`]'s sink does.
+    /// Returns the number of fragments invalidated.
+    ///
+    /// [`connect_origin`]: Self::connect_origin
+    pub fn invalidate_dep(&self, bem: &Bem, dep: &str) -> usize {
         let keys = bem.directory().invalidate_dep_keys(dep);
-        let n = keys.len();
-        peer.record_local(dep, keys);
-        n
+        self.apply(dep, &keys);
+        keys.len()
     }
 
     /// The HTTP admin form of [`invalidate_dep`](Self::invalidate_dep):
-    /// free the dependency's keys at the first alive node, gossip to
-    /// convergence (bounded, best-effort — an unconverged cluster still
-    /// self-heals on later rounds), and report the freed-key count the
-    /// same way a single-node front's purge does.
+    /// every member is scrubbed once it returns, so it answers with the
+    /// freed-key count the same way a single-node front's purge does.
     fn purge_dep(&self, dep: &str) -> Response {
         let Some(bem) = self.origin_bem.lock().clone() else {
             return Response::error(
@@ -473,113 +403,51 @@ impl RingCluster {
                 "dependency purge needs connect_origin on this cluster",
             );
         };
-        let Some(at) = self.alive().first().copied() else {
-            return Response::error(Status(503), "no alive cluster nodes");
-        };
-        let freed = self.invalidate_dep(&bem, at, dep);
-        for _ in 0..8 {
-            if self.converged() {
-                break;
-            }
-            self.gossip_round();
-        }
+        let freed = self.invalidate_dep(&bem, dep);
         Response::html(format!("purged {freed} keys"))
             .with_header("X-Cache", "purged")
             .with_header(PURGED_KEYS_HEADER, freed.to_string())
     }
 
-    /// Bridge the origin's invalidation path into the feed: installs an
-    /// [`dpc_core::InvalidationSink`] on `bem`, so data-source updates
-    /// arriving through the origin's update bus (`Bem::on_data_update`)
-    /// record their freed keys at an alive node exactly like
-    /// [`invalidate_dep`](Self::invalidate_dep) does. Without this bridge,
-    /// bus-driven invalidations free keys that no node ever scrubs,
-    /// leaving the cross-node reassignment hazard open on the standard
-    /// path. Events are dropped only when no node is alive (there is no
-    /// feed to record into — and no store holding stale slots to protect).
-    pub fn connect_origin(self: &Arc<Self>, bem: &Arc<dpc_core::Bem>) {
+    /// Wire the origin's invalidation path to the ring: installs an
+    /// [`dpc_core::InvalidationSink`] on `bem` (replacing any other), so
+    /// every data update arriving through the origin's update bus
+    /// (`Bem::on_data_update`) is applied to every member inside the
+    /// update, exactly like [`invalidate_dep`](Self::invalidate_dep).
+    pub fn connect_origin(self: &Arc<Self>, bem: &Arc<Bem>) {
         *self.origin_bem.lock() = Some(Arc::clone(bem));
         crate::metrics::register_bem(&self.registry, "origin/bem", Arc::clone(bem), None);
         let weak = Arc::downgrade(self);
         bem.set_invalidation_sink(Arc::new(move |dep, keys| {
-            let Some(cluster) = weak.upgrade() else {
-                return;
-            };
-            let Some(first_alive) = cluster.alive().first().copied() else {
-                return;
-            };
-            if let Some(peer) = cluster.peer(first_alive) {
-                peer.record_local(dep, keys.to_vec());
+            if let Some(cluster) = weak.upgrade() {
+                cluster.apply(dep, keys);
             }
         }));
     }
 
-    /// One anti-entropy round: every alive node exchanges with one random
-    /// alive peer, then truncates its feed below the watermark every alive
-    /// node's last-known vector dominates (so long-running clusters keep
-    /// bounded logs). Returns events moved (pulled + pushed across all
-    /// exchanges); a converged cluster moves 0.
+    /// Apply one invalidation, after the directory freed `keys`: scrub
+    /// them from every member's slot store (stamping their in-flight
+    /// fetches stale), then bump `dep`'s stripe of the ring-wide epoch
+    /// once, so exactly the tiered pages that read `dep` stop serving.
+    fn apply(&self, dep: &str, keys: &[DpcKey]) {
+        let peers: Vec<Arc<PeerNode>> = self
+            .nodes
+            .lock()
+            .values()
+            .map(|n| Arc::clone(&n.peer))
+            .collect();
+        for peer in &peers {
+            peer.scrub(keys);
+        }
+        self.coherence.bump_label(dep);
+    }
+
+    /// Does nothing and returns 0: every invalidation already reached
+    /// every member inside the update. Kept because the benchmark calls
+    /// it after each ring update; ROADMAP.md direction 4(b) removes it
+    /// with the benchmark's next revision.
     pub fn gossip_round(&self) -> usize {
-        let peers: Vec<(u32, Arc<PeerNode>)> = {
-            let nodes = self.nodes.lock();
-            let alive = self.shared.membership.lock().alive();
-            alive
-                .into_iter()
-                .filter_map(|id| nodes.get(&id).map(|n| (id, Arc::clone(&n.peer))))
-                .collect()
-        };
-        if peers.len() < 2 {
-            return 0;
-        }
-        let conn = self.net.connector();
-        let mut moved = 0;
-        for (id, peer) in &peers {
-            let partner = {
-                let mut rng = self.rng.lock();
-                loop {
-                    let pick = peers[rng.random_range(0..peers.len())].0;
-                    if pick != *id {
-                        break pick;
-                    }
-                }
-            };
-            if let Ok(outcome) = gossip_exchange(&conn, &peer_addr(partner), peer) {
-                moved += outcome.pulled + outcome.pushed;
-            }
-        }
-        // Watermark truncation: computed from the vectors the exchanges
-        // above just taught each node. Membership may have changed since
-        // `peers` was snapshotted, so re-read the alive set.
-        let alive = self.shared.membership.lock().alive();
-        for (_, peer) in &peers {
-            peer.truncate(&alive);
-        }
-        moved
-    }
-
-    /// Whether every alive node has applied the same event set.
-    pub fn converged(&self) -> bool {
-        let peers: Vec<Arc<PeerNode>> = {
-            let nodes = self.nodes.lock();
-            nodes.values().map(|n| Arc::clone(&n.peer)).collect()
-        };
-        let Some(first) = peers.first() else {
-            return true;
-        };
-        let vv = first.vv();
-        peers.iter().all(|p| p.vv() == vv)
-    }
-
-    /// Run gossip rounds until converged, returning how many were needed.
-    /// Panics after `max_rounds` (callers assert boundedness).
-    pub fn gossip_until_converged(&self, max_rounds: usize) -> usize {
-        for used in 0..=max_rounds {
-            if self.converged() {
-                return used;
-            }
-            self.gossip_round();
-        }
-        panic!("cluster did not converge within {max_rounds} gossip rounds");
+        0
     }
 }
 
@@ -774,17 +642,32 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_on_any_node_gossips_to_all() {
+    fn invalidate_dep_scrubs_every_node_at_once() {
         let (tb, cluster) = origin_and_cluster(4);
         // Warm all pages on their owners.
         for p in 0..12 {
             let _ = cluster.get(&page(p), None);
         }
         let before = cluster.get(&page(5), None).body.to_vec();
+        // Every node holds the fragment's slot once it has served page 5.
+        for id in cluster.alive() {
+            let _ = cluster.proxy(id).unwrap().serve(Request::get(page(5)));
+        }
+        let bem = tb.engine().bem();
+        let frag_key = dpc_appserver::apps::paper_site::fragment_key(5, 0);
+        let key = bem
+            .directory()
+            .current_key(&dpc_core::FragmentId::with_params(
+                "paperfrag",
+                &[("p", "5"), ("s", "0")],
+            ))
+            .expect("slot 0 of page 5 is cached");
+        for id in cluster.alive() {
+            assert!(cluster.peer(id).unwrap().store().get(key).is_some());
+        }
         // Content change via `seed` (which, unlike `update`, does not fire
         // the origin's update bus): the cluster-level API is the only
         // invalidation path in this test.
-        let frag_key = dpc_appserver::apps::paper_site::fragment_key(5, 0);
         let v = tb
             .engine()
             .repo()
@@ -797,43 +680,20 @@ mod tests {
             &frag_key,
             dpc_repository::Row::new().with("version", v + 1),
         );
-        // Issue the invalidation at an arbitrary cluster node.
-        let issued_at = cluster.alive()[2];
-        let n = cluster.invalidate_dep(
-            tb.engine().bem(),
-            issued_at,
-            &format!(
-                "paper/{}",
-                dpc_appserver::apps::paper_site::fragment_key(5, 0)
-            ),
-        );
+        let n = cluster.invalidate_dep(bem, &format!("paper/{frag_key}"));
         assert_eq!(n, 1, "slot 0 of page 5 was valid and dependent");
-        // Capture the freed keys before gossip: once the cluster converges,
-        // watermark truncation may drop the event from every log.
-        let event_keys: Vec<DpcKey> = cluster
-            .peer(issued_at)
-            .unwrap()
-            .delta_since(&dpc_cluster::VersionVector::new())
-            .into_iter()
-            .find(|e| e.origin == issued_at)
-            .expect("issuing node holds its own event")
-            .keys;
-        assert_eq!(event_keys.len(), 1);
-        // Bounded convergence, then: every node has the event, every store
-        // scrubbed the freed key.
-        let rounds = cluster.gossip_until_converged(8);
-        assert!(rounds <= 8);
+        // Right after the call, no node's store holds the freed key.
         for id in cluster.alive() {
             let peer = cluster.peer(id).unwrap();
-            assert_eq!(peer.vv().get(issued_at), 1, "node {id} missed the event");
             assert!(
-                peer.store().get(event_keys[0]).is_none(),
+                peer.store().get(key).is_none(),
                 "node {id} did not scrub the freed key"
             );
+            assert_eq!(peer.stats().slots_scrubbed.load(Ordering::Relaxed), 1);
         }
         // And the next serve regenerates fresh bytes.
         let after = cluster.get(&page(5), None).body.to_vec();
-        assert_ne!(before, after, "post-gossip serve must be fresh");
+        assert_ne!(before, after, "the serve after the call must be fresh");
     }
 
     #[test]
@@ -868,9 +728,8 @@ mod tests {
         );
         let before = warm.body.to_vec();
         // Content change via `seed` (no update bus: the cluster API is the
-        // only invalidation path here), then invalidate at a node that does
-        // NOT own the page — the shared epoch must still unserve the
-        // owner's cached copy immediately, before any gossip round.
+        // only invalidation path here), then invalidate: the shared epoch
+        // must unserve the owner's cached copy on its next touch.
         let frag_key = dpc_appserver::apps::paper_site::fragment_key(5, 0);
         let v = tb
             .engine()
@@ -884,13 +743,7 @@ mod tests {
             &frag_key,
             dpc_repository::Row::new().with("version", v + 1),
         );
-        let owner = cluster.owner_of(&page(5)).unwrap();
-        let elsewhere = cluster
-            .alive()
-            .into_iter()
-            .find(|id| *id != owner)
-            .expect("4 nodes");
-        let n = cluster.invalidate_dep(tb.engine().bem(), elsewhere, &format!("paper/{frag_key}"));
+        let n = cluster.invalidate_dep(tb.engine().bem(), &format!("paper/{frag_key}"));
         assert_eq!(n, 1);
         let after = cluster.get(&page(5), None);
         assert_ne!(
@@ -898,9 +751,8 @@ mod tests {
             before,
             "the owner's cached page must self-evict on the first post-invalidation touch"
         );
-        // After gossip convergence, no node can produce the stale bytes —
-        // neither from its page cache nor from its scrubbed slot store.
-        cluster.gossip_until_converged(8);
+        // No node can produce the stale bytes — neither from its page
+        // cache nor from its scrubbed slot store.
         for id in cluster.alive() {
             let proxy = cluster.proxy(id).unwrap();
             let resp = proxy.serve(Request::get(page(5)));
@@ -945,9 +797,8 @@ mod tests {
             assert_eq!(r.body, first.body, "tier serves identical bytes");
             assert_eq!(r.headers.get("x-cache"), Some("dpc-l2"));
         }
-        // Invalidate the page's fragment at a node that does not own it;
-        // the owner's tiered page must stop serving before any gossip
-        // round — the shared epoch is the only signal.
+        // Invalidate the page's fragment: the owner's tiered page must stop
+        // serving — the shared epoch is the only signal.
         let frag_key = dpc_appserver::apps::paper_site::fragment_key(3, 0);
         let v = tb
             .engine()
@@ -961,13 +812,7 @@ mod tests {
             &frag_key,
             dpc_repository::Row::new().with("version", v + 1),
         );
-        let owner = cluster.owner_of(&page(3)).unwrap();
-        let at = cluster
-            .alive()
-            .into_iter()
-            .find(|id| *id != owner)
-            .expect("3 nodes");
-        let n = cluster.invalidate_dep(tb.engine().bem(), at, &format!("paper/{frag_key}"));
+        let n = cluster.invalidate_dep(tb.engine().bem(), &format!("paper/{frag_key}"));
         assert_eq!(n, 1);
         let fresh = get();
         assert_eq!(fresh.headers.get("x-cache"), Some("dpc-assembled"));
@@ -978,64 +823,7 @@ mod tests {
     }
 
     #[test]
-    fn graceful_leave_flushes_events_crash_does_not() {
-        let (tb, cluster) = origin_and_cluster(4);
-        for p in 0..12 {
-            let _ = cluster.get(&page(p), None);
-        }
-        let bem = tb.engine().bem();
-        let ids = cluster.alive();
-        // Node ids[1] records an event, then leaves gracefully: the event
-        // must survive on some survivor and still converge.
-        let n = cluster.invalidate_dep(
-            bem,
-            ids[1],
-            &format!(
-                "paper/{}",
-                dpc_appserver::apps::paper_site::fragment_key(1, 1)
-            ),
-        );
-        assert!(n > 0, "slot 1 of page 1 was valid");
-        let leaver = ids[1];
-        assert!(cluster.leave(leaver));
-        assert!(!cluster.leave(leaver), "double leave is a no-op");
-        cluster.gossip_until_converged(8);
-        for id in cluster.alive() {
-            assert_eq!(
-                cluster.peer(id).unwrap().vv().get(leaver),
-                1,
-                "flushed event lost at node {id}"
-            );
-        }
-        // A crash, by contrast, loses its un-gossiped event.
-        let ids = cluster.alive();
-        let n = cluster.invalidate_dep(
-            bem,
-            ids[0],
-            &format!(
-                "paper/{}",
-                dpc_appserver::apps::paper_site::fragment_key(2, 1)
-            ),
-        );
-        assert!(n > 0);
-        let victim = ids[0];
-        assert!(cluster.fail(victim));
-        cluster.gossip_until_converged(8);
-        for id in cluster.alive() {
-            assert_eq!(
-                cluster.peer(id).unwrap().vv().get(victim),
-                0,
-                "a crash must not flush (node {id})"
-            );
-        }
-        // Correctness is unharmed either way: pages still serve fresh.
-        for p in 0..12 {
-            assert_eq!(cluster.get(&page(p), None).status.0, 200);
-        }
-    }
-
-    #[test]
-    fn origin_bus_invalidations_enter_the_feed() {
+    fn origin_bus_invalidations_scrub_every_node() {
         let (tb, cluster) = origin_and_cluster(4);
         let cluster = Arc::new(cluster);
         cluster.connect_origin(tb.engine().bem());
@@ -1043,31 +831,27 @@ mod tests {
             let _ = cluster.get(&page(p), None);
         }
         let before = cluster.get(&page(7), None).body.to_vec();
-        // The standard invalidation path: a repository update fires the
-        // origin's bus, which frees keys at the BEM — the bridge must turn
-        // that into a feed event with those keys.
-        dpc_appserver::apps::paper_site::invalidate_fragment(tb.engine().repo(), 7, 0);
-        let recorder = cluster.alive()[0];
-        let events = cluster
-            .peer(recorder)
-            .unwrap()
-            .delta_since(&dpc_cluster::VersionVector::new());
-        let event = events
-            .iter()
-            .find(|e| e.origin == recorder && e.dep.contains("p7-f0"))
-            .expect("bus invalidation must be recorded in the feed");
-        assert!(!event.keys.is_empty(), "event must carry the freed keys");
-        // It gossips and every node scrubs, like any cluster-issued event.
-        cluster.gossip_until_converged(8);
         for id in cluster.alive() {
-            let peer = cluster.peer(id).unwrap();
-            assert!(peer.vv().get(recorder) >= 1);
-            for key in &event.keys {
-                assert!(
-                    peer.store().get(*key).is_none(),
-                    "node {id} kept a freed key"
-                );
-            }
+            let _ = cluster.proxy(id).unwrap().serve(Request::get(page(7)));
+        }
+        let key = tb
+            .engine()
+            .bem()
+            .directory()
+            .current_key(&dpc_core::FragmentId::with_params(
+                "paperfrag",
+                &[("p", "7"), ("s", "0")],
+            ))
+            .expect("slot 0 of page 7 is cached");
+        // The standard invalidation path: a repository update fires the
+        // origin's bus, which frees keys at the BEM, whose sink scrubs
+        // every member before the update returns.
+        dpc_appserver::apps::paper_site::invalidate_fragment(tb.engine().repo(), 7, 0);
+        for id in cluster.alive() {
+            assert!(
+                cluster.peer(id).unwrap().store().get(key).is_none(),
+                "node {id} kept a freed key"
+            );
         }
         let after = cluster.get(&page(7), None).body.to_vec();
         assert_ne!(before, after, "bus-invalidated content must refresh");
@@ -1092,7 +876,6 @@ mod tests {
         for p in 0..12 {
             assert_eq!(cluster.get(&page(p), None).status.0, 200, "page {p}");
         }
-        assert!(cluster.converged());
     }
 
     #[test]

@@ -77,7 +77,11 @@ pub struct TestbedConfig {
     /// from there. `0` (the default) leaves the tier off: every request
     /// reassembles — the classic paper pipeline. The value is not a size
     /// (the page cache counts pages); the field keeps its name because
-    /// the benchmark sets it.
+    /// the benchmark sets it. A testbed that serves as a ring's origin
+    /// keeps it at `0`: [`RingCluster::connect_origin`] takes over the
+    /// BEM's invalidation sink, through which this tier learns of updates.
+    ///
+    /// [`RingCluster::connect_origin`]: crate::ring_cluster::RingCluster::connect_origin
     pub l1_budget_bytes: usize,
 }
 
@@ -174,35 +178,29 @@ impl Testbed {
         let firewall = Arc::new(Firewall::with_default_rules());
         let store = Arc::new(FragmentStore::new(config.capacity));
         let tier_on = config.l1_budget_bytes > 0 && config.mode == ProxyMode::Dpc;
-        // One striped epoch covers the whole node. Every label an origin
-        // data update publishes bumps its stripe, after the BEM's own
-        // invalidation (subscribed first), so exactly the stamped pages
+        // One striped epoch covers the whole node. The BEM's invalidation
+        // sink bumps the updated label's stripe on every data update, after
+        // the directory freed the label's keys, so exactly the stamped pages
         // that read the row, of every session, self-evict on their next
         // touch, and a page whose read set is unknown dies with any update.
         // The invalidation path stays O(1) and never enumerates pages or
-        // sessions. The admin dependency purge (`PURGE` + `X-DPC-Dep`)
-        // bumps its dep's stripe the same way, so it also kills the
-        // session-qualified tiered pages that read the dep.
+        // sessions. A ring connected to this BEM
+        // (`RingCluster::connect_origin`) replaces the sink, so a ring's
+        // origin testbed keeps its own tier off.
         let epoch = tier_on.then(CoherencyEpoch::new);
         if let Some(epoch) = &epoch {
             let epoch = epoch.clone();
-            repo.bus().subscribe(move |dep| {
+            bem.set_invalidation_sink(Arc::new(move |dep, _keys| {
                 epoch.bump_label(dep);
-            });
+            }));
         }
-        // Admin purge-by-dependency: free every directory key registered
-        // under the dependency and bump its stripe so tiered session pages
+        // Admin purge-by-dependency (`PURGE` + `X-DPC-Dep`) is an update of
+        // the dep: it frees every directory key registered under it and
+        // bumps its stripe through the same sink, so tiered session pages
         // built from those fragments stop serving too.
         let dep_purger: DepPurger = {
             let bem = Arc::clone(&bem);
-            let epoch = epoch.clone();
-            Arc::new(move |dep: &str| {
-                let freed = bem.directory().invalidate_dep_keys(dep).len();
-                if let Some(epoch) = &epoch {
-                    epoch.bump_label(dep);
-                }
-                freed
-            })
+            Arc::new(move |dep: &str| bem.on_data_update(dep))
         };
         let proxy = node::build(NodeSpec {
             mode: config.mode,

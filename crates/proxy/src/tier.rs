@@ -69,8 +69,8 @@ pub struct Page {
     /// The coherency-epoch sequence captured *before* the page was
     /// assembled, with the stripes of what the page read. A page is only a
     /// hit while the epoch validates it: a data update or dependency purge
-    /// of something it read, or any coarse bump (a bare-target purge, a
-    /// gossip scrub), makes it stale; a page whose read set is unknown is
+    /// of something it read, or any coarse bump (a bare-target purge),
+    /// makes it stale; a page whose read set is unknown is
     /// stale after any bump at all. `None` for classic page-cache entries,
     /// which rely on `PURGE` + TTL alone (a global stamp would
     /// over-invalidate the baseline).

@@ -1,21 +1,16 @@
-//! Membership-churn property test (satellite of the cluster tentpole).
+//! Membership-churn property test.
 //!
 //! A seeded loop interleaves join / leave / fail / GET (whose misses are
 //! the cluster's `SET` traffic) / cluster-level invalidation against a
 //! single-node oracle — a bypass fetch straight to the origin, which
 //! expands every page fresh per request.
 //!
-//! Admissible outcomes, not a fixed trace (concurrent-system testing à la
-//! determination provenance): between an invalidation and its gossip
-//! convergence, a node that has not applied the event yet may legally
-//! serve the *previous* version of the one changed fragment, so a page
-//! observed in that window must equal either the old or the new oracle
-//! bytes. The central assertion is the feed's contract: **once the
-//! invalidation has gossiped (vectors converged), no stale fragment is
-//! ever served again** — every post-convergence GET must be byte-exact
-//! fresh. Convergence itself must come within a bounded number of rounds,
-//! and the directory's per-fragment epoch must strictly grow across each
-//! invalidate → regenerate cycle.
+//! The contract is byte-exact: every GET must equal the fresh oracle,
+//! including the GETs right after an invalidation. `invalidate_dep` frees
+//! the keys at the directory and scrubs every member before it returns,
+//! so no node may serve a fragment's previous version, not even for a
+//! moment. The directory's per-fragment epoch must also strictly grow
+//! across each invalidate → regenerate cycle.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -32,8 +27,6 @@ use dpc_proxy::testbed::{Testbed, TestbedConfig, ORIGIN_ADDR};
 const PAGES: usize = 10;
 const SLOTS: usize = 4;
 const STEPS: usize = 220;
-/// Gossip rounds allowed for convergence after each invalidation.
-const ROUND_BUDGET: usize = 10;
 /// Join budget: keeps the run inside the fresh-id space so this test
 /// stays about churn semantics (id *recycling* past 64 joins is covered
 /// by `node_ids_recycle_after_the_64_id_space_is_spent`).
@@ -90,27 +83,18 @@ fn run_churn(seed: u64) {
         paper_params: params(),
         ..TestbedConfig::default()
     });
-    let cluster = RingCluster::new(
-        tb.net(),
-        4,
-        RingConfig {
-            seed,
-            ..RingConfig::default()
-        },
-    );
+    let cluster = RingCluster::new(tb.net(), 4, RingConfig::default());
     let oracle_client = Client::new(std::sync::Arc::new(tb.net().connector()));
     let bem = tb.engine().bem();
     let mut rng = StdRng::seed_from_u64(seed);
 
-    // Current oracle bytes per page, plus the admissible stale set while an
-    // invalidation is still gossiping (cleared at convergence).
+    // Current oracle bytes per page.
     let mut fresh: Vec<Vec<u8>> = (0..PAGES).map(|p| oracle(&oracle_client, p)).collect();
-    let mut in_window: HashMap<usize, Vec<u8>> = HashMap::new();
     // Highest directory epoch seen per fragment: must strictly grow across
     // invalidate → regenerate cycles.
     let mut last_epoch: HashMap<(usize, usize), u64> = HashMap::new();
     let mut joins = 0usize;
-    let mut stale_window_serves = 0usize;
+    let mut invalidations = 0usize;
 
     for step in 0..STEPS {
         match rng.random_range(0..100u32) {
@@ -119,36 +103,22 @@ fn run_churn(seed: u64) {
                 let p = rng.random_range(0..PAGES);
                 let resp = cluster.get(&page(p), None);
                 assert_eq!(resp.status.0, 200, "seed {seed} step {step} page {p}");
-                let body = resp.body.to_vec();
-                if body == fresh[p] {
-                    // Byte-exact against the oracle.
-                } else if in_window.get(&p) == Some(&body) {
-                    // Admissible: the invalidation has not finished
-                    // gossiping, and this node served the previous version.
-                    stale_window_serves += 1;
-                } else {
-                    panic!(
-                        "seed {seed} step {step}: page {p} diverged from both \
-                         the fresh oracle and the admissible stale version"
-                    );
-                }
+                assert!(
+                    resp.body.to_vec() == fresh[p],
+                    "seed {seed} step {step}: page {p} differs from the fresh oracle"
+                );
             }
-            // Cluster-level invalidation at a random node, then bounded
-            // gossip convergence. A couple of in-window GETs first.
+            // Cluster-level invalidation, then GETs of the page right away:
+            // each must be the fresh render.
             60..=79 => {
                 let p = rng.random_range(0..PAGES);
                 let s = rng.random_range(0..SLOTS);
-                let old = fresh[p].clone();
                 bump_version(&tb, p, s);
-                let at = {
-                    let alive = cluster.alive();
-                    alive[rng.random_range(0..alive.len())]
-                };
                 let dep = format!("paper/{}", fragment_key(p, s));
                 let epoch_before = bem.directory().fragment_epoch(&frag_id(p, s));
-                let n = cluster.invalidate_dep(bem, at, &dep);
-                // The fragment may not be cached yet (page never served);
-                // the event still gossips either way.
+                let n = cluster.invalidate_dep(bem, &dep);
+                invalidations += 1;
+                // The fragment may not be cached yet (page never served).
                 assert!(n <= 1, "one dep maps to one fragment");
                 assert_eq!(
                     bem.directory().fragment_epoch(&frag_id(p, s)),
@@ -156,37 +126,20 @@ fn run_churn(seed: u64) {
                     "invalidated fragment must have no epoch"
                 );
                 fresh[p] = oracle(&oracle_client, p);
-                in_window.insert(p, old);
-                // In-window traffic: stale serves are admissible here.
-                for _ in 0..rng.random_range(0..3u32) {
+                for i in 0..1 + rng.random_range(0..3u32) {
                     let resp = cluster.get(&page(p), None);
-                    let body = resp.body.to_vec();
-                    if body != fresh[p] {
-                        assert_eq!(
-                            Some(&body),
-                            in_window.get(&p),
-                            "seed {seed} step {step}: in-window page {p} must be \
-                             old or new, nothing else"
-                        );
-                        stale_window_serves += 1;
-                    }
+                    assert_eq!(resp.status.0, 200, "seed {seed} step {step}");
+                    assert!(
+                        resp.body.to_vec() == fresh[p],
+                        "seed {seed} step {step}: GET {i} of page {p} after its \
+                         invalidation is not the fresh render"
+                    );
                 }
-                // Convergence is bounded; after it, stale is forbidden.
-                let rounds = cluster.gossip_until_converged(ROUND_BUDGET);
-                assert!(rounds <= ROUND_BUDGET, "seed {seed} step {step}");
-                in_window.clear();
-                let resp = cluster.get(&page(p), None);
-                assert_eq!(
-                    resp.body.to_vec(),
-                    fresh[p],
-                    "seed {seed} step {step}: stale fragment served after its \
-                     invalidation gossiped"
-                );
                 // Epoch strictly grows across the regenerate.
                 let epoch_after = bem
                     .directory()
                     .fragment_epoch(&frag_id(p, s))
-                    .expect("fragment regenerated by the post-convergence GET");
+                    .expect("fragment regenerated by the GET after the invalidation");
                 if let Some(before) = epoch_before {
                     assert!(
                         epoch_after > before,
@@ -214,9 +167,7 @@ fn run_churn(seed: u64) {
                     assert!(cluster.leave(victim));
                 }
             }
-            // Crash. Safe for the oracle because every invalidation above
-            // converges before the next op, so no un-gossiped event can be
-            // lost with the node.
+            // Crash. Only the node's slot store goes with it.
             _ => {
                 let alive = cluster.alive();
                 if alive.len() > 1 {
@@ -228,17 +179,14 @@ fn run_churn(seed: u64) {
     }
 
     bem.directory().check_invariants().unwrap();
-    assert!(cluster.converged(), "seed {seed}: cluster ended diverged");
     assert!(!cluster.alive().is_empty());
     // The run must have exercised the machinery it claims to test.
     let stats = bem.directory_stats();
     assert!(stats.invalidations > 0, "seed {seed}: no invalidations ran");
     assert!(stats.hits > 0 && stats.misses > 0);
     println!(
-        "seed {seed}: {} joins, {} alive at end, {} admissible in-window stale serves",
-        joins,
+        "seed {seed}: {joins} joins, {invalidations} invalidations, {} alive at end",
         cluster.alive().len(),
-        stale_window_serves
     );
 }
 
@@ -250,4 +198,14 @@ fn churn_preserves_correctness_seed_a() {
 #[test]
 fn churn_preserves_correctness_seed_b() {
     run_churn(0xB0B5);
+}
+
+/// The same loop over seeds 1–50:
+/// `cargo test -p dpc-proxy --test cluster_churn -- --ignored`.
+#[test]
+#[ignore = "sweep over 50 seeds; CI runs it on its own step"]
+fn churn_preserves_correctness_over_fifty_seeds() {
+    for seed in 1..=50 {
+        run_churn(seed);
+    }
 }

@@ -92,13 +92,13 @@ fn serve_tiered(
 fn crowd_with_tier_resident_page_sees_no_stale_bytes_after_invalidation() {
     let epoch = CoherencyEpoch::new();
     let bem = Arc::new(Bem::new(BemConfig::default().with_capacity(CAP)));
-    // The standard wiring: the BEM's invalidation path bumps the tier
-    // epoch, exactly as the testbed's bus subscription and the ring
-    // cluster's gossip scrub do.
+    // The standard wiring: the BEM's invalidation sink bumps the updated
+    // dep's stripe of the tier epoch, as the testbed and the ring install
+    // it.
     bem.set_invalidation_sink(Arc::new({
         let epoch = epoch.clone();
-        move |_dep: &str, _keys: &[DpcKey]| {
-            epoch.bump();
+        move |dep: &str, _keys: &[DpcKey]| {
+            epoch.bump_label(dep);
         }
     }));
     let store = Arc::new(FragmentStore::new(CAP));

@@ -10,8 +10,8 @@
 //!   per-outcome request-latency histograms, and each front reports its
 //!   worker-pool size (0 for the inline origin).
 //! * Purge-by-dependency — `PURGE` + `X-DPC-Dep` frees the dependency's
-//!   keys, reports the count, and on the ring converges the event to
-//!   every node before answering.
+//!   keys, reports the count, and on the ring scrubs every node before
+//!   answering.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -368,11 +368,22 @@ fn bem_counts_the_keys_a_refresh_names_after_a_late_scrub() {
     });
     let cluster = Arc::new(RingCluster::new(tb.net(), 3, RingConfig::default()));
     cluster.connect_origin(tb.engine().bem());
-    // Node 0 records bus invalidations and scrubs them at once; another
-    // owner learns them by gossip, here after it has regenerated.
+    // The update scrubs every node at once; a scrub that lands late, after
+    // the owner has regenerated, is staged by hand below.
     let p = (0..12)
         .find(|p| cluster.owner_of(&page(*p)) != Some(0))
         .unwrap();
+    let owner = cluster.owner_of(&page(p)).unwrap();
+    let key = || {
+        tb.engine()
+            .bem()
+            .directory()
+            .current_key(&dpc_core::FragmentId::with_params(
+                "paperfrag",
+                &[("p", &p.to_string()), ("s", "0")],
+            ))
+            .expect("slot 0 is cached")
+    };
     let scrape = |name: &str| {
         let resp = cluster.serve(Request::get("/_dpc/metrics"));
         let body = std::str::from_utf8(&resp.body.to_vec()).unwrap().to_owned();
@@ -381,7 +392,11 @@ fn bem_counts_the_keys_a_refresh_names_after_a_late_scrub() {
     let _ = cluster.get(&page(p), None);
     paper_site::invalidate_fragment(tb.engine().repo(), p, 0);
     let _ = cluster.get(&page(p), None);
-    cluster.gossip_until_converged(8);
+    let store = cluster.proxy(owner).unwrap().store().clone();
+    assert!(
+        store.clear_key(key()),
+        "the late scrub empties the new bytes"
+    );
     assert_eq!(scrape("dpc_bem_missing_keys_total"), 0.0);
     assert_eq!(scrape("dpc_proxy_refresh_refetches_total"), 0.0);
 
@@ -518,7 +533,7 @@ fn purge_by_dependency_reports_freed_keys_and_unserves_the_tier() {
 }
 
 #[test]
-fn ring_purge_by_dependency_gossips_to_every_node() {
+fn ring_purge_by_dependency_scrubs_every_node() {
     let tb = Testbed::build(TestbedConfig {
         mode: ProxyMode::Dpc,
         paper_params: params(),
@@ -533,6 +548,19 @@ fn ring_purge_by_dependency_gossips_to_every_node() {
             .unwrap();
     }
     let before = cluster.get(&page(5), None).body.to_vec();
+    // Every node holds the fragment's slot once it has served page 5.
+    for id in cluster.alive() {
+        let _ = cluster.proxy(id).unwrap().serve(Request::get(page(5)));
+    }
+    let key = tb
+        .engine()
+        .bem()
+        .directory()
+        .current_key(&dpc_core::FragmentId::with_params(
+            "paperfrag",
+            &[("p", "5"), ("s", "0")],
+        ))
+        .expect("slot 0 of page 5 is cached");
 
     let frag_key = paper_site::fragment_key(5, 0);
     let v = tb
@@ -561,15 +589,15 @@ fn ring_purge_by_dependency_gossips_to_every_node() {
     assert_eq!(resp.headers.get("X-DPC-Purged-Keys"), Some("1"));
     assert_eq!(resp.headers.get("X-Cache"), Some("purged"));
 
-    // The purge converged the feed before answering: every node applied
-    // the issuing node's event, and none can serve the stale bytes.
-    let issuer = cluster.alive()[0];
-    assert!(cluster.converged(), "purge must gossip to convergence");
+    // The purge scrubbed every node before answering: no store holds the
+    // freed key, and none can serve the stale bytes.
     for id in cluster.alive() {
         assert!(
-            cluster.peer(id).unwrap().vv().get(issuer) >= 1,
-            "node {id} missed the purge event"
+            cluster.peer(id).unwrap().store().get(key).is_none(),
+            "node {id} kept the purged key"
         );
+    }
+    for id in cluster.alive() {
         let resp = cluster.proxy(id).unwrap().serve(Request::get(page(5)));
         assert_eq!(resp.status.0, 200);
         assert_ne!(resp.body.to_vec(), before, "node {id} served stale bytes");

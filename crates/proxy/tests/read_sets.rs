@@ -13,6 +13,9 @@
 //! * **A crowd racing an update** never sees the page's old bytes once the
 //!   update has returned, while a page that did not read the row keeps
 //!   serving from the tier.
+//! * **A ring member's tier** follows the same rule: the origin's
+//!   invalidation sink bumps the updated row's stripe on every update,
+//!   also one that frees no directory key.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -28,7 +31,7 @@ use dpc_metrics::Registry;
 use dpc_net::{Clock, MeterRegistry, ProtocolModel, SimNetwork};
 use dpc_proxy::node::{self, NodeSpec};
 use dpc_proxy::testbed::{Testbed, TestbedConfig, ORIGIN_ADDR, PROXY_ADDR};
-use dpc_proxy::ProxyMode;
+use dpc_proxy::{ProxyMode, RingCluster, RingConfig};
 use dpc_repository::datasets::DatasetConfig;
 use dpc_repository::Repository;
 use dpc_trace::Tracer;
@@ -377,4 +380,63 @@ fn crowd_reading_a_page_while_a_row_it_read_changes_never_sees_its_old_bytes() {
         );
     }
     assert_eq!(tb.proxy().page_cache().stats().coarse_installs, 0);
+}
+
+/// A tiered ring unserves a page after an update to any row it read, and
+/// only then. Slot 3 is uncacheable, so an update to its row frees no
+/// directory key and only the read set can tell the page is outdated.
+#[test]
+fn a_ring_members_tier_unserves_a_page_after_an_update_to_any_row_it_read() {
+    let origin = Testbed::build(TestbedConfig {
+        mode: ProxyMode::Dpc,
+        paper_params: params(),
+        ..TestbedConfig::default()
+    });
+    let oracle = Testbed::build(TestbedConfig {
+        mode: ProxyMode::PassThrough,
+        paper_params: params(),
+        ..TestbedConfig::default()
+    });
+    let ring = Arc::new(RingCluster::new(
+        origin.net(),
+        3,
+        RingConfig {
+            page_tier: true,
+            ..RingConfig::default()
+        },
+    ));
+    ring.connect_origin(origin.engine().bem());
+    let tiered_page_1 = || {
+        let _ = ring.get(&page(1), None);
+        let resp = ring.get(&page(1), None);
+        assert_eq!(resp.headers.get("x-cache"), Some("dpc-l2"));
+        resp.body.to_vec()
+    };
+    let update = |p: usize, slot: usize| {
+        paper_site::invalidate_fragment(origin.engine().repo(), p, slot);
+        paper_site::invalidate_fragment(oracle.engine().repo(), p, slot);
+    };
+
+    for (slot, what) in [(3, "uncacheable slot 3"), (0, "cacheable slot 0")] {
+        let before = tiered_page_1();
+        update(1, slot);
+        let resp = ring.get(&page(1), None);
+        let truth = oracle.get(&page(1), None).body.to_vec();
+        assert!(truth != before, "{what}: the update changed the page");
+        assert!(
+            resp.body.to_vec() == truth,
+            "{what}: the ring served page 1 from before the update ({:?})",
+            resp.headers.get("x-cache")
+        );
+        assert_eq!(resp.headers.get("x-cache"), Some("dpc-assembled"), "{what}");
+    }
+
+    // A row page 1 never read: its tiered page keeps serving, so the bump
+    // went to the row's stripe, not to the whole ring.
+    let before = tiered_page_1();
+    update(2, 0);
+    let resp = ring.get(&page(1), None);
+    assert_eq!(resp.headers.get("x-cache"), Some("dpc-l2"));
+    assert!(resp.body.to_vec() == before);
+    assert!(before == oracle.get(&page(1), None).body.to_vec());
 }

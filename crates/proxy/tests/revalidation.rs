@@ -6,11 +6,6 @@
 //!   leg answers (the page tier, or the assembling handler), and an
 //!   invalidation flips the ETag so the next conditional GET ships the
 //!   full regenerated body, byte-exact.
-//! * Peer leg — a conditional `FetchReq` carrying the requester's held
-//!   identity comes back as a hash-only `FetchNotModified` frame when the
-//!   donor's slot is unchanged, and as the full body after a gossiped
-//!   invalidation scrubs the requester — with the donor's wire meter
-//!   counting exactly one of {hit, miss, not_modified} per fetch.
 //! * Allocation pin — the 304 serve on the hottest path (a page-tier hit
 //!   through `Proxy::serve`) allocates no body-sized memory: a
 //!   thread-tracking allocator bounds the bytes allocated while serving a
@@ -21,12 +16,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use dpc_appserver::apps::paper_site::{self, PaperSiteParams};
-use dpc_cluster::{
-    gossip_exchange, peer_addr, peer_fetch_conditional, PeerFetch, PeerNode, PeerServer,
-};
-use dpc_core::{content_hash, DpcKey, FragmentStore};
 use dpc_http::{Client, Method, Request, Response};
-use dpc_net::SimNetwork;
 use dpc_proxy::testbed::{Testbed, TestbedConfig, PROXY_ADDR};
 use dpc_proxy::ProxyMode;
 
@@ -333,83 +323,6 @@ fn invalidation_flips_the_etag_and_reships_the_body() {
         )
         .unwrap();
     assert_eq!(resp.status.0, 304);
-}
-
-/// The peer leg: a conditional `FetchReq` carrying the held identity is
-/// answered hash-only while the donor's slot is unchanged; after an
-/// invalidation gossips to convergence (scrubbing the requester's slot),
-/// the same held identity is outdated and the donor ships the fresh body.
-/// The donor's meter counts each wire fetch in exactly one bucket, so
-/// `fetch_hits + fetch_misses` remains "bodies moved (or absent)" per the
-/// coalescing contract.
-#[test]
-fn peer_leg_serves_not_modified_until_gossip_scrubs_the_slot() {
-    let net = SimNetwork::with_defaults();
-    let donor = PeerNode::new(0, Arc::new(FragmentStore::new(64)));
-    let _donor_server = PeerServer::spawn(&net, &donor);
-    let requester = PeerNode::new(1, Arc::new(FragmentStore::new(64)));
-    let _requester_server = PeerServer::spawn(&net, &requester);
-    let conn = net.connector();
-
-    donor
-        .store()
-        .set(DpcKey(7), Bytes::from_static(b"fragment-v1"));
-    requester
-        .store()
-        .set(DpcKey(7), Bytes::from_static(b"fragment-v1"));
-    let held = content_hash(b"fragment-v1");
-
-    // Unchanged slot: the identity matches and only the hash moves.
-    assert_eq!(
-        peer_fetch_conditional(&conn, &peer_addr(0), DpcKey(7), held).unwrap(),
-        PeerFetch::NotModified
-    );
-
-    // The donor invalidates (recording the event for gossip) and
-    // regenerates the fragment with new content.
-    donor.record_local("tbl/dep", vec![DpcKey(7)]);
-    donor
-        .store()
-        .set(DpcKey(7), Bytes::from_static(b"fragment-v2"));
-
-    // Anti-entropy converges the event to the requester, scrubbing its
-    // now-outdated slot.
-    let mut rounds = 0;
-    while requester.vv().get(0) < 1 {
-        gossip_exchange(&conn, &peer_addr(0), &requester).unwrap();
-        rounds += 1;
-        assert!(rounds < 8, "gossip never converged");
-    }
-    assert!(
-        requester.store().get(DpcKey(7)).is_none(),
-        "gossip scrub frees the requester's slot"
-    );
-
-    // The held identity predates the invalidation: the donor ships the
-    // fresh body. Revalidating with the *current* identity is hash-only
-    // again.
-    assert_eq!(
-        peer_fetch_conditional(&conn, &peer_addr(0), DpcKey(7), held).unwrap(),
-        PeerFetch::Fetched(Bytes::from_static(b"fragment-v2"))
-    );
-    assert_eq!(
-        peer_fetch_conditional(
-            &conn,
-            &peer_addr(0),
-            DpcKey(7),
-            content_hash(b"fragment-v2")
-        )
-        .unwrap(),
-        PeerFetch::NotModified
-    );
-
-    // Meter contract: three wire fetches, each in exactly one bucket —
-    // one body moved, two hash-only.
-    let stats = donor.stats();
-    use std::sync::atomic::Ordering;
-    assert_eq!(stats.fetch_hits.load(Ordering::Relaxed), 1);
-    assert_eq!(stats.fetch_misses.load(Ordering::Relaxed), 0);
-    assert_eq!(stats.fetch_not_modified.load(Ordering::Relaxed), 2);
 }
 
 /// The allocation pin: serving a 304 through `Proxy::serve` from the page

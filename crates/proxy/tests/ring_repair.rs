@@ -5,16 +5,19 @@
 //! slot holds that entry's bytes, or is empty". Each test drives one way
 //! that promise used to break:
 //!
-//! * a gossip scrub that lands after the slot was regenerated empties it
-//!   behind the bit — one refresh naming the key must repair it for
-//!   good, not a bypass on every request until the next update;
+//! * a scrub that lands after the slot was regenerated empties it behind
+//!   the bit — one refresh naming the key must repair it for good, not a
+//!   bypass on every request until the next update;
 //! * a page returning to its old owner must not splice the old owner's
-//!   pre-update copy of a reused key;
+//!   pre-update copy of a reused key, were a scrub ever to miss it;
 //! * an assembly that stops on an empty slot must still install every
 //!   `SET` its template carried, because the BEM already set their bits.
 //!
-//! Every page is checked against a pass-through testbed that receives the
-//! same updates.
+//! The ring scrubs every member inside the update, so the tests stage the
+//! late or missing scrub by hand: `FragmentStore::clear_key` empties a
+//! slot behind its bit, and a re-`set` puts a pre-update copy back. Every
+//! page is checked against a pass-through testbed that receives the same
+//! updates.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -54,8 +57,7 @@ fn world() -> World {
         ..TestbedConfig::default()
     });
     let cluster = Arc::new(RingCluster::new(tb.net(), 3, RingConfig::default()));
-    // Bus invalidations are recorded, and scrubbed at once, at node 0;
-    // every other node learns them by gossip.
+    // Bus invalidations scrub every member before the update returns.
     cluster.connect_origin(tb.engine().bem());
     World {
         tb,
@@ -116,8 +118,7 @@ impl World {
             .expect("fragment is valid")
     }
 
-    /// The first page node 0 does not own: node 0 scrubs bus events at
-    /// once, so only another owner can see a scrub late.
+    /// The first page node 0 does not own.
     fn page_not_at_node_0(&self) -> usize {
         (0..PAGES)
             .find(|p| self.cluster.owner_of(&target(*p)) != Some(0))
@@ -151,10 +152,9 @@ fn late_scrub_is_repaired_by_one_refresh() {
     let key = w.key(p, 0);
     assert_eq!(key, old_key, "the freed key is reused");
     assert!(store.get(key).is_some());
-    // The scrub for the *old* entry arrives now and empties the new
-    // bytes, while the owner's stored bit stays set.
-    w.cluster.gossip_until_converged(8);
-    assert!(store.get(key).is_none(), "the late scrub emptied the slot");
+    // The scrub for the *old* entry lands late and empties the new bytes,
+    // while the owner's stored bit stays set.
+    assert!(store.clear_key(key), "the late scrub emptied the slot");
 
     let origin_before = w.tb.origin_requests();
     let (refreshes, bypasses) = w.ladder(owner);
@@ -198,19 +198,21 @@ fn ownership_return_never_splices_the_old_owners_copy() {
     assert!(moved.headers.get("X-DPC-Peer-Fetched").is_some());
     assert_page(&moved, &w.truth(p), "handoff");
 
-    // Update and regenerate at the newcomer, which then leaves before any
-    // gossip round: the old owner still holds the pre-update bytes under
-    // the reused key.
+    // Update and regenerate at the newcomer, which then leaves. Had the
+    // scrub missed the old owner, it would still hold the pre-update bytes
+    // under the reused key: put them back.
     let key = w.key(p, 0);
+    let old_store = Arc::clone(w.cluster.proxy(old_owner).unwrap().store());
+    let old_bytes = old_store.get(key).expect("the old owner holds slot 0");
     w.update(p, 0);
+    assert!(
+        old_store.get(key).is_none(),
+        "the update scrubbed every member"
+    );
     assert_page(&w.get(p), &w.truth(p), "regeneration");
     assert_eq!(w.key(p, 0), key, "the freed key is reused");
     assert!(w.cluster.leave(newcomer));
-    let old_store = Arc::clone(w.cluster.proxy(old_owner).unwrap().store());
-    assert!(
-        old_store.get(key).is_some(),
-        "no scrub reached the old owner"
-    );
+    old_store.set(key, old_bytes);
 
     let back = w.get(p);
     assert_eq!(served_by(&back), old_owner);

@@ -930,12 +930,9 @@ pub fn render_journey(trace_id: u64, spans: &[SpanEvent], segments: usize, node:
     let local_flight = |s: &SpanEvent, status: SpanStatus| {
         s.layer == Layer::Flight && s.node == node && s.status == status
     };
-    let tier = if any(&|s| {
-        // A hash-only answer on the client leg: the tier revalidated,
-        // or the proxy collapsed a rebuilt page into a 304. A *peer* leg
-        // revalidation (PeerServe/PeerFetch) is not this serve's outcome.
-        matches!(s.layer, Layer::Proxy | Layer::TierL2) && s.status == SpanStatus::Revalidated
-    }) {
+    // A hash-only answer: the tier revalidated, or the proxy collapsed a
+    // rebuilt page into a 304.
+    let tier = if any(&|s| s.status == SpanStatus::Revalidated) {
         "revalidated"
     } else if any(&|s| s.status.is_failure()) {
         "error"
