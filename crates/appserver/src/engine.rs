@@ -121,10 +121,7 @@ impl ScriptEngine {
             if !ask.missing.is_empty() {
                 self.bem.forget_stored(node, &ask.missing);
             }
-            match ask.donor {
-                Some(donor) => self.bem.template_writer_for_peer_node(node, donor),
-                None => self.bem.template_writer_for_node(node),
-            }
+            self.bem.template_writer_for_node(node)
         };
         ctx.charge_fixed(SCRIPT_INVOCATION_COST);
         let provenance = if ask.answers_reads() {
@@ -142,7 +139,6 @@ impl ScriptEngine {
         };
         let answer = Answer {
             instrumented: writer.is_instrumented(),
-            from_donor: writer.from_donor().to_vec(),
             provenance,
         };
         let mut resp = Response::html(writer.finish());
@@ -167,8 +163,8 @@ mod tests {
     use super::*;
     use dpc_core::prelude::*;
     use dpc_core::proto::{
-        BYPASS_HEADER, FROM_DONOR_HEADER, INSTRUMENTED_HEADER, MISSING_HEADER, NODE_HEADER,
-        PEER_FETCH_HEADER, READS_HEADER, WANT_READS_HEADER,
+        BYPASS_HEADER, INSTRUMENTED_HEADER, MISSING_HEADER, NODE_HEADER, READS_HEADER,
+        WANT_READS_HEADER,
     };
     use dpc_core::{BemConfig, FragmentId};
     use dpc_http::Request;
@@ -259,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn donor_gets_are_listed_and_named_missing_keys_are_re_set() {
+    fn named_missing_keys_are_re_set() {
         use dpc_core::tag::{Op, Scanner};
         let e = engine();
         let as_node = |node: u32| {
@@ -289,27 +285,15 @@ mod tests {
         else {
             panic!("a cold fragment is SET");
         };
-        // Node 2, naming node 1 as its donor, gets a GET it must fill from
-        // the donor.
-        let r = e.serve(&as_node(2).with_header(PEER_FETCH_HEADER, "1"));
-        assert_eq!(ops(&r), vec![format!("GET {}", key.0)]);
-        assert_eq!(
-            r.headers.get(FROM_DONOR_HEADER),
-            Some(key.0.to_string().as_str())
-        );
-        // From now on node 2 holds it: a plain GET, whatever its donor.
-        let r = e.serve(&as_node(2).with_header(PEER_FETCH_HEADER, "7"));
-        assert_eq!(ops(&r), vec![format!("GET {}", key.0)]);
-        assert_eq!(r.headers.get(FROM_DONOR_HEADER), None);
+        // Node 2 never stored it: a node-miss SET under the same key, then
+        // a plain GET.
+        assert_eq!(ops(&e.serve(&as_node(2))), vec![format!("SET {}", key.0)]);
+        assert_eq!(ops(&e.serve(&as_node(2))), vec![format!("GET {}", key.0)]);
         // A refresh naming the key gets it re-SET, once.
         let r = e.serve(&as_node(2).with_header(MISSING_HEADER, key.to_string()));
         assert_eq!(ops(&r), vec![format!("SET {}", key.0)]);
         assert_eq!(ops(&e.serve(&as_node(2))), vec![format!("GET {}", key.0)]);
-        let snap = e.bem().stats().snapshot();
-        assert_eq!((snap.donor_gets, snap.missing_keys), (1, 1));
-        // A donor that never stored it earns node 3 a node-miss SET.
-        let r = e.serve(&as_node(3).with_header(PEER_FETCH_HEADER, "5"));
-        assert_eq!(ops(&r), vec![format!("SET {}", key.0)]);
+        assert_eq!(e.bem().stats().snapshot().missing_keys, 1);
     }
 
     #[test]

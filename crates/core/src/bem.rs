@@ -186,7 +186,7 @@ impl Bem {
     }
 
     fn writer_inner(&self, instrumented: bool) -> TemplateWriter<'_> {
-        self.writer_for_node_inner(instrumented, 0, None)
+        self.writer_for_node_inner(instrumented, 0)
     }
 
     /// Start a writer for a page that will be assembled by DPC `node`
@@ -194,19 +194,7 @@ impl Bem {
     /// its node id with the request, and the directory tracks which nodes
     /// hold each fragment.
     pub fn template_writer_for_node(&self, node: u32) -> TemplateWriter<'_> {
-        self.writer_for_node_inner(self.config.enabled, node, None)
-    }
-
-    /// Start a writer for a *peer-fetching* DPC node that pulls slots it
-    /// lacks from `donor` (the ring's owner of the request without
-    /// `node`). A valid fragment `node` has not stored but `donor` has is
-    /// emitted as a `GET` and listed in [`TemplateWriter::from_donor`];
-    /// one neither has stored is a node-miss `SET` (see
-    /// [`CacheDirectory::lookup_node_trusting`]). This is the cluster
-    /// tier's lazy-handoff contract; without it, every join would trigger
-    /// a re-`SET` storm of origin-generated content.
-    pub fn template_writer_for_peer_node(&self, node: u32, donor: u32) -> TemplateWriter<'_> {
-        self.writer_for_node_inner(self.config.enabled, node, Some(donor))
+        self.writer_for_node_inner(self.config.enabled, node)
     }
 
     /// A refresh from DPC `node` named `keys`: their `GET`s found the
@@ -221,12 +209,7 @@ impl Bem {
         cleared
     }
 
-    fn writer_for_node_inner(
-        &self,
-        instrumented: bool,
-        node: u32,
-        donor: Option<u32>,
-    ) -> TemplateWriter<'_> {
+    fn writer_for_node_inner(&self, instrumented: bool, node: u32) -> TemplateWriter<'_> {
         self.pages.fetch_add(1, Ordering::Relaxed);
         let mut buf = Vec::with_capacity(1024);
         if instrumented {
@@ -237,8 +220,6 @@ impl Bem {
             buf,
             instrumented,
             node,
-            donor,
-            from_donor: Vec::new(),
             reads: None,
         }
     }
@@ -314,33 +295,15 @@ pub struct TemplateWriter<'a> {
     /// DPC node whose store will interpret this template (0 in the
     /// single-proxy configuration).
     node: u32,
-    /// The node it pulls missing slots from, for a peer-fetching node
-    /// (see [`Bem::template_writer_for_peer_node`]).
-    donor: Option<u32>,
-    /// Keys emitted as `GET`s on the strength of the donor's copy.
-    from_donor: Vec<DpcKey>,
     /// The page's read set, once [`TemplateWriter::record_reads`] asked
     /// for it.
     reads: Option<ReadSet>,
 }
 
 impl TemplateWriter<'_> {
-    /// Directory lookup honouring this writer's node semantics.
+    /// Directory lookup for this writer's node.
     fn lookup(&self, id: &FragmentId, ttl: Duration, deps: &[String]) -> Lookup {
-        match self.donor {
-            Some(donor) => self
-                .bem
-                .directory
-                .lookup_node_trusting(id, ttl, deps, self.node, donor),
-            None => self.bem.directory.lookup_node(id, ttl, deps, self.node),
-        }
-    }
-
-    /// Keys this writer emitted as `GET`s because the donor holds them
-    /// and this node does not, in template order. The node must fill
-    /// these slots from the donor and never splice its own copy.
-    pub fn from_donor(&self) -> &[DpcKey] {
-        &self.from_donor
+        self.bem.directory.lookup_node(id, ttl, deps, self.node)
     }
 
     /// Record this page's read set from now on: the deps of every
@@ -463,14 +426,14 @@ impl TemplateWriter<'_> {
                 sp.set_detail(fkey);
                 let looked = self.lookup(id, policy.ttl, &policy.deps);
                 sp.set_status(match &looked {
-                    Lookup::Hit(_) | Lookup::DonorHit(_) => SpanStatus::Hit,
+                    Lookup::Hit(_) => SpanStatus::Hit,
                     Lookup::Miss(_) => SpanStatus::Miss,
                     Lookup::Uncacheable => SpanStatus::Ok,
                 });
                 looked
             };
             match looked {
-                Lookup::Hit(key) | Lookup::DonorHit(key) => {
+                Lookup::Hit(key) => {
                     if coalesce {
                         let mut fsp = tracer.span(Layer::Flight);
                         fsp.set_detail(fkey);
@@ -513,7 +476,7 @@ impl TemplateWriter<'_> {
                             }
                         }
                     }
-                    self.emit_get(key, matches!(looked, Lookup::DonorHit(_)));
+                    self.emit_get(key);
                     return true;
                 }
                 Lookup::Miss(key) => {
@@ -575,20 +538,14 @@ impl TemplateWriter<'_> {
         unreachable!("final uncoalesced lap returns from every arm")
     }
 
-    /// Emit a `GET key` instruction, with hit and tag-byte accounting. A
-    /// `GET` granted on the donor's copy is listed in
-    /// [`from_donor`](Self::from_donor).
-    fn emit_get(&mut self, key: DpcKey, via_donor: bool) {
+    /// Emit a `GET key` instruction, with hit and tag-byte accounting.
+    fn emit_get(&mut self, key: DpcKey) {
         let stats = &self.bem.stats;
         tag::write_get(&mut self.buf, key);
         stats.hits.fetch_add(1, Ordering::Relaxed);
         stats
             .tag_bytes
             .fetch_add(tag::get_tag_len(key) as u64, Ordering::Relaxed);
-        if via_donor {
-            stats.donor_gets.fetch_add(1, Ordering::Relaxed);
-            self.from_donor.push(key);
-        }
     }
 
     /// Emit a `SET key` instruction carrying `content`, with tag-byte
@@ -642,14 +599,14 @@ impl TemplateWriter<'_> {
                 sp.set_detail(fkey);
                 let looked = self.lookup(id, ttl, &[]);
                 sp.set_status(match &looked {
-                    Lookup::Hit(_) | Lookup::DonorHit(_) => SpanStatus::Hit,
+                    Lookup::Hit(_) => SpanStatus::Hit,
                     Lookup::Miss(_) => SpanStatus::Miss,
                     Lookup::Uncacheable => SpanStatus::Ok,
                 });
                 looked
             };
             match looked {
-                Lookup::Hit(key) | Lookup::DonorHit(key) => {
+                Lookup::Hit(key) => {
                     if coalesce {
                         let mut fsp = tracer.span(Layer::Flight);
                         fsp.set_detail(fkey);
@@ -682,7 +639,7 @@ impl TemplateWriter<'_> {
                             }
                         }
                     }
-                    self.emit_get(key, matches!(looked, Lookup::DonorHit(_)));
+                    self.emit_get(key);
                     // The deps the block discovered live in the directory
                     // entry, not here: the read set cannot name them.
                     self.reads_unknown();

@@ -49,11 +49,6 @@ pub enum Lookup {
     /// Fragment is cached and valid, and the requesting node's slot holds
     /// it (or is empty): emit a `GET key` instruction.
     Hit(DpcKey),
-    /// Peer-fetching lookups only: the fragment is valid and the
-    /// requester has not stored it, but its named donor has. Emit a
-    /// `GET key` the requester fills by pulling the donor's copy; the
-    /// requester's stored bit is already set.
-    DonorHit(DpcKey),
     /// Fragment was absent/invalid/expired; a key has been allocated and
     /// the entry marked valid: generate content and emit `SET key`.
     Miss(DpcKey),
@@ -292,48 +287,8 @@ impl CacheDirectory {
         deps: &[String],
         node: u32,
     ) -> Lookup {
-        self.lookup_node_inner(id, ttl, deps, node, None)
-    }
-
-    /// Multi-node lookup for a *peer-fetching* DPC node that names the
-    /// node it may pull slots from (`donor`, the ring's owner of the
-    /// request without `node`). Three arms for a valid entry:
-    ///
-    /// * `node`'s bit is set: [`Lookup::Hit`], as in
-    ///   [`lookup_node`](Self::lookup_node).
-    /// * Else `donor`'s bit is set: [`Lookup::DonorHit`]. `node`'s bit is
-    ///   set now, and the node must fill the slot from the donor, never
-    ///   from its own copy (which may be an older generation whose scrub
-    ///   has not arrived yet).
-    /// * Else: a node-miss `SET`, as in `lookup_node`.
-    ///
-    /// The middle arm is what makes cluster joins a lazy, origin-free
-    /// key-range handoff instead of a re-`SET` storm.
-    pub fn lookup_node_trusting(
-        &self,
-        id: &FragmentId,
-        ttl: Duration,
-        deps: &[String],
-        node: u32,
-        donor: u32,
-    ) -> Lookup {
-        self.lookup_node_inner(id, ttl, deps, node, Some(donor))
-    }
-
-    fn lookup_node_inner(
-        &self,
-        id: &FragmentId,
-        ttl: Duration,
-        deps: &[String],
-        node: u32,
-        donor: Option<u32>,
-    ) -> Lookup {
         assert!(node < 64, "at most 64 DPC nodes are supported");
         let node_bit = 1u64 << node;
-        let donor_bit = donor.map_or(0, |d| {
-            assert!(d < 64, "at most 64 DPC nodes are supported");
-            1u64 << d
-        });
         let now = self.clock.now_nanos();
         let mut inner = self.lock_inner();
         let inner = &mut *inner;
@@ -347,16 +302,10 @@ impl CacheDirectory {
                         inner.hits += 1;
                         return Lookup::Hit(entry.dpc_key);
                     }
-                    // Either way the requester is about to hold this
-                    // entry's bytes: from its donor, or from a SET.
-                    let donor_holds = entry.stored_nodes & donor_bit != 0;
-                    entry.stored_nodes |= node_bit;
-                    if donor_holds {
-                        inner.hits += 1;
-                        return Lookup::DonorHit(entry.dpc_key);
-                    }
                     // Node miss: this DPC has not stored the fragment yet.
-                    // Re-emit a SET under the existing key.
+                    // Re-emit a SET under the existing key and set its bit:
+                    // a node installs every SET its template carries.
+                    entry.stored_nodes |= node_bit;
                     inner.node_misses += 1;
                     return Lookup::Miss(entry.dpc_key);
                 }
@@ -994,7 +943,7 @@ mod tests {
     }
 
     #[test]
-    fn trusting_lookup_hits_for_unseen_nodes() {
+    fn a_node_lookup_sets_until_the_node_holds_the_entry() {
         let dir = dir_with(32);
         let ttl = Duration::from_secs(60);
         let id = FragmentId::new("shared");
@@ -1002,40 +951,20 @@ mod tests {
             panic!("node 0 must miss first");
         };
         // Requester's own bit set: a plain GET.
-        assert_eq!(
-            dir.lookup_node_trusting(&id, ttl, &[], 0, 1),
-            Lookup::Hit(k)
-        );
-        // Requester lacks it, donor 0 holds it: a donor GET, which sets
-        // the requester's bit…
-        assert_eq!(
-            dir.lookup_node_trusting(&id, ttl, &[], 2, 0),
-            Lookup::DonorHit(k)
-        );
-        // …so its next lookup is a plain GET, whatever the donor.
-        assert_eq!(
-            dir.lookup_node_trusting(&id, ttl, &[], 2, 5),
-            Lookup::Hit(k)
-        );
-        // Neither requester nor donor holds it: a node-miss SET.
-        assert_eq!(
-            dir.lookup_node_trusting(&id, ttl, &[], 3, 4),
-            Lookup::Miss(k)
-        );
-        assert_eq!(
-            dir.lookup_node_trusting(&id, ttl, &[], 3, 4),
-            Lookup::Hit(k)
-        );
+        assert_eq!(dir.lookup_node(&id, ttl, &[], 0), Lookup::Hit(k));
+        // Another node has not stored it: a node-miss SET under the same
+        // key, which sets its bit…
+        assert_eq!(dir.lookup_node(&id, ttl, &[], 3), Lookup::Miss(k));
+        // …so its next lookup is a plain GET.
+        assert_eq!(dir.lookup_node(&id, ttl, &[], 3), Lookup::Hit(k));
         let stats = dir.stats();
-        assert_eq!(stats.node_misses, 1, "only the third arm is a node miss");
+        assert_eq!(stats.node_misses, 1, "only node 3's first lookup");
         assert_eq!(stats.misses, 1);
-        // Invalidation clears every bit: the next trusting lookup is a
-        // fresh miss, even from a node that held the old entry.
+        // Invalidation clears every bit: the next lookup is a fresh miss,
+        // even from a node that held the old entry.
         assert!(dir.invalidate(&id));
-        assert_eq!(
-            dir.lookup_node_trusting(&id, ttl, &[], 2, 0),
-            Lookup::Miss(k)
-        );
+        assert_eq!(dir.lookup_node(&id, ttl, &[], 3), Lookup::Miss(k));
+        assert_eq!(dir.stats().node_misses, 1);
         dir.check_invariants().unwrap();
     }
 

@@ -2,8 +2,8 @@
 //!
 //! When a popular dependency is invalidated, every concurrent request for
 //! the affected fragment misses at the same instant and independently
-//! re-runs the same `produce` closure (or whole-page regeneration, or
-//! peer wire fetch). A [`FlightGroup`] collapses that storm: the first
+//! re-runs the same `produce` closure (or whole-page regeneration). A
+//! [`FlightGroup`] collapses that storm: the first
 //! requester becomes the **leader** and computes the value; everyone else
 //! **parks** on the in-flight entry and receives a clone of the leader's
 //! result when it is published. Appserver work then scales
@@ -236,8 +236,8 @@ impl<K: Eq + Hash + Copy, V: Clone> FlightGroup<K, V> {
     }
 
     /// Lead-or-wait: become the leader if nobody is flying `key`,
-    /// otherwise park until the flight lands. Used by arms (page cache,
-    /// peer fetch) where the flight map itself arbitrates leadership.
+    /// otherwise park until the flight lands. Used by arms (the page cache)
+    /// where the flight map itself arbitrates leadership.
     pub fn join(&self, key: K) -> Join<'_, K, V> {
         {
             let inner = self.lock();

@@ -104,7 +104,7 @@ pub use error::{AssembleError, CoreError};
 pub use flight::{FlightCounters, FlightGroup, FlightLeader, Join, Publish, Wait};
 pub use key::{DpcKey, FragmentId};
 pub use objects::ObjectCache;
-pub use store::{FragmentSource, FragmentStore, DEFAULT_SHARDS};
+pub use store::{FragmentStore, DEFAULT_SHARDS};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {

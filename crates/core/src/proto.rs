@@ -11,14 +11,14 @@
 //! operator's: tracing ([`TRACE_HEADER`], [`JOURNEY_HEADER`]), the admin
 //! purge ([`DEP_HEADER`], [`PURGED_KEYS_HEADER`]) and the annotations a
 //! node puts on what it serves ([`SERVED_BY_HEADER`],
-//! [`ASSEMBLY_ERROR_HEADER`], [`PEER_FETCHED_HEADER`]).
+//! [`ASSEMBLY_ERROR_HEADER`]).
 //!
-//! A ring node repairs its slots in three rungs, each one origin request:
+//! A node fills its slots in three rungs, each one origin request:
 //!
-//! 1. The template request names the node ([`Ask::node`]) and its donor
-//!    ([`Ask::donor`]). The response lists the `GET`s granted on the
-//!    donor's copy ([`Answer::from_donor`]); the node pulls those from the
-//!    donor.
+//! 1. The template request names the node ([`Ask::node`]). The BEM emits a
+//!    `GET` for a fragment whose stored bit the node holds and a `SET` for
+//!    one it does not (a node miss), so a node new to a page fills its
+//!    slots from this one response.
 //! 2. If assembly still finds an empty slot, a *refresh* names the node's
 //!    absent `GET` keys ([`Ask::missing`]). The BEM forgets that the node
 //!    stores them and re-`SET`s them.
@@ -31,10 +31,6 @@
 //! render read, so an update unserves only the pages that read it, and
 //! whether the render never observed the session, so the node caches one
 //! copy of the page for every session.
-//!
-//! One spelling lives outside this module: `dpc-http`'s outcome
-//! classifier sits below this crate and reads [`PEER_FETCHED_HEADER`] by
-//! its literal.
 
 use std::fmt::Display;
 use std::sync::Arc;
@@ -48,11 +44,6 @@ pub const BYPASS_HEADER: &str = "X-DPC-Bypass";
 /// Request header a node announces its id (0–63) in, so the BEM tracks
 /// per-node fragment placement (§7) (internal).
 pub const NODE_HEADER: &str = "X-DPC-Node";
-/// Request header naming the node a ring node pulls slots from, its donor
-/// (0–63). The BEM then emits a `GET` for a valid fragment the node has
-/// not stored but the donor has, and lists it in [`FROM_DONOR_HEADER`],
-/// instead of a node-miss `SET` (internal).
-pub const PEER_FETCH_HEADER: &str = "X-DPC-Peer-Fetch";
 /// Refresh request header listing the keys whose `GET`s found the node's
 /// slots empty. The BEM clears the node's stored bit on each before
 /// rendering, so the refresh re-`SET`s them (internal).
@@ -62,10 +53,9 @@ pub const MISSING_HEADER: &str = "X-DPC-Missing";
 pub const WANT_READS_HEADER: &str = "X-DPC-Want-Reads";
 /// Every internal request header. A node drops a client's copies of all of
 /// them: only the node speaks for its slots and its tier.
-pub const INTERNAL_REQUEST: [&str; 5] = [
+pub const INTERNAL_REQUEST: [&str; 4] = [
     BYPASS_HEADER,
     NODE_HEADER,
-    PEER_FETCH_HEADER,
     MISSING_HEADER,
     WANT_READS_HEADER,
 ];
@@ -76,17 +66,12 @@ pub const INTERNAL_REQUEST: [&str; 5] = [
 /// paper-scale tables and byte counts are measured with its 23 bytes per
 /// template; deleting it moves them.
 pub const INSTRUMENTED_HEADER: &str = "X-DPC-Instrumented";
-/// Response header listing the keys the BEM emitted as `GET`s on the
-/// strength of the donor's copy. The node fills them from the donor and
-/// never splices its own copy, which may be an older generation whose
-/// scrub has not arrived yet (internal).
-pub const FROM_DONOR_HEADER: &str = "X-DPC-From-Donor";
 /// Template response header answering [`WANT_READS_HEADER`] with the
 /// page's [`Provenance`] (internal).
 pub const READS_HEADER: &str = "X-DPC-Reads";
 /// Every internal response header. A node strips all of them before a
 /// response reaches a client.
-pub const INTERNAL_RESPONSE: [&str; 3] = [INSTRUMENTED_HEADER, FROM_DONOR_HEADER, READS_HEADER];
+pub const INTERNAL_RESPONSE: [&str; 2] = [INSTRUMENTED_HEADER, READS_HEADER];
 
 /// Request and response header carrying the trace context across HTTP
 /// legs (public; `dpc-trace` owns its format).
@@ -105,9 +90,6 @@ pub const PURGED_KEYS_HEADER: &str = "X-DPC-Purged-Keys";
 pub const SERVED_BY_HEADER: &str = "X-DPC-Served-By";
 /// Response header of a bypass refetch: why assembly failed (public).
 pub const ASSEMBLY_ERROR_HEADER: &str = "X-DPC-Assembly-Error";
-/// Response header of an assembled page: the number of slots filled from
-/// the donor (public).
-pub const PEER_FETCHED_HEADER: &str = "X-DPC-Peer-Fetched";
 
 /// Name of the session cookie carrying the user id.
 pub const SESSION_COOKIE: &str = "session";
@@ -115,8 +97,7 @@ pub const SESSION_COOKIE: &str = "session";
 /// ignored, so a page with more absent slots than this falls through to a
 /// bypass.
 pub const MAX_MISSING_KEYS: usize = 64;
-/// Node ids the BEM tracks: a node or donor id at or above this reads as
-/// absent.
+/// Node ids the BEM tracks: a node id at or above this reads as absent.
 const MAX_NODES: u32 = 64;
 /// Suffix of a [`READS_HEADER`] value asserting that the render never
 /// observed the session (`3,17;session-free`).
@@ -141,8 +122,6 @@ pub fn parse_session_cookie(cookie: &str) -> Option<&str> {
 pub struct Ask {
     /// The node's id; `None` reads as node 0.
     pub node: Option<u32>,
-    /// The node it pulls slots from.
-    pub donor: Option<u32>,
     /// The keys of a refresh: `GET`s that found the node's slots empty.
     pub missing: Vec<DpcKey>,
     /// The node caches the page and asks for its [`Provenance`].
@@ -157,8 +136,6 @@ impl Ask {
         let flag = |on: bool, name| on.then(|| (name, "1".to_owned()));
         [
             self.node.map(|node| (NODE_HEADER, node.to_string())),
-            self.donor
-                .map(|donor| (PEER_FETCH_HEADER, donor.to_string())),
             (!self.missing.is_empty()).then(|| (MISSING_HEADER, join(&self.missing))),
             flag(self.want_reads, WANT_READS_HEADER),
             flag(self.bypass, BYPASS_HEADER),
@@ -173,14 +150,10 @@ impl Ask {
     /// decimal `u32` are skipped, and only the first [`MAX_MISSING_KEYS`]
     /// keys are read.
     pub fn parse<'a>(header: impl Fn(&'static str) -> Option<&'a str>) -> Ask {
-        let node_id = |name| {
-            header(name)
-                .and_then(|v: &str| v.parse().ok())
-                .filter(|n| *n < MAX_NODES)
-        };
         Ask {
-            node: node_id(NODE_HEADER),
-            donor: node_id(PEER_FETCH_HEADER),
+            node: header(NODE_HEADER)
+                .and_then(|v| v.parse().ok())
+                .filter(|n| *n < MAX_NODES),
             missing: header(MISSING_HEADER)
                 .map(|v| parse_keys(v).take(MAX_MISSING_KEYS).collect())
                 .unwrap_or_default(),
@@ -202,8 +175,6 @@ impl Ask {
 pub struct Answer {
     /// The body is an instrumented template ([`INSTRUMENTED_HEADER`]).
     pub instrumented: bool,
-    /// The `GET`s granted on the donor's copy.
-    pub from_donor: Vec<DpcKey>,
     /// The page's provenance, when the ask [answers
     /// reads](Ask::answers_reads).
     pub provenance: Option<Provenance>,
@@ -215,7 +186,6 @@ impl Answer {
         [
             self.instrumented
                 .then(|| (INSTRUMENTED_HEADER, "1".to_owned())),
-            (!self.from_donor.is_empty()).then(|| (FROM_DONOR_HEADER, join(&self.from_donor))),
             self.provenance.as_ref().map(|p| (READS_HEADER, p.format())),
         ]
         .into_iter()
@@ -229,9 +199,6 @@ impl Answer {
     pub fn parse<'a>(ask: &Ask, header: impl Fn(&'static str) -> Option<&'a str>) -> Answer {
         Answer {
             instrumented: header(INSTRUMENTED_HEADER).is_some(),
-            from_donor: header(FROM_DONOR_HEADER)
-                .map(|v| parse_keys(v).collect())
-                .unwrap_or_default(),
             provenance: header(READS_HEADER)
                 .filter(|_| ask.answers_reads())
                 .map(Provenance::parse),
@@ -377,21 +344,18 @@ mod tests {
         let mut asks = Vec::new();
         let full: Vec<DpcKey> = (0..MAX_MISSING_KEYS as u32).map(DpcKey).collect();
         for node in [None, Some(0), Some(63)] {
-            for donor in [None, Some(0), Some(63)] {
-                for missing in [
-                    vec![],
-                    vec![DpcKey(0), DpcKey(17), DpcKey(u32::MAX)],
-                    full.clone(),
-                ] {
-                    for bits in 0..4 {
-                        asks.push(Ask {
-                            node,
-                            donor,
-                            missing: missing.clone(),
-                            want_reads: bits & 1 == 1,
-                            bypass: bits & 2 == 2,
-                        });
-                    }
+            for missing in [
+                vec![],
+                vec![DpcKey(0), DpcKey(17), DpcKey(u32::MAX)],
+                full.clone(),
+            ] {
+                for bits in 0..4 {
+                    asks.push(Ask {
+                        node,
+                        missing: missing.clone(),
+                        want_reads: bits & 1 == 1,
+                        bypass: bits & 2 == 2,
+                    });
                 }
             }
         }
@@ -414,7 +378,6 @@ mod tests {
         for (i, provenance) in provenances.enumerate() {
             let answer = Answer {
                 instrumented: i % 2 == 0,
-                from_donor: (0..i as u32 % 3).map(DpcKey).collect(),
                 provenance,
             };
             assert_eq!(Answer::parse(&asked, lookup(&answer.format())), answer);
@@ -450,14 +413,12 @@ mod tests {
         assert_eq!(Provenance::recorded(&set, false).format(), "*");
         let ask = Ask {
             node: Some(2),
-            donor: Some(5),
             missing: vec![DpcKey(0), DpcKey(17), DpcKey(u32::MAX)],
             want_reads: true,
             bypass: true,
         };
         let spelled = [
             (NODE_HEADER, "2"),
-            (PEER_FETCH_HEADER, "5"),
             (MISSING_HEADER, "0,17,4294967295"),
             (WANT_READS_HEADER, "1"),
             (BYPASS_HEADER, "1"),
@@ -466,12 +427,10 @@ mod tests {
         assert_eq!(ask.format(), spelled);
         let answer = Answer {
             instrumented: true,
-            from_donor: vec![DpcKey(4), DpcKey(9)],
             provenance: Some(provenance(Some(&[3, 17]), true)),
         };
         let spelled = [
             (INSTRUMENTED_HEADER, "1"),
-            (FROM_DONOR_HEADER, "4,9"),
             (READS_HEADER, "3,17;session-free"),
         ]
         .map(|(n, v)| (n, v.to_owned()));
@@ -581,7 +540,6 @@ mod tests {
         assert_eq!(ask(NODE_HEADER, "63").node, Some(63));
         for hostile in ["64", "x", "-1", " 3", ""] {
             assert_eq!(ask(NODE_HEADER, hostile).node, None, "{hostile:?}");
-            assert_eq!(ask(PEER_FETCH_HEADER, hostile).donor, None, "{hostile:?}");
         }
         // Junk keys are skipped, not fatal, and a long list is cut.
         let keys = ask(MISSING_HEADER, "5, x,-1,4294967296,6").missing;
@@ -610,7 +568,6 @@ mod tests {
             PURGED_KEYS_HEADER,
             SERVED_BY_HEADER,
             ASSEMBLY_ERROR_HEADER,
-            PEER_FETCHED_HEADER,
         ];
         assert!(public.iter().all(|name| !all.contains(name)));
     }

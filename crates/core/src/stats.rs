@@ -38,9 +38,6 @@ pub struct BemStats {
     /// These run `produce` without taking a leadership, so the checker's
     /// balance is `misses == flight_leaders + uncoalesced_misses`.
     pub uncoalesced_misses: AtomicU64,
-    /// Peer-fetching writers only: `GET`s emitted because the requester's
-    /// donor held the fragment (the requester pulls the donor's copy).
-    pub donor_gets: AtomicU64,
     /// Stored bits cleared by refresh requests that named keys whose
     /// `GET` found the requester's slot empty.
     pub missing_keys: AtomicU64,
@@ -67,7 +64,6 @@ pub struct BemStatsSnapshot {
     pub flight_leaders: u64,
     pub flight_retries: u64,
     pub uncoalesced_misses: u64,
-    pub donor_gets: u64,
     pub missing_keys: u64,
     pub generated_bytes: u64,
     pub literal_bytes: u64,
@@ -88,7 +84,6 @@ impl BemStats {
             flight_leaders: self.flight_leaders.load(Ordering::Relaxed),
             flight_retries: self.flight_retries.load(Ordering::Relaxed),
             uncoalesced_misses: self.uncoalesced_misses.load(Ordering::Relaxed),
-            donor_gets: self.donor_gets.load(Ordering::Relaxed),
             missing_keys: self.missing_keys.load(Ordering::Relaxed),
             generated_bytes: self.generated_bytes.load(Ordering::Relaxed),
             literal_bytes: self.literal_bytes.load(Ordering::Relaxed),
@@ -133,7 +128,6 @@ impl BemStatsSnapshot {
             flight_leaders: self.flight_leaders - earlier.flight_leaders,
             flight_retries: self.flight_retries - earlier.flight_retries,
             uncoalesced_misses: self.uncoalesced_misses - earlier.uncoalesced_misses,
-            donor_gets: self.donor_gets - earlier.donor_gets,
             missing_keys: self.missing_keys - earlier.missing_keys,
             generated_bytes: self.generated_bytes - earlier.generated_bytes,
             literal_bytes: self.literal_bytes - earlier.literal_bytes,

@@ -52,25 +52,6 @@ fn effective_shards(requested: usize, capacity: usize) -> usize {
 /// One occupied slot: the fragment's bytes and their [`content_hash`].
 type Slot = Option<(Bytes, u64)>;
 
-/// Other DPC nodes a node may pull slots from: the lazy-handoff path of
-/// the cluster tier.
-///
-/// A node names its donor for a request when it asks the origin for the
-/// template; the BEM then emits `GET`s for fragments the donor holds and
-/// this node does not, and lists their keys. The node fills exactly those
-/// slots from the donor before assembling. It never asks a donor for a
-/// slot the BEM did not list.
-pub trait FragmentSource: Send + Sync {
-    /// The node that should supply `context`'s fragments to this one
-    /// (e.g. the consistent-hash owner of the request target without this
-    /// node), or `None` when there is no other node.
-    fn donor_for(&self, context: &str) -> Option<u32>;
-
-    /// Fetch `key`'s bytes from node `donor`. `None` means the donor does
-    /// not hold it, or could not be reached.
-    fn fetch(&self, donor: u32, key: DpcKey) -> Option<Bytes>;
-}
-
 /// Striped slot-array fragment store, shared by a node's event loops.
 pub struct FragmentStore {
     shards: Box<[RwLock<Vec<Slot>>]>,

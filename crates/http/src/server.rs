@@ -252,7 +252,7 @@ impl Server {
 
     /// Builder: record a per-request service-time histogram segmented by
     /// serving outcome (classified from the response's status and
-    /// `X-Cache` / `X-DPC-Peer-Fetched` headers). Each event loop gets a
+    /// `X-Cache` header). Each event loop gets a
     /// private [`OutcomeHistograms`]; scrapes merge them via
     /// [`ServerStats::latency_merged`]. `clock` supplies timestamps —
     /// pass the virtual clock when running under `SimNetwork` so latency
@@ -741,7 +741,6 @@ impl LoopState {
                 resp.status.is_success(),
                 resp.status == crate::Status::NOT_MODIFIED,
                 resp.headers.get("X-Cache"),
-                resp.headers.get("X-DPC-Peer-Fetched").is_some(),
             );
             let nanos = clock.now_nanos().saturating_sub(conn.req_start);
             latency.observe(outcome, nanos);
@@ -1281,9 +1280,7 @@ mod tests {
                 let resp = Response::html("ok");
                 match req.target.as_str() {
                     "/l2" => resp.with_header("X-Cache", "dpc-l2"),
-                    "/peer" => resp
-                        .with_header("X-Cache", "dpc-assembled")
-                        .with_header("X-DPC-Peer-Fetched", "2"),
+                    "/asm" => resp.with_header("X-Cache", "dpc-assembled"),
                     "/err" => Response::error(crate::Status::NOT_FOUND, "nope"),
                     _ => resp,
                 }
@@ -1292,18 +1289,18 @@ mod tests {
         .with_request_metrics(clock)
         .spawn();
         let client = Client::new(Arc::new(net.connector()));
-        for target in ["/l2", "/l2", "/peer", "/err", "/plain"] {
+        for target in ["/l2", "/l2", "/asm", "/err", "/plain"] {
             let _ = client.request("web", Request::get(target)).unwrap();
         }
         let merged = handle.stats().latency_merged();
         use dpc_metrics::Outcome;
         assert_eq!(merged[Outcome::L2Hit.index()].count(), 2);
         assert_eq!(merged[Outcome::L2Hit.index()].sum, 3_000);
-        assert_eq!(merged[Outcome::PeerFetch.index()].count(), 1);
-        assert_eq!(merged[Outcome::PeerFetch.index()].sum, 1_500);
+        assert_eq!(merged[Outcome::Assembled.index()].count(), 1);
+        assert_eq!(merged[Outcome::Assembled.index()].sum, 1_500);
         assert_eq!(merged[Outcome::Error.index()].count(), 1);
         assert_eq!(merged[Outcome::Origin.index()].count(), 1);
-        assert_eq!(merged[Outcome::Assembled.index()].count(), 0);
+        assert_eq!(merged[Outcome::FlightWait.index()].count(), 0);
         // Each observation is exactly 1500 ns: bit-width 11, so p99 of any
         // nonempty outcome reports that bucket's upper bound.
         assert_eq!(merged[Outcome::L2Hit.index()].p99(), 2_047);

@@ -218,7 +218,7 @@ impl HistogramSnapshot {
     }
 }
 
-/// The seven ways a request can leave the system, in cache-journey order.
+/// The six ways a request can leave the system, in cache-journey order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// Served from the node's page cache.
@@ -227,8 +227,6 @@ pub enum Outcome {
     Assembled,
     /// Fell through to origin / appserver produce.
     Origin,
-    /// Assembly needed at least one fragment fetched from a ring peer.
-    PeerFetch,
     /// Waited on another request's in-flight production (coalesced).
     FlightWait,
     /// Conditional request revalidated: `304 Not Modified`, hash-sized
@@ -239,13 +237,12 @@ pub enum Outcome {
 }
 
 impl Outcome {
-    pub const COUNT: usize = 7;
+    pub const COUNT: usize = 6;
 
     pub const ALL: [Outcome; Outcome::COUNT] = [
         Outcome::L2Hit,
         Outcome::Assembled,
         Outcome::Origin,
-        Outcome::PeerFetch,
         Outcome::FlightWait,
         Outcome::Revalidated,
         Outcome::Error,
@@ -257,10 +254,9 @@ impl Outcome {
             Outcome::L2Hit => 0,
             Outcome::Assembled => 1,
             Outcome::Origin => 2,
-            Outcome::PeerFetch => 3,
-            Outcome::FlightWait => 4,
-            Outcome::Revalidated => 5,
-            Outcome::Error => 6,
+            Outcome::FlightWait => 3,
+            Outcome::Revalidated => 4,
+            Outcome::Error => 5,
         }
     }
 
@@ -269,7 +265,6 @@ impl Outcome {
             Outcome::L2Hit => "l2_hit",
             Outcome::Assembled => "assembled",
             Outcome::Origin => "origin",
-            Outcome::PeerFetch => "peer_fetch",
             Outcome::FlightWait => "flight_wait",
             Outcome::Revalidated => "revalidated",
             Outcome::Error => "error",
@@ -280,22 +275,13 @@ impl Outcome {
     /// `revalidated` is whether the response is a `304 Not Modified`
     /// (checked before the success gate — a 304 is not an error, it is the
     /// cheapest possible hit); `x_cache` is the response's `X-Cache`
-    /// value; `peer_fetched` is whether assembly had to pull fragments
-    /// from a ring peer.
-    pub fn classify(
-        status_success: bool,
-        revalidated: bool,
-        x_cache: Option<&str>,
-        peer_fetched: bool,
-    ) -> Outcome {
+    /// value.
+    pub fn classify(status_success: bool, revalidated: bool, x_cache: Option<&str>) -> Outcome {
         if revalidated {
             return Outcome::Revalidated;
         }
         if !status_success {
             return Outcome::Error;
-        }
-        if peer_fetched {
-            return Outcome::PeerFetch;
         }
         match x_cache {
             Some("dpc-l2") | Some("page-hit") => Outcome::L2Hit,
@@ -655,43 +641,27 @@ mod tests {
     #[test]
     fn outcome_classification() {
         use Outcome::*;
+        assert_eq!(Outcome::classify(false, false, Some("dpc-l2")), Error);
+        assert_eq!(Outcome::classify(true, false, Some("dpc-l2")), L2Hit);
+        assert_eq!(Outcome::classify(true, false, Some("page-hit")), L2Hit);
         assert_eq!(
-            Outcome::classify(false, false, Some("dpc-l2"), false),
-            Error
-        );
-        assert_eq!(
-            Outcome::classify(true, false, Some("dpc-assembled"), true),
-            PeerFetch
-        );
-        assert_eq!(Outcome::classify(true, false, Some("dpc-l2"), false), L2Hit);
-        assert_eq!(
-            Outcome::classify(true, false, Some("page-hit"), false),
-            L2Hit
-        );
-        assert_eq!(
-            Outcome::classify(true, false, Some("dpc-assembled"), false),
+            Outcome::classify(true, false, Some("dpc-assembled")),
             Assembled
         );
         assert_eq!(
-            Outcome::classify(true, false, Some("esi-assembled"), false),
+            Outcome::classify(true, false, Some("esi-assembled")),
             Assembled
         );
         assert_eq!(
-            Outcome::classify(true, false, Some("page-coalesced"), false),
+            Outcome::classify(true, false, Some("page-coalesced")),
             FlightWait
         );
-        assert_eq!(
-            Outcome::classify(true, false, Some("page-miss"), false),
-            Origin
-        );
-        assert_eq!(Outcome::classify(true, false, None, false), Origin);
+        assert_eq!(Outcome::classify(true, false, Some("page-miss")), Origin);
+        assert_eq!(Outcome::classify(true, false, None), Origin);
         // A 304 is revalidated no matter what tier answered it, and the
         // revalidation check precedes the success gate (304 is non-2xx).
-        assert_eq!(
-            Outcome::classify(false, true, Some("dpc-l2"), false),
-            Revalidated
-        );
-        assert_eq!(Outcome::classify(false, true, None, false), Revalidated);
+        assert_eq!(Outcome::classify(false, true, Some("dpc-l2")), Revalidated);
+        assert_eq!(Outcome::classify(false, true, None), Revalidated);
         for (i, o) in Outcome::ALL.iter().enumerate() {
             assert_eq!(o.index(), i);
         }

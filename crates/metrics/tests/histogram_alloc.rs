@@ -40,7 +40,7 @@ fn observe_does_not_allocate() {
     // Classification (the per-request header match) is also hot-path.
     let before = thread_alloc::allocs();
     for _ in 0..10_000u64 {
-        let o = Outcome::classify(true, false, Some("dpc-l2"), false);
+        let o = Outcome::classify(true, false, Some("dpc-l2"));
         hist.observe(o, 5);
     }
     let during = thread_alloc::allocs() - before;

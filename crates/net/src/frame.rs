@@ -1,20 +1,16 @@
-//! Cluster wire frames: the message family spoken between DPC nodes.
+//! A length-prefixed frame carrying one fragment slot's bytes.
 //!
-//! The single-node design needs no proxy-bound messages at all — the shared
-//! integer `dpcKey` is the whole coherence protocol, and the ring keeps it
-//! that way: invalidations reach every member inside the update itself.
-//! One cluster-tier operation does need a wire format, and it runs
-//! proxy-to-proxy, never origin-to-proxy:
-//!
-//! * **Peer fetch** — after a membership change, a node that owns a key
-//!   range it has never served pulls fragment slots lazily from the previous
-//!   owner instead of round-tripping to the origin
-//!   ([`ClusterFrame::FetchReq`] / [`ClusterFrame::FetchResp`]).
+//! Nothing in the program sends it: DPC nodes exchange no messages at all.
+//! The shared integer `dpcKey` is the whole coherence protocol, a ring
+//! member fills its slots from the origin's `SET`s like any node, and
+//! invalidations reach every member inside the update itself. The frame
+//! and its codec stay, byte for byte, because the benchmark times their
+//! encode and decode (`net.frame_codec_ns`).
 //!
 //! Framing is deliberately dumb: one `u32` length prefix, one tag byte,
 //! then fixed-width little-endian fields and length-prefixed byte strings.
-//! Every length is bounded before allocation so a corrupt or hostile peer
-//! cannot balloon memory ([`MAX_FRAME_BYTES`]).
+//! Every length is bounded before allocation so a corrupt or hostile
+//! sender cannot balloon memory ([`MAX_FRAME_BYTES`]).
 
 use std::io::{self, Read, Write};
 
@@ -22,30 +18,20 @@ use std::io::{self, Read, Write};
 /// testbed produces, small enough that a corrupt length prefix fails fast.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
-/// The proxy-to-proxy message family.
+/// The one frame: no code path sends it (see the module doc).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterFrame {
-    /// Ask a peer for the content of one fragment slot.
-    FetchReq {
-        /// Raw dpcKey (slot index) being requested.
-        key: u32,
-        /// Requester's span-tracing context as `(trace id, span id)`, so
-        /// the donor's serve span stitches into the same trace. Optional
-        /// trailing field: a traceless request omits it entirely.
-        trace: Option<(u64, u64)>,
-    },
-    /// Answer to [`ClusterFrame::FetchReq`]. `hit == false` means the peer's
-    /// slot is empty (or it refused); `body` is then empty.
+    /// One fragment slot's content. `hit == false` means the slot is
+    /// empty; `body` is then empty.
     FetchResp {
         hit: bool,
         body: Vec<u8>,
-        /// Donor's `(trace id, serve span id)` echo — optional trailing
-        /// field, same rule as on the request.
+        /// A span-tracing context as `(trace id, span id)`. Optional
+        /// trailing field: a traceless frame omits it entirely.
         trace: Option<(u64, u64)>,
     },
 }
 
-const TAG_FETCH_REQ: u8 = 1;
 const TAG_FETCH_RESP: u8 = 2;
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -134,11 +120,6 @@ impl ClusterFrame {
     pub fn encode(&self) -> Vec<u8> {
         let mut body = Vec::with_capacity(64);
         match self {
-            ClusterFrame::FetchReq { key, trace } => {
-                body.push(TAG_FETCH_REQ);
-                put_u32(&mut body, *key);
-                put_trace(&mut body, trace);
-            }
             ClusterFrame::FetchResp {
                 hit,
                 body: b,
@@ -163,7 +144,7 @@ impl ClusterFrame {
     }
 
     /// Read one frame from `r`. Returns `Ok(None)` on clean EOF at a frame
-    /// boundary (the peer closed between frames).
+    /// boundary (the sender closed between frames).
     pub fn read_from(r: &mut impl Read) -> io::Result<Option<ClusterFrame>> {
         let mut len_buf = [0u8; 4];
         let mut got = 0;
@@ -198,10 +179,6 @@ impl ClusterFrame {
     fn decode_body(body: &[u8]) -> io::Result<ClusterFrame> {
         let mut c = Cursor { buf: body, pos: 0 };
         match c.u8()? {
-            TAG_FETCH_REQ => Ok(ClusterFrame::FetchReq {
-                key: c.u32()?,
-                trace: c.trace()?,
-            }),
             TAG_FETCH_RESP => {
                 let hit = c.u8()? != 0;
                 let body = c.bytes()?.to_vec();
@@ -230,14 +207,6 @@ mod tests {
 
     #[test]
     fn all_variants_roundtrip() {
-        roundtrip(ClusterFrame::FetchReq {
-            key: 0,
-            trace: None,
-        });
-        roundtrip(ClusterFrame::FetchReq {
-            key: u32::MAX,
-            trace: Some((0xfeed_f00d, 42)),
-        });
         roundtrip(ClusterFrame::FetchResp {
             hit: true,
             body: b"<nav>hello</nav>".to_vec(),
@@ -252,8 +221,9 @@ mod tests {
 
     #[test]
     fn back_to_back_frames_parse_in_order() {
-        let a = ClusterFrame::FetchReq {
-            key: 5,
+        let a = ClusterFrame::FetchResp {
+            hit: false,
+            body: Vec::new(),
             trace: None,
         };
         let b = ClusterFrame::FetchResp {
@@ -273,8 +243,9 @@ mod tests {
     fn clean_eof_is_none_mid_frame_eof_is_error() {
         let mut empty: &[u8] = &[];
         assert_eq!(ClusterFrame::read_from(&mut empty).unwrap(), None);
-        let bytes = ClusterFrame::FetchReq {
-            key: 1,
+        let bytes = ClusterFrame::FetchResp {
+            hit: true,
+            body: vec![1],
             trace: None,
         }
         .encode();
@@ -294,19 +265,7 @@ mod tests {
     #[test]
     fn old_peer_frames_without_trace_field_still_decode() {
         // Hand-encode the traceless wire layout (no trailing 16 bytes):
-        // FetchReq/FetchResp must decode as `trace: None`.
-        let mut body = vec![TAG_FETCH_REQ];
-        body.extend_from_slice(&7u32.to_le_bytes());
-        assert_eq!(
-            ClusterFrame::read_from(&mut &framed(&body)[..])
-                .unwrap()
-                .unwrap(),
-            ClusterFrame::FetchReq {
-                key: 7,
-                trace: None,
-            }
-        );
-
+        // it must decode as `trace: None`.
         let mut body = vec![TAG_FETCH_RESP, 1];
         body.extend_from_slice(&3u32.to_le_bytes());
         body.extend_from_slice(b"abc");
@@ -326,13 +285,15 @@ mod tests {
     fn traceless_new_frames_match_old_wire_layout() {
         // A node sending `trace: None` puts exactly the traceless bytes on
         // the wire.
-        let wire = ClusterFrame::FetchReq {
-            key: 7,
+        let wire = ClusterFrame::FetchResp {
+            hit: true,
+            body: b"abc".to_vec(),
             trace: None,
         }
         .encode();
-        let mut expected = vec![TAG_FETCH_REQ];
-        expected.extend_from_slice(&7u32.to_le_bytes());
+        let mut expected = vec![TAG_FETCH_RESP, 1];
+        expected.extend_from_slice(&3u32.to_le_bytes());
+        expected.extend_from_slice(b"abc");
         assert_eq!(wire, framed(&expected));
     }
 
@@ -340,8 +301,8 @@ mod tests {
     fn partial_trace_field_rejected() {
         // 8 trailing bytes is neither "absent" (0) nor a full context
         // (16): the hostile-length rule rejects it instead of guessing.
-        let mut body = vec![TAG_FETCH_REQ];
-        body.extend_from_slice(&7u32.to_le_bytes());
+        let mut body = vec![TAG_FETCH_RESP, 0];
+        body.extend_from_slice(&0u32.to_le_bytes());
         body.extend_from_slice(&1u64.to_le_bytes()); // half a context
         assert!(ClusterFrame::read_from(&mut &framed(&body)[..]).is_err());
     }
@@ -359,8 +320,8 @@ mod tests {
     fn unknown_tag_and_trailing_bytes_rejected() {
         assert!(ClusterFrame::read_from(&mut &framed(&[99])[..]).is_err());
 
-        let mut body = vec![TAG_FETCH_REQ];
-        body.extend_from_slice(&7u32.to_le_bytes());
+        let mut body = vec![TAG_FETCH_RESP, 0];
+        body.extend_from_slice(&0u32.to_le_bytes());
         body.push(0xAB); // trailing garbage
         assert!(ClusterFrame::read_from(&mut &framed(&body)[..]).is_err());
     }

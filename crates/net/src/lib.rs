@@ -23,9 +23,8 @@
 //! * [`latency`] — a simple WAN/LAN latency+bandwidth model used to *compute*
 //!   simulated response times from measured byte counts (no sleeping).
 //!
-//! * [`frame`] — the cluster wire-message family: the length-prefixed
-//!   peer-fetch request and answer spoken proxy-to-proxy by the
-//!   `dpc-cluster` tier.
+//! * [`frame`] — one length-prefixed frame carrying a fragment slot's
+//!   bytes; no code path sends it, the benchmark times its codec.
 //! * [`poll`] — the readiness layer: nonblocking stream/listener traits and
 //!   an epoll-shaped registry/poller so one event loop can multiplex
 //!   thousands of idle connections without pinning threads. Simulated

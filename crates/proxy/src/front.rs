@@ -5,15 +5,15 @@
 //! front invokes it inline on each of its event loops
 //! (`dpc_http::Server::with_loops`), concurrently across loops, so
 //! everything here is shared state behind `Arc`s and atomics. The handler
-//! blocks its loop on origin (and, in the ring, peer) fetches; those
-//! servers never call back into the proxy, so the wait always ends (see
-//! [`crate::testbed`] and `RingCluster::spawn_front` for the argument).
+//! blocks its loop on origin fetches; the origin never calls back into the
+//! proxy, so the wait always ends (see [`crate::testbed`] and
+//! `RingCluster::spawn_front` for the argument).
 
 use dpc_core::proto::{
     self, Answer, Ask, Provenance, ASSEMBLY_ERROR_HEADER, DEP_HEADER, JOURNEY_HEADER,
-    PEER_FETCHED_HEADER, PURGED_KEYS_HEADER, TRACE_HEADER,
+    PURGED_KEYS_HEADER, TRACE_HEADER,
 };
-use dpc_core::{assemble_rope, salvage, AssembleError, DpcKey, FragmentSource, FragmentStore};
+use dpc_core::{assemble_rope, salvage, AssembleError, DpcKey, FragmentStore};
 use dpc_firewall::Firewall;
 use dpc_http::{Body, Client, Handler, Method, Request, Response, Status};
 use dpc_metrics::Registry as MetricsRegistry;
@@ -34,14 +34,9 @@ pub struct ProxyStats {
     pub assembled: AtomicU64,
     /// DPC mode: assembly failures that fell back to a bypass refetch.
     pub bypass_refetches: AtomicU64,
-    /// DPC mode: slots filled from the donor node because the BEM listed
-    /// them as granted on its copy (the cluster tier's lazy key-range
-    /// handoff).
-    pub peer_fetches: AtomicU64,
     /// DPC mode: assembly failures repaired by a *refresh* refetch — a
     /// classic §7 round trip naming the absent keys, which the BEM
-    /// re-`SET`s — instead of a full bypass. Only taken by peer-fetching
-    /// nodes.
+    /// re-`SET`s — instead of a full bypass. Only taken by ring members.
     pub refresh_refetches: AtomicU64,
     /// DPC mode: origin responses that were not instrumented (forwarded
     /// verbatim).
@@ -77,18 +72,15 @@ pub type DepPurger = Arc<dyn Fn(&str) -> usize + Send + Sync>;
 /// DPC).
 pub struct Proxy {
     mode: ProxyMode,
-    /// Node id announced to the BEM (forward-proxy/§7 operation; 0 for the
-    /// single reverse proxy).
-    node: u32,
+    /// Ring member id announced to the BEM (§7 operation); `None` for the
+    /// single reverse proxy, which announces node 0.
+    node: Option<u32>,
     origin_addr: String,
     client: Arc<Client>,
     store: Arc<FragmentStore>,
     page_cache: Arc<PageCache>,
     esi: Arc<EsiAssembler>,
     firewall: Option<Arc<Firewall>>,
-    /// The node this one pulls slots from (cluster tier: the previous
-    /// ring owner of the request).
-    fragment_source: Option<Arc<dyn FragmentSource>>,
     /// DPC mode only: serve repeat GETs of assembled pages from the page
     /// cache (the node's L2 tier), one copy per session or, for a page the
     /// origin marked session-free, one for all sessions, and install freshly
@@ -125,14 +117,13 @@ impl Proxy {
     ) -> Proxy {
         Proxy {
             mode,
-            node: 0,
+            node: None,
             origin_addr: origin_addr.to_owned(),
             client,
             store,
             page_cache,
             esi,
             firewall,
-            fragment_source: None,
             page_tier: false,
             metrics: None,
             dep_purger: None,
@@ -144,7 +135,7 @@ impl Proxy {
     /// Builder: record spans into `tracer`'s flight recorder and serve
     /// `GET /_dpc/trace/recent` from its keep-list. Pass a tracer built on
     /// the fleet's shared recorder so this front's spans stitch into the
-    /// same traces as the HTTP servers' and peers'.
+    /// same traces as the HTTP servers'.
     pub fn with_tracer(mut self, tracer: Tracer) -> Proxy {
         self.tracer = tracer;
         self
@@ -155,19 +146,11 @@ impl Proxy {
         &self.tracer
     }
 
-    /// Builder: set the distributed-DPC node id (0–63) this proxy announces
-    /// to the BEM.
+    /// Builder: make this proxy ring member `node` (0–63): it announces
+    /// the id to the BEM and takes the refresh rung.
     pub fn with_node(mut self, node: u32) -> Proxy {
         assert!(node < 64, "at most 64 DPC nodes");
-        self.node = node;
-        self
-    }
-
-    /// Builder: name `source`'s donor on every template request and pull
-    /// the slots the BEM grants on the donor's copy from it (the cluster
-    /// tier's lazy peer-fetch handoff). Also enables the refresh rung.
-    pub fn with_fragment_source(mut self, source: Arc<dyn FragmentSource>) -> Proxy {
-        self.fragment_source = Some(source);
+        self.node = Some(node);
         self
     }
 
@@ -216,7 +199,7 @@ impl Proxy {
 
     /// Node id announced to the BEM.
     pub fn node(&self) -> u32 {
-        self.node
+        self.node.unwrap_or(0)
     }
 
     /// Operating mode.
@@ -332,7 +315,7 @@ impl Proxy {
         };
         let segments = resp.body.segments().len();
         let spans = rec.spans_of(trace_id);
-        let journey = render_journey(trace_id, &spans, segments, self.node);
+        let journey = render_journey(trace_id, &spans, segments, self.node());
         resp.with_header(JOURNEY_HEADER, journey)
     }
 
@@ -557,19 +540,16 @@ impl Proxy {
         resp
     }
 
-    /// The repair ladder. A template request names this node's donor; if
-    /// assembly still finds an empty slot, a peer-fetching node refreshes
-    /// once, naming its absent keys so the BEM re-`SET`s them (a scrub
-    /// may have emptied a slot behind its stored bit). The bypass
-    /// is the last rung. With `want_reads` the template requests ask for
-    /// the page's read set, returned beside an assembled page.
+    /// The repair ladder. A template request names this node; if assembly
+    /// still finds an empty slot, a ring member refreshes once, naming its
+    /// absent keys so the BEM re-`SET`s them (the ring's scrub may have
+    /// emptied a slot behind its stored bit). The bypass is the last rung,
+    /// and the lone proxy's only one: nothing scrubs its slots. With
+    /// `want_reads` the template requests ask for the page's read set,
+    /// returned beside an assembled page.
     fn serve_dpc_assembling(&self, req: &Request, want_reads: bool) -> (Response, Provenance) {
         let ask = Ask {
-            node: Some(self.node),
-            donor: self
-                .fragment_source
-                .as_ref()
-                .and_then(|source| source.donor_for(&req.target)),
+            node: Some(self.node()),
             want_reads,
             ..Ask::default()
         };
@@ -577,14 +557,11 @@ impl Proxy {
             Ok(served) => return served,
             Err(failed) => failed,
         };
-        if self.fragment_source.is_none()
-            || !matches!(failed.err, AssembleError::MissingFragment(_))
-        {
+        if self.node.is_none() || !matches!(failed.err, AssembleError::MissingFragment(_)) {
             return (self.bypass_refetch(req, failed.err), Provenance::default());
         }
         self.stats.refresh_refetches.fetch_add(1, Ordering::Relaxed);
         let refresh = Ask {
-            donor: None,
             missing: failed.missing,
             ..ask
         };
@@ -615,7 +592,6 @@ impl Proxy {
             return Ok((resp, Provenance::default()));
         }
         let answer = Answer::parse(ask, |name| upstream.headers.get(name));
-        let fetched = self.pull_from_donor(ask.donor, &answer.from_donor);
         // Zero-copy assembly, end to end: cached fragments are spliced into
         // the rope by refcount bump, the rope's segments become the
         // response body unflattened, and the HTTP serializer puts them on
@@ -666,43 +642,9 @@ impl Proxy {
         let resp = strip_internal_headers(resp)
             .with_header("X-Cache", "dpc-assembled")
             .with_header("ETag", etag);
-        // Advertise repairs so latency classification and tracing can
-        // attribute this page to the peer-fetch path.
-        let resp = if fetched > 0 {
-            resp.with_header(PEER_FETCHED_HEADER, fetched.to_string())
-        } else {
-            resp
-        };
         // An origin that was not asked, or names a set this node cannot
         // judge, leaves the page under the coarse rule and its session key.
         Ok((resp, answer.provenance.unwrap_or_default()))
-    }
-
-    /// Fill the slots the BEM listed in `listed` (its `GET`s granted on
-    /// the donor's copy) from `donor`. A slot the donor cannot supply is
-    /// emptied rather than left holding this node's own copy, which may
-    /// be an older generation whose scrub has not arrived yet; assembly
-    /// then fails on it and the refresh re-`SET`s it. Returns the number
-    /// of slots filled.
-    fn pull_from_donor(&self, donor: Option<u32>, listed: &[DpcKey]) -> u32 {
-        let mut fetched = 0;
-        for &key in listed {
-            let bytes = match (&self.fragment_source, donor) {
-                (Some(source), Some(donor)) => source.fetch(donor, key),
-                _ => None,
-            };
-            match bytes {
-                Some(bytes) => {
-                    self.stats.peer_fetches.fetch_add(1, Ordering::Relaxed);
-                    fetched += 1;
-                    self.store.set(key, bytes);
-                }
-                None => {
-                    self.store.clear_key(key);
-                }
-            }
-        }
-        fetched
     }
 
     /// Assembly failed (raced slot, restarted store, corrupt template):
@@ -710,7 +652,7 @@ impl Proxy {
     fn bypass_refetch(&self, req: &Request, err: AssembleError) -> Response {
         self.stats.bypass_refetches.fetch_add(1, Ordering::Relaxed);
         let bypass = Ask {
-            node: Some(self.node),
+            node: Some(self.node()),
             bypass: true,
             ..Ask::default()
         };

@@ -18,11 +18,11 @@
 //!
 //! One multi-node tier builds on the front: [`ring_cluster`], the paper's
 //! §7 extension made dynamic — consistent-hash placement over a
-//! [`dpc_cluster::HashRing`], per-node placement tracked by the
-//! directory's `stored_nodes` bitmask, join/leave/fail membership with
-//! lazy peer-fetch key-range handoff, and one invalidation sink on the
-//! origin's BEM that scrubs freed slots from every member inside the
-//! update (see the `dpc-cluster` crate).
+//! [`ring::HashRing`], join/leave/fail [`membership`], per-node placement
+//! tracked by the directory's `stored_nodes` bitmask (a node fills the
+//! slots it lacks from the origin's node-miss `SET`s), and one
+//! invalidation sink on the origin's BEM that scrubs freed slots from
+//! every member inside the update.
 //!
 //! DPC mode can also serve assembled pages from a page tier: the node's
 //! one [`PageCache`] over one [`tier::PageTier`], which the proxy handler
@@ -43,10 +43,12 @@
 
 pub mod esi;
 pub mod front;
+pub mod membership;
 pub mod metrics;
 pub mod modes;
 pub mod node;
 pub mod page_cache;
+pub mod ring;
 pub mod ring_cluster;
 pub mod testbed;
 pub mod tier;

@@ -3,9 +3,9 @@
 //! Three transitions, mirroring the lifecycle a real fleet goes through:
 //!
 //! * **join** — a new node id enters `Alive` and its points are added to
-//!   the ring. Nothing else moves: the keys it now owns are pulled lazily
-//!   (peer-fetch on first miss), so a join costs no stop-the-world
-//!   rebalance and evicts nothing anywhere.
+//!   the ring. Nothing else moves: the node fills the slots of the pages
+//!   it now owns from the origin's node-miss `SET`s as it serves them, so
+//!   a join costs no stop-the-world rebalance and evicts nothing anywhere.
 //! * **leave** — a graceful departure: the node's points come off the ring
 //!   and traffic routes around it.
 //! * **fail** — a crash: the same ring effect as leave. Nothing is lost
@@ -114,12 +114,6 @@ impl Membership {
     /// Ring owner of `key` among alive nodes.
     pub fn owner(&self, key: &str) -> Option<u32> {
         self.ring.owner(key)
-    }
-
-    /// The node that owned `key` before `exclude` joined — the lazy-handoff
-    /// donor (see [`HashRing::owner_excluding`]).
-    pub fn donor_for(&self, key: &str, exclude: u32) -> Option<u32> {
-        self.ring.owner_excluding(key, exclude)
     }
 }
 

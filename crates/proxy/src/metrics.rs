@@ -11,13 +11,12 @@
 //! Naming follows Prometheus convention: `dpc_` prefix, `_total` on
 //! counters, base units in the name (`_bytes`, `_ns`). Cross-subsystem
 //! concerns share one family split by label — the single-flight counters
-//! of the BEM, the directory, the page tier, and the peer fetcher all land
-//! in `dpc_flight_*_total{source=...}`, so a dashboard can see coalescing
+//! of the BEM, the directory and the page tier all land in
+//! `dpc_flight_*_total{source=...}`, so a dashboard can see coalescing
 //! behaviour across every layer in one query.
 
 use std::sync::Arc;
 
-use dpc_cluster::PeerNode;
 use dpc_core::Bem;
 use dpc_http::{LoopStats, ServerStats};
 use dpc_metrics::{Exposition, Outcome, OutcomeExemplars, OutcomeHistograms, Registry};
@@ -86,7 +85,6 @@ pub fn register_bem(registry: &Registry, key: impl Into<String>, bem: Arc<Bem>, 
             &labels,
             s.overflow_fragments,
         );
-        e.counter("dpc_bem_donor_gets_total", &labels, s.donor_gets);
         e.counter("dpc_bem_missing_keys_total", &labels, s.missing_keys);
         e.counter("dpc_bem_generated_bytes_total", &labels, s.generated_bytes);
         e.counter("dpc_bem_literal_bytes_total", &labels, s.literal_bytes);
@@ -207,11 +205,6 @@ pub fn register_proxy(
             load(&s.bypass_refetches),
         );
         e.counter(
-            "dpc_proxy_peer_fetches_total",
-            &labels,
-            load(&s.peer_fetches),
-        );
-        e.counter(
             "dpc_proxy_refresh_refetches_total",
             &labels,
             load(&s.refresh_refetches),
@@ -257,42 +250,6 @@ pub fn register_proxy(
             "dpc_assembly_template_bytes_total",
             &labels,
             load(&s.asm_template_bytes),
-        );
-    });
-}
-
-/// A ring node's peer plane: fetch serving, scrubs, and the fetch-side
-/// single-flight counters.
-pub fn register_peer(
-    registry: &Registry,
-    key: impl Into<String>,
-    peer: Arc<PeerNode>,
-    node: Option<u32>,
-) {
-    use std::sync::atomic::Ordering;
-    let node = node.map(|n| n.to_string());
-    registry.register(key, move |e| {
-        let labels = node_labels(&node);
-        let s = peer.stats();
-        let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
-        e.counter("dpc_peer_fetch_hits_total", &labels, load(&s.fetch_hits));
-        e.counter(
-            "dpc_peer_fetch_misses_total",
-            &labels,
-            load(&s.fetch_misses),
-        );
-        e.counter(
-            "dpc_peer_slots_scrubbed_total",
-            &labels,
-            load(&s.slots_scrubbed),
-        );
-        flight_family(
-            e,
-            &labels,
-            "peer_fetch",
-            load(&s.fetch_flight_leaders),
-            load(&s.fetch_coalesced_waits),
-            load(&s.fetch_flight_retries),
         );
     });
 }

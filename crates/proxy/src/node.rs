@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dpc_core::{CoherencyEpoch, FragmentSource, FragmentStore};
+use dpc_core::{CoherencyEpoch, FragmentStore};
 use dpc_firewall::Firewall;
 use dpc_http::Client;
 use dpc_metrics::Registry as MetricsRegistry;
@@ -33,8 +33,9 @@ pub struct NodeSpec<'a> {
     /// Proxy mode; ring members run `Dpc`.
     pub mode: ProxyMode,
     /// Ring member id: announced to the BEM, recorded on spans, and
-    /// prefixing the node's collectors (`node{id}/…`). `None` for the lone
-    /// proxy, which announces node 0 and registers under bare keys.
+    /// prefixing the node's collectors (`node{id}/…`); a member takes the
+    /// refresh rung. `None` for the lone proxy, which announces node 0 and
+    /// registers under bare keys.
     pub id: Option<u32>,
     /// The DPC slot store; the page cache is sized to its capacity.
     pub store: Arc<FragmentStore>,
@@ -44,9 +45,6 @@ pub struct NodeSpec<'a> {
     pub page_tier: bool,
     /// Scan every origin response at the boundary.
     pub firewall: Option<Arc<Firewall>>,
-    /// Where an empty slot is fetched before a bypass (the ring's previous
-    /// owner).
-    pub fragment_source: Option<Arc<dyn FragmentSource>>,
     /// Handler for `PURGE` + `X-DPC-Dep`.
     pub dep_purger: Option<DepPurger>,
     /// The network the node reaches the origin over.
@@ -79,14 +77,13 @@ pub fn build(spec: NodeSpec<'_>) -> Arc<Proxy> {
         Arc::new(EsiAssembler::new(spec.clock, PAGE_TTL)),
         spec.firewall,
     )
-    .with_node(node)
     .with_tracer(tracer)
     .with_metrics(Arc::clone(spec.metrics));
+    if let Some(id) = spec.id {
+        proxy = proxy.with_node(id);
+    }
     if spec.page_tier {
         proxy = proxy.with_page_tier();
-    }
-    if let Some(source) = spec.fragment_source {
-        proxy = proxy.with_fragment_source(source);
     }
     if let Some(purger) = spec.dep_purger {
         proxy = proxy.with_dep_purger(purger);

@@ -113,19 +113,6 @@ impl HashRing {
             .map(|(_, node)| *node)
     }
 
-    /// Owner of `key` if `exclude`'s points were absent — i.e. the node
-    /// that owned `key` *before* `exclude` joined (or that will own it
-    /// after `exclude` leaves). This is the lazy-handoff donor: a freshly
-    /// joined node peer-fetches from `owner_excluding(key, self)`.
-    pub fn owner_excluding(&self, key: &str, exclude: u32) -> Option<u32> {
-        let h = fnv1a(key.as_bytes());
-        self.points
-            .range(h..)
-            .chain(self.points.range(..h))
-            .map(|(_, node)| *node)
-            .find(|node| *node != exclude)
-    }
-
     /// Fraction of `samples` synthetic keys owned by `node` — balance and
     /// churn diagnostics for tests and benches.
     pub fn share_of(&self, node: u32, samples: usize) -> f64 {
@@ -215,27 +202,6 @@ mod tests {
         ring.add(2);
         let after: Vec<u32> = keys.iter().map(|k| ring.owner(k).unwrap()).collect();
         assert_eq!(before, after, "add(remove(ring)) must be identity");
-    }
-
-    #[test]
-    fn owner_excluding_names_the_handoff_donor() {
-        let mut ring = ring_of(4);
-        // Before node 4 joins, record owners.
-        let keys: Vec<String> = (0..2000).map(|i| format!("k{i}")).collect();
-        let before: Vec<u32> = keys.iter().map(|k| ring.owner(k).unwrap()).collect();
-        ring.add(4);
-        for (k, owner_before) in keys.iter().zip(&before) {
-            let now = ring.owner(k).unwrap();
-            if now == 4 {
-                // The donor for every key the newcomer took is exactly the
-                // pre-join owner.
-                assert_eq!(ring.owner_excluding(k, 4), Some(*owner_before), "key {k}");
-            }
-        }
-        // A single-node ring has no donor.
-        let mut lone = HashRing::new(8);
-        lone.add(0);
-        assert_eq!(lone.owner_excluding("k", 0), None);
     }
 
     #[test]

@@ -1,22 +1,19 @@
 //! The dynamic DPC cluster: consistent-hash placement, membership churn,
-//! lazy peer-fetch handoff, and invalidation applied to every member at
-//! once.
+//! and invalidation applied to every member at once.
 //!
-//! This is the third serving tier (core → front → cluster). Each
-//! node is a full DPC front ([`Proxy`] in DPC mode with its own slot
-//! store) plus a [`dpc_cluster::PeerNode`] endpoint (peer-fetch service
-//! on the shared [`SimNetwork`]):
+//! This is the third serving tier (core → front → cluster). Each node is
+//! a full DPC front ([`Proxy`] in DPC mode with its own slot store); the
+//! nodes exchange no messages:
 //!
 //! * **Routing** — requests go to the ring owner of their target
-//!   ([`dpc_cluster::HashRing`]); a membership change remaps an expected
-//!   `1/n` of the keyspace, not a modulo router's avalanche.
+//!   ([`HashRing`](crate::ring::HashRing)); a membership change remaps an
+//!   expected `1/n` of the keyspace, not a modulo router's avalanche.
 //! * **Join** — the newcomer's points go on the ring and *nothing else
-//!   moves*: keys it now owns are pulled lazily. Every template request
-//!   names the node's donor, the pre-join owner
-//!   ([`HashRing::owner_excluding`]); the BEM grants `GET`s for the
-//!   fragments the donor holds and lists them, and the node pulls exactly
-//!   those from the donor. No other node is touched, nothing anywhere is
-//!   evicted.
+//!   moves*. It fills its slots the way every node does: its template
+//!   requests name it, and the BEM's directory, with one stored bit per
+//!   node, answers a fragment the newcomer has not stored with a
+//!   node-miss `SET` under the fragment's key, as in the paper's §7. No
+//!   other node is touched, nothing anywhere is evicted.
 //! * **Repair** — a slot a scrub emptied behind the node's stored bit (a
 //!   render reused the freed key before the scrub ran) fails assembly;
 //!   one refresh names the absent keys and the BEM re-`SET`s them. A
@@ -28,36 +25,34 @@
 //!   the whole ring inside the update: it scrubs the freed keys from
 //!   every member's slot store, then bumps the updated dep's stripe of
 //!   the ring-wide page-tier epoch. [`RingCluster::invalidate_dep`] frees
-//!   a dep's keys and applies them the same way. No invalidation message
-//!   crosses between nodes: the BEM's directory, with its one stored bit
-//!   per node, decides what each node may splice, as in the paper's §7.
+//!   a dep's keys and applies them the same way. The BEM's directory
+//!   decides what each node may splice.
 //! * **Front** — [`RingCluster::spawn_front`] serves the whole ring at one
 //!   HTTP address. Its handlers run inline on its event loops and block
-//!   there on origin and peer fetches, so a request crosses the client,
-//!   the front loop, and the origin loop or a donor's peer server.
+//!   there on origin fetches, so a request crosses the client, the front
+//!   loop and the origin loop.
 //!
 //! The origin is a [`Testbed`](crate::testbed::Testbed) built with its
 //! own page tier off: [`RingCluster::connect_origin`] replaces the sink
 //! through which a tiered testbed proxy learns of updates.
-//!
-//! [`HashRing::owner_excluding`]: dpc_cluster::HashRing::owner_excluding
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dpc_cluster::{peer_addr, Membership, PeerNode, PeerServer};
 use dpc_core::proto::{DEP_HEADER, PURGED_KEYS_HEADER, SERVED_BY_HEADER};
-use dpc_core::{Bem, CoherencyEpoch, DpcKey, FragmentSource, FragmentStore};
+use dpc_core::{Bem, CoherencyEpoch, DpcKey, FragmentStore};
 use dpc_http::{Method, Request, Response, Status};
 use dpc_metrics::Registry as MetricsRegistry;
-use dpc_net::{Clock, SimConnector, SimNetwork};
+use dpc_net::{Clock, SimNetwork};
 use dpc_trace::{TraceConfig, Tracer};
 
 use crate::front::Proxy;
+use crate::membership::Membership;
 use crate::modes::ProxyMode;
 use crate::node::{self, NodeSpec};
+use crate::ring::DEFAULT_VNODES;
 
 /// Slot-store capacity per node.
 const NODE_CAPACITY: usize = 4096;
@@ -77,9 +72,9 @@ pub struct RingConfig {
     /// every request reassembles at its owner node, the classic cluster
     /// pipeline.
     pub page_tier: bool,
-    /// Span tracing: one flight recorder shared by every node's proxy,
-    /// page tier, and peer endpoint (each recording under its own node
-    /// id), so a front→owner→donor request stitches into a single trace
+    /// Span tracing: one flight recorder shared by the front and every
+    /// node's proxy and page tier (each recording under its own node id),
+    /// so a front→owner→origin request stitches into a single trace
     /// retrievable at any node's `GET /_dpc/trace/recent`. Always on by
     /// default.
     pub trace: TraceConfig,
@@ -96,26 +91,15 @@ impl Default for RingConfig {
     }
 }
 
-/// Ring/membership view shared with every node's peer fetcher.
-struct Shared {
-    membership: Mutex<Membership>,
-}
-
-/// One running cluster node.
-struct RingNode {
-    proxy: Arc<Proxy>,
-    peer: Arc<PeerNode>,
-    server: PeerServer,
-}
-
 /// A dynamic cluster of DPC nodes in front of one origin (which must
 /// already be listening at [`ORIGIN_ADDR`](crate::testbed::ORIGIN_ADDR)
 /// on `net`).
 pub struct RingCluster {
     net: Arc<SimNetwork>,
     config: RingConfig,
-    shared: Arc<Shared>,
-    nodes: Mutex<HashMap<u32, RingNode>>,
+    membership: Mutex<Membership>,
+    /// Every member's proxy, by node id.
+    nodes: Mutex<HashMap<u32, Arc<Proxy>>>,
     /// Next fresh id handed to a join. Ids are monotonic until the 64-id
     /// space (the BEM's `stored_nodes` bitmask width) is spent, then
     /// departed ids are recycled — see [`RingCluster::allocate_id`].
@@ -126,10 +110,13 @@ pub struct RingCluster {
     /// that read the dep stops serving on its next touch, and a page that
     /// did not read it keeps serving.
     coherence: CoherencyEpoch,
+    /// Slots emptied by invalidations, over every member
+    /// (`dpc_peer_slots_scrubbed_total`).
+    slots_scrubbed: Arc<AtomicU64>,
     /// One metrics registry over the whole cluster: every node registers
-    /// its page cache, proxy, and peer adapters at join and unregisters
-    /// them on departure, so `GET /_dpc/metrics` at *any* node (or the
-    /// HTTP front) scrapes the full fleet.
+    /// its page cache and proxy at join and unregisters them on departure,
+    /// so `GET /_dpc/metrics` at *any* node (or the HTTP front) scrapes
+    /// the full fleet.
     registry: Arc<MetricsRegistry>,
     /// Clock observed by page TTLs and the front's request-latency
     /// histograms.
@@ -138,9 +125,9 @@ pub struct RingCluster {
     /// The HTTP `PURGE` + `X-DPC-Dep` admin path needs it to free keys at
     /// the shared directory.
     origin_bem: Mutex<Option<Arc<Bem>>>,
-    /// One flight recorder for the whole ring: every node's proxy, page
-    /// tier, and peer endpoint records into it under its own node id, so
-    /// a cross-node request reads back as a single trace at any node.
+    /// One flight recorder for the whole ring: the front and every node's
+    /// proxy and page tier record into it under their own node ids, so a
+    /// cross-node request reads back as a single trace at any node.
     tracer: Tracer,
 }
 
@@ -153,18 +140,22 @@ impl RingCluster {
         let cluster = RingCluster {
             net: Arc::clone(net),
             config,
-            shared: Arc::new(Shared {
-                membership: Mutex::new(Membership::new(dpc_cluster::DEFAULT_VNODES)),
-            }),
+            membership: Mutex::new(Membership::new(DEFAULT_VNODES)),
             nodes: Mutex::new(HashMap::new()),
             next_id: Mutex::new(0),
             coherence: CoherencyEpoch::new(),
+            slots_scrubbed: Arc::new(AtomicU64::new(0)),
             registry: Arc::new(MetricsRegistry::new()),
             clock,
             origin_bem: Mutex::new(None),
             tracer,
         };
         crate::metrics::register_trace(&cluster.registry, "trace", cluster.tracer.clone());
+        let scrubbed = Arc::clone(&cluster.slots_scrubbed);
+        cluster.registry.register("ring", move |e| {
+            let n = scrubbed.load(Ordering::Relaxed);
+            e.counter("dpc_peer_slots_scrubbed_total", &[], n);
+        });
         for _ in 0..n {
             cluster.join();
         }
@@ -179,27 +170,27 @@ impl RingCluster {
 
     /// Node ids currently alive, sorted.
     pub fn alive(&self) -> Vec<u32> {
-        self.shared.membership.lock().alive()
+        self.membership.lock().alive()
     }
 
     /// Ring owner of `target` (None with no alive nodes).
     pub fn owner_of(&self, target: &str) -> Option<u32> {
-        self.shared.membership.lock().owner(target)
+        self.membership.lock().owner(target)
     }
 
     /// Fraction of `samples` synthetic keys owned by `node`.
     pub fn ring_share(&self, node: u32, samples: usize) -> f64 {
-        self.shared.membership.lock().ring().share_of(node, samples)
+        self.membership.lock().ring().share_of(node, samples)
     }
 
     /// The proxy of node `id` (tests, fault injection).
     pub fn proxy(&self, id: u32) -> Option<Arc<Proxy>> {
-        self.nodes.lock().get(&id).map(|n| Arc::clone(&n.proxy))
+        self.nodes.lock().get(&id).cloned()
     }
 
-    /// The peer endpoint of node `id` (fetch and scrub counters in tests).
-    pub fn peer(&self, id: u32) -> Option<Arc<PeerNode>> {
-        self.nodes.lock().get(&id).map(|n| Arc::clone(&n.peer))
+    /// Slots emptied by invalidations so far, over every member.
+    pub fn slots_scrubbed(&self) -> u64 {
+        self.slots_scrubbed.load(Ordering::Relaxed)
     }
 
     /// Allocate a node id. Fresh ids are handed out monotonically; once
@@ -212,67 +203,43 @@ impl RingCluster {
             *next += 1;
             return id;
         }
-        let membership = self.shared.membership.lock();
+        let membership = self.membership.lock();
         (0..64u32)
             .find(|id| !membership.is_alive(*id))
             .expect("at most 64 DPC nodes may be alive at once")
     }
 
-    /// A new node enters the cluster: peer service started, then ring
-    /// points added. Returns its id. Nothing is rebalanced eagerly — the
-    /// newcomer's keys arrive by peer-fetch on first miss.
+    /// A new node enters the cluster: its proxy is built, then its ring
+    /// points are added. Returns its id. Nothing is rebalanced eagerly —
+    /// the newcomer fills its slots from the origin's node-miss `SET`s.
     pub fn join(&self) -> u32 {
         let id = self.allocate_id();
-        let store = Arc::new(FragmentStore::new(NODE_CAPACITY));
-        let peer = PeerNode::new(id, Arc::clone(&store));
-        peer.set_tracer(self.tracer.with_node(id));
-        let server = PeerServer::spawn(&self.net, &peer);
-        let fetcher = Arc::new(PeerFetcher {
-            self_id: id,
-            peer: Arc::clone(&peer),
-            shared: Arc::clone(&self.shared),
-            connector: self.net.connector(),
-        });
         // The ring routes `PURGE` + `X-DPC-Dep` itself and scans nothing
         // at the boundary; otherwise a member is the lone proxy's node.
         let proxy = node::build(NodeSpec {
             mode: ProxyMode::Dpc,
             id: Some(id),
-            store,
+            store: Arc::new(FragmentStore::new(NODE_CAPACITY)),
             coherence: Some(self.coherence.clone()),
             page_tier: self.config.page_tier,
             firewall: None,
-            fragment_source: Some(fetcher),
             dep_purger: None,
             net: &self.net,
             clock: self.clock.clone(),
             tracer: &self.tracer,
             metrics: &self.registry,
         });
-        crate::metrics::register_peer(
-            &self.registry,
-            format!("node{id}/peer"),
-            Arc::clone(&peer),
-            Some(id),
-        );
         // A member is in the scrub set before it is on the ring, so every
         // invalidation that can reach a page it serves scrubs its store.
-        self.nodes.lock().insert(
-            id,
-            RingNode {
-                proxy,
-                peer,
-                server,
-            },
-        );
-        self.shared.membership.lock().join(id);
+        self.nodes.lock().insert(id, proxy);
+        self.membership.lock().join(id);
         id
     }
 
-    /// Graceful departure: remove the node's ring points and stop its peer
-    /// service. Returns false when `id` was not alive.
+    /// Graceful departure: remove the node's ring points and its proxy.
+    /// Returns false when `id` was not alive.
     pub fn leave(&self, id: u32) -> bool {
-        if !self.shared.membership.lock().leave(id) {
+        if !self.membership.lock().leave(id) {
             return false;
         }
         self.remove_node(id);
@@ -282,7 +249,7 @@ impl RingCluster {
     /// Crash: the same ring effect as [`leave`](Self::leave). Returns
     /// false when `id` was not alive.
     pub fn fail(&self, id: u32) -> bool {
-        if !self.shared.membership.lock().fail(id) {
+        if !self.membership.lock().fail(id) {
             return false;
         }
         self.remove_node(id);
@@ -290,17 +257,13 @@ impl RingCluster {
     }
 
     fn remove_node(&self, id: u32) {
-        if let Some(mut node) = self.nodes.lock().remove(&id) {
-            node.server.stop();
-        }
+        self.nodes.lock().remove(&id);
         // A departed node must stop appearing in scrapes immediately —
         // its counters are frozen and its `node="N"` label would collide
         // with a recycled incarnation's.
         self.registry.unregister(&format!("node{id}/page_cache"));
         self.registry.unregister(&format!("node{id}/proxy"));
-        self.registry.unregister(&format!("node{id}/peer"));
     }
-
     /// Serve one request through ring routing.
     ///
     /// Two admin paths bypass routing: `GET /_dpc/metrics` renders the
@@ -352,16 +315,12 @@ impl RingCluster {
     /// running its handlers inline), so the cluster tier scales across
     /// cores with its loop count, as the testbed's fronts do.
     ///
-    /// A handler blocks its loop on origin and peer fetches. It cannot
-    /// deadlock:
-    /// - it waits only on servers that never call back into the front:
-    ///   the origin, whose inline handlers never call back, and the peer
-    ///   servers, each its own accept thread ([`PeerServer::spawn`])
-    ///   touching only its node's slot store;
-    /// - its parks are the page cache's fill flight and the peer fetch
-    ///   flight ([`PeerNode::coalesced_fetch`]), whose leaders are
-    ///   handlers on other loops (or direct callers) waiting only on the
-    ///   origin or a donor's peer server;
+    /// A handler blocks its loop on origin fetches. It cannot deadlock:
+    /// - it waits only on the origin, whose inline handlers never call
+    ///   back into the front;
+    /// - its one park is the page cache's fill flight, whose leader is a
+    ///   handler on another loop (or a direct caller) waiting only on the
+    ///   origin;
     /// - with `loops: 1` no two front handlers overlap, so nothing parks.
     pub fn spawn_front(self: &Arc<Self>, addr: &str) -> dpc_http::ServerHandle {
         let listener = self.net.listen(addr);
@@ -426,19 +385,19 @@ impl RingCluster {
     }
 
     /// Apply one invalidation, after the directory freed `keys`: scrub
-    /// them from every member's slot store (stamping their in-flight
-    /// fetches stale), then bump `dep`'s stripe of the ring-wide epoch
-    /// once, so exactly the tiered pages that read `dep` stop serving.
+    /// them from every member's slot store, so a later reassignment of a
+    /// freed key finds an empty slot (a clean `MissingFragment` miss)
+    /// instead of the old fragment's bytes, then bump `dep`'s stripe of
+    /// the ring-wide epoch once, so exactly the tiered pages that read
+    /// `dep` stop serving.
     fn apply(&self, dep: &str, keys: &[DpcKey]) {
-        let peers: Vec<Arc<PeerNode>> = self
-            .nodes
-            .lock()
-            .values()
-            .map(|n| Arc::clone(&n.peer))
-            .collect();
-        for peer in &peers {
-            peer.scrub(keys);
+        let mut scrubbed = 0;
+        for proxy in self.nodes.lock().values() {
+            for key in keys {
+                scrubbed += u64::from(proxy.store().clear_key(*key));
+            }
         }
+        self.slots_scrubbed.fetch_add(scrubbed, Ordering::Relaxed);
         self.coherence.bump_label(dep);
     }
 
@@ -451,39 +410,12 @@ impl RingCluster {
     }
 }
 
-/// The lazy-handoff donor: the node that would own the request's target
-/// without this one (its owner before this node joined). Fetches go
-/// through the node's fetch flight, so a flash crowd missing on one
-/// rebalanced key costs the donor a single wire round trip.
-struct PeerFetcher {
-    self_id: u32,
-    peer: Arc<PeerNode>,
-    shared: Arc<Shared>,
-    connector: SimConnector,
-}
-
-impl FragmentSource for PeerFetcher {
-    fn donor_for(&self, target: &str) -> Option<u32> {
-        self.shared
-            .membership
-            .lock()
-            .donor_for(target, self.self_id)
-    }
-
-    fn fetch(&self, donor: u32, key: DpcKey) -> Option<Bytes> {
-        self.peer
-            .coalesced_fetch(&self.connector, &peer_addr(donor), key)
-            .ok()
-            .flatten()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testbed::{Testbed, TestbedConfig};
+    use bytes::Bytes;
     use dpc_appserver::apps::paper_site::PaperSiteParams;
-    use std::sync::atomic::Ordering;
 
     fn params() -> PaperSiteParams {
         PaperSiteParams {
@@ -579,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn join_rebalances_lazily_via_peer_fetch_without_evicting() {
+    fn join_fills_the_newcomer_by_node_miss_sets_without_evicting() {
         let (tb, cluster) = origin_and_cluster(3);
         let truth: Vec<Vec<u8>> = (0..12)
             .map(|p| tb.get(&page(p), None).body.to_vec())
@@ -598,6 +530,8 @@ mod tests {
         let owners_before: Vec<u32> = (0..12)
             .map(|p| cluster.owner_of(&page(p)).unwrap())
             .collect();
+        let node_misses = || tb.engine().bem().directory_stats().node_misses;
+        let node_misses_before = node_misses();
 
         let newcomer = cluster.join();
         // Every page still serves the right bytes…
@@ -606,24 +540,29 @@ mod tests {
             assert_eq!(&resp.body.to_vec(), want, "page {p} after join");
         }
         let new_proxy = cluster.proxy(newcomer).unwrap();
-        let taken: Vec<usize> = (0..12)
+        let taken = (0..12)
             .filter(|p| cluster.owner_of(&page(*p)) == Some(newcomer))
-            .collect();
+            .count();
         assert!(
-            !taken.is_empty(),
+            taken > 0,
             "with 12 pages over 4 nodes the newcomer should own some"
         );
-        // …the newcomer filled its store by peer-fetch, not bypass…
+        // …the newcomer filled its store from node-miss SETs: at most one
+        // per fragment of the pages it took, and every one of them a node
+        // miss at the directory (the warm members only GET)…
+        let sets = new_proxy.stats().asm_sets.load(Ordering::Relaxed);
+        assert!(sets > 0, "the newcomer's first pass SETs its slots");
         assert!(
-            new_proxy.stats().peer_fetches.load(Ordering::Relaxed) > 0,
-            "handoff must pull from the previous owner"
+            sets <= (taken * params().fragments_per_page) as u64,
+            "{sets} SETs for {taken} pages"
         );
+        assert_eq!(node_misses() - node_misses_before, sets);
         assert_eq!(
             new_proxy.stats().bypass_refetches.load(Ordering::Relaxed),
             0,
-            "a warm donor makes origin bypasses unnecessary"
+            "node-miss SETs make origin bypasses unnecessary"
         );
-        // …and no unaffected node lost anything: stores only grow or stay.
+        // …and no member lost anything: stores only grow or stay.
         for (id, before) in occupied_before {
             let after = cluster.proxy(id).unwrap().store().occupied();
             assert!(
@@ -639,6 +578,22 @@ mod tests {
                 "page {p} moved {owner_before} -> {now}, not to the newcomer"
             );
         }
+    }
+
+    #[test]
+    fn scrub_empties_the_freed_slots_and_counts_them() {
+        let (_tb, cluster) = origin_and_cluster(2);
+        let [a, b] = [0, 1].map(|id| cluster.proxy(id).unwrap());
+        a.store().set(DpcKey(3), Bytes::from_static(b"old"));
+        a.store().set(DpcKey(4), Bytes::from_static(b"kept"));
+        b.store().set(DpcKey(3), Bytes::from_static(b"old"));
+        // Key 5 is freed but no node holds it: nothing to count.
+        cluster.apply("dep", &[DpcKey(3), DpcKey(5)]);
+        for proxy in [&a, &b] {
+            assert_eq!(proxy.store().get(DpcKey(3)), None);
+        }
+        assert_eq!(a.store().get(DpcKey(4)), Some(Bytes::from_static(b"kept")));
+        assert_eq!(cluster.slots_scrubbed(), 2);
     }
 
     #[test]
@@ -663,7 +618,7 @@ mod tests {
             ))
             .expect("slot 0 of page 5 is cached");
         for id in cluster.alive() {
-            assert!(cluster.peer(id).unwrap().store().get(key).is_some());
+            assert!(cluster.proxy(id).unwrap().store().get(key).is_some());
         }
         // Content change via `seed` (which, unlike `update`, does not fire
         // the origin's update bus): the cluster-level API is the only
@@ -684,13 +639,12 @@ mod tests {
         assert_eq!(n, 1, "slot 0 of page 5 was valid and dependent");
         // Right after the call, no node's store holds the freed key.
         for id in cluster.alive() {
-            let peer = cluster.peer(id).unwrap();
             assert!(
-                peer.store().get(key).is_none(),
+                cluster.proxy(id).unwrap().store().get(key).is_none(),
                 "node {id} did not scrub the freed key"
             );
-            assert_eq!(peer.stats().slots_scrubbed.load(Ordering::Relaxed), 1);
         }
+        assert_eq!(cluster.slots_scrubbed(), 4, "one slot on each node");
         // And the next serve regenerates fresh bytes.
         let after = cluster.get(&page(5), None).body.to_vec();
         assert_ne!(before, after, "the serve after the call must be fresh");
@@ -849,7 +803,7 @@ mod tests {
         dpc_appserver::apps::paper_site::invalidate_fragment(tb.engine().repo(), 7, 0);
         for id in cluster.alive() {
             assert!(
-                cluster.peer(id).unwrap().store().get(key).is_none(),
+                cluster.proxy(id).unwrap().store().get(key).is_none(),
                 "node {id} kept a freed key"
             );
         }

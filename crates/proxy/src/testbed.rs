@@ -209,7 +209,6 @@ impl Testbed {
             coherence: epoch,
             page_tier: tier_on,
             firewall: Some(Arc::clone(&firewall)),
-            fragment_source: None,
             dep_purger: Some(dep_purger),
             net: &net,
             clock: clock.clone(),

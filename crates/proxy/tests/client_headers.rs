@@ -12,7 +12,7 @@ use std::sync::Arc;
 use dpc_appserver::apps::paper_site::PaperSiteParams;
 use dpc_core::proto::{
     BYPASS_HEADER, INTERNAL_REQUEST, INTERNAL_RESPONSE, MISSING_HEADER, NODE_HEADER,
-    PEER_FETCH_HEADER, WANT_READS_HEADER,
+    WANT_READS_HEADER,
 };
 use dpc_http::{Client, Request, Response};
 use dpc_proxy::testbed::{Testbed, TestbedConfig, PROXY_ADDR};
@@ -34,14 +34,13 @@ fn testbed(mode: ProxyMode, tier: bool) -> Testbed {
 }
 
 /// Every internal request header, each with a value the origin would act
-/// on: a bypass, another node and donor, a refresh naming every key the
-/// small site uses, and a read-set request.
+/// on: a bypass, another node, a refresh naming every key the small site
+/// uses, and a read-set request.
 fn forged(mut req: Request) -> Request {
     let keys: Vec<String> = (0..64).map(|k| k.to_string()).collect();
     for (name, value) in [
         (BYPASS_HEADER, "1".to_owned()),
         (NODE_HEADER, "5".to_owned()),
-        (PEER_FETCH_HEADER, "3".to_owned()),
         (MISSING_HEADER, keys.join(",")),
         (WANT_READS_HEADER, "1".to_owned()),
     ] {

@@ -11,7 +11,7 @@
 //!   blocking a front handler does: the DPC proxy waiting on the origin
 //!   (whose BEM flight is the park), the `PageCache` proxy whose page
 //!   flight parks a proxy loop, and the ring front, which right after a
-//!   join peer-fetches from the donor on its own loop.
+//!   join waits on the origin's node-miss `SET`s on its own loop.
 //! * **Counted-work equivalence.** A fixed request/update sequence moves
 //!   exactly the origin bytes, packets, requests and BEM hits/misses that
 //!   the worker-pool origin moved: running inline changes which thread
@@ -189,14 +189,15 @@ fn cold_page_crowd_on_the_inline_page_cache_proxy() {
 struct RingRun {
     target: String,
     bodies: Vec<(u16, Vec<u8>)>,
-    peer_fetches: u64,
+    /// The newcomer's `asm_sets` after the crowd.
+    sets: u64,
 }
 
 /// A two-node ring behind an HTTP front with `loops` loops: every page is
 /// served once, a third node joins, and [`CROWD`] clients are released at
 /// once through the front at a page the newcomer now owns. The newcomer
-/// has never served it, so the crowd's first requests peer-fetch its
-/// fragments from the donor — on the front's event loop.
+/// has never served it, so the crowd's first requests fetch its fragments
+/// as node-miss `SET`s from the origin — on the front's event loop.
 fn ring_front_crowd(loops: usize) -> RingRun {
     let tb = Testbed::build(TestbedConfig {
         mode: ProxyMode::Dpc,
@@ -221,16 +222,16 @@ fn ring_front_crowd(loops: usize) -> RingRun {
         .find(|t| cluster.owner_of(t) == Some(newcomer))
         .expect("the newcomer owns one of the pages");
     let bodies = release_crowd(tb.net(), "ring-front", &target);
-    let peer_fetches = cluster
+    let sets = cluster
         .proxy(newcomer)
         .expect("newcomer alive")
         .stats()
-        .peer_fetches
+        .asm_sets
         .load(Ordering::Relaxed);
     RingRun {
         target,
         bodies,
-        peer_fetches,
+        sets,
     }
 }
 
@@ -243,8 +244,8 @@ fn cold_page_crowd_on_the_inline_ring_front() {
         let what = format!("ring front, loops {loops}, {}", run.target);
         assert_bodies(&what, &run.bodies, &oracle(&run.target));
         assert!(
-            run.peer_fetches > 0,
-            "{what}: the crowd must pull from the donor"
+            run.sets > 0,
+            "{what}: the newcomer must SET the slots it never stored"
         );
     }
 }

@@ -3,8 +3,7 @@
 //! exactly as an operator would use them.
 //!
 //! * Trace attribution — one request sequence walks the tier ladder
-//!   (assembled miss → page-tier hit) on the testbed front, and
-//!   a post-join request on the ring cluster attributes its peer-fetch.
+//!   (assembled miss → page-tier hit) on the testbed front.
 //! * Scrapes — after real traffic, the testbed front and a ring node
 //!   both expose every metric family with nonzero counts, including the
 //!   per-outcome request-latency histograms, and each front reports its
@@ -115,49 +114,6 @@ fn trace_walks_the_tier_ladder_on_the_testbed_front() {
 }
 
 #[test]
-fn trace_attributes_peer_fetch_after_a_ring_join() {
-    let tb = Testbed::build(TestbedConfig {
-        mode: ProxyMode::Dpc,
-        paper_params: params(),
-        ..TestbedConfig::default()
-    });
-    let cluster = RingCluster::new(tb.net(), 3, RingConfig::default());
-    // Warm every node's share so a joiner has warm donors.
-    for _ in 0..2 {
-        for p in 0..12 {
-            let _ = cluster.get(&page(p), None);
-        }
-    }
-    let newcomer = cluster.join();
-    let taken: Vec<usize> = (0..12)
-        .filter(|p| cluster.owner_of(&page(*p)) == Some(newcomer))
-        .collect();
-    assert!(!taken.is_empty(), "newcomer owns some of 12 pages");
-
-    let resp = cluster.serve(traced_get(&page(taken[0])));
-    assert_eq!(resp.status.0, 200);
-    assert!(
-        resp.headers
-            .get("X-DPC-Peer-Fetched")
-            .unwrap()
-            .parse::<u32>()
-            .unwrap()
-            >= 1,
-        "first serve at the joiner pulls from the donor"
-    );
-    let t = trace_kv(&resp);
-    assert_eq!(t["tier"], "peer");
-    assert_eq!(
-        resp.headers.get("X-DPC-Served-By"),
-        Some(newcomer.to_string().as_str())
-    );
-
-    // Once the handoff is done, the same page serves locally.
-    let again = cluster.serve(traced_get(&page(taken[0])));
-    assert_ne!(trace_kv(&again)["tier"], "peer");
-}
-
-#[test]
 fn metrics_scrape_on_the_testbed_front_has_every_family_nonzero() {
     let tb = Testbed::build(TestbedConfig {
         mode: ProxyMode::Dpc,
@@ -208,8 +164,7 @@ fn metrics_scrape_on_the_testbed_front_has_every_family_nonzero() {
     assert!(metric_sum(&body, "dpc_server_requests_total", &[("server", "proxy")]) > 0.0);
     assert!(metric_sum(&body, "dpc_server_requests_total", &[("server", "origin")]) > 0.0);
     assert!(metric_sum(&body, "dpc_wire_bytes_total", &[]) > 0.0);
-    // A lone proxy has no donor and never refreshes.
-    assert_eq!(metric_sum(&body, "dpc_bem_donor_gets_total", &[]), 0.0);
+    // A lone proxy never refreshes.
     assert_eq!(metric_sum(&body, "dpc_bem_missing_keys_total", &[]), 0.0);
 
     // Per-outcome latency histograms: the first serves assembled, the
@@ -280,7 +235,7 @@ fn metrics_scrape_covers_the_whole_ring_and_serves_at_any_node() {
             assert_eq!(resp.status.0, 200);
         }
     }
-    // A join forces peer-fetch handoff, so the peer family has traffic.
+    // A join forces node-miss SETs at the newcomer.
     let newcomer = cluster.join();
     for p in 0..12 {
         let _ = client.request("obs-front", Request::get(page(p))).unwrap();
@@ -295,7 +250,7 @@ fn metrics_scrape_covers_the_whole_ring_and_serves_at_any_node() {
         .to_owned();
 
     // One scrape covers the fleet: per-node proxies, the shared page
-    // tier, the peer-fetch path, the origin BEM, and the front's own
+    // tier, the origin BEM and its directory, and the front's own
     // request-latency histograms.
     for id in cluster.alive() {
         let node = id.to_string();
@@ -308,9 +263,8 @@ fn metrics_scrape_covers_the_whole_ring_and_serves_at_any_node() {
             "node {id} is scraped"
         );
     }
-    assert!(metric_sum(&body, "dpc_peer_fetch_hits_total", &[]) > 0.0);
-    // The joiner's GETs were granted on its donor's copies.
-    assert!(metric_sum(&body, "dpc_bem_donor_gets_total", &[]) > 0.0);
+    // The joiner's first templates SET what it had not stored.
+    assert!(metric_sum(&body, "dpc_directory_node_misses_total", &[]) > 0.0);
     assert!(metric_sum(&body, "dpc_page_hits_total", &[]) > 0.0);
     assert!(metric_sum(&body, "dpc_bem_fragments_total", &[]) > 0.0);
     assert!(
@@ -327,12 +281,15 @@ fn metrics_scrape_covers_the_whole_ring_and_serves_at_any_node() {
             &[("server", "obs-front")],
         ) > 0.0
     );
-    let fetched = metric_sum(
+    let sets = metric_sum(
         &body,
-        "dpc_proxy_peer_fetches_total",
+        "dpc_assembly_sets_total",
         &[("node", newcomer.to_string().as_str())],
     );
-    assert!(fetched > 0.0, "the joiner's handoff shows under its label");
+    assert!(
+        sets > 0.0,
+        "the joiner's node-miss SETs show under its label"
+    );
 
     // The same registry serves at any node directly — no front required.
     let at_node = cluster
@@ -343,7 +300,7 @@ fn metrics_scrape_covers_the_whole_ring_and_serves_at_any_node() {
     let node_body = std::str::from_utf8(&at_node.body.to_vec())
         .unwrap()
         .to_owned();
-    assert!(metric_sum(&node_body, "dpc_peer_fetch_hits_total", &[]) > 0.0);
+    assert!(metric_sum(&node_body, "dpc_directory_node_misses_total", &[]) > 0.0);
 
     // Departed nodes leave the scrape immediately.
     assert!(cluster.fail(newcomer));
@@ -593,7 +550,7 @@ fn ring_purge_by_dependency_scrubs_every_node() {
     // freed key, and none can serve the stale bytes.
     for id in cluster.alive() {
         assert!(
-            cluster.peer(id).unwrap().store().get(key).is_none(),
+            cluster.proxy(id).unwrap().store().get(key).is_none(),
             "node {id} kept the purged key"
         );
     }

@@ -141,7 +141,6 @@ impl ForgingOrigin {
             coherence: Some(epoch.clone()),
             page_tier: true,
             firewall: None,
-            fragment_source: None,
             dep_purger: None,
             net: &net,
             clock,

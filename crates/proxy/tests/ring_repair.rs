@@ -192,11 +192,18 @@ fn ownership_return_never_splices_the_old_owners_copy() {
         .expect("the newcomer takes a page from node 1 or 2");
     let old_owner = owners[p];
 
-    // The handoff: the newcomer pulls the page's slots from the old owner.
+    // The newcomer fills the page's slots from node-miss SETs.
     let moved = w.get(p);
     assert_eq!(served_by(&moved), newcomer);
-    assert!(moved.headers.get("X-DPC-Peer-Fetched").is_some());
-    assert_page(&moved, &w.truth(p), "handoff");
+    let newcomer_sets = w
+        .cluster
+        .proxy(newcomer)
+        .unwrap()
+        .stats()
+        .asm_sets
+        .load(Ordering::Relaxed);
+    assert_eq!(newcomer_sets, 4, "one SET per fragment of the page");
+    assert_page(&moved, &w.truth(p), "node-miss SETs");
 
     // Update and regenerate at the newcomer, which then leaves. Had the
     // scrub missed the old owner, it would still hold the pre-update bytes

@@ -214,7 +214,6 @@ impl Site {
             coherence: epoch,
             page_tier: dpc,
             firewall: None,
-            fragment_source: None,
             dep_purger: None,
             net: &net,
             clock,

@@ -1,11 +1,10 @@
 //! End-to-end distributed span tracing over the simulated wire.
 //!
 //! * Stitching — one request entering the ring's HTTP front and resolving
-//!   through the owner node's page tier, single-flight, assembly, and a
-//!   donor peer-fetch reads back as a *single* trace: every span carries
-//!   the root's trace id, every parent link resolves inside the trace, and
-//!   the keep-list serves it from `GET /_dpc/trace/recent` at the entry
-//!   node.
+//!   through the owner node's page tier and assembly and the origin's
+//!   directory reads back as a *single* trace: every span carries the
+//!   root's trace id, every parent link resolves inside the trace, and the
+//!   keep-list serves it from `GET /_dpc/trace/recent` at the entry node.
 //! * Durations — spans are timestamped from `dpc_net::Clock`, so a
 //!   virtual-clock advance inside a page fill pins exact span and
 //!   retention durations.
@@ -42,7 +41,7 @@ fn page(p: usize) -> String {
 }
 
 #[test]
-fn one_request_stitches_front_owner_and_peer_into_one_trace() {
+fn one_request_stitches_front_owner_and_origin_into_one_trace() {
     let tb = Testbed::build(TestbedConfig {
         mode: ProxyMode::Dpc,
         paper_params: params(),
@@ -86,10 +85,7 @@ fn one_request_stitches_front_owner_and_peer_into_one_trace() {
     let req = Request::get(page(taken[0])).with_header("X-DPC-Trace", "1");
     let resp = client.request("trace-front", req).unwrap();
     assert_eq!(resp.status.0, 200);
-    assert!(
-        resp.headers.get("X-DPC-Peer-Fetched").is_some(),
-        "first serve at the joiner pulls from a donor"
-    );
+    assert_eq!(resp.headers.get("X-Cache"), Some("dpc-assembled"));
     let journey = resp.headers.get("X-DPC-Trace").unwrap();
     let id_hex = journey
         .strip_prefix("id=")
@@ -103,52 +99,55 @@ fn one_request_stitches_front_owner_and_peer_into_one_trace() {
         .expect("ring tracing defaults on");
     let spans = rec.spans_of(trace_id);
 
-    // Exactly one local root — the front's HTTP span — and every other
-    // span's parent resolves inside the trace.
-    let roots: Vec<_> = spans.iter().filter(|s| s.parent_id == 0).collect();
-    assert_eq!(roots.len(), 1, "one trace, one root: {spans:?}");
+    // The origin records its legs in its own recorder, under the same
+    // trace id.
+    let origin = tb
+        .proxy()
+        .tracer()
+        .recorder()
+        .expect("testbed tracing defaults on")
+        .spans_of(trace_id);
+
+    // Exactly one root — the front's HTTP span — and every other span's
+    // parent resolves inside the trace, across both recorders.
+    let all: Vec<_> = spans.iter().chain(&origin).collect();
+    let roots: Vec<_> = all.iter().filter(|s| s.parent_id == 0).collect();
+    assert_eq!(roots.len(), 1, "one trace, one root: {all:?}");
     assert_eq!(roots[0].layer, Layer::Http);
     assert_eq!(roots[0].node, 0, "the front records as node 0");
-    let ids: HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
-    for s in &spans {
+    let ids: HashSet<u64> = all.iter().map(|s| s.span_id).collect();
+    for s in &all {
         assert!(
             s.parent_id == 0 || ids.contains(&s.parent_id),
             "span {s:?} parents outside its own trace"
         );
     }
 
-    // The journey crosses every serving layer.
-    let has = |layer: Layer| spans.iter().any(|s| s.layer == layer);
-    assert!(has(Layer::TierL2), "page-tier probe span");
-    assert!(has(Layer::Assembly), "assembly span");
-    let fetches: Vec<_> = spans
-        .iter()
-        .filter(|s| s.layer == Layer::PeerFetch)
-        .collect();
-    assert!(!fetches.is_empty(), "handoff records peer-fetch spans");
-    for fetch in &fetches {
-        assert_eq!(fetch.node, newcomer, "the joiner runs the fetch leg");
-    }
-    // The fetch leg records its single-flight role on the span itself.
-    assert!(
-        fetches
-            .iter()
-            .any(|s| matches!(s.status, SpanStatus::Leader | SpanStatus::Waiter)),
-        "peer-fetch spans carry the flight role: {fetches:?}"
-    );
-    let serves: Vec<_> = spans
-        .iter()
-        .filter(|s| s.layer == Layer::PeerServe)
-        .collect();
-    assert!(!serves.is_empty(), "donors record their serve legs");
-    let fetch_ids: HashSet<u64> = fetches.iter().map(|s| s.span_id).collect();
-    for serve in &serves {
+    // The journey crosses every serving layer: the owner's page-tier
+    // probe and assembly…
+    for layer in [Layer::TierL2, Layer::Assembly] {
         assert!(
-            fetch_ids.contains(&serve.parent_id),
-            "a donor span parents under the requester's fetch span: {serve:?}"
+            spans.iter().any(|s| s.layer == layer && s.node == newcomer),
+            "the owner records a {layer:?} span"
         );
-        assert_ne!(serve.node, newcomer, "the donor is another node");
     }
+    // …and, at the origin, directory lookups that parent under the
+    // owner's leg. The joiner has stored none of the page's fragments, so
+    // each lookup is a node miss.
+    let owner_ids: HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
+    assert!(
+        origin.iter().any(|s| owner_ids.contains(&s.parent_id)),
+        "the origin leg parents under the owner: {origin:?}"
+    );
+    let lookups: Vec<_> = origin
+        .iter()
+        .filter(|s| s.layer == Layer::Directory)
+        .collect();
+    assert!(!lookups.is_empty(), "the origin records its lookups");
+    assert!(
+        lookups.iter().all(|s| s.status == SpanStatus::Miss),
+        "the joiner's first template SETs every fragment: {lookups:?}"
+    );
 
     // The entry node serves the retained trace as JSON.
     let recent = client
@@ -163,8 +162,7 @@ fn one_request_stitches_front_owner_and_peer_into_one_trace() {
         body.contains(&format!("\"trace_id\":\"{trace_id:016x}\"")),
         "the stitched trace is in the keep-list"
     );
-    assert!(body.contains("\"layer\":\"peer-fetch\""));
-    assert!(body.contains("\"layer\":\"peer-serve\""));
+    assert!(body.contains("\"layer\":\"assembly\""));
 }
 
 #[test]

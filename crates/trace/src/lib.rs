@@ -2,9 +2,9 @@
 //!
 //! Every request entering a front gets a **trace**: a tree of spans, one
 //! per serving layer it crosses (HTTP front, page tier, assembly,
-//! single-flight, directory, peer fetch). Spans are fixed-size `Copy`
-//! records pushed into lock-free, fixed-capacity **span rings** — one ring
-//! per thread shard (event loops, peer servers, direct callers), each slot
+//! single-flight, directory). Spans are fixed-size `Copy` records pushed
+//! into lock-free, fixed-capacity **span rings** — one ring per thread
+//! shard (event loops, direct callers), each slot
 //! guarded by a per-slot seqlock — so recording a span on the hot path is
 //! a handful of relaxed atomic stores and **never allocates**. Old spans
 //! are simply overwritten (the ring is a flight recorder, not a log).
@@ -23,9 +23,8 @@
 //! The event loop enters a request's root context around its handler, and
 //! crossing a process-shaped boundary re-establishes it explicitly: HTTP
 //! legs carry it in the [`TRACE_HEADER`] request header
-//! (`<trace>-<span>`, hex), the peer-fetch wire carries it in an optional
-//! trailing field of `ClusterFrame::FetchReq`/`FetchResp` — so one trace
-//! stitches the whole front → owner → peer journey.
+//! (`<trace>-<span>`, hex), so one trace stitches the whole front → owner
+//! → origin journey.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -51,19 +50,15 @@ pub enum Layer {
     Proxy = 1,
     /// Page-cache probe (the node's page tier).
     TierL2 = 2,
-    /// Template assembly (rope splice + peer repairs).
+    /// Template assembly (rope splice).
     Assembly = 3,
-    /// Single-flight participation (page cache, BEM, peer fetch): the
-    /// status says whether this request led or waited.
+    /// Single-flight participation (page cache, BEM): the status says
+    /// whether this request led or waited.
     Flight = 4,
     /// BEM directory lookup on the origin.
     Directory = 5,
-    /// Outbound peer fetch (requester side).
-    PeerFetch = 6,
-    /// Inbound peer fetch served (donor side).
-    PeerServe = 7,
     /// PURGE handling.
-    Purge = 8,
+    Purge = 6,
 }
 
 impl Layer {
@@ -75,8 +70,6 @@ impl Layer {
             Layer::Assembly => "assembly",
             Layer::Flight => "flight",
             Layer::Directory => "directory",
-            Layer::PeerFetch => "peer-fetch",
-            Layer::PeerServe => "peer-serve",
             Layer::Purge => "purge",
         }
     }
@@ -89,8 +82,6 @@ impl Layer {
             3 => Layer::Assembly,
             4 => Layer::Flight,
             5 => Layer::Directory,
-            6 => Layer::PeerFetch,
-            7 => Layer::PeerServe,
             _ => Layer::Purge,
         }
     }
@@ -305,7 +296,7 @@ pub struct TraceConfig {
     /// recorder is a flight recorder, not a debug mode.
     pub enabled: bool,
     /// Ring shards. Threads are assigned shards round-robin on first use,
-    /// so event loops and peer servers each write a stable ring.
+    /// so every event loop writes a stable ring.
     pub rings: usize,
     /// Span slots per ring shard.
     pub ring_capacity: usize,
@@ -367,7 +358,7 @@ impl Drop for CtxGuard {
 /// Establish `(trace_id, span_id)` as the thread's current context until
 /// the guard drops — the explicit half of propagation, used wherever a
 /// request's root opens on its event loop or arrives with a wire/header
-/// context (peer service, origin leg).
+/// context (the origin leg).
 pub fn enter(trace_id: u64, span_id: u64) -> CtxGuard {
     let prev = CURRENT.replace((trace_id, span_id));
     CtxGuard { prev, active: true }
@@ -923,8 +914,8 @@ impl Drop for SpanGuard {
 /// `node` is the id of the node rendering the journey: the `flight` field
 /// reports only the page-level single-flight role played *here* — a
 /// remote tier's fragment flights (the origin BEM generating slots for
-/// this trace, a donor's fetch flight) stay visible as spans but do not
-/// relabel this serve's role.
+/// this trace) stay visible as spans but do not relabel this serve's
+/// role.
 pub fn render_journey(trace_id: u64, spans: &[SpanEvent], segments: usize, node: u32) -> String {
     let any = |f: &dyn Fn(&SpanEvent) -> bool| spans.iter().any(f);
     let local_flight = |s: &SpanEvent, status: SpanStatus| {
@@ -938,8 +929,6 @@ pub fn render_journey(trace_id: u64, spans: &[SpanEvent], segments: usize, node:
         "error"
     } else if any(&|s| s.layer == Layer::Purge) {
         "purge"
-    } else if any(&|s| s.layer == Layer::PeerFetch) {
-        "peer"
     } else if any(&|s| s.layer == Layer::TierL2 && s.status == SpanStatus::Hit) {
         "l2"
     } else if any(&|s| s.layer == Layer::Assembly) {
@@ -1213,16 +1202,12 @@ mod tests {
         let header = render_journey(1, &[base, waiter], 1, 7);
         assert!(header.contains("tier=origin"));
         assert!(header.contains("flight=none"));
-        let peer = SpanEvent {
-            layer: Layer::PeerFetch,
-            ..base
-        };
         let asm = SpanEvent {
             layer: Layer::Assembly,
             ..base
         };
-        let header = render_journey(1, &[base, asm, peer], 4, 0);
-        assert!(header.contains("tier=peer"));
+        let header = render_journey(1, &[base, asm], 4, 0);
+        assert!(header.contains("tier=assembled"));
         assert!(header.contains("segments=4"));
     }
 }

@@ -48,7 +48,6 @@
 //! ```
 
 pub use dpc_appserver as appserver;
-pub use dpc_cluster as cluster;
 pub use dpc_core as core;
 pub use dpc_firewall as firewall;
 pub use dpc_http as http;
