@@ -30,9 +30,9 @@ use bytes::Bytes;
 
 use crate::error::AssembleError;
 use crate::key::DpcKey;
+use crate::policy::{content_hash, hash_fold};
 use crate::store::FragmentStore;
 use crate::tag::{Op, Scanner};
-use dpc_policy::{content_hash, hash_fold};
 
 /// [`AssemblyStats::page_identity`] of a page with no segments.
 const IDENTITY_SEED: u64 = 0x9e37_79b9_7f4a_7c15;

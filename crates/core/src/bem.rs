@@ -162,7 +162,7 @@ impl Bem {
     /// freed keys or not: a page can read a row no cached fragment
     /// depends on.
     pub fn on_data_update(&self, dep: &str) -> usize {
-        let keys = self.directory.invalidate_dep_keys(dep);
+        let keys = self.directory.invalidate_dep(dep);
         let sink = self.invalidation_sink.lock().clone();
         if let Some(sink) = sink {
             sink(dep, &keys);
@@ -381,6 +381,43 @@ impl TemplateWriter<'_> {
             // are current only while they are.
             self.note_reads(&policy.deps);
         }
+        self.serve_block(id, &policy, false, |out| {
+            produce(out);
+            Vec::new()
+        })
+    }
+
+    /// Tagged code block with *deferred dependency registration*: the
+    /// producer returns the data dependencies it discovered while
+    /// generating content, and they are registered only on the miss path.
+    /// Use this when computing the dependency set itself requires back-end
+    /// work (e.g. scanning which headline rows a fragment renders) — with
+    /// [`TemplateWriter::fragment`] that work would run on every request,
+    /// defeating the compute savings of a hit.
+    ///
+    /// Returns true when the fragment was a directory hit.
+    pub fn fragment_lazy(
+        &mut self,
+        id: &FragmentId,
+        ttl: Duration,
+        produce: impl FnMut(&mut Vec<u8>) -> Vec<String>,
+    ) -> bool {
+        self.serve_block(id, &FragmentPolicy::ttl(ttl), true, produce)
+    }
+
+    /// The one lookup → flight → emit loop behind every tagged code block.
+    /// `produce` returns the deps it discovered while running; they are
+    /// registered before the flight publishes, so a waiter released by the
+    /// publish observes the same invalidation surface the leader does. A
+    /// `lazy` block's deps live in its directory entry, not in `policy`,
+    /// so serving it without running leaves the read set unknown.
+    fn serve_block(
+        &mut self,
+        id: &FragmentId,
+        policy: &FragmentPolicy,
+        lazy: bool,
+        mut produce: impl FnMut(&mut Vec<u8>) -> Vec<String>,
+    ) -> bool {
         let stats = &self.bem.stats;
         stats.fragments.fetch_add(1, Ordering::Relaxed);
 
@@ -434,6 +471,7 @@ impl TemplateWriter<'_> {
             };
             match looked {
                 Lookup::Hit(key) => {
+                    let mut waited = None;
                     if coalesce {
                         let mut fsp = tracer.span(Layer::Flight);
                         fsp.set_detail(fkey);
@@ -451,15 +489,7 @@ impl TemplateWriter<'_> {
                                     stats.flight_retries.fetch_add(1, Ordering::Relaxed);
                                     continue;
                                 }
-                                // Coalesced wait: the leader's SET may not
-                                // have reached the proxy yet, so this
-                                // template carries the rope too — a GET
-                                // here would race the slot install and
-                                // bypass-storm the origin.
-                                self.emit_set(key, &bytes);
-                                stats.coalesced_waits.fetch_add(1, Ordering::Relaxed);
-                                stats.hits.fetch_add(1, Ordering::Relaxed);
-                                return true;
+                                waited = Some(bytes);
                             }
                             Wait::Retry => {
                                 fsp.cancel();
@@ -476,7 +506,21 @@ impl TemplateWriter<'_> {
                             }
                         }
                     }
-                    self.emit_get(key);
+                    match waited {
+                        // Coalesced wait: the leader's SET may not have
+                        // reached the proxy yet, so this template carries
+                        // the rope too — a GET here would race the slot
+                        // install and bypass-storm the origin.
+                        Some(bytes) => {
+                            self.emit_set(key, &bytes);
+                            stats.coalesced_waits.fetch_add(1, Ordering::Relaxed);
+                            stats.hits.fetch_add(1, Ordering::Relaxed);
+                        }
+                        None => self.emit_get(key),
+                    }
+                    if lazy {
+                        self.reads_unknown();
+                    }
                     return true;
                 }
                 Lookup::Miss(key) => {
@@ -492,7 +536,13 @@ impl TemplateWriter<'_> {
                         sp
                     });
                     let mut content = Vec::new();
-                    produce(&mut content);
+                    let deps = produce(&mut content);
+                    if !deps.is_empty() {
+                        // Registered before the publish below releases
+                        // any waiter.
+                        self.note_reads(&deps);
+                        self.bem.directory.add_deps(id, &deps);
+                    }
                     // Report the produced size: resident-bytes accounting and
                     // the size-aware policies both need it, and it only exists
                     // now that the block has run.
@@ -556,145 +606,6 @@ impl TemplateWriter<'_> {
             Ordering::Relaxed,
         );
         tag::write_set(&mut self.buf, key, content);
-    }
-
-    /// Tagged code block with *deferred dependency registration*: the
-    /// producer returns the data dependencies it discovered while
-    /// generating content, and they are registered only on the miss path.
-    /// Use this when computing the dependency set itself requires back-end
-    /// work (e.g. scanning which headline rows a fragment renders) — with
-    /// [`TemplateWriter::fragment`] that work would run on every request,
-    /// defeating the compute savings of a hit.
-    ///
-    /// Returns true when the fragment was a directory hit.
-    pub fn fragment_lazy(
-        &mut self,
-        id: &FragmentId,
-        ttl: Duration,
-        mut produce: impl FnMut(&mut Vec<u8>) -> Vec<String>,
-    ) -> bool {
-        let stats = &self.bem.stats;
-        stats.fragments.fetch_add(1, Ordering::Relaxed);
-
-        if !self.instrumented {
-            let mark = self.buf.len();
-            let _deps = produce(&mut self.buf);
-            let generated = (self.buf.len() - mark) as u64;
-            stats
-                .generated_bytes
-                .fetch_add(generated, Ordering::Relaxed);
-            return false;
-        }
-        if self.bem.draw_force_miss() {
-            self.bem.directory.invalidate(id);
-            stats.forced_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        // Keyed by fragment identity for the same reason as `fragment`.
-        let fkey = self.bem.directory.flight_key(id);
-        let tracer = self.bem.tracer.lock().clone();
-        for lap in 0..=MAX_FLIGHT_LAPS {
-            let coalesce = lap < MAX_FLIGHT_LAPS;
-            let looked = {
-                let mut sp = tracer.span(Layer::Directory);
-                sp.set_detail(fkey);
-                let looked = self.lookup(id, ttl, &[]);
-                sp.set_status(match &looked {
-                    Lookup::Hit(_) => SpanStatus::Hit,
-                    Lookup::Miss(_) => SpanStatus::Miss,
-                    Lookup::Uncacheable => SpanStatus::Ok,
-                });
-                looked
-            };
-            match looked {
-                Lookup::Hit(key) => {
-                    if coalesce {
-                        let mut fsp = tracer.span(Layer::Flight);
-                        fsp.set_detail(fkey);
-                        match self.bem.directory.flight().wait(fkey) {
-                            Wait::NoFlight => fsp.cancel(),
-                            Wait::Value(bytes, leader_span) => {
-                                fsp.set_status(SpanStatus::Waiter);
-                                fsp.set_detail(leader_span);
-                                drop(fsp);
-                                if self.bem.directory.current_key(id) != Some(key) {
-                                    stats.flight_retries.fetch_add(1, Ordering::Relaxed);
-                                    continue;
-                                }
-                                self.emit_set(key, &bytes);
-                                stats.coalesced_waits.fetch_add(1, Ordering::Relaxed);
-                                stats.hits.fetch_add(1, Ordering::Relaxed);
-                                self.reads_unknown();
-                                return true;
-                            }
-                            Wait::Retry => {
-                                fsp.cancel();
-                                stats.flight_retries.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                            Wait::Orphaned => {
-                                fsp.set_status(SpanStatus::Orphaned);
-                                stats.flight_retries.fetch_add(1, Ordering::Relaxed);
-                                self.bem.directory.invalidate_if_key(id, key);
-                                continue;
-                            }
-                        }
-                    }
-                    self.emit_get(key);
-                    // The deps the block discovered live in the directory
-                    // entry, not here: the read set cannot name them.
-                    self.reads_unknown();
-                    return true;
-                }
-                Lookup::Miss(key) => {
-                    let leader = coalesce.then(|| self.bem.directory.flight().begin(fkey));
-                    let _flight_span = leader.as_ref().map(|l| {
-                        let mut sp = tracer.span(Layer::Flight);
-                        sp.set_status(SpanStatus::Leader);
-                        if sp.on() {
-                            l.annotate(sp.id());
-                        }
-                        sp
-                    });
-                    let mut content = Vec::new();
-                    let deps = produce(&mut content);
-                    self.note_reads(&deps);
-                    // Register the discovered deps before publishing: a
-                    // waiter released by the publish must observe the same
-                    // invalidation surface the leader does.
-                    self.bem.directory.add_deps(id, &deps);
-                    self.bem
-                        .directory
-                        .note_fragment_bytes(id, content.len() as u64);
-                    stats
-                        .generated_bytes
-                        .fetch_add(content.len() as u64, Ordering::Relaxed);
-                    stats.misses.fetch_add(1, Ordering::Relaxed);
-                    let content = Bytes::from(content);
-                    if let Some(leader) = leader {
-                        stats.flight_leaders.fetch_add(1, Ordering::Relaxed);
-                        if leader.publish(content.clone()) == Publish::Stale {
-                            stats.flight_retries.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                    } else {
-                        stats.uncoalesced_misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.emit_set(key, &content);
-                    return false;
-                }
-                Lookup::Uncacheable => {
-                    let mut content = Vec::new();
-                    let _deps = produce(&mut content);
-                    stats
-                        .generated_bytes
-                        .fetch_add(content.len() as u64, Ordering::Relaxed);
-                    tag::write_literal(&mut self.buf, &content);
-                    stats.overflow_fragments.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-            }
-        }
-        unreachable!("final uncoalesced lap returns from every arm")
     }
 
     /// True when this writer emits an instrumented template.
@@ -1064,6 +975,32 @@ mod tests {
         );
         let page = assemble(&w.finish(), &store).unwrap();
         assert_eq!(page.html, b"SAMESAME".to_vec());
+    }
+
+    #[test]
+    fn each_block_kind_takes_its_pinned_directory_locks() {
+        let bem = bem_with(8);
+        let declared = |w: &mut TemplateWriter<'_>| {
+            let policy = FragmentPolicy::pinned().with_deps(&["t/declared"]);
+            w.fragment(&FragmentId::new("declared"), policy, |b| b.push(b'd'));
+        };
+        let lazy = |w: &mut TemplateWriter<'_>| {
+            w.fragment_lazy(&FragmentId::new("lazy"), Duration::from_secs(600), |b| {
+                b.push(b'l');
+                vec!["t/lazy".to_owned()]
+            });
+        };
+        let locks = |block: &dyn Fn(&mut TemplateWriter<'_>)| {
+            let before = bem.directory().lock_acquisitions();
+            block(&mut bem.template_writer());
+            bem.directory().lock_acquisitions() - before
+        };
+        // A miss is the lookup and the size report; a lazy miss adds the
+        // registration of the deps it discovered; a hit is the lookup.
+        assert_eq!(locks(&declared), 2, "miss");
+        assert_eq!(locks(&declared), 1, "hit");
+        assert_eq!(locks(&lazy), 3, "lazy miss");
+        assert_eq!(locks(&lazy), 1, "lazy hit");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 use dpc_net::Clock;
 
 /// Which replacement policy the directory's replacement manager uses —
-/// re-exported from [`dpc_policy`], where the policies live (LRU, CLOCK,
-/// FIFO, or none). Selecting a policy is pure configuration; no directory
+/// re-exported from [`crate::policy`], where the policies live (LRU,
+/// CLOCK, FIFO, or none). Selecting a policy is pure configuration; no directory
 /// internals are involved.
-pub use dpc_policy::ReplacePolicy;
+pub use crate::policy::ReplacePolicy;
 
 /// Configuration for a [`crate::bem::Bem`].
 #[derive(Clone)]

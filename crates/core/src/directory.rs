@@ -22,7 +22,11 @@
 //!   invalidates every fragment registered as depending on it.
 //! * **Replacement** — when all keys are valid and a new fragment needs
 //!   one, the replacement manager picks a victim (policy-pluggable, see
-//!   [`dpc_policy`]).
+//!   [`crate::policy`]).
+//!
+//! All three go through one routine, `retire`; its caller counts the
+//! cause and sends the key back to the freeList (expiry, invalidation)
+//! or hands it straight to the new entry (replacement).
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -35,7 +39,7 @@ use dpc_net::Clock;
 use crate::config::BemConfig;
 use crate::flight::FlightGroup;
 use crate::key::{DpcKey, FragmentId};
-use dpc_policy::{fnv1a, Replacer};
+use crate::policy::{fnv1a, Replacer};
 
 /// Directories keep invalidated entries around (the paper's `isValid`
 /// flag). To bound memory on long runs, a directory whose entry count
@@ -293,37 +297,24 @@ impl CacheDirectory {
         let mut inner = self.lock_inner();
         let inner = &mut *inner;
 
-        if let Some(entry) = inner.entries.get_mut(id) {
-            if entry.is_valid {
-                if entry.expires_at > now {
-                    entry.hits += 1;
-                    inner.replacer.touch(&entry.dpc_key);
-                    if entry.stored_nodes & node_bit != 0 {
-                        inner.hits += 1;
-                        return Lookup::Hit(entry.dpc_key);
-                    }
-                    // Node miss: this DPC has not stored the fragment yet.
-                    // Re-emit a SET under the existing key and set its bit:
-                    // a node installs every SET its template carries.
-                    entry.stored_nodes |= node_bit;
-                    inner.node_misses += 1;
-                    return Lookup::Miss(entry.dpc_key);
+        if let Some(entry) = inner.entries.get_mut(id).filter(|e| e.is_valid) {
+            if entry.expires_at > now {
+                entry.hits += 1;
+                inner.replacer.touch(&entry.dpc_key);
+                if entry.stored_nodes & node_bit != 0 {
+                    inner.hits += 1;
+                    return Lookup::Hit(entry.dpc_key);
                 }
-                // Lazy TTL expiry: retire the entry, then fall through to
-                // the miss path (which will typically reuse the same key).
-                let key = entry.dpc_key;
-                entry.is_valid = false;
-                entry.stored_nodes = 0;
-                inner.resident_bytes -= entry.bytes;
-                entry.bytes = 0;
-                inner.expirations += 1;
-                inner.key_owner.remove(&key);
-                inner.free_list.push_back(key);
-                inner.replacer.remove(&key);
-                let deps = std::mem::take(&mut entry.deps);
-                Self::unregister_deps(&mut inner.dep_index, id, &deps);
-                self.flight.invalidate(fragment_hash(id));
+                // Node miss: this DPC has not stored the fragment yet.
+                // Re-emit a SET under the existing key and set its bit:
+                // a node installs every SET its template carries.
+                entry.stored_nodes |= node_bit;
+                inner.node_misses += 1;
+                return Lookup::Miss(entry.dpc_key);
             }
+            // Lazy TTL expiry: retire the entry, then fall through to the
+            // miss path (which will typically reuse the same key).
+            self.expire_locked(inner, id);
         }
         // Miss path: allocate a key (freeList, then fresh keys, then
         // replacement).
@@ -444,7 +435,7 @@ impl CacheDirectory {
     /// Mark `id` invalid, returning its key to the freeList. Returns true
     /// when the entry was valid.
     pub fn invalidate(&self, id: &FragmentId) -> bool {
-        self.invalidate_locked(&mut self.lock_inner(), id)
+        self.invalidate_locked(&mut self.lock_inner(), id).is_some()
     }
 
     /// Invalidate `id` only if it is currently valid under `key` — the
@@ -458,35 +449,24 @@ impl CacheDirectory {
             Some(e) if e.is_valid && e.dpc_key == key => {}
             _ => return false,
         }
-        self.invalidate_locked(&mut inner, id)
+        self.invalidate_locked(&mut inner, id).is_some()
     }
 
-    /// Invalidate every fragment registered as depending on `dep`.
-    /// Returns the number of fragments invalidated.
-    pub fn invalidate_dep(&self, dep: &str) -> usize {
-        self.invalidate_dep_keys(dep).len()
-    }
-
-    /// Like [`invalidate_dep`](Self::invalidate_dep), but returns the
-    /// dpcKeys the invalidation returned to the freeList. A ring scrubs
-    /// these from every DPC node's slot store, so a reassigned key finds
-    /// an empty slot (a detectable `MissingFragment`) instead of splicing
-    /// the old fragment's bytes.
-    pub fn invalidate_dep_keys(&self, dep: &str) -> Vec<DpcKey> {
+    /// Invalidate every fragment registered as depending on `dep`, and
+    /// return the dpcKeys the invalidation returned to the freeList. A
+    /// ring scrubs these from every DPC node's slot store, so a reassigned
+    /// key finds an empty slot (a detectable `MissingFragment`) instead of
+    /// splicing the old fragment's bytes.
+    pub fn invalidate_dep(&self, dep: &str) -> Vec<DpcKey> {
         let mut inner = self.lock_inner();
         // Only valid entries are registered, so every dependent is
         // invalidated and the dep's index entry can go with it.
         let Some(ids) = inner.dep_index.remove(dep) else {
             return Vec::new();
         };
-        let mut freed = Vec::with_capacity(ids.len());
-        for id in ids {
-            let key = inner.entries.get(&id).map(|e| e.dpc_key);
-            if self.invalidate_locked(&mut inner, &id) {
-                freed.push(key.expect("invalidated entry must exist"));
-            }
-        }
-        freed
+        ids.iter()
+            .filter_map(|id| self.invalidate_locked(&mut inner, id))
+            .collect()
     }
 
     /// The *epoch* of `id`'s current valid entry, or `None` when the
@@ -496,8 +476,7 @@ impl CacheDirectory {
     /// meaningfully — a larger epoch means the content was regenerated in
     /// between.
     ///
-    /// Cost: one lock and one map probe — cheap enough for anti-entropy
-    /// sweeps to call per fragment.
+    /// Cost: one lock and one map probe.
     pub fn fragment_epoch(&self, id: &FragmentId) -> Option<u64> {
         let now = self.clock.now_nanos();
         self.lock_inner()
@@ -505,15 +484,6 @@ impl CacheDirectory {
             .get(id)
             .filter(|e| e.is_valid && e.expires_at > now)
             .map(|e| e.seq)
-    }
-
-    /// Invalidate everything (origin data reload).
-    pub fn invalidate_all(&self) -> usize {
-        let mut inner = self.lock_inner();
-        let ids: Vec<FragmentId> = inner.key_owner.values().cloned().collect();
-        ids.iter()
-            .filter(|id| self.invalidate_locked(&mut inner, id))
-            .count()
     }
 
     /// Eagerly expire all valid entries whose TTL has passed. Returns the
@@ -528,15 +498,10 @@ impl CacheDirectory {
             .filter(|(_, e)| e.is_valid && e.expires_at <= now)
             .map(|(id, _)| id.clone())
             .collect();
-        let mut n = 0;
         for id in &expired {
-            if self.invalidate_locked(&mut inner, id) {
-                inner.invalidations -= 1; // reclassify:
-                inner.expirations += 1; // it expired, wasn't invalidated
-                n += 1;
-            }
+            self.expire_locked(&mut inner, id);
         }
-        n
+        expired.len()
     }
 
     /// Counter/gauge snapshot.
@@ -652,64 +617,62 @@ impl CacheDirectory {
         let victim_key = inner.replacer.pick_victim()?;
         let victim_id = inner
             .key_owner
-            .remove(&victim_key)
+            .get(&victim_key)
+            .cloned()
             .expect("replacer returned an untracked key");
-        let entry = inner
-            .entries
-            .get_mut(&victim_id)
-            .expect("key_owner points at a missing entry");
-        entry.is_valid = false;
-        entry.stored_nodes = 0;
-        inner.resident_bytes -= entry.bytes;
-        entry.bytes = 0;
-        let deps = std::mem::take(&mut entry.deps);
-        Self::unregister_deps(&mut inner.dep_index, &victim_id, &deps);
+        self.retire(inner, &victim_id);
         inner.evictions += 1;
-        // The victim's key is about to be reassigned: any in-flight
-        // produce of the victim fragment must not publish.
-        self.flight.invalidate(fragment_hash(&victim_id));
         Some(victim_key)
     }
 
-    fn invalidate_locked(&self, inner: &mut Inner, id: &FragmentId) -> bool {
-        let Some(entry) = inner.entries.get_mut(id) else {
-            return false;
-        };
-        if !entry.is_valid {
-            return false;
+    /// Invalidation: retire `id` and return its key to the freeList.
+    /// Returns the key, or `None` when the entry was not valid.
+    fn invalidate_locked(&self, inner: &mut Inner, id: &FragmentId) -> Option<DpcKey> {
+        let key = self.retire(inner, id)?;
+        inner.invalidations += 1;
+        inner.free_list.push_back(key);
+        Some(key)
+    }
+
+    /// TTL expiry: retire `id` and return its key to the freeList.
+    fn expire_locked(&self, inner: &mut Inner, id: &FragmentId) {
+        if let Some(key) = self.retire(inner, id) {
+            inner.expirations += 1;
+            inner.free_list.push_back(key);
         }
+    }
+
+    /// Retire `id`'s valid entry — the one place an entry stops being
+    /// valid, whatever the cause (expiry, invalidation, eviction). Clears
+    /// its validity and stored bits, drops its bytes from the resident
+    /// gauge, its key from the owner map and the replacer, its deps from
+    /// the dep index, and stamps any in-flight produce of the fragment
+    /// stale: its key may be reassigned, so that result must not publish.
+    /// Returns the freed key, or `None` when the entry is absent or
+    /// already invalid. The caller counts the cause and decides the key's
+    /// fate: the freeList, or direct takeover by an eviction's new entry.
+    fn retire(&self, inner: &mut Inner, id: &FragmentId) -> Option<DpcKey> {
+        let entry = inner.entries.get_mut(id).filter(|e| e.is_valid)?;
         let key = entry.dpc_key;
         entry.is_valid = false;
         entry.stored_nodes = 0;
         inner.resident_bytes -= entry.bytes;
         entry.bytes = 0;
-        let deps = std::mem::take(&mut entry.deps);
-        inner.invalidations += 1;
         inner.key_owner.remove(&key);
-        inner.free_list.push_back(key);
-        // An invalidation-freed slot is a *removal*, never an eviction:
-        // the replacer just forgets the key and `evictions` stays put.
+        // A no-op for an eviction's victim, which `pick_victim` already
+        // untracked; for the other causes it is a *removal*, never an
+        // eviction, so `evictions` stays put.
         inner.replacer.remove(&key);
-        Self::unregister_deps(&mut inner.dep_index, id, &deps);
-        self.flight.invalidate(fragment_hash(id));
-        true
-    }
-
-    /// Drop `id`'s registrations from the dep index, removing a dep's
-    /// entry once its last dependent is gone.
-    fn unregister_deps(
-        dep_index: &mut HashMap<String, HashSet<FragmentId>>,
-        id: &FragmentId,
-        deps: &[String],
-    ) {
-        for dep in deps {
-            if let Some(set) = dep_index.get_mut(dep) {
+        for dep in std::mem::take(&mut entry.deps) {
+            if let Some(set) = inner.dep_index.get_mut(&dep) {
                 set.remove(id);
                 if set.is_empty() {
-                    dep_index.remove(dep);
+                    inner.dep_index.remove(&dep);
                 }
             }
         }
+        self.flight.invalidate(fragment_hash(id));
+        Some(key)
     }
 
     fn collect_garbage(inner: &mut Inner, limit: usize) {
@@ -837,7 +800,7 @@ mod tests {
             let id = FragmentId::with_params("row", &[("i", &i.to_string())]);
             let _ = dir.lookup(&id, Duration::from_secs(600), &["tbl/all".to_owned()]);
         }
-        assert_eq!(dir.invalidate_dep("tbl/all"), 100);
+        assert_eq!(dir.invalidate_dep("tbl/all").len(), 100);
         assert_eq!(dir.stats().valid_entries, 0);
         dir.check_invariants().unwrap();
     }
@@ -853,7 +816,7 @@ mod tests {
             let _ = dir.lookup(&other, Duration::from_secs(600), &[]);
         }
         let locks = dir.lock_acquisitions();
-        assert_eq!(dir.invalidate_dep("tbl/one"), 1);
+        assert_eq!(dir.invalidate_dep("tbl/one").len(), 1);
         assert_eq!(dir.lock_acquisitions() - locks, 1, "one update, one lock");
         assert_eq!(dir.current_key(&id), None);
         assert_eq!(dir.stats().valid_entries, 128, "bystanders stay valid");
@@ -866,7 +829,7 @@ mod tests {
         for i in 0..64 {
             let _ = dir.lookup(&fid(i), Duration::from_secs(600), &["tbl/known".to_owned()]);
         }
-        assert_eq!(dir.invalidate_dep("tbl/unknown"), 0);
+        assert_eq!(dir.invalidate_dep("tbl/unknown").len(), 0);
         let stats = dir.stats();
         assert_eq!((stats.valid_entries, stats.invalidations), (64, 0));
     }
@@ -878,14 +841,14 @@ mod tests {
         let id = FragmentId::new("cycling");
         let ttl = Duration::from_secs(600);
         let _ = dir.lookup(&id, ttl, std::slice::from_ref(&dep));
-        assert_eq!(dir.invalidate_dep(&dep), 1);
+        assert_eq!(dir.invalidate_dep(&dep).len(), 1);
         // The index entry is gone: a second update finds nothing.
-        assert_eq!(dir.invalidate_dep(&dep), 0);
+        assert_eq!(dir.invalidate_dep(&dep).len(), 0);
         // Re-registration rebuilds it and invalidation works again.
         let Lookup::Miss(k) = dir.lookup(&id, ttl, std::slice::from_ref(&dep)) else {
             panic!("must re-miss");
         };
-        assert_eq!(dir.invalidate_dep_keys(&dep), vec![k]);
+        assert_eq!(dir.invalidate_dep(&dep), vec![k]);
         assert_eq!(dir.stats().invalidations, 2);
         dir.check_invariants().unwrap();
     }
@@ -904,7 +867,7 @@ mod tests {
         let Lookup::Miss(k) = dir.lookup(&id, ttl, &[]) else {
             panic!("must re-miss");
         };
-        assert_eq!(dir.invalidate_dep(&dep), 0);
+        assert_eq!(dir.invalidate_dep(&dep).len(), 0);
         assert_eq!(dir.current_key(&id), Some(k));
         assert_eq!(dir.stats().invalidations, 1);
     }
@@ -916,7 +879,7 @@ mod tests {
         let ttl = Duration::from_secs(600);
         let _ = dir.lookup(&id, ttl, &[]);
         assert!(dir.add_deps(&id, &["tbl/late".to_owned()]));
-        assert_eq!(dir.invalidate_dep("tbl/late"), 1);
+        assert_eq!(dir.invalidate_dep("tbl/late").len(), 1);
         assert!(matches!(dir.lookup(&id, ttl, &[]), Lookup::Miss(_)));
     }
 
@@ -1015,7 +978,7 @@ mod tests {
         // An unrelated dependent must not be freed.
         let other = FragmentId::new("bystander");
         let _ = dir.lookup(&other, Duration::from_secs(600), &["tbl/y".to_owned()]);
-        let freed: HashSet<DpcKey> = dir.invalidate_dep_keys("tbl/x").into_iter().collect();
+        let freed: HashSet<DpcKey> = dir.invalidate_dep("tbl/x").into_iter().collect();
         assert_eq!(freed, expected);
         assert_eq!(dir.stats().valid_entries, 1);
         // Freed keys really are back on the freeLists.
@@ -1051,7 +1014,7 @@ mod tests {
             let id = FragmentId::with_params("row", &[("i", &i.to_string())]);
             let _ = dir.lookup(&id, Duration::from_secs(600), &["tbl/all".to_owned()]);
         }
-        assert_eq!(dir.invalidate_dep("tbl/all"), 8);
+        assert_eq!(dir.invalidate_dep("tbl/all").len(), 8);
         let stats = dir.stats();
         assert_eq!(stats.invalidations, 8);
         assert_eq!(

@@ -25,9 +25,9 @@
 //!   fragments into the final page — as a flat buffer or as a zero-copy
 //!   rope of shared segments. Each slot keeps its content hash beside its
 //!   bytes, so the page's ETag identity costs O(fragments), not O(bytes).
-//! * [`invalidate`] / [`dpc_policy`] — TTL + data-dependency invalidation and
-//!   the replacement policies (LRU, CLOCK, FIFO or none, from the
-//!   `dpc_policy` crate).
+//! * [`invalidate`] / [`policy`] — TTL + data-dependency invalidation and
+//!   the replacement policies (LRU, CLOCK, FIFO or none), beside the
+//!   workspace's key and content hashes.
 //! * [`objects`] — the BEM's secondary function: caching intermediate
 //!   programmatic objects (e.g. user-profile objects) so scripts do not
 //!   repeat back-end calls.
@@ -89,6 +89,7 @@ pub mod flight;
 pub mod invalidate;
 pub mod key;
 pub mod objects;
+pub mod policy;
 pub mod proto;
 pub mod stats;
 pub mod store;
@@ -98,12 +99,12 @@ pub use assemble::{assemble, assemble_rope, salvage, AssembledPage, AssembledRop
 pub use bem::{Bem, FragmentPolicy, InvalidationSink, TemplateWriter};
 pub use config::{BemConfig, ReplacePolicy};
 pub use directory::{CacheDirectory, Lookup};
-pub use dpc_policy::{content_hash, fnv1a, LruReplacer, Replacer};
 pub use epoch::{stripe_of, CoherencyEpoch, ReadSet, Stamp};
 pub use error::{AssembleError, CoreError};
 pub use flight::{FlightCounters, FlightGroup, FlightLeader, Join, Publish, Wait};
 pub use key::{DpcKey, FragmentId};
 pub use objects::ObjectCache;
+pub use policy::{content_hash, fnv1a, LruReplacer, Replacer};
 pub use store::{FragmentStore, DEFAULT_SHARDS};
 
 /// Convenience re-exports for downstream crates and examples.

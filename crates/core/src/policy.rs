@@ -1,8 +1,8 @@
-//! # dpc-policy — the cache-replacement policies
+//! The cache-replacement policies.
 //!
 //! The paper's *cache replacement manager* "monitors the size of the cache
 //! directory and selects fragments for replacement when the directory size
-//! exceeds some specified threshold" without fixing a policy. This crate
+//! exceeds some specified threshold" without fixing a policy. This module
 //! holds the [`Replacer`] contract the serving caches drive and the four
 //! policies a [`ReplacePolicy`] can select. It also hosts the workspace's
 //! key and content hashes ([`fnv1a`], [`content_hash`], [`hash_fold`]).
@@ -47,7 +47,7 @@ use std::hash::Hash;
 pub trait Key: Clone + Eq + Hash + Send {}
 impl<T: Clone + Eq + Hash + Send> Key for T {}
 
-/// Replacement policy driven by a cache. See the crate docs for the
+/// Replacement policy driven by a cache. See the module docs for the
 /// protocol.
 // `len` feeds the caches' invariant checks; no cache asks for emptiness.
 #[allow(clippy::len_without_is_empty)]

@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-use crate::{Key, Replacer};
+use super::{Key, Replacer};
 
 /// Policy `None`: tracks membership (for the invariants) but never evicts.
 pub struct NoReplacer<K> {

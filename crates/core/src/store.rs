@@ -36,7 +36,7 @@ use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::key::DpcKey;
-use dpc_policy::content_hash;
+use crate::policy::content_hash;
 
 /// Default stripe count of a [`FragmentStore`] (clamped to its capacity).
 pub const DEFAULT_SHARDS: usize = 16;

@@ -13,7 +13,7 @@
 
 use std::collections::HashSet;
 
-use dpc_policy::{ReplacePolicy, Replacer};
+use dpc_core::policy::{ReplacePolicy, Replacer};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 

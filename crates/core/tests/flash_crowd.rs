@@ -11,6 +11,10 @@
 //! window where a hit races the leader's `SET` to the store surfaces as
 //! `MissingFragment`; like the proxy front end, the serve loop retries it.
 //!
+//! Every crowd runs once per kind of code block ([`BLOCKS`]): a
+//! `fragment` that declares its dep and a `fragment_lazy` that discovers
+//! it while it runs. Both go through the writer's one flight loop.
+//!
 //! A discrete-tick model of the same burst ([`flash_crowd`], at the end)
 //! states the claim analytically and checks it at crowd sizes no thread
 //! test could reach.
@@ -56,18 +60,44 @@ fn any_in_flight(bem: &Bem) -> bool {
     bem.directory().flight().in_flight(fkey)
 }
 
-/// Serve the hot fragment once and assemble the resulting template against
-/// `store`. A `MissingFragment` means a directory hit raced the leader's
-/// `SET` to the store; retry, as the proxy's bypass path would.
-fn serve(bem: &Bem, store: &FragmentStore, produce: &(dyn Fn(&mut Vec<u8>) + Sync)) -> Vec<u8> {
+/// How the hot fragment's code block names its dep `tbl/hot`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Block {
+    /// `fragment`: declared in its policy, registered at lookup.
+    Declared,
+    /// `fragment_lazy`: returned by the producer, registered on the miss
+    /// path before the flight publishes.
+    Lazy,
+}
+
+const BLOCKS: [Block; 2] = [Block::Declared, Block::Lazy];
+
+/// Serve the hot fragment once through a `block` and assemble the
+/// resulting template against `store`. A `MissingFragment` means a
+/// directory hit raced the leader's `SET` to the store; retry, as the
+/// proxy's bypass path would.
+fn serve(
+    bem: &Bem,
+    store: &FragmentStore,
+    block: Block,
+    produce: &(dyn Fn(&mut Vec<u8>) + Sync),
+) -> Vec<u8> {
     let start = Instant::now();
+    let ttl = Duration::from_secs(600);
     loop {
         let mut w = bem.template_writer();
-        w.fragment(
-            &hot_id(),
-            FragmentPolicy::ttl(Duration::from_secs(600)).with_deps(&["tbl/hot"]),
-            |b| produce(b),
-        );
+        match block {
+            Block::Declared => {
+                let policy = FragmentPolicy::ttl(ttl).with_deps(&["tbl/hot"]);
+                w.fragment(&hot_id(), policy, |b| produce(b));
+            }
+            Block::Lazy => {
+                w.fragment_lazy(&hot_id(), ttl, |b| {
+                    produce(b);
+                    vec!["tbl/hot".to_owned()]
+                });
+            }
+        }
         let template = w.finish();
         match assemble_rope(&template, store) {
             Ok(rope) => return rope.to_vec(),
@@ -91,6 +121,12 @@ fn crowd_bem() -> Arc<Bem> {
 /// the code block runs exactly once.
 #[test]
 fn flash_crowd_runs_produce_once() {
+    for block in BLOCKS {
+        produce_once_crowd(block);
+    }
+}
+
+fn produce_once_crowd(block: Block) {
     let bem = crowd_bem();
     let store = Arc::new(FragmentStore::new(CAP));
     let produce_calls = Arc::new(AtomicU64::new(0));
@@ -103,7 +139,7 @@ fn flash_crowd_runs_produce_once() {
         let calls = Arc::clone(&produce_calls);
         std::thread::spawn(move || {
             let bem2 = Arc::clone(&bem);
-            serve(&bem, &store, &move |b: &mut Vec<u8>| {
+            serve(&bem, &store, block, &move |b: &mut Vec<u8>| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 spin_until("crowd to park", || parked(&bem2) == (THREADS - 1) as u32);
                 b.extend_from_slice(b"HOT-CONTENT");
@@ -119,7 +155,7 @@ fn flash_crowd_runs_produce_once() {
             let calls = Arc::clone(&produce_calls);
             std::thread::spawn(move || {
                 spin_until("flight to start", || any_in_flight(&bem));
-                serve(&bem, &store, &move |b: &mut Vec<u8>| {
+                serve(&bem, &store, block, &move |b: &mut Vec<u8>| {
                     calls.fetch_add(1, Ordering::Relaxed);
                     b.extend_from_slice(b"HOT-CONTENT");
                 })
@@ -133,31 +169,45 @@ fn flash_crowd_runs_produce_once() {
     assert_eq!(
         produce_calls.load(Ordering::Relaxed),
         1,
-        "one leader produced for the whole crowd"
+        "{block:?}: one leader produced for the whole crowd"
     );
     for page in &pages {
         assert_eq!(
             page, b"HOT-CONTENT",
-            "every requester got the leader's rope"
+            "{block:?}: every requester got the leader's rope"
         );
     }
     let snap = bem.stats().snapshot();
-    assert_eq!(snap.misses, 1);
-    assert_eq!(snap.flight_leaders, 1);
+    assert_eq!(snap.misses, 1, "{block:?}");
+    assert_eq!(snap.flight_leaders, 1, "{block:?}");
     assert_eq!(
         snap.coalesced_waits,
         (THREADS - 1) as u64,
-        "everyone but the leader was served off the flight"
+        "{block:?}: everyone but the leader was served off the flight"
     );
     bem.check_invariants().unwrap();
+    // The leader registered the dep before its publish released the
+    // crowd, so an update now reaches the one cached entry.
+    assert_eq!(bem.on_data_update("tbl/hot"), 1, "{block:?}");
 }
 
 /// The headline scenario: the dependency is invalidated *mid-flight*,
 /// while the leader is producing with the whole crowd parked. The stale
 /// rope must never reach a requester, and produce runs exactly
 /// `invalidations + 1` times.
+///
+/// A lazy block's dep is registered only once its producer returns, so an
+/// update to it while the first producer runs frees nothing (ROADMAP.md,
+/// direction 1 (e)); the lazy crowd's mid-flight retirement is by
+/// fragment id.
 #[test]
 fn mid_burst_invalidation_costs_exactly_one_extra_produce() {
+    for block in BLOCKS {
+        mid_burst_crowd(block);
+    }
+}
+
+fn mid_burst_crowd(block: Block) {
     let bem = crowd_bem();
     let store = Arc::new(FragmentStore::new(CAP));
     let produce_calls = Arc::new(AtomicU64::new(0));
@@ -177,7 +227,10 @@ fn mid_burst_invalidation_costs_exactly_one_extra_produce() {
                 // Flag first: the update wakes parked waiters, and one of
                 // them may reach the fresh-generation produce immediately.
                 inv.store(1, Ordering::Release);
-                assert_eq!(bem.on_data_update("tbl/hot"), 1);
+                match block {
+                    Block::Declared => assert_eq!(bem.on_data_update("tbl/hot"), 1),
+                    Block::Lazy => assert!(bem.directory().invalidate(&hot_id())),
+                }
                 b.extend_from_slice(b"STALE-GENERATION");
             } else {
                 assert_eq!(
@@ -194,7 +247,7 @@ fn mid_burst_invalidation_costs_exactly_one_extra_produce() {
         let bem = Arc::clone(&bem);
         let store = Arc::clone(&store);
         let produce = make_produce(&bem);
-        std::thread::spawn(move || serve(&bem, &store, &produce))
+        std::thread::spawn(move || serve(&bem, &store, block, &produce))
     };
     let waiters: Vec<_> = (0..THREADS - 1)
         .map(|_| {
@@ -203,7 +256,7 @@ fn mid_burst_invalidation_costs_exactly_one_extra_produce() {
             let produce = make_produce(&bem);
             std::thread::spawn(move || {
                 spin_until("flight to start", || any_in_flight(&bem));
-                serve(&bem, &store, &produce)
+                serve(&bem, &store, block, &produce)
             })
         })
         .collect();
@@ -215,22 +268,28 @@ fn mid_burst_invalidation_costs_exactly_one_extra_produce() {
     assert_eq!(
         produce_calls.load(Ordering::Relaxed),
         invalidations + 1,
-        "produce is O(invalidations), not O(requests)"
+        "{block:?}: produce is O(invalidations), not O(requests)"
     );
     for page in &pages {
         assert_eq!(
             page, b"FRESH-GENERATION",
-            "the stale rope must never reach a requester"
+            "{block:?}: the stale rope must never reach a requester"
         );
     }
     let snap = bem.stats().snapshot();
-    assert_eq!(snap.misses, 2, "one produce-running leader per generation");
-    assert_eq!(snap.flight_leaders, 2);
+    assert_eq!(
+        snap.misses, 2,
+        "{block:?}: one produce-running leader per generation"
+    );
+    assert_eq!(snap.flight_leaders, 2, "{block:?}");
     assert!(
         snap.flight_retries >= 1,
-        "the stale lap was observed and retried"
+        "{block:?}: the stale lap was observed and retried"
     );
     bem.check_invariants().unwrap();
+    // The fresh generation's leader registered the dep before releasing
+    // the crowd; the dead generation's registration went with it.
+    assert_eq!(bem.on_data_update("tbl/hot"), 1, "{block:?}");
 }
 
 /// Leader failure: the producing closure panics with the whole crowd
@@ -239,6 +298,12 @@ fn mid_burst_invalidation_costs_exactly_one_extra_produce() {
 /// hangs on the dead leader.
 #[test]
 fn leader_panic_elects_a_new_leader_and_serves_everyone() {
+    for block in BLOCKS {
+        leader_panic_crowd(block);
+    }
+}
+
+fn leader_panic_crowd(block: Block) {
     let bem = crowd_bem();
     let store = Arc::new(FragmentStore::new(CAP));
     let produce_calls = Arc::new(AtomicU64::new(0));
@@ -250,7 +315,7 @@ fn leader_panic_elects_a_new_leader_and_serves_everyone() {
         std::thread::spawn(move || {
             let bem2 = Arc::clone(&bem);
             let attempt = move || {
-                serve(&bem, &store, &move |b: &mut Vec<u8>| {
+                serve(&bem, &store, block, &move |b: &mut Vec<u8>| {
                     let call = calls.fetch_add(1, Ordering::Relaxed) + 1;
                     if call == 1 {
                         spin_until("crowd to park", || parked(&bem2) == (THREADS - 1) as u32);
@@ -269,7 +334,7 @@ fn leader_panic_elects_a_new_leader_and_serves_everyone() {
             let calls = Arc::clone(&produce_calls);
             std::thread::spawn(move || {
                 spin_until("flight to start", || any_in_flight(&bem));
-                serve(&bem, &store, &move |b: &mut Vec<u8>| {
+                serve(&bem, &store, block, &move |b: &mut Vec<u8>| {
                     calls.fetch_add(1, Ordering::Relaxed);
                     b.extend_from_slice(b"RECOVERED");
                 })
@@ -279,13 +344,13 @@ fn leader_panic_elects_a_new_leader_and_serves_everyone() {
 
     assert!(
         leader.join().unwrap().is_err(),
-        "the panicking leader's serve unwound"
+        "{block:?}: the panicking leader's serve unwound"
     );
     for t in waiters {
         assert_eq!(
             t.join().unwrap(),
             b"RECOVERED",
-            "survivors all served the recovery rope"
+            "{block:?}: survivors all served the recovery rope"
         );
     }
     // The dead generation plus the recovery leader; the benign same-key
@@ -295,12 +360,12 @@ fn leader_panic_elects_a_new_leader_and_serves_everyone() {
     let produced = produce_calls.load(Ordering::Relaxed) - 1; // minus the panicked call
     assert!(
         (1..=3).contains(&produced),
-        "recovery took {produced} produce runs"
+        "{block:?}: recovery took {produced} produce runs"
     );
     assert_eq!(
         bem.directory().flight().counters().poisoned,
         1,
-        "the dropped guard poisoned its flight"
+        "{block:?}: the dropped guard poisoned its flight"
     );
     bem.directory().check_invariants().unwrap();
     bem.directory().flight().check_invariants().unwrap();
@@ -313,6 +378,12 @@ fn leader_panic_elects_a_new_leader_and_serves_everyone() {
 /// requests, orders of magnitude under the dogpile.
 #[test]
 fn ten_k_requests_cost_order_invalidations_produces() {
+    for block in BLOCKS {
+        ten_k_crowd(block);
+    }
+}
+
+fn ten_k_crowd(block: Block) {
     let bem = crowd_bem();
     let store = Arc::new(FragmentStore::new(CAP));
     let produce_calls = Arc::new(AtomicU64::new(0));
@@ -328,7 +399,7 @@ fn ten_k_requests_cost_order_invalidations_produces() {
             std::thread::spawn(move || {
                 start.wait();
                 for _ in 0..REQS {
-                    let page = serve(&bem, &store, &|b: &mut Vec<u8>| {
+                    let page = serve(&bem, &store, block, &|b: &mut Vec<u8>| {
                         calls.fetch_add(1, Ordering::Relaxed);
                         b.extend_from_slice(b"TEN-K");
                     });
@@ -343,17 +414,20 @@ fn ten_k_requests_cost_order_invalidations_produces() {
     spin_until("burst to get going", || {
         bem.pages_served() > (THREADS * REQS / 4) as u64
     });
-    assert_eq!(bem.on_data_update("tbl/hot"), 1);
+    assert_eq!(bem.on_data_update("tbl/hot"), 1, "{block:?}");
     for t in threads {
         t.join().unwrap();
     }
 
     let produced = produce_calls.load(Ordering::Relaxed);
     let total = (THREADS * REQS) as u64;
-    assert!(produced >= 2, "the update forced at least one regeneration");
+    assert!(
+        produced >= 2,
+        "{block:?}: the update forced at least one regeneration"
+    );
     assert!(
         produced <= total / 200,
-        "dogpile: {produced} produce calls for {total} requests (1 invalidation)"
+        "{block:?}: dogpile: {produced} produce calls for {total} requests (1 invalidation)"
     );
     let snap = bem.stats().snapshot();
     assert_eq!(

@@ -548,15 +548,6 @@ impl SimNetwork {
         }
     }
 
-    /// Remove the listener at `addr` (if any), closing its pending queue:
-    /// blocked accepts fail, registered pollers are notified, and future
-    /// connects are refused — a node leaving the network.
-    pub fn unlisten(&self, addr: &str) {
-        if let Some(queue) = self.listeners.lock().remove(addr) {
-            queue.close();
-        }
-    }
-
     /// Connector handle for clients.
     pub fn connector(self: &Arc<Self>) -> SimConnector {
         SimConnector {
@@ -821,20 +812,6 @@ mod tests {
         assert!(poller.wait(&mut events, Some(std::time::Duration::from_secs(5))));
         assert!(events.iter().any(|(t, r)| *t == 0 && r.readable));
         assert!(listener.try_accept().unwrap().is_some());
-    }
-
-    #[test]
-    fn unlisten_refuses_future_connects_and_wakes_accepts() {
-        let net = SimNetwork::with_defaults();
-        let listener = net.listen("svc");
-        let t = std::thread::spawn(move || listener.accept());
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        net.unlisten("svc");
-        assert!(t.join().unwrap().is_err(), "blocked accept must fail");
-        match net.connector().connect("svc") {
-            Err(err) => assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused),
-            Ok(_) => panic!("connect after unlisten should be refused"),
-        }
     }
 
     #[test]

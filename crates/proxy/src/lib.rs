@@ -18,7 +18,7 @@
 //!
 //! One multi-node tier builds on the front: [`ring_cluster`], the paper's
 //! §7 extension made dynamic — consistent-hash placement over a
-//! [`ring::HashRing`], join/leave/fail [`membership`], per-node placement
+//! [`ring::HashRing`], join/leave/fail churn, per-node placement
 //! tracked by the directory's `stored_nodes` bitmask (a node fills the
 //! slots it lacks from the origin's node-miss `SET`s), and one
 //! invalidation sink on the origin's BEM that scrubs freed slots from
@@ -43,7 +43,6 @@
 
 pub mod esi;
 pub mod front;
-pub mod membership;
 pub mod metrics;
 pub mod modes;
 pub mod node;

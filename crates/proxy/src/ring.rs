@@ -58,20 +58,6 @@ impl HashRing {
         }
     }
 
-    /// Virtual nodes per physical node.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
-    }
-
-    /// Number of physical nodes on the ring.
-    pub fn len(&self) -> usize {
-        self.points.len() / self.vnodes
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     fn point_hash(node: u32, replica: usize) -> u64 {
         // The replica label is mixed in textually so point sets of distinct
         // nodes are uncorrelated even for adjacent ids.
@@ -95,11 +81,6 @@ impl HashRing {
                 self.points.remove(&h);
             }
         }
-    }
-
-    /// Whether `node` currently contributes points.
-    pub fn contains(&self, node: u32) -> bool {
-        self.points.values().any(|n| *n == node)
     }
 
     /// Owner of `key`: the first point clockwise of `hash(key)`, wrapping.

@@ -6,8 +6,8 @@
 //! nodes exchange no messages:
 //!
 //! * **Routing** — requests go to the ring owner of their target
-//!   ([`HashRing`](crate::ring::HashRing)); a membership change remaps an
-//!   expected `1/n` of the keyspace, not a modulo router's avalanche.
+//!   ([`HashRing`]); a membership change remaps an expected `1/n` of the
+//!   keyspace, not a modulo router's avalanche.
 //! * **Join** — the newcomer's points go on the ring and *nothing else
 //!   moves*. It fills its slots the way every node does: its template
 //!   requests name it, and the BEM's directory, with one stored bit per
@@ -19,14 +19,16 @@
 //!   one refresh names the absent keys and the BEM re-`SET`s them. A
 //!   bypass is the last rung.
 //! * **Leave / fail** — the node's points come off the ring and traffic
-//!   routes around it, losing only that node's arcs.
+//!   routes around it, losing only that node's arcs. The ring's points
+//!   and the node map change under one lock, so the node map is the
+//!   alive set and every owner the ring names has a proxy.
 //! * **Invalidation** — one [`dpc_core::InvalidationSink`] on the origin's
 //!   BEM ([`RingCluster::connect_origin`]) applies every data update to
 //!   the whole ring inside the update: it scrubs the freed keys from
 //!   every member's slot store, then bumps the updated dep's stripe of
-//!   the ring-wide page-tier epoch. [`RingCluster::invalidate_dep`] frees
-//!   a dep's keys and applies them the same way. The BEM's directory
-//!   decides what each node may splice.
+//!   the ring-wide page-tier epoch. Every update enters at
+//!   [`Bem::on_data_update`], the HTTP `PURGE` + `X-DPC-Dep` admin path
+//!   included. The BEM's directory decides what each node may splice.
 //! * **Front** — [`RingCluster::spawn_front`] serves the whole ring at one
 //!   HTTP address. Its handlers run inline on its event loops and block
 //!   there on origin fetches, so a request crosses the client, the front
@@ -49,10 +51,9 @@ use dpc_net::{Clock, SimNetwork};
 use dpc_trace::{TraceConfig, Tracer};
 
 use crate::front::Proxy;
-use crate::membership::Membership;
 use crate::modes::ProxyMode;
 use crate::node::{self, NodeSpec};
-use crate::ring::DEFAULT_VNODES;
+use crate::ring::{HashRing, DEFAULT_VNODES};
 
 /// Slot-store capacity per node.
 const NODE_CAPACITY: usize = 4096;
@@ -91,19 +92,25 @@ impl Default for RingConfig {
     }
 }
 
+/// The ring's placement state, all under one lock.
+struct Members {
+    /// Alive nodes' points.
+    ring: HashRing,
+    /// Every alive member's proxy, by node id: the alive set.
+    nodes: HashMap<u32, Arc<Proxy>>,
+    /// Next fresh id handed to a join. Ids are monotonic until the 64-id
+    /// space (the BEM's `stored_nodes` bitmask width) is spent, then
+    /// departed ids are recycled — see [`RingCluster::allocate_id`].
+    next_id: u32,
+}
+
 /// A dynamic cluster of DPC nodes in front of one origin (which must
 /// already be listening at [`ORIGIN_ADDR`](crate::testbed::ORIGIN_ADDR)
 /// on `net`).
 pub struct RingCluster {
     net: Arc<SimNetwork>,
     config: RingConfig,
-    membership: Mutex<Membership>,
-    /// Every member's proxy, by node id.
-    nodes: Mutex<HashMap<u32, Arc<Proxy>>>,
-    /// Next fresh id handed to a join. Ids are monotonic until the 64-id
-    /// space (the BEM's `stored_nodes` bitmask width) is spent, then
-    /// departed ids are recycled — see [`RingCluster::allocate_id`].
-    next_id: Mutex<u32>,
+    members: Mutex<Members>,
     /// One ring-wide page-tier epoch, shared by every node's page cache.
     /// Every invalidation bumps the updated dep's stripe once
     /// ([`RingCluster::connect_origin`]), so a tiered page on any node
@@ -122,8 +129,7 @@ pub struct RingCluster {
     /// histograms.
     clock: Clock,
     /// The origin's BEM, once [`RingCluster::connect_origin`] has run.
-    /// The HTTP `PURGE` + `X-DPC-Dep` admin path needs it to free keys at
-    /// the shared directory.
+    /// The HTTP `PURGE` + `X-DPC-Dep` admin path sends its update there.
     origin_bem: Mutex<Option<Arc<Bem>>>,
     /// One flight recorder for the whole ring: the front and every node's
     /// proxy and page tier record into it under their own node ids, so a
@@ -140,9 +146,11 @@ impl RingCluster {
         let cluster = RingCluster {
             net: Arc::clone(net),
             config,
-            membership: Mutex::new(Membership::new(DEFAULT_VNODES)),
-            nodes: Mutex::new(HashMap::new()),
-            next_id: Mutex::new(0),
+            members: Mutex::new(Members {
+                ring: HashRing::new(DEFAULT_VNODES),
+                nodes: HashMap::new(),
+                next_id: 0,
+            }),
             coherence: CoherencyEpoch::new(),
             slots_scrubbed: Arc::new(AtomicU64::new(0)),
             registry: Arc::new(MetricsRegistry::new()),
@@ -170,22 +178,24 @@ impl RingCluster {
 
     /// Node ids currently alive, sorted.
     pub fn alive(&self) -> Vec<u32> {
-        self.membership.lock().alive()
+        let mut ids: Vec<u32> = self.members.lock().nodes.keys().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Ring owner of `target` (None with no alive nodes).
     pub fn owner_of(&self, target: &str) -> Option<u32> {
-        self.membership.lock().owner(target)
+        self.members.lock().ring.owner(target)
     }
 
     /// Fraction of `samples` synthetic keys owned by `node`.
     pub fn ring_share(&self, node: u32, samples: usize) -> f64 {
-        self.membership.lock().ring().share_of(node, samples)
+        self.members.lock().ring.share_of(node, samples)
     }
 
     /// The proxy of node `id` (tests, fault injection).
     pub fn proxy(&self, id: u32) -> Option<Arc<Proxy>> {
-        self.nodes.lock().get(&id).cloned()
+        self.members.lock().nodes.get(&id).cloned()
     }
 
     /// Slots emptied by invalidations so far, over every member.
@@ -197,15 +207,13 @@ impl RingCluster {
     /// all 64 are spent — the BEM's `stored_nodes` bitmask caps the id
     /// space — the lowest departed id is recycled.
     fn allocate_id(&self) -> u32 {
-        let mut next = self.next_id.lock();
-        if *next < 64 {
-            let id = *next;
-            *next += 1;
-            return id;
+        let mut members = self.members.lock();
+        if members.next_id < 64 {
+            members.next_id += 1;
+            return members.next_id - 1;
         }
-        let membership = self.membership.lock();
         (0..64u32)
-            .find(|id| !membership.is_alive(*id))
+            .find(|id| !members.nodes.contains_key(id))
             .expect("at most 64 DPC nodes may be alive at once")
     }
 
@@ -229,41 +237,41 @@ impl RingCluster {
             tracer: &self.tracer,
             metrics: &self.registry,
         });
-        // A member is in the scrub set before it is on the ring, so every
-        // invalidation that can reach a page it serves scrubs its store.
-        self.nodes.lock().insert(id, proxy);
-        self.membership.lock().join(id);
+        // A member enters the scrub set in the same step it goes on the
+        // ring, so every invalidation that can reach a page it serves
+        // scrubs its store.
+        let mut members = self.members.lock();
+        let fresh = members.nodes.insert(id, proxy).is_none();
+        assert!(fresh, "node {id} is already alive");
+        members.ring.add(id);
         id
     }
 
     /// Graceful departure: remove the node's ring points and its proxy.
     /// Returns false when `id` was not alive.
     pub fn leave(&self, id: u32) -> bool {
-        if !self.membership.lock().leave(id) {
-            return false;
+        {
+            let mut members = self.members.lock();
+            if members.nodes.remove(&id).is_none() {
+                return false;
+            }
+            members.ring.remove(id);
         }
-        self.remove_node(id);
-        true
-    }
-
-    /// Crash: the same ring effect as [`leave`](Self::leave). Returns
-    /// false when `id` was not alive.
-    pub fn fail(&self, id: u32) -> bool {
-        if !self.membership.lock().fail(id) {
-            return false;
-        }
-        self.remove_node(id);
-        true
-    }
-
-    fn remove_node(&self, id: u32) {
-        self.nodes.lock().remove(&id);
         // A departed node must stop appearing in scrapes immediately —
         // its counters are frozen and its `node="N"` label would collide
         // with a recycled incarnation's.
         self.registry.unregister(&format!("node{id}/page_cache"));
         self.registry.unregister(&format!("node{id}/proxy"));
+        true
     }
+
+    /// Crash: the same effect as [`leave`](Self::leave) — nothing but the
+    /// node's slot store is lost with it. Returns false when `id` was not
+    /// alive.
+    pub fn fail(&self, id: u32) -> bool {
+        self.leave(id)
+    }
+
     /// Serve one request through ring routing.
     ///
     /// Two admin paths bypass routing: `GET /_dpc/metrics` renders the
@@ -287,13 +295,18 @@ impl RingCluster {
                 return self.purge_dep(dep);
             }
         }
-        let Some(owner) = self.owner_of(&req.target) else {
-            return Response::error(Status(503), "no alive cluster nodes");
+        let routed = {
+            let members = self.members.lock();
+            members.ring.owner(&req.target).map(|id| {
+                let proxy = members
+                    .nodes
+                    .get(&id)
+                    .expect("a ring point's node has a proxy");
+                (id, Arc::clone(proxy))
+            })
         };
-        let Some(proxy) = self.proxy(owner) else {
-            // The owner churned between routing and dispatch; the caller
-            // retries like any 5xx.
-            return Response::error(Status(503), "owner departed");
+        let Some((owner, proxy)) = routed else {
+            return Response::error(Status(503), "no alive cluster nodes");
         };
         let mut resp = proxy.serve(req);
         resp.headers.set(SERVED_BY_HEADER, owner.to_string());
@@ -340,21 +353,10 @@ impl RingCluster {
         handle
     }
 
-    /// Cluster-level invalidation: free the dependents' keys in the shared
-    /// directory (`bem` is the origin's) and apply them to every member
-    /// at once, as a data update through [`connect_origin`]'s sink does.
-    /// Returns the number of fragments invalidated.
-    ///
-    /// [`connect_origin`]: Self::connect_origin
-    pub fn invalidate_dep(&self, bem: &Bem, dep: &str) -> usize {
-        let keys = bem.directory().invalidate_dep_keys(dep);
-        self.apply(dep, &keys);
-        keys.len()
-    }
-
-    /// The HTTP admin form of [`invalidate_dep`](Self::invalidate_dep):
-    /// every member is scrubbed once it returns, so it answers with the
-    /// freed-key count the same way a single-node front's purge does.
+    /// The HTTP admin form of a data update: [`Bem::on_data_update`] on
+    /// the connected origin, whose sink scrubs every member before it
+    /// returns, so it answers with the freed-key count the same way a
+    /// single-node front's purge does.
     fn purge_dep(&self, dep: &str) -> Response {
         let Some(bem) = self.origin_bem.lock().clone() else {
             return Response::error(
@@ -362,7 +364,7 @@ impl RingCluster {
                 "dependency purge needs connect_origin on this cluster",
             );
         };
-        let freed = self.invalidate_dep(&bem, dep);
+        let freed = bem.on_data_update(dep);
         Response::html(format!("purged {freed} keys"))
             .with_header("X-Cache", "purged")
             .with_header(PURGED_KEYS_HEADER, freed.to_string())
@@ -370,9 +372,9 @@ impl RingCluster {
 
     /// Wire the origin's invalidation path to the ring: installs an
     /// [`dpc_core::InvalidationSink`] on `bem` (replacing any other), so
-    /// every data update arriving through the origin's update bus
-    /// (`Bem::on_data_update`) is applied to every member inside the
-    /// update, exactly like [`invalidate_dep`](Self::invalidate_dep).
+    /// every data update arriving at [`Bem::on_data_update`] (the origin's
+    /// update bus, or this cluster's `PURGE` + `X-DPC-Dep`) is applied to
+    /// every member inside the update.
     pub fn connect_origin(self: &Arc<Self>, bem: &Arc<Bem>) {
         *self.origin_bem.lock() = Some(Arc::clone(bem));
         crate::metrics::register_bem(&self.registry, "origin/bem", Arc::clone(bem), None);
@@ -392,7 +394,7 @@ impl RingCluster {
     /// `dep` stop serving.
     fn apply(&self, dep: &str, keys: &[DpcKey]) {
         let mut scrubbed = 0;
-        for proxy in self.nodes.lock().values() {
+        for proxy in self.members.lock().nodes.values() {
             for key in keys {
                 scrubbed += u64::from(proxy.store().clear_key(*key));
             }
@@ -428,13 +430,13 @@ mod tests {
 
     /// Reuse the single-node testbed for its origin, then bolt a ring
     /// cluster onto the same simulated network.
-    fn origin_and_cluster(n: usize) -> (Testbed, RingCluster) {
+    fn origin_and_cluster(n: usize) -> (Testbed, Arc<RingCluster>) {
         let tb = Testbed::build(TestbedConfig {
             mode: ProxyMode::Dpc,
             paper_params: params(),
             ..TestbedConfig::default()
         });
-        let cluster = RingCluster::new(tb.net(), n, RingConfig::default());
+        let cluster = Arc::new(RingCluster::new(tb.net(), n, RingConfig::default()));
         (tb, cluster)
     }
 
@@ -599,6 +601,7 @@ mod tests {
     #[test]
     fn invalidate_dep_scrubs_every_node_at_once() {
         let (tb, cluster) = origin_and_cluster(4);
+        cluster.connect_origin(tb.engine().bem());
         // Warm all pages on their owners.
         for p in 0..12 {
             let _ = cluster.get(&page(p), None);
@@ -621,8 +624,8 @@ mod tests {
             assert!(cluster.proxy(id).unwrap().store().get(key).is_some());
         }
         // Content change via `seed` (which, unlike `update`, does not fire
-        // the origin's update bus): the cluster-level API is the only
-        // invalidation path in this test.
+        // the origin's update bus): the one explicit update below is the
+        // only invalidation path in this test.
         let v = tb
             .engine()
             .repo()
@@ -635,7 +638,7 @@ mod tests {
             &frag_key,
             dpc_repository::Row::new().with("version", v + 1),
         );
-        let n = cluster.invalidate_dep(bem, &format!("paper/{frag_key}"));
+        let n = bem.on_data_update(&format!("paper/{frag_key}"));
         assert_eq!(n, 1, "slot 0 of page 5 was valid and dependent");
         // Right after the call, no node's store holds the freed key.
         for id in cluster.alive() {
@@ -653,7 +656,7 @@ mod tests {
     #[test]
     fn tiered_cluster_never_serves_stale_pages_after_invalidate_dep() {
         // Satellite regression for the page tier: with assembled pages
-        // cached above the slot stores, a ring-wide `invalidate_dep` must
+        // cached above the slot stores, a ring-wide dependency update must
         // leave no node able to serve the pre-invalidation page — scrubbing
         // fragment slots alone is not enough.
         let tb = Testbed::build(TestbedConfig {
@@ -661,14 +664,15 @@ mod tests {
             paper_params: params(),
             ..TestbedConfig::default()
         });
-        let cluster = RingCluster::new(
+        let cluster = Arc::new(RingCluster::new(
             tb.net(),
             4,
             RingConfig {
                 page_tier: true,
                 ..RingConfig::default()
             },
-        );
+        ));
+        cluster.connect_origin(tb.engine().bem());
         // Warm page 5 on its owner until it is L2-served (the page tier is
         // live when repeat serves stop reassembling).
         for _ in 0..4 {
@@ -681,9 +685,9 @@ mod tests {
             "warm-up must leave the assembled page cached"
         );
         let before = warm.body.to_vec();
-        // Content change via `seed` (no update bus: the cluster API is the
-        // only invalidation path here), then invalidate: the shared epoch
-        // must unserve the owner's cached copy on its next touch.
+        // Content change via `seed` (no update bus: the explicit update is
+        // the only invalidation path here), then invalidate: the shared
+        // epoch must unserve the owner's cached copy on its next touch.
         let frag_key = dpc_appserver::apps::paper_site::fragment_key(5, 0);
         let v = tb
             .engine()
@@ -697,7 +701,10 @@ mod tests {
             &frag_key,
             dpc_repository::Row::new().with("version", v + 1),
         );
-        let n = cluster.invalidate_dep(tb.engine().bem(), &format!("paper/{frag_key}"));
+        let n = tb
+            .engine()
+            .bem()
+            .on_data_update(&format!("paper/{frag_key}"));
         assert_eq!(n, 1);
         let after = cluster.get(&page(5), None);
         assert_ne!(
@@ -737,6 +744,7 @@ mod tests {
                 ..RingConfig::default()
             },
         ));
+        cluster.connect_origin(tb.engine().bem());
         let _front = cluster.spawn_front("tiered-front");
         let client = dpc_http::Client::new(Arc::new(tb.net().connector()));
         let get = || {
@@ -766,7 +774,10 @@ mod tests {
             &frag_key,
             dpc_repository::Row::new().with("version", v + 1),
         );
-        let n = cluster.invalidate_dep(tb.engine().bem(), &format!("paper/{frag_key}"));
+        let n = tb
+            .engine()
+            .bem()
+            .on_data_update(&format!("paper/{frag_key}"));
         assert_eq!(n, 1);
         let fresh = get();
         assert_eq!(fresh.headers.get("x-cache"), Some("dpc-assembled"));
@@ -779,7 +790,6 @@ mod tests {
     #[test]
     fn origin_bus_invalidations_scrub_every_node() {
         let (tb, cluster) = origin_and_cluster(4);
-        let cluster = Arc::new(cluster);
         cluster.connect_origin(tb.engine().bem());
         for p in 0..12 {
             let _ = cluster.get(&page(p), None);
@@ -902,6 +912,35 @@ mod tests {
             assert_eq!(cluster.owner_of(&page(p)), Some(owner));
         }
         assert_eq!(front.requests(), 12);
+    }
+
+    #[test]
+    fn departed_nodes_own_nothing() {
+        let (_tb, cluster) = origin_and_cluster(4);
+        assert!(cluster.leave(2));
+        assert!(!cluster.leave(2), "leaving twice is a no-op");
+        assert!(!cluster.fail(2), "a departed node cannot fail");
+        assert_eq!(cluster.alive(), vec![0, 1, 3]);
+        assert!(cluster.proxy(2).is_none());
+        for i in 0..500 {
+            assert_ne!(cluster.owner_of(&format!("key{i}")), Some(2));
+        }
+    }
+
+    #[test]
+    fn rejoin_restores_routing() {
+        let (_tb, cluster) = origin_and_cluster(3);
+        // Spend the fresh ids, so the next join recycles the lowest
+        // departed one.
+        for _ in 3..64 {
+            let id = cluster.join();
+            assert!(cluster.leave(id));
+        }
+        let owner_before = cluster.owner_of("k-42").unwrap();
+        assert!(cluster.fail(owner_before));
+        assert_ne!(cluster.owner_of("k-42"), Some(owner_before));
+        assert_eq!(cluster.join(), owner_before, "a failed id may rejoin");
+        assert_eq!(cluster.owner_of("k-42"), Some(owner_before));
     }
 
     #[test]

@@ -387,7 +387,7 @@ mod tests {
 
     #[test]
     fn every_replacement_policy_serves_identical_pages_end_to_end() {
-        // Policy selection is pure configuration: any `dpc-policy` arm
+        // Policy selection is pure configuration: any `dpc_core::policy` arm
         // runs the whole testbed (BEM directory under capacity pressure
         // included) and pages stay byte-identical to pass-through.
         let plain = Testbed::build(TestbedConfig {

@@ -1,15 +1,15 @@
 //! Membership-churn property test.
 //!
 //! A seeded loop interleaves join / leave / fail / GET (whose misses are
-//! the cluster's `SET` traffic) / cluster-level invalidation against a
-//! single-node oracle — a bypass fetch straight to the origin, which
-//! expands every page fresh per request.
+//! the cluster's `SET` traffic) / data updates against a single-node
+//! oracle — a bypass fetch straight to the origin, which expands every
+//! page fresh per request.
 //!
 //! The contract is byte-exact: every GET must equal the fresh oracle,
-//! including the GETs right after an invalidation. `invalidate_dep` frees
-//! the keys at the directory and scrubs every member before it returns,
-//! so no node may serve a fragment's previous version, not even for a
-//! moment. The directory's per-fragment epoch must also strictly grow
+//! including the GETs right after an invalidation. `Bem::on_data_update`
+//! frees the keys at the directory and, through the sink the cluster
+//! installed, scrubs every member before it returns, so no node may
+//! serve a fragment's previous version, not even for a moment. The directory's per-fragment epoch must also strictly grow
 //! across each invalidate → regenerate cycle.
 
 use rand::rngs::StdRng;
@@ -60,7 +60,7 @@ fn oracle(client: &Client, p: usize) -> Vec<u8> {
 }
 
 /// Bump a fragment's version row *without* firing the origin's update bus
-/// (the cluster-level invalidation API is the path under test).
+/// (the explicit `on_data_update` after it is the path under test).
 fn bump_version(tb: &Testbed, p: usize, s: usize) {
     let key = fragment_key(p, s);
     let v = tb
@@ -83,7 +83,8 @@ fn run_churn(seed: u64) {
         paper_params: params(),
         ..TestbedConfig::default()
     });
-    let cluster = RingCluster::new(tb.net(), 4, RingConfig::default());
+    let cluster = std::sync::Arc::new(RingCluster::new(tb.net(), 4, RingConfig::default()));
+    cluster.connect_origin(tb.engine().bem());
     let oracle_client = Client::new(std::sync::Arc::new(tb.net().connector()));
     let bem = tb.engine().bem();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -108,7 +109,7 @@ fn run_churn(seed: u64) {
                     "seed {seed} step {step}: page {p} differs from the fresh oracle"
                 );
             }
-            // Cluster-level invalidation, then GETs of the page right away:
+            // A data update, then GETs of the page right away:
             // each must be the fresh render.
             60..=79 => {
                 let p = rng.random_range(0..PAGES);
@@ -116,7 +117,7 @@ fn run_churn(seed: u64) {
                 bump_version(&tb, p, s);
                 let dep = format!("paper/{}", fragment_key(p, s));
                 let epoch_before = bem.directory().fragment_epoch(&frag_id(p, s));
-                let n = cluster.invalidate_dep(bem, &dep);
+                let n = bem.on_data_update(&dep);
                 invalidations += 1;
                 // The fragment may not be cached yet (page never served).
                 assert!(n <= 1, "one dep maps to one fragment");

@@ -15,8 +15,8 @@
 //!   page-cache / ESI / DPC modes) and the Figure 4 testbed;
 //! * [`appserver`] ([`dpc_appserver`]) — the script engine and the demo
 //!   applications (synthetic paper site, BooksOnline, brokerage);
-//! * [`policy`] ([`dpc_policy`]) — the replacement policies (LRU, CLOCK,
-//!   FIFO, none) and the workspace's key and content hashes;
+//! * [`policy`] ([`dpc_core::policy`]) — the replacement policies (LRU,
+//!   CLOCK, FIFO, none) and the workspace's key and content hashes;
 //! * [`model`] ([`dpc_model`]) — the §5 closed-form analytical model;
 //! * [`net`] / [`http`] / [`repository`] / [`firewall`] / [`workload`] —
 //!   the substrates (metered simulated network, HTTP/1.1, content
@@ -49,12 +49,12 @@
 
 pub use dpc_appserver as appserver;
 pub use dpc_core as core;
+pub use dpc_core::policy;
 pub use dpc_firewall as firewall;
 pub use dpc_http as http;
 pub use dpc_metrics as metrics;
 pub use dpc_model as model;
 pub use dpc_net as net;
-pub use dpc_policy as policy;
 pub use dpc_proxy as proxy;
 pub use dpc_repository as repository;
 pub use dpc_workload as workload;
