@@ -18,10 +18,14 @@
 //! | [`paper::deployment`] | §1/§8 case study: bandwidth and response-time reductions |
 //! | [`paper::ablation`] | design-choice ablations (replacement policy, tag size, framing, scan cost) |
 //!
+//! [`model`] is the §5 closed-form analytical model the analytical
+//! artifacts and overlays come from.
+//!
 //! The `micro` bench lives under `benches/`; `dpcbench`,
 //! the end-to-end benchmark, is a package of its own under
 //! `src/bin/dpcbench/`.
 
 pub mod harness;
+pub mod model;
 pub mod output;
 pub mod paper;

@@ -1,4 +1,4 @@
-//! # dpc-model — the paper's Section 5 analytical model
+//! The paper's Section 5 analytical model.
 //!
 //! Closed forms for *expected bytes served* with and without the dynamic
 //! proxy cache, the firewall scan-cost comparison, and generators for every

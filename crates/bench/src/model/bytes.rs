@@ -1,6 +1,6 @@
 //! Expected-bytes-served closed forms (§5).
 
-use crate::params::ModelParams;
+use crate::model::params::ModelParams;
 
 /// Composition of one page: per-fragment sizes and cacheability indicators.
 ///

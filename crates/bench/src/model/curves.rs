@@ -5,9 +5,9 @@
 //! published curve needs the per-figure calibration (see the crate docs),
 //! generators offer both the Table-2-default and calibrated variants.
 
-use crate::bytes::expected_bytes;
-use crate::params::ModelParams;
-use crate::scancost::ScanCosts;
+use crate::model::bytes::expected_bytes;
+use crate::model::params::ModelParams;
+use crate::model::scancost::ScanCosts;
 
 /// One point of a plotted series.
 #[derive(Debug, Clone, Copy, PartialEq)]

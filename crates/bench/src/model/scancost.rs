@@ -9,7 +9,7 @@
 //! expected bytes served with no cache are more than twice the expected
 //! bytes served with cache.
 
-use crate::bytes::ResponseSizes;
+use crate::model::bytes::ResponseSizes;
 
 /// Scan costs for the two configurations, in byte-scan units (`y = 1`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,8 +51,8 @@ pub fn prefer_dpc(sizes: &ResponseSizes) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytes::expected_bytes;
-    use crate::params::ModelParams;
+    use crate::model::bytes::expected_bytes;
+    use crate::model::params::ModelParams;
 
     #[test]
     fn result1_boundary() {

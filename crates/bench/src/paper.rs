@@ -1,7 +1,7 @@
 //! The paper's evaluation, one function per artifact.
 //!
 //! The model-only artifacts (Table 2, Figs. 2(a), 2(b), 3(a)) return the
-//! tables they print; their curves are `dpc-model`'s and are tested there.
+//! tables they print; their curves are [`crate::model`]'s and are tested there.
 //! The experimental ones return an [`Artifact`]: the typed rows
 //! `tests/paper.rs` asserts the paper's claims on, and the tables that
 //! print them. Request counts are arguments (the `paper` binary passes
@@ -10,18 +10,18 @@
 //!
 //! Experimental series count *wire* bytes (payload + TCP/IP framing, what
 //! the Sniffer measured) on the origin link; the analytical overlay is
-//! `dpc-model`'s. Their divergence is the header-overhead gap the paper
+//! [`crate::model`]'s. Their divergence is the header-overhead gap the paper
 //! explains in §6.
 
 use std::time::Duration;
 
+use crate::model::curves::{fig2a as ratio_curve, fig2b as savings_curve, sweep as steps};
+use crate::model::curves::{fig3a_firewall, fig3a_network};
+use crate::model::{expected_bytes, prefer_dpc, ModelParams, ResponseSizes, ScanCosts};
 use dpc_appserver::apps::paper_site::{self, PaperSiteParams};
 use dpc_core::directory::DirectoryStats;
 use dpc_core::ReplacePolicy;
 use dpc_http::{Method, Request};
-use dpc_model::curves::{fig2a as ratio_curve, fig2b as savings_curve, sweep as steps};
-use dpc_model::curves::{fig3a_firewall, fig3a_network};
-use dpc_model::{expected_bytes, prefer_dpc, ModelParams, ResponseSizes, ScanCosts};
 use dpc_net::{LinkModel, ProtocolModel};
 use dpc_proxy::{ProxyMode, Testbed, TestbedConfig};
 use dpc_repository::datasets::{tick_quote, DatasetConfig};

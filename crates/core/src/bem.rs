@@ -44,8 +44,8 @@ const MAX_FLIGHT_LAPS: u32 = 4;
 /// Observer of data-source invalidations: called on every update with the
 /// dep that was updated and the dpcKeys the directory freed for it (often
 /// none), after the directory freed them. The serving tier installs one:
-/// it bumps the dep's stripe of its page-tier epoch, and a ring also
-/// scrubs the freed keys from every member's slot store.
+/// it scrubs the freed keys from every slot store it serves, then bumps
+/// the dep's stripe of its page-tier epoch.
 pub type InvalidationSink = Arc<dyn Fn(&str, &[DpcKey]) + Send + Sync>;
 
 /// Per-fragment caching metadata attached at tagging time (§4.3.1: "The
@@ -408,9 +408,11 @@ impl TemplateWriter<'_> {
     /// The one lookup → flight → emit loop behind every tagged code block.
     /// `produce` returns the deps it discovered while running; they are
     /// registered before the flight publishes, so a waiter released by the
-    /// publish observes the same invalidation surface the leader does. A
-    /// `lazy` block's deps live in its directory entry, not in `policy`,
-    /// so serving it without running leaves the read set unknown.
+    /// publish observes the same invalidation surface the leader does. An
+    /// update of one of them that landed while `produce` ran retires the
+    /// entry at registration, so the flight publishes stale and the lap
+    /// retries. A `lazy` block's deps live in its directory entry, not in
+    /// `policy`, so serving it without running leaves the read set unknown.
     fn serve_block(
         &mut self,
         id: &FragmentId,
@@ -535,13 +537,14 @@ impl TemplateWriter<'_> {
                         }
                         sp
                     });
+                    let since = self.bem.directory.update_stamp();
                     let mut content = Vec::new();
                     let deps = produce(&mut content);
                     if !deps.is_empty() {
                         // Registered before the publish below releases
                         // any waiter.
                         self.note_reads(&deps);
-                        self.bem.directory.add_deps(id, &deps);
+                        self.bem.directory.add_deps(id, &deps, &since);
                     }
                     // Report the produced size: resident-bytes accounting and
                     // the size-aware policies both need it, and it only exists
@@ -1007,13 +1010,14 @@ mod tests {
     fn add_deps_rejects_invalid_entries() {
         let bem = bem_with(8);
         let id = FragmentId::new("x");
-        assert!(!bem.directory().add_deps(&id, &["t/k".to_owned()]));
+        let since = bem.directory().update_stamp();
+        assert!(!bem.directory().add_deps(&id, &["t/k".to_owned()], &since));
         let mut w = bem.template_writer();
         w.fragment(&id, FragmentPolicy::pinned(), |b| b.push(b'x'));
         let _ = w.finish();
-        assert!(bem.directory().add_deps(&id, &["t/k".to_owned()]));
+        assert!(bem.directory().add_deps(&id, &["t/k".to_owned()], &since));
         bem.directory().invalidate(&id);
-        assert!(!bem.directory().add_deps(&id, &["t/k2".to_owned()]));
+        assert!(!bem.directory().add_deps(&id, &["t/k2".to_owned()], &since));
         bem.directory().check_invariants().unwrap();
     }
 
@@ -1076,6 +1080,39 @@ mod tests {
         let snap = bem.stats().snapshot();
         assert_eq!(snap.flight_retries, 1);
         assert_eq!(snap.misses, 2, "both produce runs are counted misses");
+        bem.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn an_update_while_a_lazy_block_runs_is_not_cached_over() {
+        // The block only names its deps when it returns, so the update it
+        // races frees nothing; the directory's update stamp still sees it.
+        let bem = bem_with(8);
+        let store = FragmentStore::new(8);
+        let id = FragmentId::new("headlines");
+        let version = std::cell::Cell::new(1);
+        let runs = std::cell::Cell::new(0);
+        let render = || {
+            let mut w = bem.template_writer();
+            let hit = w.fragment_lazy(&id, Duration::from_secs(600), |out| {
+                runs.set(runs.get() + 1);
+                out.extend_from_slice(format!("v{}", version.get()).as_bytes());
+                if runs.get() == 1 {
+                    // The row changes after the block read it.
+                    version.set(2);
+                    assert_eq!(bem.on_data_update("t/row"), 0, "nothing depends on it yet");
+                }
+                vec!["t/row".to_owned()]
+            });
+            (hit, assemble(&w.finish(), &store).unwrap().html)
+        };
+        // The lap that read v1 publishes stale; the retried lap is a miss
+        // that reads v2, and v2 is what the directory keeps.
+        assert_eq!(render(), (false, b"v2".to_vec()));
+        assert_eq!(runs.get(), 2);
+        assert_eq!(render(), (true, b"v2".to_vec()));
+        assert_eq!(runs.get(), 2);
+        assert_eq!(bem.stats().snapshot().flight_retries, 1);
         bem.check_invariants().unwrap();
     }
 

@@ -32,11 +32,13 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use dpc_net::Clock;
 
 use crate::config::BemConfig;
+use crate::epoch::{stripe_of, CoherencyEpoch, Stamp};
 use crate::flight::FlightGroup;
 use crate::key::{DpcKey, FragmentId};
 use crate::policy::{fnv1a, Replacer};
@@ -78,9 +80,10 @@ struct Entry {
     /// fragment is served a fresh `SET` instead of a dangling `GET`.
     ///
     /// A set bit means "that node's slot holds this entry's bytes, or is
-    /// empty" — never an older generation's bytes. A ring's scrub may
-    /// empty the slot behind the bit; the node then names the key in a
-    /// refresh and [`CacheDirectory::forget_stored`] clears the bit.
+    /// empty" — never an older generation's bytes. The invalidation
+    /// sink's scrub may empty the slot behind the bit; the node then
+    /// names the key in a refresh and [`CacheDirectory::forget_stored`]
+    /// clears the bit.
     stored_nodes: u64,
     /// Absolute expiry in clock-nanos (`u64::MAX` = never).
     expires_at: u64,
@@ -182,6 +185,14 @@ pub struct CacheDirectory {
     /// state is taken as a leaf lock (the directory lock may be held; the
     /// flight mutex never wraps it).
     flight: FlightGroup<u64, Bytes>,
+    /// Bumped by label under the lock on every [`invalidate_dep`], freed
+    /// keys or not. A lazy block's deps arrive after its producer ran, so
+    /// an update while it ran frees nothing; [`add_deps`] compares the
+    /// stamp the leader took before producing against the deps' stripes.
+    ///
+    /// [`invalidate_dep`]: CacheDirectory::invalidate_dep
+    /// [`add_deps`]: CacheDirectory::add_deps
+    updates: CoherencyEpoch,
 }
 
 fn fragment_hash(id: &FragmentId) -> u64 {
@@ -215,6 +226,7 @@ impl CacheDirectory {
             }),
             lock_acquisitions: AtomicU64::new(0),
             flight: FlightGroup::new(),
+            updates: CoherencyEpoch::new(),
         }
     }
 
@@ -383,21 +395,37 @@ impl CacheDirectory {
         cleared
     }
 
+    /// The update stamp a deferred-dependency producer takes before it
+    /// runs, for [`add_deps`](CacheDirectory::add_deps).
+    pub fn update_stamp(&self) -> Stamp {
+        self.updates.stamp()
+    }
+
     /// Register additional data dependencies on a *valid* entry after the
-    /// fact. Returns false when the entry is absent or invalid.
+    /// fact. Returns false when the entry is absent or invalid, or when an
+    /// update of one of `deps` landed since `since` was stamped: the
+    /// content was produced from rows read before that update, so the
+    /// entry is retired (an invalidation) instead, and an in-flight
+    /// produce of it publishes stale.
     ///
     /// This powers deferred dependency registration: a code block that only
     /// learns its dependencies while producing content (e.g. which headline
     /// rows it rendered) does `lookup(id, ttl, &[])`, runs on the miss
     /// path, then registers the discovered deps — so the dependency query
     /// is never executed on the hit path.
-    pub fn add_deps(&self, id: &FragmentId, deps: &[String]) -> bool {
+    pub fn add_deps(&self, id: &FragmentId, deps: &[String], since: &Stamp) -> bool {
+        let read: Arc<[u16]> = deps.iter().map(|dep| stripe_of(dep)).collect();
+        let since = since.clone().with_reads(Some(read));
         let mut inner = self.lock_inner();
         let inner = &mut *inner;
         let Some(entry) = inner.entries.get_mut(id) else {
             return false;
         };
         if !entry.is_valid {
+            return false;
+        }
+        if !self.updates.validates(&since) {
+            self.invalidate_locked(inner, id);
             return false;
         }
         for dep in deps {
@@ -453,12 +481,14 @@ impl CacheDirectory {
     }
 
     /// Invalidate every fragment registered as depending on `dep`, and
-    /// return the dpcKeys the invalidation returned to the freeList. A
-    /// ring scrubs these from every DPC node's slot store, so a reassigned
-    /// key finds an empty slot (a detectable `MissingFragment`) instead of
-    /// splicing the old fragment's bytes.
+    /// return the dpcKeys the invalidation returned to the freeList. The
+    /// serving tier scrubs these from every DPC node's slot store, so a
+    /// reassigned key finds an empty slot (a detectable `MissingFragment`)
+    /// instead of splicing the old fragment's bytes. Bumps `dep`'s stripe
+    /// of the update epoch either way.
     pub fn invalidate_dep(&self, dep: &str) -> Vec<DpcKey> {
         let mut inner = self.lock_inner();
+        self.updates.bump_label(dep);
         // Only valid entries are registered, so every dependent is
         // invalidated and the dep's index entry can go with it.
         let Some(ids) = inner.dep_index.remove(dep) else {
@@ -878,7 +908,7 @@ mod tests {
         let id = FragmentId::new("deferred");
         let ttl = Duration::from_secs(600);
         let _ = dir.lookup(&id, ttl, &[]);
-        assert!(dir.add_deps(&id, &["tbl/late".to_owned()]));
+        assert!(dir.add_deps(&id, &["tbl/late".to_owned()], &dir.update_stamp()));
         assert_eq!(dir.invalidate_dep("tbl/late").len(), 1);
         assert!(matches!(dir.lookup(&id, ttl, &[]), Lookup::Miss(_)));
     }

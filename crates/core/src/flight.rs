@@ -2,7 +2,7 @@
 //!
 //! When a popular dependency is invalidated, every concurrent request for
 //! the affected fragment misses at the same instant and independently
-//! re-runs the same `produce` closure (or whole-page regeneration). A
+//! re-runs the same `produce` closure. A
 //! [`FlightGroup`] collapses that storm: the first
 //! requester becomes the **leader** and computes the value; everyone else
 //! **parks** on the in-flight entry and receives a clone of the leader's
@@ -14,7 +14,7 @@
 //! * **Poisoning** — the leader holds an RAII [`FlightLeader`] guard. If
 //!   it unwinds (the `produce` closure panicked) or otherwise drops the
 //!   guard without publishing, the flight is marked poisoned and all
-//!   parked waiters wake with [`Wait::Orphaned`]/[`Join::Retry`]; exactly
+//!   parked waiters wake with [`Wait::Orphaned`]/[`Wait::Retry`]; exactly
 //!   one observer is handed the orphan claim so it can become the new
 //!   leader. Nobody hangs on a dead leader.
 //! * **Generation staleness** — [`FlightGroup::invalidate`] stamps an
@@ -125,24 +125,12 @@ pub enum Wait<V> {
     Orphaned,
 }
 
-/// Outcome of [`FlightGroup::join`] (lead-or-wait entry, used on miss
-/// paths that have no separate directory to arbitrate leadership).
-pub enum Join<'a, K: Eq + Hash + Copy, V: Clone> {
-    /// This caller is the leader and must compute, then publish or drop.
-    Lead(FlightLeader<'a, K, V>),
-    /// A concurrent leader's published value plus its annotation tag
-    /// (see [`Wait::Value`]).
-    Value(V, u64),
-    /// Flight went stale/poisoned under us — loop and join again.
-    Retry,
-}
-
 struct Inner<K, V> {
     flights: HashMap<K, Flight<V>>,
 }
 
-/// A keyed single-flight group. `K` is the coalescing identity (a
-/// `DpcKey` index, URL hash, …); `V` is the broadcast value, cloned once
+/// A keyed single-flight group. `K` is the coalescing identity (the BEM
+/// keys it by fragment-identity hash); `V` is the broadcast value, cloned once
 /// per waiter (use a refcounted type like `Bytes`).
 pub struct FlightGroup<K, V> {
     inner: Mutex<Inner<K, V>>,
@@ -232,24 +220,6 @@ impl<K: Eq + Hash + Copy, V: Clone> FlightGroup<K, V> {
             key,
             seq,
             settled: false,
-        }
-    }
-
-    /// Lead-or-wait: become the leader if nobody is flying `key`,
-    /// otherwise park until the flight lands. Used by arms (the page cache)
-    /// where the flight map itself arbitrates leadership.
-    pub fn join(&self, key: K) -> Join<'_, K, V> {
-        {
-            let inner = self.lock();
-            if !inner.flights.contains_key(&key) {
-                drop(inner);
-                return Join::Lead(self.begin(key));
-            }
-        }
-        match self.wait(key) {
-            Wait::NoFlight => Join::Retry, // landed between probe and park
-            Wait::Value(v, tag) => Join::Value(v, tag),
-            Wait::Retry | Wait::Orphaned => Join::Retry,
         }
     }
 
@@ -387,39 +357,6 @@ impl<K: Eq + Hash + Copy, V: Clone> FlightGroup<K, V> {
                 }
             }
             Some(Flight::Poisoned { .. }) | None => {}
-        }
-    }
-
-    /// [`FlightGroup::invalidate`] for every live flight — the bulk-drop
-    /// hook (cache `clear`, node scrub), where enumerating keys on the
-    /// caller's side is impossible because in-flight misses have no
-    /// installed entry yet.
-    pub fn invalidate_all(&self) {
-        // Same contract as `invalidate`: no fast path, the mutex is the
-        // synchronizing edge.
-        let mut inner = self.lock();
-        let mut wake = false;
-        let mut drained: Vec<K> = Vec::new();
-        for (key, flight) in inner.flights.iter_mut() {
-            match flight {
-                Flight::Pending { waiters, stale, .. } => {
-                    *stale = true;
-                    wake |= *waiters > 0;
-                }
-                Flight::Done { remaining, .. } => {
-                    wake |= *remaining > 0;
-                    drained.push(*key);
-                }
-                Flight::Poisoned { .. } => {}
-            }
-        }
-        for key in drained {
-            inner.flights.remove(&key);
-            self.active.fetch_sub(1, Ordering::Release);
-        }
-        drop(inner);
-        if wake {
-            self.cv.notify_all();
         }
     }
 
@@ -732,47 +669,6 @@ mod tests {
         let new = g.begin(5); // recycled key, fresh generation
         assert_eq!(old.publish(1), Publish::Stale, "old generation rejected");
         assert_eq!(new.publish(2), Publish::Delivered(0));
-        g.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn join_elects_exactly_one_leader() {
-        let g: Arc<FlightGroup<u64, u64>> = Arc::new(FlightGroup::new());
-        let leaders = Arc::new(AtomicUsize::new(0));
-        let served = Arc::new(AtomicUsize::new(0));
-        let threads: Vec<_> = (0..8)
-            .map(|_| {
-                let g = Arc::clone(&g);
-                let leaders = Arc::clone(&leaders);
-                let served = Arc::clone(&served);
-                std::thread::spawn(move || loop {
-                    match g.join(11) {
-                        Join::Lead(guard) => {
-                            leaders.fetch_add(1, Ordering::Relaxed);
-                            // Give the crowd a moment to pile in.
-                            std::thread::sleep(Duration::from_millis(20));
-                            guard.publish(77);
-                            return 77;
-                        }
-                        Join::Value(v, _) => {
-                            served.fetch_add(1, Ordering::Relaxed);
-                            return v;
-                        }
-                        Join::Retry => continue,
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            assert_eq!(t.join().unwrap(), 77);
-        }
-        // Stragglers that joined after the flight landed re-lead; the
-        // point is that waiters who *did* coalesce all saw 77.
-        assert!(leaders.load(Ordering::Relaxed) >= 1);
-        assert_eq!(
-            leaders.load(Ordering::Relaxed) + served.load(Ordering::Relaxed),
-            8
-        );
         g.check_invariants().unwrap();
     }
 

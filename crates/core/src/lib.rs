@@ -101,7 +101,7 @@ pub use config::{BemConfig, ReplacePolicy};
 pub use directory::{CacheDirectory, Lookup};
 pub use epoch::{stripe_of, CoherencyEpoch, ReadSet, Stamp};
 pub use error::{AssembleError, CoreError};
-pub use flight::{FlightCounters, FlightGroup, FlightLeader, Join, Publish, Wait};
+pub use flight::{FlightCounters, FlightGroup, FlightLeader, Publish, Wait};
 pub use key::{DpcKey, FragmentId};
 pub use objects::ObjectCache;
 pub use policy::{content_hash, fnv1a, LruReplacer, Replacer};

@@ -1300,7 +1300,6 @@ mod tests {
         assert_eq!(merged[Outcome::Assembled.index()].sum, 1_500);
         assert_eq!(merged[Outcome::Error.index()].count(), 1);
         assert_eq!(merged[Outcome::Origin.index()].count(), 1);
-        assert_eq!(merged[Outcome::FlightWait.index()].count(), 0);
         // Each observation is exactly 1500 ns: bit-width 11, so p99 of any
         // nonempty outcome reports that bucket's upper bound.
         assert_eq!(merged[Outcome::L2Hit.index()].p99(), 2_047);

@@ -218,7 +218,7 @@ impl HistogramSnapshot {
     }
 }
 
-/// The six ways a request can leave the system, in cache-journey order.
+/// The five ways a request can leave the system, in cache-journey order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// Served from the node's page cache.
@@ -227,8 +227,6 @@ pub enum Outcome {
     Assembled,
     /// Fell through to origin / appserver produce.
     Origin,
-    /// Waited on another request's in-flight production (coalesced).
-    FlightWait,
     /// Conditional request revalidated: `304 Not Modified`, hash-sized
     /// serve, no body bytes moved.
     Revalidated,
@@ -237,13 +235,12 @@ pub enum Outcome {
 }
 
 impl Outcome {
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
 
     pub const ALL: [Outcome; Outcome::COUNT] = [
         Outcome::L2Hit,
         Outcome::Assembled,
         Outcome::Origin,
-        Outcome::FlightWait,
         Outcome::Revalidated,
         Outcome::Error,
     ];
@@ -254,9 +251,8 @@ impl Outcome {
             Outcome::L2Hit => 0,
             Outcome::Assembled => 1,
             Outcome::Origin => 2,
-            Outcome::FlightWait => 3,
-            Outcome::Revalidated => 4,
-            Outcome::Error => 5,
+            Outcome::Revalidated => 3,
+            Outcome::Error => 4,
         }
     }
 
@@ -265,7 +261,6 @@ impl Outcome {
             Outcome::L2Hit => "l2_hit",
             Outcome::Assembled => "assembled",
             Outcome::Origin => "origin",
-            Outcome::FlightWait => "flight_wait",
             Outcome::Revalidated => "revalidated",
             Outcome::Error => "error",
         }
@@ -286,7 +281,6 @@ impl Outcome {
         match x_cache {
             Some("dpc-l2") | Some("page-hit") => Outcome::L2Hit,
             Some("dpc-assembled") | Some("esi-assembled") => Outcome::Assembled,
-            Some("page-coalesced") => Outcome::FlightWait,
             _ => Outcome::Origin,
         }
     }
@@ -651,10 +645,6 @@ mod tests {
         assert_eq!(
             Outcome::classify(true, false, Some("esi-assembled")),
             Assembled
-        );
-        assert_eq!(
-            Outcome::classify(true, false, Some("page-coalesced")),
-            FlightWait
         );
         assert_eq!(Outcome::classify(true, false, Some("page-miss")), Origin);
         assert_eq!(Outcome::classify(true, false, None), Origin);

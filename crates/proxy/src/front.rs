@@ -5,9 +5,8 @@
 //! front invokes it inline on each of its event loops
 //! (`dpc_http::Server::with_loops`), concurrently across loops, so
 //! everything here is shared state behind `Arc`s and atomics. The handler
-//! blocks its loop on origin fetches; the origin never calls back into the
-//! proxy, so the wait always ends (see [`crate::testbed`] and
-//! `RingCluster::spawn_front` for the argument).
+//! blocks its loop on origin fetches and never parks; the origin never
+//! calls back into the proxy, so the wait always ends.
 
 use dpc_core::proto::{
     self, Answer, Ask, Provenance, ASSEMBLY_ERROR_HEADER, DEP_HEADER, JOURNEY_HEADER,
@@ -23,7 +22,7 @@ use std::sync::Arc;
 
 use crate::esi::EsiAssembler;
 use crate::modes::ProxyMode;
-use crate::page_cache::{PageCache, PageServe};
+use crate::page_cache::PageCache;
 use crate::tier::{etag_matches, hit_status, page_key, page_response, session_of};
 
 /// Counters exposed by the proxy.
@@ -36,7 +35,7 @@ pub struct ProxyStats {
     pub bypass_refetches: AtomicU64,
     /// DPC mode: assembly failures repaired by a *refresh* refetch — a
     /// classic §7 round trip naming the absent keys, which the BEM
-    /// re-`SET`s — instead of a full bypass. Only taken by ring members.
+    /// re-`SET`s — instead of a full bypass.
     pub refresh_refetches: AtomicU64,
     /// DPC mode: origin responses that were not instrumented (forwarded
     /// verbatim).
@@ -65,16 +64,17 @@ struct Failed {
 }
 
 /// Dependency-wide invalidation hook: frees every cached key registered
-/// under the given dependency and returns the freed-key count.
-pub type DepPurger = Arc<dyn Fn(&str) -> usize + Send + Sync>;
+/// under the given dependency and returns the freed-key count, or `None`
+/// while the node has no origin BEM to send the update to.
+pub type DepPurger = Arc<dyn Fn(&str) -> Option<usize> + Send + Sync>;
 
 /// The reverse proxy (Figure 4's "External" box: firewall + proxy cache +
 /// DPC).
 pub struct Proxy {
     mode: ProxyMode,
-    /// Ring member id announced to the BEM (§7 operation); `None` for the
-    /// single reverse proxy, which announces node 0.
-    node: Option<u32>,
+    /// Node id announced to the BEM (§7 operation); the lone proxy is
+    /// node 0.
+    node: u32,
     origin_addr: String,
     client: Arc<Client>,
     store: Arc<FragmentStore>,
@@ -92,9 +92,9 @@ pub struct Proxy {
     /// registry's text exposition instead of being forwarded.
     metrics: Option<Arc<MetricsRegistry>>,
     /// Dependency-wide invalidation hook for `PURGE` + `X-DPC-Dep`:
-    /// returns the number of keys freed. Single-node fronts point this at
-    /// the BEM's data-update path; a ring routes the purge itself and
-    /// scrubs every member.
+    /// returns the number of keys freed. Every node points this at its
+    /// origin BEM's data-update path, whose sink scrubs every slot store
+    /// it serves.
     dep_purger: Option<DepPurger>,
     /// Span recorder handle. `Tracer::off()` unless installed via
     /// [`Proxy::with_tracer`]; the serving paths then record spans under
@@ -117,7 +117,7 @@ impl Proxy {
     ) -> Proxy {
         Proxy {
             mode,
-            node: None,
+            node: 0,
             origin_addr: origin_addr.to_owned(),
             client,
             store,
@@ -146,37 +146,21 @@ impl Proxy {
         &self.tracer
     }
 
-    /// Builder: make this proxy ring member `node` (0–63): it announces
-    /// the id to the BEM and takes the refresh rung.
+    /// Builder: make this proxy node `node` (0–63), the id it announces
+    /// to the BEM.
     pub fn with_node(mut self, node: u32) -> Proxy {
         assert!(node < 64, "at most 64 DPC nodes");
-        self.node = Some(node);
+        self.node = node;
         self
     }
 
     /// Builder: enable the DPC page tier — assembled pages are installed
     /// into the page cache under session-qualified keys, or under the bare
     /// target when the origin marked the render session-free (see
-    /// [`crate::tier::page_key`]), stamped with the coherency epoch and their
-    /// read set, and repeat GETs are served from there without
-    /// reassembly. The cache **must** carry a [`dpc_core::CoherencyEpoch`]
-    /// ([`PageCache::with_coherence`]): a `PURGE` of a bare target cannot
-    /// name the session-qualified variants, so only the epoch bump can
-    /// invalidate stamped entries — without it, a purge would silently
-    /// leave stale session pages servable until TTL. Asserted here rather
-    /// than degraded, because the gap is invisible until a purge races a
-    /// session.
-    ///
-    /// # Panics
-    ///
-    /// If the proxy's page cache has no coherence epoch attached.
+    /// [`crate::tier::page_key`]), stamped with the page cache's coherency
+    /// epoch and their read set, and repeat GETs are served from there
+    /// without reassembly.
     pub fn with_page_tier(mut self) -> Proxy {
-        assert!(
-            self.page_cache.coherence().is_some(),
-            "the page tier requires PageCache::with_coherence: PURGE cannot \
-             name session-qualified keys, so stamped entries are only \
-             invalidatable through the epoch"
-        );
         self.page_tier = true;
         self
     }
@@ -199,7 +183,7 @@ impl Proxy {
 
     /// Node id announced to the BEM.
     pub fn node(&self) -> u32 {
-        self.node.unwrap_or(0)
+        self.node
     }
 
     /// Operating mode.
@@ -212,7 +196,8 @@ impl Proxy {
         &self.store
     }
 
-    /// The page cache (PageCache mode).
+    /// The node's page cache: page-cache mode's cache, DPC mode's page
+    /// tier.
     pub fn page_cache(&self) -> &Arc<PageCache> {
         &self.page_cache
     }
@@ -322,14 +307,12 @@ impl Proxy {
     fn handle_purge(&self, req: &Request) -> Response {
         if let Some(dep) = req.headers.get(DEP_HEADER) {
             // Dependency-wide purge: every key registered under `dep` is
-            // invalidated (ring-wide when fronted by a cluster), and the
-            // freed-key count is reported — a bare
-            // target purge cannot reach session-qualified page keys, this
-            // can.
-            let Some(purger) = &self.dep_purger else {
-                return Response::error(Status(501), "dependency purge is not wired on this front");
+            // invalidated (on every node the origin's sink scrubs), and the
+            // freed-key count is reported — a bare target purge cannot
+            // reach session-qualified page keys, this can.
+            let Some(freed) = self.dep_purger.as_ref().and_then(|purge| purge(dep)) else {
+                return Response::error(Status(501), "dependency purge has no origin on this node");
             };
-            let freed = purger(dep);
             return Response::html(format!("purged {freed} keys"))
                 .with_header("X-Cache", "purged")
                 .with_header(PURGED_KEYS_HEADER, freed.to_string());
@@ -396,47 +379,36 @@ impl Proxy {
 
     // -- PageCache mode ------------------------------------------------------
 
+    /// §3.2.1's page cache: lookup, else fetch and install. Misses are not
+    /// coalesced; the purge epoch captured before the fetch keeps a page
+    /// that a purge overtook out of the cache.
     fn serve_page_cache(&self, req: &Request) -> Response {
-        if req.method != Method::Get {
-            // Non-GET traffic is neither cached nor coalesced.
-            return match self.fetch_origin(req, &Ask::default()) {
-                Ok(resp) => strip_internal_headers(resp).with_header("X-Cache", "page-miss"),
-                Err(e) => e,
-            };
+        let get = req.method == Method::Get;
+        if get {
+            let mut sp = self.tracer.span(Layer::TierL2);
+            if let Some(page) = self.page_cache.lookup(&[&req.target]) {
+                sp.set_status(SpanStatus::Hit);
+                return Response::html(page.body)
+                    .with_header("Content-Type", page.content_type)
+                    .with_header("X-Cache", "page-hit");
+            }
+            sp.set_status(SpanStatus::Miss);
         }
-        // Single-flight miss: one requester leads (fetches the origin
-        // inside the fill closure), concurrent requesters for the same URL
-        // park and are served the leader's page. The leader's full origin
-        // response travels out through `origin` — waiters never see it.
-        let mut origin: Option<Result<Response, Response>> = None;
-        let serve = self.page_cache.get_or_fill(&req.target, || {
-            let fetched = self.fetch_origin(req, &Ask::default());
-            let cacheable = match &fetched {
-                Ok(resp) if resp.status.is_success() => {
-                    let ct = resp
-                        .headers
-                        .get("content-type")
-                        .unwrap_or("text/html")
-                        .to_owned();
-                    Some((resp.body.flatten(), ct))
-                }
-                _ => None,
-            };
-            origin = Some(fetched);
-            cacheable
-        });
-        match serve {
-            PageServe::Hit(body, content_type) => Response::html(body)
-                .with_header("Content-Type", content_type)
-                .with_header("X-Cache", "page-hit"),
-            PageServe::Coalesced(body, content_type) => Response::html(body)
-                .with_header("Content-Type", content_type)
-                .with_header("X-Cache", "page-coalesced"),
-            PageServe::Led => match origin.expect("the leader ran the fill") {
-                Ok(resp) => strip_internal_headers(resp).with_header("X-Cache", "page-miss"),
-                Err(e) => e,
-            },
+        let epoch = self.page_cache.purge_epoch();
+        let resp = match self.fetch_origin(req, &Ask::default()) {
+            Ok(resp) => resp,
+            Err(e) => return e,
+        };
+        if get && resp.status.is_success() {
+            let content_type = resp.headers.get("content-type").unwrap_or("text/html");
+            self.page_cache.install_unless_purged(
+                &req.target,
+                resp.body.flatten(),
+                content_type,
+                epoch,
+            );
         }
+        strip_internal_headers(resp).with_header("X-Cache", "page-miss")
     }
 
     // -- Esi mode -------------------------------------------------------------
@@ -541,15 +513,14 @@ impl Proxy {
     }
 
     /// The repair ladder. A template request names this node; if assembly
-    /// still finds an empty slot, a ring member refreshes once, naming its
-    /// absent keys so the BEM re-`SET`s them (the ring's scrub may have
-    /// emptied a slot behind its stored bit). The bypass is the last rung,
-    /// and the lone proxy's only one: nothing scrubs its slots. With
-    /// `want_reads` the template requests ask for the page's read set,
-    /// returned beside an assembled page.
+    /// still finds an empty slot, the node refreshes once, naming its
+    /// absent keys so the BEM re-`SET`s them (the invalidation sink's scrub
+    /// or a restart may have emptied a slot behind its stored bit). The
+    /// bypass is the last rung. With `want_reads` the template requests
+    /// ask for the page's read set, returned beside an assembled page.
     fn serve_dpc_assembling(&self, req: &Request, want_reads: bool) -> (Response, Provenance) {
         let ask = Ask {
-            node: Some(self.node()),
+            node: Some(self.node),
             want_reads,
             ..Ask::default()
         };
@@ -557,7 +528,7 @@ impl Proxy {
             Ok(served) => return served,
             Err(failed) => failed,
         };
-        if self.node.is_none() || !matches!(failed.err, AssembleError::MissingFragment(_)) {
+        if !matches!(failed.err, AssembleError::MissingFragment(_)) {
             return (self.bypass_refetch(req, failed.err), Provenance::default());
         }
         self.stats.refresh_refetches.fetch_add(1, Ordering::Relaxed);
@@ -652,7 +623,7 @@ impl Proxy {
     fn bypass_refetch(&self, req: &Request, err: AssembleError) -> Response {
         self.stats.bypass_refetches.fetch_add(1, Ordering::Relaxed);
         let bypass = Ask {
-            node: Some(self.node()),
+            node: Some(self.node),
             bypass: true,
             ..Ask::default()
         };
@@ -701,29 +672,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires PageCache::with_coherence")]
-    fn page_tier_without_a_coherence_epoch_is_refused() {
-        let tb = Testbed::build(TestbedConfig::default());
-        let _ = Proxy::new(
-            ProxyMode::Dpc,
-            "origin",
-            Arc::new(Client::new(Arc::new(tb.net().connector()))),
-            Arc::new(FragmentStore::new(4)),
-            Arc::new(PageCache::new(
-                dpc_net::Clock::real(),
-                std::time::Duration::from_secs(1),
-                4,
-            )),
-            Arc::new(EsiAssembler::new(
-                dpc_net::Clock::real(),
-                std::time::Duration::from_secs(1),
-            )),
-            None,
-        )
-        .with_page_tier();
-    }
-
-    #[test]
     fn upstream_error_is_502() {
         let tb = Testbed::build(TestbedConfig::default());
         // Kill the origin by dropping its listener registration: connect to
@@ -737,6 +685,7 @@ mod tests {
                 dpc_net::Clock::real(),
                 std::time::Duration::from_secs(1),
                 4,
+                dpc_core::CoherencyEpoch::new(),
             )),
             Arc::new(EsiAssembler::new(
                 dpc_net::Clock::real(),

@@ -38,8 +38,10 @@
 //!
 //! [`node`] builds one proxy-side node — page cache, ESI assembler,
 //! [`Proxy`] and its metric collectors — the same way for the testbed's
-//! lone proxy and for every ring member; the two differ only in their
-//! [`node::NodeSpec`].
+//! lone proxy (node 0) and for every ring member; the two differ only in
+//! their [`node::NodeSpec`]. Both learn of updates through one
+//! [`node::invalidation_sink`], which scrubs their slot stores and bumps
+//! their epoch inside the update.
 
 pub mod esi;
 pub mod front;

@@ -11,10 +11,11 @@
 //! Naming follows Prometheus convention: `dpc_` prefix, `_total` on
 //! counters, base units in the name (`_bytes`, `_ns`). Cross-subsystem
 //! concerns share one family split by label — the single-flight counters
-//! of the BEM, the directory and the page tier all land in
+//! of the BEM and the directory both land in
 //! `dpc_flight_*_total{source=...}`, so a dashboard can see coalescing
-//! behaviour across every layer in one query.
+//! behaviour across both layers in one query.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpc_core::Bem;
@@ -25,14 +26,6 @@ use dpc_trace::Tracer;
 
 use crate::front::Proxy;
 use crate::page_cache::PageCache;
-
-/// Optional `node="<id>"` label set for multi-node fronts.
-fn node_labels(node: &Option<String>) -> Vec<(&'static str, &str)> {
-    match node {
-        Some(id) => vec![("node", id.as_str())],
-        None => Vec::new(),
-    }
-}
 
 fn with_label<'a>(
     base: &[(&'static str, &'a str)],
@@ -61,10 +54,9 @@ fn flight_family(
 
 /// BEM tagging counters, the cache directory, and both layers'
 /// single-flight counters.
-pub fn register_bem(registry: &Registry, key: impl Into<String>, bem: Arc<Bem>, node: Option<u32>) {
-    let node = node.map(|n| n.to_string());
+pub fn register_bem(registry: &Registry, key: impl Into<String>, bem: Arc<Bem>) {
     registry.register(key, move |e| {
-        let labels = node_labels(&node);
+        let labels: [(&str, &str); 0] = [];
         let s = bem.stats().snapshot();
         e.counter("dpc_bem_fragments_total", &labels, s.fragments);
         e.counter("dpc_bem_hits_total", &labels, s.hits);
@@ -139,19 +131,19 @@ pub fn register_bem(registry: &Registry, key: impl Into<String>, bem: Arc<Bem>, 
     });
 }
 
-/// The node's page tier: hits, the stale-eviction audit trail, the pages
-/// installed without a read set, and its single-flight counters. The
+/// The node's page tier: hits, the stale-eviction audit trail and the
+/// pages installed without a read set, labelled `node="<id>"`. The
 /// `tier="l2"` label on the hit and stale-eviction series names the page
 /// cache; the benchmark filters on it.
 pub fn register_page_cache(
     registry: &Registry,
     key: impl Into<String>,
     cache: Arc<PageCache>,
-    node: Option<u32>,
+    node: u32,
 ) {
-    let node = node.map(|n| n.to_string());
+    let node = node.to_string();
     registry.register(key, move |e| {
-        let labels = node_labels(&node);
+        let labels = [("node", node.as_str())];
         let s = cache.stats();
         e.counter(
             "dpc_page_hits_total",
@@ -172,31 +164,17 @@ pub fn register_page_cache(
         // because the benchmark reads it (`proxy.page_admission_rejections`);
         // a `[benchmark]` change retires it together with that reader.
         e.counter("dpc_page_admission_rejections_total", &labels, 0);
-        flight_family(
-            e,
-            &labels,
-            "page_cache",
-            s.flight_leaders,
-            s.coalesced_waits,
-            s.flight_retries,
-        );
     });
 }
 
 /// The proxy front: serving-path counters, byte accounting, and the
-/// accumulated assembly totals.
-pub fn register_proxy(
-    registry: &Registry,
-    key: impl Into<String>,
-    proxy: Arc<Proxy>,
-    node: Option<u32>,
-) {
-    use std::sync::atomic::Ordering;
-    let node = node.map(|n| n.to_string());
+/// accumulated assembly totals, labelled `node="<id>"`.
+pub fn register_proxy(registry: &Registry, key: impl Into<String>, proxy: Arc<Proxy>, node: u32) {
+    let node = node.to_string();
     registry.register(key, move |e| {
-        let labels = node_labels(&node);
+        let labels = [("node", node.as_str())];
         let s = proxy.stats();
-        let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         e.counter("dpc_proxy_requests_total", &labels, load(&s.requests));
         e.counter("dpc_proxy_assembled_total", &labels, load(&s.assembled));
         e.counter(
@@ -269,12 +247,11 @@ pub fn register_server(
     let latency: Vec<Arc<OutcomeHistograms>> = stats.latency_per_loop().to_vec();
     let exemplars: Vec<Arc<OutcomeExemplars>> = stats.exemplars_per_loop().to_vec();
     registry.register(key, move |e| {
-        use std::sync::atomic::Ordering;
         let base = [("server", server.as_str())];
         for (i, l) in per_loop.iter().enumerate() {
             let i = i.to_string();
             let labels = with_label(&base, "loop", &i);
-            let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
+            let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
             e.counter(
                 "dpc_server_connections_total",
                 &labels,
@@ -318,6 +295,18 @@ pub fn register_server(
                 }
             }
         }
+    });
+}
+
+/// The slots the invalidation sink emptied
+/// ([`crate::node::invalidation_sink`]), over every node it scrubs.
+pub fn register_scrubbed(registry: &Registry, scrubbed: Arc<AtomicU64>) {
+    registry.register("scrub", move |e| {
+        e.counter(
+            "dpc_peer_slots_scrubbed_total",
+            &[],
+            scrubbed.load(Ordering::Relaxed),
+        );
     });
 }
 

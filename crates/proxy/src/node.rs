@@ -1,16 +1,18 @@
 //! One DPC node, built one way for the lone Figure 4 proxy and for every
-//! §7 ring member.
+//! §7 ring member; the lone proxy is node 0 of a ring with no placement.
 //!
 //! [`build`] assembles what every node has: a page cache over the node's
-//! slot store, the ESI assembler, the [`Proxy`] with its node id, tracer
-//! and metrics, and the node's collectors in the metrics registry. A
-//! [`NodeSpec`] names what the two callers set differently, plus where
-//! the node lives.
+//! slot store and coherence epoch, the ESI assembler, the [`Proxy`] with
+//! its node id, tracer, metrics and dep purger, and the node's collectors
+//! in the metrics registry. A [`NodeSpec`] names what the two callers set
+//! differently, plus where the node lives. [`invalidation_sink`] is the
+//! one way a set of nodes learns of an origin update.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dpc_core::{CoherencyEpoch, FragmentStore};
+use dpc_core::{CoherencyEpoch, FragmentStore, InvalidationSink};
 use dpc_firewall::Firewall;
 use dpc_http::Client;
 use dpc_metrics::Registry as MetricsRegistry;
@@ -32,15 +34,15 @@ pub const PAGE_TTL: Duration = Duration::from_secs(60);
 pub struct NodeSpec<'a> {
     /// Proxy mode; ring members run `Dpc`.
     pub mode: ProxyMode,
-    /// Ring member id: announced to the BEM, recorded on spans, and
-    /// prefixing the node's collectors (`node{id}/…`); a member takes the
-    /// refresh rung. `None` for the lone proxy, which announces node 0 and
-    /// registers under bare keys.
-    pub id: Option<u32>,
+    /// Node id (0–63): announced to the BEM, recorded on spans, and
+    /// prefixing the node's collectors (`node{id}/…`, labelled
+    /// `node="{id}"`). The lone proxy is node 0.
+    pub id: u32,
     /// The DPC slot store; the page cache is sized to its capacity.
     pub store: Arc<FragmentStore>,
-    /// Epoch stamping the page cache's entries (required by `page_tier`).
-    pub coherence: Option<CoherencyEpoch>,
+    /// Epoch stamping the page cache's tiered pages; the invalidation
+    /// sink bumps it.
+    pub coherence: CoherencyEpoch,
     /// Serve and install assembled pages through the page cache.
     pub page_tier: bool,
     /// Scan every origin response at the boundary.
@@ -60,14 +62,13 @@ pub struct NodeSpec<'a> {
 
 /// Build the node's proxy and register its collectors.
 pub fn build(spec: NodeSpec<'_>) -> Arc<Proxy> {
-    let node = spec.id.unwrap_or(0);
-    let tracer = spec.tracer.with_node(node);
-    let mut page_cache = PageCache::new(spec.clock.clone(), PAGE_TTL, spec.store.capacity());
-    if let Some(epoch) = spec.coherence {
-        page_cache = page_cache.with_coherence(epoch);
-    }
-    page_cache.set_tracer(tracer.clone());
-    let page_cache = Arc::new(page_cache);
+    let id = spec.id;
+    let page_cache = Arc::new(PageCache::new(
+        spec.clock.clone(),
+        PAGE_TTL,
+        spec.store.capacity(),
+        spec.coherence,
+    ));
     let mut proxy = Proxy::new(
         spec.mode,
         ORIGIN_ADDR,
@@ -77,11 +78,9 @@ pub fn build(spec: NodeSpec<'_>) -> Arc<Proxy> {
         Arc::new(EsiAssembler::new(spec.clock, PAGE_TTL)),
         spec.firewall,
     )
-    .with_tracer(tracer)
+    .with_node(id)
+    .with_tracer(spec.tracer.with_node(id))
     .with_metrics(Arc::clone(spec.metrics));
-    if let Some(id) = spec.id {
-        proxy = proxy.with_node(id);
-    }
     if spec.page_tier {
         proxy = proxy.with_page_tier();
     }
@@ -92,18 +91,40 @@ pub fn build(spec: NodeSpec<'_>) -> Arc<Proxy> {
     // Keyed registration replaces whatever a departed incarnation of a
     // recycled ring id left behind, so a scrape never mixes two
     // incarnations of `node="N"`.
-    let prefix = spec.id.map(|id| format!("node{id}/")).unwrap_or_default();
-    register_page_cache(
-        spec.metrics,
-        format!("{prefix}page_cache"),
-        page_cache,
-        spec.id,
-    );
+    register_page_cache(spec.metrics, format!("node{id}/page_cache"), page_cache, id);
     register_proxy(
         spec.metrics,
-        format!("{prefix}proxy"),
+        format!("node{id}/proxy"),
         Arc::clone(&proxy),
-        spec.id,
+        id,
     );
     proxy
+}
+
+/// The origin BEM's sink for a set of nodes sharing one coherence epoch.
+/// The BEM calls it inside every data update, after its directory freed
+/// the dep's keys, with no byte on the metered wire:
+///
+/// * the freed keys are cleared from every slot store `stores` visits, so
+///   a later reassignment of a freed key finds an empty slot (a
+///   `MissingFragment`, which the node's refresh rung repairs) instead of
+///   the old fragment's bytes; the emptied slots are counted in
+///   `scrubbed` (`dpc_peer_slots_scrubbed_total`);
+/// * then `dep`'s stripe of `epoch` is bumped once, so exactly the tiered
+///   pages that read `dep` stop serving.
+pub fn invalidation_sink(
+    stores: impl Fn(&mut dyn FnMut(&FragmentStore)) + Send + Sync + 'static,
+    epoch: CoherencyEpoch,
+    scrubbed: Arc<AtomicU64>,
+) -> InvalidationSink {
+    Arc::new(move |dep, keys| {
+        let mut emptied = 0;
+        stores(&mut |store| {
+            for key in keys {
+                emptied += u64::from(store.clear_key(*key));
+            }
+        });
+        scrubbed.fetch_add(emptied, Ordering::Relaxed);
+        epoch.bump_label(dep);
+    })
 }

@@ -17,22 +17,25 @@
 //! * **Repair** — a slot a scrub emptied behind the node's stored bit (a
 //!   render reused the freed key before the scrub ran) fails assembly;
 //!   one refresh names the absent keys and the BEM re-`SET`s them. A
-//!   bypass is the last rung.
+//!   bypass is the last rung. Every node, the lone proxy included, takes
+//!   this ladder.
 //! * **Leave / fail** — the node's points come off the ring and traffic
 //!   routes around it, losing only that node's arcs. The ring's points
 //!   and the node map change under one lock, so the node map is the
 //!   alive set and every owner the ring names has a proxy.
-//! * **Invalidation** — one [`dpc_core::InvalidationSink`] on the origin's
-//!   BEM ([`RingCluster::connect_origin`]) applies every data update to
-//!   the whole ring inside the update: it scrubs the freed keys from
-//!   every member's slot store, then bumps the updated dep's stripe of
-//!   the ring-wide page-tier epoch. Every update enters at
-//!   [`Bem::on_data_update`], the HTTP `PURGE` + `X-DPC-Dep` admin path
-//!   included. The BEM's directory decides what each node may splice.
+//! * **Invalidation** — the origin BEM's sink
+//!   ([`RingCluster::connect_origin`]) is the lone proxy's
+//!   [`node::invalidation_sink`] over every member's slot store: inside
+//!   the update it scrubs the freed keys from every member, then bumps
+//!   the updated dep's stripe of the ring-wide page-tier epoch. Every
+//!   update enters at [`Bem::on_data_update`], a member's `PURGE` +
+//!   `X-DPC-Dep` included. The BEM's directory decides what each node may
+//!   splice.
 //! * **Front** — [`RingCluster::spawn_front`] serves the whole ring at one
-//!   HTTP address. Its handlers run inline on its event loops and block
-//!   there on origin fetches, so a request crosses the client, the front
-//!   loop and the origin loop.
+//!   HTTP address. Its handlers route to the owner, which answers every
+//!   request, admin paths included, as the lone proxy does; they block on
+//!   origin fetches, so a request crosses the client, the front loop and
+//!   the origin loop.
 //!
 //! The origin is a [`Testbed`](crate::testbed::Testbed) built with its
 //! own page tier off: [`RingCluster::connect_origin`] replaces the sink
@@ -43,9 +46,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dpc_core::proto::{DEP_HEADER, PURGED_KEYS_HEADER, SERVED_BY_HEADER};
-use dpc_core::{Bem, CoherencyEpoch, DpcKey, FragmentStore};
-use dpc_http::{Method, Request, Response, Status};
+use dpc_core::proto::SERVED_BY_HEADER;
+use dpc_core::{Bem, CoherencyEpoch, FragmentStore, InvalidationSink};
+use dpc_http::{Request, Response, Status};
 use dpc_metrics::Registry as MetricsRegistry;
 use dpc_net::{Clock, SimNetwork};
 use dpc_trace::{TraceConfig, Tracer};
@@ -129,8 +132,8 @@ pub struct RingCluster {
     /// histograms.
     clock: Clock,
     /// The origin's BEM, once [`RingCluster::connect_origin`] has run.
-    /// The HTTP `PURGE` + `X-DPC-Dep` admin path sends its update there.
-    origin_bem: Mutex<Option<Arc<Bem>>>,
+    /// Every member's `PURGE` + `X-DPC-Dep` sends its update there.
+    origin_bem: Arc<Mutex<Option<Arc<Bem>>>>,
     /// One flight recorder for the whole ring: the front and every node's
     /// proxy and page tier record into it under their own node ids, so a
     /// cross-node request reads back as a single trace at any node.
@@ -155,15 +158,11 @@ impl RingCluster {
             slots_scrubbed: Arc::new(AtomicU64::new(0)),
             registry: Arc::new(MetricsRegistry::new()),
             clock,
-            origin_bem: Mutex::new(None),
+            origin_bem: Arc::default(),
             tracer,
         };
         crate::metrics::register_trace(&cluster.registry, "trace", cluster.tracer.clone());
-        let scrubbed = Arc::clone(&cluster.slots_scrubbed);
-        cluster.registry.register("ring", move |e| {
-            let n = scrubbed.load(Ordering::Relaxed);
-            e.counter("dpc_peer_slots_scrubbed_total", &[], n);
-        });
+        crate::metrics::register_scrubbed(&cluster.registry, Arc::clone(&cluster.slots_scrubbed));
         for _ in 0..n {
             cluster.join();
         }
@@ -222,16 +221,21 @@ impl RingCluster {
     /// the newcomer fills its slots from the origin's node-miss `SET`s.
     pub fn join(&self) -> u32 {
         let id = self.allocate_id();
-        // The ring routes `PURGE` + `X-DPC-Dep` itself and scans nothing
-        // at the boundary; otherwise a member is the lone proxy's node.
+        // A member scans nothing at the boundary; otherwise it is the lone
+        // proxy's node. Its dep purge is an update at the connected origin
+        // (501 before `connect_origin`).
+        let origin = Arc::clone(&self.origin_bem);
         let proxy = node::build(NodeSpec {
             mode: ProxyMode::Dpc,
-            id: Some(id),
+            id,
             store: Arc::new(FragmentStore::new(NODE_CAPACITY)),
-            coherence: Some(self.coherence.clone()),
+            coherence: self.coherence.clone(),
             page_tier: self.config.page_tier,
             firewall: None,
-            dep_purger: None,
+            dep_purger: Some(Arc::new(move |dep: &str| {
+                let bem = origin.lock().clone()?;
+                Some(bem.on_data_update(dep))
+            })),
             net: &self.net,
             clock: self.clock.clone(),
             tracer: &self.tracer,
@@ -272,29 +276,10 @@ impl RingCluster {
         self.leave(id)
     }
 
-    /// Serve one request through ring routing.
-    ///
-    /// Two admin paths bypass routing: `GET /_dpc/metrics` renders the
-    /// cluster-wide registry (any node's proxy would render the same
-    /// registry, but the scrape must not depend on ring ownership of the
-    /// metrics path), and `PURGE` + `X-DPC-Dep` runs the ring-wide
-    /// dependency purge.
+    /// Serve one request through ring routing: the owner of its target
+    /// answers it, admin paths included (every member renders the ring's
+    /// one registry and recorder), and the response names the owner.
     pub fn serve(&self, req: Request) -> Response {
-        if req.method == Method::Get && req.path() == "/_dpc/metrics" {
-            return Response::html(self.registry.render())
-                .with_header("Content-Type", "text/plain; version=0.0.4");
-        }
-        if req.method == Method::Get && req.path() == "/_dpc/trace/recent" {
-            if let Some(rec) = self.tracer.recorder() {
-                return Response::html(rec.recent_json())
-                    .with_header("Content-Type", "application/json");
-            }
-        }
-        if req.method == Method::Purge {
-            if let Some(dep) = req.headers.get(DEP_HEADER) {
-                return self.purge_dep(dep);
-            }
-        }
         let routed = {
             let members = self.members.lock();
             members.ring.owner(&req.target).map(|id| {
@@ -328,13 +313,8 @@ impl RingCluster {
     /// running its handlers inline), so the cluster tier scales across
     /// cores with its loop count, as the testbed's fronts do.
     ///
-    /// A handler blocks its loop on origin fetches. It cannot deadlock:
-    /// - it waits only on the origin, whose inline handlers never call
-    ///   back into the front;
-    /// - its one park is the page cache's fill flight, whose leader is a
-    ///   handler on another loop (or a direct caller) waiting only on the
-    ///   origin;
-    /// - with `loops: 1` no two front handlers overlap, so nothing parks.
+    /// A handler blocks its loop on origin fetches and never parks; the
+    /// origin never calls back into the front.
     pub fn spawn_front(self: &Arc<Self>, addr: &str) -> dpc_http::ServerHandle {
         let listener = self.net.listen(addr);
         let cluster = Arc::clone(self);
@@ -353,54 +333,33 @@ impl RingCluster {
         handle
     }
 
-    /// The HTTP admin form of a data update: [`Bem::on_data_update`] on
-    /// the connected origin, whose sink scrubs every member before it
-    /// returns, so it answers with the freed-key count the same way a
-    /// single-node front's purge does.
-    fn purge_dep(&self, dep: &str) -> Response {
-        let Some(bem) = self.origin_bem.lock().clone() else {
-            return Response::error(
-                Status(501),
-                "dependency purge needs connect_origin on this cluster",
-            );
-        };
-        let freed = bem.on_data_update(dep);
-        Response::html(format!("purged {freed} keys"))
-            .with_header("X-Cache", "purged")
-            .with_header(PURGED_KEYS_HEADER, freed.to_string())
-    }
-
-    /// Wire the origin's invalidation path to the ring: installs an
-    /// [`dpc_core::InvalidationSink`] on `bem` (replacing any other), so
+    /// Wire the origin's invalidation path to the ring: installs the
+    /// ring's [`InvalidationSink`] on `bem` (replacing any other), so
     /// every data update arriving at [`Bem::on_data_update`] (the origin's
-    /// update bus, or this cluster's `PURGE` + `X-DPC-Dep`) is applied to
+    /// update bus, or a member's `PURGE` + `X-DPC-Dep`) is applied to
     /// every member inside the update.
     pub fn connect_origin(self: &Arc<Self>, bem: &Arc<Bem>) {
         *self.origin_bem.lock() = Some(Arc::clone(bem));
-        crate::metrics::register_bem(&self.registry, "origin/bem", Arc::clone(bem), None);
-        let weak = Arc::downgrade(self);
-        bem.set_invalidation_sink(Arc::new(move |dep, keys| {
-            if let Some(cluster) = weak.upgrade() {
-                cluster.apply(dep, keys);
-            }
-        }));
+        crate::metrics::register_bem(&self.registry, "origin/bem", Arc::clone(bem));
+        bem.set_invalidation_sink(self.sink());
     }
 
-    /// Apply one invalidation, after the directory freed `keys`: scrub
-    /// them from every member's slot store, so a later reassignment of a
-    /// freed key finds an empty slot (a clean `MissingFragment` miss)
-    /// instead of the old fragment's bytes, then bump `dep`'s stripe of
-    /// the ring-wide epoch once, so exactly the tiered pages that read
-    /// `dep` stop serving.
-    fn apply(&self, dep: &str, keys: &[DpcKey]) {
-        let mut scrubbed = 0;
-        for proxy in self.members.lock().nodes.values() {
-            for key in keys {
-                scrubbed += u64::from(proxy.store().clear_key(*key));
-            }
-        }
-        self.slots_scrubbed.fetch_add(scrubbed, Ordering::Relaxed);
-        self.coherence.bump_label(dep);
+    /// The lone proxy's [`node::invalidation_sink`] over every alive
+    /// member's slot store, visited under the node map's lock: a member
+    /// enters the scrub set in the step it goes on the ring.
+    fn sink(self: &Arc<Self>) -> InvalidationSink {
+        let weak = Arc::downgrade(self);
+        node::invalidation_sink(
+            move |visit| {
+                if let Some(cluster) = weak.upgrade() {
+                    for proxy in cluster.members.lock().nodes.values() {
+                        visit(proxy.store());
+                    }
+                }
+            },
+            self.coherence.clone(),
+            Arc::clone(&self.slots_scrubbed),
+        )
     }
 
     /// Does nothing and returns 0: every invalidation already reached
@@ -418,6 +377,7 @@ mod tests {
     use crate::testbed::{Testbed, TestbedConfig};
     use bytes::Bytes;
     use dpc_appserver::apps::paper_site::PaperSiteParams;
+    use dpc_core::DpcKey;
 
     fn params() -> PaperSiteParams {
         PaperSiteParams {
@@ -590,7 +550,7 @@ mod tests {
         a.store().set(DpcKey(4), Bytes::from_static(b"kept"));
         b.store().set(DpcKey(3), Bytes::from_static(b"old"));
         // Key 5 is freed but no node holds it: nothing to count.
-        cluster.apply("dep", &[DpcKey(3), DpcKey(5)]);
+        cluster.sink()("dep", &[DpcKey(3), DpcKey(5)]);
         for proxy in [&a, &b] {
             assert_eq!(proxy.store().get(DpcKey(3)), None);
         }

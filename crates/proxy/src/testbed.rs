@@ -19,6 +19,10 @@
 //! origin's script engine never blocks on I/O, and the proxy blocks only
 //! on the origin, which never calls back. An assembled request therefore
 //! crosses three threads: the client, the proxy loop and the origin loop.
+//!
+//! The proxy is node 0 of a ring with no placement: it is built by the
+//! same [`node::build`] as every ring member, and the BEM's invalidation
+//! sink is the same [`node::invalidation_sink`], over its one slot store.
 
 use dpc_appserver::apps::paper_site::{self, PaperSiteParams};
 use dpc_appserver::apps::{self};
@@ -31,6 +35,7 @@ use dpc_net::{Clock, MeterRegistry, MeterSnapshot, ProtocolModel, SimNetwork, Vi
 use dpc_repository::datasets::{filler, seed_all, DatasetConfig};
 use dpc_repository::Repository;
 use dpc_trace::{TraceConfig, Tracer};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use crate::esi::{EsiAssembler, EsiTemplate};
@@ -79,7 +84,8 @@ pub struct TestbedConfig {
     /// (the page cache counts pages); the field keeps its name because
     /// the benchmark sets it. A testbed that serves as a ring's origin
     /// keeps it at `0`: [`RingCluster::connect_origin`] takes over the
-    /// BEM's invalidation sink, through which this tier learns of updates.
+    /// BEM's invalidation sink, through which this proxy learns of
+    /// updates.
     ///
     /// [`RingCluster::connect_origin`]: crate::ring_cluster::RingCluster::connect_origin
     pub l1_budget_bytes: usize,
@@ -154,17 +160,9 @@ impl Testbed {
         let engine = Arc::new(engine);
         // The origin front runs the engine inline on its event loops:
         // repository costs are simulated charges, never sleeps, so a
-        // handler only computes. Parallelism is `config.loops`. Its
-        // handlers cannot deadlock:
-        // - an inline handler never waits on its own loop: it does no I/O,
-        //   and the loop runs nothing else until it returns;
-        // - the origin's only park is `FlightGroup::wait` in the BEM, and
-        //   its leader is a handler already running to completion on
-        //   another loop's thread, which waits on nothing;
-        // - with `loops: 1` no two origin handlers overlap, so no flight
-        //   is ever pending when a handler probes one and nothing parks.
-        // `tests/inline_origin.rs` runs a cold-page crowd at one and two
-        // loops against this.
+        // handler only computes. Parallelism is `config.loops`. Its only
+        // park is the BEM's flight, whose leader is a handler running to
+        // completion on another loop (ARCHITECTURE.md, "Inline fronts").
         let origin_server = Server::new(Box::new(net.listen(ORIGIN_ADDR)), {
             let engine = Arc::clone(&engine);
             engine as Arc<dyn dpc_http::Handler>
@@ -177,37 +175,37 @@ impl Testbed {
         // ESI assembler).
         let firewall = Arc::new(Firewall::with_default_rules());
         let store = Arc::new(FragmentStore::new(config.capacity));
-        let tier_on = config.l1_budget_bytes > 0 && config.mode == ProxyMode::Dpc;
         // One striped epoch covers the whole node. The BEM's invalidation
-        // sink bumps the updated label's stripe on every data update, after
-        // the directory freed the label's keys, so exactly the stamped pages
-        // that read the row, of every session, self-evict on their next
-        // touch, and a page whose read set is unknown dies with any update.
-        // The invalidation path stays O(1) and never enumerates pages or
-        // sessions. A ring connected to this BEM
-        // (`RingCluster::connect_origin`) replaces the sink, so a ring's
-        // origin testbed keeps its own tier off.
-        let epoch = tier_on.then(CoherencyEpoch::new);
-        if let Some(epoch) = &epoch {
-            let epoch = epoch.clone();
-            bem.set_invalidation_sink(Arc::new(move |dep, _keys| {
-                epoch.bump_label(dep);
-            }));
-        }
+        // sink runs inside every data update, after the directory freed the
+        // label's keys: it scrubs them from the slot store and bumps the
+        // label's stripe, so exactly the stamped pages that read the row,
+        // of every session, self-evict on their next touch. A ring
+        // connected to this BEM (`RingCluster::connect_origin`) replaces
+        // the sink, so a ring's origin testbed keeps its own tier off.
+        let epoch = CoherencyEpoch::new();
+        let scrubbed = Arc::new(AtomicU64::new(0));
+        bem.set_invalidation_sink(node::invalidation_sink(
+            {
+                let store = Arc::clone(&store);
+                move |visit| visit(&store)
+            },
+            epoch.clone(),
+            Arc::clone(&scrubbed),
+        ));
         // Admin purge-by-dependency (`PURGE` + `X-DPC-Dep`) is an update of
         // the dep: it frees every directory key registered under it and
-        // bumps its stripe through the same sink, so tiered session pages
-        // built from those fragments stop serving too.
+        // runs the same sink, so tiered session pages built from those
+        // fragments stop serving too.
         let dep_purger: DepPurger = {
             let bem = Arc::clone(&bem);
-            Arc::new(move |dep: &str| bem.on_data_update(dep))
+            Arc::new(move |dep: &str| Some(bem.on_data_update(dep)))
         };
         let proxy = node::build(NodeSpec {
             mode: config.mode,
-            id: None,
+            id: 0,
             store,
             coherence: epoch,
-            page_tier: tier_on,
+            page_tier: config.l1_budget_bytes > 0 && config.mode == ProxyMode::Dpc,
             firewall: Some(Arc::clone(&firewall)),
             dep_purger: Some(dep_purger),
             net: &net,
@@ -219,19 +217,8 @@ impl Testbed {
             register_paper_templates(proxy.esi(), &config.paper_params);
         }
         // The proxy front runs `Proxy::serve` inline on its event loops
-        // too, so a handler blocked on the origin stalls the other
-        // connections of its loop for one origin round trip. The link
-        // never sleeps (`dpc_net::latency`), so that wait is the origin's
-        // CPU time, spent either way. It cannot deadlock:
-        // - the handler waits only on the origin front, whose inline
-        //   handlers never call back into the proxy;
-        // - its only park is `PageCache::get_or_fill`'s flight in
-        //   `PageCache` mode, whose leader is a handler on another loop (or
-        //   a direct caller) and waits only on the origin;
-        // - with `loops: 1` no two proxy handlers overlap, so no flight is
-        //   pending when a handler joins one and nothing parks.
-        // `tests/inline_origin.rs` runs cold-page crowds at one and two
-        // loops against this, in DPC and in `PageCache` mode.
+        // too: a proxy handler never parks, and waits only on the origin,
+        // which never calls back.
         let proxy_server = Server::new(Box::new(net.listen(PROXY_ADDR)), {
             let proxy = Arc::clone(&proxy);
             proxy as Arc<dyn dpc_http::Handler>
@@ -241,7 +228,8 @@ impl Testbed {
         .with_request_metrics(clock)
         .spawn();
 
-        crate::metrics::register_bem(&metrics, "bem", Arc::clone(&bem), None);
+        crate::metrics::register_bem(&metrics, "bem", Arc::clone(&bem));
+        crate::metrics::register_scrubbed(&metrics, scrubbed);
         crate::metrics::register_server(&metrics, "server-proxy", "proxy", proxy_server.stats());
         crate::metrics::register_server(&metrics, "server-origin", "origin", origin_server.stats());
         crate::metrics::register_meters(&metrics, "meters", Arc::clone(&registry));
@@ -344,7 +332,10 @@ fn register_paper_templates(esi: &Arc<EsiAssembler>, params: &PaperSiteParams) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpc_core::prelude::{assemble, FragmentId, FragmentPolicy};
     use dpc_core::proto::{DEP_HEADER, PURGED_KEYS_HEADER};
+    use dpc_core::AssembleError;
+    use std::sync::atomic::Ordering;
 
     fn small_params() -> PaperSiteParams {
         PaperSiteParams {
@@ -536,7 +527,7 @@ mod tests {
     }
 
     #[test]
-    fn dpc_store_restart_falls_back_to_bypass() {
+    fn dpc_store_restart_heals_through_the_refresh_rung() {
         let tb = Testbed::build(TestbedConfig {
             mode: ProxyMode::Dpc,
             paper_params: small_params(),
@@ -547,15 +538,44 @@ mod tests {
         // directory still believes fragments are cached.
         tb.proxy().store().clear();
         let after = tb.get("/paper/page.jsp?p=0", None);
-        assert_eq!(before.body, after.body, "bypass must return correct bytes");
-        assert_eq!(after.headers.get("x-cache"), Some("dpc-bypass"));
-        assert!(
-            tb.proxy()
-                .stats()
-                .bypass_refetches
-                .load(std::sync::atomic::Ordering::Relaxed)
-                >= 1
-        );
+        assert_eq!(before.body, after.body, "the refresh returns correct bytes");
+        // The lone proxy takes the ring's ladder: one refresh names the
+        // lost keys, the BEM re-`SET`s them, and no bypass is needed.
+        assert_eq!(after.headers.get("x-cache"), Some("dpc-assembled"));
+        let stats = tb.proxy().stats();
+        assert_eq!(stats.refresh_refetches.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.bypass_refetches.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_reused_key_never_splices_its_previous_fragment() {
+        // Race 1(a) in one thread, on the testbed's own wiring: an update
+        // frees a key, the next render reuses it with a `SET` of the new
+        // bytes, and a later render's `GET` of it is assembled first.
+        let tb = Testbed::build(TestbedConfig::default());
+        let bem = tb.engine().bem();
+        let store = tb.proxy().store();
+        let id = FragmentId::new("reused");
+        let render = |body: &'static [u8]| {
+            let mut w = bem.template_writer();
+            w.fragment(&id, FragmentPolicy::pinned().with_deps(&["t/row"]), |out| {
+                out.extend_from_slice(body)
+            });
+            w.finish()
+        };
+        let r1 = render(b"old");
+        assert_eq!(assemble(&r1, store).unwrap().html, b"old");
+        assert_eq!(bem.on_data_update("t/row"), 1);
+        let r2 = render(b"new");
+        let r3 = render(b"new");
+        assert!(r2.len() > r3.len(), "R2 carries the SET, R3 the GET");
+        // The sink scrubbed the freed slot: R3 cannot splice "old".
+        assert!(matches!(
+            assemble(&r3, store),
+            Err(AssembleError::MissingFragment(_))
+        ));
+        assert_eq!(assemble(&r2, store).unwrap().html, b"new");
+        assert_eq!(assemble(&r3, store).unwrap().html, b"new");
     }
 
     /// A tier-on testbed over [`small_params`] with `urls` each served

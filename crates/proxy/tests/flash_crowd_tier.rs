@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use dpc_core::prelude::*;
 use dpc_core::{AssembleError, CoherencyEpoch};
-use dpc_proxy::{page_key, PageCache};
+use dpc_proxy::{node, page_key, PageCache};
 
 const THREADS: usize = 16;
 const CAP: usize = 8;
@@ -92,20 +92,24 @@ fn serve_tiered(
 fn crowd_with_tier_resident_page_sees_no_stale_bytes_after_invalidation() {
     let epoch = CoherencyEpoch::new();
     let bem = Arc::new(Bem::new(BemConfig::default().with_capacity(CAP)));
-    // The standard wiring: the BEM's invalidation sink bumps the updated
-    // dep's stripe of the tier epoch, as the testbed and the ring install
-    // it.
-    bem.set_invalidation_sink(Arc::new({
-        let epoch = epoch.clone();
-        move |dep: &str, _keys: &[DpcKey]| {
-            epoch.bump_label(dep);
-        }
-    }));
     let store = Arc::new(FragmentStore::new(CAP));
-    let pc = Arc::new(
-        PageCache::new(dpc_net::Clock::real(), Duration::from_secs(600), 64)
-            .with_coherence(epoch.clone()),
-    );
+    // The production wiring: the node's invalidation sink scrubs the freed
+    // key from the slot store, then bumps the updated dep's stripe of the
+    // tier epoch, as the testbed and the ring install it.
+    bem.set_invalidation_sink(node::invalidation_sink(
+        {
+            let store = Arc::clone(&store);
+            move |visit| visit(&store)
+        },
+        epoch.clone(),
+        Arc::new(AtomicU64::new(0)),
+    ));
+    let pc = Arc::new(PageCache::new(
+        dpc_net::Clock::real(),
+        Duration::from_secs(600),
+        64,
+        epoch,
+    ));
     let produce_calls = Arc::new(AtomicU64::new(0));
     let invalidated = Arc::new(AtomicU64::new(0));
     let produce = {

@@ -136,9 +136,9 @@ impl ForgingOrigin {
         let (clock, _) = Clock::virtual_clock();
         let proxy = node::build(NodeSpec {
             mode: ProxyMode::Dpc,
-            id: None,
+            id: 0,
             store: Arc::new(FragmentStore::new(64)),
-            coherence: Some(epoch.clone()),
+            coherence: epoch.clone(),
             page_tier: true,
             firewall: None,
             dep_purger: None,

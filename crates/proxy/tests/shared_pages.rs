@@ -182,8 +182,9 @@ impl Site {
         paper_site::install(&mut engine, params());
         engine.register(GreetingScript);
         engine.connect_invalidation();
-        let epoch = dpc.then(CoherencyEpoch::new);
-        if let Some(epoch) = epoch.clone() {
+        let epoch = CoherencyEpoch::new();
+        if dpc {
+            let epoch = epoch.clone();
             repo.bus().subscribe(move |dep| {
                 epoch.bump_label(dep);
             });
@@ -209,7 +210,7 @@ impl Site {
         let (clock, _) = Clock::virtual_clock();
         let proxy = node::build(NodeSpec {
             mode,
-            id: None,
+            id: 0,
             store: Arc::new(FragmentStore::new(64)),
             coherence: epoch,
             page_tier: dpc,

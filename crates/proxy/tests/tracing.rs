@@ -6,9 +6,9 @@
 //!   root's trace id, every parent link resolves inside the trace, and the
 //!   keep-list serves it from `GET /_dpc/trace/recent` at the entry node.
 //! * Durations — spans are timestamped from `dpc_net::Clock`, so a
-//!   virtual-clock advance inside a page fill pins exact span and
+//!   virtual-clock advance inside a BEM code block pins exact span and
 //!   retention durations.
-//! * Flash crowd — concurrent requests coalescing on one page flight
+//! * Flash crowd — concurrent renders coalescing on one BEM flight
 //!   record a leader span and waiter spans whose `detail` names the
 //!   leader's span id, across their distinct traces.
 
@@ -17,12 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use dpc_appserver::apps::paper_site::PaperSiteParams;
-use dpc_core::fnv1a;
+use dpc_core::prelude::*;
 use dpc_http::{Client, Request};
 use dpc_net::Clock;
-use dpc_proxy::page_cache::{PageCache, PageServe};
 use dpc_proxy::testbed::{Testbed, TestbedConfig};
 use dpc_proxy::{ProxyMode, RingCluster, RingConfig};
 use dpc_trace::{enter_ctx, Layer, RetainReason, SpanStatus, TraceConfig, Tracer};
@@ -165,6 +163,19 @@ fn one_request_stitches_front_owner_and_origin_into_one_trace() {
     assert!(body.contains("\"layer\":\"assembly\""));
 }
 
+/// A BEM on `clock` that records into `tracer`.
+fn traced_bem(clock: Clock, tracer: &Tracer) -> Arc<Bem> {
+    let bem = Arc::new(Bem::new(
+        BemConfig::default().with_capacity(16).with_clock(clock),
+    ));
+    bem.set_tracer(tracer.clone());
+    bem
+}
+
+fn policy() -> FragmentPolicy {
+    FragmentPolicy::ttl(Duration::from_secs(60))
+}
+
 #[test]
 fn spans_pin_exact_virtual_clock_durations_and_slow_retention() {
     let (clock, vclock) = Clock::virtual_clock();
@@ -176,33 +187,34 @@ fn spans_pin_exact_virtual_clock_durations_and_slow_retention() {
         clock.clone(),
     );
     let rec = Arc::clone(tracer.recorder().unwrap());
-    let cache = PageCache::new(clock, Duration::from_secs(60), 16);
-    cache.set_tracer(tracer.clone());
+    let bem = traced_bem(clock, &tracer);
+    let id = FragmentId::new("pinned");
 
-    // A miss whose fill takes exactly 7 µs of virtual time.
+    // A miss whose code block takes exactly 7 µs of virtual time.
     let ctx = tracer.begin_request(Layer::Http, None).unwrap();
     {
         let _enter = enter_ctx(Some(ctx));
-        let vclock = Arc::clone(&vclock);
-        let serve = cache.get_or_fill("/pinned", move || {
+        let mut w = bem.template_writer();
+        let served = w.fragment(&id, policy(), |out| {
             vclock.advance(Duration::from_nanos(7_000));
-            Some((Bytes::from_static(b"page"), "text/html".to_owned()))
+            out.extend_from_slice(b"fragment");
         });
-        assert!(matches!(serve, PageServe::Led));
+        assert!(!served, "a cold fragment runs its block");
     }
     tracer.finish_root(ctx, SpanStatus::Ok);
 
     let spans = rec.spans_of(ctx.trace_id);
     let probe = spans
         .iter()
-        .find(|s| s.layer == Layer::TierL2 && s.status == SpanStatus::Miss)
-        .expect("miss probe span");
+        .find(|s| s.layer == Layer::Directory && s.status == SpanStatus::Miss)
+        .expect("miss lookup span");
     let flight = spans
         .iter()
         .find(|s| s.layer == Layer::Flight && s.status == SpanStatus::Leader)
         .expect("leader flight span");
     let root = spans.iter().find(|s| s.layer == Layer::Http).unwrap();
-    // The probe closed before the fill; the clock moved only inside it.
+    // The lookup closed before the block ran; the clock moved only inside
+    // it.
     assert_eq!(probe.duration_nanos(), 0);
     assert_eq!(flight.duration_nanos(), 7_000);
     assert_eq!(root.duration_nanos(), 7_000);
@@ -216,20 +228,20 @@ fn spans_pin_exact_virtual_clock_durations_and_slow_retention() {
     assert_eq!(recent[0].reason, RetainReason::Slow);
     assert_eq!(recent[0].duration_nanos, 7_000);
 
-    // The repeat is a hit: zero-duration probe span, fast trace, not
+    // The repeat is a hit: zero-duration lookup span, fast trace, not
     // retained.
     let ctx = tracer.begin_request(Layer::Http, None).unwrap();
     {
         let _enter = enter_ctx(Some(ctx));
-        let serve = cache.get_or_fill("/pinned", || panic!("hit must not fill"));
-        assert!(matches!(serve, PageServe::Hit(_, _)));
+        let mut w = bem.template_writer();
+        assert!(w.fragment(&id, policy(), |_| panic!("a hit must not run the block")));
     }
     tracer.finish_root(ctx, SpanStatus::Ok);
     let spans = rec.spans_of(ctx.trace_id);
     let hit = spans
         .iter()
-        .find(|s| s.layer == Layer::TierL2 && s.status == SpanStatus::Hit)
-        .expect("hit probe span");
+        .find(|s| s.layer == Layer::Directory && s.status == SpanStatus::Hit)
+        .expect("hit lookup span");
     assert_eq!(hit.duration_nanos(), 0);
     assert_eq!(rec.recent().len(), 1, "a fast healthy trace is not kept");
 }
@@ -240,9 +252,10 @@ fn flash_crowd_waiter_spans_name_the_leaders_flight_span() {
     let (clock, _vclock) = Clock::virtual_clock();
     let tracer = Tracer::from_config(TraceConfig::default(), clock.clone());
     let rec = Arc::clone(tracer.recorder().unwrap());
-    let cache = Arc::new(PageCache::new(clock, Duration::from_secs(60), 16));
-    cache.set_tracer(tracer.clone());
-    let fills = Arc::new(AtomicU64::new(0));
+    let bem = traced_bem(clock, &tracer);
+    let hot = FragmentId::new("hot");
+    let fkey = bem.directory().flight_key(&hot);
+    let produced = Arc::new(AtomicU64::new(0));
 
     // Each crowd member is its own request: distinct traces, one flight.
     let leader_ctx = tracer.begin_request(Layer::Http, None).unwrap();
@@ -250,61 +263,63 @@ fn flash_crowd_waiter_spans_name_the_leaders_flight_span() {
         .map(|_| tracer.begin_request(Layer::Http, None).unwrap())
         .collect();
 
-    // Leader: the fill blocks until the rest of the crowd has parked.
-    let leader = {
-        let cache = Arc::clone(&cache);
-        let fills = Arc::clone(&fills);
+    // One render of the hot fragment under `ctx`; `gate` runs inside the
+    // block, before it writes.
+    let render = |ctx, gate: Box<dyn Fn() + Send>| {
+        let bem = Arc::clone(&bem);
+        let hot = hot.clone();
+        let produced = Arc::clone(&produced);
         std::thread::spawn(move || {
-            let _ctx = enter_ctx(Some(leader_ctx));
-            let gate = Arc::clone(&cache);
-            cache.get_or_fill("/hot", move || {
-                fills.fetch_add(1, Ordering::Relaxed);
-                let ident = fnv1a(b"/hot");
-                let start = std::time::Instant::now();
-                while gate.flight().parked_waiters(ident) < (CROWD - 1) as u32 {
-                    assert!(
-                        start.elapsed() < Duration::from_secs(30),
-                        "crowd never parked"
-                    );
-                    std::thread::yield_now();
-                }
-                Some((Bytes::from_static(b"hot-page"), "t".to_owned()))
-            })
+            let _ctx = enter_ctx(Some(ctx));
+            let mut w = bem.template_writer();
+            let served = w.fragment(&hot, policy(), |out| {
+                produced.fetch_add(1, Ordering::Relaxed);
+                gate();
+                out.extend_from_slice(b"hot-fragment");
+            });
+            (served, w.finish())
         })
     };
+    // Leader: the block holds until the rest of the crowd has parked.
+    let leader = render(leader_ctx, {
+        let bem = Arc::clone(&bem);
+        Box::new(move || {
+            let start = std::time::Instant::now();
+            while bem.directory().flight().parked_waiters(fkey) < (CROWD - 1) as u32 {
+                assert!(
+                    start.elapsed() < Duration::from_secs(30),
+                    "crowd never parked"
+                );
+                std::thread::yield_now();
+            }
+        })
+    });
+    let start = std::time::Instant::now();
+    while !bem.directory().flight().in_flight(fkey) {
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "flight never began"
+        );
+        std::thread::yield_now();
+    }
     let crowd: Vec<_> = waiter_ctxs
         .iter()
-        .map(|ctx| {
-            let cache = Arc::clone(&cache);
-            let fills = Arc::clone(&fills);
-            let ctx = *ctx;
-            std::thread::spawn(move || {
-                let _ctx = enter_ctx(Some(ctx));
-                let ident = fnv1a(b"/hot");
-                let start = std::time::Instant::now();
-                while !cache.flight().in_flight(ident) {
-                    assert!(
-                        start.elapsed() < Duration::from_secs(30),
-                        "flight never began"
-                    );
-                    std::thread::yield_now();
-                }
-                cache.get_or_fill("/hot", move || {
-                    fills.fetch_add(1, Ordering::Relaxed);
-                    Some((Bytes::from_static(b"hot-page"), "t".to_owned()))
-                })
-            })
-        })
+        .map(|ctx| render(*ctx, Box::new(|| panic!("a waiter must not run the block"))))
         .collect();
 
-    assert!(matches!(leader.join().unwrap(), PageServe::Led));
+    let (led, template) = leader.join().unwrap();
+    assert!(!led, "the leader ran the block");
+    let mut templates = vec![template];
     for t in crowd {
-        match t.join().unwrap() {
-            PageServe::Coalesced(body, _) => assert_eq!(&body[..], b"hot-page"),
-            other => panic!("expected coalesced serve, got {other:?}"),
-        }
+        let (served, template) = t.join().unwrap();
+        assert!(served, "a waiter is served the leader's bytes");
+        templates.push(template);
     }
-    assert_eq!(fills.load(Ordering::Relaxed), 1, "one fill for the crowd");
+    assert_eq!(produced.load(Ordering::Relaxed), 1, "one run for the crowd");
+    let store = FragmentStore::new(16);
+    for template in &templates {
+        assert_eq!(assemble(template, &store).unwrap().html, b"hot-fragment");
+    }
     tracer.finish_root(leader_ctx, SpanStatus::Ok);
     for ctx in &waiter_ctxs {
         tracer.finish_root(*ctx, SpanStatus::Ok);

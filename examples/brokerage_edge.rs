@@ -12,7 +12,7 @@
 
 use dynproxy::appserver::apps;
 use dynproxy::appserver::ScriptEngine;
-use dynproxy::core::{Bem, BemConfig, FragmentStore};
+use dynproxy::core::{Bem, BemConfig, CoherencyEpoch, FragmentStore};
 use dynproxy::http::{Client, Request, Server};
 use dynproxy::net::{Clock, TcpConnector, TcpListenerAdapter};
 use dynproxy::proxy::esi::EsiAssembler;
@@ -57,7 +57,12 @@ fn main() {
         origin.addr(),
         upstream,
         Arc::new(FragmentStore::new(2048)),
-        Arc::new(PageCache::new(clock.clone(), Duration::from_secs(60), 256)),
+        Arc::new(PageCache::new(
+            clock.clone(),
+            Duration::from_secs(60),
+            256,
+            CoherencyEpoch::new(),
+        )),
         Arc::new(EsiAssembler::new(clock, Duration::from_secs(60))),
         None,
     ));

@@ -17,7 +17,6 @@
 //!   applications (synthetic paper site, BooksOnline, brokerage);
 //! * [`policy`] ([`dpc_core::policy`]) — the replacement policies (LRU,
 //!   CLOCK, FIFO, none) and the workspace's key and content hashes;
-//! * [`model`] ([`dpc_model`]) — the §5 closed-form analytical model;
 //! * [`net`] / [`http`] / [`repository`] / [`firewall`] / [`workload`] —
 //!   the substrates (metered simulated network, HTTP/1.1, content
 //!   repository, scanning firewall, request generator).
@@ -53,7 +52,6 @@ pub use dpc_core::policy;
 pub use dpc_firewall as firewall;
 pub use dpc_http as http;
 pub use dpc_metrics as metrics;
-pub use dpc_model as model;
 pub use dpc_net as net;
 pub use dpc_proxy as proxy;
 pub use dpc_repository as repository;

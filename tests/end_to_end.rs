@@ -160,9 +160,17 @@ fn proxy_restart_loses_store_but_never_correctness() {
     let want = oracle.get(url, None);
     assert_eq!(before.body, after.body);
     assert_eq!(after.body, want.body);
-    assert_eq!(after.headers.get("x-cache"), Some("dpc-bypass"));
-    // The system heals: subsequent misses repopulate slots via SETs once
-    // the directory entries expire or are invalidated.
+    // The refresh rung heals the store in the same request: the proxy
+    // names the keys it lost and the BEM re-`SET`s them.
+    assert_eq!(after.headers.get("x-cache"), Some("dpc-assembled"));
+    assert_eq!(
+        dpc.proxy()
+            .stats()
+            .refresh_refetches
+            .load(std::sync::atomic::Ordering::Relaxed),
+        1
+    );
+    // Later updates keep every page exact.
     paper_site::invalidate_fragment(dpc.engine().repo(), 2, 0);
     paper_site::invalidate_fragment(dpc.engine().repo(), 2, 1);
     paper_site::invalidate_fragment(dpc.engine().repo(), 2, 2);
