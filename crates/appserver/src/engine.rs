@@ -268,7 +268,7 @@ mod tests {
                 .unwrap()
                 .into_iter()
                 .filter_map(|op| match op {
-                    Op::Get(k) => Some(format!("GET {}", k.0)),
+                    Op::Get { key, .. } => Some(format!("GET {}", key.0)),
                     Op::Set { key, .. } => Some(format!("SET {}", key.0)),
                     Op::Literal(_) => None,
                 })

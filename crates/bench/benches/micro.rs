@@ -28,12 +28,12 @@ fn build_template(
     tag::write_preamble(&mut buf);
     for i in 0..fragments {
         tag::write_literal(&mut buf, b"<div>");
-        let key = DpcKey(i as u32);
+        let (key, gen) = (DpcKey(i as u32), i as u64 + 1);
         if i < hits {
-            store.set(key, bytes::Bytes::from(content.clone()));
-            tag::write_get(&mut buf, key);
+            store.set(key, gen, bytes::Bytes::from(content.clone()));
+            tag::write_get(&mut buf, key, gen);
         } else {
-            tag::write_set(&mut buf, key, &content);
+            tag::write_set(&mut buf, key, gen, &content);
         }
         tag::write_literal(&mut buf, b"</div>");
     }

@@ -3,7 +3,10 @@
 //! A single linear pass over the template (the scan the paper's cost model
 //! charges `z ≈ y` per byte for): literals are copied, `SET` content is
 //! stored into the slot array *and* included in the page, `GET`s are filled
-//! from the slot array. The output is the byte-exact page the origin would
+//! from the slot array. Both name the fragment's generation: a `GET` splices
+//! only a slot that holds it, and a `SET` never overwrites a newer one, so
+//! a reused key or a late `SET` yields a `MissingFragment`, never another
+//! generation's bytes. The output is the byte-exact page the origin would
 //! have produced without the cache — the central correctness property,
 //! enforced by the round-trip property tests in this module and by the
 //! end-to-end equivalence tests in the workspace `tests/` directory.
@@ -182,9 +185,9 @@ pub fn assemble_rope(
                 rope.stats.literal_bytes += bytes.len() as u64;
                 literal_run.extend_from_slice(bytes);
             }
-            Op::Get(key) => {
+            Op::Get { key, gen } => {
                 let (fragment, hash) = store
-                    .get_hashed(key)
+                    .get_hashed(key, gen)
                     .ok_or(AssembleError::MissingFragment(key))?;
                 rope.stats.gets += 1;
                 rope.stats.get_bytes += fragment.len() as u64;
@@ -193,13 +196,15 @@ pub fn assemble_rope(
                 // the slot's stored hash stands for its bytes.
                 rope.push(fragment, hash);
             }
-            Op::Set { key, content } => {
+            Op::Set { key, gen, content } => {
                 // One copy total: the shared buffer is installed in the
                 // slot array and spliced into the page. One hash total:
-                // the slot stores the one the page identity folds.
+                // the slot stores the one the page identity folds. The
+                // page carries the SET's bytes even when the slot keeps a
+                // newer generation: they are what this render read.
                 let hash = content_hash(content);
                 let shared = Bytes::copy_from_slice(content);
-                if !store.set_hashed(key, shared.clone(), hash) {
+                if !store.set_hashed(key, gen, shared.clone(), hash) {
                     return Err(AssembleError::KeyOutOfRange(key));
                 }
                 rope.stats.sets += 1;
@@ -216,8 +221,8 @@ pub fn assemble_rope(
 
 /// Salvage a template whose assembly stopped on a missing `GET`: install
 /// every `SET` it carries, including those after the stop, and return the
-/// keys of its `GET`s that `store` still lacks, in template order without
-/// duplicates.
+/// keys of its `GET`s whose slot in `store` still lacks the named
+/// generation, in template order without duplicates.
 ///
 /// The BEM marked each `SET` as stored on this node when it emitted it,
 /// so leaving one uninstalled would make that mark a lie. The returned
@@ -225,16 +230,16 @@ pub fn assemble_rope(
 pub fn salvage(template: &[u8], store: &FragmentStore) -> Result<Vec<DpcKey>, AssembleError> {
     let ops = scanner(template)?.collect_ops()?;
     for op in &ops {
-        if let Op::Set { key, content } = op {
-            if !store.set(*key, Bytes::copy_from_slice(content)) {
+        if let Op::Set { key, gen, content } = op {
+            if !store.set(*key, *gen, Bytes::copy_from_slice(content)) {
                 return Err(AssembleError::KeyOutOfRange(*key));
             }
         }
     }
     let mut missing = Vec::new();
     for op in &ops {
-        if let Op::Get(key) = op {
-            if store.get(*key).is_none() && !missing.contains(key) {
+        if let Op::Get { key, gen } = op {
+            if store.get(*key, *gen).is_none() && !missing.contains(key) {
                 missing.push(*key);
             }
         }
@@ -262,7 +267,7 @@ mod tests {
     fn store_with(entries: &[(u32, &[u8])]) -> FragmentStore {
         let store = FragmentStore::new(64);
         for (k, v) in entries {
-            store.set(DpcKey(*k), Bytes::copy_from_slice(v));
+            store.set(DpcKey(*k), 1, Bytes::copy_from_slice(v));
         }
         store
     }
@@ -273,9 +278,9 @@ mod tests {
         let mut t = Vec::new();
         write_preamble(&mut t);
         write_literal(&mut t, b"<a>");
-        write_get(&mut t, DpcKey(1));
+        write_get(&mut t, DpcKey(1), 1);
         write_literal(&mut t, b"<b>");
-        write_set(&mut t, DpcKey(2), b"FRESH");
+        write_set(&mut t, DpcKey(2), 1, b"FRESH");
         write_literal(&mut t, b"<c>");
         let page = assemble(&t, &store).unwrap();
         assert_eq!(page.html, b"<a>CACHED<b>FRESH<c>".to_vec());
@@ -285,7 +290,10 @@ mod tests {
         assert_eq!(page.stats.set_bytes, 5);
         assert_eq!(page.stats.literal_bytes, 9);
         // The SET was installed for future GETs.
-        assert_eq!(store.get(DpcKey(2)).unwrap(), Bytes::from_static(b"FRESH"));
+        assert_eq!(
+            store.get(DpcKey(2), 1).unwrap(),
+            Bytes::from_static(b"FRESH")
+        );
     }
 
     #[test]
@@ -294,8 +302,8 @@ mod tests {
         let mut t = Vec::new();
         write_preamble(&mut t);
         write_literal(&mut t, b"<a>");
-        write_get(&mut t, DpcKey(1));
-        write_set(&mut t, DpcKey(2), b"FRESH");
+        write_get(&mut t, DpcKey(1), 1);
+        write_set(&mut t, DpcKey(2), 1, b"FRESH");
         write_literal(&mut t, b"<c>");
         let rope = assemble_rope(&t, &store).unwrap();
         assert_eq!(rope.to_vec(), b"<a>CACHED-FRAGMENTFRESH<c>".to_vec());
@@ -304,9 +312,9 @@ mod tests {
         // Segments: literal, GET splice, SET splice, literal.
         assert_eq!(rope.segments.len(), 4);
         // The GET segment is the slot's buffer, not a copy.
-        assert_eq!(rope.segments[1], store.get(DpcKey(1)).unwrap());
+        assert_eq!(rope.segments[1], store.get(DpcKey(1), 1).unwrap());
         // The SET segment shares the buffer just installed in slot 2.
-        assert_eq!(rope.segments[2], store.get(DpcKey(2)).unwrap());
+        assert_eq!(rope.segments[2], store.get(DpcKey(2), 1).unwrap());
         // Adapter agrees byte-for-byte, stats and all.
         let flat = assemble(&t, &store).unwrap();
         assert_eq!(flat.html, rope.to_vec());
@@ -328,9 +336,9 @@ mod tests {
         let mut t = Vec::new();
         write_preamble(&mut t);
         write_literal(&mut t, lits[0]);
-        write_get(&mut t, DpcKey(1));
+        write_get(&mut t, DpcKey(1), 1);
         write_literal(&mut t, lits[1]);
-        write_get(&mut t, DpcKey(2));
+        write_get(&mut t, DpcKey(2), 1);
         write_literal(&mut t, lits[2]);
         t
     }
@@ -346,11 +354,11 @@ mod tests {
             for i in 0..slot.len() {
                 let mut flipped = slot.to_vec();
                 flipped[i] ^= 0x20;
-                store.set(DpcKey(s as u32 + 1), Bytes::from(flipped));
+                store.set(DpcKey(s as u32 + 1), 1, Bytes::from(flipped));
                 let rope = assemble_rope(&two_slot_page(lits), &store).unwrap();
                 assert_ne!(rope.stats.page_identity, base_id, "slot {s} byte {i}");
             }
-            store.set(DpcKey(s as u32 + 1), Bytes::copy_from_slice(slot));
+            store.set(DpcKey(s as u32 + 1), 1, Bytes::copy_from_slice(slot));
         }
         for (l, lit) in lits.iter().enumerate() {
             for i in 0..lit.len() {
@@ -373,12 +381,12 @@ mod tests {
         let mut cold = Vec::new();
         write_preamble(&mut cold);
         write_literal(&mut cold, b"<head>");
-        write_set(&mut cold, DpcKey(4), b"NAVIGATION");
+        write_set(&mut cold, DpcKey(4), 1, b"NAVIGATION");
         write_literal(&mut cold, b"<tail>");
         let mut warm = Vec::new();
         write_preamble(&mut warm);
         write_literal(&mut warm, b"<head>");
-        write_get(&mut warm, DpcKey(4));
+        write_get(&mut warm, DpcKey(4), 1);
         write_literal(&mut warm, b"<tail>");
 
         let first = assemble_rope(&cold, &store).unwrap();
@@ -419,7 +427,7 @@ mod tests {
         let store = store_with(&[(3, b"ONLY")]);
         let mut t = Vec::new();
         write_preamble(&mut t);
-        write_get(&mut t, DpcKey(3));
+        write_get(&mut t, DpcKey(3), 1);
         let rope = assemble_rope(&t, &store).unwrap();
         assert_eq!(rope.segments.len(), 1);
         assert_eq!(rope.to_bytes(), Bytes::from_static(b"ONLY"));
@@ -430,7 +438,7 @@ mod tests {
         let store = FragmentStore::new(8);
         let mut t = Vec::new();
         write_preamble(&mut t);
-        write_get(&mut t, DpcKey(5));
+        write_get(&mut t, DpcKey(5), 1);
         let err = assemble(&t, &store).unwrap_err();
         assert_eq!(err, AssembleError::MissingFragment(DpcKey(5)));
     }
@@ -440,21 +448,21 @@ mod tests {
         let store = store_with(&[(2, b"HELD")]);
         let mut t = Vec::new();
         write_preamble(&mut t);
-        write_get(&mut t, DpcKey(1));
-        write_set(&mut t, DpcKey(3), b"AFTER-THE-STOP");
-        write_get(&mut t, DpcKey(2));
-        write_get(&mut t, DpcKey(4));
-        write_get(&mut t, DpcKey(1));
-        write_get(&mut t, DpcKey(3));
+        write_get(&mut t, DpcKey(1), 1);
+        write_set(&mut t, DpcKey(3), 1, b"AFTER-THE-STOP");
+        write_get(&mut t, DpcKey(2), 1);
+        write_get(&mut t, DpcKey(4), 1);
+        write_get(&mut t, DpcKey(1), 1);
+        write_get(&mut t, DpcKey(3), 1);
         // Assembly stops on the first GET, before the SET.
         assert_eq!(
             assemble(&t, &store).unwrap_err(),
             AssembleError::MissingFragment(DpcKey(1))
         );
-        assert!(store.get(DpcKey(3)).is_none());
+        assert!(store.get(DpcKey(3), 1).is_none());
         assert_eq!(salvage(&t, &store).unwrap(), vec![DpcKey(1), DpcKey(4)]);
         assert_eq!(
-            store.get(DpcKey(3)).unwrap(),
+            store.get(DpcKey(3), 1).unwrap(),
             Bytes::from_static(b"AFTER-THE-STOP")
         );
         assert_eq!(
@@ -467,11 +475,38 @@ mod tests {
     }
 
     #[test]
+    fn a_get_splices_only_its_generation_and_a_late_set_keeps_the_newer() {
+        // The slot holds generation 1 of key 1; the directory has since
+        // handed the key to generation 2.
+        let store = store_with(&[(1, b"OLD")]);
+        let mut get = Vec::new();
+        write_preamble(&mut get);
+        write_get(&mut get, DpcKey(1), 2);
+        assert_eq!(
+            assemble(&get, &store).unwrap_err(),
+            AssembleError::MissingFragment(DpcKey(1))
+        );
+        assert_eq!(salvage(&get, &store).unwrap(), vec![DpcKey(1)]);
+        // Generation 2's SET lands, then a late SET of generation 1: its
+        // page carries what its render read, and the slot keeps the newer.
+        let mut fresh = Vec::new();
+        write_preamble(&mut fresh);
+        write_set(&mut fresh, DpcKey(1), 2, b"NEW");
+        let mut late = Vec::new();
+        write_preamble(&mut late);
+        write_set(&mut late, DpcKey(1), 1, b"OLD");
+        assert_eq!(assemble(&fresh, &store).unwrap().html, b"NEW");
+        assert_eq!(assemble(&late, &store).unwrap().html, b"OLD");
+        assert_eq!(salvage(&late, &store).unwrap(), Vec::<DpcKey>::new());
+        assert_eq!(assemble(&get, &store).unwrap().html, b"NEW");
+    }
+
+    #[test]
     fn key_out_of_range_is_an_error() {
         let store = FragmentStore::new(4);
         let mut t = Vec::new();
         write_preamble(&mut t);
-        write_set(&mut t, DpcKey(100), b"x");
+        write_set(&mut t, DpcKey(100), 1, b"x");
         let err = assemble(&t, &store).unwrap_err();
         assert_eq!(err, AssembleError::KeyOutOfRange(DpcKey(100)));
     }
@@ -491,9 +526,9 @@ mod tests {
         let store = FragmentStore::new(8);
         let mut t = Vec::new();
         write_preamble(&mut t);
-        write_set(&mut t, DpcKey(3), b"NAV");
+        write_set(&mut t, DpcKey(3), 1, b"NAV");
         write_literal(&mut t, b"|");
-        write_get(&mut t, DpcKey(3));
+        write_get(&mut t, DpcKey(3), 1);
         let page = assemble(&t, &store).unwrap();
         assert_eq!(page.html, b"NAV|NAV".to_vec());
     }

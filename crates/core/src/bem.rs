@@ -22,12 +22,11 @@ use bytes::Bytes;
 use dpc_trace::{Layer, SpanStatus, Tracer};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::config::BemConfig;
 use crate::directory::{CacheDirectory, DirectoryStats, Lookup};
-use crate::epoch::ReadSet;
+use crate::epoch::{CoherencyEpoch, ReadSet};
 use crate::flight::{Publish, Wait};
 use crate::key::{DpcKey, FragmentId};
 use crate::objects::ObjectCache;
@@ -40,13 +39,6 @@ use crate::tag;
 /// duplicated work) so a pathological invalidation storm cannot spin a
 /// request forever.
 const MAX_FLIGHT_LAPS: u32 = 4;
-
-/// Observer of data-source invalidations: called on every update with the
-/// dep that was updated and the dpcKeys the directory freed for it (often
-/// none), after the directory freed them. The serving tier installs one:
-/// it scrubs the freed keys from every slot store it serves, then bumps
-/// the dep's stripe of its page-tier epoch.
-pub type InvalidationSink = Arc<dyn Fn(&str, &[DpcKey]) + Send + Sync>;
 
 /// Per-fragment caching metadata attached at tagging time (§4.3.1: "The
 /// tagging process assigns a unique identifier to each cacheable fragment,
@@ -103,9 +95,9 @@ pub struct Bem {
     stats: BemStats,
     /// Count of template-writer sessions (≈ pages served through the BEM).
     pages: AtomicU64,
-    /// Observer notified with the freed keys of every data-source
-    /// invalidation (see [`InvalidationSink`]).
-    invalidation_sink: Mutex<Option<InvalidationSink>>,
+    /// The serving tier's page epoch, whose stripe of the updated dep
+    /// every data-source invalidation bumps.
+    page_epoch: Mutex<Option<CoherencyEpoch>>,
     /// Span tracer for directory lookups and flight participation
     /// ([`Tracer::off`] until the serving tier installs one).
     tracer: Mutex<Tracer>,
@@ -123,7 +115,7 @@ impl Bem {
             rng,
             stats: BemStats::default(),
             pages: AtomicU64::new(0),
-            invalidation_sink: Mutex::new(None),
+            page_epoch: Mutex::new(None),
             tracer: Mutex::new(Tracer::off()),
         }
     }
@@ -157,22 +149,24 @@ impl Bem {
     }
 
     /// Entry point for the invalidation manager: a data source reported an
-    /// update to `dep`. Returns the number of fragments invalidated. The
-    /// installed [`InvalidationSink`], if any, is called on every update,
-    /// freed keys or not: a page can read a row no cached fragment
-    /// depends on.
+    /// update to `dep`. Returns the number of fragments invalidated. Their
+    /// keys go back on the freeList and no DPC slot is touched: the tags
+    /// of a reassigned key name a newer generation. The installed epoch,
+    /// if any, has `dep`'s stripe bumped on every update, freed keys or
+    /// not: a page can read a row no cached fragment depends on.
     pub fn on_data_update(&self, dep: &str) -> usize {
-        let keys = self.directory.invalidate_dep(dep);
-        let sink = self.invalidation_sink.lock().clone();
-        if let Some(sink) = sink {
-            sink(dep, &keys);
+        let freed = self.directory.invalidate_dep(dep).len();
+        if let Some(epoch) = &*self.page_epoch.lock() {
+            epoch.bump_label(dep);
         }
-        keys.len()
+        freed
     }
 
-    /// Install the invalidation observer (replacing any previous one).
-    pub fn set_invalidation_sink(&self, sink: InvalidationSink) {
-        *self.invalidation_sink.lock() = Some(sink);
+    /// Install the serving tier's page epoch (replacing any previous
+    /// one): every data update bumps the updated dep's stripe, so exactly
+    /// the tiered pages that read it stop serving.
+    pub fn set_invalidation_sink(&self, epoch: CoherencyEpoch) {
+        *self.page_epoch.lock() = Some(epoch);
     }
 
     /// Start a writer for one page response.
@@ -198,9 +192,10 @@ impl Bem {
     }
 
     /// A refresh from DPC `node` named `keys`: their `GET`s found the
-    /// node's slots empty (a scrub emptied a slot the node had just
-    /// refilled). Clear the node's stored bit on each, so this request's
-    /// writer re-`SET`s them. Returns the number of bits cleared.
+    /// node's slots without the generation they named (the `SET` not yet
+    /// assembled there, or a restarted store). Clear the node's stored bit
+    /// on each, so this request's writer re-`SET`s them. Returns the
+    /// number of bits cleared.
     pub fn forget_stored(&self, node: u32, keys: &[DpcKey]) -> usize {
         let cleared = self.directory.forget_stored(node, keys);
         self.stats
@@ -465,14 +460,14 @@ impl TemplateWriter<'_> {
                 sp.set_detail(fkey);
                 let looked = self.lookup(id, policy.ttl, &policy.deps);
                 sp.set_status(match &looked {
-                    Lookup::Hit(_) => SpanStatus::Hit,
-                    Lookup::Miss(_) => SpanStatus::Miss,
+                    Lookup::Hit(..) => SpanStatus::Hit,
+                    Lookup::Miss(..) => SpanStatus::Miss,
                     Lookup::Uncacheable => SpanStatus::Ok,
                 });
                 looked
             };
             match looked {
-                Lookup::Hit(key) => {
+                Lookup::Hit(key, gen) => {
                     let mut waited = None;
                     if coalesce {
                         let mut fsp = tracer.span(Layer::Flight);
@@ -483,11 +478,11 @@ impl TemplateWriter<'_> {
                                 fsp.set_status(SpanStatus::Waiter);
                                 fsp.set_detail(leader_span);
                                 drop(fsp);
-                                // The key may have been freed and
-                                // reassigned while we were parked;
-                                // re-validate id → key before emitting a
-                                // SET under it.
-                                if self.bem.directory.current_key(id) != Some(key) {
+                                // The generation may have been retired
+                                // and its key reassigned while we were
+                                // parked; re-validate it before emitting
+                                // a SET of it.
+                                if self.bem.directory.current_key(id) != Some((key, gen)) {
                                     stats.flight_retries.fetch_add(1, Ordering::Relaxed);
                                     continue;
                                 }
@@ -514,18 +509,18 @@ impl TemplateWriter<'_> {
                         // the rope too — a GET here would race the slot
                         // install and bypass-storm the origin.
                         Some(bytes) => {
-                            self.emit_set(key, &bytes);
+                            self.emit_set(key, gen, &bytes);
                             stats.coalesced_waits.fetch_add(1, Ordering::Relaxed);
                             stats.hits.fetch_add(1, Ordering::Relaxed);
                         }
-                        None => self.emit_get(key),
+                        None => self.emit_get(key, gen),
                     }
                     if lazy {
                         self.reads_unknown();
                     }
                     return true;
                 }
-                Lookup::Miss(key) => {
+                Lookup::Miss(key, gen) => {
                     let leader = coalesce.then(|| self.bem.directory.flight().begin(fkey));
                     let _flight_span = leader.as_ref().map(|l| {
                         let mut sp = tracer.span(Layer::Flight);
@@ -573,7 +568,7 @@ impl TemplateWriter<'_> {
                         // silently bypassed the flight group.
                         stats.uncoalesced_misses.fetch_add(1, Ordering::Relaxed);
                     }
-                    self.emit_set(key, &content);
+                    self.emit_set(key, gen, &content);
                     return false;
                 }
                 Lookup::Uncacheable => {
@@ -591,24 +586,24 @@ impl TemplateWriter<'_> {
         unreachable!("final uncoalesced lap returns from every arm")
     }
 
-    /// Emit a `GET key` instruction, with hit and tag-byte accounting.
-    fn emit_get(&mut self, key: DpcKey) {
+    /// Emit a `GET key.gen` instruction, with hit and tag-byte accounting.
+    fn emit_get(&mut self, key: DpcKey, gen: u64) {
         let stats = &self.bem.stats;
-        tag::write_get(&mut self.buf, key);
+        tag::write_get(&mut self.buf, key, gen);
         stats.hits.fetch_add(1, Ordering::Relaxed);
         stats
             .tag_bytes
-            .fetch_add(tag::get_tag_len(key) as u64, Ordering::Relaxed);
+            .fetch_add(tag::get_tag_len(key, gen) as u64, Ordering::Relaxed);
     }
 
-    /// Emit a `SET key` instruction carrying `content`, with tag-byte
+    /// Emit a `SET key.gen` instruction carrying `content`, with tag-byte
     /// accounting.
-    fn emit_set(&mut self, key: DpcKey, content: &[u8]) {
+    fn emit_set(&mut self, key: DpcKey, gen: u64, content: &[u8]) {
         self.bem.stats.tag_bytes.fetch_add(
-            tag::set_tag_overhead(key, content.len()) as u64,
+            tag::set_tag_overhead(key, gen, content.len()) as u64,
             Ordering::Relaxed,
         );
-        tag::write_set(&mut self.buf, key, content);
+        tag::write_set(&mut self.buf, key, gen, content);
     }
 
     /// True when this writer emits an instrumented template.

@@ -49,15 +49,18 @@ use crate::policy::{fnv1a, Replacer};
 /// its invalid entries oldest-first.
 const GARBAGE_FACTOR: usize = 4;
 
-/// Outcome of a directory lookup for a cacheable fragment.
+/// Outcome of a directory lookup for a cacheable fragment. A key comes
+/// with its entry's generation (the entry's sequence number), which the
+/// emitted tag carries so the DPC splices only that generation's bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
-    /// Fragment is cached and valid, and the requesting node's slot holds
-    /// it (or is empty): emit a `GET key` instruction.
-    Hit(DpcKey),
+    /// Fragment is cached and valid, and the requesting node has stored
+    /// it: emit a `GET key.gen` instruction.
+    Hit(DpcKey, u64),
     /// Fragment was absent/invalid/expired; a key has been allocated and
-    /// the entry marked valid: generate content and emit `SET key`.
-    Miss(DpcKey),
+    /// the entry marked valid (or the node has not stored it yet): generate
+    /// content and emit `SET key.gen`.
+    Miss(DpcKey, u64),
     /// Every key is valid and the replacement policy yielded no victim:
     /// generate content inline, uncached.
     Uncacheable,
@@ -79,19 +82,21 @@ struct Entry {
     /// nodes have seen the `SET` so a node that has not yet stored the
     /// fragment is served a fresh `SET` instead of a dangling `GET`.
     ///
-    /// A set bit means "that node's slot holds this entry's bytes, or is
-    /// empty" — never an older generation's bytes. The invalidation
-    /// sink's scrub may empty the slot behind the bit; the node then
-    /// names the key in a refresh and [`CacheDirectory::forget_stored`]
-    /// clears the bit.
+    /// A set bit means "that node was sent this entry's `SET`": its slot
+    /// holds this entry's generation, or one the generation check at
+    /// assembly refuses (the `SET` not yet assembled, a newer generation,
+    /// a restarted store). A refused `GET` names the key in a refresh and
+    /// [`CacheDirectory::forget_stored`] clears the bit.
     stored_nodes: u64,
     /// Absolute expiry in clock-nanos (`u64::MAX` = never).
     expires_at: u64,
     /// Data-source dependencies registered for invalidation.
     deps: Vec<String>,
     hits: u64,
-    /// Monotonic insertion sequence, for garbage-collecting stale invalid
-    /// entries oldest-first.
+    /// The fragment's *generation*: the entry's insertion sequence, one
+    /// counter for the whole directory that only grows, so a key's
+    /// generations only grow too. Tags carry it; garbage collection drops
+    /// invalid entries oldest-first by it.
     seq: u64,
 }
 
@@ -247,19 +252,21 @@ impl CacheDirectory {
         fragment_hash(id)
     }
 
-    /// `id`'s key if the fragment is currently valid and unexpired. This
-    /// is the coalesced-wait re-validation hook: a waiter that parked on
-    /// `id`'s flight re-checks that the key it looked up still belongs to
-    /// `id` before emitting a `SET` under it — the key may have been
-    /// freed and reassigned to another fragment while the waiter was
-    /// parked. One lock and one map probe.
-    pub fn current_key(&self, id: &FragmentId) -> Option<DpcKey> {
+    /// `id`'s key and generation if the fragment is currently valid and
+    /// unexpired. This is the coalesced-wait re-validation hook: a waiter
+    /// that parked on `id`'s flight re-checks that the generation it
+    /// looked up is still `id`'s before emitting a `SET` of it — the
+    /// fragment may have been retired and its key reassigned while the
+    /// waiter was parked. Two observations of one fragment compare: a
+    /// larger generation means the content was regenerated in between.
+    /// One lock and one map probe.
+    pub fn current_key(&self, id: &FragmentId) -> Option<(DpcKey, u64)> {
         let now = self.clock.now_nanos();
         self.lock_inner()
             .entries
             .get(id)
             .filter(|e| e.is_valid && e.expires_at > now)
-            .map(|e| e.dpc_key)
+            .map(|e| (e.dpc_key, e.seq))
     }
 
     /// Maximum number of simultaneously valid fragments (= DPC slots).
@@ -315,14 +322,14 @@ impl CacheDirectory {
                 inner.replacer.touch(&entry.dpc_key);
                 if entry.stored_nodes & node_bit != 0 {
                     inner.hits += 1;
-                    return Lookup::Hit(entry.dpc_key);
+                    return Lookup::Hit(entry.dpc_key, entry.seq);
                 }
                 // Node miss: this DPC has not stored the fragment yet.
                 // Re-emit a SET under the existing key and set its bit:
                 // a node installs every SET its template carries.
                 entry.stored_nodes |= node_bit;
                 inner.node_misses += 1;
-                return Lookup::Miss(entry.dpc_key);
+                return Lookup::Miss(entry.dpc_key, entry.seq);
             }
             // Lazy TTL expiry: retire the entry, then fall through to the
             // miss path (which will typically reuse the same key).
@@ -361,15 +368,15 @@ impl CacheDirectory {
         inner.entries.insert(id.clone(), entry);
         inner.key_owner.insert(key, id.clone());
         Self::collect_garbage(inner, self.garbage_limit);
-        Lookup::Miss(key)
+        Lookup::Miss(key, inner.seq)
     }
 
     /// Clear `node`'s stored bit on the valid entries that currently own
     /// `keys`, so the node's next lookup of each is a node-miss `SET`.
     /// A node calls this (through a refresh request) for keys whose `GET`
-    /// found its slot empty. Keys that are free, out of range, or whose
-    /// entry lacks the bit are skipped. Returns the number of bits
-    /// cleared.
+    /// found its slot without the generation it named. Keys that are
+    /// free, out of range, or whose entry lacks the bit are skipped.
+    /// Returns the number of bits cleared.
     ///
     /// A key reassigned since the node saw it clears the bit of the new
     /// owner instead: harmless, since a cleared bit only costs a `SET`.
@@ -481,11 +488,10 @@ impl CacheDirectory {
     }
 
     /// Invalidate every fragment registered as depending on `dep`, and
-    /// return the dpcKeys the invalidation returned to the freeList. The
-    /// serving tier scrubs these from every DPC node's slot store, so a
-    /// reassigned key finds an empty slot (a detectable `MissingFragment`)
-    /// instead of splicing the old fragment's bytes. Bumps `dep`'s stripe
-    /// of the update epoch either way.
+    /// return the dpcKeys the invalidation returned to the freeList. Their
+    /// slots keep the old bytes: a reassigned key's tags name a newer
+    /// generation, which those bytes never match. Bumps `dep`'s stripe of
+    /// the update epoch either way.
     pub fn invalidate_dep(&self, dep: &str) -> Vec<DpcKey> {
         let mut inner = self.lock_inner();
         self.updates.bump_label(dep);
@@ -497,23 +503,6 @@ impl CacheDirectory {
         ids.iter()
             .filter_map(|id| self.invalidate_locked(&mut inner, id))
             .collect()
-    }
-
-    /// The *epoch* of `id`'s current valid entry, or `None` when the
-    /// fragment is absent, invalid, or expired. The epoch is the entry's
-    /// insertion sequence, one counter for the whole directory that only
-    /// grows, so two observations of the same fragment compare
-    /// meaningfully — a larger epoch means the content was regenerated in
-    /// between.
-    ///
-    /// Cost: one lock and one map probe.
-    pub fn fragment_epoch(&self, id: &FragmentId) -> Option<u64> {
-        let now = self.clock.now_nanos();
-        self.lock_inner()
-            .entries
-            .get(id)
-            .filter(|e| e.is_valid && e.expires_at > now)
-            .map(|e| e.seq)
     }
 
     /// Eagerly expire all valid entries whose TTL has passed. Returns the
@@ -745,7 +734,7 @@ mod tests {
         for i in 0..64 {
             match dir.lookup(&fid(i), Duration::from_secs(60), &[]) {
                 // Two *live* fragments never share a key.
-                Lookup::Miss(k) => {
+                Lookup::Miss(k, _) => {
                     assert!(k.index() < 64, "key {k} out of range");
                     assert!(keys.insert(k), "key {k} issued twice");
                 }
@@ -763,19 +752,23 @@ mod tests {
         let ttl = Duration::from_secs(600);
         let mut keys = Vec::new();
         for i in 0..64 {
-            let Lookup::Miss(k) = dir.lookup(&fid(i), ttl, &[]) else {
+            let Lookup::Miss(k, gen) = dir.lookup(&fid(i), ttl, &[]) else {
                 panic!("fragment {i} must miss");
             };
-            keys.push(k);
+            keys.push((k, gen));
         }
         let stats = dir.stats();
         assert_eq!(stats.evictions, 0);
         assert_eq!(stats.valid_entries, 64);
         assert_eq!(stats.free_keys, 0);
         // Touch fragment 0 so fragment 1 is the least recently touched.
-        assert_eq!(dir.lookup(&fid(0), ttl, &[]), Lookup::Hit(keys[0]));
-        // The 65th fragment evicts exactly one entry, and takes its key.
-        assert_eq!(dir.lookup(&fid(64), ttl, &[]), Lookup::Miss(keys[1]));
+        assert_eq!(
+            dir.lookup(&fid(0), ttl, &[]),
+            Lookup::Hit(keys[0].0, keys[0].1)
+        );
+        // The 65th fragment evicts exactly one entry, and takes its key
+        // under the next generation.
+        assert_eq!(dir.lookup(&fid(64), ttl, &[]), Lookup::Miss(keys[1].0, 65));
         let stats = dir.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.valid_entries, 64);
@@ -794,13 +787,13 @@ mod tests {
     fn lookup_is_sticky_to_one_key() {
         let dir = dir_with(32);
         let id = FragmentId::new("navbar");
-        let Lookup::Miss(k) = dir.lookup(&id, Duration::from_secs(60), &[]) else {
+        let Lookup::Miss(k, gen) = dir.lookup(&id, Duration::from_secs(60), &[]) else {
             panic!("first lookup must miss");
         };
         for _ in 0..5 {
             assert_eq!(
                 dir.lookup(&id, Duration::from_secs(60), &[]),
-                Lookup::Hit(k)
+                Lookup::Hit(k, gen)
             );
         }
     }
@@ -809,16 +802,16 @@ mod tests {
     fn invalidate_returns_key_to_owning_shard() {
         let dir = dir_with(32);
         let id = FragmentId::new("victim");
-        let Lookup::Miss(k) = dir.lookup(&id, Duration::from_secs(60), &[]) else {
+        let Lookup::Miss(k, _) = dir.lookup(&id, Duration::from_secs(60), &[]) else {
             panic!("must miss");
         };
         assert!(dir.invalidate(&id));
         dir.check_invariants().unwrap();
         // The same fragment re-misses and reuses the freed key (it pops the
-        // freeList before fresh space).
+        // freeList before fresh space), under a new generation.
         assert_eq!(
             dir.lookup(&id, Duration::from_secs(60), &[]),
-            Lookup::Miss(k)
+            Lookup::Miss(k, 2)
         );
     }
 
@@ -875,7 +868,7 @@ mod tests {
         // The index entry is gone: a second update finds nothing.
         assert_eq!(dir.invalidate_dep(&dep).len(), 0);
         // Re-registration rebuilds it and invalidation works again.
-        let Lookup::Miss(k) = dir.lookup(&id, ttl, std::slice::from_ref(&dep)) else {
+        let Lookup::Miss(k, _) = dir.lookup(&id, ttl, std::slice::from_ref(&dep)) else {
             panic!("must re-miss");
         };
         assert_eq!(dir.invalidate_dep(&dep), vec![k]);
@@ -894,11 +887,11 @@ mod tests {
         // fragment's next generation, produced without that dependency, is
         // not retired by an update to it.
         assert!(dir.invalidate(&id));
-        let Lookup::Miss(k) = dir.lookup(&id, ttl, &[]) else {
+        let Lookup::Miss(k, gen) = dir.lookup(&id, ttl, &[]) else {
             panic!("must re-miss");
         };
         assert_eq!(dir.invalidate_dep(&dep).len(), 0);
-        assert_eq!(dir.current_key(&id), Some(k));
+        assert_eq!(dir.current_key(&id), Some((k, gen)));
         assert_eq!(dir.stats().invalidations, 1);
     }
 
@@ -910,7 +903,7 @@ mod tests {
         let _ = dir.lookup(&id, ttl, &[]);
         assert!(dir.add_deps(&id, &["tbl/late".to_owned()], &dir.update_stamp()));
         assert_eq!(dir.invalidate_dep("tbl/late").len(), 1);
-        assert!(matches!(dir.lookup(&id, ttl, &[]), Lookup::Miss(_)));
+        assert!(matches!(dir.lookup(&id, ttl, &[]), Lookup::Miss(..)));
     }
 
     #[test]
@@ -923,7 +916,7 @@ mod tests {
         for i in 0..4 {
             assert!(matches!(
                 dir.lookup(&fid(i), Duration::from_secs(60), &[]),
-                Lookup::Miss(_)
+                Lookup::Miss(..)
             ));
         }
         let id = FragmentId::new("overflow");
@@ -940,23 +933,23 @@ mod tests {
         let dir = dir_with(32);
         let ttl = Duration::from_secs(60);
         let id = FragmentId::new("shared");
-        let Lookup::Miss(k) = dir.lookup_node(&id, ttl, &[], 0) else {
+        let Lookup::Miss(k, gen) = dir.lookup_node(&id, ttl, &[], 0) else {
             panic!("node 0 must miss first");
         };
         // Requester's own bit set: a plain GET.
-        assert_eq!(dir.lookup_node(&id, ttl, &[], 0), Lookup::Hit(k));
+        assert_eq!(dir.lookup_node(&id, ttl, &[], 0), Lookup::Hit(k, gen));
         // Another node has not stored it: a node-miss SET under the same
-        // key, which sets its bit…
-        assert_eq!(dir.lookup_node(&id, ttl, &[], 3), Lookup::Miss(k));
+        // key and generation, which sets its bit…
+        assert_eq!(dir.lookup_node(&id, ttl, &[], 3), Lookup::Miss(k, gen));
         // …so its next lookup is a plain GET.
-        assert_eq!(dir.lookup_node(&id, ttl, &[], 3), Lookup::Hit(k));
+        assert_eq!(dir.lookup_node(&id, ttl, &[], 3), Lookup::Hit(k, gen));
         let stats = dir.stats();
         assert_eq!(stats.node_misses, 1, "only node 3's first lookup");
         assert_eq!(stats.misses, 1);
         // Invalidation clears every bit: the next lookup is a fresh miss,
         // even from a node that held the old entry.
         assert!(dir.invalidate(&id));
-        assert_eq!(dir.lookup_node(&id, ttl, &[], 3), Lookup::Miss(k));
+        assert_eq!(dir.lookup_node(&id, ttl, &[], 3), Lookup::Miss(k, gen + 1));
         assert_eq!(dir.stats().node_misses, 1);
         dir.check_invariants().unwrap();
     }
@@ -971,7 +964,7 @@ mod tests {
         let keys: Vec<DpcKey> = ids
             .iter()
             .map(|id| match dir.lookup_node(id, ttl, &[], 1) {
-                Lookup::Miss(k) => k,
+                Lookup::Miss(k, _) => k,
                 other => panic!("first lookup must miss: {other:?}"),
             })
             .collect();
@@ -982,10 +975,12 @@ mod tests {
         assert_eq!(dir.forget_stored(1, &named), 0, "bits already clear");
         assert_eq!(dir.forget_stored(2, &[keys[1]]), 0, "node 2 never held it");
         for (i, id) in ids.iter().enumerate().take(7) {
+            // The i-th first lookup made generation i + 1.
+            let gen = i as u64 + 1;
             let want = if [0, 3, 6].contains(&i) {
-                Lookup::Miss(keys[i])
+                Lookup::Miss(keys[i], gen)
             } else {
-                Lookup::Hit(keys[i])
+                Lookup::Hit(keys[i], gen)
             };
             assert_eq!(dir.lookup_node(id, ttl, &[], 1), want, "fragment {i}");
         }
@@ -999,7 +994,8 @@ mod tests {
         let mut expected = HashSet::new();
         for i in 0..24 {
             let id = FragmentId::with_params("row", &[("i", &i.to_string())]);
-            let Lookup::Miss(k) = dir.lookup(&id, Duration::from_secs(600), &["tbl/x".to_owned()])
+            let Lookup::Miss(k, _) =
+                dir.lookup(&id, Duration::from_secs(600), &["tbl/x".to_owned()])
             else {
                 panic!("must miss");
             };
@@ -1020,17 +1016,18 @@ mod tests {
     fn fragment_epoch_is_monotonic_per_fragment() {
         let dir = dir_with(64);
         let id = FragmentId::new("versioned");
-        assert_eq!(dir.fragment_epoch(&id), None, "absent fragment");
+        let epoch = || dir.current_key(&id).map(|(_, gen)| gen);
+        assert_eq!(epoch(), None, "absent fragment");
         let _ = dir.lookup(&id, Duration::from_secs(600), &[]);
-        let e1 = dir.fragment_epoch(&id).expect("valid after miss");
+        let e1 = epoch().expect("valid after miss");
         // A hit does not change the epoch.
         let _ = dir.lookup(&id, Duration::from_secs(600), &[]);
-        assert_eq!(dir.fragment_epoch(&id), Some(e1));
+        assert_eq!(epoch(), Some(e1));
         // Invalidation hides it; regeneration bumps it.
         assert!(dir.invalidate(&id));
-        assert_eq!(dir.fragment_epoch(&id), None, "invalid fragment");
+        assert_eq!(epoch(), None, "invalid fragment");
         let _ = dir.lookup(&id, Duration::from_secs(600), &[]);
-        let e2 = dir.fragment_epoch(&id).expect("valid after re-miss");
+        let e2 = epoch().expect("valid after re-miss");
         assert!(e2 > e1, "regenerated epoch {e2} must exceed {e1}");
     }
 
@@ -1056,7 +1053,7 @@ mod tests {
             let id = FragmentId::with_params("row", &[("i", &i.to_string())]);
             assert!(matches!(
                 dir.lookup(&id, Duration::from_secs(600), &[]),
-                Lookup::Miss(_)
+                Lookup::Miss(..)
             ));
         }
         let stats = dir.stats();
@@ -1122,7 +1119,7 @@ mod tests {
                 for i in 0..24 {
                     let id = FragmentId::with_params("f", &[("i", &(i % 24).to_string())]);
                     let lookup = dir.lookup(&id, Duration::from_secs(600), &[]);
-                    if matches!(lookup, Lookup::Miss(_)) {
+                    if matches!(lookup, Lookup::Miss(..)) {
                         dir.note_fragment_bytes(&id, 64 + i as u64);
                     }
                     if i % 7 == 0 {
@@ -1143,7 +1140,7 @@ mod tests {
         // Invalidation.
         let dir = dir_with(8);
         let id = FragmentId::new("inv");
-        let Lookup::Miss(_) = dir.lookup(&id, Duration::from_secs(600), &[]) else {
+        let Lookup::Miss(..) = dir.lookup(&id, Duration::from_secs(600), &[]) else {
             panic!("must miss");
         };
         let leader = dir.flight().begin(dir.flight_key(&id));
@@ -1154,7 +1151,7 @@ mod tests {
         let (clock, handle) = Clock::virtual_clock();
         let dir = CacheDirectory::new(&BemConfig::default().with_capacity(8).with_clock(clock));
         let id = FragmentId::new("ttl");
-        let Lookup::Miss(_) = dir.lookup(&id, Duration::from_secs(1), &[]) else {
+        let Lookup::Miss(..) = dir.lookup(&id, Duration::from_secs(1), &[]) else {
             panic!("must miss");
         };
         let leader = dir.flight().begin(dir.flight_key(&id));
@@ -1163,14 +1160,14 @@ mod tests {
         // the new generation of the same fragment).
         assert!(matches!(
             dir.lookup(&id, Duration::from_secs(1), &[]),
-            Lookup::Miss(_)
+            Lookup::Miss(..)
         ));
         assert_eq!(leader.publish(Bytes::from_static(b"old")), Publish::Stale);
 
         // Replacement eviction.
         let dir = dir_with(2);
         let a = FragmentId::new("a");
-        let Lookup::Miss(_) = dir.lookup(&a, Duration::from_secs(600), &[]) else {
+        let Lookup::Miss(..) = dir.lookup(&a, Duration::from_secs(600), &[]) else {
             panic!("must miss");
         };
         let _ = dir.lookup(&FragmentId::new("b"), Duration::from_secs(600), &[]);
@@ -1196,12 +1193,12 @@ mod tests {
         let dir = dir_with(1);
         let a = FragmentId::new("a");
         let b = FragmentId::new("b");
-        let Lookup::Miss(ka) = dir.lookup(&a, Duration::from_secs(600), &[]) else {
+        let Lookup::Miss(ka, _) = dir.lookup(&a, Duration::from_secs(600), &[]) else {
             panic!("must miss");
         };
         let leader_a = dir.flight().begin(dir.flight_key(&a));
         assert!(dir.invalidate(&a));
-        let Lookup::Miss(kb) = dir.lookup(&b, Duration::from_secs(600), &[]) else {
+        let Lookup::Miss(kb, _) = dir.lookup(&b, Duration::from_secs(600), &[]) else {
             panic!("must miss");
         };
         assert_eq!(ka, kb, "capacity 1 forces the key to recycle");
@@ -1223,10 +1220,10 @@ mod tests {
         let dir = dir_with(8);
         let id = FragmentId::new("cur");
         assert_eq!(dir.current_key(&id), None, "absent fragment");
-        let Lookup::Miss(k) = dir.lookup(&id, Duration::from_secs(600), &[]) else {
+        let Lookup::Miss(k, gen) = dir.lookup(&id, Duration::from_secs(600), &[]) else {
             panic!("must miss");
         };
-        assert_eq!(dir.current_key(&id), Some(k));
+        assert_eq!(dir.current_key(&id), Some((k, gen)));
         assert!(dir.invalidate(&id));
         assert_eq!(dir.current_key(&id), None, "invalid fragment");
     }
@@ -1235,20 +1232,20 @@ mod tests {
     fn invalidate_if_key_only_hits_the_named_generation() {
         let dir = dir_with(8);
         let id = FragmentId::new("gen");
-        let Lookup::Miss(k) = dir.lookup(&id, Duration::from_secs(600), &[]) else {
+        let Lookup::Miss(k, _) = dir.lookup(&id, Duration::from_secs(600), &[]) else {
             panic!("must miss");
         };
         // Wrong key: no-op.
         assert!(!dir.invalidate_if_key(&id, DpcKey(k.0 + 1)));
         assert!(matches!(
             dir.lookup(&id, Duration::from_secs(600), &[]),
-            Lookup::Hit(_)
+            Lookup::Hit(..)
         ));
         // Right key: retires the entry.
         assert!(dir.invalidate_if_key(&id, k));
         assert!(matches!(
             dir.lookup(&id, Duration::from_secs(600), &[]),
-            Lookup::Miss(_)
+            Lookup::Miss(..)
         ));
         dir.check_invariants().unwrap();
     }

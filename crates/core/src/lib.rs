@@ -96,7 +96,7 @@ pub mod store;
 pub mod tag;
 
 pub use assemble::{assemble, assemble_rope, salvage, AssembledPage, AssembledRope, AssemblyStats};
-pub use bem::{Bem, FragmentPolicy, InvalidationSink, TemplateWriter};
+pub use bem::{Bem, FragmentPolicy, TemplateWriter};
 pub use config::{BemConfig, ReplacePolicy};
 pub use directory::{CacheDirectory, Lookup};
 pub use epoch::{stripe_of, CoherencyEpoch, ReadSet, Stamp};

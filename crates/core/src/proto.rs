@@ -19,8 +19,8 @@
 //!    `GET` for a fragment whose stored bit the node holds and a `SET` for
 //!    one it does not (a node miss), so a node new to a page fills its
 //!    slots from this one response.
-//! 2. If assembly still finds an empty slot, a *refresh* names the node's
-//!    absent `GET` keys ([`Ask::missing`]). The BEM forgets that the node
+//! 2. If a `GET` still finds its slot without the generation it names, a
+//!    *refresh* names those keys ([`Ask::missing`]). The BEM forgets that the node
 //!    stores them and re-`SET`s them.
 //! 3. If that fails too, a bypass ([`Ask::bypass`]) fetches the page fully
 //!    expanded.
@@ -45,7 +45,7 @@ pub const BYPASS_HEADER: &str = "X-DPC-Bypass";
 /// per-node fragment placement (§7) (internal).
 pub const NODE_HEADER: &str = "X-DPC-Node";
 /// Refresh request header listing the keys whose `GET`s found the node's
-/// slots empty. The BEM clears the node's stored bit on each before
+/// slots without the generation they named. The BEM clears the node's stored bit on each before
 /// rendering, so the refresh re-`SET`s them (internal).
 pub const MISSING_HEADER: &str = "X-DPC-Missing";
 /// Request header a node with a page tier sends on a template request to
@@ -122,7 +122,8 @@ pub fn parse_session_cookie(cookie: &str) -> Option<&str> {
 pub struct Ask {
     /// The node's id; `None` reads as node 0.
     pub node: Option<u32>,
-    /// The keys of a refresh: `GET`s that found the node's slots empty.
+    /// The keys of a refresh: `GET`s that found the node's slots without
+    /// the generation they named.
     pub missing: Vec<DpcKey>,
     /// The node caches the page and asks for its [`Provenance`].
     pub want_reads: bool,

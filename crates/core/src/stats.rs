@@ -39,7 +39,7 @@ pub struct BemStats {
     /// balance is `misses == flight_leaders + uncoalesced_misses`.
     pub uncoalesced_misses: AtomicU64,
     /// Stored bits cleared by refresh requests that named keys whose
-    /// `GET` found the requester's slot empty.
+    /// `GET` found the requester's slot without the generation it named.
     pub missing_keys: AtomicU64,
     /// Bytes of content produced by running code blocks.
     pub generated_bytes: AtomicU64,

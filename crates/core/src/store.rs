@@ -7,7 +7,17 @@
 //! analogue of "pointer to cached fragment"). Slots are overwritten by
 //! `SET`s and never explicitly cleared: an invalidated fragment's stale
 //! bytes simply sit unused until the BEM reassigns the key, as described in
-//! the paper's freeList discussion.
+//! the paper's freeList discussion (§4.3.3).
+//!
+//! ## Generations
+//!
+//! Each slot is stamped with the generation of the `SET` that filled it
+//! (the directory entry's sequence number, carried in the tag), and a
+//! `GET` names the generation it wants. So stale bytes can sit unused
+//! safely: a reassigned key's `GET` names the new generation and finds
+//! the slot missing, never the old fragment. A `SET` installs only over
+//! an older or equal generation, so a late `SET` from a render before an
+//! update cannot overwrite the bytes rendered after it.
 //!
 //! ## Stripes
 //!
@@ -49,12 +59,18 @@ fn effective_shards(requested: usize, capacity: usize) -> usize {
     1 << (usize::BITS - 1 - clamped.leading_zeros())
 }
 
-/// One occupied slot: the fragment's bytes and their [`content_hash`].
-type Slot = Option<(Bytes, u64)>;
+/// One occupied slot: the fragment's bytes, their [`content_hash`], and
+/// the generation of the `SET` that installed them.
+#[derive(Clone)]
+struct Slot {
+    bytes: Bytes,
+    hash: u64,
+    gen: u64,
+}
 
 /// Striped slot-array fragment store, shared by a node's event loops.
 pub struct FragmentStore {
-    shards: Box<[RwLock<Vec<Slot>>]>,
+    shards: Box<[RwLock<Vec<Option<Slot>>>]>,
     /// `log2(shards.len())`; slot `k` lives in shard `k & (len-1)` at
     /// offset `k >> shard_shift`.
     shard_shift: u32,
@@ -77,7 +93,7 @@ impl FragmentStore {
     /// of two divisions on the hot path.
     pub fn with_shards(capacity: usize, shards: usize) -> FragmentStore {
         let n = effective_shards(shards, capacity);
-        let shard_vec: Vec<RwLock<Vec<Slot>>> = (0..n)
+        let shard_vec: Vec<RwLock<Vec<Option<Slot>>>> = (0..n)
             .map(|i| {
                 // Shard i holds slots {k : k % n == i}: ceil((capacity-i)/n).
                 let len = (capacity + n - 1 - i) / n;
@@ -100,43 +116,53 @@ impl FragmentStore {
         (key.index() & mask, key.index() >> self.shard_shift)
     }
 
-    /// Store `content` under `key`, overwriting any previous content.
-    /// Returns false (and stores nothing) when the key is out of range.
-    pub fn set(&self, key: DpcKey, content: Bytes) -> bool {
+    /// Store `content` under `key` as generation `gen`, unless the slot
+    /// holds a newer generation (a late `SET` of an older render leaves
+    /// the newer bytes in place). Returns false (and stores nothing) when
+    /// the key is out of range.
+    pub fn set(&self, key: DpcKey, gen: u64, content: Bytes) -> bool {
         let hash = content_hash(&content);
-        self.set_hashed(key, content, hash)
+        self.set_hashed(key, gen, content, hash)
     }
 
     /// [`FragmentStore::set`] for a caller that has just hashed `content`
     /// itself (the assembler's `SET` arm folds the same hash into the
     /// page identity). Crate-private: `hash` must be
     /// `content_hash(&content)`.
-    pub(crate) fn set_hashed(&self, key: DpcKey, content: Bytes, hash: u64) -> bool {
+    pub(crate) fn set_hashed(&self, key: DpcKey, gen: u64, bytes: Bytes, hash: u64) -> bool {
         if key.index() >= self.capacity {
             return false;
         }
-        debug_assert_eq!(hash, content_hash(&content));
+        debug_assert_eq!(hash, content_hash(&bytes));
         self.sets.fetch_add(1, Ordering::Relaxed);
         let (shard, slot) = self.locate(key);
-        self.shards[shard].write()[slot] = Some((content, hash));
+        let slot = &mut self.shards[shard].write()[slot];
+        if slot.as_ref().is_none_or(|held| held.gen <= gen) {
+            *slot = Some(Slot { bytes, hash, gen });
+        }
         true
     }
 
-    /// Fetch the fragment stored under `key` (cheap clone of a refcounted
-    /// buffer).
-    pub fn get(&self, key: DpcKey) -> Option<Bytes> {
-        self.get_hashed(key).map(|(bytes, _)| bytes)
+    /// Fetch the fragment stored under `key` if its slot holds generation
+    /// `gen` (cheap clone of a refcounted buffer).
+    pub fn get(&self, key: DpcKey, gen: u64) -> Option<Bytes> {
+        self.get_hashed(key, gen).map(|(bytes, _)| bytes)
     }
 
-    /// Fetch the fragment stored under `key` together with its
-    /// [`content_hash`], taken when the slot was installed.
-    pub fn get_hashed(&self, key: DpcKey) -> Option<(Bytes, u64)> {
-        if key.index() >= self.capacity {
-            self.missing_gets.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let (shard, slot) = self.locate(key);
-        let out = self.shards[shard].read()[slot].clone();
+    /// Fetch the fragment stored under `key` as generation `gen`, together
+    /// with its [`content_hash`], taken when the slot was installed. An
+    /// empty slot, an out-of-range key and a slot holding any other
+    /// generation all read `None`.
+    pub fn get_hashed(&self, key: DpcKey, gen: u64) -> Option<(Bytes, u64)> {
+        let out = if key.index() < self.capacity {
+            let (shard, slot) = self.locate(key);
+            self.shards[shard].read()[slot]
+                .as_ref()
+                .filter(|held| held.gen == gen)
+                .map(|held| (held.bytes.clone(), held.hash))
+        } else {
+            None
+        };
         let counter = if out.is_some() {
             &self.gets
         } else {
@@ -144,20 +170,6 @@ impl FragmentStore {
         };
         counter.fetch_add(1, Ordering::Relaxed);
         out
-    }
-
-    /// Scrub one slot (a ring applying an invalidation): the stale bytes
-    /// are dropped, so a later reassignment of the key can never silently
-    /// splice the old fragment — an empty slot fails assembly with
-    /// `MissingFragment`, which the proxy recovers from. Returns true when
-    /// the slot held content. Out-of-range keys are a no-op (the directory
-    /// may be larger than this store).
-    pub fn clear_key(&self, key: DpcKey) -> bool {
-        if key.index() >= self.capacity {
-            return false;
-        }
-        let (shard, slot) = self.locate(key);
-        self.shards[shard].write()[slot].take().is_some()
     }
 
     /// Drop all cached fragments (proxy restart in tests).
@@ -196,13 +208,14 @@ impl FragmentStore {
                 shard
                     .read()
                     .iter()
-                    .filter_map(|s| s.as_ref().map(|(bytes, _)| bytes.len()))
+                    .filter_map(|s| s.as_ref().map(|held| held.bytes.len()))
                     .sum::<usize>()
             })
             .sum()
     }
 
-    /// (sets, successful gets, gets on empty/out-of-range slots).
+    /// (sets, successful gets, gets on empty, out-of-range or
+    /// other-generation slots).
     pub fn counters(&self) -> (u64, u64, u64) {
         (
             self.sets.load(Ordering::Relaxed),
@@ -219,63 +232,73 @@ mod tests {
     #[test]
     fn set_get_roundtrip() {
         let store = FragmentStore::new(8);
-        assert!(store.set(DpcKey(3), Bytes::from_static(b"abc")));
-        assert_eq!(store.get(DpcKey(3)).unwrap(), Bytes::from_static(b"abc"));
+        assert!(store.set(DpcKey(3), 1, Bytes::from_static(b"abc")));
+        assert_eq!(store.get(DpcKey(3), 1).unwrap(), Bytes::from_static(b"abc"));
     }
 
     #[test]
     fn slot_hash_follows_every_install() {
         let store = FragmentStore::new(8);
-        assert!(store.get_hashed(DpcKey(1)).is_none());
-        store.set(DpcKey(1), Bytes::from_static(b"old"));
-        let (bytes, hash) = store.get_hashed(DpcKey(1)).unwrap();
+        assert!(store.get_hashed(DpcKey(1), 1).is_none());
+        store.set(DpcKey(1), 1, Bytes::from_static(b"old"));
+        let (bytes, hash) = store.get_hashed(DpcKey(1), 1).unwrap();
         assert_eq!((bytes.as_ref(), hash), (&b"old"[..], content_hash(b"old")));
-        store.set(DpcKey(1), Bytes::from_static(b"new"));
-        assert_eq!(store.get_hashed(DpcKey(1)).unwrap().1, content_hash(b"new"));
+        store.set(DpcKey(1), 2, Bytes::from_static(b"new"));
+        assert_eq!(
+            store.get_hashed(DpcKey(1), 2).unwrap().1,
+            content_hash(b"new")
+        );
         assert_eq!(store.counters(), (2, 2, 1), "get_hashed counts like get");
     }
 
     #[test]
     fn get_empty_slot_is_none_and_counted() {
         let store = FragmentStore::new(8);
-        assert!(store.get(DpcKey(0)).is_none());
+        assert!(store.get(DpcKey(0), 1).is_none());
         assert_eq!(store.counters().2, 1);
     }
 
     #[test]
     fn out_of_range_set_rejected() {
         let store = FragmentStore::new(2);
-        assert!(!store.set(DpcKey(2), Bytes::from_static(b"x")));
-        assert!(store.get(DpcKey(2)).is_none());
+        assert!(!store.set(DpcKey(2), 1, Bytes::from_static(b"x")));
+        assert!(store.get(DpcKey(2), 1).is_none());
     }
 
     #[test]
     fn overwrite_replaces_content() {
         let store = FragmentStore::new(4);
-        store.set(DpcKey(1), Bytes::from_static(b"old"));
-        store.set(DpcKey(1), Bytes::from_static(b"new"));
-        assert_eq!(store.get(DpcKey(1)).unwrap(), Bytes::from_static(b"new"));
+        store.set(DpcKey(1), 1, Bytes::from_static(b"old"));
+        store.set(DpcKey(1), 2, Bytes::from_static(b"new"));
+        assert_eq!(store.get(DpcKey(1), 2).unwrap(), Bytes::from_static(b"new"));
         assert_eq!(store.occupied(), 1);
     }
 
     #[test]
-    fn clear_key_scrubs_one_slot_only() {
-        let store = FragmentStore::new(8);
-        store.set(DpcKey(2), Bytes::from_static(b"keep"));
-        store.set(DpcKey(5), Bytes::from_static(b"scrub"));
-        assert!(store.clear_key(DpcKey(5)));
-        assert!(!store.clear_key(DpcKey(5)), "already empty");
-        assert!(!store.clear_key(DpcKey(99)), "out of range is a no-op");
-        assert!(store.get(DpcKey(5)).is_none());
-        assert_eq!(store.get(DpcKey(2)).unwrap(), Bytes::from_static(b"keep"));
-        assert_eq!(store.occupied(), 1);
+    fn a_slot_serves_only_its_generation_and_keeps_the_newest() {
+        let store = FragmentStore::new(4);
+        store.set(DpcKey(1), 5, Bytes::from_static(b"five"));
+        assert!(store.get(DpcKey(1), 4).is_none(), "an older GET");
+        assert!(store.get(DpcKey(1), 6).is_none(), "a reassigned key's GET");
+        // A late SET of an older generation leaves the newer bytes.
+        store.set(DpcKey(1), 4, Bytes::from_static(b"four"));
+        assert_eq!(
+            store.get(DpcKey(1), 5).unwrap(),
+            Bytes::from_static(b"five")
+        );
+        // An equal generation reinstalls (a refresh re-SETs it).
+        store.set(DpcKey(1), 5, Bytes::from_static(b"five"));
+        store.set(DpcKey(1), 6, Bytes::from_static(b"six"));
+        assert!(store.get(DpcKey(1), 5).is_none());
+        assert_eq!(store.get(DpcKey(1), 6).unwrap(), Bytes::from_static(b"six"));
+        assert_eq!(store.counters(), (4, 2, 3));
     }
 
     #[test]
     fn accounting() {
         let store = FragmentStore::new(4);
-        store.set(DpcKey(0), Bytes::from(vec![1u8; 100]));
-        store.set(DpcKey(1), Bytes::from(vec![2u8; 50]));
+        store.set(DpcKey(0), 1, Bytes::from(vec![1u8; 100]));
+        store.set(DpcKey(1), 2, Bytes::from(vec![2u8; 50]));
         assert_eq!(store.bytes_used(), 150);
         assert_eq!(store.occupied(), 2);
         store.clear();
@@ -291,13 +314,13 @@ mod tests {
                 for k in 0..capacity as u32 {
                     let content = Bytes::from(vec![k as u8; 4]);
                     assert!(
-                        store.set(DpcKey(k), content.clone()),
+                        store.set(DpcKey(k), 1, content.clone()),
                         "cap {capacity} shards {shards} key {k}"
                     );
-                    assert_eq!(store.get(DpcKey(k)).unwrap(), content);
+                    assert_eq!(store.get(DpcKey(k), 1).unwrap(), content);
                 }
                 assert_eq!(store.occupied(), capacity);
-                assert!(!store.set(DpcKey(capacity as u32), Bytes::from_static(b"x")));
+                assert!(!store.set(DpcKey(capacity as u32), 1, Bytes::from_static(b"x")));
             }
         }
     }
@@ -319,8 +342,8 @@ mod tests {
             joins.push(std::thread::spawn(move || {
                 for i in 0..200u32 {
                     let key = DpcKey((t * 8 + i % 8) % 64);
-                    store.set(key, Bytes::from(vec![t as u8; 16]));
-                    let _ = store.get(key);
+                    store.set(key, u64::from(i), Bytes::from(vec![t as u8; 16]));
+                    let _ = store.get(key, u64::from(i));
                 }
             }));
         }

@@ -14,13 +14,21 @@
 //! preamble  := 0x01 'V' version-digits 0x02
 //! item      := literal-byte | escaped-sentinel | get | set
 //! escaped   := 0x01 0x01                      (a literal 0x01 byte)
-//! get       := 0x01 'G' key-digits 0x02
-//! set       := 0x01 'S' key-digits ':' len-digits 0x02
+//! get       := 0x01 'G' key-digits '.' gen-digits 0x02
+//! set       := 0x01 'S' key-digits '.' gen-digits ':' len-digits 0x02
 //!              <len content bytes>
 //!              0x01 'E' key-digits 0x02
 //! ```
 //!
-//! Tag sizes are ~8–12 bytes, matching the paper's modelled tag size
+//! Keys and lengths are at most 10 digits, and a key fits a `u32`. The
+//! *generation* `gen` is the sequence number of the fragment's directory
+//! entry, one directory-wide counter, so it only grows for a given key: a
+//! slot filled by `SET k.g` serves `GET k.g` and no other `GET k`, and a
+//! late `SET` of an older generation does not overwrite a newer one. It is
+//! at most 20 digits and is read with checked arithmetic, so a value above
+//! `u64::MAX` is malformed rather than wrapped.
+//!
+//! Tag sizes are ~6–16 bytes, near the paper's modelled tag size
 //! `g ≈ 10`. The close tag on `SET` costs a second `g`, which is exactly
 //! why the analytical response size charges `s_e + 2g` on a miss and a
 //! single `g` on a hit.
@@ -33,10 +41,12 @@ pub const SENTINEL: u8 = 0x01;
 /// Terminator byte ending every instruction head.
 pub const TERM: u8 = 0x02;
 /// Grammar version carried in the preamble.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Maximum digits accepted for keys and lengths (u32::MAX has 10 digits).
 const MAX_DIGITS: usize = 10;
+/// Maximum digits accepted for a generation (u64::MAX has 20 digits).
+const MAX_GEN_DIGITS: usize = 20;
 
 // ---------------------------------------------------------------------------
 // Writing
@@ -50,19 +60,23 @@ pub fn write_preamble(buf: &mut Vec<u8>) {
     buf.push(TERM);
 }
 
-/// Append a `GET key` instruction.
-pub fn write_get(buf: &mut Vec<u8>, key: DpcKey) {
+/// Append a `GET key.gen` instruction.
+pub fn write_get(buf: &mut Vec<u8>, key: DpcKey, gen: u64) {
     buf.push(SENTINEL);
     buf.push(b'G');
     push_decimal(buf, key.0 as u64);
+    buf.push(b'.');
+    push_decimal(buf, gen);
     buf.push(TERM);
 }
 
-/// Append a `SET key` instruction carrying `content`.
-pub fn write_set(buf: &mut Vec<u8>, key: DpcKey, content: &[u8]) {
+/// Append a `SET key.gen` instruction carrying `content`.
+pub fn write_set(buf: &mut Vec<u8>, key: DpcKey, gen: u64, content: &[u8]) {
     buf.push(SENTINEL);
     buf.push(b'S');
     push_decimal(buf, key.0 as u64);
+    buf.push(b'.');
+    push_decimal(buf, gen);
     buf.push(b':');
     push_decimal(buf, content.len() as u64);
     buf.push(TERM);
@@ -85,16 +99,20 @@ pub fn write_literal(buf: &mut Vec<u8>, content: &[u8]) {
     buf.extend_from_slice(rest);
 }
 
-/// Serialized size of a `GET` tag for `key` (the measured `g`).
-pub fn get_tag_len(key: DpcKey) -> usize {
-    3 + decimal_len(key.0 as u64)
+/// Serialized size of a `GET` tag for `key.gen` (the measured `g`).
+pub fn get_tag_len(key: DpcKey, gen: u64) -> usize {
+    4 + decimal_len(key.0 as u64) + decimal_len(gen)
 }
 
-/// Serialized overhead of a `SET` tag pair for `key` carrying `len` bytes
-/// (excludes the content itself) — the measured `2g`.
-pub fn set_tag_overhead(key: DpcKey, len: usize) -> usize {
-    // open: 0x01 'S' key ':' len 0x02   close: 0x01 'E' key 0x02
-    4 + decimal_len(key.0 as u64) + decimal_len(len as u64) + 3 + decimal_len(key.0 as u64)
+/// Serialized overhead of a `SET` tag pair for `key.gen` carrying `len`
+/// bytes (excludes the content itself) — the measured `2g`.
+pub fn set_tag_overhead(key: DpcKey, gen: u64, len: usize) -> usize {
+    // open: 0x01 'S' key '.' gen ':' len 0x02   close: 0x01 'E' key 0x02
+    5 + decimal_len(key.0 as u64)
+        + decimal_len(gen)
+        + decimal_len(len as u64)
+        + 3
+        + decimal_len(key.0 as u64)
 }
 
 fn push_decimal(buf: &mut Vec<u8>, mut v: u64) {
@@ -130,10 +148,16 @@ fn decimal_len(v: u64) -> usize {
 pub enum Op<'a> {
     /// Raw bytes to copy into the page (already unescaped).
     Literal(&'a [u8]),
-    /// Splice the cached fragment stored under this key.
-    Get(DpcKey),
-    /// Store `content` under `key` and also include it in the page.
-    Set { key: DpcKey, content: &'a [u8] },
+    /// Splice the fragment stored under `key`, which must be generation
+    /// `gen`.
+    Get { key: DpcKey, gen: u64 },
+    /// Store `content` under `key` as generation `gen` and also include it
+    /// in the page.
+    Set {
+        key: DpcKey,
+        gen: u64,
+        content: &'a [u8],
+    },
 }
 
 /// True when `body` begins with a valid template preamble — the proxy's
@@ -148,7 +172,7 @@ fn parse_preamble(body: &[u8]) -> Option<(u32, usize)> {
     if body.len() < 4 || body[0] != SENTINEL || body[1] != b'V' {
         return None;
     }
-    let (v, used) = parse_decimal(&body[2..])?;
+    let (v, used) = parse_decimal(&body[2..], MAX_DIGITS)?;
     let end = 2 + used;
     if body.get(end) != Some(&TERM) {
         return None;
@@ -156,16 +180,18 @@ fn parse_preamble(body: &[u8]) -> Option<(u32, usize)> {
     Some((v as u32, end + 1))
 }
 
-fn parse_decimal(bytes: &[u8]) -> Option<(u64, usize)> {
+/// Parse a run of at most `max_digits` decimal digits; `None` when there
+/// is none, when it is longer, or when its value does not fit a `u64`.
+fn parse_decimal(bytes: &[u8], max_digits: usize) -> Option<(u64, usize)> {
     let mut v: u64 = 0;
     let mut used = 0;
-    for &b in bytes.iter().take(MAX_DIGITS + 1) {
+    for &b in bytes.iter().take(max_digits + 1) {
         match b {
             b'0'..=b'9' => {
-                if used == MAX_DIGITS {
+                if used == max_digits {
                     return None; // too many digits
                 }
-                v = v * 10 + (b - b'0') as u64;
+                v = v.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
                 used += 1;
             }
             _ => break,
@@ -209,6 +235,22 @@ impl<'a> Scanner<'a> {
         }
     }
 
+    /// Parse `key '.' gen` at `at`; returns the key, the generation and
+    /// the offset just past them.
+    fn key_gen(&self, at: usize) -> Result<(DpcKey, u64, usize), AssembleError> {
+        let body = self.body;
+        let (key, used) =
+            parse_decimal(&body[at..], MAX_DIGITS).ok_or_else(|| self.err("bad key"))?;
+        let key = u32::try_from(key).map_err(|_| self.err("key exceeds u32"))?;
+        let dot = at + used;
+        if body.get(dot) != Some(&b'.') {
+            return Err(self.err("missing generation"));
+        }
+        let (gen, used) = parse_decimal(&body[dot + 1..], MAX_GEN_DIGITS)
+            .ok_or_else(|| self.err("bad generation"))?;
+        Ok((DpcKey(key), gen, dot + 1 + used))
+    }
+
     /// Next operation, or `Ok(None)` at end of template.
     #[allow(clippy::should_implement_trait)] // fallible iterator
     pub fn next(&mut self) -> Result<Option<Op<'a>>, AssembleError> {
@@ -238,38 +280,27 @@ impl<'a> Scanner<'a> {
                 Ok(Some(Op::Literal(&body[self.pos - 1..self.pos])))
             }
             b'G' => {
-                let (key, used) =
-                    parse_decimal(&body[self.pos + 2..]).ok_or_else(|| self.err("bad GET key"))?;
-                let end = self.pos + 2 + used;
+                let (key, gen, end) = self.key_gen(self.pos + 2)?;
                 if body.get(end) != Some(&TERM) {
                     return Err(self.err("unterminated GET"));
                 }
-                if key > u32::MAX as u64 {
-                    return Err(self.err("GET key exceeds u32"));
-                }
                 self.pos = end + 1;
-                Ok(Some(Op::Get(DpcKey(key as u32))))
+                Ok(Some(Op::Get { key, gen }))
             }
             b'S' => {
-                let (key, used) =
-                    parse_decimal(&body[self.pos + 2..]).ok_or_else(|| self.err("bad SET key"))?;
-                let mut cursor = self.pos + 2 + used;
+                let (key, gen, mut cursor) = self.key_gen(self.pos + 2)?;
                 if body.get(cursor) != Some(&b':') {
                     return Err(self.err("SET missing length separator"));
                 }
                 cursor += 1;
-                let (len, used2) =
-                    parse_decimal(&body[cursor..]).ok_or_else(|| self.err("bad SET length"))?;
-                cursor += used2;
+                let (len, used) = parse_decimal(&body[cursor..], MAX_DIGITS)
+                    .ok_or_else(|| self.err("bad SET length"))?;
+                cursor += used;
                 if body.get(cursor) != Some(&TERM) {
                     return Err(self.err("unterminated SET head"));
                 }
                 cursor += 1;
-                if key > u32::MAX as u64 {
-                    return Err(self.err("SET key exceeds u32"));
-                }
                 let len = len as usize;
-                let key = DpcKey(key as u32);
                 if cursor + len > body.len() {
                     return Err(AssembleError::TruncatedSet { key, declared: len });
                 }
@@ -279,13 +310,13 @@ impl<'a> Scanner<'a> {
                 if body.get(cursor) != Some(&SENTINEL) || body.get(cursor + 1) != Some(&b'E') {
                     return Err(AssembleError::MismatchedSetClose { expected: key });
                 }
-                let (ckey, used3) = parse_decimal(&body[cursor + 2..])
+                let (ckey, used) = parse_decimal(&body[cursor + 2..], MAX_DIGITS)
                     .ok_or(AssembleError::MismatchedSetClose { expected: key })?;
-                if ckey as u32 != key.0 || body.get(cursor + 2 + used3) != Some(&TERM) {
+                if ckey != u64::from(key.0) || body.get(cursor + 2 + used) != Some(&TERM) {
                     return Err(AssembleError::MismatchedSetClose { expected: key });
                 }
-                self.pos = cursor + 2 + used3 + 1;
-                Ok(Some(Op::Set { key, content }))
+                self.pos = cursor + 2 + used + 1;
+                Ok(Some(Op::Set { key, gen, content }))
             }
             b'V' => Err(self.err("preamble repeated mid-template")),
             _ => Err(self.err("unknown instruction")),
@@ -334,9 +365,9 @@ mod tests {
     fn scan_get_set_mix() {
         let t = template(|b| {
             write_literal(b, b"<html>");
-            write_get(b, DpcKey(5));
+            write_get(b, DpcKey(5), 7);
             write_literal(b, b"<hr>");
-            write_set(b, DpcKey(123), b"fresh content");
+            write_set(b, DpcKey(123), 8, b"fresh content");
             write_literal(b, b"</html>");
         });
         let ops = Scanner::new(&t).unwrap().collect_ops().unwrap();
@@ -344,10 +375,14 @@ mod tests {
             ops,
             vec![
                 Op::Literal(b"<html>"),
-                Op::Get(DpcKey(5)),
+                Op::Get {
+                    key: DpcKey(5),
+                    gen: 7
+                },
                 Op::Literal(b"<hr>"),
                 Op::Set {
                     key: DpcKey(123),
+                    gen: 8,
                     content: b"fresh content"
                 },
                 Op::Literal(b"</html>"),
@@ -379,12 +414,13 @@ mod tests {
         evil.extend_from_slice(b"G99");
         evil.push(TERM);
         evil.push(SENTINEL);
-        let t = template(|b| write_set(b, DpcKey(1), &evil));
+        let t = template(|b| write_set(b, DpcKey(1), 1, &evil));
         let ops = Scanner::new(&t).unwrap().collect_ops().unwrap();
         assert_eq!(
             ops,
             vec![Op::Set {
                 key: DpcKey(1),
+                gen: 1,
                 content: &evil[..]
             }]
         );
@@ -392,7 +428,7 @@ mod tests {
 
     #[test]
     fn truncated_set_is_reported() {
-        let mut t = template(|b| write_set(b, DpcKey(2), b"0123456789"));
+        let mut t = template(|b| write_set(b, DpcKey(2), 3, b"0123456789"));
         t.truncate(t.len() - 8); // chop into the content (and lose the close tag)
         let mut s = Scanner::new(&t).unwrap();
         let err = loop {
@@ -410,7 +446,7 @@ mod tests {
         let mut t = Vec::new();
         write_preamble(&mut t);
         // Hand-build a SET whose close tag names the wrong key.
-        t.extend_from_slice(&[SENTINEL, b'S', b'7', b':', b'2', TERM]);
+        t.extend_from_slice(&[SENTINEL, b'S', b'7', b'.', b'1', b':', b'2', TERM]);
         t.extend_from_slice(b"ab");
         t.extend_from_slice(&[SENTINEL, b'E', b'8', TERM]);
         let mut s = Scanner::new(&t).unwrap();
@@ -440,47 +476,105 @@ mod tests {
         assert!(matches!(s.next(), Err(AssembleError::Malformed { .. })));
     }
 
+    /// Generations of every digit count from 1 to 20.
+    fn generations() -> impl Iterator<Item = u64> {
+        (0..20u32)
+            .map(|d| 10u64.pow(d))
+            .chain([9, 99_999, u64::MAX])
+    }
+
     #[test]
     fn tag_length_helpers_match_serialization() {
-        for key in [0u32, 7, 99, 12345, u32::MAX] {
-            let mut buf = Vec::new();
-            write_get(&mut buf, DpcKey(key));
-            assert_eq!(buf.len(), get_tag_len(DpcKey(key)), "key {key}");
-        }
-        for (key, len) in [(0u32, 0usize), (12, 1024), (999_999, 5)] {
-            let mut buf = Vec::new();
-            write_set(&mut buf, DpcKey(key), &vec![b'x'; len]);
-            assert_eq!(
-                buf.len() - len,
-                set_tag_overhead(DpcKey(key), len),
-                "key {key} len {len}"
-            );
+        for gen in generations() {
+            for key in [0u32, 7, 99, 12345, u32::MAX] {
+                let mut buf = Vec::new();
+                write_get(&mut buf, DpcKey(key), gen);
+                assert_eq!(buf.len(), get_tag_len(DpcKey(key), gen), "key {key}.{gen}");
+            }
+            for (key, len) in [(0u32, 0usize), (12, 1024), (999_999, 5)] {
+                let mut buf = Vec::new();
+                write_set(&mut buf, DpcKey(key), gen, &vec![b'x'; len]);
+                assert_eq!(
+                    buf.len() - len,
+                    set_tag_overhead(DpcKey(key), gen, len),
+                    "key {key}.{gen} len {len}"
+                );
+            }
         }
     }
 
     #[test]
     fn tag_sizes_are_near_model_g() {
-        // Table 2 models g = 10 bytes; our real GET tags for keys up to
-        // 5 digits are 4–8 bytes and SET pairs 11–19, averaging ~10.
-        assert!(get_tag_len(DpcKey(12345)) <= 10);
-        assert!(set_tag_overhead(DpcKey(12345), 1024) <= 21);
+        // Table 2 models g = 10 bytes; our real GET tags for keys and
+        // generations up to 4 digits each are 6–12 bytes and SET pairs
+        // for lengths up to 4 digits 12–24, so one g averages ~12.
+        assert!(get_tag_len(DpcKey(1234), 1234) <= 12);
+        assert!(set_tag_overhead(DpcKey(1234), 1234, 1024) <= 24);
     }
 
     #[test]
     fn key_with_max_digits_roundtrips() {
-        let t = template(|b| write_get(b, DpcKey(u32::MAX)));
+        let t = template(|b| write_get(b, DpcKey(u32::MAX), u64::MAX));
         let ops = Scanner::new(&t).unwrap().collect_ops().unwrap();
-        assert_eq!(ops, vec![Op::Get(DpcKey(u32::MAX))]);
+        assert_eq!(
+            ops,
+            vec![Op::Get {
+                key: DpcKey(u32::MAX),
+                gen: u64::MAX
+            }]
+        );
+    }
+
+    /// A template whose one instruction is `0x01 head 0x02`.
+    fn one_tag(head: &[u8]) -> Vec<u8> {
+        template(|t| {
+            t.push(SENTINEL);
+            t.extend_from_slice(head);
+            t.push(TERM);
+        })
+    }
+
+    #[test]
+    fn generation_digits_are_untrusted() {
+        for head in [
+            // A version-1 tag names no generation.
+            &b"G7"[..],
+            b"S7:0",
+            b"G7.",
+            // One above u64::MAX, and 21 digits.
+            b"G7.18446744073709551616",
+            b"S7.18446744073709551616:0",
+            b"G7.100000000000000000000",
+            b"G7.000000000000000000001",
+        ] {
+            let t = one_tag(head);
+            let op = Scanner::new(&t).unwrap().next();
+            assert!(
+                matches!(op, Err(AssembleError::Malformed { .. })),
+                "{}: {op:?}",
+                String::from_utf8_lossy(head)
+            );
+        }
+        // u64::MAX itself is a generation.
+        let t = one_tag(b"G7.18446744073709551615");
+        assert_eq!(
+            Scanner::new(&t).unwrap().next(),
+            Ok(Some(Op::Get {
+                key: DpcKey(7),
+                gen: u64::MAX
+            }))
+        );
     }
 
     #[test]
     fn empty_set_content() {
-        let t = template(|b| write_set(b, DpcKey(3), b""));
+        let t = template(|b| write_set(b, DpcKey(3), 4, b""));
         let ops = Scanner::new(&t).unwrap().collect_ops().unwrap();
         assert_eq!(
             ops,
             vec![Op::Set {
                 key: DpcKey(3),
+                gen: 4,
                 content: b""
             }]
         );

@@ -389,6 +389,11 @@ fn ten_k_crowd(block: Block) {
     let produce_calls = Arc::new(AtomicU64::new(0));
     const REQS: usize = 625; // 16 threads x 625 = 10_000 requests
     let start = Arc::new(Barrier::new(THREADS + 1));
+    // Every thread stops at request REQS / 4 until the update has landed,
+    // so the update is inside the burst: three quarters of the requests
+    // follow it, however the threads are scheduled.
+    let gate = Arc::new(Barrier::new(THREADS + 1));
+    let landed = Arc::new(Barrier::new(THREADS + 1));
 
     let threads: Vec<_> = (0..THREADS)
         .map(|_| {
@@ -396,9 +401,14 @@ fn ten_k_crowd(block: Block) {
             let store = Arc::clone(&store);
             let calls = Arc::clone(&produce_calls);
             let start = Arc::clone(&start);
+            let (gate, landed) = (Arc::clone(&gate), Arc::clone(&landed));
             std::thread::spawn(move || {
                 start.wait();
-                for _ in 0..REQS {
+                for i in 0..REQS {
+                    if i == REQS / 4 {
+                        gate.wait();
+                        landed.wait();
+                    }
                     let page = serve(&bem, &store, block, &|b: &mut Vec<u8>| {
                         calls.fetch_add(1, Ordering::Relaxed);
                         b.extend_from_slice(b"TEN-K");
@@ -409,12 +419,11 @@ fn ten_k_crowd(block: Block) {
         })
         .collect();
     start.wait();
-    // One dependency update from outside, while the burst is provably
-    // still in progress.
-    spin_until("burst to get going", || {
-        bem.pages_served() > (THREADS * REQS / 4) as u64
-    });
+    // One dependency update from outside, once every thread is at the
+    // gate: the burst is provably still in progress.
+    gate.wait();
     assert_eq!(bem.on_data_update("tbl/hot"), 1, "{block:?}");
+    landed.wait();
     for t in threads {
         t.join().unwrap();
     }

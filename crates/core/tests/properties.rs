@@ -107,8 +107,10 @@ fn raw_tag_writers_scan_back_exactly() {
         let keys: Vec<u32> = (0..rng.random_range(1..8usize))
             .map(|_| rng.random_range(0..1000u32))
             .collect();
-        // Interleave literals and SETs, scan, and rebuild.
+        // Interleave literals and SETs of random generations, scan, and
+        // rebuild.
         let mut template = Vec::new();
+        let mut want_heads = Vec::new();
         tag::write_preamble(&mut template);
         let mut expected_ops: Vec<(bool, Vec<u8>)> = Vec::new(); // (is_set, bytes)
         for (i, lit) in literals.iter().enumerate() {
@@ -116,7 +118,9 @@ fn raw_tag_writers_scan_back_exactly() {
             expected_ops.push((false, lit.clone()));
             if let Some(&k) = keys.get(i) {
                 let content = vec![k as u8; (k % 50) as usize];
-                tag::write_set(&mut template, DpcKey(k), &content);
+                let gen = rng.random_range(0..=u64::MAX);
+                tag::write_set(&mut template, DpcKey(k), gen, &content);
+                want_heads.push((DpcKey(k), gen));
                 expected_ops.push((true, content));
             }
         }
@@ -125,11 +129,15 @@ fn raw_tag_writers_scan_back_exactly() {
         // Reconstruct literal stream and set stream.
         let mut got_literal = Vec::new();
         let mut got_sets = Vec::new();
+        let mut got_heads = Vec::new();
         for op in ops {
             match op {
                 tag::Op::Literal(b) => got_literal.extend_from_slice(b),
-                tag::Op::Set { content, .. } => got_sets.push(content.to_vec()),
-                tag::Op::Get(_) => {}
+                tag::Op::Set { key, gen, content } => {
+                    got_heads.push((key, gen));
+                    got_sets.push(content.to_vec());
+                }
+                tag::Op::Get { .. } => {}
             }
         }
         let want_literal: Vec<u8> = expected_ops
@@ -144,6 +152,7 @@ fn raw_tag_writers_scan_back_exactly() {
             .collect();
         assert_eq!(got_literal, want_literal);
         assert_eq!(got_sets, want_sets);
+        assert_eq!(got_heads, want_heads);
     }
 }
 

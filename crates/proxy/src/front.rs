@@ -93,8 +93,7 @@ pub struct Proxy {
     metrics: Option<Arc<MetricsRegistry>>,
     /// Dependency-wide invalidation hook for `PURGE` + `X-DPC-Dep`:
     /// returns the number of keys freed. Every node points this at its
-    /// origin BEM's data-update path, whose sink scrubs every slot store
-    /// it serves.
+    /// origin BEM's data-update path, which bumps the node's page epoch.
     dep_purger: Option<DepPurger>,
     /// Span recorder handle. `Tracer::off()` unless installed via
     /// [`Proxy::with_tracer`]; the serving paths then record spans under
@@ -307,7 +306,7 @@ impl Proxy {
     fn handle_purge(&self, req: &Request) -> Response {
         if let Some(dep) = req.headers.get(DEP_HEADER) {
             // Dependency-wide purge: every key registered under `dep` is
-            // invalidated (on every node the origin's sink scrubs), and the
+            // invalidated (for every node the origin BEM serves), and the
             // freed-key count is reported — a bare target purge cannot
             // reach session-qualified page keys, this can.
             let Some(freed) = self.dep_purger.as_ref().and_then(|purge| purge(dep)) else {
@@ -512,11 +511,12 @@ impl Proxy {
         resp
     }
 
-    /// The repair ladder. A template request names this node; if assembly
-    /// still finds an empty slot, the node refreshes once, naming its
-    /// absent keys so the BEM re-`SET`s them (the invalidation sink's scrub
-    /// or a restart may have emptied a slot behind its stored bit). The
-    /// bypass is the last rung. With `want_reads` the template requests
+    /// The repair ladder. A template request names this node; if a `GET`
+    /// finds its slot without the generation it names, the node refreshes
+    /// once, naming those keys so the BEM re-`SET`s them (the `SET` may
+    /// not be assembled here yet, the key may have moved since the render,
+    /// or a restart emptied the store behind its stored bit). The bypass
+    /// is the last rung. With `want_reads` the template requests
     /// ask for the page's read set, returned beside an assembled page.
     fn serve_dpc_assembling(&self, req: &Request, want_reads: bool) -> (Response, Provenance) {
         let ask = Ask {

@@ -20,9 +20,8 @@
 //! §7 extension made dynamic — consistent-hash placement over a
 //! [`ring::HashRing`], join/leave/fail churn, per-node placement
 //! tracked by the directory's `stored_nodes` bitmask (a node fills the
-//! slots it lacks from the origin's node-miss `SET`s), and one
-//! invalidation sink on the origin's BEM that scrubs freed slots from
-//! every member inside the update.
+//! slots it lacks from the origin's node-miss `SET`s), and one page-tier
+//! epoch that the origin's BEM bumps inside every update.
 //!
 //! DPC mode can also serve assembled pages from a page tier: the node's
 //! one [`PageCache`] over one [`tier::PageTier`], which the proxy handler
@@ -39,9 +38,9 @@
 //! [`node`] builds one proxy-side node — page cache, ESI assembler,
 //! [`Proxy`] and its metric collectors — the same way for the testbed's
 //! lone proxy (node 0) and for every ring member; the two differ only in
-//! their [`node::NodeSpec`]. Both learn of updates through one
-//! [`node::invalidation_sink`], which scrubs their slot stores and bumps
-//! their epoch inside the update.
+//! their [`node::NodeSpec`]. Both learn of updates one way: the origin
+//! BEM bumps their page-tier epoch inside the update, and their slot
+//! stores are never scrubbed.
 
 pub mod esi;
 pub mod front;

@@ -298,18 +298,6 @@ pub fn register_server(
     });
 }
 
-/// The slots the invalidation sink emptied
-/// ([`crate::node::invalidation_sink`]), over every node it scrubs.
-pub fn register_scrubbed(registry: &Registry, scrubbed: Arc<AtomicU64>) {
-    registry.register("scrub", move |e| {
-        e.counter(
-            "dpc_peer_slots_scrubbed_total",
-            &[],
-            scrubbed.load(Ordering::Relaxed),
-        );
-    });
-}
-
 /// The span recorder's own health: spans recorded, per-ring overwrite
 /// pressure, and tail-retention counts split by reason. A no-op when the
 /// tracer is off.

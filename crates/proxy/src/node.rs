@@ -5,14 +5,18 @@
 //! slot store and coherence epoch, the ESI assembler, the [`Proxy`] with
 //! its node id, tracer, metrics and dep purger, and the node's collectors
 //! in the metrics registry. A [`NodeSpec`] names what the two callers set
-//! differently, plus where the node lives. [`invalidation_sink`] is the
-//! one way a set of nodes learns of an origin update.
+//! differently, plus where the node lives. A set of nodes learns of an
+//! origin update one way: the origin BEM bumps their shared
+//! [`CoherencyEpoch`] ([`Bem::set_invalidation_sink`]), and no slot store
+//! is touched — the generation in every tag keeps a reused key from
+//! splicing its previous fragment.
+//!
+//! [`Bem::set_invalidation_sink`]: dpc_core::Bem::set_invalidation_sink
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dpc_core::{CoherencyEpoch, FragmentStore, InvalidationSink};
+use dpc_core::{CoherencyEpoch, FragmentStore};
 use dpc_firewall::Firewall;
 use dpc_http::Client;
 use dpc_metrics::Registry as MetricsRegistry;
@@ -40,8 +44,8 @@ pub struct NodeSpec<'a> {
     pub id: u32,
     /// The DPC slot store; the page cache is sized to its capacity.
     pub store: Arc<FragmentStore>,
-    /// Epoch stamping the page cache's tiered pages; the invalidation
-    /// sink bumps it.
+    /// Epoch stamping the page cache's tiered pages; the origin BEM bumps
+    /// it on every update.
     pub coherence: CoherencyEpoch,
     /// Serve and install assembled pages through the page cache.
     pub page_tier: bool,
@@ -99,32 +103,4 @@ pub fn build(spec: NodeSpec<'_>) -> Arc<Proxy> {
         id,
     );
     proxy
-}
-
-/// The origin BEM's sink for a set of nodes sharing one coherence epoch.
-/// The BEM calls it inside every data update, after its directory freed
-/// the dep's keys, with no byte on the metered wire:
-///
-/// * the freed keys are cleared from every slot store `stores` visits, so
-///   a later reassignment of a freed key finds an empty slot (a
-///   `MissingFragment`, which the node's refresh rung repairs) instead of
-///   the old fragment's bytes; the emptied slots are counted in
-///   `scrubbed` (`dpc_peer_slots_scrubbed_total`);
-/// * then `dep`'s stripe of `epoch` is bumped once, so exactly the tiered
-///   pages that read `dep` stop serving.
-pub fn invalidation_sink(
-    stores: impl Fn(&mut dyn FnMut(&FragmentStore)) + Send + Sync + 'static,
-    epoch: CoherencyEpoch,
-    scrubbed: Arc<AtomicU64>,
-) -> InvalidationSink {
-    Arc::new(move |dep, keys| {
-        let mut emptied = 0;
-        stores(&mut |store| {
-            for key in keys {
-                emptied += u64::from(store.clear_key(*key));
-            }
-        });
-        scrubbed.fetch_add(emptied, Ordering::Relaxed);
-        epoch.bump_label(dep);
-    })
 }

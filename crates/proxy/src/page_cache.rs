@@ -121,7 +121,7 @@ impl PageCache {
     /// expired page met on the way is dropped on this touch. Counts one
     /// hit or one miss per call, however many keys it probed.
     pub fn lookup(&self, keys: &[&str]) -> Option<Page> {
-        // The verdict reads the epoch under the lock: a scrub/purge that
+        // The verdict reads the epoch under the lock: an update/purge that
         // bumped it before this lookup began is guaranteed visible, so a
         // completed invalidation never leaves a stale entry servable.
         let mut tier = self.tier.lock();

@@ -14,23 +14,22 @@
 //!   node, answers a fragment the newcomer has not stored with a
 //!   node-miss `SET` under the fragment's key, as in the paper's §7. No
 //!   other node is touched, nothing anywhere is evicted.
-//! * **Repair** — a slot a scrub emptied behind the node's stored bit (a
-//!   render reused the freed key before the scrub ran) fails assembly;
-//!   one refresh names the absent keys and the BEM re-`SET`s them. A
-//!   bypass is the last rung. Every node, the lone proxy included, takes
-//!   this ladder.
+//! * **Repair** — a `GET` whose slot does not hold the generation its tag
+//!   names (the `SET` not yet assembled here, a key reassigned since the
+//!   render, a restarted store) fails assembly; one refresh names those
+//!   keys and the BEM re-`SET`s them. A bypass is the last rung. Every
+//!   node, the lone proxy included, takes this ladder.
 //! * **Leave / fail** — the node's points come off the ring and traffic
 //!   routes around it, losing only that node's arcs. The ring's points
 //!   and the node map change under one lock, so the node map is the
 //!   alive set and every owner the ring names has a proxy.
-//! * **Invalidation** — the origin BEM's sink
-//!   ([`RingCluster::connect_origin`]) is the lone proxy's
-//!   [`node::invalidation_sink`] over every member's slot store: inside
-//!   the update it scrubs the freed keys from every member, then bumps
-//!   the updated dep's stripe of the ring-wide page-tier epoch. Every
-//!   update enters at [`Bem::on_data_update`], a member's `PURGE` +
-//!   `X-DPC-Dep` included. The BEM's directory decides what each node may
-//!   splice.
+//! * **Invalidation** — inside every update the origin BEM bumps the
+//!   updated dep's stripe of the ring-wide page-tier epoch
+//!   ([`RingCluster::connect_origin`]), as it bumps the lone proxy's.
+//!   No member's slot store is touched: a freed key's stale bytes sit
+//!   unused, and its next tags name a newer generation. Every update
+//!   enters at [`Bem::on_data_update`], a member's `PURGE` + `X-DPC-Dep`
+//!   included. The BEM's directory decides what each node may splice.
 //! * **Front** — [`RingCluster::spawn_front`] serves the whole ring at one
 //!   HTTP address. Its handlers route to the owner, which answers every
 //!   request, admin paths included, as the lone proxy does; they block on
@@ -38,16 +37,15 @@
 //!   the origin loop.
 //!
 //! The origin is a [`Testbed`](crate::testbed::Testbed) built with its
-//! own page tier off: [`RingCluster::connect_origin`] replaces the sink
+//! own page tier off: [`RingCluster::connect_origin`] replaces the epoch
 //! through which a tiered testbed proxy learns of updates.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpc_core::proto::SERVED_BY_HEADER;
-use dpc_core::{Bem, CoherencyEpoch, FragmentStore, InvalidationSink};
+use dpc_core::{Bem, CoherencyEpoch, FragmentStore};
 use dpc_http::{Request, Response, Status};
 use dpc_metrics::Registry as MetricsRegistry;
 use dpc_net::{Clock, SimNetwork};
@@ -120,9 +118,6 @@ pub struct RingCluster {
     /// that read the dep stops serving on its next touch, and a page that
     /// did not read it keeps serving.
     coherence: CoherencyEpoch,
-    /// Slots emptied by invalidations, over every member
-    /// (`dpc_peer_slots_scrubbed_total`).
-    slots_scrubbed: Arc<AtomicU64>,
     /// One metrics registry over the whole cluster: every node registers
     /// its page cache and proxy at join and unregisters them on departure,
     /// so `GET /_dpc/metrics` at *any* node (or the HTTP front) scrapes
@@ -155,14 +150,12 @@ impl RingCluster {
                 next_id: 0,
             }),
             coherence: CoherencyEpoch::new(),
-            slots_scrubbed: Arc::new(AtomicU64::new(0)),
             registry: Arc::new(MetricsRegistry::new()),
             clock,
             origin_bem: Arc::default(),
             tracer,
         };
         crate::metrics::register_trace(&cluster.registry, "trace", cluster.tracer.clone());
-        crate::metrics::register_scrubbed(&cluster.registry, Arc::clone(&cluster.slots_scrubbed));
         for _ in 0..n {
             cluster.join();
         }
@@ -195,11 +188,6 @@ impl RingCluster {
     /// The proxy of node `id` (tests, fault injection).
     pub fn proxy(&self, id: u32) -> Option<Arc<Proxy>> {
         self.members.lock().nodes.get(&id).cloned()
-    }
-
-    /// Slots emptied by invalidations so far, over every member.
-    pub fn slots_scrubbed(&self) -> u64 {
-        self.slots_scrubbed.load(Ordering::Relaxed)
     }
 
     /// Allocate a node id. Fresh ids are handed out monotonically; once
@@ -241,9 +229,8 @@ impl RingCluster {
             tracer: &self.tracer,
             metrics: &self.registry,
         });
-        // A member enters the scrub set in the same step it goes on the
-        // ring, so every invalidation that can reach a page it serves
-        // scrubs its store.
+        // The ring's points and the node map change in one step, so
+        // every owner the ring names has a proxy.
         let mut members = self.members.lock();
         let fresh = members.nodes.insert(id, proxy).is_none();
         assert!(fresh, "node {id} is already alive");
@@ -334,32 +321,14 @@ impl RingCluster {
     }
 
     /// Wire the origin's invalidation path to the ring: installs the
-    /// ring's [`InvalidationSink`] on `bem` (replacing any other), so
-    /// every data update arriving at [`Bem::on_data_update`] (the origin's
-    /// update bus, or a member's `PURGE` + `X-DPC-Dep`) is applied to
-    /// every member inside the update.
-    pub fn connect_origin(self: &Arc<Self>, bem: &Arc<Bem>) {
+    /// ring-wide page epoch on `bem` (replacing any other), so every data
+    /// update arriving at [`Bem::on_data_update`] (the origin's update
+    /// bus, or a member's `PURGE` + `X-DPC-Dep`) reaches every member's
+    /// page tier inside the update.
+    pub fn connect_origin(&self, bem: &Arc<Bem>) {
         *self.origin_bem.lock() = Some(Arc::clone(bem));
         crate::metrics::register_bem(&self.registry, "origin/bem", Arc::clone(bem));
-        bem.set_invalidation_sink(self.sink());
-    }
-
-    /// The lone proxy's [`node::invalidation_sink`] over every alive
-    /// member's slot store, visited under the node map's lock: a member
-    /// enters the scrub set in the step it goes on the ring.
-    fn sink(self: &Arc<Self>) -> InvalidationSink {
-        let weak = Arc::downgrade(self);
-        node::invalidation_sink(
-            move |visit| {
-                if let Some(cluster) = weak.upgrade() {
-                    for proxy in cluster.members.lock().nodes.values() {
-                        visit(proxy.store());
-                    }
-                }
-            },
-            self.coherence.clone(),
-            Arc::clone(&self.slots_scrubbed),
-        )
+        bem.set_invalidation_sink(self.coherence.clone());
     }
 
     /// Does nothing and returns 0: every invalidation already reached
@@ -375,9 +344,8 @@ impl RingCluster {
 mod tests {
     use super::*;
     use crate::testbed::{Testbed, TestbedConfig};
-    use bytes::Bytes;
     use dpc_appserver::apps::paper_site::PaperSiteParams;
-    use dpc_core::DpcKey;
+    use std::sync::atomic::Ordering;
 
     fn params() -> PaperSiteParams {
         PaperSiteParams {
@@ -543,22 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn scrub_empties_the_freed_slots_and_counts_them() {
-        let (_tb, cluster) = origin_and_cluster(2);
-        let [a, b] = [0, 1].map(|id| cluster.proxy(id).unwrap());
-        a.store().set(DpcKey(3), Bytes::from_static(b"old"));
-        a.store().set(DpcKey(4), Bytes::from_static(b"kept"));
-        b.store().set(DpcKey(3), Bytes::from_static(b"old"));
-        // Key 5 is freed but no node holds it: nothing to count.
-        cluster.sink()("dep", &[DpcKey(3), DpcKey(5)]);
-        for proxy in [&a, &b] {
-            assert_eq!(proxy.store().get(DpcKey(3)), None);
-        }
-        assert_eq!(a.store().get(DpcKey(4)), Some(Bytes::from_static(b"kept")));
-        assert_eq!(cluster.slots_scrubbed(), 2);
-    }
-
-    #[test]
     fn invalidate_dep_scrubs_every_node_at_once() {
         let (tb, cluster) = origin_and_cluster(4);
         cluster.connect_origin(tb.engine().bem());
@@ -573,7 +525,7 @@ mod tests {
         }
         let bem = tb.engine().bem();
         let frag_key = dpc_appserver::apps::paper_site::fragment_key(5, 0);
-        let key = bem
+        let (key, gen) = bem
             .directory()
             .current_key(&dpc_core::FragmentId::with_params(
                 "paperfrag",
@@ -581,7 +533,7 @@ mod tests {
             ))
             .expect("slot 0 of page 5 is cached");
         for id in cluster.alive() {
-            assert!(cluster.proxy(id).unwrap().store().get(key).is_some());
+            assert!(cluster.proxy(id).unwrap().store().get(key, gen).is_some());
         }
         // Content change via `seed` (which, unlike `update`, does not fire
         // the origin's update bus): the one explicit update below is the
@@ -600,25 +552,22 @@ mod tests {
         );
         let n = bem.on_data_update(&format!("paper/{frag_key}"));
         assert_eq!(n, 1, "slot 0 of page 5 was valid and dependent");
-        // Right after the call, no node's store holds the freed key.
-        for id in cluster.alive() {
-            assert!(
-                cluster.proxy(id).unwrap().store().get(key).is_none(),
-                "node {id} did not scrub the freed key"
-            );
-        }
-        assert_eq!(cluster.slots_scrubbed(), 4, "one slot on each node");
-        // And the next serve regenerates fresh bytes.
+        // The next serve regenerates fresh bytes, on every node, though
+        // each still holds the old generation's bytes.
         let after = cluster.get(&page(5), None).body.to_vec();
         assert_ne!(before, after, "the serve after the call must be fresh");
+        for id in cluster.alive() {
+            let resp = cluster.proxy(id).unwrap().serve(Request::get(page(5)));
+            assert_eq!(resp.body.to_vec(), after, "node {id} served stale bytes");
+        }
     }
 
     #[test]
     fn tiered_cluster_never_serves_stale_pages_after_invalidate_dep() {
         // Satellite regression for the page tier: with assembled pages
         // cached above the slot stores, a ring-wide dependency update must
-        // leave no node able to serve the pre-invalidation page — scrubbing
-        // fragment slots alone is not enough.
+        // leave no node able to serve the pre-invalidation page — the
+        // generation check on fragment slots alone is not enough.
         let tb = Testbed::build(TestbedConfig {
             mode: ProxyMode::Dpc,
             paper_params: params(),
@@ -673,7 +622,7 @@ mod tests {
             "the owner's cached page must self-evict on the first post-invalidation touch"
         );
         // No node can produce the stale bytes — neither from its page
-        // cache nor from its scrubbed slot store.
+        // cache nor from the old generation left in its slot store.
         for id in cluster.alive() {
             let proxy = cluster.proxy(id).unwrap();
             let resp = proxy.serve(Request::get(page(5)));
@@ -758,27 +707,17 @@ mod tests {
         for id in cluster.alive() {
             let _ = cluster.proxy(id).unwrap().serve(Request::get(page(7)));
         }
-        let key = tb
-            .engine()
-            .bem()
-            .directory()
-            .current_key(&dpc_core::FragmentId::with_params(
-                "paperfrag",
-                &[("p", "7"), ("s", "0")],
-            ))
-            .expect("slot 0 of page 7 is cached");
         // The standard invalidation path: a repository update fires the
-        // origin's bus, which frees keys at the BEM, whose sink scrubs
-        // every member before the update returns.
+        // origin's bus, which frees keys at the BEM before the update
+        // returns. Every member keeps the old generation's bytes and
+        // serves the fresh ones.
         dpc_appserver::apps::paper_site::invalidate_fragment(tb.engine().repo(), 7, 0);
-        for id in cluster.alive() {
-            assert!(
-                cluster.proxy(id).unwrap().store().get(key).is_none(),
-                "node {id} kept a freed key"
-            );
-        }
         let after = cluster.get(&page(7), None).body.to_vec();
         assert_ne!(before, after, "bus-invalidated content must refresh");
+        for id in cluster.alive() {
+            let resp = cluster.proxy(id).unwrap().serve(Request::get(page(7)));
+            assert_eq!(resp.body.to_vec(), after, "node {id} served stale bytes");
+        }
     }
 
     #[test]

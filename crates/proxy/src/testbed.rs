@@ -21,8 +21,8 @@
 //! crosses three threads: the client, the proxy loop and the origin loop.
 //!
 //! The proxy is node 0 of a ring with no placement: it is built by the
-//! same [`node::build`] as every ring member, and the BEM's invalidation
-//! sink is the same [`node::invalidation_sink`], over its one slot store.
+//! same [`node::build`] as every ring member, and the BEM bumps its page
+//! epoch on every update, as a ring's BEM bumps the ring's.
 
 use dpc_appserver::apps::paper_site::{self, PaperSiteParams};
 use dpc_appserver::apps::{self};
@@ -35,7 +35,6 @@ use dpc_net::{Clock, MeterRegistry, MeterSnapshot, ProtocolModel, SimNetwork, Vi
 use dpc_repository::datasets::{filler, seed_all, DatasetConfig};
 use dpc_repository::Repository;
 use dpc_trace::{TraceConfig, Tracer};
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use crate::esi::{EsiAssembler, EsiTemplate};
@@ -84,8 +83,7 @@ pub struct TestbedConfig {
     /// (the page cache counts pages); the field keeps its name because
     /// the benchmark sets it. A testbed that serves as a ring's origin
     /// keeps it at `0`: [`RingCluster::connect_origin`] takes over the
-    /// BEM's invalidation sink, through which this proxy learns of
-    /// updates.
+    /// BEM's page epoch, through which this proxy learns of updates.
     ///
     /// [`RingCluster::connect_origin`]: crate::ring_cluster::RingCluster::connect_origin
     pub l1_budget_bytes: usize,
@@ -175,26 +173,19 @@ impl Testbed {
         // ESI assembler).
         let firewall = Arc::new(Firewall::with_default_rules());
         let store = Arc::new(FragmentStore::new(config.capacity));
-        // One striped epoch covers the whole node. The BEM's invalidation
-        // sink runs inside every data update, after the directory freed the
-        // label's keys: it scrubs them from the slot store and bumps the
-        // label's stripe, so exactly the stamped pages that read the row,
-        // of every session, self-evict on their next touch. A ring
-        // connected to this BEM (`RingCluster::connect_origin`) replaces
-        // the sink, so a ring's origin testbed keeps its own tier off.
+        // One striped epoch covers the whole node. The BEM bumps the
+        // label's stripe inside every data update, after the directory
+        // freed the label's keys, so exactly the stamped pages that read
+        // the row, of every session, self-evict on their next touch. The
+        // slot store is left alone: the freed keys' next tags name newer
+        // generations. A ring connected to this BEM
+        // (`RingCluster::connect_origin`) installs its own epoch instead,
+        // so a ring's origin testbed keeps its own tier off.
         let epoch = CoherencyEpoch::new();
-        let scrubbed = Arc::new(AtomicU64::new(0));
-        bem.set_invalidation_sink(node::invalidation_sink(
-            {
-                let store = Arc::clone(&store);
-                move |visit| visit(&store)
-            },
-            epoch.clone(),
-            Arc::clone(&scrubbed),
-        ));
+        bem.set_invalidation_sink(epoch.clone());
         // Admin purge-by-dependency (`PURGE` + `X-DPC-Dep`) is an update of
         // the dep: it frees every directory key registered under it and
-        // runs the same sink, so tiered session pages built from those
+        // bumps the same epoch, so tiered session pages built from those
         // fragments stop serving too.
         let dep_purger: DepPurger = {
             let bem = Arc::clone(&bem);
@@ -229,7 +220,6 @@ impl Testbed {
         .spawn();
 
         crate::metrics::register_bem(&metrics, "bem", Arc::clone(&bem));
-        crate::metrics::register_scrubbed(&metrics, scrubbed);
         crate::metrics::register_server(&metrics, "server-proxy", "proxy", proxy_server.stats());
         crate::metrics::register_server(&metrics, "server-origin", "origin", origin_server.stats());
         crate::metrics::register_meters(&metrics, "meters", Arc::clone(&registry));
@@ -569,13 +559,79 @@ mod tests {
         let r2 = render(b"new");
         let r3 = render(b"new");
         assert!(r2.len() > r3.len(), "R2 carries the SET, R3 the GET");
-        // The sink scrubbed the freed slot: R3 cannot splice "old".
+        // R3's GET names the new generation and the slot holds the old
+        // one: R3 cannot splice "old".
         assert!(matches!(
             assemble(&r3, store),
             Err(AssembleError::MissingFragment(_))
         ));
         assert_eq!(assemble(&r2, store).unwrap().html, b"new");
         assert_eq!(assemble(&r3, store).unwrap().html, b"new");
+    }
+
+    #[test]
+    fn a_late_set_never_overwrites_the_render_after_the_update() {
+        // Race 1(b) in one thread: R1 renders a `SET` of the key before an
+        // update, R2 renders a `SET` of the reused key after it, and R2 is
+        // assembled first. R1's late `SET` must not put the pre-update
+        // bytes back under R3's `GET`.
+        let tb = Testbed::build(TestbedConfig::default());
+        let bem = tb.engine().bem();
+        let store = tb.proxy().store();
+        let id = FragmentId::new("late");
+        let render = |body: &'static [u8]| {
+            let mut w = bem.template_writer();
+            w.fragment(&id, FragmentPolicy::pinned().with_deps(&["t/row"]), |out| {
+                out.extend_from_slice(body)
+            });
+            w.finish()
+        };
+        let r1 = render(b"old");
+        assert_eq!(bem.on_data_update("t/row"), 1);
+        let r2 = render(b"new");
+        assert_eq!(assemble(&r2, store).unwrap().html, b"new");
+        // R1 delivers what it read before the update...
+        assert_eq!(assemble(&r1, store).unwrap().html, b"old");
+        // ...and R3, rendered after the update and after R2 was served,
+        // splices the new bytes.
+        let r3 = render(b"new");
+        assert!(r2.len() > r3.len(), "R2 carries the SET, R3 the GET");
+        assert_eq!(assemble(&r3, store).unwrap().html, b"new");
+    }
+
+    #[test]
+    fn a_reassigned_key_never_splices_another_fragments_bytes() {
+        // Race 1(d) in one thread: fragment A is assembled at key k, R0
+        // renders a `GET` of it, A's dep is updated, and fragment B gets
+        // k back with a `SET` that is assembled before R0.
+        let tb = Testbed::build(TestbedConfig::default());
+        let bem = tb.engine().bem();
+        let store = tb.proxy().store();
+        let render = |id: &str, dep: &str, body: &'static [u8]| {
+            let mut w = bem.template_writer();
+            w.fragment(
+                &FragmentId::new(id),
+                FragmentPolicy::pinned().with_deps(&[dep]),
+                |out| out.extend_from_slice(body),
+            );
+            w.finish()
+        };
+        let a = || render("a", "t/a", b"alice's fragment");
+        assert_eq!(assemble(&a(), store).unwrap().html, b"alice's fragment");
+        let r0 = a();
+        let (k, _) = bem.directory().current_key(&FragmentId::new("a")).unwrap();
+        assert_eq!(bem.on_data_update("t/a"), 1);
+        let r2 = render("b", "t/b", b"bob's fragment");
+        let (kb, _) = bem.directory().current_key(&FragmentId::new("b")).unwrap();
+        assert_eq!(kb, k, "B reuses A's freed key");
+        assert_eq!(assemble(&r2, store).unwrap().html, b"bob's fragment");
+        // R0's GET names A's generation and the slot holds B's: a miss,
+        // which the node's refresh rung repairs, never B's bytes.
+        assert!(matches!(
+            assemble(&r0, store),
+            Err(AssembleError::MissingFragment(_))
+        ));
+        assert_eq!(assemble(&a(), store).unwrap().html, b"alice's fragment");
     }
 
     /// A tier-on testbed over [`small_params`] with `urls` each served

@@ -7,10 +7,11 @@
 //!
 //! The contract is byte-exact: every GET must equal the fresh oracle,
 //! including the GETs right after an invalidation. `Bem::on_data_update`
-//! frees the keys at the directory and, through the sink the cluster
-//! installed, scrubs every member before it returns, so no node may
-//! serve a fragment's previous version, not even for a moment. The directory's per-fragment epoch must also strictly grow
-//! across each invalidate → regenerate cycle.
+//! frees the keys at the directory before it returns, and every later tag
+//! of a freed key names a newer generation, which the stale bytes left
+//! in a member's slot never match: no node may serve a fragment's
+//! previous version, not even for a moment. The fragment's generation
+//! must also strictly grow across each invalidate → regenerate cycle.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -116,16 +117,17 @@ fn run_churn(seed: u64) {
                 let s = rng.random_range(0..SLOTS);
                 bump_version(&tb, p, s);
                 let dep = format!("paper/{}", fragment_key(p, s));
-                let epoch_before = bem.directory().fragment_epoch(&frag_id(p, s));
+                let epoch = || {
+                    bem.directory()
+                        .current_key(&frag_id(p, s))
+                        .map(|(_, gen)| gen)
+                };
+                let epoch_before = epoch();
                 let n = bem.on_data_update(&dep);
                 invalidations += 1;
                 // The fragment may not be cached yet (page never served).
                 assert!(n <= 1, "one dep maps to one fragment");
-                assert_eq!(
-                    bem.directory().fragment_epoch(&frag_id(p, s)),
-                    None,
-                    "invalidated fragment must have no epoch"
-                );
+                assert_eq!(epoch(), None, "invalidated fragment must have no epoch");
                 fresh[p] = oracle(&oracle_client, p);
                 for i in 0..1 + rng.random_range(0..3u32) {
                     let resp = cluster.get(&page(p), None);
@@ -137,10 +139,8 @@ fn run_churn(seed: u64) {
                     );
                 }
                 // Epoch strictly grows across the regenerate.
-                let epoch_after = bem
-                    .directory()
-                    .fragment_epoch(&frag_id(p, s))
-                    .expect("fragment regenerated by the GET after the invalidation");
+                let epoch_after =
+                    epoch().expect("fragment regenerated by the GET after the invalidation");
                 if let Some(before) = epoch_before {
                     assert!(
                         epoch_after > before,

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use dpc_core::prelude::*;
 use dpc_core::{AssembleError, CoherencyEpoch};
-use dpc_proxy::{node, page_key, PageCache};
+use dpc_proxy::{page_key, PageCache};
 
 const THREADS: usize = 16;
 const CAP: usize = 8;
@@ -93,17 +93,10 @@ fn crowd_with_tier_resident_page_sees_no_stale_bytes_after_invalidation() {
     let epoch = CoherencyEpoch::new();
     let bem = Arc::new(Bem::new(BemConfig::default().with_capacity(CAP)));
     let store = Arc::new(FragmentStore::new(CAP));
-    // The production wiring: the node's invalidation sink scrubs the freed
-    // key from the slot store, then bumps the updated dep's stripe of the
-    // tier epoch, as the testbed and the ring install it.
-    bem.set_invalidation_sink(node::invalidation_sink(
-        {
-            let store = Arc::clone(&store);
-            move |visit| visit(&store)
-        },
-        epoch.clone(),
-        Arc::new(AtomicU64::new(0)),
-    ));
+    // The production wiring: the BEM bumps the updated dep's stripe of
+    // the tier epoch inside the update, as the testbed and the ring
+    // install it, and leaves the freed key's old bytes in the slot store.
+    bem.set_invalidation_sink(epoch.clone());
     let pc = Arc::new(PageCache::new(
         dpc_net::Clock::real(),
         Duration::from_secs(600),

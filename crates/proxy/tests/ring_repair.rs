@@ -1,30 +1,31 @@
 //! Ring slot repair, pinned deterministically: one thread, no sleeps.
 //!
-//! The BEM directory keeps one stored bit per ring node and fragment. The
-//! ring only serves the origin's bytes if a set bit means "this node's
-//! slot holds that entry's bytes, or is empty". Each test drives one way
-//! that promise used to break:
+//! The BEM directory keeps one stored bit per ring node and fragment, and
+//! every tag names its fragment's generation: a set bit means "this node
+//! was sent the entry's `SET`", and a `GET` splices only a slot that holds
+//! the generation it names. Each test drives one way a node's slot can lag
+//! behind its bit:
 //!
-//! * a scrub that lands after the slot was regenerated empties it behind
-//!   the bit — one refresh naming the key must repair it for good, not a
-//!   bypass on every request until the next update;
-//! * a page returning to its old owner must not splice the old owner's
-//!   pre-update copy of a reused key, were a scrub ever to miss it;
-//! * an assembly that stops on an empty slot must still install every
+//! * a regenerated fragment's `SET`, rendered for the owner but assembled
+//!   late, leaves the previous generation in the owner's slot — one
+//!   refresh naming the key must repair it for good, not a bypass on every
+//!   request until the next update;
+//! * a page returning to its old owner, whose slot still holds the
+//!   pre-update bytes of a reused key, must not splice them;
+//! * an assembly that stops on such a `GET` must still install every
 //!   `SET` its template carried, because the BEM already set their bits.
 //!
-//! The ring scrubs every member inside the update, so the tests stage the
-//! late or missing scrub by hand: `FragmentStore::clear_key` empties a
-//! slot behind its bit, and a re-`set` puts a pre-update copy back. Every
-//! page is checked against a pass-through testbed that receives the same
-//! updates.
+//! No slot is emptied or refilled by hand: a late `SET` is a template the
+//! origin rendered for the owner and the test holds back. Every page is
+//! checked against a pass-through testbed that receives the same updates.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use dpc_appserver::apps::paper_site::{invalidate_fragment, PaperSiteParams};
-use dpc_core::{DpcKey, FragmentId};
-use dpc_http::Response;
+use dpc_core::proto::NODE_HEADER;
+use dpc_core::{assemble, DpcKey, FragmentId};
+use dpc_http::{Request, Response};
 use dpc_proxy::testbed::{Testbed, TestbedConfig};
 use dpc_proxy::{ProxyMode, RingCluster, RingConfig};
 
@@ -57,7 +58,7 @@ fn world() -> World {
         ..TestbedConfig::default()
     });
     let cluster = Arc::new(RingCluster::new(tb.net(), 3, RingConfig::default()));
-    // Bus invalidations scrub every member before the update returns.
+    // Bus invalidations reach every member before the update returns.
     cluster.connect_origin(tb.engine().bem());
     World {
         tb,
@@ -104,8 +105,8 @@ impl World {
         invalidate_fragment(self.oracle.engine().repo(), page, slot);
     }
 
-    /// The directory key of fragment `slot` of `page`.
-    fn key(&self, page: usize, slot: usize) -> DpcKey {
+    /// The directory key and generation of fragment `slot` of `page`.
+    fn key(&self, page: usize, slot: usize) -> (DpcKey, u64) {
         let id = FragmentId::with_params(
             "paperfrag",
             &[("p", &page.to_string()), ("s", &slot.to_string())],
@@ -116,6 +117,13 @@ impl World {
             .directory()
             .current_key(&id)
             .expect("fragment is valid")
+    }
+
+    /// The template the origin renders for node `id`, held back instead of
+    /// assembled: the directory has set `id`'s bit on every `SET` in it.
+    fn render_for(&self, id: u32, page: usize) -> Vec<u8> {
+        let req = Request::get(target(page)).with_header(NODE_HEADER, id.to_string());
+        self.tb.engine().serve(&req).body.to_vec()
     }
 
     /// The first page node 0 does not own.
@@ -143,18 +151,19 @@ fn late_scrub_is_repaired_by_one_refresh() {
     let owner = w.cluster.owner_of(&target(p)).unwrap();
     let store = Arc::clone(w.cluster.proxy(owner).unwrap().store());
     assert_page(&w.get(p), &w.truth(p), "warm-up");
-    let old_key = w.key(p, 0);
+    let (old_key, old_gen) = w.key(p, 0);
 
-    // Regenerate the updated fragment at its owner: a fresh SET under
-    // the key the update just freed.
+    // Regenerate the updated fragment for its owner under the key the
+    // update just freed, and hold the template back: its SET is late, so
+    // the owner's slot keeps the previous generation behind the owner's
+    // stored bit.
     w.update(p, 0);
-    assert_page(&w.get(p), &w.truth(p), "regeneration");
-    let key = w.key(p, 0);
+    let late = w.render_for(owner, p);
+    let (key, gen) = w.key(p, 0);
     assert_eq!(key, old_key, "the freed key is reused");
-    assert!(store.get(key).is_some());
-    // The scrub for the *old* entry lands late and empties the new bytes,
-    // while the owner's stored bit stays set.
-    assert!(store.clear_key(key), "the late scrub emptied the slot");
+    assert!(gen > old_gen);
+    assert!(store.get(key, old_gen).is_some());
+    assert!(store.get(key, gen).is_none());
 
     let origin_before = w.tb.origin_requests();
     let (refreshes, bypasses) = w.ladder(owner);
@@ -175,6 +184,9 @@ fn late_scrub_is_repaired_by_one_refresh() {
     let (refreshes_after, bypasses_after) = w.ladder(owner);
     assert_eq!(refreshes_after - refreshes, 1);
     assert_eq!(bypasses_after - bypasses, 0);
+    // The late SET lands last: the same generation, so the same bytes.
+    assert_eq!(assemble(&late, &store).unwrap().html, truth);
+    assert_page(&w.get(p), &truth, "after the late SET");
 }
 
 #[test]
@@ -205,21 +217,22 @@ fn ownership_return_never_splices_the_old_owners_copy() {
     assert_eq!(newcomer_sets, 4, "one SET per fragment of the page");
     assert_page(&moved, &w.truth(p), "node-miss SETs");
 
-    // Update and regenerate at the newcomer, which then leaves. Had the
-    // scrub missed the old owner, it would still hold the pre-update bytes
-    // under the reused key: put them back.
-    let key = w.key(p, 0);
+    // Update and regenerate at the newcomer, which then leaves. The old
+    // owner still holds the pre-update bytes under the reused key.
+    let (key, old_gen) = w.key(p, 0);
     let old_store = Arc::clone(w.cluster.proxy(old_owner).unwrap().store());
-    let old_bytes = old_store.get(key).expect("the old owner holds slot 0");
-    w.update(p, 0);
     assert!(
-        old_store.get(key).is_none(),
-        "the update scrubbed every member"
+        old_store.get(key, old_gen).is_some(),
+        "the old owner holds slot 0"
     );
+    w.update(p, 0);
     assert_page(&w.get(p), &w.truth(p), "regeneration");
-    assert_eq!(w.key(p, 0), key, "the freed key is reused");
+    assert_eq!(w.key(p, 0).0, key, "the freed key is reused");
     assert!(w.cluster.leave(newcomer));
-    old_store.set(key, old_bytes);
+    assert!(
+        old_store.get(key, old_gen).is_some(),
+        "its stale bytes sit unused"
+    );
 
     let back = w.get(p);
     assert_eq!(served_by(&back), old_owner);
@@ -235,14 +248,18 @@ fn failed_assembly_installs_the_sets_its_template_carried() {
     let store = Arc::clone(w.cluster.proxy(owner).unwrap().store());
     let bem = w.tb.engine().bem();
     assert_page(&w.get(p), &w.truth(p), "warm-up");
-    let (k0, k1) = (w.key(p, 0), w.key(p, 1));
+    let (k0, k1) = (w.key(p, 0).0, w.key(p, 1).0);
 
-    // Slot 0 empties behind the owner's bit, as a late scrub leaves it,
-    // and the owner no longer stores slot 1 (a node miss). The next
-    // template is `GET k0 … SET k1 …`, and assembly stops on k0 before
-    // it reaches the SET.
-    store.clear_key(k0);
-    store.clear_key(k1);
+    // Slots 0 and 1 are updated and regenerated for the owner in a
+    // template held back, so the owner's slots keep their previous
+    // generations behind its bits; then the owner forgets slot 1 (a node
+    // miss). The next template is `GET k0 … SET k1 …`, and assembly stops
+    // on k0 before it reaches the SET.
+    w.update(p, 0);
+    w.update(p, 1);
+    let _late = w.render_for(owner, p);
+    let ((key0, _), (key1, gen1)) = (w.key(p, 0), w.key(p, 1));
+    assert_eq!((key0, key1), (k0, k1), "the freed keys are reused");
     assert_eq!(bem.directory().forget_stored(owner, &[k1]), 1);
 
     let (refreshes, bypasses) = w.ladder(owner);
@@ -257,7 +274,7 @@ fn failed_assembly_installs_the_sets_its_template_carried() {
     let (refreshes_after, bypasses_after) = w.ladder(owner);
     assert_eq!(refreshes_after - refreshes, 1);
     assert_eq!(bypasses_after - bypasses, 0);
-    let slot = store.get(k1).expect("the SET was installed");
+    let slot = store.get(k1, gen1).expect("the SET was installed");
     assert_eq!(slot.len(), 512);
     assert!(
         truth.windows(slot.len()).any(|w| w == slot.as_slice()),
