@@ -93,9 +93,14 @@ impl Client {
         let close = req.headers.connection_close() || resp.headers.connection_close();
         if !close {
             let mut idle = self.idle.lock();
-            let slot = idle.entry(addr.to_owned()).or_default();
-            if slot.len() < MAX_IDLE_PER_ADDR {
-                slot.push(conn);
+            // Probe first: the address key is allocated once, on the
+            // first connection parked for it, not on every request.
+            match idle.get_mut(addr) {
+                Some(slot) if slot.len() >= MAX_IDLE_PER_ADDR => {}
+                Some(slot) => slot.push(conn),
+                None => {
+                    idle.insert(addr.to_owned(), vec![conn]);
+                }
             }
         }
         Ok(resp)

@@ -12,9 +12,20 @@
 //! The registry is a condvar-guarded set of `(token, readiness)` events.
 //! Sources that can observe their own state transitions (the in-memory
 //! [`SimStream`](crate::SimStream) pipes: a peer write, a close, freed
-//! buffer space) *push* a notification at the moment of the transition, so
-//! a poller waiting on 10k idle connections consumes zero CPU — exactly the
-//! epoll model, built portably out of a mutex and a condvar.
+//! buffer space) *push* a notification after each transition, so a poller
+//! waiting on 10k idle connections consumes zero CPU — exactly the epoll
+//! model, built portably out of a mutex and a condvar.
+//!
+//! Wakes follow one discipline, on the sources' locks and on the
+//! registry's own: decide under the lock, wake after it is released. A
+//! source records its transition under its lock and notifies after
+//! dropping it. [`Registry::notify`] merges the event under the registry
+//! lock and reads whether the poller is parked on the condvar (a flag the
+//! poller raises and lowers around its park); it issues the futex wake
+//! after the unlock, and only when the flag was up. A busy poller, which
+//! drains the event on its next pass anyway, costs its notifiers no
+//! syscall, and a parked one never wakes into a lock its waker still
+//! holds.
 //!
 //! Sources that cannot push (plain `std::net` TCP sockets) hand their fd
 //! to [`Registry::register_fd`]. The first such registration attaches the
@@ -40,7 +51,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::io;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Identifies one registered source within a poller's universe.
@@ -120,6 +131,10 @@ struct RegState {
     ready: Vec<(Token, Ready)>,
     /// Set by [`Registry::wake`]; makes the next `wait` return immediately.
     woken: bool,
+    /// The poller is parked on the condvar: the next event owes it a futex
+    /// wake. Raised by the poller before it parks; cleared when it wakes,
+    /// or by the notifier that takes the wake on itself.
+    parked: bool,
     /// Tokens of sources that cannot push notifications (TCP fallback).
     polled: BTreeSet<Token>,
     /// FD registered per token with the kernel queue, for deregistration.
@@ -151,30 +166,58 @@ impl Registry {
 
     /// Record that `token` may now be ready for `ready` and wake the poller.
     pub fn notify(&self, token: Token, ready: Ready) {
-        {
-            let mut st = self.state.lock().expect("registry poisoned");
-            match st.ready.iter_mut().find(|(t, _)| *t == token) {
-                Some((_, r)) => r.merge(ready),
-                None => st.ready.push((token, ready)),
-            }
-            self.cv.notify_all();
+        let mut st = self.state.lock().expect("registry poisoned");
+        match st.ready.iter_mut().find(|(t, _)| *t == token) {
+            Some((_, r)) => r.merge(ready),
+            None => st.ready.push((token, ready)),
         }
-        if let Some(os) = self.os.get() {
-            os.wake();
-        }
+        self.release_and_wake(st);
     }
 
     /// Wake the poller without an event (stop requests, completed handler
     /// results queued out-of-band).
     pub fn wake(&self) {
-        {
-            let mut st = self.state.lock().expect("registry poisoned");
-            st.woken = true;
-            self.cv.notify_all();
-        }
+        let mut st = self.state.lock().expect("registry poisoned");
+        st.woken = true;
+        self.release_and_wake(st);
+    }
+
+    /// The tail of every event the poller must see: wake it on the
+    /// condvar if it is parked there, and always through an attached
+    /// kernel queue, whose park is not flagged.
+    fn release_and_wake(&self, st: MutexGuard<'_, RegState>) {
+        self.release_and_wake_parked(st);
         if let Some(os) = self.os.get() {
             os.wake();
         }
+    }
+
+    /// Take the parked flag under the lock (the first notifier after a
+    /// park owes the one futex wake, later ones find the flag down),
+    /// release the lock, then wake the condvar only if the poller was
+    /// parked on it.
+    fn release_and_wake_parked(&self, mut st: MutexGuard<'_, RegState>) {
+        let parked = std::mem::take(&mut st.parked);
+        drop(st);
+        if parked {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Park the poller on the condvar (at most `timeout`), flagged so the
+    /// next event knows it owes a wake.
+    fn park<'a>(
+        &self,
+        mut st: MutexGuard<'a, RegState>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, RegState> {
+        st.parked = true;
+        let mut st = match timeout {
+            None => self.cv.wait(st).expect("registry poisoned"),
+            Some(dur) => self.cv.wait_timeout(st, dur).expect("registry poisoned").0,
+        };
+        st.parked = false;
+        st
     }
 
     /// Register `token` as a polled source: it will be reported as
@@ -183,7 +226,8 @@ impl Registry {
     pub fn register_polled(&self, token: Token) {
         let mut st = self.state.lock().expect("registry poisoned");
         st.polled.insert(token);
-        self.cv.notify_all();
+        // A poller parked without a deadline re-loops and arms the tick.
+        self.release_and_wake_parked(st);
     }
 
     /// Hand `fd` to the kernel readiness queue under `token`, attaching
@@ -207,7 +251,7 @@ impl Registry {
         // A poller parked on the condvar re-loops and parks in the kernel,
         // where this fd's events arrive. Events pushed before the attach
         // are still in `st` and drain first.
-        self.cv.notify_all();
+        self.release_and_wake_parked(st);
         true
     }
 
@@ -331,16 +375,10 @@ impl Poller {
                 (t, r) => t.or(r),
             };
             // Checked under the lock: an attach that lands after this
-            // check notifies the condvar, so the park below cannot miss it.
+            // check finds the parked flag up and notifies the condvar, so
+            // the park below cannot miss it.
             match (registry.os.get(), park) {
-                (None, None) => st = registry.cv.wait(st).expect("registry poisoned"),
-                (None, Some(dur)) => {
-                    st = registry
-                        .cv
-                        .wait_timeout(st, dur)
-                        .expect("registry poisoned")
-                        .0;
-                }
+                (None, park) => st = registry.park(st, park),
                 (Some(os), park) => {
                     drop(st);
                     os.wait(events, park);

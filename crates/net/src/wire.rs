@@ -10,11 +10,19 @@
 //! Streams are built on notifying pipes, so they serve both transport
 //! models: the blocking [`Duplex`] API parks on a condvar, and the
 //! nonblocking [`NbStream`] API returns `WouldBlock` and pushes a readiness
-//! notification into a registered [`Registry`] on every state transition
+//! notification into a registered [`Registry`] after every state transition
 //! (data arrival, EOF, freed buffer space). An optional per-direction byte
 //! capacity models TCP send-buffer backpressure: a full pipe blocks (or
 //! `WouldBlock`s) the writer until the reader drains — which is what the
 //! event-loop server's partial-write resumption tests exercise.
+//!
+//! A transition notifies after its lock is released, not at the moment of
+//! the transition. It records its event under the lock and reads there
+//! whom it owes a wake: the condvar only if a thread is parked on it (a
+//! `parked` count beside the state), and the endpoint's registered watcher.
+//! Then it drops the lock and wakes them. A thread woken while its waker
+//! still held the lock would, on a shared CPU, preempt the waker and then
+//! block on that lock: two extra context switches per message.
 //!
 //! Every write is metered with both payload bytes and simulated wire bytes
 //! (per the [`ProtocolModel`]); connection establishment charges handshake
@@ -23,7 +31,7 @@
 use parking_lot::Mutex as PlMutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::meter::{Meter, MeterRegistry};
 use crate::packet::ProtocolModel;
@@ -46,6 +54,51 @@ struct PipeState {
     reader_watcher: Option<(Arc<Registry>, Token)>,
     /// Notified with `WRITABLE` when buffer space frees / read-close.
     writer_watcher: Option<(Arc<Registry>, Token)>,
+    /// Threads parked on the pipe's condvar (a blocked reader or writer).
+    parked: u32,
+}
+
+impl PipeState {
+    /// The wake owed to the reading side: data arrived or the writer closed.
+    fn wake_reader(&self) -> Wake {
+        Wake {
+            parked: self.parked > 0,
+            watcher: self.reader_watcher.clone(),
+            ready: Ready::READABLE,
+        }
+    }
+
+    /// The wake owed to the writing side: space freed or the reader closed.
+    fn wake_writer(&self) -> Wake {
+        Wake {
+            parked: self.parked > 0,
+            watcher: self.writer_watcher.clone(),
+            ready: Ready::WRITABLE,
+        }
+    }
+}
+
+/// Whom one transition must wake, read under the lock that recorded it and
+/// delivered after that lock is released.
+struct Wake {
+    /// A thread is parked on the condvar.
+    parked: bool,
+    watcher: Option<(Arc<Registry>, Token)>,
+    ready: Ready,
+}
+
+impl Wake {
+    /// Release `st`, the guard of the lock that recorded the transition,
+    /// then wake: taking the guard makes a wake under the lock impossible.
+    fn deliver_after<T>(self, st: MutexGuard<'_, T>, cv: &Condvar) {
+        drop(st);
+        if self.parked {
+            cv.notify_all();
+        }
+        if let Some((registry, token)) = self.watcher {
+            registry.notify(token, self.ready);
+        }
+    }
 }
 
 /// One direction of a simulated connection: a byte queue with blocking and
@@ -70,6 +123,7 @@ impl Pipe {
                 read_closed: false,
                 reader_watcher: None,
                 writer_watcher: None,
+                parked: 0,
             }),
             cv: Condvar::new(),
         })
@@ -80,16 +134,13 @@ impl Pipe {
             .map_or(usize::MAX, |c| c.saturating_sub(st.buffered))
     }
 
-    fn notify_reader(st: &PipeState) {
-        if let Some((registry, token)) = &st.reader_watcher {
-            registry.notify(*token, Ready::READABLE);
-        }
-    }
-
-    fn notify_writer(st: &PipeState) {
-        if let Some((registry, token)) = &st.writer_watcher {
-            registry.notify(*token, Ready::WRITABLE);
-        }
+    /// Park on the condvar, counted in `parked` so a transition knows it
+    /// owes a wake.
+    fn park<'a>(&self, mut st: MutexGuard<'a, PipeState>) -> MutexGuard<'a, PipeState> {
+        st.parked += 1;
+        let mut st = self.cv.wait(st).expect("pipe poisoned");
+        st.parked -= 1;
+        st
     }
 
     /// Write up to `buf.len()` bytes; partial when capacity-limited.
@@ -115,15 +166,14 @@ impl Pipe {
                 if !blocking {
                     return Err(io::ErrorKind::WouldBlock.into());
                 }
-                st = self.cv.wait(st).expect("pipe poisoned");
+                st = self.park(st);
                 continue;
             }
             let n = buf.len().min(space);
             record(n);
             st.chunks.push_back(buf[..n].to_vec());
             st.buffered += n;
-            self.cv.notify_all();
-            Self::notify_reader(&st);
+            st.wake_reader().deliver_after(st, &self.cv);
             return Ok(n);
         }
     }
@@ -151,7 +201,7 @@ impl Pipe {
                 if !blocking {
                     return Err(io::ErrorKind::WouldBlock.into());
                 }
-                st = self.cv.wait(st).expect("pipe poisoned");
+                st = self.park(st);
                 continue;
             }
             let n = total.min(space);
@@ -168,8 +218,7 @@ impl Pipe {
             record(n);
             st.chunks.push_back(chunk);
             st.buffered += n;
-            self.cv.notify_all();
-            Self::notify_reader(&st);
+            st.wake_reader().deliver_after(st, &self.cv);
             return Ok(n);
         }
     }
@@ -198,8 +247,7 @@ impl Pipe {
                 }
                 if self.capacity.is_some() {
                     // Freed space: wake blocked writers on both endpoints.
-                    self.cv.notify_all();
-                    Self::notify_writer(&st);
+                    st.wake_writer().deliver_after(st, &self.cv);
                 }
                 return Ok(copied);
             }
@@ -209,7 +257,7 @@ impl Pipe {
             if !blocking {
                 return Err(io::ErrorKind::WouldBlock.into());
             }
-            st = self.cv.wait(st).expect("pipe poisoned");
+            st = self.park(st);
         }
     }
 
@@ -217,22 +265,22 @@ impl Pipe {
     fn close_write(&self) {
         let mut st = self.state.lock().expect("pipe poisoned");
         st.write_closed = true;
-        self.cv.notify_all();
-        Self::notify_reader(&st);
+        st.wake_reader().deliver_after(st, &self.cv);
     }
 
     /// Reader side gone: writes fail fast with `BrokenPipe`.
     fn close_read(&self) {
         let mut st = self.state.lock().expect("pipe poisoned");
         st.read_closed = true;
-        self.cv.notify_all();
-        Self::notify_writer(&st);
+        st.wake_writer().deliver_after(st, &self.cv);
     }
 
     fn watch_reader(&self, registry: &Arc<Registry>, token: Token) {
         let mut st = self.state.lock().expect("pipe poisoned");
         st.reader_watcher = Some((Arc::clone(registry), token));
-        if st.buffered > 0 || st.write_closed {
+        let ready = st.buffered > 0 || st.write_closed;
+        drop(st);
+        if ready {
             registry.notify(token, Ready::READABLE);
         }
     }
@@ -240,7 +288,9 @@ impl Pipe {
     fn watch_writer(&self, registry: &Arc<Registry>, token: Token) {
         let mut st = self.state.lock().expect("pipe poisoned");
         st.writer_watcher = Some((Arc::clone(registry), token));
-        if self.space(&st) > 0 || st.read_closed {
+        let ready = self.space(&st) > 0 || st.read_closed;
+        drop(st);
+        if ready {
             registry.notify(token, Ready::WRITABLE);
         }
     }
@@ -412,6 +462,18 @@ struct AcceptState {
     pending: VecDeque<SimStream>,
     closed: bool,
     watcher: Option<(Arc<Registry>, Token)>,
+    /// Threads parked in a blocking accept.
+    parked: u32,
+}
+
+impl AcceptState {
+    fn wake(&self) -> Wake {
+        Wake {
+            parked: self.parked > 0,
+            watcher: self.watcher.clone(),
+            ready: Ready::READABLE,
+        }
+    }
 }
 
 impl AcceptQueue {
@@ -421,6 +483,7 @@ impl AcceptQueue {
                 pending: VecDeque::new(),
                 closed: false,
                 watcher: None,
+                parked: 0,
             }),
             cv: Condvar::new(),
         })
@@ -435,10 +498,7 @@ impl AcceptQueue {
             ));
         }
         st.pending.push_back(stream);
-        self.cv.notify_all();
-        if let Some((registry, token)) = &st.watcher {
-            registry.notify(*token, Ready::READABLE);
-        }
+        st.wake().deliver_after(st, &self.cv);
         Ok(())
     }
 
@@ -451,7 +511,9 @@ impl AcceptQueue {
             if st.closed {
                 return Err(io::Error::new(io::ErrorKind::BrokenPipe, "network dropped"));
             }
+            st.parked += 1;
             st = self.cv.wait(st).expect("accept queue poisoned");
+            st.parked -= 1;
         }
     }
 
@@ -470,16 +532,15 @@ impl AcceptQueue {
         let mut st = self.state.lock().expect("accept queue poisoned");
         st.closed = true;
         st.pending.clear();
-        self.cv.notify_all();
-        if let Some((registry, token)) = &st.watcher {
-            registry.notify(*token, Ready::READABLE);
-        }
+        st.wake().deliver_after(st, &self.cv);
     }
 
     fn watch(&self, registry: &Arc<Registry>, token: Token) {
         let mut st = self.state.lock().expect("accept queue poisoned");
         st.watcher = Some((Arc::clone(registry), token));
-        if !st.pending.is_empty() || st.closed {
+        let ready = !st.pending.is_empty() || st.closed;
+        drop(st);
+        if ready {
             registry.notify(token, Ready::READABLE);
         }
     }
