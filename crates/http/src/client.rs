@@ -5,10 +5,13 @@
 //! the pool unless either side asked for `Connection: close`. If a pooled
 //! (possibly stale) connection fails while sending, the client retries once
 //! on a fresh connection — the standard keep-alive race mitigation.
+//!
+//! A connection keeps its read buffer and its request buffer for life, so
+//! a request on a pooled connection allocates only its response.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -17,16 +20,27 @@ use dpc_net::{BoxStream, Connector};
 use crate::error::HttpError;
 use crate::message::{Request, Response};
 use crate::parse::read_response;
-use crate::serialize::write_request;
+use crate::serialize::encode_request;
 use crate::Result;
 
 /// Maximum idle connections kept per destination address.
 const MAX_IDLE_PER_ADDR: usize = 16;
 
+/// A request buffer larger than this (a big POST body) is not kept for the
+/// connection's next request.
+const KEEP_WBUF_BYTES: usize = 64 * 1024;
+
+/// One connection: the buffered stream and the buffer requests are
+/// serialized into.
+struct Conn {
+    reader: BufReader<BoxStream>,
+    wbuf: Vec<u8>,
+}
+
 /// HTTP client over an arbitrary [`Connector`].
 pub struct Client {
     connector: Arc<dyn Connector>,
-    idle: Mutex<HashMap<String, Vec<BufReader<BoxStream>>>>,
+    idle: Mutex<HashMap<String, Vec<Conn>>>,
     new_connections: AtomicU64,
     requests: AtomicU64,
 }
@@ -72,24 +86,29 @@ impl Client {
         self.idle.lock().clear();
     }
 
-    fn checkout(&self, addr: &str) -> Option<BufReader<BoxStream>> {
+    fn checkout(&self, addr: &str) -> Option<Conn> {
         self.idle.lock().get_mut(addr)?.pop()
     }
 
-    fn fresh(&self, addr: &str) -> Result<BufReader<BoxStream>> {
+    fn fresh(&self, addr: &str) -> Result<Conn> {
         let stream = self.connector.connect(addr)?;
         self.new_connections.fetch_add(1, Ordering::Relaxed);
-        Ok(BufReader::new(stream))
+        Ok(Conn {
+            reader: BufReader::new(stream),
+            wbuf: Vec::new(),
+        })
     }
 
-    fn roundtrip(
-        &self,
-        mut conn: BufReader<BoxStream>,
-        req: &Request,
-        addr: &str,
-    ) -> Result<Response> {
-        write_request(conn.get_mut(), req)?;
-        let resp = read_response(&mut conn)?;
+    fn roundtrip(&self, mut conn: Conn, req: &Request, addr: &str) -> Result<Response> {
+        conn.wbuf.clear();
+        if conn.wbuf.capacity() > KEEP_WBUF_BYTES {
+            conn.wbuf = Vec::new();
+        }
+        encode_request(&mut conn.wbuf, req);
+        let stream = conn.reader.get_mut();
+        stream.write_all(&conn.wbuf)?;
+        stream.flush()?;
+        let resp = read_response(&mut conn.reader)?;
         let close = req.headers.connection_close() || resp.headers.connection_close();
         if !close {
             let mut idle = self.idle.lock();

@@ -1,4 +1,10 @@
 //! HTTP message types: methods, status codes, headers, requests, responses.
+//!
+//! A message head is one buffer in wire form: [`Headers`] holds every
+//! header as `name: value\r\n` in a single block plus a table of entry
+//! lengths, so the parser fills it with one copy, the serializer emits it
+//! with one copy, and building or parsing a head costs two allocations
+//! whatever its header count. Bodies are [`Body`] ropes of shared buffers.
 
 use bytes::Bytes;
 use std::fmt;
@@ -71,50 +77,126 @@ impl Status {
     }
 }
 
-/// An ordered multimap of header name/value pairs.
+/// An ordered multimap of header name/value pairs, held as one buffer in
+/// wire form plus a table of entry lengths.
+///
+/// The block is `name: value\r\n` per entry, in insertion order: exactly
+/// the bytes the serializer copies after the start line. Each entry
+/// records its name and value lengths, so an entry's spans follow from the
+/// lengths before it. A parsed head fills the block with one copy and a
+/// built one appends to it, so a message's headers cost two buffers
+/// however many there are, not two strings per header.
 ///
 /// Lookups are ASCII case-insensitive per RFC 7230; insertion order is
 /// preserved so serialized messages are byte-stable (important for the
-/// byte-accounting benches).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// byte-accounting benches). Equality compares the ordered (name, value)
+/// pairs: the lengths and the block determine the pairs and the pairs
+/// determine both, so comparing the two compares the pairs.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Headers {
-    entries: Vec<(String, String)>,
+    block: String,
+    entries: Vec<Entry>,
 }
+
+/// One header's name and value lengths; its line in the block is the
+/// name, `": "`, the value and `"\r\n"`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    name: u32,
+    value: u32,
+}
+
+impl Entry {
+    fn line_len(self) -> usize {
+        self.name as usize + self.value as usize + 4
+    }
+}
+
+/// Block bytes and entries reserved by a built message's first header,
+/// enough for every head the testbed builds without a regrowth.
+const BLOCK_HINT: usize = 256;
+const ENTRIES_HINT: usize = 8;
 
 impl Headers {
     pub fn new() -> Self {
         Headers::default()
     }
 
+    /// Empty headers with room for `bytes` of block and `entries` headers.
+    pub(crate) fn with_capacity(bytes: usize, entries: usize) -> Headers {
+        Headers {
+            block: String::with_capacity(bytes),
+            entries: Vec::with_capacity(entries),
+        }
+    }
+
     /// Append a header (does not replace existing values of the same name).
-    pub fn add(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        self.entries.push((name.into(), value.into()));
+    pub fn add(&mut self, name: impl AsRef<str>, value: impl AsRef<str>) {
+        let (name, value) = (name.as_ref(), value.as_ref());
+        let entry = Entry {
+            name: u32::try_from(name.len()).expect("header name over 4 GiB"),
+            value: u32::try_from(value.len()).expect("header value over 4 GiB"),
+        };
+        if self.block.capacity() == 0 {
+            self.block.reserve(entry.line_len().max(BLOCK_HINT));
+            self.entries.reserve(ENTRIES_HINT);
+        }
+        self.block.push_str(name);
+        self.block.push_str(": ");
+        self.block.push_str(value);
+        self.block.push_str("\r\n");
+        self.entries.push(entry);
     }
 
     /// Replace all values of `name` with a single `value`.
-    pub fn set(&mut self, name: &str, value: impl Into<String>) {
+    pub fn set(&mut self, name: &str, value: impl AsRef<str>) {
         self.remove(name);
-        self.entries.push((name.to_owned(), value.into()));
+        self.add(name, value);
     }
 
     /// First value of `name`, case-insensitively.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.entries
-            .iter()
+        self.iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v)
     }
 
     /// Remove all values of `name`. Returns true when something was removed.
     pub fn remove(&mut self, name: &str) -> bool {
         let before = self.entries.len();
-        self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
+        let (mut at, mut i) = (0, 0);
+        while let Some(&entry) = self.entries.get(i) {
+            let len = entry.line_len();
+            if self.block[at..at + entry.name as usize].eq_ignore_ascii_case(name) {
+                self.block.replace_range(at..at + len, "");
+                self.entries.remove(i);
+            } else {
+                at += len;
+                i += 1;
+            }
+        }
         self.entries.len() != before
+    }
+
+    /// Each entry with the offset of its line in the block.
+    fn lines(&self) -> impl Iterator<Item = (usize, Entry)> + '_ {
+        let mut at = 0;
+        self.entries.iter().map(move |&entry| {
+            let start = at;
+            at += entry.line_len();
+            (start, entry)
+        })
     }
 
     /// Iterate over `(name, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        self.lines().map(|(start, entry)| {
+            let value = start + entry.name as usize + 2;
+            (
+                &self.block[start..start + entry.name as usize],
+                &self.block[value..value + entry.value as usize],
+            )
+        })
     }
 
     pub fn len(&self) -> usize {
@@ -129,10 +211,20 @@ impl Headers {
     /// `": "` separators and CRLFs — this is the `f` (header size) term of
     /// the paper's analytical model, measured rather than assumed.
     pub fn wire_len(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|(n, v)| n.len() + 2 + v.len() + 2)
-            .sum()
+        self.block.len()
+    }
+
+    /// Append the block to `out` in wire form, leaving out every entry
+    /// named `skip`: a copy per run of kept lines, usually one.
+    pub(crate) fn write_block_without(&self, out: &mut Vec<u8>, skip: &str) {
+        let mut run = 0;
+        for (start, entry) in self.lines() {
+            if self.block[start..start + entry.name as usize].eq_ignore_ascii_case(skip) {
+                out.extend_from_slice(&self.block.as_bytes()[run..start]);
+                run = start + entry.line_len();
+            }
+        }
+        out.extend_from_slice(&self.block.as_bytes()[run..]);
     }
 
     /// Parsed `Content-Length`, if present and valid.
@@ -145,6 +237,12 @@ impl Headers {
     pub fn connection_close(&self) -> bool {
         self.get("connection")
             .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+    }
+}
+
+impl fmt::Debug for Headers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -181,7 +279,7 @@ impl Request {
     }
 
     /// Builder-style header attachment.
-    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Request {
+    pub fn with_header(mut self, name: &str, value: impl AsRef<str>) -> Request {
         self.headers.set(name, value);
         self
     }
@@ -450,7 +548,7 @@ impl Response {
     }
 
     /// Builder-style header attachment.
-    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Response {
+    pub fn with_header(mut self, name: &str, value: impl AsRef<str>) -> Response {
         self.headers.set(name, value);
         self
     }
@@ -493,6 +591,34 @@ mod tests {
         h.set("X-A", "3");
         assert_eq!(h.len(), 1);
         assert_eq!(h.get("x-a"), Some("3"));
+    }
+
+    #[test]
+    fn headers_remove_keeps_the_other_lines_in_order() {
+        let mut h = Headers::new();
+        h.add("A", "1");
+        h.add("X-Gone", "2");
+        h.add("B", "3");
+        h.add("x-gone", "4");
+        assert!(h.remove("X-GONE"));
+        assert!(!h.remove("X-GONE"));
+        assert_eq!(h.iter().collect::<Vec<_>>(), [("A", "1"), ("B", "3")]);
+        assert_eq!(h.wire_len(), "A: 1\r\nB: 3\r\n".len());
+        h.set("A", "5");
+        assert_eq!(h.iter().collect::<Vec<_>>(), [("B", "3"), ("A", "5")]);
+        assert_eq!(format!("{h:?}"), r#"[("B", "3"), ("A", "5")]"#);
+    }
+
+    #[test]
+    fn block_copy_leaves_out_the_named_lines() {
+        let mut h = Headers::new();
+        h.add("Content-Length", "9");
+        h.add("A", "b");
+        h.add("content-length", "7");
+        h.add("C", "d");
+        let mut out = Vec::new();
+        h.write_block_without(&mut out, "content-length");
+        assert_eq!(out, b"A: b\r\nC: d\r\n");
     }
 
     #[test]

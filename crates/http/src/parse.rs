@@ -1,15 +1,22 @@
-//! Incremental, blocking HTTP/1.1 message parser.
+//! HTTP/1.1 message parser: one head parser for requests and responses.
 //!
-//! Reads from any `BufRead`; used by both the server (requests) and the
-//! client/proxy (responses). Bodies are framed by `Content-Length`; a
-//! response without one is read until EOF (legal for `Connection: close`
-//! responses).
+//! Reads from any `BufRead`: the client's buffered stream, and, for the
+//! event-loop server, the connection's unparsed bytes as a `&[u8]` (a
+//! `BufRead` whose buffer is the whole slice). Each head line is found
+//! with a slice search over the reader's buffer (`fill_buf`/`consume`)
+//! and checked in place; only a line split across two refills of a
+//! stream's buffer is gathered into a scratch copy first. The header lines
+//! are copied once, trimmed, into the message's [`Headers`] block, sized
+//! up front from the head when the reader's buffer already holds all of
+//! it. Bodies are framed by `Content-Length` and read without being
+//! zero-filled first; a response without one is read until EOF (legal for
+//! `Connection: close` responses).
 
 use bytes::Bytes;
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 
 use crate::error::HttpError;
-use crate::message::{Headers, Method, Request, Response, Status};
+use crate::message::{Body, Headers, Method, Request, Response, Status};
 use crate::Result;
 
 /// Upper bound on a request/response head (start line + headers).
@@ -17,78 +24,132 @@ pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 /// Upper bound on a message body the parser will buffer.
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
-/// Read one CRLF-terminated line, excluding the terminator.
+/// Check one line, its LF already cut off, and hand it to `f`.
 ///
-/// A line holding a control byte other than HTAB is malformed: RFC 9112
-/// §3.2 allows none in a request-target and RFC 9110 §5.5 none in a field
-/// value. A NUL let through would reach the proxy's page keys
-/// (`target\0session`) inside a target or a cookie.
-///
-/// Returns `ConnectionClosed` when EOF arrives: `clean` is true only when
-/// EOF arrived before any byte of the line (used to distinguish a keep-alive
-/// peer going away from a truncated message).
-fn read_line<R: BufRead>(reader: &mut R, first_of_message: bool) -> Result<String> {
-    let mut line = Vec::with_capacity(64);
-    // Control bytes but HTAB so far, a CR that turns out to end the line
-    // included.
-    let mut controls = 0usize;
-    loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte)? {
-            0 => {
-                return Err(HttpError::ConnectionClosed {
-                    clean: first_of_message && line.is_empty(),
-                })
-            }
-            _ => {
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                        controls -= 1;
-                    }
-                    if controls > 0 {
-                        return Err(HttpError::malformed("control byte in header line"));
-                    }
-                    return String::from_utf8(line)
-                        .map_err(|_| HttpError::malformed("non-utf8 header line"));
-                }
-                controls += usize::from(byte[0].is_ascii_control() && byte[0] != b'\t');
-                line.push(byte[0]);
-                if line.len() > MAX_HEAD_BYTES {
-                    return Err(HttpError::TooLarge {
-                        what: "header line",
-                        limit: MAX_HEAD_BYTES,
-                    });
-                }
-            }
-        }
+/// One trailing CR is dropped. A line holding any other control byte but
+/// HTAB is malformed: RFC 9112 §3.2 allows none in a request-target and
+/// RFC 9110 §5.5 none in a field value. A NUL let through would reach the
+/// proxy's page keys (`target\0session`) inside a target or a cookie.
+fn checked_line<T>(line: &[u8], f: impl FnOnce(&str) -> Result<T>) -> Result<T> {
+    if line.len() > MAX_HEAD_BYTES {
+        return Err(HttpError::TooLarge {
+            what: "header line",
+            limit: MAX_HEAD_BYTES,
+        });
     }
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    if line.iter().any(|b| b.is_ascii_control() && *b != b'\t') {
+        return Err(HttpError::malformed("control byte in header line"));
+    }
+    let line =
+        std::str::from_utf8(line).map_err(|_| HttpError::malformed("non-utf8 header line"))?;
+    f(line)
+}
+
+/// Read one LF-terminated line and hand it to `f` without its
+/// terminator.
+///
+/// The line is searched for in the reader's buffer and borrowed from it;
+/// only a line that the buffer's end splits is gathered into `split`.
+/// Returns `ConnectionClosed` when EOF arrives: `clean` is true only for
+/// EOF before the first byte of a message's start line (used to
+/// distinguish a keep-alive peer going away from a truncated message).
+fn read_line<R: BufRead, T>(
+    reader: &mut R,
+    split: &mut Vec<u8>,
+    first_of_message: bool,
+    f: impl FnOnce(&str) -> Result<T>,
+) -> Result<T> {
+    split.clear();
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Err(HttpError::ConnectionClosed {
+                clean: first_of_message && split.is_empty(),
+            });
+        }
+        let Some(nl) = buf.iter().position(|b| *b == b'\n') else {
+            let n = buf.len();
+            split.extend_from_slice(buf);
+            reader.consume(n);
+            if split.len() > MAX_HEAD_BYTES {
+                return Err(HttpError::TooLarge {
+                    what: "header line",
+                    limit: MAX_HEAD_BYTES,
+                });
+            }
+            continue;
+        };
+        let out = if split.is_empty() {
+            checked_line(&buf[..nl], f)
+        } else {
+            split.extend_from_slice(&buf[..nl]);
+            checked_line(split, f)
+        };
+        reader.consume(nl + 1);
+        return out;
+    }
+}
+
+/// Block bytes and entries a parsed head reserves beyond its own: room
+/// for what a forwarding hop adds (`X-Cache`, an `ETag`) without a
+/// regrowth.
+const HOP_SLACK_BYTES: usize = 64;
+const HOP_SLACK_ENTRIES: usize = 4;
+
+/// Headers sized for the header block at the front of `buf`, when `buf`
+/// holds all of it: its bytes plus two per line bound the trimmed
+/// `name: value\r\n` form, so parsing never regrows the block.
+fn headers_for(buf: &[u8]) -> Headers {
+    let mut lines = 0;
+    let mut at = 0;
+    while let Some(off) = buf[at..].iter().position(|b| *b == b'\n') {
+        let line = &buf[at..at + off];
+        if line.is_empty() || line == b"\r" {
+            if lines == 0 {
+                return Headers::new();
+            }
+            return Headers::with_capacity(
+                at + 2 * lines + HOP_SLACK_BYTES,
+                lines + HOP_SLACK_ENTRIES,
+            );
+        }
+        lines += 1;
+        at += off + 1;
+    }
+    Headers::new()
 }
 
 /// Parse the header block (after the start line) up to the blank line.
-fn read_headers<R: BufRead>(reader: &mut R) -> Result<Headers> {
-    let mut headers = Headers::new();
+fn read_headers<R: BufRead>(reader: &mut R, split: &mut Vec<u8>) -> Result<Headers> {
+    let mut headers = headers_for(reader.fill_buf()?);
     let mut total = 0usize;
     loop {
-        let line = read_line(reader, false)?;
-        if line.is_empty() {
+        let done = read_line(reader, split, false, |line| {
+            if line.is_empty() {
+                return Ok(true);
+            }
+            total += line.len();
+            if total > MAX_HEAD_BYTES {
+                return Err(HttpError::TooLarge {
+                    what: "header block",
+                    limit: MAX_HEAD_BYTES,
+                });
+            }
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| HttpError::malformed(format!("header without colon: {line:?}")))?;
+            headers.add(name.trim(), value.trim());
+            Ok(false)
+        })?;
+        if done {
             return Ok(headers);
         }
-        total += line.len();
-        if total > MAX_HEAD_BYTES {
-            return Err(HttpError::TooLarge {
-                what: "header block",
-                limit: MAX_HEAD_BYTES,
-            });
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::malformed(format!("header without colon: {line:?}")))?;
-        headers.add(name.trim(), value.trim());
     }
 }
 
-/// Read exactly `len` body bytes.
+/// Read exactly `len` body bytes into a buffer that is not zero-filled
+/// first.
 fn read_body<R: BufRead>(reader: &mut R, len: usize) -> Result<Bytes> {
     if len > MAX_BODY_BYTES {
         return Err(HttpError::TooLarge {
@@ -96,35 +157,40 @@ fn read_body<R: BufRead>(reader: &mut R, len: usize) -> Result<Bytes> {
             limit: MAX_BODY_BYTES,
         });
     }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body).map_err(|e| match e.kind() {
-        std::io::ErrorKind::UnexpectedEof => HttpError::ConnectionClosed { clean: false },
-        _ => HttpError::Io(e),
-    })?;
+    if len == 0 {
+        return Ok(Bytes::new());
+    }
+    let mut body = Vec::with_capacity(len);
+    reader.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(HttpError::ConnectionClosed { clean: false });
+    }
     Ok(Bytes::from(body))
 }
 
 /// Parse one request from `reader`.
 pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request> {
-    let start = read_line(reader, true)?;
-    let mut parts = start.split_ascii_whitespace();
-    let method = parts
-        .next()
-        .and_then(Method::parse)
-        .ok_or_else(|| HttpError::malformed(format!("bad method in {start:?}")))?;
-    let target = parts
-        .next()
-        .ok_or_else(|| HttpError::malformed("missing request target"))?
-        .to_owned();
-    let version = parts
-        .next()
-        .ok_or_else(|| HttpError::malformed("missing http version"))?;
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::malformed(format!(
-            "unsupported version {version:?}"
-        )));
-    }
-    let headers = read_headers(reader)?;
+    let mut split = Vec::new();
+    let (method, target) = read_line(reader, &mut split, true, |start| {
+        let mut parts = start.split_ascii_whitespace();
+        let method = parts
+            .next()
+            .and_then(Method::parse)
+            .ok_or_else(|| HttpError::malformed(format!("bad method in {start:?}")))?;
+        let target = parts
+            .next()
+            .ok_or_else(|| HttpError::malformed("missing request target"))?;
+        let version = parts
+            .next()
+            .ok_or_else(|| HttpError::malformed("missing http version"))?;
+        if !version.starts_with("HTTP/1.") {
+            return Err(HttpError::malformed(format!(
+                "unsupported version {version:?}"
+            )));
+        }
+        Ok((method, target.to_owned()))
+    })?;
+    let headers = read_headers(reader, &mut split)?;
     let body = match headers.content_length() {
         Some(n) => read_body(reader, n)?,
         None => Bytes::new(),
@@ -210,9 +276,9 @@ fn head_content_length(head: &[u8]) -> usize {
 /// the prefix can never become a valid request (malformed start line or
 /// header, or a head/body over the size limits).
 pub fn try_parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>> {
-    let mut cursor = std::io::Cursor::new(buf);
-    match read_request(&mut cursor) {
-        Ok(req) => Ok(Some((req, cursor.position() as usize))),
+    let mut rest = buf;
+    match read_request(&mut rest) {
+        Ok(req) => Ok(Some((req, buf.len() - rest.len()))),
         // EOF inside the incremental buffer just means "incomplete": the
         // connection is still open and more bytes may arrive.
         Err(HttpError::ConnectionClosed { .. }) => Ok(None),
@@ -225,21 +291,23 @@ pub fn try_parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>> {
 /// When the response carries no `Content-Length`, the body is everything up
 /// to EOF (the `Connection: close` framing).
 pub fn read_response<R: BufRead>(reader: &mut R) -> Result<Response> {
-    let start = read_line(reader, true)?;
-    let mut parts = start.split_ascii_whitespace();
-    let version = parts
-        .next()
-        .ok_or_else(|| HttpError::malformed("empty status line"))?;
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::malformed(format!(
-            "unsupported version {version:?}"
-        )));
-    }
-    let code: u16 = parts
-        .next()
-        .and_then(|c| c.parse().ok())
-        .ok_or_else(|| HttpError::malformed(format!("bad status in {start:?}")))?;
-    let headers = read_headers(reader)?;
+    let mut split = Vec::new();
+    let code = read_line(reader, &mut split, true, |start| {
+        let mut parts = start.split_ascii_whitespace();
+        let version = parts
+            .next()
+            .ok_or_else(|| HttpError::malformed("empty status line"))?;
+        if !version.starts_with("HTTP/1.") {
+            return Err(HttpError::malformed(format!(
+                "unsupported version {version:?}"
+            )));
+        }
+        parts
+            .next()
+            .and_then(|c| c.parse::<u16>().ok())
+            .ok_or_else(|| HttpError::malformed(format!("bad status in {start:?}")))
+    })?;
+    let headers = read_headers(reader, &mut split)?;
     let body = match headers.content_length() {
         Some(n) => read_body(reader, n)?,
         None => {
@@ -257,7 +325,7 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> Result<Response> {
     Ok(Response {
         status: Status(code),
         headers,
-        body: crate::message::Body::Single(body),
+        body: Body::Single(body),
     })
 }
 
@@ -430,6 +498,40 @@ mod tests {
         // HTAB stays legal inside a field value.
         let req = read_request(&mut cursor(b"GET / HTTP/1.1\r\nX: a\tb\r\n\r\n")).unwrap();
         assert_eq!(req.headers.get("x"), Some("a\tb"));
+    }
+
+    #[test]
+    fn over_long_lines_are_too_large_however_the_stream_is_buffered() {
+        let mut raw = b"GET /".to_vec();
+        raw.resize(MAX_HEAD_BYTES + 8, b'a');
+        raw.extend_from_slice(b" HTTP/1.1\r\n\r\n");
+        let too_large = |r: Result<Request>| matches!(r, Err(HttpError::TooLarge { .. }));
+        assert!(too_large(read_request(&mut cursor(&raw))));
+        assert!(too_large(read_request(&mut BufReader::with_capacity(
+            7,
+            &raw[..]
+        ))));
+        // Without its LF the line is already hopeless once past the limit.
+        let cut = &raw[..MAX_HEAD_BYTES + 4];
+        assert!(too_large(read_request(&mut BufReader::with_capacity(
+            64, cut
+        ))));
+        assert!(try_parse_request(cut).is_err());
+    }
+
+    #[test]
+    fn lines_split_across_refills_parse_like_whole_ones() {
+        let raw = b"POST /a?b=c HTTP/1.1\r\nHost:  x \r\nX-Long: 0123456789\r\nContent-Length: 3\r\n\r\nabc";
+        let whole = read_request(&mut cursor(raw)).unwrap();
+        for k in 1..raw.len() {
+            let split = read_request(&mut BufReader::with_capacity(k, &raw[..])).unwrap();
+            assert_eq!(split, whole, "buffer of {k}");
+        }
+        assert_eq!(whole.headers.get("host"), Some("x"));
+        assert_eq!(
+            whole.headers.wire_len(),
+            b"Host: x\r\nX-Long: 0123456789\r\nContent-Length: 3\r\n".len()
+        );
     }
 
     #[test]

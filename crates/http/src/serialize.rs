@@ -2,7 +2,10 @@
 //!
 //! Output is byte-deterministic: header order is preserved and
 //! `Content-Length` is always emitted (set from the actual body length),
-//! which keeps the bandwidth benches reproducible run to run.
+//! which keeps the bandwidth benches reproducible run to run. A head is
+//! the start line, a copy of the message's [`Headers`] block in wire form
+//! (less any stale `Content-Length` line) and the real `Content-Length`:
+//! no per-header formatting.
 //!
 //! Responses are emitted as a *segment list* — the head (status line +
 //! headers) followed by the body's rope segments — and written with
@@ -10,6 +13,8 @@
 //! a [`Body::Rope`](crate::message::Body) therefore travels from the slot
 //! store to the wire without ever being copied into a flat page buffer;
 //! the only bytes built per response are the few dozen of the head.
+//!
+//! [`Headers`]: crate::message::Headers
 
 use std::io::{IoSlice, Write};
 
@@ -20,62 +25,97 @@ use crate::Result;
 
 /// Maximum buffers passed to one `write_vectored` call (mirrors typical
 /// `IOV_MAX`-style limits).
-const MAX_IOVEC: usize = 64;
+pub(crate) const MAX_IOVEC: usize = 64;
+
+/// Append the decimal digits of `n`.
+fn push_decimal(out: &mut Vec<u8>, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Append `Content-Length: {len}\r\n`.
+fn push_content_length(out: &mut Vec<u8>, len: usize) {
+    out.extend_from_slice(b"Content-Length: ");
+    push_decimal(out, len);
+    out.extend_from_slice(b"\r\n");
+}
 
 /// Serialize `req` to `w`, fixing up `Content-Length` from the body.
 pub fn write_request<W: Write>(w: &mut W, req: &Request) -> Result<()> {
-    let mut buf = Vec::with_capacity(128 + req.body.len());
-    write!(buf, "{} {} HTTP/1.1\r\n", req.method, req.target)?;
-    for (name, value) in req.headers.iter() {
-        if name.eq_ignore_ascii_case("content-length") {
-            continue; // re-emitted below from the real body length
-        }
-        write!(buf, "{name}: {value}\r\n")?;
-    }
-    if !req.body.is_empty() {
-        write!(buf, "Content-Length: {}\r\n", req.body.len())?;
-    }
-    buf.extend_from_slice(b"\r\n");
-    buf.extend_from_slice(&req.body);
+    let mut buf = Vec::new();
+    encode_request(&mut buf, req);
     w.write_all(&buf)?;
     w.flush()?;
     Ok(())
 }
 
+/// Append the wire image of `req` to `out`: the head, with
+/// `Content-Length` fixed up from the body (and left out for an empty
+/// one), then the body.
+pub(crate) fn encode_request(out: &mut Vec<u8>, req: &Request) {
+    out.reserve(req.target.len() + req.headers.wire_len() + 48 + req.body.len());
+    out.extend_from_slice(req.method.as_str().as_bytes());
+    out.push(b' ');
+    out.extend_from_slice(req.target.as_bytes());
+    out.extend_from_slice(b" HTTP/1.1\r\n");
+    req.headers.write_block_without(out, "content-length");
+    if !req.body.is_empty() {
+        push_content_length(out, req.body.len());
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(&req.body);
+}
+
 /// The response head: status line + headers + blank line, with
 /// `Content-Length` fixed up from the actual body length.
 pub fn response_head(resp: &Response) -> Vec<u8> {
-    let mut head = Vec::with_capacity(128 + resp.headers.wire_len());
-    write!(
-        head,
-        "HTTP/1.1 {} {}\r\n",
-        resp.status.0,
-        resp.status.reason()
-    )
-    .expect("write to Vec cannot fail");
-    for (name, value) in resp.headers.iter() {
-        if name.eq_ignore_ascii_case("content-length") {
-            continue;
-        }
-        write!(head, "{name}: {value}\r\n").expect("write to Vec cannot fail");
-    }
-    write!(head, "Content-Length: {}\r\n\r\n", resp.body.len()).expect("write to Vec cannot fail");
+    let reason = resp.status.reason();
+    let mut head = Vec::with_capacity(reason.len() + resp.headers.wire_len() + 64);
+    head.extend_from_slice(b"HTTP/1.1 ");
+    push_decimal(&mut head, usize::from(resp.status.0));
+    head.push(b' ');
+    head.extend_from_slice(reason.as_bytes());
+    head.extend_from_slice(b"\r\n");
+    resp.headers
+        .write_block_without(&mut head, "content-length");
+    push_content_length(&mut head, resp.body.len());
+    head.extend_from_slice(b"\r\n");
     head
 }
 
-/// The full wire image of `resp` as an ordered segment list: the head
+/// Append the wire image of `resp` to `out` as segments: the head
 /// followed by the body's segments (empty ones skipped), each a refcount
-/// bump of its source buffer. This is what the event-loop server queues
-/// per connection and drains with vectored writes.
-pub fn response_segments(resp: &Response) -> Vec<Bytes> {
-    let body = resp.body.segments();
-    let mut segments = Vec::with_capacity(1 + body.len());
-    segments.push(Bytes::from(response_head(resp)));
-    for seg in body {
+/// bump of its source buffer. Returns the bytes appended. This is what the
+/// event-loop server queues per connection and drains with vectored
+/// writes.
+pub(crate) fn push_response_segments(out: &mut Vec<Bytes>, resp: &Response) -> usize {
+    let head = Bytes::from(response_head(resp));
+    let mut added = head.len();
+    out.push(head);
+    for seg in resp.body.segments() {
         if !seg.is_empty() {
-            segments.push(seg.clone());
+            added += seg.len();
+            out.push(seg.clone());
         }
     }
+    added
+}
+
+/// The full wire image of `resp` as an ordered segment list: the head
+/// followed by the body's non-empty segments, each a refcount bump of its
+/// source buffer.
+pub fn response_segments(resp: &Response) -> Vec<Bytes> {
+    let mut segments = Vec::with_capacity(1 + resp.body.segments().len());
+    push_response_segments(&mut segments, resp);
     segments
 }
 
@@ -84,12 +124,13 @@ pub fn response_segments(resp: &Response) -> Vec<Bytes> {
 pub fn write_all_vectored<W: Write>(w: &mut W, segments: &[Bytes]) -> std::io::Result<()> {
     let mut seg = 0usize;
     let mut off = 0usize;
+    let mut slices = [IoSlice::new(&[]); MAX_IOVEC];
     loop {
-        let slices = gather_slices(segments, seg, off);
-        if slices.is_empty() {
+        let n = gather_slices(segments, seg, off, &mut slices);
+        if n == 0 {
             return Ok(());
         }
-        let n = w.write_vectored(&slices)?;
+        let n = w.write_vectored(&slices[..n])?;
         if n == 0 {
             return Err(std::io::ErrorKind::WriteZero.into());
         }
@@ -97,34 +138,36 @@ pub fn write_all_vectored<W: Write>(w: &mut W, segments: &[Bytes]) -> std::io::R
     }
 }
 
-/// Build up to [`MAX_IOVEC`] `IoSlice`s from `segments` starting at the
-/// `(seg, off)` cursor, skipping empty/consumed segments. Empty result
-/// means the cursor is at the end. Shared by the blocking writer above and
-/// the event-loop server's nonblocking flush, so the gather arithmetic has
-/// one home.
-pub(crate) fn gather_slices(
-    segments: &[Bytes],
+/// Fill `slices` with up to [`MAX_IOVEC`] `IoSlice`s from `segments`
+/// starting at the `(seg, off)` cursor, skipping empty/consumed segments,
+/// and return how many it filled; 0 means the cursor is at the end.
+/// Shared by the blocking writer above and the event-loop server's
+/// nonblocking flush, so the gather arithmetic has one home.
+pub(crate) fn gather_slices<'a>(
+    segments: &'a [Bytes],
     mut seg: usize,
     mut off: usize,
-) -> Vec<IoSlice<'_>> {
+    slices: &mut [IoSlice<'a>; MAX_IOVEC],
+) -> usize {
     while seg < segments.len() && off >= segments[seg].len() {
         seg += 1;
         off = 0;
     }
     if seg >= segments.len() {
-        return Vec::new();
+        return 0;
     }
-    let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOVEC.min(segments.len() - seg));
-    slices.push(IoSlice::new(&segments[seg][off..]));
+    slices[0] = IoSlice::new(&segments[seg][off..]);
+    let mut n = 1;
     for s in &segments[seg + 1..] {
-        if slices.len() == MAX_IOVEC {
+        if n == MAX_IOVEC {
             break;
         }
         if !s.is_empty() {
-            slices.push(IoSlice::new(s));
+            slices[n] = IoSlice::new(s);
+            n += 1;
         }
     }
-    slices
+    n
 }
 
 /// Advance the `(seg, off)` cursor past `n` accepted bytes (the counterpart

@@ -45,7 +45,7 @@
 //! application server, the proxy, and test fixtures.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, IoSlice};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,7 +58,7 @@ use dpc_trace::{Layer, RootCtx, SpanStatus, Tracer, TRACE_HEADER};
 
 use crate::message::{Request, Response};
 use crate::parse::{self, try_parse_request};
-use crate::serialize::response_segments;
+use crate::serialize::{self as ser, MAX_IOVEC};
 
 /// Request handler.
 ///
@@ -384,9 +384,12 @@ struct Shared {
 /// lifecycle.
 struct Conn {
     stream: BoxNbStream,
-    /// Bytes read but not yet parsed; `rpos` marks the consumed prefix.
+    /// The read window: `rbuf[rpos..rend]` is read but not yet parsed.
+    /// Reads land in `rbuf[rend..]`; the window is zeroed only when it
+    /// grows, never per read, and bytes past `rend` are stale.
     rbuf: Vec<u8>,
     rpos: usize,
+    rend: usize,
     /// How far past `rpos` the head-end search has looked (resumed there on
     /// the next chunk, so head scanning is linear, not quadratic).
     scan: usize,
@@ -431,12 +434,17 @@ struct Conn {
 /// transport's buffers, where its flow control applies).
 const RBUF_SOFT_CAP: usize = 64 * 1024;
 
+/// A connection's first read window; it doubles whenever a read finds it
+/// full with nothing parsed to slide out of the way.
+const RBUF_FIRST_WINDOW: usize = 4 * 1024;
+
 impl Conn {
     fn new(stream: BoxNbStream, global_out: Arc<AtomicU64>) -> Conn {
         Conn {
             stream,
             rbuf: Vec::new(),
             rpos: 0,
+            rend: 0,
             scan: 0,
             need: 0,
             out: Vec::new(),
@@ -460,22 +468,29 @@ impl Conn {
         self.need.saturating_add(RBUF_SOFT_CAP)
     }
 
+    /// The bytes read but not yet parsed.
+    fn unparsed(&self) -> &[u8] {
+        &self.rbuf[self.rpos..self.rend]
+    }
+
     /// Drain the stream into `rbuf` until it would block, EOF, or the read
     /// budget is reached (pump re-reads once parsing frees budget).
     /// Returns the bytes actually buffered — readiness is only a hint, so
     /// callers that act on "the peer sent something" (eviction strikes)
     /// must look at this, not at the event.
     fn read_some(&mut self) -> usize {
-        let mut buf = [0u8; 16 * 1024];
         let mut got = 0;
-        while self.rbuf.len() - self.rpos < self.read_budget() {
-            match self.stream.try_read(&mut buf) {
+        while self.rend - self.rpos < self.read_budget() {
+            if self.rend == self.rbuf.len() {
+                self.make_room();
+            }
+            match self.stream.try_read(&mut self.rbuf[self.rend..]) {
                 Ok(0) => {
                     self.eof = true;
                     return got;
                 }
                 Ok(n) => {
-                    self.rbuf.extend_from_slice(&buf[..n]);
+                    self.rend += n;
                     got += n;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return got,
@@ -490,6 +505,32 @@ impl Conn {
         got
     }
 
+    /// Room at the end of a full read window: slide the unparsed bytes to
+    /// its front when some were parsed, else grow it (the only zeroing).
+    fn make_room(&mut self) {
+        if self.rpos > 0 {
+            self.rbuf.copy_within(self.rpos..self.rend, 0);
+            self.scan -= self.rpos;
+            self.rend -= self.rpos;
+            self.rpos = 0;
+        } else {
+            let len = (self.rbuf.len() * 2).max(RBUF_FIRST_WINDOW);
+            self.rbuf.resize(len, 0);
+        }
+    }
+
+    /// Mark the first `used` unparsed bytes parsed. Once everything read
+    /// is parsed the next read starts at the window's front again.
+    fn consume(&mut self, used: usize) {
+        self.rpos += used;
+        if self.rpos == self.rend {
+            self.rpos = 0;
+            self.rend = 0;
+        }
+        self.scan = self.rpos;
+        self.need = 0;
+    }
+
     /// Append a serialized response to the write queue, charging both
     /// output budgets.
     fn enqueue_response(&mut self, resp: &Response) {
@@ -499,9 +540,7 @@ impl Conn {
             self.out_seg = 0;
             self.out_off = 0;
         }
-        let segments = response_segments(resp);
-        let added: usize = segments.iter().map(Bytes::len).sum();
-        self.out.extend(segments);
+        let added = ser::push_response_segments(&mut self.out, resp);
         self.out_bytes += added;
         self.global_out.fetch_add(added as u64, Ordering::Relaxed);
     }
@@ -511,23 +550,19 @@ impl Conn {
     /// gather/advance cursor arithmetic is shared with the blocking writer
     /// ([`crate::serialize::write_all_vectored`]).
     fn flush(&mut self) {
+        let mut slices = [IoSlice::new(&[]); MAX_IOVEC];
         loop {
-            let slices = crate::serialize::gather_slices(&self.out, self.out_seg, self.out_off);
-            if slices.is_empty() {
+            let n = ser::gather_slices(&self.out, self.out_seg, self.out_off, &mut slices);
+            if n == 0 {
                 break;
             }
-            match self.stream.try_write_vectored(&slices) {
+            match self.stream.try_write_vectored(&slices[..n]) {
                 Ok(0) => {
                     self.dead = true;
                     return;
                 }
                 Ok(n) => {
-                    crate::serialize::advance_cursor(
-                        &self.out,
-                        &mut self.out_seg,
-                        &mut self.out_off,
-                        n,
-                    );
+                    ser::advance_cursor(&self.out, &mut self.out_seg, &mut self.out_off, n);
                     self.out_bytes -= n;
                     self.global_out.fetch_sub(n as u64, Ordering::Relaxed);
                     // Write progress: the peer is draining, so it is not a
@@ -560,15 +595,6 @@ impl Conn {
     /// allowed?
     fn over_budget(&self, conn_cap: usize, global_cap: usize) -> bool {
         self.out_bytes >= conn_cap || self.global_out.load(Ordering::Relaxed) >= global_cap as u64
-    }
-
-    /// Drop the consumed prefix of the read buffer once it dominates.
-    fn compact(&mut self) {
-        if self.rpos > 16 * 1024 && self.rpos * 2 >= self.rbuf.len() {
-            self.rbuf.drain(..self.rpos);
-            self.scan -= self.rpos;
-            self.rpos = 0;
-        }
     }
 }
 
@@ -650,7 +676,8 @@ impl LoopState {
             if !self.shared.running.load(Ordering::Acquire) {
                 break;
             }
-            for (token, ready) in std::mem::take(&mut events) {
+            // Drained in place: one events buffer lives as long as the loop.
+            for (token, ready) in events.drain(..) {
                 if token == LISTENER && self.listener.is_some() {
                     self.accept_ready();
                 } else {
@@ -852,7 +879,7 @@ impl LoopState {
             // pipeliner accumulates strikes; an idle or window-stalled
             // peer with nothing buffered is just parked by backpressure.
             let got = conn.read_some();
-            let saturated = conn.rbuf.len() - conn.rpos >= conn.read_budget();
+            let saturated = conn.rend - conn.rpos >= conn.read_budget();
             if (got > 0 || saturated)
                 && !conn.flushed()
                 && conn.over_budget(self.conn_output_cap, self.global_output_cap)
@@ -904,8 +931,8 @@ impl LoopState {
             // Framing gate: only run the full parser once the frame is
             // complete (or provably hopeless), so a request arriving in
             // many chunks is parsed exactly once.
-            let unparsed_len = conn.rbuf.len() - conn.rpos;
-            match parse::frame_len(&conn.rbuf[conn.rpos..], conn.scan - conn.rpos) {
+            let unparsed_len = conn.rend - conn.rpos;
+            match parse::frame_len(conn.unparsed(), conn.scan - conn.rpos) {
                 parse::Frame::Complete { head, total } => {
                     let budget_grew = total > conn.need;
                     conn.need = total;
@@ -947,12 +974,9 @@ impl LoopState {
                     return; // head still arriving
                 }
             }
-            match try_parse_request(&conn.rbuf[conn.rpos..]) {
+            match try_parse_request(conn.unparsed()) {
                 Ok(Some((req, used))) => {
-                    conn.rpos += used;
-                    conn.scan = conn.rpos;
-                    conn.need = 0;
-                    conn.compact();
+                    conn.consume(used);
                     conn.close_pending = req.headers.connection_close();
                     self.stats.requests.fetch_add(1, Ordering::Relaxed);
                     if let Some(clock) = &self.clock {

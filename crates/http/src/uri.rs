@@ -70,7 +70,9 @@ impl Uri {
 }
 
 /// Decode `%XX` escapes and `+` as space. Invalid escapes pass through
-/// verbatim (lenient, like the 2002-era servers being modelled).
+/// verbatim (lenient, like the 2002-era servers being modelled). Decoded
+/// bytes that are not UTF-8 become U+FFFD; valid ones are not copied
+/// again.
 pub fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -98,7 +100,7 @@ pub fn percent_decode(s: &str) -> String {
             }
         }
     }
-    String::from_utf8_lossy(&out).into_owned()
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Encode reserved characters as `%XX` (conservative set: everything that is

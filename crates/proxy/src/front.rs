@@ -14,7 +14,7 @@ use dpc_core::proto::{
 };
 use dpc_core::{assemble_rope, salvage, AssembleError, DpcKey, FragmentStore};
 use dpc_firewall::Firewall;
-use dpc_http::{Body, Client, Handler, Method, Request, Response, Status};
+use dpc_http::{Body, Client, Handler, Headers, Method, Request, Response, Status};
 use dpc_metrics::Registry as MetricsRegistry;
 use dpc_trace::{render_journey, Layer, SpanStatus, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use crate::esi::EsiAssembler;
 use crate::modes::ProxyMode;
 use crate::page_cache::PageCache;
-use crate::tier::{etag_matches, hit_status, page_key, page_response, session_of};
+use crate::tier::{etag_matches, hit_status, page_response, session_of};
 
 /// Counters exposed by the proxy.
 #[derive(Debug, Default)]
@@ -328,11 +328,22 @@ impl Proxy {
     /// Fetch from the origin, running the firewall over the response body
     /// (the boundary every origin byte crosses in Figure 4). The origin
     /// sees none of the client's internal headers: only what this node
-    /// asks.
+    /// asks. The upstream request is built from the client's method,
+    /// target and body and the headers it forwards, not cloned whole.
     fn fetch_origin(&self, req: &Request, ask: &Ask) -> Result<Response, Response> {
-        let mut upstream_req = req.clone();
-        for name in proto::INTERNAL_REQUEST {
-            upstream_req.headers.remove(name);
+        let mut upstream_req = Request {
+            method: req.method,
+            target: req.target.clone(),
+            headers: Headers::new(),
+            body: req.body.clone(),
+        };
+        for (name, value) in req.headers.iter() {
+            if !proto::INTERNAL_REQUEST
+                .iter()
+                .any(|internal| internal.eq_ignore_ascii_case(name))
+            {
+                upstream_req.headers.add(name, value);
+            }
         }
         if let Some((tid, sid)) = dpc_trace::current() {
             // Propagate the trace context on the origin leg so an
@@ -388,7 +399,7 @@ impl Proxy {
             if let Some(page) = self.page_cache.lookup(&[&req.target]) {
                 sp.set_status(SpanStatus::Hit);
                 return Response::html(page.body)
-                    .with_header("Content-Type", page.content_type)
+                    .with_header("Content-Type", &*page.content_type)
                     .with_header("X-Cache", "page-hit");
             }
             sp.set_status(SpanStatus::Miss);
@@ -483,10 +494,12 @@ impl Proxy {
         if req.target.contains('\0') || session.contains('\0') {
             return self.serve_dpc_assembling(req, false).0;
         }
-        let key = page_key(&req.target, session);
         let shared = req.target.as_str();
         let mut sp = self.tracer.span(Layer::TierL2);
-        if let Some(page) = self.page_cache.lookup(&[shared, &key]) {
+        // The session key is spelled only once the shared key missed: a
+        // session-free page, the common hit, never builds it.
+        let mut key = String::new();
+        if let Some(page) = self.page_cache.lookup_page(shared, session, &mut key) {
             let resp = page_response(req, &page, "dpc-l2");
             sp.set_status(hit_status(&resp));
             return resp;
@@ -592,7 +605,7 @@ impl Proxy {
         // built from the same fragments and literals agree on it, whether
         // their fragments came as SETs or GETs, so a client holding it can
         // revalidate without the body.
-        let etag = format!("\"{:016x}\"", rope.stats.page_identity);
+        let etag = etag_of(rope.stats.page_identity);
         let asm = &rope.stats;
         self.stats.asm_gets.fetch_add(asm.gets, Ordering::Relaxed);
         self.stats.asm_sets.fetch_add(asm.sets, Ordering::Relaxed);
@@ -640,6 +653,15 @@ impl Handler for Proxy {
     fn handle(&self, req: Request) -> Response {
         self.serve(req)
     }
+}
+
+/// The strong ETag naming a page identity: its 16 hex digits, quoted, in
+/// one exact-size allocation.
+fn etag_of(identity: u64) -> String {
+    use std::fmt::Write;
+    let mut etag = String::with_capacity(18);
+    write!(etag, "\"{identity:016x}\"").expect("write to a String cannot fail");
+    etag
 }
 
 /// Remove origin-internal headers before delivering to clients.

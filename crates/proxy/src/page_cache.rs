@@ -12,19 +12,20 @@
 //! lives under its session-qualified key ([`crate::tier::page_key`]); a
 //! page the origin marked session-free lives under its bare target, shared
 //! by every session. The proxy handler probes both in one
-//! [`PageCache::lookup`] before it assembles.
+//! [`PageCache::lookup_page`] before it assembles, the shared key first.
 //!
 //! Either way the pages live in one [`PageTier`] behind one mutex, with a
 //! page budget and LRU replacement; the cache keeps its counters and the
 //! purge epoch beside it. Neither mode coalesces misses: the §3.2.1 page
 //! cache did not, and a proxy handler never parks.
 
-use crate::tier::{Page, PageTier, Verdict};
+use crate::tier::{page_key, Page, PageTier, Verdict};
 use bytes::Bytes;
 use dpc_core::{CoherencyEpoch, Stamp};
 use dpc_net::Clock;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Counter snapshot of a node's page cache.
@@ -125,20 +126,43 @@ impl PageCache {
         // bumped it before this lookup began is guaranteed visible, so a
         // completed invalidation never leaves a stale entry servable.
         let mut tier = self.tier.lock();
-        for key in keys {
-            match tier.lookup(key, |page| self.verdict(page)) {
-                Some(Ok(page)) => {
-                    self.counts.hits.fetch_add(1, Ordering::Relaxed);
-                    return Some(page.clone());
-                }
-                Some(Err((Verdict::Stale, _))) => {
-                    self.counts.stale_evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {}
+        let found = keys.iter().find_map(|key| self.probe(&mut tier, key));
+        self.count(found)
+    }
+
+    /// [`PageCache::lookup`] of a DPC page: its shared key `target`, then
+    /// its session key, which is spelled into `key` only once the shared
+    /// key missed. A miss leaves the session key there for the install.
+    pub fn lookup_page(&self, target: &str, session: &str, key: &mut String) -> Option<Page> {
+        let mut tier = self.tier.lock();
+        let found = self.probe(&mut tier, target).or_else(|| {
+            *key = page_key(target, session);
+            self.probe(&mut tier, key)
+        });
+        self.count(found)
+    }
+
+    /// A copy of `key`'s page if its verdict is a hit; a stale or expired
+    /// page is dropped on this touch.
+    fn probe(&self, tier: &mut PageTier, key: &str) -> Option<Page> {
+        match tier.lookup(key, |page| self.verdict(page)) {
+            Some(Ok(page)) => Some(page.clone()),
+            Some(Err((Verdict::Stale, _))) => {
+                self.counts.stale_evictions.fetch_add(1, Ordering::Relaxed);
+                None
             }
+            _ => None,
         }
-        self.counts.misses.fetch_add(1, Ordering::Relaxed);
-        None
+    }
+
+    /// Count one lookup's hit or miss.
+    fn count(&self, found: Option<Page>) -> Option<Page> {
+        let counter = match found {
+            Some(_) => &self.counts.hits,
+            None => &self.counts.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// The one install: `body` goes in under `key`, fresh for this cache's
@@ -161,7 +185,7 @@ impl PageCache {
         let coarse = stamp.as_ref().is_some_and(Stamp::is_coarse);
         let page = Page {
             stamp,
-            etag,
+            etag: etag.map(Arc::from),
             ..self.page(body, content_type)
         };
         let installed = self.install_if(key, page, |page| self.verdict(page) != Verdict::Stale);
@@ -175,7 +199,7 @@ impl PageCache {
     fn page(&self, body: Bytes, content_type: &str) -> Page {
         Page {
             body,
-            content_type: content_type.to_owned(),
+            content_type: Arc::from(content_type),
             etag: None,
             stamp: None,
             expires_at: self.clock.now_nanos().saturating_add(self.ttl_nanos),
@@ -306,7 +330,7 @@ mod tests {
             ..
         } = c.lookup(&["/a"]).unwrap();
         assert_eq!(&body[..], b"page");
-        assert_eq!(ct, "text/html");
+        assert_eq!(&*ct, "text/html");
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
     }

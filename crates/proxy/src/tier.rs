@@ -23,6 +23,7 @@ use dpc_core::{LruReplacer, Replacer, Stamp};
 use dpc_http::{Request, Response, Status};
 use dpc_trace::SpanStatus;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The session-qualified key of an assembled page in the DPC page tier.
 ///
@@ -55,17 +56,18 @@ pub fn session_of(req: &Request) -> &str {
         .unwrap_or("")
 }
 
-/// One cached page.
+/// One cached page. Every field is shared, so the copy a hit hands out
+/// is refcount bumps only.
 #[derive(Clone, Debug)]
 pub struct Page {
     pub body: Bytes,
-    pub content_type: String,
+    pub content_type: Arc<str>,
     /// Strong validator for conditional GETs — the quoted form of the
     /// page's assembly-time content identity
     /// ([`dpc_core::AssemblyStats::page_identity`]). `None` for pages whose
     /// installer carried no identity (classic page-cache mode), which then
     /// never answer `If-None-Match` with a 304.
-    pub etag: Option<String>,
+    pub etag: Option<Arc<str>>,
     /// The coherency-epoch sequence captured *before* the page was
     /// assembled, with the stripes of what the page read. A page is only a
     /// hit while the epoch validates it: a data update or dependency purge
@@ -214,7 +216,7 @@ pub fn page_response(req: &Request, page: &Page, x_cache: &'static str) -> Respo
     let mut resp = if revalidated {
         Response::status(Status::NOT_MODIFIED)
     } else {
-        Response::html(page.body.clone()).with_header("Content-Type", page.content_type.as_str())
+        Response::html(page.body.clone()).with_header("Content-Type", &*page.content_type)
     }
     .with_header("X-Cache", x_cache);
     if let Some(etag) = etag {

@@ -375,9 +375,13 @@ pub fn enter_ctx(ctx: Option<RootCtx>) -> CtxGuard {
     }
 }
 
-/// Render a context for the [`TRACE_HEADER`] HTTP header.
+/// Render a context for the [`TRACE_HEADER`] HTTP header: one exact-size
+/// allocation, whatever the ids' digits.
 pub fn format_ctx(trace_id: u64, span_id: u64) -> String {
-    format!("{trace_id:016x}-{span_id:016x}")
+    use std::fmt::Write;
+    let mut out = String::with_capacity(33);
+    write!(out, "{trace_id:016x}-{span_id:016x}").expect("write to a String cannot fail");
+    out
 }
 
 /// Parse a [`TRACE_HEADER`] value. Allocation-free; `None` on any
