@@ -16,7 +16,6 @@
 
 use dpc_core::bem::TemplateWriter;
 use dpc_core::{FragmentId, FragmentPolicy};
-use std::time::Duration;
 
 use crate::context::RequestCtx;
 use crate::engine::{Script, ScriptEngine};
@@ -46,17 +45,12 @@ mod ttl {
 /// Shared navigation bar — §4.3.2's `nbKey` example. Parameterized by the
 /// profile's layout class so each skeleton caches its own variant.
 fn navbar(ctx: &RequestCtx, w: &mut TemplateWriter<'_>, profile: &UserProfile) {
-    let layout = profile.layout.clone();
-    let repo = ctx.repo().clone();
-    let id = FragmentId::with_params("navbar", &[("layout", &layout)]);
-    let policy = FragmentPolicy::ttl(ttl::NAV).with_deps(&["categories/*"]);
-    let charged = std::sync::Arc::new(parking_lot::Mutex::new(Duration::ZERO));
-    let charged2 = std::sync::Arc::clone(&charged);
-    w.fragment(&id, policy, move |out| {
-        let cats = repo.scan_where("categories", |_, _| true);
-        *charged2.lock() += cats.cost;
+    let layout = &profile.layout;
+    let id = FragmentId::with_params("navbar", &[("layout", layout)]);
+    w.fragment(&id, FragmentPolicy::ttl(ttl::NAV), |out| {
+        let cats = ctx.charge(ctx.repo().scan_where("categories", |_, _| true));
         out.extend_from_slice(format!("<nav class=\"{layout}\">").as_bytes());
-        for (key, row) in cats.value {
+        for (key, row) in cats {
             out.extend_from_slice(
                 format!(
                     "<a href=\"/catalog.jsp?categoryID={key}\">{}</a>",
@@ -67,36 +61,30 @@ fn navbar(ctx: &RequestCtx, w: &mut TemplateWriter<'_>, profile: &UserProfile) {
         }
         out.extend_from_slice(b"</nav>");
     });
-    ctx.charge_fixed(*charged.lock());
 }
 
 /// Personal greeting — the fragment that makes full pages unique per user
-/// (§3.2.1's "Hello, Bob" example).
-fn greeting(_ctx: &RequestCtx, w: &mut TemplateWriter<'_>, profile: &UserProfile) {
+/// (§3.2.1's "Hello, Bob" example). Its name comes from the profile, read
+/// before the block, so the block declares the user's row.
+fn greeting(w: &mut TemplateWriter<'_>, profile: &UserProfile) {
     if !profile.registered {
         return; // anonymous pages carry no greeting at all
     }
-    let name = profile.name.clone();
-    let user = profile.user_id.clone();
-    let id = FragmentId::with_params("greeting", &[("user", &user)]);
+    let user = &profile.user_id;
+    let id = FragmentId::with_params("greeting", &[("user", user)]);
     let policy = FragmentPolicy::ttl(ttl::PERSONAL).with_deps(&[&format!("users/{user}")]);
-    w.fragment(&id, policy, move |out| {
-        out.extend_from_slice(format!("<div class=\"greet\">Hello, {name}!</div>").as_bytes());
+    w.fragment(&id, policy, |out| {
+        out.extend_from_slice(
+            format!("<div class=\"greet\">Hello, {}!</div>", profile.name).as_bytes(),
+        );
     });
 }
 
 /// Category blurb fragment.
 fn category_blurb(ctx: &RequestCtx, w: &mut TemplateWriter<'_>, category: &str) {
-    let repo = ctx.repo().clone();
-    let cat = category.to_owned();
     let id = FragmentId::with_params("catblurb", &[("cat", category)]);
-    let policy = FragmentPolicy::ttl(ttl::CATEGORY).with_deps(&[&format!("categories/{category}")]);
-    let charged = std::sync::Arc::new(parking_lot::Mutex::new(Duration::ZERO));
-    let charged2 = std::sync::Arc::clone(&charged);
-    w.fragment(&id, policy, move |out| {
-        let row = repo.get("categories", &cat);
-        *charged2.lock() += row.cost;
-        match row.value {
+    w.fragment(&id, FragmentPolicy::ttl(ttl::CATEGORY), |out| {
+        match ctx.charge(ctx.repo().get("categories", category)) {
             Some(row) => out.extend_from_slice(
                 format!(
                     "<section class=\"blurb\"><h2>{}</h2><p>{}</p></section>",
@@ -108,22 +96,18 @@ fn category_blurb(ctx: &RequestCtx, w: &mut TemplateWriter<'_>, category: &str) 
             None => out.extend_from_slice(b"<section class=\"blurb\">unknown category</section>"),
         }
     });
-    ctx.charge_fixed(*charged.lock());
 }
 
 /// Product listing fragment for a category.
 fn product_listing(ctx: &RequestCtx, w: &mut TemplateWriter<'_>, category: &str) {
-    let repo = ctx.repo().clone();
-    let cat = category.to_owned();
     let id = FragmentId::with_params("listing", &[("cat", category)]);
-    let policy = FragmentPolicy::ttl(ttl::LISTING).with_deps(&["products/*"]);
-    let charged = std::sync::Arc::new(parking_lot::Mutex::new(Duration::ZERO));
-    let charged2 = std::sync::Arc::clone(&charged);
-    w.fragment(&id, policy, move |out| {
-        let rows = repo.scan_where("products", |_, row| row.str("category") == cat);
-        *charged2.lock() += rows.cost;
+    w.fragment(&id, FragmentPolicy::ttl(ttl::LISTING), |out| {
+        let rows = ctx.charge(
+            ctx.repo()
+                .scan_where("products", |_, row| row.str("category") == category),
+        );
         out.extend_from_slice(b"<ul class=\"products\">");
-        for (pid, row) in rows.value {
+        for (pid, row) in rows {
             out.extend_from_slice(
                 format!(
                     "<li><a href=\"/product.jsp?id={pid}\">{}</a> ${:.2}</li>",
@@ -135,35 +119,33 @@ fn product_listing(ctx: &RequestCtx, w: &mut TemplateWriter<'_>, category: &str)
         }
         out.extend_from_slice(b"</ul>");
     });
-    ctx.charge_fixed(*charged.lock());
 }
 
 /// Recommendations rail — derived from the *same* profile object as the
-/// greeting (§3.2.2's semantically interdependent fragments).
+/// greeting (§3.2.2's semantically interdependent fragments). The
+/// favourite category comes from the profile, so the block declares the
+/// user's row.
 fn recommendations(ctx: &RequestCtx, w: &mut TemplateWriter<'_>, profile: &UserProfile) {
     if !profile.registered {
         return;
     }
-    let repo = ctx.repo().clone();
-    let fav = profile.fav_category.clone();
-    let user = profile.user_id.clone();
-    let id = FragmentId::with_params("recs", &[("user", &user)]);
-    let policy =
-        FragmentPolicy::ttl(ttl::PERSONAL).with_deps(&[&format!("users/{user}"), "products/*"]);
-    let charged = std::sync::Arc::new(parking_lot::Mutex::new(Duration::ZERO));
-    let charged2 = std::sync::Arc::clone(&charged);
-    w.fragment(&id, policy, move |out| {
-        let rows = repo.scan_where("products", |_, row| row.str("category") == fav);
-        *charged2.lock() += rows.cost;
+    let fav = &profile.fav_category;
+    let user = &profile.user_id;
+    let id = FragmentId::with_params("recs", &[("user", user)]);
+    let policy = FragmentPolicy::ttl(ttl::PERSONAL).with_deps(&[&format!("users/{user}")]);
+    w.fragment(&id, policy, |out| {
+        let rows = ctx.charge(
+            ctx.repo()
+                .scan_where("products", |_, row| row.str("category") == *fav),
+        );
         out.extend_from_slice(b"<aside class=\"recs\"><h3>Recommended for you</h3>");
-        for (pid, row) in rows.value.iter().take(3) {
+        for (pid, row) in rows.iter().take(3) {
             out.extend_from_slice(
                 format!("<a href=\"/product.jsp?id={pid}\">{}</a>", row.str("title")).as_bytes(),
             );
         }
         out.extend_from_slice(b"</aside>");
     });
-    ctx.charge_fixed(*charged.lock());
 }
 
 /// `/catalog.jsp` — the category page.
@@ -182,20 +164,20 @@ impl Script for CatalogScript {
         match profile.layout.as_str() {
             "wide" => {
                 navbar(ctx, w, &profile);
-                greeting(ctx, w, &profile);
+                greeting(w, &profile);
                 recommendations(ctx, w, &profile);
                 category_blurb(ctx, w, &category);
                 product_listing(ctx, w, &category);
             }
             "compact" => {
-                greeting(ctx, w, &profile);
+                greeting(w, &profile);
                 category_blurb(ctx, w, &category);
                 product_listing(ctx, w, &category);
                 navbar(ctx, w, &profile);
             }
             _ => {
                 navbar(ctx, w, &profile);
-                greeting(ctx, w, &profile);
+                greeting(w, &profile);
                 category_blurb(ctx, w, &category);
                 product_listing(ctx, w, &category);
                 recommendations(ctx, w, &profile);
@@ -218,17 +200,10 @@ impl Script for ProductScript {
         let pid = ctx.param("id").unwrap_or("").to_owned();
         w.literal(format!("<html><body class=\"{}\">", profile.layout).as_bytes());
         navbar(ctx, w, &profile);
-        greeting(ctx, w, &profile);
-        let repo = ctx.repo().clone();
-        let pid2 = pid.clone();
+        greeting(w, &profile);
         let id = FragmentId::with_params("product", &[("id", &pid)]);
-        let policy = FragmentPolicy::ttl(ttl::LISTING).with_deps(&[&format!("products/{pid}")]);
-        let charged = std::sync::Arc::new(parking_lot::Mutex::new(Duration::ZERO));
-        let charged2 = std::sync::Arc::clone(&charged);
-        w.fragment(&id, policy, move |out| {
-            let row = repo.get("products", &pid2);
-            *charged2.lock() += row.cost;
-            match row.value {
+        w.fragment(&id, FragmentPolicy::ttl(ttl::LISTING), |out| {
+            match ctx.charge(ctx.repo().get("products", &pid)) {
                 Some(row) => out.extend_from_slice(
                     format!(
                         "<article><h1>{}</h1><p>{}</p><b>${:.2}</b></article>",
@@ -241,7 +216,6 @@ impl Script for ProductScript {
                 None => out.extend_from_slice(b"<article>no such product</article>"),
             }
         });
-        ctx.charge_fixed(*charged.lock());
         w.literal(b"</body></html>");
     }
 }
@@ -258,7 +232,7 @@ impl Script for HomeScript {
         let profile = ctx.profile();
         w.literal(format!("<html><body class=\"{}\">", profile.layout).as_bytes());
         navbar(ctx, w, &profile);
-        greeting(ctx, w, &profile);
+        greeting(w, &profile);
         if profile.registered {
             recommendations(ctx, w, &profile);
             category_blurb(ctx, w, &profile.fav_category.clone());

@@ -5,8 +5,8 @@
 //!
 //! * **price quote** — invalidates "perhaps within seconds" (market data
 //!   dependency `quotes/<sym>`; short TTL);
-//! * **headlines** — "updated every thirty minutes" (row-level
-//!   dependencies on the headline keys actually rendered);
+//! * **headlines** — "updated every thirty minutes" (a scan of the
+//!   headlines table, so any headline update or insert);
 //! * **historical research** — "updated … on a monthly basis" (pinned,
 //!   dependency `research/<sym>`).
 //!
@@ -20,12 +20,11 @@
 
 use dpc_core::bem::TemplateWriter;
 use dpc_core::{FragmentId, FragmentPolicy};
-use parking_lot::Mutex;
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::context::RequestCtx;
 use crate::engine::{Script, ScriptEngine};
+use crate::profile::UserProfile;
 
 /// Mount both brokerage scripts.
 pub fn install(engine: &mut ScriptEngine) {
@@ -47,19 +46,12 @@ mod ttl {
 }
 
 fn price_fragment(ctx: &RequestCtx, w: &mut TemplateWriter<'_>, symbol: &str) {
-    let repo = ctx.repo().clone();
-    let sym = symbol.to_owned();
     let id = FragmentId::with_params("price", &[("sym", symbol)]);
-    let policy = FragmentPolicy::ttl(ttl::QUOTE).with_deps(&[&format!("quotes/{symbol}")]);
-    let charged = Arc::new(Mutex::new(Duration::ZERO));
-    let charged2 = Arc::clone(&charged);
-    w.fragment(&id, policy, move |out| {
-        let row = repo.get("quotes", &sym);
-        *charged2.lock() += row.cost;
-        match row.value {
+    w.fragment(&id, FragmentPolicy::ttl(ttl::QUOTE), |out| {
+        match ctx.charge(ctx.repo().get("quotes", symbol)) {
             Some(row) => out.extend_from_slice(
                 format!(
-                    "<div class=\"quote\"><b>{sym}</b> ${:.2} ({:+.2}) vol {}</div>",
+                    "<div class=\"quote\"><b>{symbol}</b> ${:.2} ({:+.2}) vol {}</div>",
                     row.float("price"),
                     row.float("change"),
                     row.int("volume")
@@ -69,46 +61,31 @@ fn price_fragment(ctx: &RequestCtx, w: &mut TemplateWriter<'_>, symbol: &str) {
             None => out.extend_from_slice(b"<div class=\"quote\">unknown symbol</div>"),
         }
     });
-    ctx.charge_fixed(*charged.lock());
 }
 
 fn headlines_fragment(ctx: &RequestCtx, w: &mut TemplateWriter<'_>, symbol: &str) {
-    // The fragment depends on exactly the headline *rows* it renders, which
-    // are only known after the scan — so the scan runs inside the code
-    // block (miss path only) and the deps are registered afterwards
-    // (deferred dependency registration). On a hit neither the scan nor its
-    // simulated latency happens: that is the server-side acceleration.
-    let repo = ctx.repo().clone();
-    let sym = symbol.to_owned();
+    // The scan runs inside the code block, so on a hit neither the scan
+    // nor its simulated latency happens: that is the server-side
+    // acceleration. The scan reads the whole table, so any headline
+    // update or insert regenerates the fragment.
     let id = FragmentId::with_params("headlines", &[("sym", symbol)]);
-    let charged = Arc::new(Mutex::new(Duration::ZERO));
-    let charged2 = Arc::clone(&charged);
-    w.fragment_lazy(&id, ttl::HEADLINES, move |out| {
-        let rows = repo.scan_where("headlines", |_, row| row.str("symbol") == sym);
-        *charged2.lock() += rows.cost;
+    w.fragment(&id, FragmentPolicy::ttl(ttl::HEADLINES), |out| {
+        let rows = ctx.charge(
+            ctx.repo()
+                .scan_where("headlines", |_, row| row.str("symbol") == symbol),
+        );
         out.extend_from_slice(b"<ul class=\"headlines\">");
-        let mut deps = Vec::with_capacity(rows.value.len());
-        for (key, row) in rows.value {
+        for (_, row) in rows {
             out.extend_from_slice(format!("<li>{}</li>", row.str("text")).as_bytes());
-            deps.push(format!("headlines/{key}"));
         }
         out.extend_from_slice(b"</ul>");
-        deps
     });
-    ctx.charge_fixed(*charged.lock());
 }
 
 fn research_fragment(ctx: &RequestCtx, w: &mut TemplateWriter<'_>, symbol: &str) {
-    let repo = ctx.repo().clone();
-    let sym = symbol.to_owned();
     let id = FragmentId::with_params("research", &[("sym", symbol)]);
-    let policy = FragmentPolicy::ttl(ttl::RESEARCH).with_deps(&[&format!("research/{symbol}")]);
-    let charged = Arc::new(Mutex::new(Duration::ZERO));
-    let charged2 = Arc::clone(&charged);
-    w.fragment(&id, policy, move |out| {
-        let row = repo.get("research", &sym);
-        *charged2.lock() += row.cost;
-        match row.value {
+    w.fragment(&id, FragmentPolicy::ttl(ttl::RESEARCH), |out| {
+        match ctx.charge(ctx.repo().get("research", symbol)) {
             Some(row) => out.extend_from_slice(
                 format!(
                     "<section class=\"research\">P/E {:.2} — rating {} <p>{}</p></section>",
@@ -121,27 +98,15 @@ fn research_fragment(ctx: &RequestCtx, w: &mut TemplateWriter<'_>, symbol: &str)
             None => out.extend_from_slice(b"<section class=\"research\">no coverage</section>"),
         }
     });
-    ctx.charge_fixed(*charged.lock());
 }
 
 fn market_summary_fragment(ctx: &RequestCtx, w: &mut TemplateWriter<'_>) {
-    let repo = ctx.repo().clone();
     let id = FragmentId::new("market-summary");
-    let policy = FragmentPolicy::ttl(ttl::SUMMARY).with_deps(&["quotes/*"]);
-    let charged = Arc::new(Mutex::new(Duration::ZERO));
-    let charged2 = Arc::clone(&charged);
-    w.fragment(&id, policy, move |out| {
-        let rows = repo.scan_where("quotes", |_, _| true);
-        *charged2.lock() += rows.cost;
-        let n = rows.value.len().max(1);
-        let avg: f64 = rows
-            .value
-            .iter()
-            .map(|(_, r)| r.float("price"))
-            .sum::<f64>()
-            / n as f64;
+    w.fragment(&id, FragmentPolicy::ttl(ttl::SUMMARY), |out| {
+        let rows = ctx.charge(ctx.repo().scan_where("quotes", |_, _| true));
+        let n = rows.len().max(1);
+        let avg: f64 = rows.iter().map(|(_, r)| r.float("price")).sum::<f64>() / n as f64;
         let up = rows
-            .value
             .iter()
             .filter(|(_, r)| r.float("change") >= 0.0)
             .count();
@@ -152,7 +117,20 @@ fn market_summary_fragment(ctx: &RequestCtx, w: &mut TemplateWriter<'_>) {
             .as_bytes(),
         );
     });
-    ctx.charge_fixed(*charged.lock());
+}
+
+/// The registered visitor's greeting. Its name comes from the profile,
+/// read before the block, so the block declares the user's row.
+fn greeting_fragment(w: &mut TemplateWriter<'_>, profile: &UserProfile) {
+    let user = &profile.user_id;
+    let id = FragmentId::with_params("greeting", &[("user", user)]);
+    let policy =
+        FragmentPolicy::ttl(Duration::from_secs(120)).with_deps(&[&format!("users/{user}")]);
+    w.fragment(&id, policy, |out| {
+        out.extend_from_slice(
+            format!("<div class=\"greet\">Hello, {}!</div>", profile.name).as_bytes(),
+        );
+    });
 }
 
 /// `/quote.jsp` — the three-element stock-quote page.
@@ -170,16 +148,7 @@ impl Script for QuoteScript {
         if profile.registered {
             // Registered layout: greeting and a portfolio shortcut around
             // the shared content — same URL, different page (§2.1).
-            let name = profile.name.clone();
-            let user = profile.user_id.clone();
-            let id = FragmentId::with_params("greeting", &[("user", &user)]);
-            let policy = FragmentPolicy::ttl(Duration::from_secs(120))
-                .with_deps(&[&format!("users/{user}")]);
-            w.fragment(&id, policy, move |out| {
-                out.extend_from_slice(
-                    format!("<div class=\"greet\">Hello, {name}!</div>").as_bytes(),
-                );
-            });
+            greeting_fragment(w, &profile);
         }
         price_fragment(ctx, w, &symbol);
         headlines_fragment(ctx, w, &symbol);
@@ -206,29 +175,17 @@ impl Script for PortfolioScript {
             w.literal(b"<p>Please log in to view your portfolio.</p></body></html>");
             return;
         }
-        let name = profile.name.clone();
-        let user = profile.user_id.clone();
-        let id = FragmentId::with_params("greeting", &[("user", &user)]);
-        let policy =
-            FragmentPolicy::ttl(Duration::from_secs(120)).with_deps(&[&format!("users/{user}")]);
-        w.fragment(&id, policy, move |out| {
-            out.extend_from_slice(format!("<div class=\"greet\">Hello, {name}!</div>").as_bytes());
-        });
+        greeting_fragment(w, &profile);
         // Holdings: the user's favourite symbol plus the market leaders —
-        // a per-user fragment over shared market data.
-        let fav = profile.fav_symbol.clone();
-        let repo = ctx.repo().clone();
-        let user2 = profile.user_id.clone();
-        let id = FragmentId::with_params("holdings", &[("user", &user2)]);
-        let policy = FragmentPolicy::ttl(ttl::QUOTE)
-            .with_deps(&[&format!("quotes/{fav}"), &format!("users/{user2}")]);
-        let charged = Arc::new(Mutex::new(Duration::ZERO));
-        let charged2 = Arc::clone(&charged);
-        w.fragment(&id, policy, move |out| {
-            let row = repo.get("quotes", &fav);
-            *charged2.lock() += row.cost;
+        // a per-user fragment over shared market data. The symbol comes
+        // from the profile, so the block declares the user's row.
+        let fav = &profile.fav_symbol;
+        let user = &profile.user_id;
+        let id = FragmentId::with_params("holdings", &[("user", user)]);
+        let policy = FragmentPolicy::ttl(ttl::QUOTE).with_deps(&[&format!("users/{user}")]);
+        w.fragment(&id, policy, |out| {
             out.extend_from_slice(b"<table class=\"holdings\">");
-            if let Some(row) = row.value {
+            if let Some(row) = ctx.charge(ctx.repo().get("quotes", fav)) {
                 out.extend_from_slice(
                     format!(
                         "<tr><td>{fav}</td><td>${:.2}</td><td>{:+.2}</td></tr>",
@@ -240,7 +197,6 @@ impl Script for PortfolioScript {
             }
             out.extend_from_slice(b"</table>");
         });
-        ctx.charge_fixed(*charged.lock());
         market_summary_fragment(ctx, w);
         w.literal(b"</body></html>");
     }
@@ -256,6 +212,7 @@ mod tests {
     use dpc_repository::Repository;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn engine() -> Arc<ScriptEngine> {
         let repo = Repository::with_defaults();
@@ -355,6 +312,36 @@ mod tests {
         );
         let after = get(&e, &store, "/quote.jsp?symbol=SYM3", None);
         assert_ne!(before, after);
+    }
+
+    #[test]
+    fn a_quote_page_of_gets_names_what_its_blocks_read() {
+        use dpc_core::proto::{Provenance, READS_HEADER, WANT_READS_HEADER};
+        use dpc_core::stripe_of;
+        let e = engine();
+        let reads = || {
+            let req = Request::get("/quote.jsp?symbol=SYM1").with_header(WANT_READS_HEADER, "1");
+            let resp = e.serve(&req);
+            Provenance::parse(resp.headers.get(READS_HEADER).expect("asked")).reads
+        };
+        let cold = reads();
+        let hits = e.bem().directory_stats().hits;
+        let warm = reads();
+        assert_eq!(
+            e.bem().directory_stats().hits,
+            hits + 3,
+            "every block a GET"
+        );
+        // The headlines block's GET included, the page names what its
+        // SETs read, where it used to be unknown (`*`).
+        assert!(warm.is_some(), "a page of GETs has a known read set");
+        assert_eq!(warm, cold);
+        let mut want: Vec<u16> = ["quotes/SYM1", "headlines/*", "research/SYM1"]
+            .iter()
+            .map(|label| stripe_of(label))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(cold.as_deref(), Some(&want[..]));
     }
 
     #[test]

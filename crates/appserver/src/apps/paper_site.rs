@@ -141,7 +141,6 @@ impl Script for PaperSite {
             let cacheable = slot < cacheable_slots;
             let policy = if cacheable {
                 FragmentPolicy::ttl(p.ttl)
-                    .with_deps(&[&format!("paper/{}", fragment_key(page, slot))])
             } else {
                 FragmentPolicy::uncacheable()
             };
@@ -149,9 +148,9 @@ impl Script for PaperSite {
                 "paperfrag",
                 &[("p", &page.to_string()), ("s", &slot.to_string())],
             );
-            // The version read is inside the block: a hit reads no row, and
-            // an update after the read finds this entry registered and
-            // invalidates it.
+            // The version read is inside the block, so its row is the
+            // block's dep: a hit reads no row, and an update of it
+            // invalidates this entry.
             w.fragment(&id, policy, |out| {
                 let version = self.version(ctx, page, slot);
                 let seed = p.seed ^ ((page as u64) << 24) ^ ((slot as u64) << 8) ^ version as u64;

@@ -19,6 +19,7 @@
 //!   directory state.
 
 use bytes::Bytes;
+use dpc_repository::reads;
 use dpc_trace::{Layer, SpanStatus, Tracer};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,8 +48,10 @@ const MAX_FLIGHT_LAPS: u32 = 4;
 pub struct FragmentPolicy {
     /// Time-to-live before the fragment expires.
     pub ttl: Duration,
-    /// Data-source dependencies (e.g. `"quotes/IBM"`); an update to any of
-    /// them invalidates the fragment.
+    /// Data-source dependencies the code block uses but does not read
+    /// itself (e.g. `"users/u1"` for a profile field read before the
+    /// block); an update to any of them invalidates the fragment. The rows
+    /// the block reads are its deps without being declared.
     pub deps: Vec<String>,
     /// Design-time cacheability (the model's indicator `X_j`). Uncacheable
     /// fragments always run their code block and are emitted inline.
@@ -296,16 +299,11 @@ pub struct TemplateWriter<'a> {
 }
 
 impl TemplateWriter<'_> {
-    /// Directory lookup for this writer's node.
-    fn lookup(&self, id: &FragmentId, ttl: Duration, deps: &[String]) -> Lookup {
-        self.bem.directory.lookup_node(id, ttl, deps, self.node)
-    }
-
-    /// Record this page's read set from now on: the deps of every
-    /// cacheable fragment, whether it is emitted as a `GET` or a `SET`.
-    /// A [`fragment_lazy`](Self::fragment_lazy) block served without
-    /// running makes the set unknown. The rows the blocks themselves read
-    /// are the caller's to add.
+    /// Record this page's read set from now on: the declared deps of every
+    /// cacheable fragment, and for a `GET` every dep its entry registered,
+    /// so a `GET` notes what its `SET` noted. The rows a block reads when
+    /// it runs reach the caller's own [`reads::record`] recording, which
+    /// the caller adds.
     pub fn record_reads(&mut self) {
         self.reads = Some(ReadSet::default());
     }
@@ -314,20 +312,6 @@ impl TemplateWriter<'_> {
     /// leaving none.
     pub fn take_reads(&mut self) -> Option<ReadSet> {
         self.reads.take()
-    }
-
-    fn note_reads(&mut self, deps: &[String]) {
-        if let Some(reads) = &mut self.reads {
-            for dep in deps {
-                reads.note(dep);
-            }
-        }
-    }
-
-    fn reads_unknown(&mut self) {
-        if let Some(reads) = &mut self.reads {
-            reads.mark_unknown();
-        }
     }
 }
 
@@ -356,10 +340,19 @@ impl TemplateWriter<'_> {
     /// invalidation can make the block run a second time within one call —
     /// the first result belonged to a dead generation and was discarded.
     ///
-    /// Contract: every read that feeds the block happens in the block. A
-    /// read made before the call can be overtaken by an update whose
+    /// The block's deps are the policy's declared deps plus the label of
+    /// every repository row `produce` reads, recorded with
+    /// [`reads::record`] while it runs. They are registered before the
+    /// flight publishes, so a waiter released by the publish observes the
+    /// same invalidation surface the leader does, and an update of a row
+    /// the block read while it ran retires the entry at registration: the
+    /// flight publishes stale and the lap retries.
+    ///
+    /// Contract: every read that feeds the block happens in the block, or
+    /// is declared. A read made before the call is no dep of the block
+    /// unless declared; it can also be overtaken by an update whose
     /// invalidation then lands before this entry is registered, and the
-    /// entry would be valid for bytes that are already stale; it also runs
+    /// entry would be valid for bytes that are already stale; and it runs
     /// on every hit, for output nobody sends.
     ///
     /// Returns true when the fragment was served without running the code
@@ -370,50 +363,6 @@ impl TemplateWriter<'_> {
         id: &FragmentId,
         policy: FragmentPolicy,
         mut produce: impl FnMut(&mut Vec<u8>),
-    ) -> bool {
-        if policy.cacheable {
-            // A GET reads the deps as surely as a SET: the spliced bytes
-            // are current only while they are.
-            self.note_reads(&policy.deps);
-        }
-        self.serve_block(id, &policy, false, |out| {
-            produce(out);
-            Vec::new()
-        })
-    }
-
-    /// Tagged code block with *deferred dependency registration*: the
-    /// producer returns the data dependencies it discovered while
-    /// generating content, and they are registered only on the miss path.
-    /// Use this when computing the dependency set itself requires back-end
-    /// work (e.g. scanning which headline rows a fragment renders) — with
-    /// [`TemplateWriter::fragment`] that work would run on every request,
-    /// defeating the compute savings of a hit.
-    ///
-    /// Returns true when the fragment was a directory hit.
-    pub fn fragment_lazy(
-        &mut self,
-        id: &FragmentId,
-        ttl: Duration,
-        produce: impl FnMut(&mut Vec<u8>) -> Vec<String>,
-    ) -> bool {
-        self.serve_block(id, &FragmentPolicy::ttl(ttl), true, produce)
-    }
-
-    /// The one lookup → flight → emit loop behind every tagged code block.
-    /// `produce` returns the deps it discovered while running; they are
-    /// registered before the flight publishes, so a waiter released by the
-    /// publish observes the same invalidation surface the leader does. An
-    /// update of one of them that landed while `produce` ran retires the
-    /// entry at registration, so the flight publishes stale and the lap
-    /// retries. A `lazy` block's deps live in its directory entry, not in
-    /// `policy`, so serving it without running leaves the read set unknown.
-    fn serve_block(
-        &mut self,
-        id: &FragmentId,
-        policy: &FragmentPolicy,
-        lazy: bool,
-        mut produce: impl FnMut(&mut Vec<u8>) -> Vec<String>,
     ) -> bool {
         let stats = &self.bem.stats;
         stats.fragments.fetch_add(1, Ordering::Relaxed);
@@ -458,7 +407,13 @@ impl TemplateWriter<'_> {
             let looked = {
                 let mut sp = tracer.span(Layer::Directory);
                 sp.set_detail(fkey);
-                let looked = self.lookup(id, policy.ttl, &policy.deps);
+                let looked = self.bem.directory.lookup_node(
+                    id,
+                    policy.ttl,
+                    &policy.deps,
+                    self.node,
+                    self.reads.as_mut(),
+                );
                 sp.set_status(match &looked {
                     Lookup::Hit(..) => SpanStatus::Hit,
                     Lookup::Miss(..) => SpanStatus::Miss,
@@ -515,9 +470,6 @@ impl TemplateWriter<'_> {
                         }
                         None => self.emit_get(key, gen),
                     }
-                    if lazy {
-                        self.reads_unknown();
-                    }
                     return true;
                 }
                 Lookup::Miss(key, gen) => {
@@ -534,22 +486,13 @@ impl TemplateWriter<'_> {
                     });
                     let since = self.bem.directory.update_stamp();
                     let mut content = Vec::new();
-                    let deps = produce(&mut content);
-                    if !deps.is_empty() {
-                        // Registered before the publish below releases
-                        // any waiter.
-                        self.note_reads(&deps);
-                        self.bem.directory.add_deps(id, &deps, &since);
-                    }
-                    // Report the produced size: resident-bytes accounting and
-                    // the size-aware policies both need it, and it only exists
-                    // now that the block has run.
-                    self.bem
-                        .directory
-                        .note_fragment_bytes(id, content.len() as u64);
-                    stats
-                        .generated_bytes
-                        .fetch_add(content.len() as u64, Ordering::Relaxed);
+                    let ((), read) = reads::record(|| produce(&mut content));
+                    // What the block read, and the size it produced, which
+                    // exists only now that it has run; registered before
+                    // the publish below releases any waiter.
+                    let size = content.len() as u64;
+                    self.bem.directory.register(id, read, size, &since);
+                    stats.generated_bytes.fetch_add(size, Ordering::Relaxed);
                     stats.misses.fetch_add(1, Ordering::Relaxed);
                     let content = Bytes::from(content);
                     if let Some(leader) = leader {
@@ -656,6 +599,7 @@ mod tests {
     use crate::config::ReplacePolicy;
     use crate::store::FragmentStore;
     use dpc_net::Clock;
+    use dpc_repository::{Repository, Row};
 
     fn bem_with(capacity: usize) -> Bem {
         Bem::new(BemConfig::default().with_capacity(capacity))
@@ -889,130 +833,122 @@ mod tests {
     }
 
     #[test]
-    fn fragment_lazy_defers_dependency_work_to_miss_path() {
+    fn a_blocks_deps_are_the_rows_it_read() {
         let bem = bem_with(8);
+        let repo = Repository::with_defaults();
         let runs = std::cell::Cell::new(0u32);
-        let serve = |bem: &Bem, runs: &std::cell::Cell<u32>| {
+        let serve = || {
             let mut w = bem.template_writer();
-            let hit = w.fragment_lazy(&nav_id(), Duration::from_secs(600), |out| {
+            let hit = w.fragment(&nav_id(), FragmentPolicy::pinned(), |out| {
                 runs.set(runs.get() + 1);
+                let _ = repo.get("headlines", "SYM0-h0");
+                let _ = repo.get("headlines", "SYM0-h1");
                 out.extend_from_slice(b"ROWS");
-                vec![
-                    "headlines/SYM0-h0".to_owned(),
-                    "headlines/SYM0-h1".to_owned(),
-                ]
             });
             let _ = w.finish();
             hit
         };
-        assert!(!serve(&bem, &runs)); // miss: producer ran, deps registered
-        assert!(serve(&bem, &runs)); // hit: producer did NOT run
+        assert!(!serve()); // miss: the block ran and its reads registered
+        assert!(serve()); // hit: the block did NOT run
         assert_eq!(runs.get(), 1);
-        // The deferred deps are live: invalidating one regenerates.
+        // The rows it read are live deps: updating one regenerates.
         assert_eq!(bem.on_data_update("headlines/SYM0-h1"), 1);
-        assert!(!serve(&bem, &runs));
+        assert!(!serve());
         assert_eq!(runs.get(), 2);
+        assert_eq!(bem.on_data_update("headlines/SYM1-h0"), 0, "not read");
     }
 
     #[test]
-    fn recorded_reads_name_deps_on_get_and_set_and_a_lazy_hit_is_unknown() {
+    fn recorded_reads_are_the_same_on_get_and_set() {
         use crate::epoch::stripe_of;
         let bem = bem_with(8);
-        let render = |bem: &Bem| {
+        let repo = Repository::with_defaults();
+        // The page's reads as the engine gathers them: the writer's
+        // read set plus the rows its repository recording saw.
+        let render = || {
             let mut w = bem.template_writer();
             w.record_reads();
-            w.fragment(
-                &FragmentId::new("price"),
-                FragmentPolicy::pinned().with_deps(&["quotes/IBM"]),
-                |b| b.push(b'p'),
-            );
-            w.fragment(&FragmentId::new("ad"), FragmentPolicy::uncacheable(), |b| {
-                b.push(b'a')
+            let (hit, rows) = reads::record(|| {
+                let policy = FragmentPolicy::pinned().with_deps(&["users/u1"]);
+                let hit = w.fragment(&FragmentId::new("price"), policy, |b| {
+                    let _ = repo.get("quotes", "IBM");
+                    b.push(b'p')
+                });
+                w.fragment(&FragmentId::new("ad"), FragmentPolicy::uncacheable(), |b| {
+                    let _ = repo.get("ads", "a1");
+                    b.push(b'a')
+                });
+                hit
             });
-            w.fragment_lazy(&nav_id(), Duration::from_secs(600), |b| {
-                b.push(b'n');
-                vec!["headlines/h1".to_owned()]
-            });
-            w.take_reads().expect("recording")
+            let mut stripes = w
+                .take_reads()
+                .expect("recording")
+                .stripes()
+                .unwrap()
+                .to_vec();
+            stripes.extend(rows.unwrap().iter().map(|row| stripe_of(row)));
+            stripes.sort_unstable();
+            stripes.dedup();
+            (hit, stripes)
         };
-        // Cold: the price SET and the lazy block's discovered deps.
-        let cold = render(&bem);
-        let want = [stripe_of("quotes/IBM"), stripe_of("headlines/h1")];
-        assert_eq!(cold.stripes(), Some(&want[..]));
-        // Warm: the price GET still reads its dep...
-        let mut w = bem.template_writer();
-        w.record_reads();
-        let hit = w.fragment(
-            &FragmentId::new("price"),
-            FragmentPolicy::pinned().with_deps(&["quotes/IBM"]),
-            |b| b.push(b'p'),
-        );
-        assert!(hit);
-        let price = w.take_reads().expect("recording");
-        assert_eq!(price.stripes(), Some(&[stripe_of("quotes/IBM")][..]));
-        // ...but a lazy block's deps live in the directory entry, so a
-        // page that hits one has an unknown read set.
-        assert_eq!(render(&bem).stripes(), None);
+        let mut want: Vec<u16> = ["users/u1", "quotes/IBM", "ads/a1"]
+            .iter()
+            .map(|l| stripe_of(l))
+            .collect();
+        want.sort_unstable();
+        // Cold, the price block runs and is SET; warm, it is a GET that
+        // notes what its entry registered.
+        assert_eq!(render(), (false, want.clone()));
+        assert_eq!(render(), (true, want));
         // A writer that was not asked records nothing.
         assert!(bem.template_writer().take_reads().is_none());
     }
 
     #[test]
-    fn fragment_lazy_matches_fragment_output() {
-        let bem = bem_with(8);
-        let store = FragmentStore::new(8);
-        let mut w = bem.template_writer();
-        w.fragment_lazy(&FragmentId::new("lazy"), Duration::from_secs(60), |out| {
-            out.extend_from_slice(b"SAME");
-            Vec::new()
-        });
-        w.fragment(
-            &FragmentId::new("eager"),
-            FragmentPolicy::ttl(Duration::from_secs(60)),
-            |out| out.extend_from_slice(b"SAME"),
-        );
-        let page = assemble(&w.finish(), &store).unwrap();
-        assert_eq!(page.html, b"SAMESAME".to_vec());
-    }
-
-    #[test]
     fn each_block_kind_takes_its_pinned_directory_locks() {
         let bem = bem_with(8);
+        let repo = Repository::with_defaults();
         let declared = |w: &mut TemplateWriter<'_>| {
             let policy = FragmentPolicy::pinned().with_deps(&["t/declared"]);
             w.fragment(&FragmentId::new("declared"), policy, |b| b.push(b'd'));
         };
-        let lazy = |w: &mut TemplateWriter<'_>| {
-            w.fragment_lazy(&FragmentId::new("lazy"), Duration::from_secs(600), |b| {
-                b.push(b'l');
-                vec!["t/lazy".to_owned()]
-            });
+        let observed = |w: &mut TemplateWriter<'_>| {
+            w.fragment(
+                &FragmentId::new("observed"),
+                FragmentPolicy::pinned(),
+                |b| {
+                    let _ = repo.get("t", "observed");
+                    b.push(b'o');
+                },
+            );
         };
         let locks = |block: &dyn Fn(&mut TemplateWriter<'_>)| {
             let before = bem.directory().lock_acquisitions();
             block(&mut bem.template_writer());
             bem.directory().lock_acquisitions() - before
         };
-        // A miss is the lookup and the size report; a lazy miss adds the
-        // registration of the deps it discovered; a hit is the lookup.
-        assert_eq!(locks(&declared), 2, "miss");
-        assert_eq!(locks(&declared), 1, "hit");
-        assert_eq!(locks(&lazy), 3, "lazy miss");
-        assert_eq!(locks(&lazy), 1, "lazy hit");
+        // A miss is the lookup and one registration of what the block
+        // read and the size it made; a hit is the lookup.
+        assert_eq!(locks(&declared), 2, "declared miss");
+        assert_eq!(locks(&declared), 1, "declared hit");
+        assert_eq!(locks(&observed), 2, "observed miss");
+        assert_eq!(locks(&observed), 1, "observed hit");
+        assert_eq!(bem.on_data_update("t/observed"), 1);
     }
 
     #[test]
-    fn add_deps_rejects_invalid_entries() {
+    fn register_rejects_invalid_entries() {
         let bem = bem_with(8);
         let id = FragmentId::new("x");
         let since = bem.directory().update_stamp();
-        assert!(!bem.directory().add_deps(&id, &["t/k".to_owned()], &since));
+        let read = |label: &str| Some(vec![label.to_owned()]);
+        assert!(!bem.directory().register(&id, read("t/k"), 1, &since));
         let mut w = bem.template_writer();
         w.fragment(&id, FragmentPolicy::pinned(), |b| b.push(b'x'));
         let _ = w.finish();
-        assert!(bem.directory().add_deps(&id, &["t/k".to_owned()], &since));
+        assert!(bem.directory().register(&id, read("t/k"), 1, &since));
         bem.directory().invalidate(&id);
-        assert!(!bem.directory().add_deps(&id, &["t/k2".to_owned()], &since));
+        assert!(!bem.directory().register(&id, read("t/k2"), 1, &since));
         bem.directory().check_invariants().unwrap();
     }
 
@@ -1079,25 +1015,27 @@ mod tests {
     }
 
     #[test]
-    fn an_update_while_a_lazy_block_runs_is_not_cached_over() {
-        // The block only names its deps when it returns, so the update it
-        // races frees nothing; the directory's update stamp still sees it.
+    fn an_update_while_a_block_runs_is_not_cached_over() {
+        // The rows a block read are registered only when it returns, so
+        // the update it races frees nothing; the directory's update stamp
+        // still sees it.
         let bem = bem_with(8);
         let store = FragmentStore::new(8);
+        let repo = Repository::with_defaults();
+        repo.seed("t", "row", Row::new().with("v", 1i64));
         let id = FragmentId::new("headlines");
-        let version = std::cell::Cell::new(1);
         let runs = std::cell::Cell::new(0);
         let render = || {
             let mut w = bem.template_writer();
-            let hit = w.fragment_lazy(&id, Duration::from_secs(600), |out| {
+            let hit = w.fragment(&id, FragmentPolicy::ttl(Duration::from_secs(600)), |out| {
                 runs.set(runs.get() + 1);
-                out.extend_from_slice(format!("v{}", version.get()).as_bytes());
+                let v = repo.get("t", "row").value.expect("seeded").int("v");
+                out.extend_from_slice(format!("v{v}").as_bytes());
                 if runs.get() == 1 {
                     // The row changes after the block read it.
-                    version.set(2);
+                    repo.update("t", "row", |row| row.set("v", 2i64));
                     assert_eq!(bem.on_data_update("t/row"), 0, "nothing depends on it yet");
                 }
-                vec!["t/row".to_owned()]
             });
             (hit, assemble(&w.finish(), &store).unwrap().html)
         };

@@ -10,16 +10,17 @@
 //!
 //! The directory is that one table: a single mutex over every entry, the
 //! freeList, the fresh-key cursor over `0..capacity`, the dependency index
-//! and one replacement manager. Its callers are the origin's event loops,
-//! the update paths and the TTL sweeper; a hit holds the lock for one map
-//! probe and a replacer touch.
+//! and one replacement manager. Its callers are the origin's event loops
+//! and the update paths; a hit holds the lock for one map probe and a
+//! replacer touch.
 //!
 //! Three events retire a valid entry:
 //!
 //! * **TTL expiry** — checked lazily on lookup and eagerly by
 //!   [`CacheDirectory::sweep_expired`].
 //! * **Data-source invalidation** — an update to an underlying table/key
-//!   invalidates every fragment registered as depending on it.
+//!   invalidates every fragment registered as depending on it: the deps
+//!   its code block declared, and the rows it read.
 //! * **Replacement** — when all keys are valid and a new fragment needs
 //!   one, the replacement manager picks a victim (policy-pluggable, see
 //!   [`crate::policy`]).
@@ -38,7 +39,7 @@ use std::time::Duration;
 use dpc_net::Clock;
 
 use crate::config::BemConfig;
-use crate::epoch::{stripe_of, CoherencyEpoch, Stamp};
+use crate::epoch::{stripe_of, CoherencyEpoch, ReadSet, Stamp};
 use crate::flight::FlightGroup;
 use crate::key::{DpcKey, FragmentId};
 use crate::policy::{fnv1a, Replacer};
@@ -72,8 +73,8 @@ struct Entry {
     dpc_key: DpcKey,
     is_valid: bool,
     /// Content size in bytes, 0 until the producing code block reports it
-    /// via [`CacheDirectory::note_fragment_bytes`] (the directory issues
-    /// the key *before* content exists). Feeds the resident-bytes gauges.
+    /// via [`CacheDirectory::register`] (the directory issues the key
+    /// *before* content exists). Feeds the resident-bytes gauges.
     bytes: u64,
     /// Bitmask of DPC nodes whose slot array holds this fragment. In the
     /// paper's reverse-proxy configuration there is a single node (bit 0);
@@ -90,8 +91,13 @@ struct Entry {
     stored_nodes: u64,
     /// Absolute expiry in clock-nanos (`u64::MAX` = never).
     expires_at: u64,
-    /// Data-source dependencies registered for invalidation.
+    /// Data-source dependencies registered for invalidation: the declared
+    /// ones at lookup, then the labels of the rows the producer read.
     deps: Vec<String>,
+    /// True once the producer reported every row it read. Until then, and
+    /// for good when it used data the repository did not serve it, a hit
+    /// cannot name what the fragment depends on.
+    reads_known: bool,
     hits: u64,
     /// The fragment's *generation*: the entry's insertion sequence, one
     /// counter for the whole directory that only grows, so a key's
@@ -191,12 +197,13 @@ pub struct CacheDirectory {
     /// flight mutex never wraps it).
     flight: FlightGroup<u64, Bytes>,
     /// Bumped by label under the lock on every [`invalidate_dep`], freed
-    /// keys or not. A lazy block's deps arrive after its producer ran, so
-    /// an update while it ran frees nothing; [`add_deps`] compares the
-    /// stamp the leader took before producing against the deps' stripes.
+    /// keys or not. The rows a block read are registered after its
+    /// producer ran, so an update of one while it ran frees nothing;
+    /// [`register`] compares the stamp the producer took before running
+    /// against the stripes of what it read.
     ///
     /// [`invalidate_dep`]: CacheDirectory::invalidate_dep
-    /// [`add_deps`]: CacheDirectory::add_deps
+    /// [`register`]: CacheDirectory::register
     updates: CoherencyEpoch,
 }
 
@@ -295,7 +302,7 @@ impl CacheDirectory {
     /// entry valid with expiry `now + ttl`. Single-node (reverse-proxy)
     /// form of [`CacheDirectory::lookup_node`].
     pub fn lookup(&self, id: &FragmentId, ttl: Duration, deps: &[String]) -> Lookup {
-        self.lookup_node(id, ttl, deps, 0)
+        self.lookup_node(id, ttl, deps, 0, None)
     }
 
     /// Multi-node lookup: `node` identifies which DPC's slot store will
@@ -303,16 +310,25 @@ impl CacheDirectory {
     /// in the directory but not yet stored on `node` is re-emitted as a
     /// `SET` under its existing key — a *node miss* — so every distributed
     /// DPC converges without any proxy-bound coherence traffic (§7).
+    ///
+    /// `reads`, when given, notes what the fragment depends on: the
+    /// declared `deps`, and on a hit every dep its entry registered, or
+    /// unknown while its producer has not reported what it read. On a
+    /// miss the producer about to run records its own reads.
     pub fn lookup_node(
         &self,
         id: &FragmentId,
         ttl: Duration,
         deps: &[String],
         node: u32,
+        mut reads: Option<&mut ReadSet>,
     ) -> Lookup {
         assert!(node < 64, "at most 64 DPC nodes are supported");
         let node_bit = 1u64 << node;
         let now = self.clock.now_nanos();
+        if let Some(reads) = reads.as_deref_mut() {
+            deps.iter().for_each(|dep| reads.note(dep));
+        }
         let mut inner = self.lock_inner();
         let inner = &mut *inner;
 
@@ -322,6 +338,13 @@ impl CacheDirectory {
                 inner.replacer.touch(&entry.dpc_key);
                 if entry.stored_nodes & node_bit != 0 {
                     inner.hits += 1;
+                    match reads {
+                        Some(reads) if entry.reads_known => {
+                            entry.deps.iter().for_each(|dep| reads.note(dep))
+                        }
+                        Some(reads) => reads.mark_unknown(),
+                        None => {}
+                    }
                     return Lookup::Hit(entry.dpc_key, entry.seq);
                 }
                 // Node miss: this DPC has not stored the fragment yet.
@@ -354,6 +377,7 @@ impl CacheDirectory {
             bytes: 0,
             expires_at,
             deps: deps.to_vec(),
+            reads_known: false,
             hits: 0,
             stored_nodes: node_bit,
             seq: inner.seq,
@@ -402,64 +426,47 @@ impl CacheDirectory {
         cleared
     }
 
-    /// The update stamp a deferred-dependency producer takes before it
-    /// runs, for [`add_deps`](CacheDirectory::add_deps).
+    /// The update stamp a producer takes before it runs, for
+    /// [`register`](CacheDirectory::register).
     pub fn update_stamp(&self) -> Stamp {
         self.updates.stamp()
     }
 
-    /// Register additional data dependencies on a *valid* entry after the
-    /// fact. Returns false when the entry is absent or invalid, or when an
-    /// update of one of `deps` landed since `since` was stamped: the
-    /// content was produced from rows read before that update, so the
-    /// entry is retired (an invalidation) instead, and an in-flight
-    /// produce of it publishes stale.
-    ///
-    /// This powers deferred dependency registration: a code block that only
-    /// learns its dependencies while producing content (e.g. which headline
-    /// rows it rendered) does `lookup(id, ttl, &[])`, runs on the miss
-    /// path, then registers the discovered deps — so the dependency query
-    /// is never executed on the hit path.
-    pub fn add_deps(&self, id: &FragmentId, deps: &[String], since: &Stamp) -> bool {
-        let read: Arc<[u16]> = deps.iter().map(|dep| stripe_of(dep)).collect();
+    /// Register what the producer of a *valid* entry read, and the size of
+    /// what it produced (the directory issues the key before content
+    /// exists; the size feeds the resident-bytes gauges). `reads` are the
+    /// labels of the rows it read, each becoming a dep, or `None` when it
+    /// also used data the repository did not serve it. Returns false when
+    /// the entry is absent or invalid, or when an update of one of `reads`
+    /// landed since `since` was stamped: the content was produced from
+    /// rows read before that update, so the entry is retired (an
+    /// invalidation) instead, and an in-flight produce of it publishes
+    /// stale.
+    pub fn register(
+        &self,
+        id: &FragmentId,
+        reads: Option<Vec<String>>,
+        bytes: u64,
+        since: &Stamp,
+    ) -> bool {
+        let read: Arc<[u16]> = reads.iter().flatten().map(|l| stripe_of(l)).collect();
         let since = since.clone().with_reads(Some(read));
         let mut inner = self.lock_inner();
         let inner = &mut *inner;
-        let Some(entry) = inner.entries.get_mut(id) else {
+        let Some(entry) = inner.entries.get_mut(id).filter(|e| e.is_valid) else {
             return false;
         };
-        if !entry.is_valid {
-            return false;
-        }
         if !self.updates.validates(&since) {
             self.invalidate_locked(inner, id);
             return false;
         }
-        for dep in deps {
-            if !entry.deps.contains(dep) {
-                entry.deps.push(dep.clone());
+        entry.reads_known = reads.is_some();
+        for label in reads.into_iter().flatten() {
+            if !entry.deps.contains(&label) {
+                let dependents = inner.dep_index.entry(label.clone()).or_default();
+                dependents.insert(id.clone());
+                entry.deps.push(label);
             }
-            inner
-                .dep_index
-                .entry(dep.clone())
-                .or_default()
-                .insert(id.clone());
-        }
-        true
-    }
-
-    /// Report the produced content size of a *valid* entry for the
-    /// resident-bytes gauges. The directory issues keys before content
-    /// exists; the BEM calls this right after the code block runs.
-    /// Returns false when the entry is absent or invalid.
-    pub fn note_fragment_bytes(&self, id: &FragmentId, bytes: u64) -> bool {
-        let mut inner = self.lock_inner();
-        let inner = &mut *inner;
-        let Some(entry) = inner.entries.get_mut(id) else {
-            return false;
-        };
-        if !entry.is_valid {
-            return false;
         }
         inner.resident_bytes = inner.resident_bytes - entry.bytes + bytes;
         entry.bytes = bytes;
@@ -507,7 +514,7 @@ impl CacheDirectory {
 
     /// Eagerly expire all valid entries whose TTL has passed. Returns the
     /// number expired. (The lazy check in [`lookup`](Self::lookup) makes
-    /// this optional; a background sweeper keeps directory gauges honest.)
+    /// this optional; a sweep keeps the directory's gauges honest.)
     pub fn sweep_expired(&self) -> usize {
         let now = self.clock.now_nanos();
         let mut inner = self.lock_inner();
@@ -727,6 +734,11 @@ mod tests {
         FragmentId::with_params("f", &[("i", &i.to_string())])
     }
 
+    /// Report a producer that read nothing and made `bytes` bytes.
+    fn sized(dir: &CacheDirectory, id: &FragmentId, bytes: u64) -> bool {
+        dir.register(id, Some(Vec::new()), bytes, &dir.update_stamp())
+    }
+
     #[test]
     fn keys_are_unique_across_shards() {
         let dir = dir_with(64);
@@ -896,14 +908,42 @@ mod tests {
     }
 
     #[test]
-    fn add_deps_registers_in_shard_index() {
+    fn register_adds_the_rows_read_to_the_dep_index() {
         let dir = dir_with(256);
-        let id = FragmentId::new("deferred");
+        let id = FragmentId::new("observed");
         let ttl = Duration::from_secs(600);
         let _ = dir.lookup(&id, ttl, &[]);
-        assert!(dir.add_deps(&id, &["tbl/late".to_owned()], &dir.update_stamp()));
+        let read = vec!["tbl/late".to_owned(), "tbl/late".to_owned()];
+        assert!(dir.register(&id, Some(read), 3, &dir.update_stamp()));
         assert_eq!(dir.invalidate_dep("tbl/late").len(), 1);
         assert!(matches!(dir.lookup(&id, ttl, &[]), Lookup::Miss(..)));
+        dir.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_hit_notes_the_registered_deps_once_they_are_known() {
+        let dir = dir_with(16);
+        let id = FragmentId::new("noted");
+        let ttl = Duration::from_secs(600);
+        let declared = ["users/u1".to_owned()];
+        let lookup = |dir: &CacheDirectory| {
+            let mut reads = ReadSet::default();
+            let looked = dir.lookup_node(&id, ttl, &declared, 0, Some(&mut reads));
+            (looked, reads.stripes().map(<[u16]>::to_vec))
+        };
+        let stripes = |labels: &[&str]| Some(labels.iter().map(|l| stripe_of(l)).collect());
+        // A miss notes the declared deps; its producer records the rest.
+        assert!(matches!(lookup(&dir).0, Lookup::Miss(..)));
+        // Before the producer reported its reads, a hit cannot name them.
+        let (looked, unknown) = lookup(&dir);
+        assert!(matches!(looked, Lookup::Hit(..)));
+        assert_eq!(unknown, None);
+        let read = vec!["t/row".to_owned()];
+        assert!(dir.register(&id, Some(read), 1, &dir.update_stamp()));
+        assert_eq!(lookup(&dir).1, stripes(&["users/u1", "users/u1", "t/row"]));
+        // A producer that used data the repository did not serve it.
+        assert!(dir.register(&id, None, 1, &dir.update_stamp()));
+        assert_eq!(lookup(&dir).1, None);
     }
 
     #[test]
@@ -933,23 +973,29 @@ mod tests {
         let dir = dir_with(32);
         let ttl = Duration::from_secs(60);
         let id = FragmentId::new("shared");
-        let Lookup::Miss(k, gen) = dir.lookup_node(&id, ttl, &[], 0) else {
+        let Lookup::Miss(k, gen) = dir.lookup_node(&id, ttl, &[], 0, None) else {
             panic!("node 0 must miss first");
         };
         // Requester's own bit set: a plain GET.
-        assert_eq!(dir.lookup_node(&id, ttl, &[], 0), Lookup::Hit(k, gen));
+        assert_eq!(dir.lookup_node(&id, ttl, &[], 0, None), Lookup::Hit(k, gen));
         // Another node has not stored it: a node-miss SET under the same
         // key and generation, which sets its bit…
-        assert_eq!(dir.lookup_node(&id, ttl, &[], 3), Lookup::Miss(k, gen));
+        assert_eq!(
+            dir.lookup_node(&id, ttl, &[], 3, None),
+            Lookup::Miss(k, gen)
+        );
         // …so its next lookup is a plain GET.
-        assert_eq!(dir.lookup_node(&id, ttl, &[], 3), Lookup::Hit(k, gen));
+        assert_eq!(dir.lookup_node(&id, ttl, &[], 3, None), Lookup::Hit(k, gen));
         let stats = dir.stats();
         assert_eq!(stats.node_misses, 1, "only node 3's first lookup");
         assert_eq!(stats.misses, 1);
         // Invalidation clears every bit: the next lookup is a fresh miss,
         // even from a node that held the old entry.
         assert!(dir.invalidate(&id));
-        assert_eq!(dir.lookup_node(&id, ttl, &[], 3), Lookup::Miss(k, gen + 1));
+        assert_eq!(
+            dir.lookup_node(&id, ttl, &[], 3, None),
+            Lookup::Miss(k, gen + 1)
+        );
         assert_eq!(dir.stats().node_misses, 1);
         dir.check_invariants().unwrap();
     }
@@ -963,7 +1009,7 @@ mod tests {
             .collect();
         let keys: Vec<DpcKey> = ids
             .iter()
-            .map(|id| match dir.lookup_node(id, ttl, &[], 1) {
+            .map(|id| match dir.lookup_node(id, ttl, &[], 1, None) {
                 Lookup::Miss(k, _) => k,
                 other => panic!("first lookup must miss: {other:?}"),
             })
@@ -982,7 +1028,7 @@ mod tests {
             } else {
                 Lookup::Hit(keys[i], gen)
             };
-            assert_eq!(dir.lookup_node(id, ttl, &[], 1), want, "fragment {i}");
+            assert_eq!(dir.lookup_node(id, ttl, &[], 1, None), want, "fragment {i}");
         }
         assert_eq!(dir.stats().node_misses, 3);
         dir.check_invariants().unwrap();
@@ -1073,21 +1119,21 @@ mod tests {
         let _ = dir.lookup(&a, Duration::from_secs(600), &[]);
         let _ = dir.lookup(&b, Duration::from_secs(600), &[]);
         assert_eq!(dir.stats().resident_bytes, 0, "unreported content counts 0");
-        assert!(dir.note_fragment_bytes(&a, 1000));
-        assert!(dir.note_fragment_bytes(&b, 500));
+        assert!(sized(&dir, &a, 1000));
+        assert!(sized(&dir, &b, 500));
         let stats = dir.stats();
         assert_eq!(stats.resident_bytes, 1500);
         assert_eq!(stats.resident_bytes_hwm, 1500);
         // Regeneration can shrink content; the mark remembers the peak.
-        assert!(dir.note_fragment_bytes(&a, 100));
+        assert!(sized(&dir, &a, 100));
         let stats = dir.stats();
         assert_eq!(stats.resident_bytes, 600);
         assert_eq!(stats.resident_bytes_hwm, 1500);
         assert!(dir.invalidate(&a));
         assert_eq!(dir.stats().resident_bytes, 500);
         // Absent/invalid entries refuse the report.
-        assert!(!dir.note_fragment_bytes(&a, 9));
-        assert!(!dir.note_fragment_bytes(&FragmentId::new("ghost"), 9));
+        assert!(!sized(&dir, &a, 9));
+        assert!(!sized(&dir, &FragmentId::new("ghost"), 9));
         dir.check_invariants().unwrap();
     }
 
@@ -1098,10 +1144,10 @@ mod tests {
         let dir = CacheDirectory::new(&BemConfig::default().with_capacity(64));
         let (a, b) = (FragmentId::new("a"), FragmentId::new("b"));
         let _ = dir.lookup(&a, Duration::from_secs(600), &[]);
-        assert!(dir.note_fragment_bytes(&a, 1000));
+        assert!(sized(&dir, &a, 1000));
         assert!(dir.invalidate(&a));
         let _ = dir.lookup(&b, Duration::from_secs(600), &[]);
-        assert!(dir.note_fragment_bytes(&b, 1000));
+        assert!(sized(&dir, &b, 1000));
         let stats = dir.stats();
         assert_eq!(stats.resident_bytes, 1000);
         assert_eq!(stats.resident_bytes_hwm, 1000);
@@ -1120,7 +1166,7 @@ mod tests {
                     let id = FragmentId::with_params("f", &[("i", &(i % 24).to_string())]);
                     let lookup = dir.lookup(&id, Duration::from_secs(600), &[]);
                     if matches!(lookup, Lookup::Miss(..)) {
-                        dir.note_fragment_bytes(&id, 64 + i as u64);
+                        sized(&dir, &id, 64 + i as u64);
                     }
                     if i % 7 == 0 {
                         dir.invalidate(&id);

@@ -25,9 +25,10 @@
 //!   fragments into the final page — as a flat buffer or as a zero-copy
 //!   rope of shared segments. Each slot keeps its content hash beside its
 //!   bytes, so the page's ETag identity costs O(fragments), not O(bytes).
-//! * [`invalidate`] / [`policy`] — TTL + data-dependency invalidation and
-//!   the replacement policies (LRU, CLOCK, FIFO or none), beside the
-//!   workspace's key and content hashes.
+//! * [`policy`] — the replacement policies (LRU, CLOCK, FIFO or none),
+//!   beside the workspace's key and content hashes. TTL and
+//!   data-dependency invalidation live in the [`directory`]; a block's
+//!   dependencies are the repository rows its code block read.
 //! * [`objects`] — the BEM's secondary function: caching intermediate
 //!   programmatic objects (e.g. user-profile objects) so scripts do not
 //!   repeat back-end calls.
@@ -86,7 +87,6 @@ pub mod directory;
 pub mod epoch;
 pub mod error;
 pub mod flight;
-pub mod invalidate;
 pub mod key;
 pub mod objects;
 pub mod policy;

@@ -11,20 +11,22 @@
 //! window where a hit races the leader's `SET` to the store surfaces as
 //! `MissingFragment`; like the proxy front end, the serve loop retries it.
 //!
-//! Every crowd runs once per kind of code block ([`BLOCKS`]): a
-//! `fragment` that declares its dep and a `fragment_lazy` that discovers
-//! it while it runs. Both go through the writer's one flight loop.
+//! Every crowd runs once per way a code block comes to depend on its row
+//! ([`BLOCKS`]): a block that declares the dep, and one that reads the
+//! row from a repository, whose dep is registered when it returns. Both
+//! go through the writer's one flight loop.
 //!
 //! A discrete-tick model of the same burst ([`flash_crowd`], at the end)
 //! states the claim analytically and checks it at crowd sizes no thread
 //! test could reach.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 use dpc_core::prelude::*;
 use dpc_core::AssembleError;
+use dpc_repository::Repository;
 
 const THREADS: usize = 16;
 /// Directory capacity: small enough to exercise key recycling under the
@@ -60,17 +62,23 @@ fn any_in_flight(bem: &Bem) -> bool {
     bem.directory().flight().in_flight(fkey)
 }
 
-/// How the hot fragment's code block names its dep `tbl/hot`.
+/// How the hot fragment's code block comes to depend on `tbl/hot`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Block {
-    /// `fragment`: declared in its policy, registered at lookup.
+    /// Declared in its policy, registered at lookup.
     Declared,
-    /// `fragment_lazy`: returned by the producer, registered on the miss
-    /// path before the flight publishes.
-    Lazy,
+    /// Observed: the block reads the row from [`repo`], and the read is
+    /// registered on the miss path before the flight publishes.
+    Observed,
 }
 
-const BLOCKS: [Block; 2] = [Block::Declared, Block::Lazy];
+const BLOCKS: [Block; 2] = [Block::Declared, Block::Observed];
+
+/// The repository an observed block reads `tbl/hot` from.
+fn repo() -> &'static Repository {
+    static REPO: OnceLock<Arc<Repository>> = OnceLock::new();
+    REPO.get_or_init(Repository::with_defaults)
+}
 
 /// Serve the hot fragment once through a `block` and assemble the
 /// resulting template against `store`. A `MissingFragment` means a
@@ -91,10 +99,10 @@ fn serve(
                 let policy = FragmentPolicy::ttl(ttl).with_deps(&["tbl/hot"]);
                 w.fragment(&hot_id(), policy, |b| produce(b));
             }
-            Block::Lazy => {
-                w.fragment_lazy(&hot_id(), ttl, |b| {
+            Block::Observed => {
+                w.fragment(&hot_id(), FragmentPolicy::ttl(ttl), |b| {
+                    let _ = repo().get("tbl", "hot");
                     produce(b);
-                    vec!["tbl/hot".to_owned()]
                 });
             }
         }
@@ -196,10 +204,10 @@ fn produce_once_crowd(block: Block) {
 /// rope must never reach a requester, and produce runs exactly
 /// `invalidations + 1` times.
 ///
-/// A lazy block's dep is registered only once its producer returns, so an
-/// update to it while the first producer runs frees nothing (ROADMAP.md,
-/// direction 1 (e)); the lazy crowd's mid-flight retirement is by
-/// fragment id.
+/// An observed block's dep is registered only once its producer returns,
+/// so an update to it while the first producer runs frees nothing; the
+/// directory's update stamp retires the entry when the leader registers
+/// what it read, and the flight publishes stale.
 #[test]
 fn mid_burst_invalidation_costs_exactly_one_extra_produce() {
     for block in BLOCKS {
@@ -229,7 +237,7 @@ fn mid_burst_crowd(block: Block) {
                 inv.store(1, Ordering::Release);
                 match block {
                     Block::Declared => assert_eq!(bem.on_data_update("tbl/hot"), 1),
-                    Block::Lazy => assert!(bem.directory().invalidate(&hot_id())),
+                    Block::Observed => assert_eq!(bem.on_data_update("tbl/hot"), 0),
                 }
                 b.extend_from_slice(b"STALE-GENERATION");
             } else {

@@ -33,7 +33,7 @@ use dpc_proxy::node::{self, NodeSpec};
 use dpc_proxy::testbed::{Testbed, TestbedConfig, ORIGIN_ADDR, PROXY_ADDR};
 use dpc_proxy::{ProxyMode, RingCluster, RingConfig};
 use dpc_repository::datasets::DatasetConfig;
-use dpc_repository::Repository;
+use dpc_repository::{Repository, Row};
 use dpc_trace::Tracer;
 use parking_lot::Mutex;
 
@@ -272,6 +272,32 @@ fn an_object_cache_hit_installs_coarsely_and_is_counted() {
         tb.get("/home.jsp", Some("user1")).headers.get("x-cache"),
         Some("dpc-l2")
     );
+}
+
+#[test]
+fn an_inserted_headline_reaches_its_quote_page_with_the_tier_off_and_on() {
+    let target = "/quote.jsp?symbol=SYM3";
+    for tier in [false, true] {
+        let tb = Testbed::build(TestbedConfig {
+            demo_sites: true,
+            l1_budget_bytes: if tier { 1 << 20 } else { 0 },
+            ..TestbedConfig::default()
+        });
+        let _ = tb.get(target, None);
+        let warm = tb.get(target, None);
+        let want = if tier { "dpc-l2" } else { "dpc-assembled" };
+        assert_eq!(warm.headers.get("x-cache"), Some(want), "tier {tier}");
+        let row = Row::new()
+            .with("symbol", "SYM3")
+            .with("rank", 99i64)
+            .with("text", "SYM3-inserted breaking news");
+        tb.engine().repo().put("headlines", "SYM3-inserted", row);
+        let page = String::from_utf8(tb.get(target, None).body.to_vec()).unwrap();
+        assert!(
+            page.contains("SYM3-inserted breaking news"),
+            "tier {tier}: the inserted headline did not reach its page"
+        );
+    }
 }
 
 const CROWD: usize = 8;

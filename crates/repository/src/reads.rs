@@ -10,9 +10,14 @@
 //! reads made by closures an application handed to the cache layer, so no
 //! script has to declare what it read.
 //!
+//! Recordings nest: the BEM records each cacheable code block it runs
+//! inside the page's recording, and a nested recording merges into the
+//! one around it when it closes, so the page still sees every read.
+//!
 //! A script that uses data the repository did not serve to it in this
 //! recording (an object cached by an earlier request, say) calls
-//! [`note_unseen`]: the recording then reports its read set as unknown.
+//! [`note_unseen`]: the recording then reports its read set as unknown,
+//! and so does every recording around it.
 
 use std::cell::RefCell;
 
@@ -38,12 +43,19 @@ impl Drop for Restore {
 /// Run `f` with a recording open on this thread. Returns `f`'s value and
 /// the labels of every repository read it made (in read order, repeats
 /// kept), or `None` when it also used data the repository did not serve
-/// it ([`note_unseen`]).
+/// it ([`note_unseen`]). The recording this one nests in, if any, gets the
+/// same labels, or becomes unknown with it.
 pub fn record<R>(f: impl FnOnce() -> R) -> (R, Option<Vec<String>>) {
     let outer = RECORDING.with(|r| r.borrow_mut().replace(Some(Vec::new())));
-    let restore = Restore(outer);
+    let mut restore = Restore(outer);
     let value = f();
     let reads = RECORDING.with(|r| r.borrow_mut().take()).flatten();
+    if let Some(outer) = &mut restore.0 {
+        match (outer.as_mut(), &reads) {
+            (Some(labels), Some(inner)) => labels.extend(inner.iter().cloned()),
+            _ => *outer = None,
+        }
+    }
     drop(restore);
     (value, reads)
 }
@@ -127,8 +139,33 @@ mod tests {
             assert!(caught.is_err());
             let _ = r.get("books", "b3");
         });
-        assert_eq!(outer.unwrap(), ["books/b1", "books/b3"]);
+        // The nested recording merged into the outer one when it closed.
+        assert_eq!(outer.unwrap(), ["books/b1", "books/b2", "books/b3"]);
         let _ = r.get("books", "b4");
         assert!(RECORDING.with(|r| r.borrow().is_none()));
+    }
+
+    #[test]
+    fn a_nested_unknown_makes_the_outer_unknown() {
+        let r = repo();
+        let ((), outer) = record(|| {
+            let ((), inner) = record(|| {
+                let _ = r.get("books", "b1");
+                note_unseen();
+            });
+            assert_eq!(inner, None);
+            // Reads after the nested recording closed cannot make it known.
+            let _ = r.get("books", "b2");
+        });
+        assert_eq!(outer, None);
+        // An unknown outer stays unknown whatever a nested one read.
+        let ((), outer) = record(|| {
+            note_unseen();
+            let ((), inner) = record(|| {
+                let _ = r.get("books", "b3");
+            });
+            assert_eq!(inner.unwrap(), ["books/b3"]);
+        });
+        assert_eq!(outer, None);
     }
 }
